@@ -41,7 +41,7 @@ from . import __version__
 from .equations import EquationParams, RenormalizedTerms, derive_gauge_params
 from .errors import ConfigurationError, DivergenceError, MkdvLabError, ParameterError
 from .integrate import StepControl, evolve
-from .invariants import drift_report, hamiltonian_h0, hamiltonian_h1, hamiltonian_h2
+from .invariants import drift_report
 from .spectral import GridSpec, SpectralField, sobolev_norm
 from .transforms import gauge_forward, miura_residual, chain_identity_gap
 
@@ -95,9 +95,12 @@ class ExperimentConfig:
 
     def get_float(self, section, key):
         try:
-            return float(self.raw.get(section, key))
+            v = float(self.raw.get(section, key))
         except ValueError as e:
             raise ConfigurationError(f"{section}.{key}: not a number ({e})")
+        if not np.isfinite(v):
+            raise ConfigurationError(f"{section}.{key}: must be finite, got {v}")
+        return v
 
     def as_dict(self) -> dict:
         return {s: dict(self.raw.items(s)) for s in self.raw.sections()}
@@ -175,8 +178,8 @@ def build_params(cfg: ExperimentConfig, u0: SpectralField | None = None) -> Equa
     d1 = cfg.get("equation", "d1")
     d2 = cfg.get("equation", "d2")
     if d1 or d2:
-        p.d1 = float(d1 or 0.0)
-        p.d2 = float(d2 or 0.0)
+        p.d1 = cfg.get_float("equation", "d1") if d1 else 0.0
+        p.d2 = cfg.get_float("equation", "d2") if d2 else 0.0
     elif u0 is not None and p.constrained and abs(p.c1 - 40.0) < 1e-12:
         gp = derive_gauge_params(u0, 40.0)
         p.d1, p.d2, p.gamma1, p.gamma2 = gp.d1, gp.d2, gp.gamma1, gp.gamma2
@@ -230,13 +233,11 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
     p = build_params(cfg, u0)
     traj = evolve(u0, cfg.get_float("time", "T"), p, cfg.get("equation", "tag"), build_ctrl(cfg))
     s = cfg.get_float("norms", "s")
-    rows = []
-    for i in range(len(traj)):
-        f = traj.field(i)
-        rows.append(
-            (traj.times[i], hamiltonian_h0(f), hamiltonian_h1(f, p.c1),
-             hamiltonian_h2(f, p.c1), sobolev_norm(f, s))
-        )
+    rep = drift_report(traj, p.c1)
+    rows = [
+        (rep.times[i], rep.h0[i], rep.h1[i], rep.h2[i], sobolev_norm(traj.field(i), s))
+        for i in range(len(traj))
+    ]
     csv_path, man_path = _out_paths(cfg, "evolve")
     write_csv(csv_path, ["time", "H0", "H1", "H2", f"Hs(s={s})"], rows)
     write_manifest(

@@ -56,8 +56,10 @@ class StepControl:
     stiff_splitting: str = "etd_rk4"
 
     def __post_init__(self):
-        if self.dt < 0:
-            raise ConfigurationError("dt must be positive (or 0 for automatic)")
+        if not np.isfinite(self.dt) or self.dt < 0:
+            raise ConfigurationError(
+                f"dt must be finite and positive (or 0 for automatic), got {self.dt}"
+            )
         if self.record_stride < 0:
             raise ConfigurationError("record_stride must be positive (or 0 for automatic)")
         if self.stiff_splitting not in ("integrating_factor_rk4", "etd_rk4"):
@@ -87,9 +89,8 @@ class Trajectory:
         return self.field(len(self.times) - 1)
 
     def hermitian_defects(self) -> np.ndarray:
-        return np.array(
-            [np.max(np.abs(s[::-1] - np.conj(s))) for s in self.states]
-        )
+        """max_n |coeff(-n) - conj(coeff(n))| of every record."""
+        return np.max(np.abs(self.states[:, ::-1] - np.conj(self.states)), axis=1)
 
 
 def _sup_estimates(grid: GridSpec, coeff: np.ndarray):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, SymmetryError
 from .integrate import Trajectory
 from .spectral import (
     GridSpec,
@@ -31,41 +31,64 @@ from .spectral import (
 TWO_PI = 2.0 * np.pi
 
 
-def _phys(grid: GridSpec, coeff: np.ndarray, order: int = 0) -> np.ndarray:
+def _phys(grid: GridSpec, coeffs: np.ndarray, order: int = 0) -> np.ndarray:
+    """Real collocation values of (i n)^order * coeffs for every row.
+
+    The complex synthesis is kept (not irfft) so the Hamiltonian series, and
+    the round-off-level drifts read from them, match the per-field values."""
     w = (1j * grid.modes.astype(float)) ** order if order else 1.0
-    return synthesize_values(grid, w * coeff).real
+    return synthesize_values(grid, w * coeffs).real
 
 
-def _quad(grid: GridSpec, values: np.ndarray) -> float:
-    """Collocation trapezoid integral over [0, 2*pi], exact for trig
-    polynomials below the Nyquist band."""
-    return float(np.sum(values) * (TWO_PI / grid.phys_points))
+def _quad(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Collocation trapezoid integrals over [0, 2*pi] along the last axis,
+    exact for trig polynomials below the Nyquist band."""
+    return np.sum(values, axis=-1) * (TWO_PI / grid.phys_points)
+
+
+def _require_real_records(traj: Trajectory, what: str):
+    """SpectralField.require_real's rule (tol 1e-8 relative) on every record."""
+    defect = traj.hermitian_defects()
+    scale = np.maximum(1.0, np.max(np.abs(traj.states), axis=1))
+    bad = np.nonzero(defect > 1e-8 * scale)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise SymmetryError(
+            f"{what} record {i} (t={traj.times[i]:.6e}) violates Hermitian symmetry"
+            f" (defect {defect[i]:.3e})"
+        )
+
+
+def _hamiltonians(grid: GridSpec, states: np.ndarray, c1: float, top: int = 2) -> list:
+    """[H0, ..., H_top] of every row of states, one synthesis per derivative order."""
+    U = _phys(grid, states)
+    u2 = U * U
+    out = [0.5 * _quad(grid, u2)]
+    if top >= 1:
+        Ux = _phys(grid, states, 1)
+        out.append(_quad(grid, 0.5 * Ux * Ux + (c1 / 80.0) * u2 * u2))
+    if top >= 2:
+        Uxx = _phys(grid, states, 2)
+        out.append(_quad(
+            grid,
+            0.5 * Uxx * Uxx + (c1 / 8.0) * u2 * Ux * Ux + (c1**2 / 1600.0) * u2 * u2 * u2,
+        ))
+    return out
 
 
 def hamiltonian_h0(u: SpectralField) -> float:
     u.require_real(what="H0 input")
-    U = _phys(u.grid, u.coeff)
-    return 0.5 * _quad(u.grid, U * U)
+    return float(_hamiltonians(u.grid, u.coeff[None], 0.0, top=0)[0][0])
 
 
 def hamiltonian_h1(u: SpectralField, c1: float) -> float:
     u.require_real(what="H1 input")
-    U = _phys(u.grid, u.coeff)
-    Ux = _phys(u.grid, u.coeff, 1)
-    u2 = U * U
-    return _quad(u.grid, 0.5 * Ux * Ux + (c1 / 80.0) * u2 * u2)
+    return float(_hamiltonians(u.grid, u.coeff[None], c1, top=1)[1][0])
 
 
 def hamiltonian_h2(u: SpectralField, c1: float) -> float:
     u.require_real(what="H2 input")
-    U = _phys(u.grid, u.coeff)
-    Ux = _phys(u.grid, u.coeff, 1)
-    Uxx = _phys(u.grid, u.coeff, 2)
-    u2 = U * U
-    return _quad(
-        u.grid,
-        0.5 * Uxx * Uxx + (c1 / 8.0) * u2 * Ux * Ux + (c1**2 / 1600.0) * u2 * u2 * u2,
-    )
+    return float(_hamiltonians(u.grid, u.coeff[None], c1, top=2)[2][0])
 
 
 @dataclass
@@ -99,15 +122,8 @@ def _rel_drift(series: np.ndarray) -> float:
 
 def drift_report(traj: Trajectory, c1: float) -> HamiltonianReport:
     """Time series of H0, H1, H2 on the recorded states with max relative drift."""
-    n = len(traj)
-    h0 = np.empty(n)
-    h1 = np.empty(n)
-    h2 = np.empty(n)
-    for i in range(n):
-        f = traj.field(i)
-        h0[i] = hamiltonian_h0(f)
-        h1[i] = hamiltonian_h1(f, c1)
-        h2[i] = hamiltonian_h2(f, c1)
+    _require_real_records(traj, "drift_report input")
+    h0, h1, h2 = _hamiltonians(traj.grid, traj.states, c1)
     return HamiltonianReport(
         traj.times.copy(), h0, h1, h2, (_rel_drift(h0), _rel_drift(h1), _rel_drift(h2))
     )

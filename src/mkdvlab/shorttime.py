@@ -18,6 +18,13 @@ spacing 2^{-2k}/4; windows that do not fit inside the recorded span fall
 back to a single centered window with the data zero-extended (the
 trajectory acting as its own extension, which upper-bounds the infimum over
 extensions; flagged in the result metadata).
+
+Cost model: a window at level k has about 4 * 4^{-k}/dt samples however few
+records it covers (267,602 around 670 records for k = 0 at the `norms`
+defaults).  The I_k band of the recorded rows is demodulated once per k; each
+window gathers only its recorded rows into a zeroed (windows, samples, |band|)
+batch, so memory is O(samples * |band|) per chunk, not O(samples * (2M + 1)),
+and one FFT per window length plus one bincount bin every centre.
 """
 
 from __future__ import annotations
@@ -29,11 +36,12 @@ import scipy.fft as sfft
 
 from .errors import ParameterError, ResolutionError
 from .integrate import Trajectory, _linear_symbol
-from .spectral import chi
+from .spectral import chi, eta0
 
 GAMMA_DEFAULT = 0.25
 WINDOW_HALF_WIDTH = 2.0  # support of eta0 in scaled units
 MIN_WINDOW_SAMPLES = 64
+_BATCH_ELEMENTS = 1 << 20  # complex entries per batched window FFT
 
 
 def beta_weight(j: int, k: int, gamma: float = GAMMA_DEFAULT) -> float:
@@ -94,8 +102,8 @@ def _shell_index(abs_tau: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0)
 
 
-def _window_samples(traj: Trajectory, k: int, t_k: float):
-    """Uniform in-window samples (indices, offsets, zero_extended flag)."""
+def _window_starts(traj: Trajectory, k: int, centers: np.ndarray):
+    """Validated record spacing, first sample index and length of each window."""
     times = traj.times
     if len(times) < 2:
         raise ResolutionError("trajectory must carry at least two records")
@@ -104,49 +112,73 @@ def _window_samples(traj: Trajectory, k: int, t_k: float):
     if np.max(np.abs(dts - dt)) > 1e-9 * max(dt, 1e-300):
         raise ResolutionError("modulation decomposition needs uniform record spacing")
     half = WINDOW_HALF_WIDTH * 4.0 ** (-k)
-    span = 2.0 * half
-    need = span / MIN_WINDOW_SAMPLES
+    need = 2.0 * half / MIN_WINDOW_SAMPLES
     if dt > need * (1 + 1e-12):
         raise ResolutionError(
             f"record spacing {dt:.3e} too coarse for k={k}: need dt <= {need:.3e}"
         )
-    m_lo = int(np.floor((t_k - half - times[0]) / dt))
-    m_hi = int(np.ceil((t_k + half - times[0]) / dt))
-    idx = np.arange(m_lo, m_hi + 1)
-    zero_extended = bool(idx[0] < 0 or idx[-1] >= len(times))
-    return idx, dt, zero_extended
+    m_lo = np.floor((centers - half - times[0]) / dt).astype(int)
+    m_hi = np.ceil((centers + half - times[0]) / dt).astype(int)
+    return dt, m_lo, m_hi - m_lo + 1
+
+
+def _shell_masses(traj, k, centers, dt, m_lo, lengths, weight=None, resolvent=False):
+    """Squared shell masses mass_sq[c, j] of every window centre at once,
+    the shells any FFT bin falls in, and the squared window L^2(dt) norms.
+    weight multiplies the band coefficients; resolvent divides by
+    (tau - mu(n) + i 2^{2k})."""
+    n_rec = len(traj.times)
+    n_c = len(centers)
+    band = np.nonzero(chi(k, traj.grid.modes))[0]
+    if band.size == 0:
+        return np.zeros((n_c, 0)), np.zeros(0, dtype=bool), np.zeros(n_c)
+    mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[band]
+    t_rec = traj.times[0] + np.arange(n_rec) * dt
+    data = traj.states[:, band]
+    if weight is not None:
+        data = data * weight[band]
+    demod = data * np.exp(-1j * np.outer(t_rec, mu))
+
+    bins = {}
+    for L in np.unique(lengths):
+        taus = 2.0 * np.pi * sfft.fftfreq(L, d=dt)
+        bins[L] = (taus, _shell_index(np.abs(taus)))
+    n_shells = 1 + max(int(shell_of.max()) for _, shell_of in bins.values())
+    mass_sq = np.zeros((n_c, n_shells))
+    present = np.zeros(n_shells, dtype=bool)
+    l2_sq = np.zeros(n_c)
+    for L, (taus, shell_of) in bins.items():
+        present[shell_of] = True
+        same = np.nonzero(lengths == L)[0]
+        chunk = max(1, _BATCH_ELEMENTS // (L * band.size))
+        for c in (same[i:i + chunk] for i in range(0, len(same), chunk)):
+            rows = m_lo[c, None] + np.arange(L)
+            inside = (rows >= 0) & (rows < n_rec)
+            r = rows[inside]
+            t_k = np.broadcast_to(centers[c, None], rows.shape)[inside]
+            g = np.zeros((len(c), L, band.size), dtype=np.complex128)
+            g[inside] = demod[r] * eta0(4.0**k * (t_rec[r] - t_k))[:, None]
+            l2_sq[c] = dt * np.sum(np.abs(g) ** 2, axis=(1, 2))
+            G = sfft.fft(g, axis=1, overwrite_x=True)
+            if resolvent:
+                G /= taus[:, None] + 1j * 4.0**k
+            # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
+            w = (np.abs(G) ** 2).sum(axis=2) * (dt / L)
+            flat = shell_of + n_shells * np.arange(len(c))[:, None]
+            sums = np.bincount(flat.ravel(), w.ravel(), minlength=len(c) * n_shells)
+            mass_sq[c] = sums.reshape(len(c), n_shells)
+    return mass_sq, present, l2_sq
 
 
 def modulation_decompose(traj: Trajectory, k: int, t_k: float) -> ModulationShellSet:
     """Windowed space-time transform of the I_k band, binned in |tau - mu(n)|."""
-    from .spectral import eta0
-
-    grid = traj.grid
-    idx, dt, zero_extended = _window_samples(traj, k, t_k)
-    mu = _linear_symbol(grid, traj.params, traj.equation_tag)
-    band = np.nonzero(chi(k, grid.modes))[0]
-    if band.size == 0:
-        return ModulationShellSet(k, t_k, {}, 0.0, len(idx), dt, zero_extended)
-
-    t_atoms = traj.times[0] + idx * dt
-    inside = (idx >= 0) & (idx < len(traj.times))
-    data = np.zeros((len(idx), band.size), dtype=np.complex128)
-    data[inside] = traj.states[np.clip(idx, 0, len(traj.times) - 1)][:, band][inside]
-    window = eta0(4.0**k * (t_atoms - t_k))
-    demod = np.exp(-1j * np.outer(t_atoms, mu[band]))
-    g = data * demod * window[:, None]
-
-    G = sfft.fft(g, axis=0)
-    taus = 2.0 * np.pi * sfft.fftfreq(len(idx), d=dt)
-    shell_of = _shell_index(np.abs(taus))
-    # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
-    weights = (np.abs(G) ** 2).sum(axis=1) * (dt / len(idx))
-    shells: dict = {}
-    for j, w in zip(shell_of, weights):
-        shells[int(j)] = shells.get(int(j), 0.0) + float(w)
-    shells = {j: float(np.sqrt(m)) for j, m in sorted(shells.items())}
-    window_l2 = float(np.sqrt(dt * np.sum(np.abs(g) ** 2)))
-    return ModulationShellSet(k, t_k, shells, window_l2, len(idx), dt, zero_extended)
+    centers = np.array([float(t_k)])
+    dt, m_lo, lengths = _window_starts(traj, k, centers)
+    mass_sq, present, l2_sq = _shell_masses(traj, k, centers, dt, m_lo, lengths)
+    n = int(lengths[0])
+    zero_extended = bool(m_lo[0] < 0 or m_lo[0] + n > len(traj.times))
+    shells = {int(j): float(np.sqrt(mass_sq[0, j])) for j in np.nonzero(present)[0]}
+    return ModulationShellSet(k, t_k, shells, float(np.sqrt(l2_sq[0])), n, dt, zero_extended)
 
 
 def xk_norm(shells: ModulationShellSet, wt: WeightTable | None = None) -> float:
@@ -175,76 +207,38 @@ def _tk_grid(traj: Trajectory, k: int, T: float):
     return np.array([0.5 * (t0 + t1)]), True
 
 
+def _xk_sup(traj, k, T, wt, weight=None, resolvent=False) -> float:
+    """sup over the t_k grid of the X_k sum, every window in one batch."""
+    if wt is None:
+        wt = WeightTable()
+    centers, _ = _tk_grid(traj, k, T)
+    dt, m_lo, lengths = _window_starts(traj, k, centers)
+    mass_sq, _, _ = _shell_masses(traj, k, centers, dt, m_lo, lengths, weight, resolvent)
+    coef = np.array([
+        2.0 ** (j / 2.0) * wt.beta(j, k) if wt.keep_shell(j, k) else 0.0
+        for j in range(mass_sq.shape[1])
+    ])
+    return max(0.0, float(np.max(np.sqrt(mass_sq) @ coef)))
+
+
 def fk_norm(traj: Trajectory, k: int, T: float, wt: WeightTable | None = None) -> float:
     """sup over the t_k grid of the X_k norm of the windowed data."""
-    centers, extended = _tk_grid(traj, k, T)
-    best = 0.0
-    for t_k in centers:
-        best = max(best, xk_norm(modulation_decompose(traj, k, t_k), wt))
-    return best
+    return _xk_sup(traj, k, T, wt)
 
 
 def nk_norm(traj: Trajectory, k: int, T: float, wt: WeightTable | None = None) -> float:
     """Like fk_norm with the resolvent weight (tau - mu(n) + i 2^{2k})^{-1}."""
-    from .spectral import eta0
-
-    if wt is None:
-        wt = WeightTable()
-    grid = traj.grid
-    centers, _ = _tk_grid(traj, k, T)
-    mu = _linear_symbol(grid, traj.params, traj.equation_tag)
-    band = np.nonzero(chi(k, grid.modes))[0]
-    if band.size == 0:
-        return 0.0
-    best = 0.0
-    for t_k in centers:
-        idx, dt, _ = _window_samples(traj, k, t_k)
-        t_atoms = traj.times[0] + idx * dt
-        inside = (idx >= 0) & (idx < len(traj.times))
-        data = np.zeros((len(idx), band.size), dtype=np.complex128)
-        data[inside] = traj.states[np.clip(idx, 0, len(traj.times) - 1)][:, band][inside]
-        window = eta0(4.0**k * (t_atoms - t_k))
-        demod = np.exp(-1j * np.outer(t_atoms, mu[band]))
-        g = data * demod * window[:, None]
-        G = sfft.fft(g, axis=0)
-        taus = 2.0 * np.pi * sfft.fftfreq(len(idx), d=dt)
-        G = G / (taus[:, None] + 1j * 4.0**k)
-        shell_of = _shell_index(np.abs(taus))
-        weights = (np.abs(G) ** 2).sum(axis=1) * (dt / len(idx))
-        shells: dict = {}
-        for j, w in zip(shell_of, weights):
-            shells[int(j)] = shells.get(int(j), 0.0) + float(w)
-        val = sum(
-            2.0 ** (j / 2.0) * wt.beta(j, k) * np.sqrt(m)
-            for j, m in shells.items()
-            if wt.keep_shell(j, k)
-        )
-        best = max(best, float(val))
-    return best
+    return _xk_sup(traj, k, T, wt, resolvent=True)
 
 
 def fs_norm(traj: Trajectory, s: float, T: float, wt: WeightTable | None = None) -> float:
     """(sum_k 2^{2sk} ||P_k traj||_{F_k(T)}^2)^{1/2} over the retained bands."""
-    grid = traj.grid
-    M = grid.max_mode
-    k_max = max(0, int(np.ceil(np.log2(max(M, 2)))))
+    k_max = max(0, int(np.ceil(np.log2(max(traj.grid.max_mode, 2)))))
     total = 0.0
     for k in range(0, k_max + 1):
-        chik = chi(k, grid.modes)
-        if not np.any(chik):
+        chik = chi(k, traj.grid.modes)
+        if not np.any(traj.states[:, chik != 0]):
             continue
-        band = np.nonzero(chik)[0]
-        if not np.any(np.abs(traj.states[:, band])):
-            continue
-        proj = Trajectory(
-            grid,
-            traj.times,
-            traj.states * chik[None, :],
-            traj.params,
-            traj.equation_tag,
-            traj.dt,
-            traj.record_stride,
-        )
-        fk = fk_norm(proj, k, T, wt)
+        fk = _xk_sup(traj, k, T, wt, weight=chik)
         total += 4.0 ** (s * k) * fk * fk
     return float(np.sqrt(total))

@@ -30,8 +30,6 @@ TWO_PI = 2.0 * np.pi
 #: alias-free on the retained band once phys_points >= 3*(2*max_mode+1).
 DEFAULT_DEALIAS_FACTOR = 3.0
 
-_FAST_SIZES = None
-
 
 def _next_fast_len(n: int) -> int:
     return sfft.next_fast_len(int(n), real=True)
@@ -145,14 +143,15 @@ class SpectralField:
 def synthesize_values(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
     """Pointwise values of sum_n coeff[n] e^{inx} on the collocation grid.
 
-    Works for arbitrary complex coefficient arrays (returns complex values);
-    use :func:`synthesize` for the real-field contract.
+    Works for arbitrary complex coefficient arrays (returns complex values),
+    with any leading axes (one FFT call for all rows); use
+    :func:`synthesize` for the real-field contract.
     """
     M, P = grid.max_mode, grid.phys_points
-    buf = np.zeros(P, dtype=np.complex128)
-    buf[: M + 1] = coeff[M:]
-    buf[P - M:] = coeff[:M]
-    return sfft.ifft(buf) * P
+    buf = np.zeros(coeff.shape[:-1] + (P,), dtype=np.complex128)
+    buf[..., : M + 1] = coeff[..., M:]
+    buf[..., P - M:] = coeff[..., :M]
+    return sfft.ifft(buf, axis=-1) * P
 
 
 def synthesize(field: SpectralField) -> np.ndarray:
@@ -303,7 +302,3 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     w = (1.0 + n * n) ** s
     return float(np.sqrt(np.sum(w * np.abs(field.coeff) ** 2)))
 
-
-def l2_norm_sq(coeff: np.ndarray) -> float:
-    """Sequence-side L^2 norm squared, sum |c[n]|^2."""
-    return float(np.sum(np.abs(coeff) ** 2))

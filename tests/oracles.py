@@ -142,3 +142,95 @@ def random_real_coeffs(M, rng, decay=1.5, amplitude=1.0):
         c[-n + M] = np.conj(a)
     c[M] = rng.standard_normal()
     return amplitude * c
+
+
+# ---------------------------------------------------------------------------
+# Short-time norms: one window at a time
+# ---------------------------------------------------------------------------
+
+def window_shells_oracle(traj, k, t_k, weight=None, resolvent=False):
+    """Shell masses of one window by gather, demodulate, FFT and a bin loop.
+
+    Returns (shells {j: mass}, window L^2(dt) norm, n_samples, zero_extended).
+    weight multiplies the band coefficients (chi_k for the F^s blocks);
+    resolvent divides by (tau - mu(n) + i 4^k).  One FFT per window; only
+    the band columns of the recorded rows are gathered.
+    """
+    import scipy.fft as sfft
+
+    from mkdvlab.integrate import _linear_symbol
+    from mkdvlab.spectral import chi, eta0
+
+    times = traj.times
+    dt = float(times[1] - times[0])
+    half = 2.0 * 4.0 ** (-k)
+    m_lo = int(np.floor((t_k - half - times[0]) / dt))
+    m_hi = int(np.ceil((t_k + half - times[0]) / dt))
+    idx = np.arange(m_lo, m_hi + 1)
+    zero_extended = bool(idx[0] < 0 or idx[-1] >= len(times))
+    band = np.nonzero(chi(k, traj.grid.modes))[0]
+    mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[band]
+    states = traj.states[:, band]
+    if weight is not None:
+        states = states * weight[band]
+
+    t_atoms = times[0] + idx * dt
+    inside = (idx >= 0) & (idx < len(times))
+    data = np.zeros((len(idx), band.size), dtype=complex)
+    data[inside] = states[idx[inside]]
+    window = eta0(4.0**k * (t_atoms - t_k))
+    g = data * np.exp(-1j * np.outer(t_atoms, mu)) * window[:, None]
+    G = sfft.fft(g, axis=0)
+    taus = 2.0 * np.pi * sfft.fftfreq(len(idx), d=dt)
+    if resolvent:
+        G = G / (taus[:, None] + 1j * 4.0**k)
+    weights = (np.abs(G) ** 2).sum(axis=1) * (dt / len(idx))
+    shells = {}
+    for tau, w in zip(taus, weights):
+        a = abs(tau)
+        j = 0 if a <= 2.0 else max(int(np.ceil(np.log2(a))) - 1, 0)
+        shells[j] = shells.get(j, 0.0) + float(w)
+    shells = {j: float(np.sqrt(m)) for j, m in sorted(shells.items())}
+    window_l2 = float(np.sqrt(dt * np.sum(np.abs(g) ** 2)))
+    return shells, window_l2, len(idx), zero_extended
+
+
+def window_centers_oracle(traj, k, T):
+    """The t_k grid: spacing 4^{-k}/4 inside the span, else one centred window."""
+    t0, t1 = traj.times[0], min(traj.times[-1], T)
+    half = 2.0 * 4.0 ** (-k)
+    if t1 - half < t0 + half:
+        return [0.5 * (t0 + t1)]
+    step = 4.0 ** (-k) / 4.0
+    n = int(np.floor((t1 - half - (t0 + half)) / step)) + 1
+    return [t0 + half + step * i for i in range(n)]
+
+
+def xk_sup_oracle(traj, k, T, gamma=0.25, clamp_offset=None, weight=None, resolvent=False):
+    """sup over window centres of sum_j 2^{j/2} beta_{j,k} mass_j, one window at a time."""
+    best = 0.0
+    for t_k in window_centers_oracle(traj, k, T):
+        shells = window_shells_oracle(traj, k, t_k, weight, resolvent)[0]
+        val = 0.0
+        for j, m in shells.items():
+            if clamp_offset is not None and j > 5 * k + clamp_offset:
+                continue
+            beta = 1.0 if k == 0 else 1.0 + 2.0 ** (gamma * (j - 5 * k))
+            val += 2.0 ** (j / 2.0) * beta * m
+        best = max(best, val)
+    return best
+
+
+def fs_oracle(traj, s, T, gamma=0.25, clamp_offset=None):
+    """(sum_k 4^{sk} F_k(P_k traj)^2)^{1/2} from the per-window oracle."""
+    from mkdvlab.spectral import chi
+
+    M = traj.grid.max_mode
+    total = 0.0
+    for k in range(0, int(np.ceil(np.log2(max(M, 2)))) + 1):
+        chik = chi(k, traj.grid.modes)
+        if not np.any(traj.states[:, chik != 0]):
+            continue
+        fk = xk_sup_oracle(traj, k, T, gamma, clamp_offset, weight=chik)
+        total += 4.0 ** (s * k) * fk * fk
+    return float(np.sqrt(total))

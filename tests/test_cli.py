@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mkdvlab.cli import main
 
 
@@ -25,6 +27,21 @@ class TestValidation:
 
     def test_missing_config_file(self, tmp_path):
         assert run(["conserve", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("time.T", "nan"),
+        ("time.T", "inf"),
+        ("time.dt", "nan"),
+        ("grid.dealias_factor", "nan"),
+        ("equation.d1", "nan"),
+        ("equation.d2", "abc"),
+    ])
+    def test_bad_float_named(self, tmp_path, capsys, field, value):
+        code = run(["conserve", "--set", f"{field}={value}", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err
+        assert "Traceback" not in err
 
 
 class TestConserve:

@@ -171,3 +171,10 @@ class TestStrideAuto:
         u0 = SpectralField.from_modes(grid8, {1: 0.01, -1: 0.01})
         traj = evolve(u0, 0.01, p, ctrl=StepControl(dt=1e-5))
         assert 300 <= len(traj) <= 1300
+
+
+class TestStepControlValidation:
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -1e-3])
+    def test_bad_dt_rejected(self, dt):
+        with pytest.raises(ConfigurationError, match="dt must be finite"):
+            StepControl(dt=dt)

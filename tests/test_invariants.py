@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mkdvlab.equations import EquationParams
-from mkdvlab.errors import ParameterError
+from mkdvlab.errors import ParameterError, SymmetryError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.invariants import (
     ModifiedEnergyParams,
@@ -115,6 +115,28 @@ class TestConservation:
                 dts.append(T / frac)
             slope = np.polyfit(np.log(dts), np.log(drifts), 1)[0]
             assert slope >= 3.9, (splitting, drifts)
+
+    def test_batched_series_match_single_state_values(self, grid8, rng):
+        p = EquationParams.constrained_family(40.0)
+        u0 = SpectralField(grid8, random_real_coeffs(8, rng, amplitude=0.1))
+        traj = evolve(u0, 0.002, p, ctrl=StepControl(dt=2e-4, record_stride=1))
+        rep = drift_report(traj, 40.0)
+        for i in range(len(traj)):
+            f = traj.field(i)
+            assert rep.h0[i] == hamiltonian_h0(f)
+            assert rep.h1[i] == hamiltonian_h1(f, 40.0)
+            assert rep.h2[i] == hamiltonian_h2(f, 40.0)
+
+    def test_non_hermitian_record_is_named(self, grid8, rng):
+        p = EquationParams.constrained_family(40.0)
+        u0 = SpectralField(grid8, random_real_coeffs(8, rng, amplitude=0.1))
+        traj = evolve(u0, 0.002, p, ctrl=StepControl(dt=2e-4, record_stride=1))
+        clean = traj.states[3, 8 + 2]
+        traj.states[3, 8 + 2] = clean + 1e-6j
+        with pytest.raises(SymmetryError, match="record 3 "):
+            drift_report(traj, 40.0)
+        traj.states[3, 8 + 2] = clean + 1e-9j  # inside the 1e-8 relative tolerance
+        drift_report(traj, 40.0)
 
     def test_csv_roundtrip(self, tmp_path, grid8):
         p = EquationParams.constrained_family(40.0)

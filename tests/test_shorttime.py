@@ -249,3 +249,157 @@ class TestFsNorm:
             sup_h = max(sobolev_norm(traj.field(i), 1.0) for i in range(0, len(traj), 40))
             ratios.append(sup_h / fs_norm(traj, 1.0, T))
         assert max(ratios) / min(ratios) < 4.0
+
+
+# ---------------------------------------------------------------------------
+# The batched window transform against the one-window-at-a-time oracle
+# ---------------------------------------------------------------------------
+
+NORMS_T = 0.01
+
+
+def norms_dt(M):
+    """The `norms` subcommand's dt: 64 samples (x 0.98) across the finest window."""
+    k_max = max(1, int(np.ceil(np.log2(max(M, 2)))))
+    return 4.0 * 4.0 ** (-k_max) / 64 * 0.98
+
+
+@pytest.fixture(scope="module")
+def norms_traj():
+    """Physical flow at M = 64 to T = 0.01 at the norms dt, every step recorded."""
+    grid = GridSpec(64)
+    u0 = SpectralField.from_modes(
+        grid, {1: 0.05, -1: 0.05, 2: 0.025j, -2: -0.025j}
+    )
+    p = EquationParams.constrained_family(40.0)
+    return evolve(u0, NORMS_T, p, tag="physical_5mkdv",
+                  ctrl=StepControl(dt=norms_dt(64), record_stride=1))
+
+
+def rel(a, b):
+    return abs(a - b) / max(abs(b), 1e-300)
+
+
+def assert_shells_match(traj, k, t_k):
+    from oracles import window_shells_oracle
+
+    sh = modulation_decompose(traj, k, t_k)
+    shells, l2, n, ext = window_shells_oracle(traj, k, t_k)
+    assert (sh.n_samples, sh.zero_extended) == (n, ext)
+    assert sorted(sh.shells) == sorted(shells)
+    scale = max(shells.values())
+    for j, m in shells.items():
+        assert abs(sh.shells[j] - m) <= 1e-12 * scale
+    assert rel(sh.window_l2, l2) <= 1e-12
+    return n
+
+
+class TestBatchedWindowsMatchOracle:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_zero_extended_windows(self, norms_traj, k):
+        from oracles import xk_sup_oracle
+
+        centers, extended = _tk_grid(norms_traj, k, NORMS_T)
+        assert extended and len(centers) == 1
+        assert_shells_match(norms_traj, k, centers[0])
+        if k >= 1:
+            assert rel(fk_norm(norms_traj, k, NORMS_T), xk_sup_oracle(norms_traj, k, NORMS_T)) <= 1e-12
+            assert rel(nk_norm(norms_traj, k, NORMS_T),
+                       xk_sup_oracle(norms_traj, k, NORMS_T, resolvent=True)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_sliding_windows_of_two_lengths(self, norms_traj, k):
+        from oracles import xk_sup_oracle
+
+        centers, extended = _tk_grid(norms_traj, k, NORMS_T)
+        assert not extended
+        lengths = {assert_shells_match(norms_traj, k, t) for t in centers[::3]}
+        assert len(lengths) == 2
+        assert rel(fk_norm(norms_traj, k, NORMS_T), xk_sup_oracle(norms_traj, k, NORMS_T)) <= 1e-12
+        assert rel(nk_norm(norms_traj, k, NORMS_T),
+                   xk_sup_oracle(norms_traj, k, NORMS_T, resolvent=True)) <= 1e-12
+
+    def test_chunked_batches(self, norms_traj, monkeypatch):
+        # a small batch budget splits every window group into several FFTs
+        from oracles import fs_oracle, xk_sup_oracle
+
+        import mkdvlab.shorttime as st
+
+        monkeypatch.setattr(st, "_BATCH_ELEMENTS", 4096)
+        for k in (5, 6):
+            assert rel(nk_norm(norms_traj, k, NORMS_T),
+                       xk_sup_oracle(norms_traj, k, NORMS_T, resolvent=True)) <= 1e-12
+        assert rel(fs_norm(norms_traj, 1.0, NORMS_T), fs_oracle(norms_traj, 1.0, NORMS_T)) <= 1e-12
+
+    def test_fs_norm(self, norms_traj):
+        from oracles import fs_oracle
+
+        assert rel(fs_norm(norms_traj, 1.0, NORMS_T), fs_oracle(norms_traj, 1.0, NORMS_T)) <= 1e-12
+
+    def test_clamped_weight_table(self, norms_traj):
+        from oracles import fs_oracle, xk_sup_oracle
+
+        wt = WeightTable(gamma=0.125, clamp_offset=1)
+        for k in (2, 6):
+            want = xk_sup_oracle(norms_traj, k, NORMS_T, 0.125, 1)
+            assert rel(fk_norm(norms_traj, k, NORMS_T, wt), want) <= 1e-12
+            want = xk_sup_oracle(norms_traj, k, NORMS_T, 0.125, 1, resolvent=True)
+            assert rel(nk_norm(norms_traj, k, NORMS_T, wt), want) <= 1e-12
+        assert rel(fs_norm(norms_traj, 1.5, NORMS_T, wt),
+                   fs_oracle(norms_traj, 1.5, NORMS_T, 0.125, 1)) <= 1e-12
+
+    def test_renormalized_flow(self, rng):
+        from oracles import fs_oracle, random_real_coeffs, xk_sup_oracle
+
+        grid = GridSpec(16)
+        u0 = SpectralField(grid, random_real_coeffs(16, rng, amplitude=0.02))
+        p = EquationParams.constrained_family(40.0)
+        p.d1, p.d2 = 1.0, 2.0
+        T = 0.05
+        traj = evolve(u0, T, p, tag="renormalized_5mkdv",
+                      ctrl=StepControl(dt=norms_dt(16), record_stride=1))
+        for k in range(1, 5):
+            assert rel(fk_norm(traj, k, T), xk_sup_oracle(traj, k, T)) <= 1e-12
+            assert rel(nk_norm(traj, k, T), xk_sup_oracle(traj, k, T, resolvent=True)) <= 1e-12
+        assert_shells_match(traj, 4, 0.02)
+        assert rel(fs_norm(traj, 1.0, T), fs_oracle(traj, 1.0, T)) <= 1e-12
+
+    def test_resolution_errors_still_raised(self, norms_traj):
+        from mkdvlab.integrate import Trajectory
+
+        tr = norms_traj
+        one = Trajectory(tr.grid, tr.times[:1], tr.states[:1], tr.params,
+                         tr.equation_tag, tr.dt, 1)
+        bumped = tr.times.copy()
+        bumped[5] += 0.3 * tr.dt
+        uneven = Trajectory(tr.grid, bumped, tr.states, tr.params, tr.equation_tag, tr.dt, 1)
+        cases = (
+            (one, 2, "at least two records"),
+            (uneven, 2, "uniform record spacing"),
+            (tr, 8, "need dt <="),
+        )
+        for traj, k, msg in cases:
+            for call in (
+                lambda: modulation_decompose(traj, k, 0.005),
+                lambda: fk_norm(traj, k, NORMS_T),
+                lambda: nk_norm(traj, k, NORMS_T),
+            ):
+                with pytest.raises(ResolutionError, match=msg):
+                    call()
+        with pytest.raises(ResolutionError, match="uniform record spacing"):
+            fs_norm(uneven, 1.0, NORMS_T)
+
+
+def test_fs_norm_memory_peak(norms_traj):
+    # the k = 0 window spans 267,602 samples around 670 records; only the
+    # recorded band rows may be gathered (whole rows took 557 MiB)
+    import tracemalloc
+
+    assert len(norms_traj) == 670
+    tracemalloc.start()
+    try:
+        fs_norm(norms_traj, 1.0, NORMS_T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
