@@ -29,6 +29,9 @@ import argparse
 import configparser
 import csv
 import json
+import math
+import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -85,25 +88,41 @@ class ExperimentConfig:
         return self.raw.get(section, key)
 
     def get_int(self, section, key, positive=False):
-        try:
-            v = int(self.raw.get(section, key))
-        except ValueError as e:
-            raise ConfigurationError(f"{section}.{key}: not an integer ({e})")
+        v = _parse_number(f"{section}.{key}", self.raw.get(section, key), int)
         if positive and v <= 0:
             raise ConfigurationError(f"{section}.{key}: must be positive, got {v}")
         return v
 
     def get_float(self, section, key):
-        try:
-            v = float(self.raw.get(section, key))
-        except ValueError as e:
-            raise ConfigurationError(f"{section}.{key}: not a number ({e})")
-        if not np.isfinite(v):
-            raise ConfigurationError(f"{section}.{key}: must be finite, got {v}")
-        return v
+        return _parse_number(f"{section}.{key}", self.raw.get(section, key), float)
+
+    def get_list(self, section, key, kind):
+        """Comma-separated ints or finite floats (kind); empty items are skipped."""
+        name = f"{section}.{key}"
+        return [_parse_number(name, v, kind) for v in self.raw.get(section, key).split(",") if v]
 
     def as_dict(self) -> dict:
         return {s: dict(self.raw.items(s)) for s in self.raw.sections()}
+
+
+def _parse_number(name: str, text: str, kind):
+    """int(text) or a finite float(text); bad input names the field."""
+    try:
+        v = kind(text)
+    except ValueError as e:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{name}: not {what} ({e})") from None
+    if kind is float and not math.isfinite(v):
+        raise ConfigurationError(f"{name}: must be finite, got {v}")
+    return v
+
+
+def clamp_workers(requested: int, cpus: int | None) -> int:
+    """Pool size for --workers: at least 1 is required, more than the CPU
+    count is cut to it."""
+    if requested < 1:
+        raise ConfigurationError(f"--workers: must be at least 1, got {requested}")
+    return min(requested, cpus or 1)
 
 
 def load_config(path: str | None, overrides) -> ExperimentConfig:
@@ -138,7 +157,7 @@ def build_grid(cfg: ExperimentConfig) -> GridSpec:
 def build_initial_data(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
     preset = cfg.get("initial_data", "preset")
     if preset == "cosine":
-        amps = [float(a) for a in cfg.get("initial_data", "amplitudes").split(",") if a]
+        amps = cfg.get_list("initial_data", "amplitudes", float)
         values = {}
         for i, a in enumerate(amps, start=1):
             values[i] = a / 2.0
@@ -389,20 +408,11 @@ def cmd_resonance_identity(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def _growth_row(arg):
-    from .illposed import CounterexampleSpec, eval_appendix_terms
-
-    N, s, t = arg
-    spec = CounterexampleSpec(N=N, s=s, t=t)
-    rep = eval_appendix_terms(spec)
-    return rep
-
-
 def cmd_illposed_growth(cfg: ExperimentConfig, args) -> int:
     from .illposed import growth_experiment
 
     t0 = time.perf_counter()
-    Ns = [int(v) for v in cfg.get("sweep", "Ns").split(",") if v]
+    Ns = cfg.get_list("sweep", "Ns", int)
     s = cfg.get_float("sweep", "s")
     t = cfg.get_float("sweep", "t")
     rows, slope = growth_experiment(Ns, s=s, t=t)
@@ -427,15 +437,17 @@ def cmd_appendix_b(cfg: ExperimentConfig, args) -> int:
     from .illposed import CounterexampleSpec, eval_appendix_terms
 
     t0 = time.perf_counter()
-    Ns = [int(v) for v in cfg.get("sweep", "Ns").split(",") if v]
+    Ns = cfg.get_list("sweep", "Ns", int)
     s = cfg.get_float("sweep", "s")
     t = cfg.get_float("sweep", "t")
-    work = [(N, s, t) for N in Ns]
+    specs = [CounterexampleSpec(N=N, s=s, t=t) for N in Ns]
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
-            reps = list(ex.map(_growth_row, work))
+        with ProcessPoolExecutor(
+            max_workers=args.workers, mp_context=multiprocessing.get_context("spawn")
+        ) as ex:
+            reps = list(ex.map(eval_appendix_terms, specs))
     else:
-        reps = [_growth_row(w) for w in work]
+        reps = [eval_appendix_terms(spec) for spec in specs]
     rows = [
         (r.N, r.s, r.t, r.d0_hsnorm, r.d_full_hsnorm, r.b1, r.b2, r.c1, r.c2,
          r.d1_norms, r.skipped_outer_resonant)
@@ -576,7 +588,8 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override a config value")
         sp.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        sp.add_argument("--workers", type=int, default=1, help="worker pool size for sweeps")
+        sp.add_argument("--workers", type=int, default=1,
+                        help="worker pool size for appendix-b (at most the CPU count)")
         if name == "resonance-enum":
             sp.add_argument("--n", type=int, default=0, help="output frequency")
             sp.add_argument("--radius", type=int, default=12)
@@ -586,6 +599,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        args.workers = clamp_workers(args.workers, os.cpu_count())
         cfg = load_config(args.config, args.set)
         if args.out:
             cfg.raw.set("output", "dir", args.out)

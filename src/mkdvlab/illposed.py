@@ -23,13 +23,15 @@ normalization (the 10i prefactors dropped):
     structure_tuple = (n * n_s * K_X * K_Y / phi_out) * v0^5 * E_t(phi_out+phi_in)
 
 All phases are exact integers (arbitrary precision), so resonant tuples are
-detected exactly.
+detected exactly.  The tuple sums run over one table of rows per call
+(`_QuinticTable`): legs and kernels as int64 arrays, phases as object arrays
+of exact ints, each oscillatory integral and mode sum one array pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,20 +43,57 @@ from .spectral import GridSpec, SpectralField
 # Exact oscillatory primitives
 # ---------------------------------------------------------------------------
 
+def _check_osc_bound(val, phi, t: float) -> None:
+    """Raise ArithmeticError unless |E_t(phi)| <= min(t, 2/|phi|), to 1e-12
+    relative, for a value or elementwise for arrays; NaN fails the check."""
+    size = abs(val)
+    ok = (size <= t * (1.0 + 1e-12)) & (size * abs(phi) <= 2.0 * (1.0 + 1e-12))
+    if not np.asarray(ok).all():
+        raise ArithmeticError(f"oscillatory primitive bound violated (t={t!r})")
+
+
+def _osc_single_array(phi: np.ndarray, t: float) -> np.ndarray:
+    """E_t at every float64 phase of phi (the exact phases, converted once)."""
+    theta = 0.5 * t * phi
+    val = t * np.exp(1j * theta) * np.sinc(theta / np.pi)
+    val[theta == 0.0] = t
+    _check_osc_bound(val, phi, t)
+    return val
+
+
+def _osc_double_array(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """I2(a, b, t) at every pair of exact phases (object or integer arrays)."""
+    out = np.empty(len(a), dtype=complex)
+    b0 = b == 0
+    both0 = b0 & (a == 0)
+    out[both0] = 0.5 * t * t
+    a_only = b0 & ~both0
+    af = a[a_only].astype(float)
+    eiat = np.exp(1j * af * t)
+    out[a_only] = t * eiat / (1j * af) + (eiat - 1.0) / af**2
+    ga, gb = a[~b0], b[~b0]
+    out[~b0] = (
+        _osc_single_array((ga + gb).astype(float), t) - _osc_single_array(ga.astype(float), t)
+    ) / (1j * gb.astype(float))
+    return out
+
+
 def osc_single(phi, t: float) -> complex:
     """E_t(phi) = (e^{i t phi} - 1)/(i phi), with the phi = 0 limit t.
 
     Computed as t * e^{i t phi / 2} * sinc(t phi / 2), which is exact and
-    cancellation-free; |E_t| <= min(t, 2/|phi|) always.
+    cancellation-free; |E_t| <= min(t, 2/|phi|) is checked on every value.
+    One phase at a time, for the single-tuple D0 and the per-tuple
+    reference walk; tuple tables use the array form.
     """
-    theta = 0.5 * t * float(phi)
+    phi = float(phi)
+    theta = 0.5 * t * phi
     if theta == 0.0:
         val = complex(t)
     else:
-        val = t * np.exp(1j * theta) * np.sinc(theta / np.pi)
-    bound = min(t, 2.0 / abs(float(phi))) if phi != 0 else t
-    assert abs(val) <= bound * (1.0 + 1e-12), "oscillatory primitive bound violated"
-    return complex(val)
+        val = complex(t * np.exp(1j * theta) * np.sinc(theta / np.pi))
+    _check_osc_bound(val, phi, t)
+    return val
 
 
 def osc_double(a, b, t: float) -> complex:
@@ -184,22 +223,173 @@ class QuinticTuple:
         k = self.n * self.n_slot * self.kernel_x * self.kernel_y / float(self.phi_out)
         return k * self.amp * osc_single(self.phi_out + self.phi_in, t)
 
-    def physical_value(self, t: float) -> complex:
-        """Exact delta^5 coefficient contribution (constants kept), without
-        the overall e^{i t mu(n)} prefactor."""
-        c = (10j * self.n) * (10j * self.n_slot) * self.kernel_x * self.kernel_y
-        return c * self.amp * osc_double(self.phi_out, self.phi_in, t)
 
-    def physical_boundary(self, t: float) -> complex:
-        """Boundary piece of the integration by parts (phi_out != 0)."""
-        a, b = float(self.phi_out), self.phi_in
-        c = (10j * self.n) * (10j * self.n_slot) * self.kernel_x * self.kernel_y
-        return c * self.amp * np.exp(1j * a * t) * osc_single(b, t) / (1j * a)
+# positions of the outer legs in (la, lb, n_slot), per slot
+_SLOT_ORDER = np.array([[2, 0, 1], [0, 2, 1], [0, 1, 2]])
 
-    def physical_distributed(self, t: float) -> complex:
-        a = float(self.phi_out)
-        c = (10j * self.n) * (10j * self.n_slot) * self.kernel_x * self.kernel_y
-        return -c * self.amp * osc_single(self.phi_out + self.phi_in, t) / (1j * a)
+
+@dataclass(frozen=True)
+class _QuinticTable:
+    """Every row of the quintic walk as parallel arrays, in the order of
+    iter_quintic_tuples.
+
+    Legs and kernels are int64 (|leg| <= 5 max|leaf|); the phases are object
+    arrays of exact Python ints, since n^5 overflows int64 once |n| > 6208.
+    """
+
+    n: np.ndarray          # output mode
+    outer: np.ndarray      # (rows, 3) outer legs, n_slot at position `slot`
+    slot: np.ndarray
+    inner: np.ndarray      # (rows, 3) inner legs, summing to n_slot
+    x_term: np.ndarray     # index into outer_terms
+    y_term: np.ndarray     # index into inner_terms
+    amp: np.ndarray        # product of the five data values
+    kernel_x: np.ndarray
+    kernel_y: np.ndarray
+    phi_out: np.ndarray
+    phi_in: np.ndarray
+    outer_terms: tuple
+    inner_terms: tuple
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def take(self, rows) -> "_QuinticTable":
+        return replace(self, **{
+            f.name: getattr(self, f.name)[rows]
+            for f in fields(self) if f.name not in ("outer_terms", "inner_terms")
+        })
+
+    @property
+    def n_slot(self) -> np.ndarray:
+        return self.inner.sum(axis=1)
+
+    def leaves(self) -> np.ndarray:
+        """(rows, 5): the inner legs, then the two outer legs other than n_slot."""
+        other = np.arange(3) != self.slot[:, None]
+        return np.column_stack([self.inner, self.outer[other].reshape(-1, 2)])
+
+    def row(self, r: int) -> QuinticTuple:
+        return QuinticTuple(
+            int(self.n[r]), tuple(self.outer[r].tolist()), int(self.slot[r]),
+            tuple(self.inner[r].tolist()), self.outer_terms[self.x_term[r]],
+            self.inner_terms[self.y_term[r]], self.amp[r].item(),
+            int(self.kernel_x[r]), int(self.kernel_y[r]), self.phi_out[r], self.phi_in[r],
+        )
+
+    def structure_values(self, t: float) -> np.ndarray:
+        """QuinticTuple.structure_value of every row (phi_out != 0 on all).
+
+        The kernel product is formed in float64: a product has no
+        cancellation, and n * n_slot * K_X * K_Y can exceed int64.
+        """
+        k = (
+            self.n.astype(float) * self.n_slot * self.kernel_x * self.kernel_y
+            / self.phi_out.astype(float)
+        )
+        return k * self.amp * _osc_single_array((self.phi_out + self.phi_in).astype(float), t)
+
+    def _physical_prefactor(self) -> np.ndarray:
+        return (10j * self.n) * (10j * self.n_slot) * self.kernel_x * self.kernel_y
+
+    def physical_values(self, t: float) -> np.ndarray:
+        """Exact delta^5 coefficient contribution of every row (constants
+        kept), without the overall e^{i t mu(n)} prefactor."""
+        return self._physical_prefactor() * self.amp * _osc_double_array(self.phi_out, self.phi_in, t)
+
+    def normal_form_values(self, t: float) -> np.ndarray:
+        """Boundary plus distributed piece of the integration by parts of
+        every row (phi_out != 0 on all)."""
+        a = self.phi_out.astype(float)
+        c = self._physical_prefactor()
+        boundary = (
+            c * self.amp * np.exp(1j * a * t)
+            * _osc_single_array(self.phi_in.astype(float), t) / (1j * a)
+        )
+        total = (self.phi_out + self.phi_in).astype(float)
+        distributed = -c * self.amp * _osc_single_array(total, t) / (1j * a)
+        return boundary + distributed
+
+
+def _kernel_column(terms, which: np.ndarray, legs: np.ndarray) -> np.ndarray:
+    out = np.empty(len(which), dtype=np.int64)
+    for j, name in enumerate(terms):
+        sel = which == j
+        out[sel] = _CUBIC_KERNELS[name](*legs[sel].T)
+    return out
+
+
+def _exact_phases(triples: np.ndarray, mu: dict) -> np.ndarray:
+    """-mu(a+b+c) + mu(a) + mu(b) + mu(c) per row of triples, as exact ints."""
+    return np.array(
+        [-mu[a + b + c] + (mu[a] + mu[b] + mu[c]) for a, b, c in triples.tolist()],
+        dtype=object,
+    ).reshape(-1)
+
+
+def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_terms,
+                   slots) -> _QuinticTable:
+    """Build every (outer in A3(n), slot, inner in A3(n_slot)) row over the
+    leaves of support, for each outer and inner cubic term."""
+    leaves = sorted(support)
+    vals = np.array([support[m] for m in leaves])
+    legs = np.array(leaves, dtype=np.int64)
+    k = len(leaves)
+    # inner triples in A3(n_slot), in walk order
+    tri = np.indices((k, k, k)).reshape(3, -1).T
+    inner = legs[tri]
+    n_slot = inner.sum(axis=1)
+    keep = np.all(inner != n_slot[:, None], axis=1)
+    tri, inner, n_slot = tri[keep], inner[keep], n_slot[keep]
+    # rows: inner x la x lb x slot x outer term x inner term; C order is walk order
+    i, ia, ib, si, xi, yi = np.indices(
+        (len(tri), k, k, len(slots), len(outer_terms), len(inner_terms))
+    ).reshape(6, -1)
+    base = np.stack([legs[ia], legs[ib], n_slot[i]], axis=1)
+    n = base.sum(axis=1)
+    keep = np.all(base != n[:, None], axis=1)  # outer in A3(n), whatever the slot
+    i, ia, ib, si, xi, yi, base, n = (a[keep] for a in (i, ia, ib, si, xi, yi, base, n))
+    slot = np.asarray(slots, dtype=np.int64)[si]
+    outer = np.take_along_axis(base, _SLOT_ORDER[slot], axis=1)
+    amp_in = vals[tri[:, 0]] * vals[tri[:, 1]] * vals[tri[:, 2]]
+    # exact phases: mu once per distinct integer, phi_in once per inner
+    # triple, phi_out once per distinct (la, lb, n_slot)
+    slot_vals, slot_of_row = np.unique(n_slot[i], return_inverse=True)
+    shape = (len(slot_vals), k, k)
+    keys, outer_of_row = np.unique(
+        np.ravel_multi_index((slot_of_row.reshape(-1), ia, ib), shape), return_inverse=True
+    )
+    key_slot, key_a, key_b = np.unravel_index(keys, shape)
+    outer_keys = np.stack([legs[key_a], legs[key_b], slot_vals[key_slot]], axis=1)
+    ints = np.unique(np.concatenate([legs, n_slot, outer_keys.sum(axis=1)])).tolist()
+    mu = {m: dispersion_mu(m, spec.d1, spec.d2) for m in ints}
+    return _QuinticTable(
+        n=n, outer=outer, slot=slot, inner=inner[i], x_term=xi, y_term=yi,
+        amp=amp_in[i] * vals[ia] * vals[ib],
+        kernel_x=_kernel_column(outer_terms, xi, outer),
+        kernel_y=_kernel_column(inner_terms, yi, inner[i]),
+        phi_out=_exact_phases(outer_keys, mu)[outer_of_row.reshape(-1)],
+        phi_in=_exact_phases(inner, mu)[i],
+        outer_terms=tuple(outer_terms), inner_terms=tuple(inner_terms),
+    )
+
+
+def _off_resonance(tab: _QuinticTable) -> tuple:
+    """The rows with phi_out != 0, where the normal form applies, and the
+    count of the others."""
+    live = tab.phi_out != 0
+    skipped = int(np.count_nonzero(~live))
+    return (tab.take(live) if skipped else tab), skipped
+
+
+def _sum_by_mode(n: np.ndarray, v: np.ndarray) -> dict:
+    """{mode: sum of v over its rows}, modes in order of first appearance and
+    each sum accumulated in row order, as a dict filled row by row holds them."""
+    modes, first, inv = np.unique(n, return_index=True, return_inverse=True)
+    inv = inv.reshape(-1)
+    re = np.bincount(inv, weights=v.real, minlength=len(modes))
+    im = np.bincount(inv, weights=v.imag, minlength=len(modes))
+    return {int(modes[j]): complex(re[j], im[j]) for j in np.argsort(first)}
 
 
 def iter_quintic_tuples(
@@ -212,40 +402,11 @@ def iter_quintic_tuples(
 ):
     """Enumerate every (outer in A3(n), slot, inner in A3(n_slot)) tuple with
     all five leaves in the support (optionally restricted by leaf_filter)."""
-    leaves = sorted(support)
     if leaf_filter is not None:
-        leaves = [n for n in leaves if leaf_filter(n)]
-    for m1 in leaves:
-        for m2 in leaves:
-            for m3 in leaves:
-                inner = (m1, m2, m3)
-                n_slot = m1 + m2 + m3
-                if not _a3_ok(n_slot, inner):
-                    continue
-                phi_in = _phi3(n_slot, inner, spec)
-                amp_in = support[m1] * support[m2] * support[m3]
-                for la in leaves:
-                    for lb in leaves:
-                        amp = amp_in * support[la] * support[lb]
-                        for slot in slots:
-                            if slot == 0:
-                                outer = (n_slot, la, lb)
-                            elif slot == 1:
-                                outer = (la, n_slot, lb)
-                            else:
-                                outer = (la, lb, n_slot)
-                            n = la + lb + n_slot
-                            if not _a3_ok(n, outer):
-                                continue
-                            phi_out = _phi3(n, outer, spec)
-                            for x in outer_terms:
-                                kx = _CUBIC_KERNELS[x](*outer)
-                                for y in inner_terms:
-                                    ky = _CUBIC_KERNELS[y](*inner)
-                                    yield QuinticTuple(
-                                        n, outer, slot, inner, x, y, amp,
-                                        kx, ky, phi_out, phi_in,
-                                    )
+        support = {n: a for n, a in support.items() if leaf_filter(n)}
+    tab = _quintic_table(support, spec, outer_terms, inner_terms, slots)
+    for r in range(len(tab)):
+        yield tab.row(r)
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +455,23 @@ def eval_d_full(spec: CounterexampleSpec) -> dict:
     Returns {"field": {n: value}, "hs_norm", "d0", "nonresonant_moduli",
     "skipped_outer_resonant"}.
     """
-    support = counterexample_support(spec)
-    field_vals: dict = {}
-    skipped = 0
+    tab = _quintic_table(
+        counterexample_support(spec), spec, ("cubic2",), ("cubic2",), (M0_SLOT,)
+    )
+    return _d_full_report(tab, spec)
+
+
+def _d_full_report(tab: _QuinticTable, spec: CounterexampleSpec) -> dict:
+    """eval_d_full from a table holding exactly the D rows."""
+    tab, skipped = _off_resonance(tab)
+    v = tab.structure_values(spec.t)
+    field_vals = _sum_by_mode(tab.n, v)
     d0 = eval_d0(spec)
-    moduli_at_N = 0.0
     m0 = m0_tuple(spec)
     weight_N = (1.0 + spec.N**2) ** (spec.s / 2.0)
-    for tup in iter_quintic_tuples(
-        support, spec, outer_terms=("cubic2",), inner_terms=("cubic2",), slots=(M0_SLOT,)
-    ):
-        if tup.phi_out == 0:
-            skipped += 1
-            continue
-        v = tup.structure_value(spec.t)
-        field_vals[tup.n] = field_vals.get(tup.n, 0.0) + v
-        is_m0 = tup.outer == m0.outer and tup.inner == m0.inner
-        if not is_m0 and tup.n == spec.N:
-            moduli_at_N += weight_N * abs(v)
+    is_m0 = np.all(tab.outer == m0.outer, axis=1) & np.all(tab.inner == m0.inner, axis=1)
+    at_N = (tab.n == spec.N) & ~is_m0
+    moduli_at_N = sum((weight_N * np.abs(v[at_N])).tolist(), 0.0)
     d0_hsnorm = weight_N * abs(d0)
     hs_norm = hs_norm_of_map(field_vals, spec.s)
     return {
@@ -343,6 +503,10 @@ class NormalFormTermReport:
     skipped_outer_resonant: int = 0
 
 
+# report field -> (slot, inner term index into ("cubic2", "cubic3"))
+_APPENDIX_TERMS = {"b1": (0, 0), "b2": (0, 1), "c1": (1, 0), "c2": (1, 1), "d1_norms": (2, 1)}
+
+
 def eval_appendix_terms(spec: CounterexampleSpec, restricted: bool = False) -> NormalFormTermReport:
     """H^s norms of the normal-form remainder terms B1, B2, C1, C2, D1.
 
@@ -355,36 +519,27 @@ def eval_appendix_terms(spec: CounterexampleSpec, restricted: bool = False) -> N
     phase is large).  Tuples whose outer phase vanishes are skipped and
     counted (the normal form only applies off the resonant set).
     """
-    support = counterexample_support(spec)
-    leaf_filter = (lambda n: n in (1, spec.N)) if restricted else None
-    acc = {("b", "cubic2"): {}, ("b", "cubic3"): {}, ("c", "cubic2"): {}, ("c", "cubic3"): {}, ("d", "cubic3"): {}}
-    slot_of = {"b": 0, "c": 1, "d": 2}
-    skipped = 0
-    for tup in iter_quintic_tuples(
-        support, spec, outer_terms=("cubic2",), inner_terms=("cubic2", "cubic3"),
-        slots=(0, 1, 2), leaf_filter=leaf_filter,
-    ):
-        kind = {0: "b", 1: "c", 2: "d"}[tup.slot]
-        if kind == "d" and tup.y_term == "cubic2":
-            continue  # that is the D term itself, reported separately
-        if tup.phi_out == 0:
-            skipped += 1
-            continue
-        key = (kind, tup.y_term)
-        v = tup.structure_value(spec.t)
-        acc[key][tup.n] = acc[key].get(tup.n, 0.0) + v
-    dfull = eval_d_full(spec)
+    tab = _quintic_table(
+        counterexample_support(spec), spec, ("cubic2",), ("cubic2", "cubic3"), (0, 1, 2)
+    )
+    d_rows = (tab.slot == M0_SLOT) & (tab.y_term == 0)  # the D term itself
+    dfull = _d_full_report(tab.take(d_rows), spec)
+    rest = ~d_rows
+    if restricted:
+        rest &= np.all(np.isin(tab.leaves(), (1, spec.N)), axis=1)
+    tab, skipped = _off_resonance(tab.take(rest))
+    v = tab.structure_values(spec.t)
+    norms = {}
+    for name, (slot, y) in _APPENDIX_TERMS.items():
+        sel = (tab.slot == slot) & (tab.y_term == y)
+        norms[name] = hs_norm_of_map(_sum_by_mode(tab.n[sel], v[sel]), spec.s)
     return NormalFormTermReport(
         N=spec.N,
         s=spec.s,
         t=spec.t,
         d0_hsnorm=dfull["d0_hsnorm"],
         d_full_hsnorm=dfull["hs_norm"],
-        b1=hs_norm_of_map(acc[("b", "cubic2")], spec.s),
-        b2=hs_norm_of_map(acc[("b", "cubic3")], spec.s),
-        c1=hs_norm_of_map(acc[("c", "cubic2")], spec.s),
-        c2=hs_norm_of_map(acc[("c", "cubic3")], spec.s),
-        d1_norms=hs_norm_of_map(acc[("d", "cubic3")], spec.s),
+        **norms,
         skipped_outer_resonant=skipped + dfull["skipped_outer_resonant"],
     )
 
@@ -519,10 +674,8 @@ def fifth_derivative_direct(
     if flow.cubic3:
         cubics.append("cubic3")
     if cubics:
-        for tup in iter_quintic_tuples(
-            support, spec, outer_terms=tuple(cubics), inner_terms=tuple(cubics)
-        ):
-            out[tup.n] = out.get(tup.n, 0.0) + tup.physical_value(t)
+        tab = _quintic_table(support, spec, tuple(cubics), tuple(cubics), (0, 1, 2))
+        out = _sum_by_mode(tab.n, tab.physical_values(t))
     if flow.quintic:
         leaves = sorted(support)
         for i1 in leaves:
@@ -607,19 +760,13 @@ def t2_duhamel_fifth(
     Returns (field dict with e^{i t mu} prefactor, skipped count).
     """
     t = spec.t
-    out: dict = {}
-    skipped = 0
-    for tup in iter_quintic_tuples(
-        support, spec, outer_terms=("cubic2",), inner_terms=tuple(inner_terms)
-    ):
-        if route == "direct":
-            v = tup.physical_value(t)
-        else:
-            if tup.phi_out == 0:
-                skipped += 1
-                continue
-            v = tup.physical_boundary(t) + tup.physical_distributed(t)
-        out[tup.n] = out.get(tup.n, 0.0) + v
+    tab = _quintic_table(support, spec, ("cubic2",), tuple(inner_terms), (0, 1, 2))
+    if route == "direct":
+        v, skipped = tab.physical_values(t), 0
+    else:
+        tab, skipped = _off_resonance(tab)
+        v = tab.normal_form_values(t)
+    out = _sum_by_mode(tab.n, v)
     out = {n: v * np.exp(1j * float(_mu(n, spec)) * t) for n, v in out.items()}
     return out, skipped
 

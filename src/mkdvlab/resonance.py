@@ -107,21 +107,32 @@ class ResonanceQuintuple:
     n5: int
 
 
+# at most (2*256 + 1)^2 = 263,169 triples, about 200 bytes each: under 64 MiB
+N3_RADIUS_CAP = 256
+
+
 def enumerate_n3(n: int, radius: int, d1=None) -> list:
-    """All (n1,n2,n3) with |n_i| <= radius, sum n, pairwise sums nonzero."""
-    if radius > 10**4:
-        raise ParameterError("enumeration radius capped at 1e4 (desk scale)")
+    """All (n1,n2,n3) with |n_i| <= radius, sum n, pairwise sums nonzero.
+
+    radius is capped at N3_RADIUS_CAP, so at most (2*radius + 1)^2 <= 263,169
+    candidates are tested and kept; they are built one n1 row at a time, so
+    the arrays in flight hold 2*radius + 1 entries.
+    """
+    if radius > N3_RADIUS_CAP:
+        raise ParameterError(f"enumeration radius capped at {N3_RADIUS_CAP}")
     r = int(radius)
     n = int(n)
-    vals = np.arange(-r, r + 1)
-    n1g, n2g = np.meshgrid(vals, vals, indexing="ij")
-    n3g = n - n1g - n2g
-    ok = (np.abs(n3g) <= r) & (n1g != n) & (n2g != n) & (n3g != n)
+    n2 = np.arange(-r, r + 1)
     out = []
-    for a, b, c in zip(n1g[ok].tolist(), n2g[ok].tolist(), n3g[ok].tolist()):
-        h = resonance_h(a, b, c)
-        g = resonance_g(a, b, c, d1) if d1 is not None else None
-        out.append(ResonanceTriple(a, b, c, h, g))
+    for a in range(-r, r + 1):
+        if a == n:
+            continue
+        n3 = n - a - n2
+        ok = (np.abs(n3) <= r) & (n2 != n) & (n3 != n)
+        for b, c in zip(n2[ok].tolist(), n3[ok].tolist()):
+            h = resonance_h(a, b, c)
+            g = resonance_g(a, b, c, d1) if d1 is not None else None
+            out.append(ResonanceTriple(a, b, c, h, g))
     return out
 
 

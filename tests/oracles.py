@@ -234,3 +234,156 @@ def fs_oracle(traj, s, T, gamma=0.25, clamp_offset=None):
         fk = xk_sup_oracle(traj, k, T, gamma, clamp_offset, weight=chik)
         total += 4.0 ** (s * k) * fk * fk
     return float(np.sqrt(total))
+
+
+# ---------------------------------------------------------------------------
+# Quintic normal-form terms: one QuinticTuple and one oscillatory call per
+# tuple, summed into dicts in walk order (the per-tuple reference for the
+# tuple table of mkdvlab.illposed)
+# ---------------------------------------------------------------------------
+
+def iter_quintic_tuples_oracle(support, spec, outer_terms=("cubic2",),
+                               inner_terms=("cubic2", "cubic3"), slots=(0, 1, 2),
+                               leaf_filter=None):
+    """Every (outer in A3(n), slot, inner in A3(n_slot)) tuple, nested loops."""
+    from mkdvlab.illposed import _CUBIC_KERNELS, QuinticTuple, _a3_ok, _phi3
+
+    leaves = sorted(support)
+    if leaf_filter is not None:
+        leaves = [n for n in leaves if leaf_filter(n)]
+    for m1 in leaves:
+        for m2 in leaves:
+            for m3 in leaves:
+                inner = (m1, m2, m3)
+                n_slot = m1 + m2 + m3
+                if not _a3_ok(n_slot, inner):
+                    continue
+                phi_in = _phi3(n_slot, inner, spec)
+                amp_in = support[m1] * support[m2] * support[m3]
+                for la in leaves:
+                    for lb in leaves:
+                        amp = amp_in * support[la] * support[lb]
+                        for slot in slots:
+                            outer = [la, lb]
+                            outer.insert(slot, n_slot)
+                            outer = tuple(outer)
+                            n = la + lb + n_slot
+                            if not _a3_ok(n, outer):
+                                continue
+                            phi_out = _phi3(n, outer, spec)
+                            for x in outer_terms:
+                                kx = _CUBIC_KERNELS[x](*outer)
+                                for y in inner_terms:
+                                    ky = _CUBIC_KERNELS[y](*inner)
+                                    yield QuinticTuple(
+                                        n, outer, slot, inner, x, y, amp,
+                                        kx, ky, phi_out, phi_in,
+                                    )
+
+
+def _physical_prefactor(tup):
+    return (10j * tup.n) * (10j * tup.n_slot) * tup.kernel_x * tup.kernel_y
+
+
+def physical_value_oracle(tup, t):
+    """Exact delta^5 contribution of one tuple, without e^{i t mu(n)}."""
+    from mkdvlab.illposed import osc_double
+
+    return _physical_prefactor(tup) * tup.amp * osc_double(tup.phi_out, tup.phi_in, t)
+
+
+def normal_form_value_oracle(tup, t):
+    """Boundary plus distributed piece of one tuple (phi_out != 0)."""
+    from mkdvlab.illposed import osc_single
+
+    a = float(tup.phi_out)
+    c = _physical_prefactor(tup)
+    boundary = c * tup.amp * np.exp(1j * a * t) * osc_single(tup.phi_in, t) / (1j * a)
+    distributed = -c * tup.amp * osc_single(tup.phi_out + tup.phi_in, t) / (1j * a)
+    return boundary + distributed
+
+
+def eval_d_full_oracle(spec):
+    """eval_d_full summed tuple by tuple."""
+    from mkdvlab.illposed import (
+        M0_SLOT, counterexample_support, eval_d0, hs_norm_of_map, m0_tuple,
+    )
+
+    support = counterexample_support(spec)
+    field_vals, skipped, moduli_at_N = {}, 0, 0.0
+    d0 = eval_d0(spec)
+    m0 = m0_tuple(spec)
+    weight_N = (1.0 + spec.N**2) ** (spec.s / 2.0)
+    for tup in iter_quintic_tuples_oracle(support, spec, ("cubic2",), ("cubic2",), (M0_SLOT,)):
+        if tup.phi_out == 0:
+            skipped += 1
+            continue
+        v = tup.structure_value(spec.t)
+        field_vals[tup.n] = field_vals.get(tup.n, 0.0) + v
+        if tup.n == spec.N and not (tup.outer == m0.outer and tup.inner == m0.inner):
+            moduli_at_N += weight_N * abs(v)
+    d0_hsnorm = weight_N * abs(d0)
+    hs_norm = hs_norm_of_map(field_vals, spec.s)
+    return {
+        "field": field_vals, "hs_norm": hs_norm, "d0": d0, "d0_hsnorm": d0_hsnorm,
+        "nonresonant_moduli": moduli_at_N,
+        "cancellation_slack": max(0.0, d0_hsnorm - hs_norm),
+        "skipped_outer_resonant": skipped,
+    }
+
+
+def eval_appendix_terms_oracle(spec, restricted=False):
+    """eval_appendix_terms summed tuple by tuple."""
+    from mkdvlab.illposed import NormalFormTermReport, counterexample_support, hs_norm_of_map
+
+    support = counterexample_support(spec)
+    leaf_filter = (lambda n: n in (1, spec.N)) if restricted else None
+    keys = {(0, "cubic2"): "b1", (0, "cubic3"): "b2", (1, "cubic2"): "c1",
+            (1, "cubic3"): "c2", (2, "cubic3"): "d1_norms"}
+    acc = {name: {} for name in keys.values()}
+    skipped = 0
+    for tup in iter_quintic_tuples_oracle(support, spec, leaf_filter=leaf_filter):
+        if (tup.slot, tup.y_term) == (2, "cubic2"):
+            continue
+        if tup.phi_out == 0:
+            skipped += 1
+            continue
+        d = acc[keys[(tup.slot, tup.y_term)]]
+        d[tup.n] = d.get(tup.n, 0.0) + tup.structure_value(spec.t)
+    dfull = eval_d_full_oracle(spec)
+    return NormalFormTermReport(
+        N=spec.N, s=spec.s, t=spec.t,
+        d0_hsnorm=dfull["d0_hsnorm"], d_full_hsnorm=dfull["hs_norm"],
+        **{name: hs_norm_of_map(d, spec.s) for name, d in acc.items()},
+        skipped_outer_resonant=skipped + dfull["skipped_outer_resonant"],
+    )
+
+
+def _with_linear_phase(out, spec):
+    from mkdvlab.illposed import _mu
+
+    return {n: v * np.exp(1j * float(_mu(n, spec)) * spec.t) for n, v in out.items()}
+
+
+def t2_duhamel_fifth_oracle(support, spec, inner_terms=("cubic2",), route="direct"):
+    """t2_duhamel_fifth summed tuple by tuple; returns (field, skipped)."""
+    out, skipped = {}, 0
+    for tup in iter_quintic_tuples_oracle(support, spec, ("cubic2",), tuple(inner_terms)):
+        if route == "direct":
+            v = physical_value_oracle(tup, spec.t)
+        elif tup.phi_out == 0:
+            skipped += 1
+            continue
+        else:
+            v = normal_form_value_oracle(tup, spec.t)
+        out[tup.n] = out.get(tup.n, 0.0) + v
+    return _with_linear_phase(out, spec), skipped
+
+
+def fifth_derivative_cubic_oracle(support, spec, cubics):
+    """fifth_derivative_direct of a flow holding only the given nonresonant
+    cubics, summed tuple by tuple."""
+    out = {}
+    for tup in iter_quintic_tuples_oracle(support, spec, tuple(cubics), tuple(cubics)):
+        out[tup.n] = out.get(tup.n, 0.0) + physical_value_oracle(tup, spec.t)
+    return _with_linear_phase(out, spec)

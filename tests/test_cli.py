@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from mkdvlab.cli import main
+from mkdvlab.cli import clamp_workers, main
+from mkdvlab.errors import ConfigurationError
 
 
 def run(args):
@@ -42,6 +43,36 @@ class TestValidation:
         assert code == 2
         assert field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("illposed-growth", "sweep.Ns", "64,x"),
+        ("illposed-growth", "sweep.Ns", "64,nan"),
+        ("appendix-b", "sweep.Ns", "64,inf"),
+        ("conserve", "initial_data.amplitudes", "0.1,zz"),
+        ("conserve", "initial_data.amplitudes", "0.1,nan"),
+        ("conserve", "initial_data.amplitudes", "inf"),
+    ])
+    def test_bad_list_named(self, tmp_path, capsys, command, field, value):
+        code = run([command, "--set", f"{field}={value}", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_named(self, tmp_path, capsys, workers):
+        code = run(["appendix-b", "--workers", workers, "--out", str(tmp_path),
+                    "--set", "sweep.Ns=64"])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_workers_clamped_to_cpu_count(self):
+        assert clamp_workers(1, 4) == 1
+        assert clamp_workers(64, 2) == 2
+        assert clamp_workers(3, None) == 1
+        with pytest.raises(ConfigurationError, match="--workers"):
+            clamp_workers(0, 4)
 
 
 class TestConserve:

@@ -1,15 +1,29 @@
 """Counterexample data, oscillatory primitives, quintic terms, growth law."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 import scipy.integrate as si
+from oracles import (
+    eval_appendix_terms_oracle,
+    eval_d_full_oracle,
+    fifth_derivative_cubic_oracle,
+    iter_quintic_tuples_oracle,
+    t2_duhamel_fifth_oracle,
+)
 
+import mkdvlab
 from mkdvlab.equations import EquationParams, RenormalizedTerms
 from mkdvlab.errors import ConditioningError, ConfigurationError
 from mkdvlab.illposed import (
     CounterexampleSpec,
+    _check_osc_bound,
+    _quintic_table,
     build_counterexample_data,
     counterexample_support,
     eval_appendix_terms,
@@ -48,6 +62,27 @@ class TestOscillatoryPrimitives:
                 v = abs(osc_single(phi, t))
                 bound = t if phi == 0 else min(t, 2.0 / abs(phi))
                 assert v <= bound * (1 + 1e-12)
+
+    @pytest.mark.parametrize("val, phi, t", [
+        (0.6, 0, 0.5),                                   # above t
+        (np.array([0.1, 0.3]), np.array([0.0, 10.0]), 0.5),  # above 2/|phi|
+        (complex("nan"), 1.0, 0.5),
+    ])
+    def test_bound_violation_raises(self, val, phi, t):
+        with pytest.raises(ArithmeticError, match="bound violated"):
+            _check_osc_bound(val, phi, t)
+
+    def test_bound_check_survives_optimize_flag(self):
+        src = os.path.dirname(os.path.dirname(mkdvlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "from mkdvlab.illposed import _check_osc_bound\n"
+            "try:\n    _check_osc_bound(0.6, 0, 0.5)\n"
+            "except ArithmeticError:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+        assert proc.returncode == 0
 
     @pytest.mark.parametrize("a,b", [(3.0, 5.0), (0.0, 7.0), (11.0, 0.0), (-40.0, 40.0), (0.0, 0.0)])
     def test_double_against_quadrature(self, a, b):
@@ -289,3 +324,88 @@ class TestNumericFifthDerivative:
         )
         rel = np.max(np.abs(a5.coeff - ana_arr)) / np.max(np.abs(ana_arr))
         assert rel < 1e-3
+
+
+# complex, non-Hermitian data on four leaves: cheap for the per-tuple walker
+COMPLEX_SUPPORT = {-1: 0.3 + 0.2j, 1: 0.3 - 0.2j, 2: 0.1j, 8: 0.05 - 0.01j}
+REL = 1e-12
+
+
+def assert_fields_close(got: dict, want: dict):
+    assert list(got) == list(want)  # same modes, in the same order
+    scale = max(abs(v) for v in want.values())
+    for n, v in want.items():
+        assert abs(got[n] - v) <= REL * scale
+
+
+def assert_reports_close(got: dict, want: dict):
+    assert got.pop("skipped_outer_resonant") == want.pop("skipped_outer_resonant")
+    assert list(got) == list(want)
+    for key, v in want.items():
+        if key == "field":
+            assert_fields_close(got[key], v)
+        else:
+            assert got[key] == pytest.approx(v, rel=REL, abs=0.0), key
+
+
+class TestTupleTableMatchesOracle:
+    """The tuple table against the per-tuple walker of tests/oracles.py."""
+
+    def test_rows_in_walk_order(self):
+        spec = CounterexampleSpec(N=8, s=1.0, t=1e-4, d1=3)
+        supp = counterexample_support(spec)
+        for kw in ({}, {"leaf_filter": lambda n: n in (1, 8), "slots": (2, 0)},
+                   {"outer_terms": ("cubic2", "cubic3"), "inner_terms": ("cubic3",)}):
+            got = list(iter_quintic_tuples(supp, spec, **kw))
+            assert got == list(iter_quintic_tuples_oracle(supp, spec, **kw))
+
+    @pytest.mark.parametrize("d1", [0, 3, -30])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_appendix_report(self, d1, restricted):
+        spec = CounterexampleSpec(N=8, s=1.0, t=1e-4, d1=d1)
+        want = asdict(eval_appendix_terms_oracle(spec, restricted))
+        if d1 == -30:
+            assert want["skipped_outer_resonant"] > 0
+        assert_reports_close(asdict(eval_appendix_terms(spec, restricted)), want)
+
+    @pytest.mark.parametrize("d1", [0, 3, -30])
+    def test_d_full(self, d1):
+        spec = CounterexampleSpec(N=16, s=1.0, t=1e-4, d1=d1)
+        assert_reports_close(eval_d_full(spec), eval_d_full_oracle(spec))
+
+    @pytest.mark.parametrize("route", ["direct", "normal_form"])
+    @pytest.mark.parametrize("d1", [0, 3, -30])
+    def test_t2_duhamel_fifth(self, route, d1):
+        spec = CounterexampleSpec(N=8, s=1.0, t=0.005, d1=d1)
+        for supp in (counterexample_support(spec), COMPLEX_SUPPORT):
+            got, got_skipped = t2_duhamel_fifth(supp, spec, ("cubic2", "cubic3"), route)
+            want, want_skipped = t2_duhamel_fifth_oracle(supp, spec, ("cubic2", "cubic3"), route)
+            assert got_skipped == want_skipped
+            assert_fields_close(got, want)
+
+    @pytest.mark.parametrize("cubics", [("cubic2",), ("cubic3",), ("cubic2", "cubic3")])
+    def test_fifth_derivative_direct(self, cubics):
+        spec = CounterexampleSpec(N=8, s=1.0, t=0.005, d1=-30)
+        flow = RenormalizedTerms(False, "cubic2" in cubics, "cubic3" in cubics, False)
+        for supp in (counterexample_support(spec), COMPLEX_SUPPORT):
+            got = fifth_derivative_direct(supp, spec, flow)
+            assert_fields_close(got, fifth_derivative_cubic_oracle(supp, spec, cubics))
+
+    def test_phases_beyond_int64(self):
+        # |n| reaches 5N = 20480 and 20480^5 ~ 3.6e21 does not fit in int64:
+        # the phases stay exact ints, and E_t takes the float of their exact sum
+        spec = CounterexampleSpec(N=4096, s=1.0, t=1e-4)
+        supp = counterexample_support(spec)
+        tab = _quintic_table(supp, spec, ("cubic2",), ("cubic2", "cubic3"), (0, 1, 2))
+        walk = list(iter_quintic_tuples_oracle(supp, spec))
+        phases = tab.phi_out.tolist() + tab.phi_in.tolist()
+        assert all(type(p) is int for p in phases)
+        assert phases == [t.phi_out for t in walk] + [t.phi_in for t in walk]
+        big = [r for r, t in enumerate(walk) if t.phi_out != 0 and abs(t.phi_out + t.phi_in) > 2**63]
+        assert big
+        np.testing.assert_allclose(
+            tab.take(big).structure_values(spec.t),
+            [walk[r].structure_value(spec.t) for r in big], rtol=REL, atol=0,
+        )
+        assert_reports_close(asdict(eval_appendix_terms(spec)),
+                             asdict(eval_appendix_terms_oracle(spec)))

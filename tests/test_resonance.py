@@ -8,6 +8,7 @@ import pytest
 from mkdvlab.equations import dispersion_mu
 from mkdvlab.errors import ParameterError
 from mkdvlab.resonance import (
+    N3_RADIUS_CAP,
     enumerate_n3,
     enumerate_n5,
     phi_cubic,
@@ -165,6 +166,8 @@ class TestEnumerators:
     def test_radius_caps(self):
         with pytest.raises(ParameterError):
             enumerate_n3(0, 10**4 + 1)
+        with pytest.raises(ParameterError):
+            enumerate_n3(0, N3_RADIUS_CAP + 1)
         with pytest.raises(ParameterError):
             enumerate_n5(0, 31)
 
