@@ -15,6 +15,10 @@ part handled separately by the integrator):
 * fifth-order KdV:  u_t = u_xxxxx - a1*u_x*u_xx - a2*u*u_xxx - a3*u^2*u_x
 * third-order KdV / defocusing mKdV for the Miura consistency check.
 
+Each nonlinear term is written once, as an operator on the half spectrum
+c[0..M] of real data (:func:`nonlinear_operator`); the integrator steps it
+and the ``rhs_*`` functions wrap it with the linear part.
+
 Coefficient normalization: coefficients are stored with the constant-free
 convolution convention of :mod:`mkdvlab.spectral`; in that convention the
 gauge constants are exactly d1 = 10*sum|c[n]|^2, d2 = 10*(sum n^2|c[n]|^2 +
@@ -26,16 +30,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import ParameterError
+from .errors import ConfigurationError, ParameterError
 from .spectral import (
     GridSpec,
     SpectralField,
-    analyze,
-    analyze_complex,
+    hermitian_extend,
     synthesize,
     synthesize_values,
 )
@@ -158,79 +162,81 @@ def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
 
 
 # ---------------------------------------------------------------------------
-# Physical-space right-hand sides (dealiased pseudospectral products)
+# Half-spectrum nonlinear operators, one per flow
 # ---------------------------------------------------------------------------
-
-def _deriv_coeff(grid: GridSpec, coeff: np.ndarray, order: int) -> np.ndarray:
-    return (1j * grid.modes.astype(float)) ** order * coeff
-
-
-def rhs_physical(u: SpectralField, p: EquationParams) -> SpectralField:
-    """du/dt for the generalized fifth-order flow, alias-free.
-
-    Returns the full right-hand side including the linear u_xxxxx part.
-    """
-    u.require_real(what="rhs_physical input")
-    grid = u.grid
-    c = u.coeff
-    U = synthesize_values(grid, c).real
-    Ux = synthesize_values(grid, _deriv_coeff(grid, c, 1)).real
-    Uxx = synthesize_values(grid, _deriv_coeff(grid, c, 2)).real
-    Uxxx = synthesize_values(grid, _deriv_coeff(grid, c, 3)).real
-    N = -p.c1 * U * Ux * Uxx - p.c2 * U * U * Uxxx - p.c3 * Ux**3 - p.c4 * U**4 * Ux
-    nc = analyze_complex(grid, N.astype(np.complex128))
-    out = _deriv_coeff(grid, c, 5) + nc
-    return SpectralField(grid, out)
+#
+# Input and output are half spectra c[0..M] of real fields, c(-n) = conj(c(n)).
+# One evaluation is one stacked irfft of the derivatives it needs and one
+# stacked rfft of the pointwise products: the hot loops are small FFTs, where
+# the call count costs more than the points.
 
 
-def rhs_fifth_kdv(u: SpectralField, a1: float, a2: float, a3: float) -> SpectralField:
-    """du/dt = u_xxxxx - a1*u_x*u_xx - a2*u*u_xxx - a3*u^2*u_x."""
-    u.require_real(what="rhs_fifth_kdv input")
-    grid = u.grid
-    c = u.coeff
-    U = synthesize_values(grid, c).real
-    Ux = synthesize_values(grid, _deriv_coeff(grid, c, 1)).real
-    Uxx = synthesize_values(grid, _deriv_coeff(grid, c, 2)).real
-    Uxxx = synthesize_values(grid, _deriv_coeff(grid, c, 3)).real
-    N = -a1 * Ux * Uxx - a2 * U * Uxxx - a3 * U * U * Ux
-    nc = analyze_complex(grid, N.astype(np.complex128))
-    return SpectralField(grid, _deriv_coeff(grid, c, 5) + nc)
+class _HalfSpectrum:
+    """Read-only wavenumber tables of one grid over n = 0..M."""
+
+    def __init__(self, grid: GridSpec):
+        M = grid.max_mode
+        n = np.arange(M + 1, dtype=float)
+        self.M, self.P = M, grid.phys_points
+        self.n = n
+        self.i_n = 1j * n
+        # (i n)^k for k = 0..3, written out so that every entry is exact
+        self.deriv = np.array([np.ones(M + 1), 1j * n, -(n * n), -1j * n**3])
+        for table in (self.n, self.i_n, self.deriv):
+            table.setflags(write=False)
+
+    def synthesize(self, ch: np.ndarray, orders) -> np.ndarray:
+        """Real samples of d^k u/dx^k on the grid, one row per k in ``orders``."""
+        return sfft.irfft(self.deriv[list(orders)] * ch, self.P, axis=-1) * self.P
+
+    def analyze(self, values: np.ndarray, width: int = 0) -> np.ndarray:
+        """Coefficients 0..width-1 (0..M by default) of real samples, per row."""
+        return sfft.rfft(values, axis=-1)[..., : width or self.M + 1] / self.P
 
 
-def rhs_third_order(u: SpectralField, which: str) -> SpectralField:
-    """du/dt for KdV (u_t + u_xxx = 6 u u_x) or defocusing mKdV
-    (v_t + v_xxx - 6 v^2 v_x = 0)."""
-    u.require_real(what="rhs_third_order input")
-    grid = u.grid
-    c = u.coeff
-    U = synthesize_values(grid, c).real
-    Ux = synthesize_values(grid, _deriv_coeff(grid, c, 1)).real
-    if which == "kdv":
-        N = 6.0 * U * Ux
-    elif which == "mkdv_defocusing":
-        N = 6.0 * U * U * Ux
-    else:
-        raise ParameterError(f"unknown third-order flow {which!r}")
-    nc = analyze_complex(grid, N.astype(np.complex128))
-    return SpectralField(grid, -_deriv_coeff(grid, c, 3) + nc)
+@lru_cache(maxsize=32)
+def _half_spectrum(grid: GridSpec) -> _HalfSpectrum:
+    return _HalfSpectrum(grid)
 
 
-# ---------------------------------------------------------------------------
-# Renormalized flow: full convolutions minus resonant corrections
-# ---------------------------------------------------------------------------
+def _physical_divergence(h: _HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
+    """Physical nonlinearity of the constrained family in divergence form,
+    -(c2 u^2 u_xx + c3 u u_x^2 + c4/5 u^5)_x, so the mean is conserved exactly."""
+    U, Ux, Uxx = h.synthesize(ch, (0, 1, 2))
+    u2 = U * U
+    G = u2 * (p.c2 * Uxx) + (p.c3 * U) * (Ux * Ux) + (p.c4 / 5.0) * (u2 * u2 * U)
+    return -h.i_n * h.analyze(G)
 
-def _conv_kernel_fields(grid: GridSpec, coeff: np.ndarray):
-    """Physical values of v, v', v'' used by the cubic convolutions."""
-    V0 = synthesize_values(grid, coeff)
-    V1 = synthesize_values(grid, 1j * grid.modes * coeff)
-    V2 = synthesize_values(grid, -(grid.modes.astype(float) ** 2) * coeff)
-    return V0, V1, V2
+
+def _physical_general(h: _HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
+    """-c1 u u_x u_xx - c2 u^2 u_xxx - c3 u_x^3 - c4 u^4 u_x for any coefficients."""
+    U, Ux, Uxx, Uxxx = h.synthesize(ch, (0, 1, 2, 3))
+    u2 = U * U
+    N = (
+        -(p.c1 * U) * (Ux * Uxx)
+        - (p.c2 * u2) * Uxxx
+        - p.c3 * (Ux * Ux * Ux)
+        - (p.c4 * u2) * (u2 * Ux)
+    )
+    return h.analyze(N)
+
+
+def _fifth_kdv(h: _HalfSpectrum, a1: float, a2: float, a3: float, ch: np.ndarray) -> np.ndarray:
+    """-a1 u_x u_xx - a2 u u_xxx - a3 u^2 u_x."""
+    U, Ux, Uxx, Uxxx = h.synthesize(ch, (0, 1, 2, 3))
+    return h.analyze(-a1 * Ux * Uxx - a2 * U * Uxxx - a3 * U * U * Ux)
+
+
+def _third_order(h: _HalfSpectrum, cubic: bool, ch: np.ndarray) -> np.ndarray:
+    """6 u u_x (KdV) or 6 u^2 u_x (defocusing mKdV)."""
+    U, Ux = h.synthesize(ch, (0, 1))
+    return h.analyze(6.0 * U * U * Ux if cubic else 6.0 * U * Ux)
 
 
 @dataclass
 class RenormalizedTerms:
-    """Term toggles for the renormalized flow (all on by default except
-    the resonant cubic, which the ill-posedness analysis drops)."""
+    """Term toggles for the renormalized flow (all on by default; the
+    ill-posedness analysis drops the resonant cubic)."""
 
     resonant_cubic: bool = True
     cubic2: bool = True   # 10 i n sum v v n3^2 v
@@ -238,84 +244,122 @@ class RenormalizedTerms:
     quintic: bool = True  # 6 i n sum v^5
 
 
-def nonresonant_cubic2(grid: GridSpec, c: np.ndarray) -> np.ndarray:
-    """sum over A3(n) of c(n1) c(n2) n3^2 c(n3) via convolution minus corrections."""
-    V0, _, V2 = _conv_kernel_fields(grid, c)
-    full = analyze_complex(grid, -V0 * V0 * V2)
-    n = grid.modes.astype(float)
-    P = np.sum(c * c[::-1])                    # sum c(m) c(-m)
-    Q = np.sum(grid.modes.astype(float) ** 2 * c * c[::-1])
-    corr = (n * n * P + 2.0 * Q) * c - 3.0 * n * n * c * c * c[::-1]
-    return full - corr
-
-
-def nonresonant_cubic3(grid: GridSpec, c: np.ndarray) -> np.ndarray:
-    """sum over A3(n) of c(n1) n2 c(n2) n3 c(n3)."""
-    V0, V1, _ = _conv_kernel_fields(grid, c)
-    full = analyze_complex(grid, -V0 * V1 * V1)
-    n = grid.modes.astype(float)
-    Q = np.sum(grid.modes.astype(float) ** 2 * c * c[::-1])
-    corr = -Q * c + n * n * c * c * c[::-1]
-    return full - corr
-
-
-def nonresonant_quintic(grid: GridSpec, c: np.ndarray) -> np.ndarray:
-    """sum over A5(n) of c(n1)..c(n5), excluding every vanishing four-sum.
-
-    Inclusion-exclusion over the five four-sum hyperplanes: with q indices
-    pinned to the output frequency the correction term is
-    C(5,q) * (-1)^{q+1} * c(n)^q * (c^{*(5-q)})(-(q-1) n).
-    """
-    M = grid.max_mode
-    V0 = synthesize_values(grid, c)
-    vals2 = V0 * V0
-    vals5 = vals2 * vals2 * V0
-    full = analyze_complex(grid, vals5)
-
-    # quadratic and cubic self-convolutions on an index range wide enough
-    # for the -(q-1)*n reads, obtained from the padded physical grid
-    P = grid.phys_points
-    vals3 = vals2 * V0
-    c2_full = sfft.fft(vals2) / P
-    c3_full = sfft.fft(vals3) / P
-
-    n_arr = grid.modes
-    S_minus_n = c3_full[(-n_arr) % P]
-    C2_minus_2n = c2_full[(-2 * n_arr) % P]
-    idx3 = -3 * n_arr
-    ok3 = np.abs(idx3) <= M
-    c_minus_3n = np.where(ok3, c[np.clip(idx3 + M, 0, 2 * M)], 0.0)
-
-    c2 = c * c
-    corr = (
-        5.0 * np.mean(vals2 * vals2) * c
-        - 10.0 * c2 * S_minus_n
-        + 10.0 * c2 * c * C2_minus_2n
-        - 5.0 * c2 * c2 * c_minus_3n
-    )
-    # q = 5 intersection is the all-zero tuple at n = 0 only; its kernel is
-    # killed by the overall factor n in the equation, but subtract for the
-    # raw sum's exactness.
-    mid = M  # index of n = 0
-    corr[mid] += c[mid] ** 5
-    return full - corr
-
-
 def renormalized_nonlinear_coeff(
-    grid: GridSpec, c: np.ndarray, terms: RenormalizedTerms
+    grid: GridSpec, ch: np.ndarray, terms: RenormalizedTerms
 ) -> np.ndarray:
-    """Nonlinear part of the renormalized flow on raw coefficient arrays."""
-    n = grid.modes.astype(float)
-    out = np.zeros_like(c)
-    if terms.resonant_cubic:
-        out += -20j * n**3 * np.abs(c) ** 2 * c
-    if terms.cubic2:
-        out += 10j * n * nonresonant_cubic2(grid, c)
-    if terms.cubic3:
-        out += 10j * n * nonresonant_cubic3(grid, c)
-    if terms.quintic:
-        out += 6j * n * nonresonant_quintic(grid, c)
-    return out
+    """Nonlinear part of the renormalized flow on the half spectrum c[0..M].
+
+    The sums over A3(n) and A5(n) are full convolutions minus their
+    hyperplane corrections.  One stacked synthesis gives v, v_x, v_xx for the
+    enabled terms; one stacked analysis gives -10 v^2 v_xx - 10 v v_x^2 + 6 v^5
+    together with v^2 and v^3.  The corrections read c(-n), c(-3n) and the
+    coefficients of v^3 at -n and of v^2 at -2n as the conjugates of their
+    values at n, 3n, n and 2n.
+    """
+    h = _half_spectrum(grid)
+    n = h.n
+    n2 = n * n
+    a = ch.real**2 + ch.imag**2  # |c(n)|^2 = c(n) c(-n)
+    out = (-20j * n * n2 * a) * ch if terms.resonant_cubic else np.zeros_like(ch)
+    if not (terms.cubic2 or terms.cubic3 or terms.quintic):
+        return out
+    orders = (0,) + (1,) * terms.cubic3 + (2,) * terms.cubic2
+    V = dict(zip(orders, h.synthesize(ch, orders)))
+    v0 = V[0]
+    l2 = 2.0 * np.sum(a) - a[0]  # sum_m c(m) c(-m) over -M..M
+    h1 = 2.0 * np.dot(n2, a)     # sum_m m^2 c(m) c(-m)
+    g = 0.0
+    corr = 0.0
+    if terms.cubic2:  # 10 sum c(n1) c(n2) n3^2 c(n3)
+        g = g - 10.0 * (v0 * v0) * V[2]
+        corr = corr + 10.0 * (n2 * l2 + 2.0 * h1 - 3.0 * n2 * a) * ch
+    if terms.cubic3:  # 10 sum c(n1) n2 c(n2) n3 c(n3)
+        g = g - 10.0 * v0 * (V[1] * V[1])
+        corr = corr + 10.0 * (n2 * a - h1) * ch
+    if not terms.quintic:
+        return out + h.i_n * (h.analyze(g) - corr)
+    # 6 sum c(n1)..c(n5): inclusion-exclusion over the five four-sum
+    # hyperplanes; with q indices pinned to n the correction is
+    # C(5,q) (-1)^(q+1) c(n)^q (c^{*(5-q)})(-(q-1)n).  The q = 5 tuple sits
+    # at n = 0, where the factor i n kills it.
+    M = h.M
+    v2 = v0 * v0
+    g = g + 6.0 * (v2 * v2) * v0
+    full, sq, cube = h.analyze(np.stack([g, v2, v2 * v0]), 2 * M + 1)
+    quartic = np.dot(v2, v2) / h.P  # sum over n1+..+n4 = 0
+    c_3n = np.zeros_like(ch)
+    c_3n[: M // 3 + 1] = ch[::3]
+    c2 = ch * ch
+    corr = corr + 6.0 * (
+        5.0 * quartic * ch
+        - 10.0 * c2 * np.conj(cube[: M + 1])
+        + 10.0 * c2 * ch * np.conj(sq[::2])
+        - 5.0 * c2 * c2 * np.conj(c_3n)
+    )
+    return out + h.i_n * (full[: M + 1] - corr)
+
+
+def nonlinear_operator(
+    grid: GridSpec,
+    p: EquationParams,
+    tag: str,
+    renorm_terms: RenormalizedTerms | None = None,
+):
+    """The nonlinear term of flow ``tag`` as a function of c[0..M]."""
+    if tag == "renormalized_5mkdv":
+        terms = RenormalizedTerms() if renorm_terms is None else renorm_terms
+        # the module attribute is looked up at every call, so a wrapper
+        # installed on it sees each stage
+        return lambda ch: renormalized_nonlinear_coeff(grid, ch, terms)
+    h = _half_spectrum(grid)
+    if tag == "physical_5mkdv":
+        return partial(_physical_divergence if p.constrained else _physical_general, h, p)
+    if tag == "fifth_kdv":
+        return partial(_fifth_kdv, h, p.c1 / 2.0, p.c1 / 4.0, -3.0 * p.c1**2 / 160.0)
+    if tag in ("kdv3", "mkdv3"):
+        return partial(_third_order, h, tag == "mkdv3")
+    if tag == "linear":
+        return np.zeros_like
+    raise ConfigurationError(f"unknown equation tag {tag!r}")
+
+
+# ---------------------------------------------------------------------------
+# Right-hand sides: linear part plus the flow's operator
+# ---------------------------------------------------------------------------
+
+def _rhs(u: SpectralField, what: str, nonlinear, mu) -> SpectralField:
+    """Dense i*mu(n)*c + nonlinear(c), evaluated on the half spectrum of real u."""
+    u.require_real(what=what)
+    ch = u.coeff[u.grid.max_mode:]
+    out = nonlinear(ch)
+    if mu is not None:
+        out = out + 1j * mu * ch
+    return SpectralField(u.grid, hermitian_extend(out))
+
+
+def rhs_physical(u: SpectralField, p: EquationParams) -> SpectralField:
+    """du/dt for the generalized fifth-order flow, alias-free.
+
+    Returns the full right-hand side including the linear u_xxxxx part.
+    """
+    nonlinear = nonlinear_operator(u.grid, p, "physical_5mkdv")
+    return _rhs(u, "rhs_physical input", nonlinear, _half_spectrum(u.grid).n ** 5)
+
+
+def rhs_fifth_kdv(u: SpectralField, a1: float, a2: float, a3: float) -> SpectralField:
+    """du/dt = u_xxxxx - a1*u_x*u_xx - a2*u*u_xxx - a3*u^2*u_x."""
+    h = _half_spectrum(u.grid)
+    return _rhs(u, "rhs_fifth_kdv input", partial(_fifth_kdv, h, a1, a2, a3), h.n**5)
+
+
+def rhs_third_order(u: SpectralField, which: str) -> SpectralField:
+    """du/dt for KdV (u_t + u_xxx = 6 u u_x) or defocusing mKdV
+    (v_t + v_xxx - 6 v^2 v_x = 0)."""
+    if which not in ("kdv", "mkdv_defocusing"):
+        raise ParameterError(f"unknown third-order flow {which!r}")
+    h = _half_spectrum(u.grid)
+    nonlinear = partial(_third_order, h, which == "mkdv_defocusing")
+    return _rhs(u, "rhs_third_order input", nonlinear, h.n**3)
 
 
 def rhs_renormalized(
@@ -324,20 +368,11 @@ def rhs_renormalized(
     terms: RenormalizedTerms | None = None,
     include_linear: bool = True,
 ) -> SpectralField:
-    """Right-hand side of the renormalized flow (Fourier side).
+    """Right-hand side of the renormalized flow (Fourier side) for real data.
 
-    The three nonresonant sums are evaluated as full convolutions minus
-    hyperplane corrections; the small-band loop oracle in the tests pins the
-    equivalence.  Works for Hermitian (real) data; the integrator asserts
-    reality along trajectories.
+    The nonlinear part is ``renormalized_nonlinear_coeff``, the operator
+    ``evolve`` steps; the small-band loop oracle in the tests pins it.
     """
-    if terms is None:
-        terms = RenormalizedTerms()
-    grid = v.grid
-    c = v.coeff
-    out = renormalized_nonlinear_coeff(grid, c, terms)
-    if include_linear:
-        n = grid.modes.astype(float)
-        mu = dispersion_mu(n, p.d1, p.d2)
-        out = out + 1j * mu * c
-    return SpectralField(grid, out)
+    nonlinear = nonlinear_operator(v.grid, p, "renormalized_5mkdv", terms)
+    mu = dispersion_mu(_half_spectrum(v.grid).n, p.d1, p.d2) if include_linear else None
+    return _rhs(v, "rhs_renormalized input", nonlinear, mu)

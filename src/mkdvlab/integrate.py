@@ -28,11 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
+from . import equations
 from .equations import EquationParams, RenormalizedTerms
 from .errors import ConfigurationError, DivergenceError
-from .spectral import GridSpec, SpectralField, analyze_complex, synthesize_values
+from .spectral import (
+    GridSpec,
+    SpectralField,
+    analyze_complex,
+    hermitian_extend,
+    synthesize_values,
+)
 
 EQUATION_TAGS = (
     "physical_5mkdv",
@@ -157,91 +163,6 @@ def _linear_symbol(grid: GridSpec, p: EquationParams, tag: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Nonlinear evaluations (full right-hand side minus linear part)
-# ---------------------------------------------------------------------------
-
-class _HalfSpectrumNonlinear:
-    """Fast rfft-based nonlinear evaluation for real flows.
-
-    State is the half spectrum c[0..M]; all evolution tags except the
-    renormalized flow use this path.
-    """
-
-    def __init__(self, grid: GridSpec, p: EquationParams, tag: str):
-        self.grid = grid
-        self.tag = tag
-        self.p = p
-        M, P = grid.max_mode, grid.phys_points
-        self.M, self.P = M, P
-        self.nn = np.arange(M + 1, dtype=float)
-        self.ik = 1j * self.nn
-        self.k2 = self.nn**2
-        self.k3 = self.nn**3
-        self.nbuf = P // 2 + 1
-        self.constrained_divergence = tag == "physical_5mkdv" and p.constrained
-
-    def _synth(self, half_weighted: np.ndarray) -> np.ndarray:
-        buf = np.zeros(self.nbuf, dtype=np.complex128)
-        buf[: self.M + 1] = half_weighted
-        return sfft.irfft(buf, self.P) * self.P
-
-    def _analyze(self, values: np.ndarray) -> np.ndarray:
-        return sfft.rfft(values)[: self.M + 1] / self.P
-
-    def __call__(self, ch: np.ndarray) -> np.ndarray:
-        tag, p = self.tag, self.p
-        if tag == "linear":
-            return np.zeros_like(ch)
-        U = self._synth(ch)
-        if tag == "physical_5mkdv":
-            if self.constrained_divergence:
-                Ux = self._synth(self.ik * ch)
-                Uxx = self._synth(-self.k2 * ch)
-                u2 = U * U
-                G = u2 * (p.c2 * Uxx) + (p.c3 * U) * (Ux * Ux) + (p.c4 / 5.0) * (u2 * u2 * U)
-                return -self.ik * self._analyze(G)
-            Ux = self._synth(self.ik * ch)
-            Uxx = self._synth(-self.k2 * ch)
-            Uxxx = self._synth(-1j * self.k3 * ch)
-            u2 = U * U
-            N = (
-                -(p.c1 * U) * (Ux * Uxx)
-                - (p.c2 * u2) * Uxxx
-                - p.c3 * (Ux * Ux * Ux)
-                - (p.c4 * u2) * (u2 * Ux)
-            )
-            return self._analyze(N)
-        if tag == "fifth_kdv":
-            a1, a2, a3 = p.c1 / 2.0, p.c1 / 4.0, -3.0 * p.c1**2 / 160.0
-            Ux = self._synth(self.ik * ch)
-            Uxx = self._synth(-self.k2 * ch)
-            Uxxx = self._synth(-1j * self.k3 * ch)
-            N = -a1 * Ux * Uxx - a2 * U * Uxxx - a3 * U * U * Ux
-            return self._analyze(N)
-        if tag == "kdv3":
-            Ux = self._synth(self.ik * ch)
-            return self._analyze(6.0 * U * Ux)
-        if tag == "mkdv3":
-            Ux = self._synth(self.ik * ch)
-            return self._analyze(6.0 * U * U * Ux)
-        raise ConfigurationError(f"unknown tag {tag!r} for half-spectrum path")
-
-
-class _RenormalizedNonlinear:
-    """Full-spectrum nonlinear part of the renormalized flow."""
-
-    def __init__(self, grid: GridSpec, p: EquationParams, terms: RenormalizedTerms):
-        self.grid = grid
-        self.p = p
-        self.terms = terms
-
-    def __call__(self, c: np.ndarray) -> np.ndarray:
-        from .equations import renormalized_nonlinear_coeff
-
-        return renormalized_nonlinear_coeff(self.grid, c, self.terms)
-
-
-# ---------------------------------------------------------------------------
 # Steppers
 # ---------------------------------------------------------------------------
 
@@ -296,10 +217,12 @@ def evolve(
 ) -> Trajectory:
     """Integrate the selected flow from u0 over [0, T] and record states.
 
-    All real-field tags run on the rfft half spectrum; the renormalized flow
-    runs on the dense spectrum (its corrections read c(-n), c(-2n), c(-3n)).
-    Raises DivergenceError (with last good state) if the sup norm exceeds
-    1e6 or coefficients stop being finite.
+    Every tag runs on the rfft half spectrum c[0..M] of real data, stepping
+    the flow's operator from :func:`equations.nonlinear_operator` (the
+    renormalized flow calls ``equations.renormalized_nonlinear_coeff`` once
+    per stage); initial data that are not Hermitian raise SymmetryError
+    naming the tag.  Raises DivergenceError (with last good state) if the
+    sup norm exceeds 1e6 or coefficients stop being finite.
     """
     if tag not in EQUATION_TAGS:
         raise ConfigurationError(f"unknown equation tag {tag!r}")
@@ -310,6 +233,7 @@ def evolve(
 
     grid = u0.grid
     M = grid.max_mode
+    u0.require_real(what=f"{tag} initial data")
     dt = ctrl.dt if ctrl.dt > 0 else default_dt(u0, p, tag, ctrl.stiff_splitting)
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
     dt = T / n_steps
@@ -317,18 +241,9 @@ def evolve(
     if stride == 0:
         stride = max(1, int(np.ceil(n_steps / 600)))
 
-    half_path = tag != "renormalized_5mkdv"
-    if half_path:
-        u0.require_real(what=f"{tag} initial data")
-        state = u0.coeff[M:].copy()
-        mu = _linear_symbol(grid, p, tag)[M:]
-        nonlinear = _HalfSpectrumNonlinear(grid, p, tag)
-    else:
-        state = u0.coeff.copy()
-        mu = _linear_symbol(grid, p, tag)
-        nonlinear = _RenormalizedNonlinear(
-            grid, p, renorm_terms if renorm_terms is not None else RenormalizedTerms()
-        )
+    state = u0.coeff[M:].copy()
+    mu = _linear_symbol(grid, p, tag)[M:]
+    nonlinear = equations.nonlinear_operator(grid, p, tag, renorm_terms)
 
     use_etd = ctrl.stiff_splitting == "etd_rk4"
     if use_etd:
@@ -341,17 +256,9 @@ def evolve(
     times = np.empty(n_records)
     states = np.empty((n_records, 2 * M + 1), dtype=np.complex128)
 
-    def to_dense(s):
-        if not half_path:
-            return s
-        dense = np.empty(2 * M + 1, dtype=np.complex128)
-        dense[M:] = s
-        dense[:M] = np.conj(s[1:][::-1])
-        return dense
-
     def record(idx, t, s):
         times[idx] = t
-        states[idx] = to_dense(s)
+        states[idx] = hermitian_extend(s)
 
     record(0, 0.0, state)
     rec = 1
@@ -379,8 +286,7 @@ def evolve(
 
     # sup-norm check on the final state (coefficient bound is a lower bound
     # on the sup norm; the synthesized check catches the rest)
-    final_dense = to_dense(state)
-    sup = float(np.max(np.abs(synthesize_values(grid, final_dense))))
+    sup = float(np.max(np.abs(synthesize_values(grid, hermitian_extend(state)))))
     if not np.isfinite(sup) or sup > BLOWUP_SUP:
         raise DivergenceError(f"blow-up detected at final time (sup={sup:.3e})")
 

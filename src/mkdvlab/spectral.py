@@ -18,6 +18,7 @@ Conventions (used consistently across the package):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -67,10 +68,13 @@ class GridSpec:
         if abs(self.domain_length - TWO_PI) > 1e-15:
             raise ConfigurationError("domain_length is fixed to 2*pi")
 
-    @property
+    @cached_property
     def modes(self) -> np.ndarray:
-        """Retained mode numbers, ordered -max_mode ... max_mode."""
-        return np.arange(-self.max_mode, self.max_mode + 1)
+        """Retained mode numbers, ordered -max_mode ... max_mode (built once,
+        read-only, since every caller shares the array)."""
+        modes = np.arange(-self.max_mode, self.max_mode + 1)
+        modes.setflags(write=False)
+        return modes
 
     @property
     def x(self) -> np.ndarray:
@@ -177,12 +181,18 @@ def analyze(grid: GridSpec, samples: np.ndarray) -> SpectralField:
         if np.max(np.abs(samples.imag)) > 1e-12 * max(1.0, np.max(np.abs(samples.real))):
             raise ConfigurationError("analyze expects real-valued samples")
         samples = samples.real
-    M, P = grid.max_mode, grid.phys_points
-    half = sfft.rfft(samples) / P
-    coeff = np.empty(2 * M + 1, dtype=np.complex128)
-    coeff[M:] = half[: M + 1]
-    coeff[:M] = np.conj(half[1: M + 1][::-1])
-    return SpectralField(grid, coeff)
+    half = sfft.rfft(samples)[: grid.max_mode + 1] / grid.phys_points
+    return SpectralField(grid, hermitian_extend(half))
+
+
+def hermitian_extend(half: np.ndarray) -> np.ndarray:
+    """Dense coefficients -M..M of a real field from its half spectrum
+    c[0..M] (last axis), using c(-n) = conj(c(n))."""
+    M = half.shape[-1] - 1
+    dense = np.empty(half.shape[:-1] + (2 * M + 1,), dtype=np.complex128)
+    dense[..., M:] = half
+    dense[..., :M] = np.conj(half[..., :0:-1])
+    return dense
 
 
 def analyze_complex(grid: GridSpec, values: np.ndarray) -> np.ndarray:

@@ -24,6 +24,18 @@ def coeff_dict(field):
     return {int(n): field.coeff[n + g.max_mode] for n in range(-g.max_mode, g.max_mode + 1)}
 
 
+def conv2(c, M, kernel):
+    """sum_{n1+n2=n} kernel(n1,n2) c(n1) c(n2), dense loops."""
+    out = np.zeros(2 * M + 1, dtype=complex)
+    rng = range(-M, M + 1)
+    for n1 in rng:
+        for n2 in rng:
+            n = n1 + n2
+            if abs(n) <= M:
+                out[n + M] += kernel(n1, n2) * c[n1 + M] * c[n2 + M]
+    return out
+
+
 def conv3(c, M, kernel):
     """sum_{n1+n2+n3=n} kernel(n1,n2,n3) c(n1) c(n2) c(n3), dense loops."""
     out = np.zeros(2 * M + 1, dtype=complex)
@@ -116,6 +128,25 @@ def rhs_physical_oracle(c, M, c1, c2, c3, c4):
                         if abs(n) <= M:
                             out5[n + M] += p4 * (1j * n5) * c[n5 + M]
     return lin - c1 * t_uuxuxx - c2 * t_u2uxxx - c3 * t_ux3 - c4 * out5
+
+
+def rhs_fifth_kdv_oracle(c, M, a1, a2, a3):
+    """u_xxxxx - a1 u_x u_xx - a2 u u_xxx - a3 u^2 u_x by definition-level sums."""
+    n_arr = np.arange(-M, M + 1, dtype=float)
+    lin = (1j * n_arr) ** 5 * c
+    t1 = conv2(c, M, lambda a, b: (1j * a) * (1j * b) ** 2)
+    t2 = conv2(c, M, lambda a, b: (1j * b) ** 3)
+    t3 = conv3(c, M, lambda a, b, d: 1j * d)
+    return lin - a1 * t1 - a2 * t2 - a3 * t3
+
+
+def rhs_third_order_oracle(c, M, which):
+    """-u_xxx + 6 u u_x (KdV) or -v_xxx + 6 v^2 v_x (defocusing mKdV)."""
+    n_arr = np.arange(-M, M + 1, dtype=float)
+    lin = -((1j * n_arr) ** 3) * c
+    if which == "kdv":
+        return lin + 6.0 * conv2(c, M, lambda a, b: 1j * b)
+    return lin + 6.0 * conv3(c, M, lambda a, b, d: 1j * d)
 
 
 def rhs_renormalized_oracle(c, M, d1, d2, resonant_cubic=True, cubic2=True, cubic3=True, quintic=True):

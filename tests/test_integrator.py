@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mkdvlab.equations import EquationParams, RenormalizedTerms
-from mkdvlab.errors import ConfigurationError, DivergenceError
+from mkdvlab.errors import ConfigurationError, DivergenceError, SymmetryError
 from mkdvlab.integrate import StepControl, Trajectory, evolve, nonlinear_product
 from mkdvlab.spectral import GridSpec, SpectralField
 
@@ -94,6 +94,12 @@ class TestRenormalizedFlow:
         u0 = SpectralField.from_modes(grid8, {1: 0.05, -1: 0.05})
         traj = evolve(u0, 0.01, p, tag="renormalized_5mkdv")
         assert np.max(traj.hermitian_defects()) < 1e-12
+
+    def test_non_hermitian_data_rejected(self, grid8):
+        p = EquationParams.constrained_family(40.0)
+        u0 = SpectralField.from_modes(grid8, {1: 0.05, -1: 0.02j})
+        with pytest.raises(SymmetryError, match="renormalized_5mkdv initial data"):
+            evolve(u0, 0.01, p, tag="renormalized_5mkdv")
 
     def test_term_mask_respected(self, grid8):
         # with every term off the flow is purely linear

@@ -1,0 +1,132 @@
+"""Property tests: every half-spectrum operator against its definition-level
+oracle on random Hermitian bands, and one operator shared by ``evolve`` and
+the ``rhs_*`` wrappers."""
+
+from datetime import timedelta
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import mkdvlab.equations as equations
+from mkdvlab.equations import (
+    EquationParams,
+    RenormalizedTerms,
+    rhs_fifth_kdv,
+    rhs_physical,
+    rhs_renormalized,
+    rhs_third_order,
+)
+from mkdvlab.integrate import StepControl, evolve
+from mkdvlab.spectral import GridSpec, SpectralField
+
+from oracles import (
+    rhs_fifth_kdv_oracle,
+    rhs_physical_oracle,
+    rhs_renormalized_oracle,
+    rhs_third_order_oracle,
+)
+
+# deterministic, so Tier-1 reruns the same examples; M <= 4 keeps the O(M^5)
+# quintic oracles under a second per example
+PROPERTY = settings(
+    max_examples=25, deadline=timedelta(seconds=5), derandomize=True, database=None
+)
+RTOL = 1e-12
+
+unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def hermitian_bands(draw):
+    """Dense coefficients -M..M of a random real field, M in 1..4, with some
+    mode n >= 1 of modulus >= 0.1 so that the right-hand sides are not all
+    round-off."""
+    M = draw(st.integers(1, 4))
+    half = np.array(
+        [draw(unit)] + [complex(draw(unit), draw(unit)) for _ in range(M)], dtype=complex
+    )
+    assume(np.max(np.abs(half[1:])) >= 0.1)
+    c = np.concatenate([np.conj(half[:0:-1]), half])
+    return SpectralField(GridSpec(M), c)
+
+
+def assert_matches(got: SpectralField, want: np.ndarray):
+    assert got.hermitian_defect() == 0.0
+    assert np.max(np.abs(got.coeff - want)) <= RTOL * np.max(np.abs(want))
+
+
+MASKS = [
+    dict(resonant_cubic=True, cubic2=False, cubic3=False, quintic=False),
+    dict(resonant_cubic=False, cubic2=True, cubic3=False, quintic=False),
+    dict(resonant_cubic=False, cubic2=False, cubic3=True, quintic=False),
+    dict(resonant_cubic=False, cubic2=False, cubic3=False, quintic=True),
+    dict(resonant_cubic=True, cubic2=True, cubic3=True, quintic=True),
+]
+
+
+@pytest.mark.parametrize("mask", MASKS, ids=lambda m: "+".join(k for k, v in m.items() if v))
+@PROPERTY
+@given(u=hermitian_bands(), d1=st.floats(0.0, 5.0), d2=st.floats(0.0, 5.0))
+def test_renormalized_matches_oracle(mask, u, d1, d2):
+    p = EquationParams.constrained_family(40.0)
+    p.d1, p.d2 = d1, d2
+    got = rhs_renormalized(u, p, RenormalizedTerms(**mask))
+    assert_matches(got, rhs_renormalized_oracle(u.coeff, u.grid.max_mode, d1, d2, **mask))
+
+
+@PROPERTY
+@given(u=hermitian_bands(), c1=st.floats(-60.0, 60.0))
+def test_physical_constrained_matches_oracle(u, c1):
+    p = EquationParams.constrained_family(c1)
+    got = rhs_physical(u, p)
+    assert_matches(got, rhs_physical_oracle(u.coeff, u.grid.max_mode, p.c1, p.c2, p.c3, p.c4))
+
+
+@PROPERTY
+@given(u=hermitian_bands(), cs=st.tuples(*[st.floats(-60.0, 60.0)] * 4))
+def test_physical_unconstrained_matches_oracle(u, cs):
+    p = EquationParams(*cs)
+    assume(not p.constrained)
+    got = rhs_physical(u, p)
+    assert_matches(got, rhs_physical_oracle(u.coeff, u.grid.max_mode, *cs))
+
+
+@PROPERTY
+@given(u=hermitian_bands(), a=st.tuples(*[st.floats(-40.0, 40.0)] * 3))
+def test_fifth_kdv_matches_oracle(u, a):
+    got = rhs_fifth_kdv(u, *a)
+    assert_matches(got, rhs_fifth_kdv_oracle(u.coeff, u.grid.max_mode, *a))
+
+
+@pytest.mark.parametrize("which", ["kdv", "mkdv_defocusing"])
+@PROPERTY
+@given(u=hermitian_bands())
+def test_third_order_matches_oracle(which, u):
+    got = rhs_third_order(u, which)
+    assert_matches(got, rhs_third_order_oracle(u.coeff, u.grid.max_mode, which))
+
+
+def test_evolve_and_rhs_share_the_renormalized_operator(monkeypatch):
+    calls = []
+
+    def no_nonlinearity(grid, ch, terms):
+        calls.append(ch.shape)
+        return np.zeros_like(ch)
+
+    monkeypatch.setattr(equations, "renormalized_nonlinear_coeff", no_nonlinearity)
+    grid = GridSpec(8)
+    u0 = SpectralField.from_modes(grid, {1: 0.3, -1: 0.3, 2: 0.2j, -2: -0.2j})
+    p = EquationParams.constrained_family(40.0)
+    p.d1, p.d2 = 1.0, 2.0
+
+    rhs = rhs_renormalized(u0, p, include_linear=False)
+    assert calls == [(9,)]
+    assert np.max(np.abs(rhs.coeff)) == 0.0
+
+    traj = evolve(u0, 0.1, p, "renormalized_5mkdv", StepControl(dt=0.05))
+    assert calls == [(9,)] * (1 + 2 * 4)  # one call per stage, four stages a step
+    mu = equations.dispersion_mu(grid.modes, p.d1, p.d2)
+    want = u0.coeff * np.exp(1j * mu * 0.1)
+    assert np.max(np.abs(traj.states[-1] - want)) < 1e-12

@@ -34,6 +34,14 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(8, dealias_factor=1.5)
 
+    def test_modes_built_once_and_read_only(self):
+        g = GridSpec(8)
+        assert g.modes is g.modes
+        assert np.array_equal(g.modes, np.arange(-8, 9))
+        with pytest.raises(ValueError):
+            g.modes[0] = 0
+        assert g == GridSpec(8) and hash(g) == hash(GridSpec(8))
+
 
 class TestAnalyzeSynthesize:
     def test_cosine_coefficients(self, grid8):
