@@ -30,18 +30,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import ConfigurationError, ParameterError
 from .spectral import (
     GridSpec,
+    HalfSpectrum,
     SpectralField,
+    half_spectrum,
     hermitian_extend,
-    synthesize,
-    synthesize_values,
+    require_hermitian,
 )
 
 CONSTRAINT_RTOL = 1e-12
@@ -116,15 +116,16 @@ def seq_h1dot_sq(grid: GridSpec, coeff: np.ndarray) -> float:
     return float(np.sum(n * n * np.abs(coeff) ** 2))
 
 
-def seq_l4_quartic(grid: GridSpec, coeff: np.ndarray) -> float:
-    """sum_{n1+n2+n3+n4=0} c[n1]c[n2]c[n3]c[n4], real for real fields.
+def seq_l4_quartic(grid: GridSpec, coeff: np.ndarray):
+    """sum_{n1+n2+n3+n4=0} c[n1]c[n2]c[n3]c[n4] of real fields, one value per
+    row of ``coeff`` (dense -M..M on the last axis).
 
-    Computed as the collocation mean of (sum_n c[n] e^{inx})^4, exact on the
-    dealiased grid.
+    Computed as the collocation mean of u^4, exact on the dealiased grid.
     """
-    vals = synthesize_values(grid, coeff)
-    m = np.mean(vals**4)
-    return float(np.real(m))
+    require_hermitian(coeff, "seq_l4_quartic input")
+    (U,) = half_spectrum(grid).synthesize(coeff[..., grid.max_mode:], (0,))
+    u2 = U * U
+    return np.mean(u2 * u2, axis=-1)
 
 
 def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
@@ -143,14 +144,13 @@ def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
     grid = u0.grid
     p2 = seq_l2_sq(u0.coeff)
     q2 = seq_h1dot_sq(grid, u0.coeff)
-    r4 = seq_l4_quartic(grid, u0.coeff)
+    r4 = float(seq_l4_quartic(grid, u0.coeff))
 
     # physical level-set integrals over [0, 2*pi]
-    vals = synthesize(u0)
+    U, Ux = half_spectrum(grid).synthesize(u0.coeff[grid.max_mode:], (0, 1))
     dx = 2.0 * np.pi / grid.phys_points
-    dvals = synthesize_values(grid, 1j * grid.modes * u0.coeff).real
-    gamma1 = float(np.sum(vals**2) * dx)
-    gamma2 = float(np.sum(dvals**2 + vals**4) * dx)
+    gamma1 = float(np.sum(U**2) * dx)
+    gamma2 = float(np.sum(Ux**2 + U**4) * dx)
 
     p = EquationParams.constrained_family(c1)
     p.d1 = 10.0 * p2
@@ -167,39 +167,10 @@ def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
 #
 # Input and output are half spectra c[0..M] of real fields, c(-n) = conj(c(n)).
 # One evaluation is one stacked irfft of the derivatives it needs and one
-# stacked rfft of the pointwise products: the hot loops are small FFTs, where
-# the call count costs more than the points.
+# stacked rfft of the pointwise products (:class:`spectral.HalfSpectrum`).
 
 
-class _HalfSpectrum:
-    """Read-only wavenumber tables of one grid over n = 0..M."""
-
-    def __init__(self, grid: GridSpec):
-        M = grid.max_mode
-        n = np.arange(M + 1, dtype=float)
-        self.M, self.P = M, grid.phys_points
-        self.n = n
-        self.i_n = 1j * n
-        # (i n)^k for k = 0..3, written out so that every entry is exact
-        self.deriv = np.array([np.ones(M + 1), 1j * n, -(n * n), -1j * n**3])
-        for table in (self.n, self.i_n, self.deriv):
-            table.setflags(write=False)
-
-    def synthesize(self, ch: np.ndarray, orders) -> np.ndarray:
-        """Real samples of d^k u/dx^k on the grid, one row per k in ``orders``."""
-        return sfft.irfft(self.deriv[list(orders)] * ch, self.P, axis=-1) * self.P
-
-    def analyze(self, values: np.ndarray, width: int = 0) -> np.ndarray:
-        """Coefficients 0..width-1 (0..M by default) of real samples, per row."""
-        return sfft.rfft(values, axis=-1)[..., : width or self.M + 1] / self.P
-
-
-@lru_cache(maxsize=32)
-def _half_spectrum(grid: GridSpec) -> _HalfSpectrum:
-    return _HalfSpectrum(grid)
-
-
-def _physical_divergence(h: _HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
+def _physical_divergence(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
     """Physical nonlinearity of the constrained family in divergence form,
     -(c2 u^2 u_xx + c3 u u_x^2 + c4/5 u^5)_x, so the mean is conserved exactly."""
     U, Ux, Uxx = h.synthesize(ch, (0, 1, 2))
@@ -208,7 +179,7 @@ def _physical_divergence(h: _HalfSpectrum, p: EquationParams, ch: np.ndarray) ->
     return -h.i_n * h.analyze(G)
 
 
-def _physical_general(h: _HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
+def _physical_general(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
     """-c1 u u_x u_xx - c2 u^2 u_xxx - c3 u_x^3 - c4 u^4 u_x for any coefficients."""
     U, Ux, Uxx, Uxxx = h.synthesize(ch, (0, 1, 2, 3))
     u2 = U * U
@@ -221,13 +192,13 @@ def _physical_general(h: _HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np
     return h.analyze(N)
 
 
-def _fifth_kdv(h: _HalfSpectrum, a1: float, a2: float, a3: float, ch: np.ndarray) -> np.ndarray:
+def _fifth_kdv(h: HalfSpectrum, a1: float, a2: float, a3: float, ch: np.ndarray) -> np.ndarray:
     """-a1 u_x u_xx - a2 u u_xxx - a3 u^2 u_x."""
     U, Ux, Uxx, Uxxx = h.synthesize(ch, (0, 1, 2, 3))
     return h.analyze(-a1 * Ux * Uxx - a2 * U * Uxxx - a3 * U * U * Ux)
 
 
-def _third_order(h: _HalfSpectrum, cubic: bool, ch: np.ndarray) -> np.ndarray:
+def _third_order(h: HalfSpectrum, cubic: bool, ch: np.ndarray) -> np.ndarray:
     """6 u u_x (KdV) or 6 u^2 u_x (defocusing mKdV)."""
     U, Ux = h.synthesize(ch, (0, 1))
     return h.analyze(6.0 * U * U * Ux if cubic else 6.0 * U * Ux)
@@ -256,7 +227,7 @@ def renormalized_nonlinear_coeff(
     coefficients of v^3 at -n and of v^2 at -2n as the conjugates of their
     values at n, 3n, n and 2n.
     """
-    h = _half_spectrum(grid)
+    h = half_spectrum(grid)
     n = h.n
     n2 = n * n
     a = ch.real**2 + ch.imag**2  # |c(n)|^2 = c(n) c(-n)
@@ -311,7 +282,7 @@ def nonlinear_operator(
         # the module attribute is looked up at every call, so a wrapper
         # installed on it sees each stage
         return lambda ch: renormalized_nonlinear_coeff(grid, ch, terms)
-    h = _half_spectrum(grid)
+    h = half_spectrum(grid)
     if tag == "physical_5mkdv":
         return partial(_physical_divergence if p.constrained else _physical_general, h, p)
     if tag == "fifth_kdv":
@@ -343,12 +314,12 @@ def rhs_physical(u: SpectralField, p: EquationParams) -> SpectralField:
     Returns the full right-hand side including the linear u_xxxxx part.
     """
     nonlinear = nonlinear_operator(u.grid, p, "physical_5mkdv")
-    return _rhs(u, "rhs_physical input", nonlinear, _half_spectrum(u.grid).n ** 5)
+    return _rhs(u, "rhs_physical input", nonlinear, half_spectrum(u.grid).n ** 5)
 
 
 def rhs_fifth_kdv(u: SpectralField, a1: float, a2: float, a3: float) -> SpectralField:
     """du/dt = u_xxxxx - a1*u_x*u_xx - a2*u*u_xxx - a3*u^2*u_x."""
-    h = _half_spectrum(u.grid)
+    h = half_spectrum(u.grid)
     return _rhs(u, "rhs_fifth_kdv input", partial(_fifth_kdv, h, a1, a2, a3), h.n**5)
 
 
@@ -357,7 +328,7 @@ def rhs_third_order(u: SpectralField, which: str) -> SpectralField:
     (v_t + v_xxx - 6 v^2 v_x = 0)."""
     if which not in ("kdv", "mkdv_defocusing"):
         raise ParameterError(f"unknown third-order flow {which!r}")
-    h = _half_spectrum(u.grid)
+    h = half_spectrum(u.grid)
     nonlinear = partial(_third_order, h, which == "mkdv_defocusing")
     return _rhs(u, "rhs_third_order input", nonlinear, h.n**3)
 
@@ -374,5 +345,5 @@ def rhs_renormalized(
     ``evolve`` steps; the small-band loop oracle in the tests pins it.
     """
     nonlinear = nonlinear_operator(v.grid, p, "renormalized_5mkdv", terms)
-    mu = dispersion_mu(_half_spectrum(v.grid).n, p.d1, p.d2) if include_linear else None
+    mu = dispersion_mu(half_spectrum(v.grid).n, p.d1, p.d2) if include_linear else None
     return _rhs(v, "rhs_renormalized input", nonlinear, mu)

@@ -31,11 +31,12 @@ import numpy as np
 
 from . import equations
 from .equations import EquationParams, RenormalizedTerms
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, SymmetryError
 from .spectral import (
     GridSpec,
     SpectralField,
     analyze_complex,
+    half_spectrum,
     hermitian_extend,
     synthesize_values,
 )
@@ -98,10 +99,22 @@ class Trajectory:
         """max_n |coeff(-n) - conj(coeff(n))| of every record."""
         return np.max(np.abs(self.states[:, ::-1] - np.conj(self.states)), axis=1)
 
+    def require_real(self, what: str):
+        """SpectralField.require_real's rule (tol 1e-8 relative) on every
+        record; the error names the first offending record."""
+        defect = self.hermitian_defects()
+        scale = np.maximum(1.0, np.max(np.abs(self.states), axis=1))
+        bad = np.nonzero(defect > 1e-8 * scale)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise SymmetryError(
+                f"{what} record {i} (t={self.times[i]:.6e}) violates Hermitian symmetry"
+                f" (defect {defect[i]:.3e})"
+            )
+
 
 def _sup_estimates(grid: GridSpec, coeff: np.ndarray):
-    U = synthesize_values(grid, coeff)
-    Ux = synthesize_values(grid, 1j * grid.modes * coeff)
+    U, Ux = half_spectrum(grid).synthesize(coeff[grid.max_mode:], (0, 1))
     s0 = float(np.max(np.abs(U)))
     s1 = float(np.max(np.abs(Ux)))
     s01 = float(np.max(np.abs(U * Ux)))
@@ -112,6 +125,7 @@ def nonlinear_frequency_bound(
     u0: SpectralField, p: EquationParams, tag: str, n_top: float | None = None
 ) -> float:
     """Frozen-coefficient bound on |nonlinear frequency| up to wavenumber n_top."""
+    u0.require_real(what="nonlinear_frequency_bound input")
     M = float(n_top if n_top is not None else u0.grid.max_mode)
     s0, s1, s01 = _sup_estimates(u0.grid, u0.coeff)
     if tag in ("physical_5mkdv", "renormalized_5mkdv"):
@@ -286,7 +300,7 @@ def evolve(
 
     # sup-norm check on the final state (coefficient bound is a lower bound
     # on the sup norm; the synthesized check catches the rest)
-    sup = float(np.max(np.abs(synthesize_values(grid, hermitian_extend(state)))))
+    sup = float(np.max(np.abs(half_spectrum(grid).synthesize(state, (0,)))))
     if not np.isfinite(sup) or sup > BLOWUP_SUP:
         raise DivergenceError(f"blow-up detected at final time (sup={sup:.3e})")
 

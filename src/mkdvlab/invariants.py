@@ -7,7 +7,9 @@ The three Hamiltonians of the constrained family (physical integrals over
     H1 = int (u_x)^2/2 + (c1/80) u^4
     H2 = int (u_xx)^2/2 + (c1/8) u^2 u_x^2 + (c1^2/1600) u^6
 
-All three are constant along the constrained flow; H2 generates it.
+All three are constant along the constrained flow; H2 generates it.  The
+series over a trajectory come from one stacked synthesis of u, u_x and u_xx
+over all records (:class:`spectral.HalfSpectrum`).
 """
 
 from __future__ import annotations
@@ -17,27 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SymmetryError
+from .errors import ParameterError
 from .integrate import Trajectory
-from .spectral import (
-    GridSpec,
-    SpectralField,
-    chi,
-    project_pk,
-    psi,
-    synthesize_values,
-)
+from .spectral import GridSpec, SpectralField, chi, half_spectrum, project_pk, psi
 
 TWO_PI = 2.0 * np.pi
-
-
-def _phys(grid: GridSpec, coeffs: np.ndarray, order: int = 0) -> np.ndarray:
-    """Real collocation values of (i n)^order * coeffs for every row.
-
-    The complex synthesis is kept (not irfft) so the Hamiltonian series, and
-    the round-off-level drifts read from them, match the per-field values."""
-    w = (1j * grid.modes.astype(float)) ** order if order else 1.0
-    return synthesize_values(grid, w * coeffs).real
 
 
 def _quad(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -46,29 +32,17 @@ def _quad(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.sum(values, axis=-1) * (TWO_PI / grid.phys_points)
 
 
-def _require_real_records(traj: Trajectory, what: str):
-    """SpectralField.require_real's rule (tol 1e-8 relative) on every record."""
-    defect = traj.hermitian_defects()
-    scale = np.maximum(1.0, np.max(np.abs(traj.states), axis=1))
-    bad = np.nonzero(defect > 1e-8 * scale)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise SymmetryError(
-            f"{what} record {i} (t={traj.times[i]:.6e}) violates Hermitian symmetry"
-            f" (defect {defect[i]:.3e})"
-        )
-
-
 def _hamiltonians(grid: GridSpec, states: np.ndarray, c1: float, top: int = 2) -> list:
-    """[H0, ..., H_top] of every row of states, one synthesis per derivative order."""
-    U = _phys(grid, states)
+    """[H0, ..., H_top] of every row of states, from one stacked synthesis."""
+    D = half_spectrum(grid).synthesize(states[..., grid.max_mode:], range(top + 1))
+    U = D[0]
     u2 = U * U
     out = [0.5 * _quad(grid, u2)]
     if top >= 1:
-        Ux = _phys(grid, states, 1)
+        Ux = D[1]
         out.append(_quad(grid, 0.5 * Ux * Ux + (c1 / 80.0) * u2 * u2))
     if top >= 2:
-        Uxx = _phys(grid, states, 2)
+        Uxx = D[2]
         out.append(_quad(
             grid,
             0.5 * Uxx * Uxx + (c1 / 8.0) * u2 * Ux * Ux + (c1**2 / 1600.0) * u2 * u2 * u2,
@@ -78,17 +52,17 @@ def _hamiltonians(grid: GridSpec, states: np.ndarray, c1: float, top: int = 2) -
 
 def hamiltonian_h0(u: SpectralField) -> float:
     u.require_real(what="H0 input")
-    return float(_hamiltonians(u.grid, u.coeff[None], 0.0, top=0)[0][0])
+    return float(_hamiltonians(u.grid, u.coeff, 0.0, top=0)[0])
 
 
 def hamiltonian_h1(u: SpectralField, c1: float) -> float:
     u.require_real(what="H1 input")
-    return float(_hamiltonians(u.grid, u.coeff[None], c1, top=1)[1][0])
+    return float(_hamiltonians(u.grid, u.coeff, c1, top=1)[1])
 
 
 def hamiltonian_h2(u: SpectralField, c1: float) -> float:
     u.require_real(what="H2 input")
-    return float(_hamiltonians(u.grid, u.coeff[None], c1, top=2)[2][0])
+    return float(_hamiltonians(u.grid, u.coeff, c1, top=2)[2])
 
 
 @dataclass
@@ -122,7 +96,7 @@ def _rel_drift(series: np.ndarray) -> float:
 
 def drift_report(traj: Trajectory, c1: float) -> HamiltonianReport:
     """Time series of H0, H1, H2 on the recorded states with max relative drift."""
-    _require_real_records(traj, "drift_report input")
+    traj.require_real("drift_report input")
     h0, h1, h2 = _hamiltonians(traj.grid, traj.states, c1)
     return HamiltonianReport(
         traj.times.copy(), h0, h1, h2, (_rel_drift(h0), _rel_drift(h1), _rel_drift(h2))

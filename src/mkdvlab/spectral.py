@@ -13,12 +13,17 @@ Conventions (used consistently across the package):
   with ``<n> = sqrt(1+n^2)``.  Physical integrals over [0, 2*pi] (used by the
   Hamiltonians) therefore carry an explicit 2*pi relative to these norms:
   ``integral |u|^2 dx = 2*pi * sum |c[n]|^2``.
+* Real fields are synthesized and analyzed on the half spectrum c[0..M] by
+  :class:`HalfSpectrum`, the one coefficient-to-samples path for real data:
+  one stacked irfft for any derivative orders (orders axis first, then any
+  batch axes), one stacked rfft back.  :func:`synthesize_values` and
+  :func:`analyze_complex` are for genuinely complex coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -134,22 +139,71 @@ class SpectralField:
         return self.hermitian_defect() <= tol * scale
 
     def require_real(self, tol: float = 1e-8, what: str = "field"):
-        if not self.is_real(tol):
-            raise SymmetryError(
-                f"{what} violates Hermitian symmetry (defect {self.hermitian_defect():.3e})"
-            )
+        require_hermitian(self.coeff, what, tol)
+
+
+def require_hermitian(coeff: np.ndarray, what: str, tol: float = 1e-8):
+    """Raise SymmetryError unless coeff(-n) = conj(coeff(n)) along the last
+    axis, within tol relative to max(1, max |coeff|) over all rows."""
+    defect = float(np.max(np.abs(coeff[..., ::-1] - np.conj(coeff))))
+    if not defect <= tol * max(1.0, float(np.max(np.abs(coeff)))):  # NaN fails too
+        raise SymmetryError(f"{what} violates Hermitian symmetry (defect {defect:.3e})")
 
 
 # ---------------------------------------------------------------------------
 # analyze / synthesize
 # ---------------------------------------------------------------------------
+#
+# Real fields go through the half spectrum c[0..M], c(-n) = conj(c(n)): one
+# stacked irfft gives u and any of its first four x-derivatives, one stacked
+# rfft gives the coefficients of real samples.  The hot loops are small FFTs,
+# where the call count costs more than the points.
+
+
+class HalfSpectrum:
+    """Read-only wavenumber tables of one grid over n = 0..M and the real-field
+    synthesis/analysis built on them."""
+
+    def __init__(self, grid: GridSpec):
+        M = grid.max_mode
+        n = np.arange(M + 1, dtype=float)
+        self.M, self.P = M, grid.phys_points
+        self.n = n
+        self.i_n = 1j * n
+        # (i n)^k for k = 0..4, written out so that every entry is exact
+        self.deriv = np.array([np.ones(M + 1), 1j * n, -(n * n), -1j * n**3, n**4])
+        for table in (self.n, self.i_n, self.deriv):
+            table.setflags(write=False)
+
+    def synthesize(self, ch: np.ndarray, orders) -> np.ndarray:
+        """Real samples of d^k u/dx^k on the grid for every k in ``orders``.
+
+        ``ch`` holds half spectra on its last axis, with any leading (batch)
+        axes; the result has the orders axis first, then the batch axes, then
+        the P samples, so ``U, Ux = h.synthesize(ch, (0, 1))`` unpacks the same
+        for one row or many.
+        """
+        table = self.deriv[list(orders)]
+        if ch.ndim > 1:
+            table = table.reshape(table.shape[:1] + (1,) * (ch.ndim - 1) + table.shape[1:])
+        return sfft.irfft(table * ch, self.P, axis=-1) * self.P
+
+    def analyze(self, values: np.ndarray, width: int = 0) -> np.ndarray:
+        """Coefficients 0..width-1 (0..M by default) of real samples, per row."""
+        return sfft.rfft(values, axis=-1)[..., : width or self.M + 1] / self.P
+
+
+@lru_cache(maxsize=32)
+def half_spectrum(grid: GridSpec) -> HalfSpectrum:
+    return HalfSpectrum(grid)
+
 
 def synthesize_values(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
     """Pointwise values of sum_n coeff[n] e^{inx} on the collocation grid.
 
-    Works for arbitrary complex coefficient arrays (returns complex values),
-    with any leading axes (one FFT call for all rows); use
-    :func:`synthesize` for the real-field contract.
+    For genuinely complex coefficients (returns complex values), with any
+    leading axes (one FFT call for all rows); real fields go through
+    :class:`HalfSpectrum`.
     """
     M, P = grid.max_mode, grid.phys_points
     buf = np.zeros(coeff.shape[:-1] + (P,), dtype=np.complex128)
@@ -161,10 +215,8 @@ def synthesize_values(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
 def synthesize(field: SpectralField) -> np.ndarray:
     """Real collocation samples of a Hermitian-symmetric field."""
     field.require_real(what="synthesize input")
-    M, P = field.grid.max_mode, field.grid.phys_points
-    half = np.zeros(P // 2 + 1, dtype=np.complex128)
-    half[: M + 1] = field.coeff[M:]
-    return sfft.irfft(half, P) * P
+    M = field.grid.max_mode
+    return half_spectrum(field.grid).synthesize(field.coeff[M:], (0,))[0]
 
 
 def analyze(grid: GridSpec, samples: np.ndarray) -> SpectralField:
@@ -181,8 +233,7 @@ def analyze(grid: GridSpec, samples: np.ndarray) -> SpectralField:
         if np.max(np.abs(samples.imag)) > 1e-12 * max(1.0, np.max(np.abs(samples.real))):
             raise ConfigurationError("analyze expects real-valued samples")
         samples = samples.real
-    half = sfft.rfft(samples)[: grid.max_mode + 1] / grid.phys_points
-    return SpectralField(grid, hermitian_extend(half))
+    return SpectralField(grid, hermitian_extend(half_spectrum(grid).analyze(samples)))
 
 
 def hermitian_extend(half: np.ndarray) -> np.ndarray:

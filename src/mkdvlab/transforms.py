@@ -8,10 +8,13 @@ phase:
     l4(u)   = sum_{n1+n2+n3+n4=0} u(n1) u(n2) u(n3) u(n4),
 
 so |v(t,n)| = |u(t,n)| pointwise and v(0) = u(0).  Phi is accumulated by
-composite trapezoid on the recorded time grid.  The inverse transform must
-rebuild Phi from the *physical* field u, which the phase changes; it runs a
-fixed-point iteration (Phi from v, unwind, recompute, ...) that converges in
-a couple of sweeps at desk scale.
+composite trapezoid on the recorded time grid.  The twist e^{-20 i n Phi}
+translates u by 20*Phi in space, and l4 (the mean of u^4) does not change
+under a translation, so l4(v) = l4(u) record by record: the inverse reads
+Phi from v directly, in one pass.
+
+Every real-data synthesis here is one stacked irfft of
+:class:`spectral.HalfSpectrum` over all records and derivative orders.
 """
 
 from __future__ import annotations
@@ -20,14 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import seq_l4_quartic
+from .equations import nonlinear_operator, seq_l4_quartic
 from .errors import ConfigurationError
 from .integrate import Trajectory
-from .spectral import GridSpec, SpectralField, synthesize_values
+from .spectral import GridSpec, SpectralField, half_spectrum, hermitian_extend, require_hermitian
 
 GAUGE_PHASE_RATE = 20.0
-PHI_FIXED_POINT_TOL = 1e-12
-PHI_FIXED_POINT_MAXIT = 50
 
 
 @dataclass
@@ -42,10 +43,6 @@ class GaugePhaseAccumulator:
             raise ConfigurationError("cumulative phase must start at 0")
 
 
-def _l4_series(grid: GridSpec, states: np.ndarray) -> np.ndarray:
-    return np.array([seq_l4_quartic(grid, s) for s in states])
-
-
 def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(values)
     if len(times) > 1:
@@ -57,7 +54,7 @@ def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 def accumulate_phase(traj: Trajectory) -> GaugePhaseAccumulator:
     if np.any(np.diff(traj.times) <= 0):
         raise ConfigurationError("trajectory times must be strictly increasing")
-    l4 = _l4_series(traj.grid, traj.states)
+    l4 = seq_l4_quartic(traj.grid, traj.states)
     return GaugePhaseAccumulator(traj.times.copy(), _cumtrapz(traj.times, l4))
 
 
@@ -88,24 +85,10 @@ def gauge_forward(traj_u: Trajectory) -> Trajectory:
 
 
 def gauge_inverse(traj_v: Trajectory) -> Trajectory:
-    """Inverse gauge transform via fixed-point recovery of Phi.
-
-    Phi is defined through the physical field u, whose quartic functional is
-    not preserved by the phase twist; iterate Phi -> unwind -> recompute
-    until the increment drops below 1e-12.
-    """
-    if np.any(np.diff(traj_v.times) <= 0):
-        raise ConfigurationError("trajectory times must be strictly increasing")
-    grid = traj_v.grid
-    phi = _cumtrapz(traj_v.times, _l4_series(grid, traj_v.states))
-    for _ in range(PHI_FIXED_POINT_MAXIT):
-        cand = _apply_phase(traj_v, phi, +1.0)
-        phi_new = _cumtrapz(traj_v.times, _l4_series(grid, cand.states))
-        inc = float(np.max(np.abs(phi_new - phi)))
-        phi = phi_new
-        if inc < PHI_FIXED_POINT_TOL:
-            break
-    return _apply_phase(traj_v, phi, +1.0)
+    """Inverse gauge transform: Phi accumulated from v itself, since
+    l4(v) = l4(u) on every record."""
+    acc = accumulate_phase(traj_v)
+    return _apply_phase(traj_v, acc.cumulative_l4, +1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,30 +98,25 @@ def gauge_inverse(traj_v: Trajectory) -> Trajectory:
 def miura(v: SpectralField) -> SpectralField:
     """u = v_x + v^2 (dealiased quadratic)."""
     v.require_real(what="miura input")
-    grid = v.grid
-    V = synthesize_values(grid, v.coeff)
-    vals = synthesize_values(grid, 1j * grid.modes * v.coeff) + V * V
-    from .spectral import analyze_complex
-
-    return SpectralField(grid, analyze_complex(grid, vals))
+    h = half_spectrum(v.grid)
+    V, Vx = h.synthesize(v.coeff[v.grid.max_mode:], (0, 1))
+    return SpectralField(v.grid, hermitian_extend(h.analyze(Vx + V * V)))
 
 
-def kdv_residual_values(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarray) -> np.ndarray:
-    """Pointwise values of u_t + u_xxx - 6 u u_x with u = v_x + v^2 and
-    u_t = (2v + d/dx) vdot.
+def _chain_samples(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarray, what: str):
+    """Real samples (v, v_x, ..., v_xxxx) and (vdot, vdot_x) of dense real
+    coefficients -M..M, any leading axes."""
+    require_hermitian(v_coeff, f"{what} v_coeff")
+    require_hermitian(vdot_coeff, f"{what} vdot_coeff")
+    h = half_spectrum(grid)
+    M = grid.max_mode
+    return h.synthesize(v_coeff[..., M:], range(5)), h.synthesize(vdot_coeff[..., M:], (0, 1))
 
-    Evaluated entirely pointwise on the collocation grid, so no truncation
-    enters the identity check.
-    """
-    n = grid.modes.astype(float)
-    V = synthesize_values(grid, v_coeff).real
-    Vdot = synthesize_values(grid, vdot_coeff).real
-    Vdot_x = synthesize_values(grid, 1j * n * vdot_coeff).real
-    Vx = synthesize_values(grid, 1j * n * v_coeff).real
-    Vxx = synthesize_values(grid, -(n**2) * v_coeff).real
-    Vxxx = synthesize_values(grid, -1j * n**3 * v_coeff).real
-    Vxxxx = synthesize_values(grid, n**4 * v_coeff).real
 
+def _kdv_residual(Vs: np.ndarray, Vdots: np.ndarray) -> np.ndarray:
+    """u_t + u_xxx - 6 u u_x with u = v_x + v^2 and u_t = (2v + d/dx) vdot."""
+    V, Vx, Vxx, Vxxx, Vxxxx = Vs
+    Vdot, Vdot_x = Vdots
     U = Vx + V * V
     Ux = Vxx + 2.0 * V * Vx
     u_t = 2.0 * V * Vdot + Vdot_x
@@ -147,33 +125,40 @@ def kdv_residual_values(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndar
     return u_t + u_xxx - 6.0 * U * Ux
 
 
+def _mkdv_residual(Vs: np.ndarray, Vdots: np.ndarray) -> np.ndarray:
+    """v_t + v_xxx - 6 v^2 v_x with v_t = vdot."""
+    V, Vx, _, Vxxx, _ = Vs
+    return Vdots[0] + Vxxx - 6.0 * V * V * Vx
+
+
+def kdv_residual_values(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarray) -> np.ndarray:
+    """Pointwise values of u_t + u_xxx - 6 u u_x with u = v_x + v^2 and
+    u_t = (2v + d/dx) vdot, for real v and vdot.
+
+    Evaluated entirely pointwise on the collocation grid, so no truncation
+    enters the identity check.
+    """
+    return _kdv_residual(*_chain_samples(grid, v_coeff, vdot_coeff, "kdv_residual_values"))
+
+
 def mkdv_residual_values(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarray) -> np.ndarray:
-    """Pointwise values of v_t + v_xxx - 6 v^2 v_x."""
-    n = grid.modes.astype(float)
-    V = synthesize_values(grid, v_coeff).real
-    Vdot = synthesize_values(grid, vdot_coeff).real
-    Vx = synthesize_values(grid, 1j * n * v_coeff).real
-    Vxxx = synthesize_values(grid, -1j * n**3 * v_coeff).real
-    return Vdot + Vxxx - 6.0 * V * V * Vx
+    """Pointwise values of v_t + v_xxx - 6 v^2 v_x, for real v and vdot."""
+    return _mkdv_residual(*_chain_samples(grid, v_coeff, vdot_coeff, "mkdv_residual_values"))
 
 
 def chain_identity_gap(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarray) -> float:
-    """sup | KdV-residual(v_x+v^2) - (2v + d/dx) mKdV-residual(v) |.
+    """sup | KdV-residual(v_x+v^2) - (2v + d/dx) mKdV-residual(v) | for real
+    v and vdot.
 
     An algebraic identity in (v, vdot); zero to rounding for any fields.
     Every term (including the x-derivative of the residual) is expanded in
     closed form and evaluated pointwise, so no truncation enters.
     """
-    n = grid.modes.astype(float)
-    V = synthesize_values(grid, v_coeff).real
-    Vx = synthesize_values(grid, 1j * n * v_coeff).real
-    Vxx = synthesize_values(grid, -(n**2) * v_coeff).real
-    Vxxxx = synthesize_values(grid, n**4 * v_coeff).real
-    Vdot = synthesize_values(grid, vdot_coeff).real
-    Vdot_x = synthesize_values(grid, 1j * n * vdot_coeff).real
-
-    lhs = kdv_residual_values(grid, v_coeff, vdot_coeff)
-    res = mkdv_residual_values(grid, v_coeff, vdot_coeff)
+    Vs, Vdots = _chain_samples(grid, v_coeff, vdot_coeff, "chain_identity_gap")
+    V, Vx, Vxx, _, Vxxxx = Vs
+    Vdot_x = Vdots[1]
+    lhs = _kdv_residual(Vs, Vdots)
+    res = _mkdv_residual(Vs, Vdots)
     # d/dx res = vdot_x + v_xxxx - 12 v vx^2 - 6 v^2 vxx, closed form
     res_x = Vdot_x + Vxxxx - 12.0 * V * Vx * Vx - 6.0 * V * V * Vxx
     rhs = 2.0 * V * res + res_x
@@ -183,15 +168,13 @@ def chain_identity_gap(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarr
 def miura_residual(traj_v: Trajectory) -> np.ndarray:
     """Per-record L^2 norm of the KdV residual of u = v_x + v^2 along an
     mKdV trajectory, with u_t chained through (2v + d/dx) applied to the
-    discrete mKdV right-hand side (no time differencing)."""
-    from .equations import rhs_third_order
-
+    discrete mKdV right-hand side (no time differencing).  All records are
+    evaluated as one batch."""
+    traj_v.require_real("miura_residual input")
     grid = traj_v.grid
-    out = np.empty(len(traj_v))
+    h = half_spectrum(grid)
+    ch = traj_v.states[:, grid.max_mode:]
+    vdot = nonlinear_operator(grid, traj_v.params, "mkdv3")(ch) + 1j * h.n**3 * ch
+    vals = _kdv_residual(h.synthesize(ch, range(5)), h.synthesize(vdot, (0, 1)))
     dx = 2.0 * np.pi / grid.phys_points
-    for i in range(len(traj_v)):
-        f = traj_v.field(i)
-        vdot = rhs_third_order(f, "mkdv_defocusing").coeff
-        vals = kdv_residual_values(grid, f.coeff, vdot)
-        out[i] = np.sqrt(np.sum(vals**2) * dx / (2.0 * np.pi))
-    return out
+    return np.sqrt(np.sum(vals**2, axis=-1) * dx / (2.0 * np.pi))

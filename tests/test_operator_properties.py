@@ -1,6 +1,6 @@
-"""Property tests: every half-spectrum operator against its definition-level
-oracle on random Hermitian bands, and one operator shared by ``evolve`` and
-the ``rhs_*`` wrappers."""
+"""Property tests: the shared real-field synthesis and every half-spectrum
+operator against their definition-level references on random Hermitian
+bands, and one operator shared by ``evolve`` and the ``rhs_*`` wrappers."""
 
 from datetime import timedelta
 
@@ -19,7 +19,7 @@ from mkdvlab.equations import (
     rhs_third_order,
 )
 from mkdvlab.integrate import StepControl, evolve
-from mkdvlab.spectral import GridSpec, SpectralField
+from mkdvlab.spectral import GridSpec, SpectralField, half_spectrum, synthesize_values
 
 from oracles import (
     rhs_fifth_kdv_oracle,
@@ -50,6 +50,58 @@ def hermitian_bands(draw):
     assume(np.max(np.abs(half[1:])) >= 0.1)
     c = np.concatenate([np.conj(half[:0:-1]), half])
     return SpectralField(GridSpec(M), c)
+
+
+@st.composite
+def hermitian_batches(draw):
+    """Half spectra c[0..M] of 1..4 random real fields on one grid, M in 1..8,
+    each with some mode n >= 1 of modulus >= 0.1."""
+    M = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 4))
+    ch = np.array(
+        [[draw(unit)] + [complex(draw(unit), draw(unit)) for _ in range(M)] for _ in range(rows)]
+    )
+    assume(np.all(np.max(np.abs(ch[:, 1:]), axis=1) >= 0.1))
+    return GridSpec(M), ch
+
+
+@PROPERTY
+@given(batch=hermitian_batches())
+def test_shared_synthesis_matches_complex_reference(batch):
+    grid, ch = batch
+    h = half_spectrum(grid)
+    n = grid.modes.astype(float)
+    for c_half in ch:
+        dense = np.concatenate([np.conj(c_half[:0:-1]), c_half])
+        for k in range(5):
+            want = synthesize_values(grid, (1j * n) ** k * dense).real
+            (got,) = h.synthesize(c_half, (k,))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert h.synthesize(ch, range(5)).shape == (5, len(ch), grid.phys_points)
+
+
+@PROPERTY
+@given(batch=hermitian_batches())
+def test_batches_equal_row_by_row_bitwise(batch):
+    grid, ch = batch
+    h = half_spectrum(grid)
+    stacked = h.synthesize(ch, range(5))
+    for i, c_half in enumerate(ch):
+        assert np.array_equal(stacked[:, i], h.synthesize(c_half, range(5)))
+        assert np.array_equal(h.analyze(stacked[:, i]), h.analyze(stacked)[:, i])
+    # every operator but the renormalized one takes a leading batch axis
+    flows = [
+        ("mkdv3", EquationParams()),
+        ("kdv3", EquationParams()),
+        ("fifth_kdv", EquationParams()),
+        ("physical_5mkdv", EquationParams.constrained_family(40.0)),
+        ("physical_5mkdv", EquationParams(40.0, 11.0, 9.0, -25.0)),
+    ]
+    for tag, p in flows:
+        op = equations.nonlinear_operator(grid, p, tag)
+        rows = op(ch)
+        for i, c_half in enumerate(ch):
+            assert np.array_equal(rows[i], op(c_half))
 
 
 def assert_matches(got: SpectralField, want: np.ndarray):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mkdvlab.equations import EquationParams, derive_gauge_params
-from mkdvlab.errors import ConfigurationError
+from mkdvlab.equations import EquationParams, derive_gauge_params, seq_l4_quartic
+from mkdvlab.errors import ConfigurationError, SymmetryError
 from mkdvlab.integrate import StepControl, Trajectory, evolve
 from mkdvlab.spectral import GridSpec, SpectralField, sobolev_norm
 from mkdvlab.transforms import (
@@ -12,8 +12,10 @@ from mkdvlab.transforms import (
     chain_identity_gap,
     gauge_forward,
     gauge_inverse,
+    kdv_residual_values,
     miura,
     miura_residual,
+    mkdv_residual_values,
 )
 
 from oracles import random_real_coeffs
@@ -56,6 +58,16 @@ class TestGauge:
         acc = accumulate_phase(traj)
         assert acc.cumulative_l4[0] == 0.0
         assert np.all(np.diff(acc.cumulative_l4) >= 0)
+
+    def test_twist_preserves_l4(self):
+        # e^{-20 i n Phi} translates u by 20 Phi, and the mean of u^4 is
+        # translation invariant: the inverse reads Phi from v directly
+        traj = small_physical_trajectory(M=64, T=0.01)
+        v = gauge_forward(traj)
+        assert np.max(np.abs(v.states[-1] - traj.states[-1])) > 1e-9
+        l4_u = seq_l4_quartic(traj.grid, traj.states)
+        l4_v = seq_l4_quartic(v.grid, v.states)
+        assert np.max(np.abs(l4_v - l4_u)) <= 1e-14 * np.max(np.abs(l4_u))
 
     def test_round_trip(self):
         traj = small_physical_trajectory(M=64, T=0.01)
@@ -118,6 +130,21 @@ class TestMiura:
             vdot = random_real_coeffs(16, rng)
             scale = max(1.0, np.max(np.abs(v)) ** 3 * 16**4)
             assert chain_identity_gap(grid, v, vdot) < 1e-10 * scale
+
+    @pytest.mark.parametrize(
+        "fn", [kdv_residual_values, mkdv_residual_values, chain_identity_gap]
+    )
+    def test_non_hermitian_rejected(self, fn, rng):
+        # the real synthesis reads c[0..M] only, so a non-Hermitian band
+        # would be misread rather than symmetrized
+        grid = GridSpec(8)
+        v = random_real_coeffs(8, rng)
+        bad = v.copy()
+        bad[3] += 0.5j
+        fn(grid, v, v)
+        for args in ((bad, v), (v, bad)):
+            with pytest.raises(SymmetryError, match=fn.__name__):
+                fn(grid, *args)
 
     def test_dynamic_residual_small(self):
         grid = GridSpec(64)
