@@ -485,13 +485,14 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
     traj = evolve(u0, T, p, cfg.get("equation", "tag"), ctrl)
     wt = WeightTable(cfg.get_float("norms", "gamma"))
     s = cfg.get_float("norms", "s")
+    grids = {k: _tk_grid(traj, k, T) for k in range(k_max + 1)}
     rows = []
     shell_rows = []
     for k in range(1, k_max + 1):
         fk = fk_norm(traj, k, T, wt)
         nk = nk_norm(traj, k, T, wt)
         rows.append((k, fk, nk))
-        centers, _ = _tk_grid(traj, k, T)
+        centers, _ = grids[k]
         mid = centers[len(centers) // 2]
         sh = modulation_decompose(traj, k, mid)
         for j, m in sorted(sh.shells.items()):
@@ -504,7 +505,8 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
     write_manifest(
         man_path, cfg,
         {"fs_norm": fs, "s": s, "gamma": wt.gamma,
-         "extension_note": "trajectory used as its own (zero) extension"},
+         "zero_extended_k": [k for k, (_, ext) in grids.items() if ext],
+         "windows_per_k": {k: len(centers) for k, (centers, _) in grids.items()}},
         time.perf_counter() - t0,
     )
     return EXIT_OK

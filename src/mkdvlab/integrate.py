@@ -75,7 +75,11 @@ class StepControl:
 
 @dataclass
 class Trajectory:
-    """Recorded states of one run; states[i] are dense coefficients -M..M."""
+    """Recorded states of one run; states[i] are dense coefficients -M..M.
+
+    times and states are held as read-only views (the caller's arrays stay
+    writable), so tables memoized on the trajectory cannot go stale.
+    """
 
     grid: GridSpec
     times: np.ndarray
@@ -85,6 +89,13 @@ class Trajectory:
     dt: float
     record_stride: int
     extension_note: str = ""
+    window_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("times", "states"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            setattr(self, name, view)
 
     def __len__(self):
         return len(self.times)

@@ -19,12 +19,14 @@ back to a single centered window with the data zero-extended (the
 trajectory acting as its own extension, which upper-bounds the infimum over
 extensions; flagged in the result metadata).
 
-Cost model: a window at level k has about 4 * 4^{-k}/dt samples however few
-records it covers (267,602 around 670 records for k = 0 at the `norms`
-defaults).  The I_k band of the recorded rows is demodulated once per k; each
-window gathers only its recorded rows into a zeroed (windows, samples, |band|)
-batch, so memory is O(samples * |band|) per chunk, not O(samples * (2M + 1)),
-and one FFT per window length plus one bincount bin every centre.
+Cost model: a window at level k has L ~ 4 * 4^{-k}/dt samples however few
+records R it covers (L = 267,602 around R = 670 for k = 0 at the `norms`
+defaults).  Only the recorded rows of the band I_k are gathered; windows of
+one length share one batched FFT, and a zero-extended window is a chirp-z
+transform of its R rows (two FFTs of fast length >= L + R - 1, the same L
+bins).  One pass bins |G|^2 for F_k, N_k and the F^s block into a table of
+3 x centres x shells masses (centres <= records/4 + 1, so under
+records x shells), made once per (trajectory, k, T) and memoized on it.
 """
 
 from __future__ import annotations
@@ -122,29 +124,51 @@ def _window_starts(traj: Trajectory, k: int, centers: np.ndarray):
     return dt, m_lo, m_hi - m_lo + 1
 
 
-def _shell_masses(traj, k, centers, dt, m_lo, lengths, weight=None, resolvent=False):
-    """Squared shell masses mass_sq[c, j] of every window centre at once,
+def _czt_rows(x: np.ndarray, L: int) -> np.ndarray:
+    """sfft.fft(x, n=L, axis=1) of R <= L rows by a chirp-z transform,
+    X[f] = w^{f^2/2} sum_p (x[p] w^{p^2/2}) w^{-(f-p)^2/2} with w = e^{-2 pi i/L}:
+    two FFTs of fast length >= L + R - 1, where an L with large prime factors
+    would run as a Bluestein transform about 2L long.  The chirp phases are
+    taken from the exact integers q^2 mod 2L."""
+    R = x.shape[1]
+    N = sfft.next_fast_len(L + R - 1)
+    q = np.arange(L)
+    chirp = np.exp(-1j * np.pi * ((q * q) % (2 * L)) / L)
+    kernel = np.zeros(N, dtype=np.complex128)
+    kernel[:L] = np.conj(chirp)
+    kernel[N - R + 1:] = np.conj(chirp[1:R][::-1])  # lags -(R-1)..-1
+    y = np.zeros((x.shape[0], N) + x.shape[2:], dtype=np.complex128)
+    y[:, :R] = x * chirp[:R, None]
+    Y = sfft.fft(y, axis=1, overwrite_x=True)
+    Y *= sfft.fft(kernel)[:, None]
+    Y = sfft.ifft(Y, axis=1, overwrite_x=True)[:, :L]
+    Y *= chirp[:, None]
+    return Y
+
+
+def _window_masses(traj, k, centers, dt, m_lo, lengths):
+    """Squared shell masses mass_sq[w, c, j] of every window centre at once,
     the shells any FFT bin falls in, and the squared window L^2(dt) norms.
-    weight multiplies the band coefficients; resolvent divides by
-    (tau - mu(n) + i 2^{2k})."""
+    One transform G per window; P = |G|^2 summed over the band (w = 0, X_k),
+    divided by tau^2 + 16^k (w = 1, the N_k resolvent) or weighted by
+    chi_k(n)^2 (w = 2, the F^s block).  A zero-extended window transforms
+    only its recorded rows: the shift to the first one is a phase of G."""
     n_rec = len(traj.times)
     n_c = len(centers)
-    band = np.nonzero(chi(k, traj.grid.modes))[0]
+    chik = chi(k, traj.grid.modes)
+    band = np.nonzero(chik)[0]
     if band.size == 0:
-        return np.zeros((n_c, 0)), np.zeros(0, dtype=bool), np.zeros(n_c)
+        return np.zeros((3, n_c, 0)), np.zeros(0, dtype=bool), np.zeros(n_c)
     mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[band]
     t_rec = traj.times[0] + np.arange(n_rec) * dt
-    data = traj.states[:, band]
-    if weight is not None:
-        data = data * weight[band]
-    demod = data * np.exp(-1j * np.outer(t_rec, mu))
+    demod = traj.states[:, band] * np.exp(-1j * np.outer(t_rec, mu))
 
     bins = {}
     for L in np.unique(lengths):
         taus = 2.0 * np.pi * sfft.fftfreq(L, d=dt)
         bins[L] = (taus, _shell_index(np.abs(taus)))
     n_shells = 1 + max(int(shell_of.max()) for _, shell_of in bins.values())
-    mass_sq = np.zeros((n_c, n_shells))
+    mass_sq = np.zeros((3, n_c, n_shells))
     present = np.zeros(n_shells, dtype=bool)
     l2_sq = np.zeros(n_c)
     for L, (taus, shell_of) in bins.items():
@@ -152,21 +176,23 @@ def _shell_masses(traj, k, centers, dt, m_lo, lengths, weight=None, resolvent=Fa
         same = np.nonzero(lengths == L)[0]
         chunk = max(1, _BATCH_ELEMENTS // (L * band.size))
         for c in (same[i:i + chunk] for i in range(0, len(same), chunk)):
-            rows = m_lo[c, None] + np.arange(L)
-            inside = (rows >= 0) & (rows < n_rec)
-            r = rows[inside]
-            t_k = np.broadcast_to(centers[c, None], rows.shape)[inside]
-            g = np.zeros((len(c), L, band.size), dtype=np.complex128)
+            first = np.maximum(m_lo[c], 0)
+            count = np.minimum(m_lo[c] + L, n_rec) - first
+            R = max(1, int(count.max()))
+            inside = np.arange(R) < count[:, None]
+            r = (first[:, None] + np.arange(R))[inside]
+            t_k = np.broadcast_to(centers[c, None], inside.shape)[inside]
+            g = np.zeros((len(c), R, band.size), dtype=np.complex128)
             g[inside] = demod[r] * eta0(4.0**k * (t_rec[r] - t_k))[:, None]
             l2_sq[c] = dt * np.sum(np.abs(g) ** 2, axis=(1, 2))
-            G = sfft.fft(g, axis=1, overwrite_x=True)
-            if resolvent:
-                G /= taus[:, None] + 1j * 4.0**k
+            G = sfft.fft(g, axis=1, overwrite_x=True) if R == L else _czt_rows(g, L)
+            P = np.abs(G) ** 2
             # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
-            w = (np.abs(G) ** 2).sum(axis=2) * (dt / L)
-            flat = shell_of + n_shells * np.arange(len(c))[:, None]
-            sums = np.bincount(flat.ravel(), w.ravel(), minlength=len(c) * n_shells)
-            mass_sq[c] = sums.reshape(len(c), n_shells)
+            wf = P.sum(axis=2) * (dt / L)
+            w = np.stack([wf, wf / (taus**2 + 16.0**k), (P @ chik[band] ** 2) * (dt / L)])
+            flat = shell_of + n_shells * np.arange(3 * len(c)).reshape(3, -1, 1)
+            sums = np.bincount(flat.ravel(), w.ravel(), minlength=3 * len(c) * n_shells)
+            mass_sq[:, c] = sums.reshape(3, len(c), n_shells)
     return mass_sq, present, l2_sq
 
 
@@ -174,10 +200,10 @@ def modulation_decompose(traj: Trajectory, k: int, t_k: float) -> ModulationShel
     """Windowed space-time transform of the I_k band, binned in |tau - mu(n)|."""
     centers = np.array([float(t_k)])
     dt, m_lo, lengths = _window_starts(traj, k, centers)
-    mass_sq, present, l2_sq = _shell_masses(traj, k, centers, dt, m_lo, lengths)
+    mass_sq, present, l2_sq = _window_masses(traj, k, centers, dt, m_lo, lengths)
     n = int(lengths[0])
     zero_extended = bool(m_lo[0] < 0 or m_lo[0] + n > len(traj.times))
-    shells = {int(j): float(np.sqrt(mass_sq[0, j])) for j in np.nonzero(present)[0]}
+    shells = {int(j): float(np.sqrt(mass_sq[0, 0, j])) for j in np.nonzero(present)[0]}
     return ModulationShellSet(k, t_k, shells, float(np.sqrt(l2_sq[0])), n, dt, zero_extended)
 
 
@@ -207,13 +233,17 @@ def _tk_grid(traj: Trajectory, k: int, T: float):
     return np.array([0.5 * (t0 + t1)]), True
 
 
-def _xk_sup(traj, k, T, wt, weight=None, resolvent=False) -> float:
-    """sup over the t_k grid of the X_k sum, every window in one batch."""
+def _xk_sup(traj, k, T, wt, weighting) -> float:
+    """sup over the t_k grid of the X_k sum of one weighting (0: F_k, 1: N_k,
+    2: F^s block) of the window table, memoized on the trajectory per (k, T)."""
+    key = (k, float(T))
+    if key not in traj.window_tables:
+        centers, _ = _tk_grid(traj, k, T)
+        dt, m_lo, lengths = _window_starts(traj, k, centers)
+        traj.window_tables[key] = _window_masses(traj, k, centers, dt, m_lo, lengths)[0]
+    mass_sq = traj.window_tables[key][weighting]
     if wt is None:
         wt = WeightTable()
-    centers, _ = _tk_grid(traj, k, T)
-    dt, m_lo, lengths = _window_starts(traj, k, centers)
-    mass_sq, _, _ = _shell_masses(traj, k, centers, dt, m_lo, lengths, weight, resolvent)
     coef = np.array([
         2.0 ** (j / 2.0) * wt.beta(j, k) if wt.keep_shell(j, k) else 0.0
         for j in range(mass_sq.shape[1])
@@ -223,12 +253,12 @@ def _xk_sup(traj, k, T, wt, weight=None, resolvent=False) -> float:
 
 def fk_norm(traj: Trajectory, k: int, T: float, wt: WeightTable | None = None) -> float:
     """sup over the t_k grid of the X_k norm of the windowed data."""
-    return _xk_sup(traj, k, T, wt)
+    return _xk_sup(traj, k, T, wt, 0)
 
 
 def nk_norm(traj: Trajectory, k: int, T: float, wt: WeightTable | None = None) -> float:
     """Like fk_norm with the resolvent weight (tau - mu(n) + i 2^{2k})^{-1}."""
-    return _xk_sup(traj, k, T, wt, resolvent=True)
+    return _xk_sup(traj, k, T, wt, 1)
 
 
 def fs_norm(traj: Trajectory, s: float, T: float, wt: WeightTable | None = None) -> float:
@@ -236,9 +266,8 @@ def fs_norm(traj: Trajectory, s: float, T: float, wt: WeightTable | None = None)
     k_max = max(0, int(np.ceil(np.log2(max(traj.grid.max_mode, 2)))))
     total = 0.0
     for k in range(0, k_max + 1):
-        chik = chi(k, traj.grid.modes)
-        if not np.any(traj.states[:, chik != 0]):
+        if not np.any(traj.states[:, chi(k, traj.grid.modes) != 0]):
             continue
-        fk = _xk_sup(traj, k, T, wt, weight=chik)
+        fk = _xk_sup(traj, k, T, wt, 2)
         total += 4.0 ** (s * k) * fk * fk
     return float(np.sqrt(total))

@@ -166,10 +166,16 @@ def chain_identity_gap(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarr
 
 
 def miura_residual(traj_v: Trajectory) -> np.ndarray:
-    """Per-record L^2 norm of the KdV residual of u = v_x + v^2 along an
-    mKdV trajectory, with u_t chained through (2v + d/dx) applied to the
-    discrete mKdV right-hand side (no time differencing).  All records are
-    evaluated as one batch."""
+    """Per-record L^2 norm of the KdV residual of u = v_x + v^2 at each
+    recorded state of an mKdV (``mkdv3``) trajectory, with u_t chained
+    through (2v + d/dx) applied to the discrete mKdV right-hand side of that
+    state.  This checks the spatial Miura identity record by record; the
+    recorded time evolution is never read, so any other flow is refused.
+    All records are evaluated as one batch."""
+    if traj_v.equation_tag != "mkdv3":
+        raise ConfigurationError(
+            f"miura_residual needs an mkdv3 trajectory, got {traj_v.equation_tag!r}"
+        )
     traj_v.require_real("miura_residual input")
     grid = traj_v.grid
     h = half_spectrum(grid)

@@ -209,3 +209,8 @@ class TestNorms:
         lines = (tmp_path / "mkdvlab_norms.csv").read_text().splitlines()
         assert lines[0] == "k,fk,nk"
         assert len(lines) >= 3
+        # windows 4 * 4^-k long: k <= 2 overhang the run, k = 3 slides
+        man = json.loads((tmp_path / "mkdvlab_norms_manifest.json").read_text())
+        summary = man["results_summary"]
+        assert summary["zero_extended_k"] == [0, 1, 2]
+        assert summary["windows_per_k"] == {"0": 1, "1": 1, "2": 1, "3": 5}

@@ -1,6 +1,8 @@
 """FFT calls per diagnostic: every real-field synthesis is one stacked irfft,
 so the count is fixed per call and does not grow with the number of records."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -8,6 +10,7 @@ import scipy.fft
 from mkdvlab.equations import EquationParams, derive_gauge_params
 from mkdvlab.integrate import StepControl, default_dt, evolve
 from mkdvlab.invariants import drift_report
+from mkdvlab.shorttime import _tk_grid, fk_norm, fs_norm, nk_norm
 from mkdvlab.spectral import GridSpec, SpectralField
 from mkdvlab.transforms import chain_identity_gap, gauge_forward, gauge_inverse, miura_residual
 
@@ -79,3 +82,44 @@ def test_miura_residual_calls_independent_of_length(fft_calls):
     long = evolve(v0, 0.02, EquationParams(), "mkdv3", ctrl)
     assert len(short) < len(long)
     assert fft_calls(miura_residual, short) == fft_calls(miura_residual, long)
+
+
+NORMS_T = 0.05
+
+
+@pytest.fixture(scope="module")
+def norms_traj():
+    """Physical flow at M = 16 at the `norms` dt: zero-extended windows for
+    k <= 3, a sliding t_k grid for k = 4, data in every band."""
+    u0 = two_mode(GridSpec(16))
+    dt = 4.0 * 4.0 ** (-4) / 64 * 0.98
+    return evolve(u0, NORMS_T, derive_gauge_params(u0, 40.0), ctrl=StepControl(dt=dt, record_stride=1))
+
+
+def all_norms(traj, ks):
+    for k in ks:
+        fk_norm(traj, k, NORMS_T)
+        nk_norm(traj, k, NORMS_T)
+    fs_norm(traj, 1.0, NORMS_T)
+
+
+@pytest.mark.parametrize("ks", [range(1, 5), range(4, 0, -1)])
+def test_one_window_transform_per_k(fft_calls, norms_traj, ks):
+    extended = [_tk_grid(norms_traj, k, NORMS_T)[1] for k in range(5)]
+    assert extended == [True] * 4 + [False]
+    alone = fft_calls(fs_norm, dataclasses.replace(norms_traj), 1.0, NORMS_T)
+    assert alone > 0
+    traj = dataclasses.replace(norms_traj)
+    assert fft_calls(all_norms, traj, ks) == alone
+    assert fft_calls(all_norms, traj, ks) == 0
+
+
+def test_trajectory_arrays_read_only(norms_traj):
+    times, states = norms_traj.times.copy(), norms_traj.states.copy()
+    traj = dataclasses.replace(norms_traj, times=times, states=states)
+    with pytest.raises(ValueError, match="read-only"):
+        traj.states[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.times[0] = 1.0
+    states[0, 0] = 1.0  # the caller's own arrays stay writable
+    times[0] = 1.0

@@ -1,13 +1,20 @@
 """Weight table, modulation shells, X_k / F_k / F^s / N_k diagnostics."""
 
+import dataclasses
+from datetime import timedelta
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mkdvlab.equations import EquationParams
 from mkdvlab.errors import ParameterError, ResolutionError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.shorttime import (
     WeightTable,
+    _czt_rows,
     _tk_grid,
     beta_weight,
     fk_norm,
@@ -87,6 +94,27 @@ class TestModulationDecompose:
         with pytest.raises(ResolutionError) as exc:
             modulation_decompose(traj, 7, traj.times[-1] / 2)
         assert "need dt <=" in str(exc.value)
+
+
+@st.composite
+def czt_sizes(draw):
+    L = draw(st.integers(1, 4000))
+    return L, draw(st.integers(1, L))
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
+@given(sizes=czt_sizes(), seed=st.integers(0, 2**32 - 1))
+@example(sizes=(1, 1), seed=0)
+@example(sizes=(3989, 1), seed=1)  # prime L
+@example(sizes=(3989, 3989), seed=2)
+@example(sizes=(3989, 100), seed=3)
+@example(sizes=(267602, 671), seed=4)  # the k = 0 window of the `norms` defaults
+def test_czt_rows_matches_padded_fft(sizes, seed):
+    L, R = sizes
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, R, 3)) + 1j * rng.standard_normal((2, R, 3))
+    want = sfft.fft(x, n=L, axis=1)
+    assert np.max(np.abs(_czt_rows(x, L) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestXkNorm:
@@ -326,10 +354,11 @@ class TestBatchedWindowsMatchOracle:
         import mkdvlab.shorttime as st
 
         monkeypatch.setattr(st, "_BATCH_ELEMENTS", 4096)
+        traj = dataclasses.replace(norms_traj)  # no memoized tables
         for k in (5, 6):
-            assert rel(nk_norm(norms_traj, k, NORMS_T),
-                       xk_sup_oracle(norms_traj, k, NORMS_T, resolvent=True)) <= 1e-12
-        assert rel(fs_norm(norms_traj, 1.0, NORMS_T), fs_oracle(norms_traj, 1.0, NORMS_T)) <= 1e-12
+            assert rel(nk_norm(traj, k, NORMS_T),
+                       xk_sup_oracle(traj, k, NORMS_T, resolvent=True)) <= 1e-12
+        assert rel(fs_norm(traj, 1.0, NORMS_T), fs_oracle(traj, 1.0, NORMS_T)) <= 1e-12
 
     def test_fs_norm(self, norms_traj):
         from oracles import fs_oracle
@@ -396,9 +425,10 @@ def test_fs_norm_memory_peak(norms_traj):
     import tracemalloc
 
     assert len(norms_traj) == 670
+    traj = dataclasses.replace(norms_traj)  # no memoized tables
     tracemalloc.start()
     try:
-        fs_norm(norms_traj, 1.0, NORMS_T)
+        fs_norm(traj, 1.0, NORMS_T)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

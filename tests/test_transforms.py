@@ -153,6 +153,14 @@ class TestMiura:
         res = miura_residual(traj)
         assert np.max(res) < 1e-6
 
+    @pytest.mark.parametrize("tag", ["kdv3", "physical_5mkdv"])
+    def test_other_flows_refused(self, grid8, tag):
+        v0 = SpectralField.from_modes(grid8, {1: 0.05, -1: 0.05})
+        traj = evolve(v0, 0.01, EquationParams.constrained_family(40.0), tag=tag,
+                      ctrl=StepControl(dt=1e-3))
+        with pytest.raises(ConfigurationError, match=tag):
+            miura_residual(traj)
+
     def test_residual_zero_for_zero(self, grid8):
         traj = evolve(SpectralField.zeros(grid8), 0.01, EquationParams(), tag="mkdv3")
         assert np.max(miura_residual(traj)) == 0.0
