@@ -28,8 +28,6 @@ from .invariants import (
     modified_energy_ek,
 )
 from .resonance import (
-    ResonanceQuintuple,
-    ResonanceTriple,
     enumerate_n3,
     enumerate_n5,
     phi_cubic,
@@ -57,8 +55,6 @@ __all__ = [
     "HamiltonianReport",
     "ModifiedEnergyParams",
     "RenormalizedTerms",
-    "ResonanceQuintuple",
-    "ResonanceTriple",
     "SpectralField",
     "StepControl",
     "Trajectory",

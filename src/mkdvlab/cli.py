@@ -357,15 +357,17 @@ def cmd_resonance_enum(cfg: ExperimentConfig, args) -> int:
 
     t0 = time.perf_counter()
     n = args.n
-    trips = enumerate_n3(n, args.radius, d1=0)
+    trips = enumerate_n3(n, args.radius)
     csv_path, man_path = _out_paths(cfg, "resonance_n3")
-    write_triples_csv(csv_path, n, trips)
+    write_triples_csv(csv_path, n, trips, d1=0)
     quint_path = csv_path.with_name(csv_path.name.replace("_n3", "_n5"))
-    quints = enumerate_n5(n, min(args.radius, 12))
+    n5_radius = min(args.radius, 12)
+    quints = enumerate_n5(n, n5_radius)
     write_quintuples_csv(quint_path, n, quints)
     write_manifest(
         man_path, cfg,
-        {"n": n, "radius": args.radius, "triples": len(trips), "quintuples": len(quints)},
+        {"n": n, "radius": args.radius, "n5_radius": n5_radius,
+         "triples": len(trips), "quintuples": len(quints)},
         time.perf_counter() - t0,
     )
     return EXIT_OK

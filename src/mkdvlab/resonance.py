@@ -11,9 +11,9 @@ n = n1+n2+n3, and with the gauge shift d1 the modulation weight becomes
                     (n1^2+n2^2+n3^2+n^2 + 6 d1/5)
                   = mu(n) - mu(n1) - mu(n2) - mu(n3)
 
-with mu(m) = m^5 + d1 m^3 + d2 m (d2 cancels identically).  All integer
-paths use Python's arbitrary-precision ints, so nothing wraps at any size;
-rational d1/d2 go through fractions.Fraction exactly.
+with mu(m) = m^5 + d1 m^3 + d2 m (d2 cancels identically).  resonance_h and
+resonance_g use Python's arbitrary-precision ints, so nothing wraps at any
+size; rational d1/d2 go through fractions.Fraction exactly.
 
 Index sets (defining conditions):
 
@@ -21,14 +21,18 @@ Index sets (defining conditions):
     A5(n): n1+..+n5 = n and every four-index sum is nonzero
 
 On the constraint plane both conditions reduce to "no component equals n",
-which the vectorized enumerators use; the test suite pins them against the
-defining-product brute force.
+which the enumerators use; the test suite pins them against the
+defining-product brute force.  They return np.recarray rows in
+lexicographic order with int64 fields (n1, n2, n3, h_value) and
+(n1, ..., n5).  int64 is exact inside the radius caps: |n_i| <= 256 and
+|n| <= 768 keep H and every partial sum below 3e14.  Memory is the output
+plus O((2r+1)^3) temporaries: at most 195,840 triples (6 MiB) at r = 256
+and 7.56 M quintuples (303 MB) at r = 30.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -89,87 +93,80 @@ def phi_cubic(n: int, n1: int, n2: int, n3: int, d1=0, d2=0):
     )
 
 
-@dataclass(frozen=True)
-class ResonanceTriple:
-    n1: int
-    n2: int
-    n3: int
-    h_value: int
-    g_value: object = None
-
-
-@dataclass(frozen=True)
-class ResonanceQuintuple:
-    n1: int
-    n2: int
-    n3: int
-    n4: int
-    n5: int
-
-
-# at most (2*256 + 1)^2 = 263,169 triples, about 200 bytes each: under 64 MiB
+# 32 bytes per triple: at most 195,840 triples (n = 0), about 6 MiB
 N3_RADIUS_CAP = 256
+N5_RADIUS_CAP = 30
+
+_N3 = np.dtype([(f, np.int64) for f in ("n1", "n2", "n3", "h_value")])
+_N5 = np.dtype([(f"n{i}", np.int64) for i in range(1, 6)])
 
 
-def enumerate_n3(n: int, radius: int, d1=None) -> list:
-    """All (n1,n2,n3) with |n_i| <= radius, sum n, pairwise sums nonzero.
-
-    radius is capped at N3_RADIUS_CAP, so at most (2*radius + 1)^2 <= 263,169
-    candidates are tested and kept; they are built one n1 row at a time, so
-    the arrays in flight hold 2*radius + 1 entries.
-    """
-    if radius > N3_RADIUS_CAP:
-        raise ParameterError(f"enumeration radius capped at {N3_RADIUS_CAP}")
+def _plane(n: int, radius: int, cap: int, k: int, extra: int = 0) -> np.ndarray:
+    """(count, k + extra) int64 buffer of the k-tuples in [-r, r]^k that sum
+    to n with no entry n, in lexicographic order; the extra columns are left
+    for the caller.  The (k-2)-cube of middle entries is built once and each
+    n1 row keeps its slice of it; the count comes from polynomial convolution
+    of the indicator, so the output is allocated once at its exact size."""
+    if not 0 <= radius <= cap:
+        raise ParameterError(f"enumeration radius must be in [0, {cap}], got {radius}")
     r = int(radius)
+    if abs(n) > k * r:  # empty plane; a huge n never reaches int64
+        return np.empty((0, k + extra), dtype=np.int64)
     n = int(n)
-    n2 = np.arange(-r, r + 1)
-    out = []
-    for a in range(-r, r + 1):
-        if a == n:
-            continue
-        n3 = n - a - n2
-        ok = (np.abs(n3) <= r) & (n2 != n) & (n3 != n)
-        for b, c in zip(n2[ok].tolist(), n3[ok].tolist()):
-            h = resonance_h(a, b, c)
-            g = resonance_g(a, b, c, d1) if d1 is not None else None
-            out.append(ResonanceTriple(a, b, c, h, g))
-    return out
+    vals = np.arange(-r, r + 1, dtype=np.int64)
+    ind = (vals != n).astype(np.int64)
+    poly = ind
+    for _ in range(k - 1):
+        poly = np.convolve(poly, ind)
+    buf = np.empty((int(poly[n + k * r]), k + extra), dtype=np.int64)
+    mid = np.stack(np.meshgrid(*[vals] * (k - 2), indexing="ij"), axis=-1).reshape(-1, k - 2)
+    mid = mid[np.all(mid != n, axis=1)]
+    rest = n - mid.sum(axis=1)
+    pos = 0
+    for a in vals[vals != n].tolist():
+        last = rest - a
+        keep = (np.abs(last) <= r) & (last != n)
+        blk = buf[pos:pos + np.count_nonzero(keep)]
+        blk[:, 0] = a
+        blk[:, 1:k - 1] = mid[keep]
+        blk[:, k - 1] = last[keep]
+        pos += len(blk)
+    return buf
 
 
-def enumerate_n5(n: int, radius: int) -> list:
-    """All (n1..n5) with |n_i| <= radius, sum n, all four-sums nonzero."""
-    if radius > 30:
-        raise ParameterError("quintuple enumeration radius capped at 30")
-    r = int(radius)
-    n = int(n)
-    vals = np.arange(-r, r + 1)
-    g = np.meshgrid(vals, vals, vals, vals, indexing="ij")
-    n5g = n - g[0] - g[1] - g[2] - g[3]
-    ok = np.abs(n5g) <= r
-    for comp in g:
-        ok &= comp != n
-    ok &= n5g != n
-    tuples = [
-        ResonanceQuintuple(a, b, c, d, e)
-        for a, b, c, d, e in zip(
-            g[0][ok].tolist(), g[1][ok].tolist(), g[2][ok].tolist(),
-            g[3][ok].tolist(), n5g[ok].tolist(),
-        )
-    ]
-    return tuples
+def enumerate_n3(n: int, radius: int) -> np.recarray:
+    """A3(n) for |n_i| <= radius <= N3_RADIUS_CAP, as records (n1, n2, n3, h_value);
+    H is int64 and checked direct == factored on the whole array."""
+    buf = _plane(n, radius, N3_RADIUS_CAP, 3, extra=1)
+    a, b, c = buf[:, 0], buf[:, 1], buf[:, 2]
+    s = a + b + c
+    buf[:, 3] = s**5 - a**5 - b**5 - c**5
+    prod = (a + b) * (a + c) * (b + c) * (a * a + b * b + c * c + s * s)
+    if np.any(prod % 2 != 0) or np.any(buf[:, 3] != 5 * (prod // 2)):
+        raise ArithmeticError("resonance factorization mismatch in enumerate_n3")
+    return buf.view(_N3).reshape(-1).view(np.recarray)
 
 
-def write_triples_csv(path, n: int, triples) -> None:
+def enumerate_n5(n: int, radius: int) -> np.recarray:
+    """A5(n) for |n_i| <= radius <= N5_RADIUS_CAP, as records (n1, ..., n5);
+    at the cap 7.56 M rows (303 MB) plus O((2r+1)^3) temporaries."""
+    return _plane(n, radius, N5_RADIUS_CAP, 5).view(_N5).reshape(-1).view(np.recarray)
+
+
+def _columns(recs) -> list:
+    return np.column_stack([recs[f] for f in recs.dtype.names]).tolist()
+
+
+def write_triples_csv(path, n: int, triples, d1=0) -> None:
+    """One row per triple; G = H + 3 d1 (n1+n2)(n1+n3)(n2+n3), exact."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "n1", "n2", "n3", "H", "G"])
-        for t in triples:
-            w.writerow([n, t.n1, t.n2, t.n3, t.h_value, "" if t.g_value is None else t.g_value])
+        w.writerows([n, a, b, c, h, resonance_g(a, b, c, d1)] for a, b, c, h in _columns(triples))
 
 
 def write_quintuples_csv(path, n: int, quints) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "n1", "n2", "n3", "n4", "n5"])
-        for t in quints:
-            w.writerow([n, t.n1, t.n2, t.n3, t.n4, t.n5])
+        w.writerows([n, *row] for row in _columns(quints))

@@ -160,6 +160,24 @@ class TestResonance:
         assert (tmp_path / "mkdvlab_resonance_n3.csv").exists()
         assert (tmp_path / "mkdvlab_resonance_n5.csv").exists()
 
+    def test_enum_negative_radius_named(self, tmp_path, capsys):
+        code = run(["resonance-enum", "--out", str(tmp_path), "--radius", "-3"])
+        assert code == 2
+        assert "radius" in capsys.readouterr().err
+        assert not (tmp_path / "mkdvlab_resonance_n3.csv").exists()
+
+    def test_enum_far_n_writes_empty_csvs(self, tmp_path):
+        n = "100000000000000000000"
+        assert run(["resonance-enum", "--out", str(tmp_path), "--n", n]) == 0
+        for name, header in (("n3", "n,n1,n2,n3,H,G"), ("n5", "n,n1,n2,n3,n4,n5")):
+            assert (tmp_path / f"mkdvlab_resonance_{name}.csv").read_text().splitlines() == [header]
+
+    def test_enum_manifest_records_n5_radius(self, tmp_path):
+        assert run(["resonance-enum", "--out", str(tmp_path), "--n", "1", "--radius", "20"]) == 0
+        man = json.loads((tmp_path / "mkdvlab_resonance_n3_manifest.json").read_text())
+        summary = man["results_summary"]
+        assert (summary["radius"], summary["n5_radius"]) == (20, 12)
+
     def test_identity_passes(self, tmp_path):
         assert run(["resonance-identity", "--out", str(tmp_path)]) == 0
 

@@ -1,9 +1,13 @@
 """Exact resonance arithmetic and enumeration against defining brute force."""
 
+import tracemalloc
+from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkdvlab.equations import dispersion_mu
 from mkdvlab.errors import ParameterError
@@ -161,7 +165,7 @@ class TestEnumerators:
         assert (1, 1, -1, -1, 0) not in got  # subset {1,1,-1,-1} sums to zero
 
     def test_n5_zero_radius(self):
-        assert enumerate_n5(0, 0) == []
+        assert len(enumerate_n5(0, 0)) == 0
 
     def test_radius_caps(self):
         with pytest.raises(ParameterError):
@@ -171,14 +175,85 @@ class TestEnumerators:
         with pytest.raises(ParameterError):
             enumerate_n5(0, 31)
 
+    def test_negative_radius_rejected(self):
+        for enumerate_nk in (enumerate_n3, enumerate_n5):
+            with pytest.raises(ParameterError, match="radius"):
+                enumerate_nk(0, -3)
+
+    def test_far_n_is_empty_without_int64(self):
+        huge = 10**20
+        assert len(enumerate_n3(huge, 12)) == 0
+        assert len(enumerate_n5(-huge, 12)) == 0
+        assert len(enumerate_n3(37, 12)) == 0 and len(enumerate_n3(36, 12)) == 1
+        assert len(enumerate_n5(61, 12)) == 0 and len(enumerate_n5(60, 12)) == 1
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_n3_int64_corner_at_cap(self, sign):
+        m = sign * N3_RADIUS_CAP
+        got = enumerate_n3(3 * m, N3_RADIUS_CAP)
+        assert len(got) == 1
+        assert (int(got.n1[0]), int(got.n2[0]), int(got.n3[0])) == (m, m, m)
+        assert int(got.h_value[0]) == (3 * m) ** 5 - 3 * m**5 == resonance_h(m, m, m)
+
+    def test_n5_memory_bound(self):
+        enumerate_n5(1, 2)
+        tracemalloc.start()
+        try:
+            got = enumerate_n5(1, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 186_070
+        assert peak < 12 * 2**20, peak
+
+
+def convolution_count(n: int, radius: int, k: int) -> int:
+    """k-tuples of [-radius, radius] summing to n with no entry n, counted
+    as a coefficient of the k-th power of the indicator polynomial."""
+    coeffs = [0 if v == n else 1 for v in range(-radius, radius + 1)]
+    poly = [1]
+    for _ in range(k):
+        poly = [sum(poly[j] * coeffs[i - j] for j in range(len(poly)) if 0 <= i - j < len(coeffs))
+                for i in range(len(poly) + len(coeffs) - 1)]
+    i = n + k * radius
+    return poly[i] if 0 <= i < len(poly) else 0
+
+
+def assert_plane_records(got, n: int, radius: int, k: int) -> np.ndarray:
+    rows = np.column_stack([got[f"n{i}"] for i in range(1, k + 1)]).reshape(-1, k)
+    assert len(rows) == convolution_count(n, radius, k)
+    assert np.all(rows.sum(axis=1) == n) and np.all(rows != n)
+    assert np.all(np.abs(rows) <= radius)
+    step = rows[1:] - rows[:-1]
+    first = np.argmax(step != 0, axis=1)
+    assert np.all(step[np.arange(len(step)), first] > 0)  # strictly lexicographic
+    return rows
+
+
+@settings(max_examples=30, deadline=timedelta(seconds=5), derandomize=True, database=None)
+@given(n=st.integers(-40, 40), radius=st.integers(0, 40))
+def test_n3_records_property(n, radius):
+    got = enumerate_n3(n, radius)
+    rows = assert_plane_records(got, n, radius, 3)
+    assert got.h_value.tolist() == [resonance_h(*row) for row in rows.tolist()]
+
+
+@settings(max_examples=20, deadline=timedelta(seconds=5), derandomize=True, database=None)
+@given(n=st.integers(-40, 40), radius=st.integers(0, 8))
+def test_n5_records_property(n, radius):
+    assert_plane_records(enumerate_n5(n, radius), n, radius, 5)
+
 
 class TestCsv:
     def test_triples_csv(self, tmp_path):
         from mkdvlab.resonance import write_triples_csv
 
-        trips = enumerate_n3(0, 2, d1=1)
+        trips = enumerate_n3(0, 2)
         path = tmp_path / "n3.csv"
-        write_triples_csv(path, 0, trips)
+        write_triples_csv(path, 0, trips, d1=1)
         lines = path.read_text().splitlines()
         assert lines[0] == "n,n1,n2,n3,H,G"
         assert len(lines) == len(trips) + 1
+        n, a, b, c, h, g = (int(v) for v in lines[1].split(","))
+        assert (n, a, b, c, h) == (0, trips.n1[0], trips.n2[0], trips.n3[0], trips.h_value[0])
+        assert g == resonance_g(a, b, c, 1)
