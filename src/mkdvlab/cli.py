@@ -15,9 +15,11 @@ One subcommand per acceptance-check family:
 
 Configuration: a flat INI file (sections [grid], [equation], [initial_data],
 [time], [norms], [sweep], [output]); every value can be overridden on the
-command line with --set section.key=value.  Outputs: RFC-4180-style CSV with
-'.' decimals and 17 significant digits, plus a JSON manifest holding the
-config, tolerances, a results summary, and the wall time.
+command line with --set section.key=value.  Any other section or key, in the
+file or in --set, is a validation error naming it.  Every subcommand runs in
+one process.  Outputs: RFC-4180-style CSV with '.' decimals and 17
+significant digits, plus a JSON manifest holding the config, tolerances, a
+results summary, and the wall time.
 
 Exit codes: 0 success, 2 validation error, 3 numerical divergence,
 4 tolerance failure in a check subcommand.
@@ -30,11 +32,8 @@ import configparser
 import csv
 import json
 import math
-import multiprocessing
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,7 +61,7 @@ DEFAULTS = {
     "initial_data": {"preset": "cosine", "amplitudes": "0.1,0.05",
                      "seed": "20240817", "decay": "2.0", "amplitude": "0.05",
                      "N": "8", "s": "1.0"},
-    "time": {"T": "0.01", "dt": "0", "record_stride": "0", "splitting": "etd_rk4"},
+    "time": {"T": "0.01", "dt": "0", "record_stride": "0"},
     "norms": {"s": "1.0", "gamma": "0.25"},
     "sweep": {"Ns": "64,128,256,512,1024,2048,4096", "t": "1e-4", "s": "1.0"},
     "output": {"dir": ".", "prefix": "mkdvlab"},
@@ -117,21 +116,29 @@ def _parse_number(name: str, text: str, kind):
     return v
 
 
-def clamp_workers(requested: int, cpus: int | None) -> int:
-    """Pool size for --workers: at least 1 is required, more than the CPU
-    count is cut to it."""
-    if requested < 1:
-        raise ConfigurationError(f"--workers: must be at least 1, got {requested}")
-    return min(requested, cpus or 1)
-
-
 def load_config(path: str | None, overrides) -> ExperimentConfig:
+    """DEFAULTS, then the INI file, then --set overrides.  A section or key
+    that DEFAULTS does not hold, in the file (its [DEFAULT] section too) or in
+    an override, is a ConfigurationError naming it."""
     cp = configparser.ConfigParser()
     cp.read_dict(DEFAULTS)
+    known = {section: set(cp[section]) for section in cp.sections()}
+
+    def require_known(section: str, keys) -> None:
+        if section not in known:
+            raise ConfigurationError(f"unknown config section {section!r}")
+        for key in keys:
+            if cp.optionxform(key) not in known[section]:
+                raise ConfigurationError(f"unknown config field {section}.{key}")
+
     if path:
         read = cp.read(path)
         if not read:
             raise ConfigurationError(f"config file not found: {path}")
+        if cp.defaults():
+            require_known(cp.default_section, cp.defaults())
+        for section in cp.sections():
+            require_known(section, cp[section])
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigurationError(
@@ -139,10 +146,7 @@ def load_config(path: str | None, overrides) -> ExperimentConfig:
             )
         lhs, value = item.split("=", 1)
         section, key = lhs.split(".", 1)
-        if section not in cp:
-            raise ConfigurationError(f"unknown config section {section!r}")
-        if key not in cp[section]:
-            raise ConfigurationError(f"unknown config field {section}.{key}")
+        require_known(section, [key])
         cp.set(section, key, value)
     return ExperimentConfig(cp)
 
@@ -209,7 +213,6 @@ def build_ctrl(cfg: ExperimentConfig) -> StepControl:
     return StepControl(
         dt=cfg.get_float("time", "dt"),
         record_stride=cfg.get_int("time", "record_stride"),
-        stiff_splitting=cfg.get("time", "splitting"),
     )
 
 
@@ -298,13 +301,10 @@ def cmd_gauge_check(cfg: ExperimentConfig, args) -> int:
     nt_u = gauge_forward(traj_u)
     n = grid.modes.astype(float)
     w = (1.0 + n * n) ** 2
-    rows = []
-    worst = 0.0
     m = min(len(nt_u), len(traj_v))
-    for i in range(m):
-        diff = float(np.sqrt(np.sum(w * np.abs(nt_u.states[i] - traj_v.states[i]) ** 2)))
-        worst = max(worst, diff)
-        rows.append((nt_u.times[i], diff))
+    diff = np.sqrt(np.sum(w * np.abs(nt_u.states[:m] - traj_v.states[:m]) ** 2, axis=1))
+    worst = float(np.max(diff, initial=0.0))
+    rows = list(zip(nt_u.times[:m].tolist(), diff.tolist()))
     csv_path, man_path = _out_paths(cfg, "gauge")
     write_csv(csv_path, ["time", "h2_discrepancy"], rows)
     write_manifest(
@@ -442,14 +442,7 @@ def cmd_appendix_b(cfg: ExperimentConfig, args) -> int:
     Ns = cfg.get_list("sweep", "Ns", int)
     s = cfg.get_float("sweep", "s")
     t = cfg.get_float("sweep", "t")
-    specs = [CounterexampleSpec(N=N, s=s, t=t) for N in Ns]
-    if args.workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=args.workers, mp_context=multiprocessing.get_context("spawn")
-        ) as ex:
-            reps = list(ex.map(eval_appendix_terms, specs))
-    else:
-        reps = [eval_appendix_terms(spec) for spec in specs]
+    reps = [eval_appendix_terms(CounterexampleSpec(N=N, s=s, t=t)) for N in Ns]
     rows = [
         (r.N, r.s, r.t, r.d0_hsnorm, r.d_full_hsnorm, r.b1, r.b2, r.c1, r.c2,
          r.d1_norms, r.skipped_outer_resonant)
@@ -482,8 +475,7 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
     span_min = 4.0 * 4.0 ** (-k_max)
     ctrl = build_ctrl(cfg)
     if ctrl.dt == 0 or ctrl.dt > span_min / 64:
-        ctrl = StepControl(dt=span_min / 64 * 0.98, record_stride=1,
-                           stiff_splitting=ctrl.stiff_splitting)
+        ctrl = StepControl(dt=span_min / 64 * 0.98, record_stride=1)
     traj = evolve(u0, T, p, cfg.get("equation", "tag"), ctrl)
     wt = WeightTable(cfg.get_float("norms", "gamma"))
     s = cfg.get_float("norms", "s")
@@ -592,8 +584,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override a config value")
         sp.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="worker pool size for appendix-b (at most the CPU count)")
         if name == "resonance-enum":
             sp.add_argument("--n", type=int, default=0, help="output frequency")
             sp.add_argument("--radius", type=int, default=12)
@@ -603,7 +593,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        args.workers = clamp_workers(args.workers, os.cpu_count())
         cfg = load_config(args.config, args.set)
         if args.out:
             cfg.raw.set("output", "dir", args.out)

@@ -552,9 +552,16 @@ def eval_resonant_cubic_fifth(spec: CounterexampleSpec) -> float:
     The self-sourced piece (resonant inside resonant) carries the double
     time integral and produces the reported ~ t^2 N^{6-4s} growth.
     """
-    support = counterexample_support(spec)
     out: dict = {}
-    # w3 sourced by the nonresonant cubics
+    _add_resonant_outer_fifth(out, counterexample_support(spec), spec, ("cubic2", "cubic3"))
+    return hs_norm_of_map(out, spec.s)
+
+
+def _add_resonant_outer_fifth(out, support, spec, cubics):
+    """delta^5 pieces with the resonant cubic -20i n^3 |v|^2 v as the outer
+    Duhamel term: its w3 sourced by the nonresonant cubics, then by the
+    resonant term itself (profile -20i n^3 a^2 conj(a) t')."""
+    t = spec.t
     for m1 in support:
         for m2 in support:
             for m3 in support:
@@ -565,21 +572,19 @@ def eval_resonant_cubic_fifth(spec: CounterexampleSpec) -> float:
                 phi_in = _phi3(n, inner, spec)
                 amp_in = support[m1] * support[m2] * support[m3]
                 an = support[n]
-                for y in ("cubic2", "cubic3"):
+                for y in cubics:
                     ky = _CUBIC_KERNELS[y](*inner)
-                    g3 = (10j * n) * ky * amp_in * osc_double(0, phi_in, spec.t)
+                    g3 = (10j * n) * ky * amp_in * osc_double(0, phi_in, t)
                     out[n] = out.get(n, 0.0) + (-20j * n**3) * (
                         2.0 * an * np.conj(an) * g3 + an * an * np.conj(g3)
                     )
-    # w3 sourced by the resonant term itself: profile -20i n^3 a^2 conj(a) t'
+    half_t2 = 0.5 * t * t
     for n in support:
         a = support[n]
         G = (-20j * n**3) * a * a * np.conj(a)
-        half_t2 = 0.5 * spec.t * spec.t
         out[n] = out.get(n, 0.0) + (-20j * n**3) * (
             2.0 * a * np.conj(a) * G + a * a * np.conj(G)
         ) * half_t2
-    return hs_norm_of_map(out, spec.s)
 
 
 # ---------------------------------------------------------------------------
@@ -702,25 +707,8 @@ def _add_resonant_fifth(out, support, spec, cubics):
     """delta^5 pieces involving the resonant cubic -20i n^3 |v|^2 v (both as
     the outer Duhamel term and inside w3)."""
     t = spec.t
-    # resonant outer, nonresonant inner
-    for m1 in support:
-        for m2 in support:
-            for m3 in support:
-                inner = (m1, m2, m3)
-                n = m1 + m2 + m3
-                if not _a3_ok(n, inner) or n not in support:
-                    continue
-                phi_in = _phi3(n, inner, spec)
-                amp_in = support[m1] * support[m2] * support[m3]
-                for y in cubics:
-                    ky = _CUBIC_KERNELS[y](*inner)
-                    base = (10j * n) * ky * amp_in
-                    an = support[n]
-                    out[n] = out.get(n, 0.0) + (-20j * n**3) * (
-                        2.0 * an * np.conj(an) * base * osc_double(0, phi_in, t)
-                        + an * an * np.conj(base * osc_double(0, phi_in, t))
-                    )
-    # resonant inner (w3 piece), nonresonant or resonant outer handled via cubics
+    _add_resonant_outer_fifth(out, support, spec, cubics)
+    # resonant inner (w3 piece) under a nonresonant outer cubic
     for n0 in support:
         a = support[n0]
         w3_amp = (-20j * n0**3) * a * a * np.conj(a)
@@ -739,15 +727,6 @@ def _add_resonant_fifth(out, support, spec, cubics):
                         out[n] = out.get(n, 0.0) + (10j * n) * kx * support[la] * support[
                             lb
                         ] * w3_amp * osc_double(phi_out, 0, t)
-    # resonant outer with resonant w3 at the same mode
-    for n0 in support:
-        a = support[n0]
-        g3 = (-20j * n0**3) * a * a * np.conj(a)  # * t' inside the integral
-        an = support[n0]
-        val = (-20j * n0**3) * (
-            2.0 * an * np.conj(an) * g3 + an * an * np.conj(g3)
-        ) * (0.5 * t * t)
-        out[n0] = out.get(n0, 0.0) + val
 
 
 def t2_duhamel_fifth(

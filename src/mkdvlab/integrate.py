@@ -1,26 +1,16 @@
 """Stiff exponential time integration for every in-scope flow.
 
-The linear phase exp(i*t*mu(n)) is applied exactly in Fourier space.  Two
-splittings are provided:
-
-* ``etd_rk4`` (default): Cox-Matthews ETD-RK4 with contour-evaluated phi
-  coefficients.  Its stage weights decay like 1/|mu(n) dt| at high
-  wavenumbers, which suppresses the non-normal mode-coupling instability of
-  pure rotation; measured at max_mode=256 it is stable at the practical
-  default dt where integrating-factor RK4 blows up within ~100 steps.
-* ``integrating_factor_rk4``: classical RK4 in the rotating frame with exact
-  twiddle factors.  Stage weights have modulus one at every wavenumber, so
-  its usable dt is limited by the frozen-coefficient nonlinear frequency at
-  the top of the band; only recommended at moderate max_mode.
-
-The default dt is
+The linear phase exp(i*t*mu(n)) is applied exactly in Fourier space by
+Cox-Matthews ETD-RK4 with contour-evaluated phi coefficients.  Its stage
+weights decay like 1/|mu(n) dt| at high wavenumbers, which suppresses the
+non-normal mode-coupling instability of pure rotation, so the step is limited
+only by the undamped low band.  The default dt is
 
     dt = min( 0.5 * min(1e-2, (2*max_mode)^-2),  C / omega_nl )
 
 where omega_nl is a frozen-coefficient estimate of the largest nonlinear
-frequency of the initial data.  For ETD the estimate is taken at the highest
-undamped wavenumber (mu(n) dt <= 1); for the integrating factor it is taken
-at the top of the band, where it binds hard at large max_mode.
+frequency of the initial data at the highest undamped wavenumber
+(mu(n) dt <= 1).
 """
 
 from __future__ import annotations
@@ -60,7 +50,6 @@ class StepControl:
 
     dt: float = 0.0
     record_stride: int = 0
-    stiff_splitting: str = "etd_rk4"
 
     def __post_init__(self):
         if not np.isfinite(self.dt) or self.dt < 0:
@@ -69,8 +58,6 @@ class StepControl:
             )
         if self.record_stride < 0:
             raise ConfigurationError("record_stride must be positive (or 0 for automatic)")
-        if self.stiff_splitting not in ("integrating_factor_rk4", "etd_rk4"):
-            raise ConfigurationError(f"unknown splitting {self.stiff_splitting!r}")
 
 
 @dataclass
@@ -133,11 +120,11 @@ def _sup_estimates(grid: GridSpec, coeff: np.ndarray):
 
 
 def nonlinear_frequency_bound(
-    u0: SpectralField, p: EquationParams, tag: str, n_top: float | None = None
+    u0: SpectralField, p: EquationParams, tag: str, n_top: float
 ) -> float:
     """Frozen-coefficient bound on |nonlinear frequency| up to wavenumber n_top."""
     u0.require_real(what="nonlinear_frequency_bound input")
-    M = float(n_top if n_top is not None else u0.grid.max_mode)
+    M = float(n_top)
     s0, s1, s01 = _sup_estimates(u0.grid, u0.coeff)
     if tag in ("physical_5mkdv", "renormalized_5mkdv"):
         return (
@@ -156,22 +143,15 @@ def nonlinear_frequency_bound(
     return 0.0
 
 
-def default_dt(
-    u0: SpectralField, p: EquationParams, tag: str, splitting: str = "etd_rk4"
-) -> float:
+def default_dt(u0: SpectralField, p: EquationParams, tag: str) -> float:
     M = u0.grid.max_mode
     dt = 0.5 * min(1.0e-2, (2.0 * M) ** -2)
-    if splitting == "etd_rk4":
-        # stages at mu(n) dt > 1 are phi-damped; the CFL only involves the
-        # undamped low band
-        n_eff = min(M, max(2, int(np.ceil((1.0 / dt) ** 0.2))))
-        omega = nonlinear_frequency_bound(u0, p, tag, n_top=n_eff)
-        if omega > 0:
-            dt = min(dt, RK4_IMAG_STABILITY / omega)
-    else:
-        omega = nonlinear_frequency_bound(u0, p, tag)
-        if omega > 0:
-            dt = min(dt, 0.8 / omega)
+    # stages at mu(n) dt > 1 are phi-damped; the CFL only involves the
+    # undamped low band
+    n_eff = min(M, max(2, int(np.ceil((1.0 / dt) ** 0.2))))
+    omega = nonlinear_frequency_bound(u0, p, tag, n_top=n_eff)
+    if omega > 0:
+        dt = min(dt, RK4_IMAG_STABILITY / omega)
     return dt
 
 
@@ -188,17 +168,8 @@ def _linear_symbol(grid: GridSpec, p: EquationParams, tag: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Steppers
+# ETD-RK4 stepper
 # ---------------------------------------------------------------------------
-
-def _ifrk4_step(c, dt, E, E2, nonlinear):
-    """One integrating-factor RK4 step; E = exp(i mu dt/2), E2 = E^2."""
-    k1 = nonlinear(c)
-    k2 = np.conj(E) * nonlinear(E * (c + (0.5 * dt) * k1))
-    k3 = np.conj(E) * nonlinear(E * c + (0.5 * dt) * (E * k2))
-    k4 = np.conj(E2) * nonlinear(E2 * c + dt * (E2 * k3))
-    return E2 * (c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
 
 class _EtdRk4Coefficients:
     """Cox-Matthews coefficients via a Cauchy-integral contour mean
@@ -259,7 +230,7 @@ def evolve(
     grid = u0.grid
     M = grid.max_mode
     u0.require_real(what=f"{tag} initial data")
-    dt = ctrl.dt if ctrl.dt > 0 else default_dt(u0, p, tag, ctrl.stiff_splitting)
+    dt = ctrl.dt if ctrl.dt > 0 else default_dt(u0, p, tag)
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
     dt = T / n_steps
     stride = ctrl.record_stride
@@ -269,13 +240,7 @@ def evolve(
     state = u0.coeff[M:].copy()
     mu = _linear_symbol(grid, p, tag)[M:]
     nonlinear = equations.nonlinear_operator(grid, p, tag, renorm_terms)
-
-    use_etd = ctrl.stiff_splitting == "etd_rk4"
-    if use_etd:
-        co = _EtdRk4Coefficients(1j * mu, dt)
-    else:
-        E = np.exp(1j * mu * (dt / 2.0))
-        E2 = E * E
+    co = _EtdRk4Coefficients(1j * mu, dt)
 
     n_records = n_steps // stride + 1 + (1 if n_steps % stride else 0)
     times = np.empty(n_records)
@@ -290,10 +255,7 @@ def evolve(
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up detector below
         for step in range(1, n_steps + 1):
-            if use_etd:
-                state = _etdrk4_step(state, co, nonlinear)
-            else:
-                state = _ifrk4_step(state, dt, E, E2, nonlinear)
+            state = _etdrk4_step(state, co, nonlinear)
             t = step * dt
             amax = np.max(np.abs(state))
             if not np.isfinite(amax) or amax > BLOWUP_SUP:

@@ -59,15 +59,10 @@ def beta_weight(j: int, k: int, gamma: float = GAMMA_DEFAULT) -> float:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Weight parameters for the X_k sums.
-
-    clamp_offset, when set, drops shells above j = 5k + clamp_offset (the
-    regime where the weight is no longer controllable); default is no
-    clamp, keeping the full discrete surrogate.
-    """
+    """Weight parameters for the X_k sums: every modulation shell j of the
+    discrete surrogate carries 2^{j/2} beta_{j,k}."""
 
     gamma: float = GAMMA_DEFAULT
-    clamp_offset: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 0.25:
@@ -75,9 +70,6 @@ class WeightTable:
 
     def beta(self, j: int, k: int) -> float:
         return beta_weight(j, k, self.gamma)
-
-    def keep_shell(self, j: int, k: int) -> bool:
-        return self.clamp_offset is None or j <= 5 * k + self.clamp_offset
 
 
 @dataclass
@@ -215,7 +207,6 @@ def xk_norm(shells: ModulationShellSet, wt: WeightTable | None = None) -> float:
         sum(
             2.0 ** (j / 2.0) * wt.beta(j, shells.k) * m
             for j, m in shells.shells.items()
-            if wt.keep_shell(j, shells.k)
         )
     )
 
@@ -244,10 +235,7 @@ def _xk_sup(traj, k, T, wt, weighting) -> float:
     mass_sq = traj.window_tables[key][weighting]
     if wt is None:
         wt = WeightTable()
-    coef = np.array([
-        2.0 ** (j / 2.0) * wt.beta(j, k) if wt.keep_shell(j, k) else 0.0
-        for j in range(mass_sq.shape[1])
-    ])
+    coef = np.array([2.0 ** (j / 2.0) * wt.beta(j, k) for j in range(mass_sq.shape[1])])
     return max(0.0, float(np.max(np.sqrt(mass_sq) @ coef)))
 
 

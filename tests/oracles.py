@@ -237,22 +237,20 @@ def window_centers_oracle(traj, k, T):
     return [t0 + half + step * i for i in range(n)]
 
 
-def xk_sup_oracle(traj, k, T, gamma=0.25, clamp_offset=None, weight=None, resolvent=False):
+def xk_sup_oracle(traj, k, T, gamma=0.25, weight=None, resolvent=False):
     """sup over window centres of sum_j 2^{j/2} beta_{j,k} mass_j, one window at a time."""
     best = 0.0
     for t_k in window_centers_oracle(traj, k, T):
         shells = window_shells_oracle(traj, k, t_k, weight, resolvent)[0]
         val = 0.0
         for j, m in shells.items():
-            if clamp_offset is not None and j > 5 * k + clamp_offset:
-                continue
             beta = 1.0 if k == 0 else 1.0 + 2.0 ** (gamma * (j - 5 * k))
             val += 2.0 ** (j / 2.0) * beta * m
         best = max(best, val)
     return best
 
 
-def fs_oracle(traj, s, T, gamma=0.25, clamp_offset=None):
+def fs_oracle(traj, s, T, gamma=0.25):
     """(sum_k 4^{sk} F_k(P_k traj)^2)^{1/2} from the per-window oracle."""
     from mkdvlab.spectral import chi
 
@@ -262,7 +260,7 @@ def fs_oracle(traj, s, T, gamma=0.25, clamp_offset=None):
         chik = chi(k, traj.grid.modes)
         if not np.any(traj.states[:, chik != 0]):
             continue
-        fk = xk_sup_oracle(traj, k, T, gamma, clamp_offset, weight=chik)
+        fk = xk_sup_oracle(traj, k, T, gamma, weight=chik)
         total += 4.0 ** (s * k) * fk * fk
     return float(np.sqrt(total))
 

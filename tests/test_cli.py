@@ -2,10 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from mkdvlab.cli import clamp_workers, main
-from mkdvlab.errors import ConfigurationError
+from mkdvlab.cli import (
+    build_ctrl,
+    build_grid,
+    build_initial_data,
+    build_params,
+    load_config,
+    main,
+)
+from mkdvlab.integrate import evolve
+from mkdvlab.transforms import gauge_forward
 
 
 def run(args):
@@ -19,9 +28,11 @@ class TestValidation:
         assert "grid.max_mode" in capsys.readouterr().err
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
-        code = run(["conserve", "--set", "grid.bogus=3", "--out", str(tmp_path)])
-        assert code == 2
-        assert "grid.bogus" in capsys.readouterr().err
+        for item in ("grid.bogus=3", "time.splitting=etd_rk4"):
+            code = run(["conserve", "--set", item, "--out", str(tmp_path)])
+            assert code == 2
+            assert item.split("=")[0] in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_override_syntax(self, tmp_path):
         assert run(["conserve", "--set", "nonsense", "--out", str(tmp_path)]) == 2
@@ -59,20 +70,38 @@ class TestValidation:
         assert field in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_named(self, tmp_path, capsys, workers):
-        code = run(["appendix-b", "--workers", workers, "--out", str(tmp_path),
-                    "--set", "sweep.Ns=64"])
+    @pytest.mark.parametrize("text, name", [
+        ("[time]\nsplitting = integrating_factor_rk4\n", "time.splitting"),
+        ("[grid]\nmax_mod = 8\n", "grid.max_mod"),
+        ("[bogus]\n", "bogus"),
+        ("[DEFAULT]\nmax_mode = 8\n", "DEFAULT"),
+    ], ids=["removed-key", "misspelt-key", "unknown-section", "default-section"])
+    def test_unknown_config_file_entry_named(self, tmp_path, capsys, text, name):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        code = run(["conserve", "--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
         assert code == 2
+        assert name in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_file_fields_read(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[grid]\nmax_mode = 16\n[time]\nT = 0.001\n")
+        assert run(["conserve", "--config", str(ini), "--out", str(tmp_path)]) == 0
+        man = json.loads((tmp_path / "mkdvlab_conserve_manifest.json").read_text())
+        assert man["config"]["grid"]["max_mode"] == "16"
+        assert man["config"]["time"]["t"] == "0.001"
+
+    def test_workers_option_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["appendix-b", "--workers", "2", "--out", str(tmp_path),
+                 "--set", "sweep.Ns=64"])
+        assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
-
-    def test_workers_clamped_to_cpu_count(self):
-        assert clamp_workers(1, 4) == 1
-        assert clamp_workers(64, 2) == 2
-        assert clamp_workers(3, None) == 1
-        with pytest.raises(ConfigurationError, match="--workers"):
-            clamp_workers(0, 4)
 
 
 class TestConserve:
@@ -124,7 +153,6 @@ class TestEvolve:
             "--set", "initial_data.amplitudes=80.0,60.0",
             "--set", "time.T=1.0",
             "--set", "time.dt=0.05",
-            "--set", "time.splitting=integrating_factor_rk4",
         ])
         assert code == 3
 
@@ -140,6 +168,26 @@ class TestGaugeCheck:
         assert code == 0
         man = json.loads((tmp_path / "mkdvlab_gauge_manifest.json").read_text())
         assert man["results_summary"]["max_h2_discrepancy"] < 1e-5
+
+    def test_csv_equals_per_record_loop(self, tmp_path):
+        settings = ["grid.max_mode=16", "time.T=0.001"]
+        assert run(["gauge-check", "--out", str(tmp_path)]
+                   + [a for s in settings for a in ("--set", s)]) == 0
+        cfg = load_config(None, settings)
+        grid = build_grid(cfg)
+        u0 = build_initial_data(cfg, grid)
+        p = build_params(cfg, u0)
+        nt_u = gauge_forward(evolve(u0, 0.001, p, "physical_5mkdv", build_ctrl(cfg)))
+        traj_v = evolve(u0, 0.001, p, "renormalized_5mkdv", build_ctrl(cfg))
+        n = grid.modes.astype(float)
+        w = (1.0 + n * n) ** 2
+        lines = (tmp_path / "mkdvlab_gauge.csv").read_text().splitlines()[1:]
+        assert len(lines) == min(len(nt_u), len(traj_v))
+        for i, line in enumerate(lines):
+            t, diff = (float(v) for v in line.split(","))
+            assert t == nt_u.times[i]
+            want = np.sqrt(np.sum(w * np.abs(nt_u.states[i] - traj_v.states[i]) ** 2))
+            assert diff == float(want)
 
 
 class TestMiuraCheck:
@@ -194,11 +242,6 @@ class TestGrowth:
     def test_appendix_b(self, tmp_path):
         code = run(["appendix-b", "--out", str(tmp_path),
                     "--set", "sweep.Ns=64,256,1024"])
-        assert code == 0
-
-    def test_appendix_b_workers(self, tmp_path):
-        code = run(["appendix-b", "--out", str(tmp_path),
-                    "--set", "sweep.Ns=64,128", "--workers", "2"])
         assert code == 0
 
 

@@ -149,18 +149,6 @@ class TestXkNorm:
         )
         assert xk_norm(sh, WeightTable(0.25)) >= xk_norm(sh, WeightTable(0.125))
 
-    def test_clamp_toggle(self):
-        from mkdvlab.shorttime import ModulationShellSet
-
-        sh = ModulationShellSet(
-            k=1, window_center=0.0, shells={2: 1.0, 9: 1.0},
-            window_l2=1.0, n_samples=64, dt=1e-3,
-        )
-        full = xk_norm(sh, WeightTable(0.25))
-        clamped = xk_norm(sh, WeightTable(0.25, clamp_offset=2))  # drops j=9 > 7
-        assert clamped < full
-        assert clamped == pytest.approx(2.0 * (1.0 + 2.0 ** (0.25 * (2 - 5))), rel=1e-12)
-
     def test_gamma_reversal_below_five_k(self):
         # below the 5k line the heavier gamma gives the lighter weight
         traj = linear_wave_trajectory(3)
@@ -368,14 +356,14 @@ class TestBatchedWindowsMatchOracle:
     def test_clamped_weight_table(self, norms_traj):
         from oracles import fs_oracle, xk_sup_oracle
 
-        wt = WeightTable(gamma=0.125, clamp_offset=1)
+        wt = WeightTable(gamma=0.125)
         for k in (2, 6):
-            want = xk_sup_oracle(norms_traj, k, NORMS_T, 0.125, 1)
+            want = xk_sup_oracle(norms_traj, k, NORMS_T, 0.125)
             assert rel(fk_norm(norms_traj, k, NORMS_T, wt), want) <= 1e-12
-            want = xk_sup_oracle(norms_traj, k, NORMS_T, 0.125, 1, resolvent=True)
+            want = xk_sup_oracle(norms_traj, k, NORMS_T, 0.125, resolvent=True)
             assert rel(nk_norm(norms_traj, k, NORMS_T, wt), want) <= 1e-12
         assert rel(fs_norm(norms_traj, 1.5, NORMS_T, wt),
-                   fs_oracle(norms_traj, 1.5, NORMS_T, 0.125, 1)) <= 1e-12
+                   fs_oracle(norms_traj, 1.5, NORMS_T, 0.125)) <= 1e-12
 
     def test_renormalized_flow(self, rng):
         from oracles import fs_oracle, random_real_coeffs, xk_sup_oracle
