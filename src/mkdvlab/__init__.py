@@ -16,7 +16,7 @@ from .equations import (
     rhs_renormalized,
     rhs_third_order,
 )
-from .integrate import StepControl, Trajectory, evolve, nonlinear_product
+from .integrate import StepControl, Trajectory, evolve
 from .invariants import (
     HamiltonianReport,
     ModifiedEnergyParams,
@@ -35,12 +35,10 @@ from .resonance import (
     resonance_h,
 )
 from .spectral import (
-    CutoffFamily,
     GridSpec,
     SpectralField,
     analyze,
     chi,
-    eval_chi_psi,
     project_pk,
     psi,
     sobolev_norm,
@@ -49,7 +47,6 @@ from .spectral import (
 from .transforms import gauge_forward, gauge_inverse, miura, miura_residual
 
 __all__ = [
-    "CutoffFamily",
     "EquationParams",
     "GridSpec",
     "HamiltonianReport",
@@ -67,7 +64,6 @@ __all__ = [
     "enumerate_n3",
     "enumerate_n5",
     "es_energy",
-    "eval_chi_psi",
     "evolve",
     "gauge_forward",
     "gauge_inverse",
@@ -77,7 +73,6 @@ __all__ = [
     "miura",
     "miura_residual",
     "modified_energy_ek",
-    "nonlinear_product",
     "phi_cubic",
     "project_pk",
     "psi",

@@ -101,7 +101,9 @@ class ExperimentConfig:
         return [_parse_number(name, v, kind) for v in self.raw.get(section, key).split(",") if v]
 
     def as_dict(self) -> dict:
-        return {s: dict(self.raw.items(s)) for s in self.raw.sections()}
+        """Every value, keyed in the DEFAULTS spelling (configparser
+        lower-cases the keys it reads)."""
+        return {s: {k: self.raw.get(s, k) for k in keys} for s, keys in DEFAULTS.items()}
 
 
 def _parse_number(name: str, text: str, kind):
@@ -499,6 +501,7 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
     write_manifest(
         man_path, cfg,
         {"fs_norm": fs, "s": s, "gamma": wt.gamma,
+         "dt": traj.dt, "record_stride": traj.record_stride,
          "zero_extended_k": [k for k, (_, ext) in grids.items() if ext],
          "windows_per_k": {k: len(centers) for k, (centers, _) in grids.items()}},
         time.perf_counter() - t0,

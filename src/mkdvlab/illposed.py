@@ -230,8 +230,9 @@ _SLOT_ORDER = np.array([[2, 0, 1], [0, 2, 1], [0, 1, 2]])
 
 @dataclass(frozen=True)
 class _QuinticTable:
-    """Every row of the quintic walk as parallel arrays, in the order of
-    iter_quintic_tuples.
+    """Every row of the quintic walk as parallel arrays, in walk order: inner
+    triple (m1, m2, m3) over the sorted leaves, then outer legs la, lb, then
+    slot, outer term and inner term.
 
     Legs and kernels are int64 (|leg| <= 5 max|leaf|); the phases are object
     arrays of exact Python ints, since n^5 overflows int64 once |n| > 6208.
@@ -268,14 +269,6 @@ class _QuinticTable:
         """(rows, 5): the inner legs, then the two outer legs other than n_slot."""
         other = np.arange(3) != self.slot[:, None]
         return np.column_stack([self.inner, self.outer[other].reshape(-1, 2)])
-
-    def row(self, r: int) -> QuinticTuple:
-        return QuinticTuple(
-            int(self.n[r]), tuple(self.outer[r].tolist()), int(self.slot[r]),
-            tuple(self.inner[r].tolist()), self.outer_terms[self.x_term[r]],
-            self.inner_terms[self.y_term[r]], self.amp[r].item(),
-            int(self.kernel_x[r]), int(self.kernel_y[r]), self.phi_out[r], self.phi_in[r],
-        )
 
     def structure_values(self, t: float) -> np.ndarray:
         """QuinticTuple.structure_value of every row (phi_out != 0 on all).
@@ -390,23 +383,6 @@ def _sum_by_mode(n: np.ndarray, v: np.ndarray) -> dict:
     re = np.bincount(inv, weights=v.real, minlength=len(modes))
     im = np.bincount(inv, weights=v.imag, minlength=len(modes))
     return {int(modes[j]): complex(re[j], im[j]) for j in np.argsort(first)}
-
-
-def iter_quintic_tuples(
-    support: dict,
-    spec: CounterexampleSpec,
-    outer_terms=("cubic2",),
-    inner_terms=("cubic2", "cubic3"),
-    slots=(0, 1, 2),
-    leaf_filter=None,
-):
-    """Enumerate every (outer in A3(n), slot, inner in A3(n_slot)) tuple with
-    all five leaves in the support (optionally restricted by leaf_filter)."""
-    if leaf_filter is not None:
-        support = {n: a for n, a in support.items() if leaf_filter(n)}
-    tab = _quintic_table(support, spec, outer_terms, inner_terms, slots)
-    for r in range(len(tab)):
-        yield tab.row(r)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,7 @@ import numpy as np
 from . import equations
 from .equations import EquationParams, RenormalizedTerms
 from .errors import ConfigurationError, DivergenceError, SymmetryError
-from .spectral import (
-    GridSpec,
-    SpectralField,
-    analyze_complex,
-    half_spectrum,
-    hermitian_extend,
-    synthesize_values,
-)
+from .spectral import GridSpec, SpectralField, half_spectrum, hermitian_extend
 
 EQUATION_TAGS = (
     "physical_5mkdv",
@@ -75,7 +68,6 @@ class Trajectory:
     equation_tag: str
     dt: float
     record_stride: int
-    extension_note: str = ""
     window_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -279,27 +271,3 @@ def evolve(
 
     return Trajectory(grid, times[:rec], states[:rec], p, tag, dt, stride)
 
-
-# ---------------------------------------------------------------------------
-# Dealiased products
-# ---------------------------------------------------------------------------
-
-def nonlinear_product(factors) -> SpectralField:
-    """Alias-free spectral coefficients of the pointwise product of 2-5 fields."""
-    factors = list(factors)
-    if not 2 <= len(factors) <= 5:
-        raise ConfigurationError("nonlinear_product takes 2 to 5 factors")
-    grid = factors[0].grid
-    for f in factors[1:]:
-        if f.grid.max_mode != grid.max_mode or f.grid.phys_points != grid.phys_points:
-            raise ConfigurationError("factors must share one grid")
-    need = (len(factors) + 1) * grid.max_mode + 1
-    if grid.phys_points < need:
-        raise ConfigurationError(
-            f"grid too small to dealias a {len(factors)}-fold product "
-            f"(needs phys_points >= {need})"
-        )
-    vals = synthesize_values(grid, factors[0].coeff)
-    for f in factors[1:]:
-        vals = vals * synthesize_values(grid, f.coeff)
-    return SpectralField(grid, analyze_complex(grid, vals))

@@ -16,8 +16,7 @@ Conventions (used consistently across the package):
 * Real fields are synthesized and analyzed on the half spectrum c[0..M] by
   :class:`HalfSpectrum`, the one coefficient-to-samples path for real data:
   one stacked irfft for any derivative orders (orders axis first, then any
-  batch axes), one stacked rfft back.  :func:`synthesize_values` and
-  :func:`analyze_complex` are for genuinely complex coefficients.
+  batch axes), one stacked rfft back.
 """
 
 from __future__ import annotations
@@ -198,20 +197,6 @@ def half_spectrum(grid: GridSpec) -> HalfSpectrum:
     return HalfSpectrum(grid)
 
 
-def synthesize_values(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
-    """Pointwise values of sum_n coeff[n] e^{inx} on the collocation grid.
-
-    For genuinely complex coefficients (returns complex values), with any
-    leading axes (one FFT call for all rows); real fields go through
-    :class:`HalfSpectrum`.
-    """
-    M, P = grid.max_mode, grid.phys_points
-    buf = np.zeros(coeff.shape[:-1] + (P,), dtype=np.complex128)
-    buf[..., : M + 1] = coeff[..., M:]
-    buf[..., P - M:] = coeff[..., :M]
-    return sfft.ifft(buf, axis=-1) * P
-
-
 def synthesize(field: SpectralField) -> np.ndarray:
     """Real collocation samples of a Hermitian-symmetric field."""
     field.require_real(what="synthesize input")
@@ -244,19 +229,6 @@ def hermitian_extend(half: np.ndarray) -> np.ndarray:
     dense[..., M:] = half
     dense[..., :M] = np.conj(half[..., :0:-1])
     return dense
-
-
-def analyze_complex(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Truncated coefficients of complex pointwise values (no symmetry assumed)."""
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape != (grid.phys_points,):
-        raise ConfigurationError("values length must equal phys_points")
-    M, P = grid.max_mode, grid.phys_points
-    full = sfft.fft(values) / P
-    coeff = np.empty(2 * M + 1, dtype=np.complex128)
-    coeff[M:] = full[: M + 1]
-    coeff[:M] = full[P - M:]
-    return coeff
 
 
 # ---------------------------------------------------------------------------
@@ -326,29 +298,6 @@ def psi(k: int, n) -> np.ndarray:
         return n * eta0_prime(n)
     dchi = eta0_prime(n / 2.0**k) / 2.0**k - eta0_prime(n / 2.0 ** (k - 1)) / 2.0 ** (k - 1)
     return n * dchi
-
-
-def eval_chi_psi(k: int, n: int) -> tuple:
-    """(chi_k(n), psi_k(n)) at a single integer frequency."""
-    return float(chi(k, n)), float(psi(k, n))
-
-
-@dataclass(frozen=True)
-class CutoffFamily:
-    """Precomputed chi_k / psi_k tables over a grid's retained modes."""
-
-    grid: GridSpec
-
-    def k_max(self) -> int:
-        """Largest k whose annulus intersects the retained band."""
-        M = self.grid.max_mode
-        return max(0, int(np.ceil(np.log2(max(M, 1)))) + 1)
-
-    def chi_table(self, k: int) -> np.ndarray:
-        return chi(k, self.grid.modes)
-
-    def psi_table(self, k: int) -> np.ndarray:
-        return psi(k, self.grid.modes)
 
 
 def project_pk(field: SpectralField, k: int) -> SpectralField:

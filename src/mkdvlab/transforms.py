@@ -19,8 +19,6 @@ Every real-data synthesis here is one stacked irfft of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .equations import nonlinear_operator, seq_l4_quartic
@@ -31,18 +29,6 @@ from .spectral import GridSpec, SpectralField, half_spectrum, hermitian_extend, 
 GAUGE_PHASE_RATE = 20.0
 
 
-@dataclass
-class GaugePhaseAccumulator:
-    """Cumulative quartic integral Phi(t) on the recorded grid."""
-
-    times: np.ndarray
-    cumulative_l4: np.ndarray
-
-    def __post_init__(self):
-        if self.cumulative_l4[0] != 0.0:
-            raise ConfigurationError("cumulative phase must start at 0")
-
-
 def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(values)
     if len(times) > 1:
@@ -51,11 +37,11 @@ def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def accumulate_phase(traj: Trajectory) -> GaugePhaseAccumulator:
+def accumulate_phase(traj: Trajectory) -> np.ndarray:
+    """Cumulative quartic integral Phi on the recorded grid (Phi[0] = 0)."""
     if np.any(np.diff(traj.times) <= 0):
         raise ConfigurationError("trajectory times must be strictly increasing")
-    l4 = seq_l4_quartic(traj.grid, traj.states)
-    return GaugePhaseAccumulator(traj.times.copy(), _cumtrapz(traj.times, l4))
+    return _cumtrapz(traj.times, seq_l4_quartic(traj.grid, traj.states))
 
 
 def _apply_phase(traj: Trajectory, phi: np.ndarray, sign: float) -> Trajectory:
@@ -69,7 +55,6 @@ def _apply_phase(traj: Trajectory, phi: np.ndarray, sign: float) -> Trajectory:
         traj.equation_tag,
         traj.dt,
         traj.record_stride,
-        traj.extension_note,
     )
 
 
@@ -80,15 +65,13 @@ def gauge_forward(traj_u: Trajectory) -> Trajectory:
     recording spacing should satisfy stride*dt <= 1e-3 (the phase error
     scales like n * quadrature error, amplified by max_mode).
     """
-    acc = accumulate_phase(traj_u)
-    return _apply_phase(traj_u, acc.cumulative_l4, -1.0)
+    return _apply_phase(traj_u, accumulate_phase(traj_u), -1.0)
 
 
 def gauge_inverse(traj_v: Trajectory) -> Trajectory:
     """Inverse gauge transform: Phi accumulated from v itself, since
     l4(v) = l4(u) on every record."""
-    acc = accumulate_phase(traj_v)
-    return _apply_phase(traj_v, acc.cumulative_l4, +1.0)
+    return _apply_phase(traj_v, accumulate_phase(traj_v), +1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +122,6 @@ def kdv_residual_values(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndar
     enters the identity check.
     """
     return _kdv_residual(*_chain_samples(grid, v_coeff, vdot_coeff, "kdv_residual_values"))
-
-
-def mkdv_residual_values(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarray) -> np.ndarray:
-    """Pointwise values of v_t + v_xxx - 6 v^2 v_x, for real v and vdot."""
-    return _mkdv_residual(*_chain_samples(grid, v_coeff, vdot_coeff, "mkdv_residual_values"))
 
 
 def chain_identity_gap(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarray) -> float:

@@ -19,6 +19,29 @@ def dft_coefficients(samples):
     return out
 
 
+def synthesize_values(grid, coeff):
+    """Pointwise values of sum_n coeff[n] e^{inx} on the collocation grid,
+    for complex coefficients -M..M on the last axis: one full complex ifft
+    per row, no Hermitian symmetry assumed."""
+    import scipy.fft as sfft
+
+    M, P = grid.max_mode, grid.phys_points
+    buf = np.zeros(coeff.shape[:-1] + (P,), dtype=np.complex128)
+    buf[..., : M + 1] = coeff[..., M:]
+    buf[..., P - M:] = coeff[..., :M]
+    return sfft.ifft(buf, axis=-1) * P
+
+
+def analyze_complex(grid, values):
+    """Coefficients -M..M of complex pointwise values: one full complex fft,
+    no Hermitian symmetry assumed."""
+    import scipy.fft as sfft
+
+    M, P = grid.max_mode, grid.phys_points
+    full = sfft.fft(np.asarray(values, dtype=np.complex128)) / P
+    return np.concatenate([full[P - M:], full[: M + 1]])
+
+
 def coeff_dict(field):
     g = field.grid
     return {int(n): field.coeff[n + g.max_mode] for n in range(-g.max_mode, g.max_mode + 1)}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mkdvlab.cli import (
+    DEFAULTS,
     build_ctrl,
     build_grid,
     build_initial_data,
@@ -93,7 +94,19 @@ class TestValidation:
         assert run(["conserve", "--config", str(ini), "--out", str(tmp_path)]) == 0
         man = json.loads((tmp_path / "mkdvlab_conserve_manifest.json").read_text())
         assert man["config"]["grid"]["max_mode"] == "16"
-        assert man["config"]["time"]["t"] == "0.001"
+        assert man["config"]["time"]["T"] == "0.001"
+
+    def test_manifest_keys_in_defaults_spelling(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[grid]\nMAX_MODE = 16\n[initial_data]\nn = 4\n")
+        assert run(["conserve", "--config", str(ini), "--out", str(tmp_path),
+                    "--set", "time.t=0.001", "--set", "sweep.NS=64"]) == 0
+        config = json.loads((tmp_path / "mkdvlab_conserve_manifest.json").read_text())["config"]
+        assert {s: set(keys) for s, keys in config.items()} == {
+            s: set(keys) for s, keys in DEFAULTS.items()
+        }
+        assert (config["grid"]["max_mode"], config["initial_data"]["N"],
+                config["time"]["T"], config["sweep"]["Ns"]) == ("16", "4", "0.001", "64")
 
     def test_workers_option_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -275,3 +288,21 @@ class TestNorms:
         summary = man["results_summary"]
         assert summary["zero_extended_k"] == [0, 1, 2]
         assert summary["windows_per_k"] == {"0": 1, "1": 1, "2": 1, "3": 5}
+
+    def test_manifest_records_dt_and_stride_used(self, tmp_path):
+        # a dt above span_min/64 and the user's stride are replaced by the
+        # run's own; the summary says what was used, the config what was asked
+        code = run([
+            "norms", "--out", str(tmp_path),
+            "--set", "grid.max_mode=16",
+            "--set", "time.T=0.002",
+            "--set", "time.dt=0.001",
+            "--set", "time.record_stride=3",
+        ])
+        assert code == 0
+        man = json.loads((tmp_path / "mkdvlab_norms_manifest.json").read_text())
+        span_min = 4.0 * 4.0 ** -4  # k_max = 4 at max_mode 16
+        summary = man["results_summary"]
+        assert summary["record_stride"] == 1
+        assert 0.0 < summary["dt"] <= span_min / 64 * 0.98
+        assert (man["config"]["time"]["dt"], man["config"]["time"]["record_stride"]) == ("0.001", "3")

@@ -22,6 +22,7 @@ from oracles import (
     random_real_coeffs,
     rhs_physical_oracle,
     rhs_renormalized_oracle,
+    synthesize_values,
 )
 
 
@@ -274,7 +275,6 @@ class TestResonanceRemovalConsistency:
         gauge = 1j * 20.0 * r4 * n * c
 
         # overlap terms: 6 i n * [ -10 c^2 S(-n) + 10 c^3 C2(-2n) - 5 c^4 c(-3n) ]
-        from mkdvlab.spectral import synthesize_values
         import scipy.fft as sfft
 
         P = grid.phys_points

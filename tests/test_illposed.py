@@ -33,7 +33,6 @@ from mkdvlab.illposed import (
     fifth_derivative_direct,
     growth_experiment,
     hs_norm_of_map,
-    iter_quintic_tuples,
     m0_tuple,
     numeric_fifth_derivative,
     osc_double,
@@ -171,15 +170,13 @@ class TestDFull:
         # every outer tuple of the walker lies in the enumerated A3 sets
         spec = CounterexampleSpec(N=8, s=1.0, t=1e-3)
         supp = counterexample_support(spec)
+        tab = _quintic_table(supp, spec, ("cubic2",), ("cubic2",), (2,))
         from_enum = {}
-        for tup in iter_quintic_tuples(supp, spec, outer_terms=("cubic2",),
-                                       inner_terms=("cubic2",), slots=(2,)):
-            n = tup.n
-            if abs(n) <= 12 and max(abs(m) for m in tup.outer) <= 12:
-                key = n
-                if key not in from_enum:
-                    from_enum[key] = {(t3.n1, t3.n2, t3.n3) for t3 in enumerate_n3(n, 12)}
-                assert tup.outer in from_enum[key]
+        for n, outer in zip(tab.n.tolist(), map(tuple, tab.outer.tolist())):
+            if abs(n) <= 12 and max(abs(m) for m in outer) <= 12:
+                if n not in from_enum:
+                    from_enum[n] = {(t3.n1, t3.n2, t3.n3) for t3 in enumerate_n3(n, 12)}
+                assert outer in from_enum[n]
 
     def test_triangle_bookkeeping(self):
         spec = CounterexampleSpec(N=64, s=1.0, t=1e-4)
@@ -300,16 +297,16 @@ class TestNumericFifthDerivative:
             numeric_fifth_derivative(u0, 0.01, [0.05, 0.0500001, 0.05000011], p,
                                      RenormalizedTerms())
 
-    def test_cross_validation_small(self):
-        # cubic-only flow at N=8, max_mode=32: numeric divided difference
-        # matches the closed-form second iterate
-        spec = CounterexampleSpec(N=8, s=1.0, t=0.002)
+    @staticmethod
+    def _cross_validation_rel(flow, t, dt):
+        """max |numeric - closed form| / max |closed form| of the fifth
+        delta-derivative at N=8, max_mode=32."""
+        spec = CounterexampleSpec(N=8, s=1.0, t=t)
         grid = GridSpec(32)
         supp = symmetrized_support(counterexample_support(spec))
         u0 = SpectralField.zeros(grid)
         for n, a in supp.items():
             u0.coeff[n + grid.max_mode] = a
-        flow = RenormalizedTerms(False, True, False, False)
         p = EquationParams.constrained_family(40.0)
         p.d1 = p.d2 = 0.0
         ana = fifth_derivative_direct(supp, spec, flow)
@@ -318,12 +315,25 @@ class TestNumericFifthDerivative:
         for n, v in ana.items():
             if abs(n) <= M:
                 ana_arr[n + M] = v
-        a5, rep = numeric_fifth_derivative(
+        a5, _ = numeric_fifth_derivative(
             u0, spec.t, [0.01, 0.02, 0.03, 0.04], p, flow,
-            ctrl=StepControl(dt=2e-6, record_stride=10**9),
+            ctrl=StepControl(dt=dt, record_stride=10**9),
         )
-        rel = np.max(np.abs(a5.coeff - ana_arr)) / np.max(np.abs(ana_arr))
-        assert rel < 1e-3
+        return np.max(np.abs(a5.coeff - ana_arr)) / np.max(np.abs(ana_arr))
+
+    def test_cross_validation_small(self):
+        # cubic-only flow at N=8, max_mode=32: numeric divided difference
+        # matches the closed-form second iterate
+        flow = RenormalizedTerms(False, True, False, False)
+        assert self._cross_validation_rel(flow, 0.002, 2e-6) < 1e-3
+
+    @pytest.mark.parametrize("flow", [
+        RenormalizedTerms(False, False, False, True),
+        RenormalizedTerms(True, False, False, False),
+    ], ids=["quintic", "resonant_cubic"])
+    def test_cross_validation_single_term(self, flow):
+        # the k^5 loop and the resonant-cubic pieces of fifth_derivative_direct
+        assert self._cross_validation_rel(flow, 5e-4, 5e-6) < 1e-3
 
 
 # complex, non-Hermitian data on four leaves: cheap for the per-tuple walker
@@ -354,10 +364,28 @@ class TestTupleTableMatchesOracle:
     def test_rows_in_walk_order(self):
         spec = CounterexampleSpec(N=8, s=1.0, t=1e-4, d1=3)
         supp = counterexample_support(spec)
-        for kw in ({}, {"leaf_filter": lambda n: n in (1, 8), "slots": (2, 0)},
-                   {"outer_terms": ("cubic2", "cubic3"), "inner_terms": ("cubic3",)}):
-            got = list(iter_quintic_tuples(supp, spec, **kw))
-            assert got == list(iter_quintic_tuples_oracle(supp, spec, **kw))
+        only_1_8 = {n: a for n, a in supp.items() if n in (1, 8)}
+        cases = [  # table support, walk keywords, outer terms, inner terms, slots
+            (supp, {}, ("cubic2",), ("cubic2", "cubic3"), (0, 1, 2)),
+            (only_1_8, {"leaf_filter": lambda n: n in (1, 8)}, ("cubic2",),
+             ("cubic2", "cubic3"), (2, 0)),
+            (supp, {}, ("cubic2", "cubic3"), ("cubic3",), (0, 1, 2)),
+        ]
+        for leaves, walk_kw, *terms in cases:
+            walk = list(iter_quintic_tuples_oracle(supp, spec, *terms, **walk_kw))
+            tab = _quintic_table(leaves, spec, *terms)
+            assert len(tab) == len(walk) > 0
+            assert tab.n.tolist() == [w.n for w in walk]
+            assert list(map(tuple, tab.outer.tolist())) == [w.outer for w in walk]
+            assert tab.slot.tolist() == [w.slot for w in walk]
+            assert list(map(tuple, tab.inner.tolist())) == [w.inner for w in walk]
+            assert [tab.outer_terms[x] for x in tab.x_term] == [w.x_term for w in walk]
+            assert [tab.inner_terms[y] for y in tab.y_term] == [w.y_term for w in walk]
+            assert tab.amp.tolist() == [w.amp for w in walk]
+            assert tab.kernel_x.tolist() == [w.kernel_x for w in walk]
+            assert tab.kernel_y.tolist() == [w.kernel_y for w in walk]
+            assert tab.phi_out.tolist() == [w.phi_out for w in walk]
+            assert tab.phi_in.tolist() == [w.phi_in for w in walk]
 
     @pytest.mark.parametrize("d1", [0, 3, -30])
     @pytest.mark.parametrize("restricted", [False, True])

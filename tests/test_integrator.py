@@ -5,7 +5,7 @@ import pytest
 
 from mkdvlab.equations import EquationParams, RenormalizedTerms
 from mkdvlab.errors import ConfigurationError, DivergenceError, SymmetryError
-from mkdvlab.integrate import StepControl, Trajectory, evolve, nonlinear_product
+from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.spectral import GridSpec, SpectralField
 
 from oracles import random_real_coeffs
@@ -125,47 +125,6 @@ class TestTrajectoryRecording:
         u0 = SpectralField.from_modes(grid8, {1: 0.05, -1: 0.05})
         traj = evolve(u0, 0.0123, p, ctrl=StepControl(dt=0.001))
         assert traj.times[-1] == pytest.approx(0.0123, rel=1e-12)
-
-
-class TestNonlinearProduct:
-    def test_cos_squared(self, grid8):
-        f = SpectralField.from_modes(grid8, {1: 0.5, -1: 0.5})
-        g = nonlinear_product([f, f])
-        assert g.get(0) == pytest.approx(0.5, rel=1e-13)
-        assert g.get(2) == pytest.approx(0.25, rel=1e-13)
-        assert g.get(-2) == pytest.approx(0.25, rel=1e-13)
-
-    def test_zero_factor(self, grid8):
-        f = SpectralField.from_modes(grid8, {1: 0.5, -1: 0.5})
-        z = SpectralField.zeros(grid8)
-        assert np.max(np.abs(nonlinear_product([f, z]).coeff)) == 0.0
-
-    def test_quintic_cosine_binomial(self, grid8):
-        # cos^5 x = (10 cos x + 5 cos 3x + cos 5x)/16
-        f = SpectralField.from_modes(grid8, {1: 0.5, -1: 0.5})
-        g = nonlinear_product([f] * 5)
-        assert g.get(1) == pytest.approx(10 / 32, rel=1e-12)
-        assert g.get(3) == pytest.approx(5 / 32, rel=1e-12)
-        assert g.get(5) == pytest.approx(1 / 32, rel=1e-12)
-        assert abs(g.get(0)) < 1e-14
-        assert abs(g.get(2)) < 1e-14
-
-    def test_too_many_factors(self, grid8):
-        f = SpectralField.zeros(grid8)
-        with pytest.raises(ConfigurationError):
-            nonlinear_product([f] * 6)
-
-    def test_grid_mismatch_rejected(self):
-        f = SpectralField.zeros(GridSpec(8))
-        g = SpectralField.zeros(GridSpec(9))
-        with pytest.raises(ConfigurationError):
-            nonlinear_product([f, g])
-
-    def test_minimum_grid_suffices_for_quintic(self):
-        # any valid GridSpec (>= 3*(2M+1) points) dealiases up to 5 factors
-        grid = GridSpec(8, phys_points=51)
-        f = SpectralField.from_modes(grid, {1: 0.5, -1: 0.5})
-        assert nonlinear_product([f] * 5).get(5) == pytest.approx(1 / 32, rel=1e-12)
 
 
 class TestStrideAuto:

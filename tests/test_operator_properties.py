@@ -19,13 +19,15 @@ from mkdvlab.equations import (
     rhs_third_order,
 )
 from mkdvlab.integrate import StepControl, evolve
-from mkdvlab.spectral import GridSpec, SpectralField, half_spectrum, synthesize_values
+from mkdvlab.spectral import GridSpec, SpectralField, half_spectrum
 
 from oracles import (
+    analyze_complex,
     rhs_fifth_kdv_oracle,
     rhs_physical_oracle,
     rhs_renormalized_oracle,
     rhs_third_order_oracle,
+    synthesize_values,
 )
 
 # deterministic, so Tier-1 reruns the same examples; M <= 4 keeps the O(M^5)
@@ -77,6 +79,10 @@ def test_shared_synthesis_matches_complex_reference(batch):
             want = synthesize_values(grid, (1j * n) ** k * dense).real
             (got,) = h.synthesize(c_half, (k,))
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # and the rfft analysis back against the full complex fft
+        values = h.synthesize(c_half, (0,))[0]
+        want = analyze_complex(grid, values)[grid.max_mode:]
+        assert np.max(np.abs(h.analyze(values) - want)) <= 1e-13 * np.max(np.abs(want))
     assert h.synthesize(ch, range(5)).shape == (5, len(ch), grid.phys_points)
 
 

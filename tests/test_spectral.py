@@ -11,7 +11,6 @@ from mkdvlab.spectral import (
     chi,
     eta0,
     eta0_prime,
-    eval_chi_psi,
     project_pk,
     psi,
     sobolev_norm,
@@ -104,11 +103,15 @@ class TestCutoffs:
         num = (eta0(x + h) - eta0(x - h)) / (2 * h)
         assert np.max(np.abs(num - eta0_prime(x))) < 1e-5
 
-    def test_partition_of_unity(self):
+    def test_partition_of_unity(self, grid16):
         for n in [0, 1, 3, 17, 100, 4097, 10**6]:
             K = max(2, int(np.ceil(np.log2(max(n, 1)))) + 2)
             total = sum(chi(k, n) for k in range(K + 1))
             assert abs(total - 1.0) < 1e-12
+        # the whole retained band of a grid, k up to ceil(log2 M) + 1
+        K = int(np.ceil(np.log2(grid16.max_mode))) + 1
+        total = sum(chi(k, grid16.modes) for k in range(K + 1))
+        assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_chi_support(self):
         # chi_k supported in 2^{k-1} <= |n| <= 2^{k+1}
@@ -119,18 +122,18 @@ class TestCutoffs:
             assert np.all(v[~inside] == 0.0)
 
     def test_chi_plateau_value(self):
-        assert eval_chi_psi(3, 8)[0] == pytest.approx(1.0, abs=1e-15)
+        assert float(chi(3, 8)) == pytest.approx(1.0, abs=1e-15)
 
     def test_evenness(self):
         for k in range(0, 7):
             for n in [1, 2, 5, 8, 33, 64]:
-                ck, pk = eval_chi_psi(k, n)
-                ckm, pkm = eval_chi_psi(k, -n)
+                ck, pk = float(chi(k, n)), float(psi(k, n))
+                ckm, pkm = float(chi(k, -n)), float(psi(k, -n))
                 assert ck == pytest.approx(ckm, abs=1e-15)
                 assert pk == pytest.approx(pkm, abs=1e-15)
 
     def test_outside_support_zero(self):
-        assert eval_chi_psi(2, 64) == (0.0, 0.0)
+        assert (float(chi(2, 64)), float(psi(2, 64))) == (0.0, 0.0)
 
     def test_psi_is_n_chi_prime(self):
         h = 1e-6
@@ -142,25 +145,6 @@ class TestCutoffs:
     def test_negative_k_rejected(self):
         with pytest.raises(ParameterError):
             chi(-1, 3)
-
-
-class TestCutoffFamily:
-    def test_tables_match_pointwise(self, grid16):
-        from mkdvlab.spectral import CutoffFamily
-
-        fam = CutoffFamily(grid16)
-        for k in range(0, fam.k_max() + 1):
-            assert np.allclose(fam.chi_table(k), chi(k, grid16.modes))
-            assert np.allclose(fam.psi_table(k), psi(k, grid16.modes))
-
-    def test_k_max_covers_band(self, grid16):
-        from mkdvlab.spectral import CutoffFamily
-
-        fam = CutoffFamily(grid16)
-        total = np.zeros(len(grid16.modes))
-        for k in range(0, fam.k_max() + 1):
-            total += fam.chi_table(k)
-        assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 class TestProjections:
