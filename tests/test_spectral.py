@@ -103,15 +103,11 @@ class TestCutoffs:
         num = (eta0(x + h) - eta0(x - h)) / (2 * h)
         assert np.max(np.abs(num - eta0_prime(x))) < 1e-5
 
-    def test_partition_of_unity(self, grid16):
+    def test_partition_of_unity(self):
         for n in [0, 1, 3, 17, 100, 4097, 10**6]:
             K = max(2, int(np.ceil(np.log2(max(n, 1)))) + 2)
             total = sum(chi(k, n) for k in range(K + 1))
             assert abs(total - 1.0) < 1e-12
-        # the whole retained band of a grid, k up to ceil(log2 M) + 1
-        K = int(np.ceil(np.log2(grid16.max_mode))) + 1
-        total = sum(chi(k, grid16.modes) for k in range(K + 1))
-        assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_chi_support(self):
         # chi_k supported in 2^{k-1} <= |n| <= 2^{k+1}
@@ -145,6 +141,15 @@ class TestCutoffs:
     def test_negative_k_rejected(self):
         with pytest.raises(ParameterError):
             chi(-1, 3)
+
+
+class TestCutoffFamily:
+    def test_k_max_covers_band(self, grid16):
+        # the family chi_0..chi_K over a grid's whole retained band,
+        # K = ceil(log2 M) + 1 the last annulus meeting |n| <= M
+        K = int(np.ceil(np.log2(grid16.max_mode))) + 1
+        total = sum(chi(k, grid16.modes) for k in range(K + 1))
+        assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 class TestProjections:
