@@ -466,7 +466,7 @@ def cmd_appendix_b(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_norms(cfg: ExperimentConfig, args) -> int:
-    from .shorttime import WeightTable, _tk_grid, fk_norm, fs_norm, modulation_decompose, nk_norm
+    from .shorttime import WeightTable, _tk_grid, _window_table, fk_norm, fs_norm, nk_norm
 
     t0 = time.perf_counter()
     grid = build_grid(cfg)
@@ -488,11 +488,12 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
         fk = fk_norm(traj, k, T, wt)
         nk = nk_norm(traj, k, T, wt)
         rows.append((k, fk, nk))
+        # shell masses of the middle window, from the table fk_norm built
         centers, _ = grids[k]
-        mid = centers[len(centers) // 2]
-        sh = modulation_decompose(traj, k, mid)
-        for j, m in sorted(sh.shells.items()):
-            shell_rows.append((k, float(mid), j, m))
+        c = len(centers) // 2
+        mass_sq, present = _window_table(traj, k, T)
+        for j in np.nonzero(present[c])[0]:
+            shell_rows.append((k, float(centers[c]), int(j), float(np.sqrt(mass_sq[0, c, j]))))
     fs = fs_norm(traj, s, T, wt)
     csv_path, man_path = _out_paths(cfg, "norms")
     write_csv(csv_path, ["k", "fk", "nk"], rows)

@@ -23,15 +23,17 @@ normalization (the 10i prefactors dropped):
     structure_tuple = (n * n_s * K_X * K_Y / phi_out) * v0^5 * E_t(phi_out+phi_in)
 
 All phases are exact integers (arbitrary precision), so resonant tuples are
-detected exactly.  The tuple sums run over one table of rows per call
-(`_QuinticTable`): legs and kernels as int64 arrays, phases as object arrays
-of exact ints, each oscillatory integral and mode sum one array pass.
+detected exactly.  The tuple sums run over one table per call
+(`_QuinticTable`), factored by (inner triple, outer pair): a pair's mode,
+amplitude, exact phases, E_t and I2 are formed once and broadcast over its
+slots and cubic terms.  Legs and kernels are int64 arrays, phases object
+arrays of exact ints, and each mode sum is one array pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,20 +63,18 @@ def _osc_single_array(phi: np.ndarray, t: float) -> np.ndarray:
     return val
 
 
-def _osc_double_array(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """I2(a, b, t) at every pair of exact phases (object or integer arrays)."""
+def _osc_double_array(a: np.ndarray, b: np.ndarray, ab: np.ndarray, t: float) -> np.ndarray:
+    """I2(a, b, t) at every pair of exact phases, given as the float64 values
+    of a, b and of their exact sum a + b."""
     out = np.empty(len(a), dtype=complex)
     b0 = b == 0
     both0 = b0 & (a == 0)
     out[both0] = 0.5 * t * t
     a_only = b0 & ~both0
-    af = a[a_only].astype(float)
+    af = a[a_only]
     eiat = np.exp(1j * af * t)
     out[a_only] = t * eiat / (1j * af) + (eiat - 1.0) / af**2
-    ga, gb = a[~b0], b[~b0]
-    out[~b0] = (
-        _osc_single_array((ga + gb).astype(float), t) - _osc_single_array(ga.astype(float), t)
-    ) / (1j * gb.astype(float))
+    out[~b0] = (_osc_single_array(ab[~b0], t) - _osc_single_array(a[~b0], t)) / (1j * b[~b0])
     return out
 
 
@@ -228,88 +228,85 @@ class QuinticTuple:
 _SLOT_ORDER = np.array([[2, 0, 1], [0, 2, 1], [0, 1, 2]])
 
 
+def _cells(a: np.ndarray) -> np.ndarray:
+    """A per-pair array as the (pairs, 1, 1, 1) leading axis of a cell array."""
+    return a.reshape(-1, 1, 1, 1)
+
+
 @dataclass(frozen=True)
 class _QuinticTable:
-    """Every row of the quintic walk as parallel arrays, in walk order: inner
-    triple (m1, m2, m3) over the sorted leaves, then outer legs la, lb, then
-    slot, outer term and inner term.
+    """The quintic walk factored by (inner triple, outer pair).
+
+    A pair is an inner triple (m1, m2, m3) in A3(n_slot) and outer legs
+    la, lb with (la, lb, n_slot) in A3(n), in walk order: triple over the
+    sorted leaves, then la, then lb.  It has one cell per (slot, outer term,
+    inner term); the value methods return (pairs, slots, outer terms, inner
+    terms) arrays, whose C-order flattening is the tuple walk.  Mode,
+    amplitude, exact phases, E_t and I2 are formed once per pair and
+    broadcast, in the operation order of one tuple at a time.
 
     Legs and kernels are int64 (|leg| <= 5 max|leaf|); the phases are object
-    arrays of exact Python ints, since n^5 overflows int64 once |n| > 6208.
+    arrays of exact Python ints, since n^5 overflows int64 once |n| > 6208,
+    and float() is taken of phi_out and of the exact phi_out + phi_in.
     """
 
-    n: np.ndarray          # output mode
-    outer: np.ndarray      # (rows, 3) outer legs, n_slot at position `slot`
-    slot: np.ndarray
-    inner: np.ndarray      # (rows, 3) inner legs, summing to n_slot
-    x_term: np.ndarray     # index into outer_terms
-    y_term: np.ndarray     # index into inner_terms
-    amp: np.ndarray        # product of the five data values
-    kernel_x: np.ndarray
-    kernel_y: np.ndarray
-    phi_out: np.ndarray
+    n: np.ndarray          # (pairs,) output mode
+    n_slot: np.ndarray     # (pairs,) output mode of the inner triple
+    la: np.ndarray         # (pairs,) the outer legs other than n_slot
+    lb: np.ndarray
+    triple: np.ndarray     # (pairs,) row of `inner`
+    inner: np.ndarray      # (triples, 3) inner legs
+    amp: np.ndarray        # (pairs,) product of the five data values
+    phi_out: np.ndarray    # (pairs,) exact ints
     phi_in: np.ndarray
+    phi_out_f: np.ndarray  # (pairs,) float(phi_out), float(phi_out + phi_in)
+    phi_sum_f: np.ndarray
+    outer: np.ndarray      # (pairs, slots, 3) outer legs, n_slot at its slot
+    kernel_x: np.ndarray   # (pairs, slots, outer terms, 1)
+    kernel_y: np.ndarray   # (pairs, 1, 1, inner terms)
+    slots: tuple
     outer_terms: tuple
     inner_terms: tuple
 
     def __len__(self) -> int:
         return len(self.n)
 
-    def take(self, rows) -> "_QuinticTable":
-        return replace(self, **{
-            f.name: getattr(self, f.name)[rows]
-            for f in fields(self) if f.name not in ("outer_terms", "inner_terms")
-        })
-
-    @property
-    def n_slot(self) -> np.ndarray:
-        return self.inner.sum(axis=1)
-
-    def leaves(self) -> np.ndarray:
-        """(rows, 5): the inner legs, then the two outer legs other than n_slot."""
-        other = np.arange(3) != self.slot[:, None]
-        return np.column_stack([self.inner, self.outer[other].reshape(-1, 2)])
-
-    def structure_values(self, t: float) -> np.ndarray:
-        """QuinticTuple.structure_value of every row (phi_out != 0 on all).
+    def structure_values(self, t: float, pairs) -> np.ndarray:
+        """QuinticTuple.structure_value of every cell of the selected pairs
+        (phi_out != 0 on all).
 
         The kernel product is formed in float64: a product has no
         cancellation, and n * n_slot * K_X * K_Y can exceed int64.
         """
-        k = (
-            self.n.astype(float) * self.n_slot * self.kernel_x * self.kernel_y
-            / self.phi_out.astype(float)
-        )
-        return k * self.amp * _osc_single_array((self.phi_out + self.phi_in).astype(float), t)
+        nn = _cells(self.n[pairs].astype(float) * self.n_slot[pairs])
+        k = nn * self.kernel_x[pairs] * self.kernel_y[pairs] / _cells(self.phi_out_f[pairs])
+        return k * _cells(self.amp[pairs]) * _cells(_osc_single_array(self.phi_sum_f[pairs], t))
 
-    def _physical_prefactor(self) -> np.ndarray:
-        return (10j * self.n) * (10j * self.n_slot) * self.kernel_x * self.kernel_y
+    def _physical_prefactor(self, pairs) -> np.ndarray:
+        c = _cells((10j * self.n[pairs]) * (10j * self.n_slot[pairs]))
+        return c * self.kernel_x[pairs] * self.kernel_y[pairs]
 
     def physical_values(self, t: float) -> np.ndarray:
-        """Exact delta^5 coefficient contribution of every row (constants
+        """Exact delta^5 coefficient contribution of every cell (constants
         kept), without the overall e^{i t mu(n)} prefactor."""
-        return self._physical_prefactor() * self.amp * _osc_double_array(self.phi_out, self.phi_in, t)
+        i2 = _osc_double_array(self.phi_out_f, self.phi_in.astype(float), self.phi_sum_f, t)
+        return self._physical_prefactor(slice(None)) * _cells(self.amp) * _cells(i2)
 
-    def normal_form_values(self, t: float) -> np.ndarray:
+    def normal_form_values(self, t: float, pairs) -> np.ndarray:
         """Boundary plus distributed piece of the integration by parts of
-        every row (phi_out != 0 on all)."""
-        a = self.phi_out.astype(float)
-        c = self._physical_prefactor()
-        boundary = (
-            c * self.amp * np.exp(1j * a * t)
-            * _osc_single_array(self.phi_in.astype(float), t) / (1j * a)
-        )
-        total = (self.phi_out + self.phi_in).astype(float)
-        distributed = -c * self.amp * _osc_single_array(total, t) / (1j * a)
+        every cell of the selected pairs (phi_out != 0 on all)."""
+        a = _cells(self.phi_out_f[pairs])
+        c = self._physical_prefactor(pairs)
+        amp = _cells(self.amp[pairs])
+        e_in = _cells(_osc_single_array(self.phi_in[pairs].astype(float), t))
+        boundary = c * amp * np.exp(1j * a * t) * e_in / (1j * a)
+        distributed = -c * amp * _cells(_osc_single_array(self.phi_sum_f[pairs], t)) / (1j * a)
         return boundary + distributed
 
 
-def _kernel_column(terms, which: np.ndarray, legs: np.ndarray) -> np.ndarray:
-    out = np.empty(len(which), dtype=np.int64)
-    for j, name in enumerate(terms):
-        sel = which == j
-        out[sel] = _CUBIC_KERNELS[name](*legs[sel].T)
-    return out
+def _kernel_columns(terms, legs: np.ndarray) -> np.ndarray:
+    """Each term's kernel at legs (..., 3), stacked on a last axis."""
+    return np.stack([_CUBIC_KERNELS[name](*np.moveaxis(legs, -1, 0)) for name in terms], axis=-1)
 
 
 def _exact_phases(triples: np.ndarray, mu: dict) -> np.ndarray:
@@ -322,8 +319,8 @@ def _exact_phases(triples: np.ndarray, mu: dict) -> np.ndarray:
 
 def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_terms,
                    slots) -> _QuinticTable:
-    """Build every (outer in A3(n), slot, inner in A3(n_slot)) row over the
-    leaves of support, for each outer and inner cubic term."""
+    """Build every (inner in A3(n_slot), outer pair) entry over the leaves of
+    support, with its cells for each slot, outer and inner cubic term."""
     leaves = sorted(support)
     vals = np.array([support[m] for m in leaves])
     legs = np.array(leaves, dtype=np.int64)
@@ -334,52 +331,46 @@ def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_t
     n_slot = inner.sum(axis=1)
     keep = np.all(inner != n_slot[:, None], axis=1)
     tri, inner, n_slot = tri[keep], inner[keep], n_slot[keep]
-    # rows: inner x la x lb x slot x outer term x inner term; C order is walk order
-    i, ia, ib, si, xi, yi = np.indices(
-        (len(tri), k, k, len(slots), len(outer_terms), len(inner_terms))
-    ).reshape(6, -1)
+    # pairs: inner x la x lb, outer in A3(n) whatever the slot; C order is walk order
+    i, ia, ib = np.indices((len(tri), k, k)).reshape(3, -1)
     base = np.stack([legs[ia], legs[ib], n_slot[i]], axis=1)
     n = base.sum(axis=1)
-    keep = np.all(base != n[:, None], axis=1)  # outer in A3(n), whatever the slot
-    i, ia, ib, si, xi, yi, base, n = (a[keep] for a in (i, ia, ib, si, xi, yi, base, n))
-    slot = np.asarray(slots, dtype=np.int64)[si]
-    outer = np.take_along_axis(base, _SLOT_ORDER[slot], axis=1)
+    keep = np.all(base != n[:, None], axis=1)
+    i, ia, ib, base, n = (a[keep] for a in (i, ia, ib, base, n))
+    outer = base[:, _SLOT_ORDER[list(slots)]]
     amp_in = vals[tri[:, 0]] * vals[tri[:, 1]] * vals[tri[:, 2]]
     # exact phases: mu once per distinct integer, phi_in once per inner
     # triple, phi_out once per distinct (la, lb, n_slot)
-    slot_vals, slot_of_row = np.unique(n_slot[i], return_inverse=True)
+    slot_vals, slot_of_pair = np.unique(n_slot[i], return_inverse=True)
     shape = (len(slot_vals), k, k)
-    keys, outer_of_row = np.unique(
-        np.ravel_multi_index((slot_of_row.reshape(-1), ia, ib), shape), return_inverse=True
+    keys, outer_of_pair = np.unique(
+        np.ravel_multi_index((slot_of_pair.reshape(-1), ia, ib), shape), return_inverse=True
     )
     key_slot, key_a, key_b = np.unravel_index(keys, shape)
     outer_keys = np.stack([legs[key_a], legs[key_b], slot_vals[key_slot]], axis=1)
     ints = np.unique(np.concatenate([legs, n_slot, outer_keys.sum(axis=1)])).tolist()
     mu = {m: dispersion_mu(m, spec.d1, spec.d2) for m in ints}
+    phi_out = _exact_phases(outer_keys, mu)[outer_of_pair.reshape(-1)]
+    phi_in = _exact_phases(inner, mu)[i]
     return _QuinticTable(
-        n=n, outer=outer, slot=slot, inner=inner[i], x_term=xi, y_term=yi,
+        n=n, n_slot=base[:, 2], la=base[:, 0], lb=base[:, 1], triple=i, inner=inner,
         amp=amp_in[i] * vals[ia] * vals[ib],
-        kernel_x=_kernel_column(outer_terms, xi, outer),
-        kernel_y=_kernel_column(inner_terms, yi, inner[i]),
-        phi_out=_exact_phases(outer_keys, mu)[outer_of_row.reshape(-1)],
-        phi_in=_exact_phases(inner, mu)[i],
-        outer_terms=tuple(outer_terms), inner_terms=tuple(inner_terms),
+        phi_out=phi_out, phi_in=phi_in,
+        phi_out_f=phi_out.astype(float), phi_sum_f=(phi_out + phi_in).astype(float),
+        outer=outer,
+        kernel_x=_kernel_columns(outer_terms, outer)[..., None],
+        kernel_y=_kernel_columns(inner_terms, inner)[i][:, None, None],
+        slots=tuple(slots), outer_terms=tuple(outer_terms), inner_terms=tuple(inner_terms),
     )
 
 
-def _off_resonance(tab: _QuinticTable) -> tuple:
-    """The rows with phi_out != 0, where the normal form applies, and the
-    count of the others."""
-    live = tab.phi_out != 0
-    skipped = int(np.count_nonzero(~live))
-    return (tab.take(live) if skipped else tab), skipped
-
-
 def _sum_by_mode(n: np.ndarray, v: np.ndarray) -> dict:
-    """{mode: sum of v over its rows}, modes in order of first appearance and
-    each sum accumulated in row order, as a dict filled row by row holds them."""
+    """{mode: sum of v over its cells}, for v whose leading axis follows n:
+    modes in order of first appearance and each sum accumulated in C order,
+    as a dict filled cell by cell holds them."""
     modes, first, inv = np.unique(n, return_index=True, return_inverse=True)
-    inv = inv.reshape(-1)
+    inv = np.broadcast_to(inv.reshape((-1,) + (1,) * (v.ndim - 1)), v.shape).ravel()
+    v = v.ravel()
     re = np.bincount(inv, weights=v.real, minlength=len(modes))
     im = np.bincount(inv, weights=v.imag, minlength=len(modes))
     return {int(modes[j]): complex(re[j], im[j]) for j in np.argsort(first)}
@@ -398,18 +389,12 @@ def m0_tuple(spec: CounterexampleSpec) -> QuinticTuple:
         raise ConfigurationError("m0 is defined for the C5 variant")
     support = counterexample_support(spec)
     N = spec.N
-    inner = (-2, 1, N)
-    outer = (2, -1, N - 1)
-    n = N
-    amp = (
-        support[2] * support[-1] * support[-2] * support[1] * support[N]
-    )
-    phi_out = _phi3(n, outer, spec)
-    phi_in = _phi3(N - 1, inner, spec)
+    inner, outer = (-2, 1, N), (2, -1, N - 1)
+    amp = support[2] * support[-1] * support[-2] * support[1] * support[N]
     return QuinticTuple(
-        n, outer, M0_SLOT, inner, "cubic2", "cubic2", amp,
+        N, outer, M0_SLOT, inner, "cubic2", "cubic2", amp,
         _CUBIC_KERNELS["cubic2"](*outer), _CUBIC_KERNELS["cubic2"](*inner),
-        phi_out, phi_in,
+        _phi3(N, outer, spec), _phi3(N - 1, inner, spec),
     )
 
 
@@ -434,19 +419,24 @@ def eval_d_full(spec: CounterexampleSpec) -> dict:
     tab = _quintic_table(
         counterexample_support(spec), spec, ("cubic2",), ("cubic2",), (M0_SLOT,)
     )
-    return _d_full_report(tab, spec)
+    live = tab.phi_out != 0
+    return _d_full_report(tab, spec, live, tab.structure_values(spec.t, live)[:, 0, 0, 0])
 
 
-def _d_full_report(tab: _QuinticTable, spec: CounterexampleSpec) -> dict:
-    """eval_d_full from a table holding exactly the D rows."""
-    tab, skipped = _off_resonance(tab)
-    v = tab.structure_values(spec.t)
-    field_vals = _sum_by_mode(tab.n, v)
+def _d_full_report(tab: _QuinticTable, spec: CounterexampleSpec, live: np.ndarray,
+                   v: np.ndarray) -> dict:
+    """eval_d_full from v, the D value of each pair of tab with phi_out != 0
+    (the pairs flagged in live); each other pair is one skipped tuple."""
+    skipped = int(np.count_nonzero(~live))
+    n = tab.n[live]
+    field_vals = _sum_by_mode(n, v)
     d0 = eval_d0(spec)
     m0 = m0_tuple(spec)
     weight_N = (1.0 + spec.N**2) ** (spec.s / 2.0)
-    is_m0 = np.all(tab.outer == m0.outer, axis=1) & np.all(tab.inner == m0.inner, axis=1)
-    at_N = (tab.n == spec.N) & ~is_m0
+    outer = tab.outer[live, tab.slots.index(M0_SLOT)]
+    inner = tab.inner[tab.triple[live]]
+    is_m0 = np.all(outer == m0.outer, axis=1) & np.all(inner == m0.inner, axis=1)
+    at_N = (n == spec.N) & ~is_m0
     moduli_at_N = sum((weight_N * np.abs(v[at_N])).tolist(), 0.0)
     d0_hsnorm = weight_N * abs(d0)
     hs_norm = hs_norm_of_map(field_vals, spec.s)
@@ -498,17 +488,21 @@ def eval_appendix_terms(spec: CounterexampleSpec, restricted: bool = False) -> N
     tab = _quintic_table(
         counterexample_support(spec), spec, ("cubic2",), ("cubic2", "cubic3"), (0, 1, 2)
     )
-    d_rows = (tab.slot == M0_SLOT) & (tab.y_term == 0)  # the D term itself
-    dfull = _d_full_report(tab.take(d_rows), spec)
-    rest = ~d_rows
+    live = tab.phi_out != 0
+    v = tab.structure_values(spec.t, live)
+    dfull = _d_full_report(tab, spec, live, v[:, M0_SLOT, 0, 0])  # the D term itself
+    rest = np.ones(len(tab), dtype=bool)
     if restricted:
-        rest &= np.all(np.isin(tab.leaves(), (1, spec.N)), axis=1)
-    tab, skipped = _off_resonance(tab.take(rest))
-    v = tab.structure_values(spec.t)
-    norms = {}
-    for name, (slot, y) in _APPENDIX_TERMS.items():
-        sel = (tab.slot == slot) & (tab.y_term == y)
-        norms[name] = hs_norm_of_map(_sum_by_mode(tab.n[sel], v[sel]), spec.s)
+        leaves = np.column_stack([tab.inner[tab.triple], tab.la, tab.lb])
+        rest = np.all(np.isin(leaves, (1, spec.N)), axis=1)
+    # every cell but D's is one term of _APPENDIX_TERMS
+    skipped = int(np.count_nonzero(rest & ~live)) * len(_APPENDIX_TERMS)
+    keep = rest[live]
+    n = tab.n[live][keep]
+    norms = {
+        name: hs_norm_of_map(_sum_by_mode(n, v[keep, slot, 0, y]), spec.s)
+        for name, (slot, y) in _APPENDIX_TERMS.items()
+    }
     return NormalFormTermReport(
         N=spec.N,
         s=spec.s,
@@ -624,14 +618,10 @@ def growth_experiment(Ns, s: float, t: float, variant: str = "C5", d1: int = 0, 
             row = GrowthRow(int(N), s, t, d0n, d0n / (t * N**2), 0, 0, 0, 0, 0, float("nan"))
         logs.append((math.log(N), math.log(d0n)))
         if len(logs) >= 2:
-            xs = np.array([a for a, _ in logs])
-            ys = np.array([b for _, b in logs])
-            row.slope_running = float(np.polyfit(xs, ys, 1)[0])
+            row.slope_running = float(np.polyfit(*np.array(logs).T, 1)[0])
         rows.append(row)
-    xs = np.array([math.log(r.N) for r in rows])
-    ys = np.array([math.log(r.d0_norm) for r in rows])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(rows) >= 2 else float("nan")
-    return rows, slope
+    # the fit over every N is the last running one
+    return rows, rows[-1].slope_running if rows else float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -648,35 +638,38 @@ def fifth_derivative_direct(
     evolved states.
     """
     t = spec.t
-    out: dict = {}
-    cubics = []
-    if flow.cubic2:
-        cubics.append("cubic2")
-    if flow.cubic3:
-        cubics.append("cubic3")
+    cubics = [name for name in ("cubic2", "cubic3") if getattr(flow, name)]
+    parts = []  # (mode, value) of every nonresonant tuple, in walk order
     if cubics:
         tab = _quintic_table(support, spec, tuple(cubics), tuple(cubics), (0, 1, 2))
-        out = _sum_by_mode(tab.n, tab.physical_values(t))
+        v = tab.physical_values(t)
+        parts.append((np.broadcast_to(_cells(tab.n), v.shape).ravel(), v.ravel()))
     if flow.quintic:
-        leaves = sorted(support)
-        for i1 in leaves:
-            for i2 in leaves:
-                for i3 in leaves:
-                    for i4 in leaves:
-                        for i5 in leaves:
-                            tup = (i1, i2, i3, i4, i5)
-                            n = sum(tup)
-                            if any(m == n for m in tup):
-                                continue
-                            phi = -_mu(n, spec) + sum(_mu(m, spec) for m in tup)
-                            amp = 1.0
-                            for m in tup:
-                                amp *= support[m]
-                            out[n] = out.get(n, 0.0) + (6j * n) * amp * osc_single(phi, t)
+        parts.append(_quintic_term_cells(support, spec))
+    out = _sum_by_mode(*map(np.concatenate, zip(*parts))) if parts else {}
     if flow.resonant_cubic:
         _add_resonant_fifth(out, support, spec, cubics)
     # attach the linear phase
     return {n: v * np.exp(1j * float(_mu(n, spec)) * t) for n, v in out.items()}
+
+
+def _quintic_term_cells(support, spec) -> tuple:
+    """Output mode n and delta^5 coefficient 6i n * v0^5 * E_t(phi) (without
+    e^{i t mu(n)}) of every quintuple in A5(n) over the sorted leaves, in
+    walk order."""
+    leaves = sorted(support)
+    vals = np.array([support[m] for m in leaves])
+    legs = np.array(leaves, dtype=np.int64)
+    idx = np.indices((len(leaves),) * 5).reshape(5, -1)
+    n = legs[idx].sum(axis=0)
+    keep = np.all(legs[idx] != n, axis=0)
+    idx, n = idx[:, keep], n[keep]
+    # exact phases, mu once per distinct integer
+    ints, pos = np.unique(np.concatenate([legs, n]), return_inverse=True)
+    mu = np.array([dispersion_mu(m, spec.d1, spec.d2) for m in ints.tolist()], dtype=object)
+    phi = -mu[pos[len(legs):]] + mu[pos[:len(legs)]][idx].sum(axis=0)
+    amp = vals[idx[0]] * vals[idx[1]] * vals[idx[2]] * vals[idx[3]] * vals[idx[4]]
+    return n, (6j * n) * amp * _osc_single_array(phi.astype(float), spec.t)
 
 
 def _add_resonant_fifth(out, support, spec, cubics):
@@ -690,10 +683,7 @@ def _add_resonant_fifth(out, support, spec, cubics):
         w3_amp = (-20j * n0**3) * a * a * np.conj(a)
         for la in support:
             for lb in support:
-                for slot in (0, 1, 2):
-                    outer = [la, lb]
-                    outer.insert(slot, n0)
-                    outer = tuple(outer)
+                for outer in ((n0, la, lb), (la, n0, lb), (la, lb, n0)):
                     n = la + lb + n0
                     if not _a3_ok(n, outer):
                         continue
@@ -717,11 +707,12 @@ def t2_duhamel_fifth(
     t = spec.t
     tab = _quintic_table(support, spec, ("cubic2",), tuple(inner_terms), (0, 1, 2))
     if route == "direct":
-        v, skipped = tab.physical_values(t), 0
+        n, v, skipped = tab.n, tab.physical_values(t), 0
     else:
-        tab, skipped = _off_resonance(tab)
-        v = tab.normal_form_values(t)
-    out = _sum_by_mode(tab.n, v)
+        live = tab.phi_out != 0
+        n, v = tab.n[live], tab.normal_form_values(t, live)
+        skipped = int(np.count_nonzero(~live)) * math.prod(v.shape[1:])
+    out = _sum_by_mode(n, v)
     out = {n: v * np.exp(1j * float(_mu(n, spec)) * t) for n, v in out.items()}
     return out, skipped
 

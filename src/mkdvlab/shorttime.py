@@ -140,7 +140,8 @@ def _czt_rows(x: np.ndarray, L: int) -> np.ndarray:
 
 def _window_masses(traj, k, centers, dt, m_lo, lengths):
     """Squared shell masses mass_sq[w, c, j] of every window centre at once,
-    the shells any FFT bin falls in, and the squared window L^2(dt) norms.
+    present[c, j] (some FFT bin of window c falls in shell j), and the
+    squared window L^2(dt) norms.
     One transform G per window; P = |G|^2 summed over the band (w = 0, X_k),
     divided by tau^2 + 16^k (w = 1, the N_k resolvent) or weighted by
     chi_k(n)^2 (w = 2, the F^s block).  A zero-extended window transforms
@@ -150,7 +151,7 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     chik = chi(k, traj.grid.modes)
     band = np.nonzero(chik)[0]
     if band.size == 0:
-        return np.zeros((3, n_c, 0)), np.zeros(0, dtype=bool), np.zeros(n_c)
+        return np.zeros((3, n_c, 0)), np.zeros((n_c, 0), dtype=bool), np.zeros(n_c)
     mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[band]
     t_rec = traj.times[0] + np.arange(n_rec) * dt
     demod = traj.states[:, band] * np.exp(-1j * np.outer(t_rec, mu))
@@ -161,11 +162,11 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
         bins[L] = (taus, _shell_index(np.abs(taus)))
     n_shells = 1 + max(int(shell_of.max()) for _, shell_of in bins.values())
     mass_sq = np.zeros((3, n_c, n_shells))
-    present = np.zeros(n_shells, dtype=bool)
+    present = np.zeros((n_c, n_shells), dtype=bool)
     l2_sq = np.zeros(n_c)
     for L, (taus, shell_of) in bins.items():
-        present[shell_of] = True
         same = np.nonzero(lengths == L)[0]
+        present[same] |= np.bincount(shell_of, minlength=n_shells) > 0
         chunk = max(1, _BATCH_ELEMENTS // (L * band.size))
         for c in (same[i:i + chunk] for i in range(0, len(same), chunk)):
             first = np.maximum(m_lo[c], 0)
@@ -195,7 +196,7 @@ def modulation_decompose(traj: Trajectory, k: int, t_k: float) -> ModulationShel
     mass_sq, present, l2_sq = _window_masses(traj, k, centers, dt, m_lo, lengths)
     n = int(lengths[0])
     zero_extended = bool(m_lo[0] < 0 or m_lo[0] + n > len(traj.times))
-    shells = {int(j): float(np.sqrt(mass_sq[0, 0, j])) for j in np.nonzero(present)[0]}
+    shells = {int(j): float(np.sqrt(mass_sq[0, 0, j])) for j in np.nonzero(present[0])[0]}
     return ModulationShellSet(k, t_k, shells, float(np.sqrt(l2_sq[0])), n, dt, zero_extended)
 
 
@@ -224,15 +225,20 @@ def _tk_grid(traj: Trajectory, k: int, T: float):
     return np.array([0.5 * (t0 + t1)]), True
 
 
-def _xk_sup(traj, k, T, wt, weighting) -> float:
-    """sup over the t_k grid of the X_k sum of one weighting (0: F_k, 1: N_k,
-    2: F^s block) of the window table, memoized on the trajectory per (k, T)."""
+def _window_table(traj: Trajectory, k: int, T: float) -> tuple:
+    """_window_masses' (mass_sq, present) of the t_k grid, memoized per (k, T)."""
     key = (k, float(T))
     if key not in traj.window_tables:
         centers, _ = _tk_grid(traj, k, T)
         dt, m_lo, lengths = _window_starts(traj, k, centers)
-        traj.window_tables[key] = _window_masses(traj, k, centers, dt, m_lo, lengths)[0]
-    mass_sq = traj.window_tables[key][weighting]
+        traj.window_tables[key] = _window_masses(traj, k, centers, dt, m_lo, lengths)[:2]
+    return traj.window_tables[key]
+
+
+def _xk_sup(traj, k, T, wt, weighting) -> float:
+    """sup over the t_k grid of the X_k sum of one weighting (0: F_k, 1: N_k,
+    2: F^s block) of the window table."""
+    mass_sq = _window_table(traj, k, T)[0][weighting]
     if wt is None:
         wt = WeightTable()
     coef = np.array([2.0 ** (j / 2.0) * wt.beta(j, k) for j in range(mass_sq.shape[1])])

@@ -432,10 +432,108 @@ def t2_duhamel_fifth_oracle(support, spec, inner_terms=("cubic2",), route="direc
     return _with_linear_phase(out, spec), skipped
 
 
-def fifth_derivative_cubic_oracle(support, spec, cubics):
+def fifth_derivative_nonresonant_oracle(support, spec, cubics, quintic=False):
     """fifth_derivative_direct of a flow holding only the given nonresonant
-    cubics, summed tuple by tuple."""
+    cubics and, if quintic, the quintic term 6i n sum v^5, summed tuple by
+    tuple: the cubic tuples, then every quintuple of leaves."""
+    from mkdvlab.illposed import _mu, osc_single
+
     out = {}
     for tup in iter_quintic_tuples_oracle(support, spec, tuple(cubics), tuple(cubics)):
         out[tup.n] = out.get(tup.n, 0.0) + physical_value_oracle(tup, spec.t)
+    leaves = sorted(support) if quintic else []
+    for i1 in leaves:
+        for i2 in leaves:
+            for i3 in leaves:
+                for i4 in leaves:
+                    for i5 in leaves:
+                        tup = (i1, i2, i3, i4, i5)
+                        n = sum(tup)
+                        if any(m == n for m in tup):
+                            continue
+                        phi = -_mu(n, spec) + sum(_mu(m, spec) for m in tup)
+                        amp = 1.0
+                        for m in tup:
+                            amp *= support[m]
+                        out[n] = out.get(n, 0.0) + (6j * n) * amp * osc_single(phi, spec.t)
     return _with_linear_phase(out, spec)
+
+
+# ---------------------------------------------------------------------------
+# delta^5 coefficient by quadrature of the Duhamel iterates (no closed-form
+# time integrals): the reference for the resonant-cubic pieces
+# ---------------------------------------------------------------------------
+
+_RENORMALIZED_CUBIC_KERNELS = {"cubic2": lambda a, b, d: d * d, "cubic3": lambda a, b, d: b * d}
+
+
+def _cubic_nonlinearity(x, y, z, cubics):
+    """10i n sum_{m1+m2+m3=n, every m != n} K(m1, m2, m3) x(m1) y(m2) z(m3)
+    over the given cubics' kernels, for dicts mode -> array of node values."""
+    out = {}
+    for m1, a in x.items():
+        for m2, b in y.items():
+            for m3, c in z.items():
+                n = m1 + m2 + m3
+                if n in (m1, m2, m3):
+                    continue
+                k = sum(_RENORMALIZED_CUBIC_KERNELS[name](m1, m2, m3) for name in cubics)
+                if k:
+                    out[n] = out.get(n, 0.0) + (10j * n * k) * a * b * c
+    return out
+
+
+def _add_into(out, terms):
+    for n, v in terms.items():
+        out[n] = out.get(n, 0.0) + v
+
+
+def fifth_derivative_quadrature_oracle(support, spec, cubics, nodes=64):
+    """delta^5 coefficient, with e^{i t mu(n)}, of the renormalized flow
+    holding the resonant cubic -20i n^3 |v(n)|^2 v(n) and the given
+    nonresonant cubics, from Gauss-Legendre quadrature of its Duhamel
+    iterates.  With v = e^{i t mu} f, v1(s) = e^{i s mu} a and N3 the cubic
+    nonlinearity,
+
+        f3(s) = int_0^s e^{-i s' mu} N3(v1(s')) ds',
+        f5(t) = int_0^t e^{-i s mu} DN3(v1(s))[e^{i s mu} f3(s)] ds,
+
+    where DN3(v)[w] is the derivative of N3 at v in the direction w (the
+    conjugate in |v|^2 differentiated as such).  Each outer node s carries
+    its own rule of the same order on [0, s]."""
+    from mkdvlab.equations import dispersion_mu
+
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t = spec.t
+    s = 0.5 * t * (x + 1.0)
+    ws = 0.5 * t * w
+    inner_s = 0.5 * s[:, None] * (x + 1.0)
+    inner_w = 0.5 * s[:, None] * w
+
+    def mu(n):
+        return float(dispersion_mu(n, spec.d1, spec.d2))
+
+    def resonant(n, v):
+        return -20j * n**3 * v * v * np.conj(v)
+
+    # f3 at every outer node, from N3 at its inner nodes
+    v1 = {m: np.exp(1j * mu(m) * inner_s) * a for m, a in support.items()}
+    n3 = _cubic_nonlinearity(v1, v1, v1, cubics)
+    _add_into(n3, {m: resonant(m, v) for m, v in v1.items()})
+    f3 = {n: np.sum(inner_w * np.exp(-1j * mu(n) * inner_s) * v, axis=1) for n, v in n3.items()}
+
+    # DN3(v1)[v3] at the outer nodes
+    v1 = {m: np.exp(1j * mu(m) * s) * a for m, a in support.items()}
+    v3 = {n: np.exp(1j * mu(n) * s) * f for n, f in f3.items()}
+    d5 = {}
+    for args in ((v3, v1, v1), (v1, v3, v1), (v1, v1, v3)):
+        _add_into(d5, _cubic_nonlinearity(*args, cubics))
+    for n, v in v1.items():
+        if n in v3:
+            d5[n] = d5.get(n, 0.0) - 20j * n**3 * (
+                2.0 * v * np.conj(v) * v3[n] + v * v * np.conj(v3[n])
+            )
+    return {
+        n: np.exp(1j * mu(n) * t) * np.sum(ws * np.exp(-1j * mu(n) * s) * v)
+        for n, v in d5.items()
+    }

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from mkdvlab import cli
 from mkdvlab.equations import EquationParams, derive_gauge_params
 from mkdvlab.integrate import StepControl, default_dt, evolve
 from mkdvlab.invariants import drift_report
@@ -36,6 +37,7 @@ def fft_calls(monkeypatch):
         fn(*args)
         return counter["n"]
 
+    calls.counter = counter
     return calls
 
 
@@ -112,6 +114,25 @@ def test_one_window_transform_per_k(fft_calls, norms_traj, ks):
     traj = dataclasses.replace(norms_traj)
     assert fft_calls(all_norms, traj, ks) == alone
     assert fft_calls(all_norms, traj, ks) == 0
+
+
+def test_norms_run_transforms_only_its_norms(fft_calls, monkeypatch, tmp_path):
+    # the shell CSV reads the window table that fk_norm built: after its
+    # evolve, a `norms` run makes exactly the calls of the three norms alone
+    trajs = []
+
+    def evolve_then_count(*args, **kwargs):
+        trajs.append(evolve(*args, **kwargs))
+        fft_calls.counter["n"] = 0
+        return trajs[-1]
+
+    monkeypatch.setattr(cli, "evolve", evolve_then_count)
+    args = ["norms", "--set", "grid.max_mode=16", "--set", f"time.T={NORMS_T}"]
+    assert cli.main(args + ["--out", str(tmp_path)]) == 0
+    run = fft_calls.counter["n"]
+    (traj,) = trajs
+    assert [_tk_grid(traj, k, NORMS_T)[1] for k in range(5)] == [True] * 4 + [False]
+    assert run == fft_calls(all_norms, dataclasses.replace(traj), range(1, 5)) > 0
 
 
 def test_trajectory_arrays_read_only(norms_traj):

@@ -5,14 +5,18 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from datetime import timedelta
 
 import numpy as np
 import pytest
 import scipy.integrate as si
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     eval_appendix_terms_oracle,
     eval_d_full_oracle,
-    fifth_derivative_cubic_oracle,
+    fifth_derivative_nonresonant_oracle,
+    fifth_derivative_quadrature_oracle,
     iter_quintic_tuples_oracle,
     t2_duhamel_fifth_oracle,
 )
@@ -170,9 +174,9 @@ class TestDFull:
         # every outer tuple of the walker lies in the enumerated A3 sets
         spec = CounterexampleSpec(N=8, s=1.0, t=1e-3)
         supp = counterexample_support(spec)
-        tab = _quintic_table(supp, spec, ("cubic2",), ("cubic2",), (2,))
+        rows = table_rows(_quintic_table(supp, spec, ("cubic2",), ("cubic2",), (2,)))
         from_enum = {}
-        for n, outer in zip(tab.n.tolist(), map(tuple, tab.outer.tolist())):
+        for n, outer in zip(rows["n"].tolist(), map(tuple, rows["outer"].tolist())):
             if abs(n) <= 12 and max(abs(m) for m in outer) <= 12:
                 if n not in from_enum:
                     from_enum[n] = {(t3.n1, t3.n2, t3.n3) for t3 in enumerate_n3(n, 12)}
@@ -279,6 +283,24 @@ class TestNormalFormConsistency:
         assert gap < 1e-12 * scale
 
 
+class TestResonantCubicPieces:
+    """The delta^5 pieces that pair the resonant cubic with a nonresonant
+    cubic (resonant outer term over a nonresonant w3, and nonresonant outer
+    term over the resonant w3), against quadrature of the Duhamel iterates."""
+
+    @pytest.mark.parametrize("cubic", ["cubic2", "cubic3"])
+    def test_with_one_nonresonant_cubic(self, cubic):
+        spec = CounterexampleSpec(N=8, s=1.0, t=2e-6)
+        supp = symmetrized_support(counterexample_support(spec))
+        flow = RenormalizedTerms(True, cubic == "cubic2", cubic == "cubic3", False)
+        got = fifth_derivative_direct(supp, spec, flow)
+        want = fifth_derivative_quadrature_oracle(supp, spec, (cubic,), nodes=96)
+        assert set(got) == set(want)
+        scale = max(abs(v) for v in want.values())
+        for n, v in want.items():
+            assert abs(got[n] - v) <= 1e-10 * scale
+
+
 class TestNumericFifthDerivative:
     def test_linear_flow_higher_derivatives_vanish(self):
         grid = GridSpec(16)
@@ -358,6 +380,71 @@ def assert_reports_close(got: dict, want: dict):
             assert got[key] == pytest.approx(v, rel=REL, abs=0.0), key
 
 
+def table_rows(tab):
+    """The factored table flattened to one row per tuple, in C order of
+    (pair, slot, outer term, inner term), with the pair of each row."""
+    shape = (len(tab), len(tab.slots), len(tab.outer_terms), len(tab.inner_terms))
+    pair, si, xi, yi = np.indices(shape).reshape(4, -1)
+    return {
+        "pair": pair,
+        "n": tab.n[pair],
+        "outer": tab.outer[pair, si],
+        "slot": np.asarray(tab.slots)[si],
+        "inner": tab.inner[tab.triple[pair]],
+        "x_term": [tab.outer_terms[x] for x in xi],
+        "y_term": [tab.inner_terms[y] for y in yi],
+        "amp": tab.amp[pair],
+        "kernel_x": tab.kernel_x[pair, si, xi, 0],
+        "kernel_y": tab.kernel_y[pair, 0, 0, yi],
+        "phi_out": tab.phi_out[pair],
+        "phi_in": tab.phi_in[pair],
+    }
+
+
+def assert_rows_match_walk(tab, walk):
+    rows = table_rows(tab)
+    assert len(rows["n"]) == len(walk) > 0
+    assert rows["n"].tolist() == [w.n for w in walk]
+    assert list(map(tuple, rows["outer"].tolist())) == [w.outer for w in walk]
+    assert rows["slot"].tolist() == [w.slot for w in walk]
+    assert list(map(tuple, rows["inner"].tolist())) == [w.inner for w in walk]
+    assert rows["x_term"] == [w.x_term for w in walk]
+    assert rows["y_term"] == [w.y_term for w in walk]
+    assert rows["amp"].tolist() == [w.amp for w in walk]
+    assert rows["kernel_x"].tolist() == [w.kernel_x for w in walk]
+    assert rows["kernel_y"].tolist() == [w.kernel_y for w in walk]
+    assert rows["phi_out"].tolist() == [w.phi_out for w in walk]
+    assert rows["phi_in"].tolist() == [w.phi_in for w in walk]
+
+
+@st.composite
+def random_supports(draw):
+    """3-6 distinct leaves in [-12, 12] with complex amplitudes whose parts
+    are multiples of 1/4, so that every product of five is exact: numpy's
+    array and scalar complex products may round differently."""
+    leaves = draw(st.lists(st.integers(-12, 12), min_size=3, max_size=6, unique=True))
+    part = st.integers(-8, 8).map(lambda q: q / 4)
+    return {m: complex(draw(part), draw(part)) for m in leaves}
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
+@given(
+    support=random_supports(),
+    d1=st.sampled_from([0, 3, -30]),
+    slots=st.sampled_from([(0, 1, 2), (2, 0), (1,)]),
+    terms=st.sampled_from([
+        (("cubic2",), ("cubic2", "cubic3")), (("cubic2", "cubic3"), ("cubic3",)),
+    ]),
+)
+def test_factored_table_matches_walk(support, d1, slots, terms):
+    spec = CounterexampleSpec(N=8, s=1.0, t=1e-4, d1=d1)
+    walk = list(iter_quintic_tuples_oracle(support, spec, *terms, slots=slots))
+    if walk:
+        assert_rows_match_walk(_quintic_table(support, spec, *terms, slots), walk)
+    else:
+        assert len(_quintic_table(support, spec, *terms, slots)) == 0
+
+
 class TestTupleTableMatchesOracle:
     """The tuple table against the per-tuple walker of tests/oracles.py."""
 
@@ -373,19 +460,23 @@ class TestTupleTableMatchesOracle:
         ]
         for leaves, walk_kw, *terms in cases:
             walk = list(iter_quintic_tuples_oracle(supp, spec, *terms, **walk_kw))
-            tab = _quintic_table(leaves, spec, *terms)
-            assert len(tab) == len(walk) > 0
-            assert tab.n.tolist() == [w.n for w in walk]
-            assert list(map(tuple, tab.outer.tolist())) == [w.outer for w in walk]
-            assert tab.slot.tolist() == [w.slot for w in walk]
-            assert list(map(tuple, tab.inner.tolist())) == [w.inner for w in walk]
-            assert [tab.outer_terms[x] for x in tab.x_term] == [w.x_term for w in walk]
-            assert [tab.inner_terms[y] for y in tab.y_term] == [w.y_term for w in walk]
-            assert tab.amp.tolist() == [w.amp for w in walk]
-            assert tab.kernel_x.tolist() == [w.kernel_x for w in walk]
-            assert tab.kernel_y.tolist() == [w.kernel_y for w in walk]
-            assert tab.phi_out.tolist() == [w.phi_out for w in walk]
-            assert tab.phi_in.tolist() == [w.phi_in for w in walk]
+            assert_rows_match_walk(_quintic_table(leaves, spec, *terms), walk)
+
+    def test_one_exact_phase_sum_per_pair(self):
+        # every tuple of a pair shares its exact phi_out and phi_in, and the
+        # pair's floats are those of phi_out and of the exact phi_out + phi_in
+        spec = CounterexampleSpec(N=4096, s=1.0, t=1e-4)
+        supp = counterexample_support(spec)
+        tab = _quintic_table(supp, spec, ("cubic2",), ("cubic2", "cubic3"), (0, 1, 2))
+        walk = list(iter_quintic_tuples_oracle(supp, spec))
+        pair = table_rows(tab)["pair"]
+        for p, w in zip(pair.tolist(), walk):
+            assert (w.phi_out, w.phi_in) == (tab.phi_out[p], tab.phi_in[p])
+        exact = tab.phi_out + tab.phi_in
+        assert tab.phi_sum_f.tolist() == [float(v) for v in exact]
+        assert tab.phi_out_f.tolist() == [float(v) for v in tab.phi_out]
+        # at this N the float sum of the two phases would round differently
+        assert np.any(tab.phi_sum_f != tab.phi_out_f + tab.phi_in.astype(float))
 
     @pytest.mark.parametrize("d1", [0, 3, -30])
     @pytest.mark.parametrize("restricted", [False, True])
@@ -417,7 +508,22 @@ class TestTupleTableMatchesOracle:
         flow = RenormalizedTerms(False, "cubic2" in cubics, "cubic3" in cubics, False)
         for supp in (counterexample_support(spec), COMPLEX_SUPPORT):
             got = fifth_derivative_direct(supp, spec, flow)
-            assert_fields_close(got, fifth_derivative_cubic_oracle(supp, spec, cubics))
+            assert_fields_close(got, fifth_derivative_nonresonant_oracle(supp, spec, cubics))
+
+    @pytest.mark.parametrize("d1", [0, -30])
+    def test_fifth_derivative_direct_quintic(self, d1):
+        # the k^5 quintuples as one array pass, against the loop: bitwise on
+        # the symmetrized N = 8 support, and summed after the cubic tuples
+        spec = CounterexampleSpec(N=8, s=1.0, t=5e-4, d1=d1)
+        supp = symmetrized_support(counterexample_support(spec))
+        got = fifth_derivative_direct(supp, spec, RenormalizedTerms(False, False, False, True))
+        want = fifth_derivative_nonresonant_oracle(supp, spec, (), quintic=True)
+        assert_fields_close(got, want)
+        assert got == want
+        flow = RenormalizedTerms(False, True, True, True)
+        want = fifth_derivative_nonresonant_oracle(
+            COMPLEX_SUPPORT, spec, ("cubic2", "cubic3"), quintic=True)
+        assert_fields_close(fifth_derivative_direct(COMPLEX_SUPPORT, spec, flow), want)
 
     def test_phases_beyond_int64(self):
         # |n| reaches 5N = 20480 and 20480^5 ~ 3.6e21 does not fit in int64:
@@ -425,15 +531,18 @@ class TestTupleTableMatchesOracle:
         spec = CounterexampleSpec(N=4096, s=1.0, t=1e-4)
         supp = counterexample_support(spec)
         tab = _quintic_table(supp, spec, ("cubic2",), ("cubic2", "cubic3"), (0, 1, 2))
+        rows = table_rows(tab)
         walk = list(iter_quintic_tuples_oracle(supp, spec))
-        phases = tab.phi_out.tolist() + tab.phi_in.tolist()
+        phases = rows["phi_out"].tolist() + rows["phi_in"].tolist()
         assert all(type(p) is int for p in phases)
         assert phases == [t.phi_out for t in walk] + [t.phi_in for t in walk]
         big = [r for r, t in enumerate(walk) if t.phi_out != 0 and abs(t.phi_out + t.phi_in) > 2**63]
         assert big
+        live = tab.phi_out != 0
+        values = np.zeros(len(walk), dtype=complex)
+        values[live[rows["pair"]]] = tab.structure_values(spec.t, live).ravel()
         np.testing.assert_allclose(
-            tab.take(big).structure_values(spec.t),
-            [walk[r].structure_value(spec.t) for r in big], rtol=REL, atol=0,
+            values[big], [walk[r].structure_value(spec.t) for r in big], rtol=REL, atol=0,
         )
         assert_reports_close(asdict(eval_appendix_terms(spec)),
                              asdict(eval_appendix_terms_oracle(spec)))
