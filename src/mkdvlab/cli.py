@@ -378,8 +378,7 @@ def cmd_resonance_enum(cfg: ExperimentConfig, args) -> int:
 def cmd_resonance_identity(cfg: ExperimentConfig, args) -> int:
     from fractions import Fraction
 
-    from .equations import dispersion_mu
-    from .resonance import resonance_g, resonance_h
+    from .resonance import phi_cubic, resonance_g, resonance_h
 
     t0 = time.perf_counter()
     for a in range(-100, 101, 7):
@@ -392,14 +391,7 @@ def cmd_resonance_identity(cfg: ExperimentConfig, args) -> int:
         a, b, c = (int(x) for x in rng.integers(-80, 81, 3))
         d1 = Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 30)))
         d2 = Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 30)))
-        lhs = resonance_g(a, b, c, d1)
-        rhs = (
-            dispersion_mu(a + b + c, d1, d2)
-            - dispersion_mu(a, d1, d2)
-            - dispersion_mu(b, d1, d2)
-            - dispersion_mu(c, d1, d2)
-        )
-        if lhs != rhs:
+        if resonance_g(a, b, c, d1) != -phi_cubic(a + b + c, a, b, c, d1, d2):
             _, man_path = _out_paths(cfg, "resonance_identity")
             write_manifest(man_path, cfg, {"passed": False, "counterexample": (a, b, c)}, 0.0)
             return EXIT_TOLERANCE

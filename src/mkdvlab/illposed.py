@@ -23,11 +23,14 @@ normalization (the 10i prefactors dropped):
     structure_tuple = (n * n_s * K_X * K_Y / phi_out) * v0^5 * E_t(phi_out+phi_in)
 
 All phases are exact integers (arbitrary precision), so resonant tuples are
-detected exactly.  The tuple sums run over one table per call
-(`_QuinticTable`), factored by (inner triple, outer pair): a pair's mode,
-amplitude, exact phases, E_t and I2 are formed once and broadcast over its
-slots and cubic terms.  Legs and kernels are int64 arrays, phases object
-arrays of exact ints, and each mode sum is one array pass.
+detected exactly.  Every tuple sum takes one array path: index arrays over
+the leaves (A3 triples from `_leaf_triples`), exact phases with mu once per
+distinct integer, one E_t (`osc_single`) and one I2 (`osc_double`) that
+take scalars or arrays, and per-mode sums in walk order (`_sum_by_mode`).
+The quintic terms use one table per call (`_QuinticTable`), factored by
+(inner triple, outer pair) so that a pair's mode, amplitude, phases, E_t
+and I2 are formed once and broadcast over its slots and cubic terms; D0 is
+its m0 pair.  Legs and kernels are int64, phases object arrays of ints.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import numpy as np
 
 from .equations import EquationParams, RenormalizedTerms, dispersion_mu
 from .errors import ConfigurationError, ConditioningError, ParameterError
+from .resonance import phi_cubic
 from .spectral import GridSpec, SpectralField
 
 # ---------------------------------------------------------------------------
@@ -54,57 +58,41 @@ def _check_osc_bound(val, phi, t: float) -> None:
         raise ArithmeticError(f"oscillatory primitive bound violated (t={t!r})")
 
 
-def _osc_single_array(phi: np.ndarray, t: float) -> np.ndarray:
-    """E_t at every float64 phase of phi (the exact phases, converted once)."""
-    theta = 0.5 * t * phi
-    val = t * np.exp(1j * theta) * np.sinc(theta / np.pi)
-    val[theta == 0.0] = t
-    _check_osc_bound(val, phi, t)
-    return val
+def _floats(phi) -> np.ndarray:
+    """A phase or array of phases (floats, or exact ints of any size) as float64."""
+    return np.asarray(phi).astype(float)
 
 
-def _osc_double_array(a: np.ndarray, b: np.ndarray, ab: np.ndarray, t: float) -> np.ndarray:
-    """I2(a, b, t) at every pair of exact phases, given as the float64 values
-    of a, b and of their exact sum a + b."""
-    out = np.empty(len(a), dtype=complex)
-    b0 = b == 0
-    both0 = b0 & (a == 0)
-    out[both0] = 0.5 * t * t
-    a_only = b0 & ~both0
-    af = a[a_only]
-    eiat = np.exp(1j * af * t)
-    out[a_only] = t * eiat / (1j * af) + (eiat - 1.0) / af**2
-    out[~b0] = (_osc_single_array(ab[~b0], t) - _osc_single_array(a[~b0], t)) / (1j * b[~b0])
-    return out
-
-
-def osc_single(phi, t: float) -> complex:
+def osc_single(phi, t: float):
     """E_t(phi) = (e^{i t phi} - 1)/(i phi), with the phi = 0 limit t.
 
     Computed as t * e^{i t phi / 2} * sinc(t phi / 2), which is exact and
     cancellation-free; |E_t| <= min(t, 2/|phi|) is checked on every value.
-    One phase at a time, for the single-tuple D0 and the per-tuple
-    reference walk; tuple tables use the array form.
+    phi is a scalar or an array (elementwise); exact-int phases, also in
+    object arrays, are converted to float once.  A scalar gives a complex.
     """
-    phi = float(phi)
+    phi = _floats(phi)
     theta = 0.5 * t * phi
-    if theta == 0.0:
-        val = complex(t)
-    else:
-        val = complex(t * np.exp(1j * theta) * np.sinc(theta / np.pi))
+    val = np.where(theta == 0.0, t, t * np.exp(1j * theta) * np.sinc(theta / np.pi))
     _check_osc_bound(val, phi, t)
-    return val
+    return complex(val) if val.ndim == 0 else val
 
 
-def osc_double(a, b, t: float) -> complex:
-    """I2(a, b, t) = int_0^t e^{i a t'} E_{t'}(b) dt', exact closed form."""
-    if b == 0:
-        if a == 0:
-            return 0.5 * t * t
-        af = float(a)
-        eiat = np.exp(1j * af * t)
-        return complex(t * eiat / (1j * af) + (eiat - 1.0) / af**2)
-    return (osc_single(a + b, t) - osc_single(a, t)) / (1j * float(b))
+def osc_double(a, b, t: float):
+    """I2(a, b, t) = int_0^t e^{i a t'} E_{t'}(b) dt', exact closed form, at
+    scalars or elementwise over broadcast arrays.  Exact-int phases are summed
+    exactly, and a + b converted to float once.  A scalar gives a complex."""
+    af, bf, abf = np.broadcast_arrays(_floats(a), _floats(b), _floats(a + b))
+    out = np.empty(af.shape, dtype=complex)
+    b0 = bf == 0
+    both0 = b0 & (af == 0)
+    out[both0] = 0.5 * t * t
+    a_only = b0 & ~both0
+    a1 = af[a_only]
+    eiat = np.exp(1j * a1 * t)
+    out[a_only] = t * eiat / (1j * a1) + (eiat - 1.0) / a1**2
+    out[~b0] = (osc_single(abf[~b0], t) - osc_single(af[~b0], t)) / (1j * bf[~b0])
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +175,6 @@ def _mu(n: int, spec: CounterexampleSpec):
     return dispersion_mu(int(n), spec.d1, spec.d2)
 
 
-def _phi3(n, tup, spec):
-    return -_mu(n, spec) + sum(_mu(m, spec) for m in tup)
-
-
-def _a3_ok(n, tup) -> bool:
-    return all(m != n for m in tup)
-
-
 @dataclass
 class QuinticTuple:
     """One (outer, slot, inner) contribution to the fifth delta-derivative."""
@@ -215,13 +195,39 @@ class QuinticTuple:
     def n_slot(self) -> int:
         return self.outer[self.slot]
 
-    def structure_value(self, t: float) -> complex:
-        """Structure-only normal-form value (10i factors dropped):
-        (n * n_slot * K_X * K_Y / phi_out) * amp * E_t(phi_out + phi_in)."""
-        if self.phi_out == 0:
-            raise ZeroDivisionError("outer phase vanishes; tuple not normal-formable")
-        k = self.n * self.n_slot * self.kernel_x * self.kernel_y / float(self.phi_out)
-        return k * self.amp * osc_single(self.phi_out + self.phi_in, t)
+
+def _leaves(support: dict, keys) -> tuple:
+    """The given keys of support as int64 legs, and their data values."""
+    return np.array(keys, dtype=np.int64), np.array([support[m] for m in keys])
+
+
+def _leaf_triples(legs: np.ndarray, vals: np.ndarray, a3: bool = True) -> tuple:
+    """Every index triple into the leaves in C order (the walk order of three
+    nested loops over them), kept only where it lies in A3 of its sum (no
+    leg equal to the sum) unless a3 is False.  Returns the (rows, 3) indices
+    and legs, the sums and the amplitude products."""
+    idx = np.indices((len(legs),) * 3).reshape(3, -1).T
+    m = legs[idx]
+    n = m.sum(axis=1)
+    if a3:
+        keep = np.all(m != n[:, None], axis=1)
+        idx, m, n = idx[keep], m[keep], n[keep]
+    return idx, m, n, vals[idx[:, 0]] * vals[idx[:, 1]] * vals[idx[:, 2]]
+
+
+def _exact_mu(ints: np.ndarray, d1, d2) -> np.ndarray:
+    """mu at every entry of an int64 array, as exact Python ints in an object
+    array of the same shape; mu is evaluated once per distinct integer."""
+    vals, inv = np.unique(ints, return_inverse=True)
+    mu = np.array([dispersion_mu(m, d1, d2) for m in vals.tolist()], dtype=object)
+    return mu[inv.reshape(np.shape(ints))]
+
+
+def _cubic_phases(legs: np.ndarray, d1=0, d2=0) -> np.ndarray:
+    """phi = -mu(a+b+c) + mu(a) + mu(b) + mu(c) per row (a, b, c) of legs,
+    as exact ints (resonance.phi_cubic, one array pass)."""
+    mu = _exact_mu(np.column_stack([legs.sum(axis=1), legs]), d1, d2)
+    return -mu[:, 0] + mu[:, 1:].sum(axis=1)
 
 
 # positions of the outer legs in (la, lb, n_slot), per slot
@@ -272,7 +278,8 @@ class _QuinticTable:
         return len(self.n)
 
     def structure_values(self, t: float, pairs) -> np.ndarray:
-        """QuinticTuple.structure_value of every cell of the selected pairs
+        """Structure-only normal-form value (n * n_slot * K_X * K_Y / phi_out)
+        * amp * E_t(phi_out + phi_in) of every cell of the selected pairs
         (phi_out != 0 on all).
 
         The kernel product is formed in float64: a product has no
@@ -280,7 +287,7 @@ class _QuinticTable:
         """
         nn = _cells(self.n[pairs].astype(float) * self.n_slot[pairs])
         k = nn * self.kernel_x[pairs] * self.kernel_y[pairs] / _cells(self.phi_out_f[pairs])
-        return k * _cells(self.amp[pairs]) * _cells(_osc_single_array(self.phi_sum_f[pairs], t))
+        return k * _cells(self.amp[pairs]) * _cells(osc_single(self.phi_sum_f[pairs], t))
 
     def _physical_prefactor(self, pairs) -> np.ndarray:
         c = _cells((10j * self.n[pairs]) * (10j * self.n_slot[pairs]))
@@ -289,7 +296,7 @@ class _QuinticTable:
     def physical_values(self, t: float) -> np.ndarray:
         """Exact delta^5 coefficient contribution of every cell (constants
         kept), without the overall e^{i t mu(n)} prefactor."""
-        i2 = _osc_double_array(self.phi_out_f, self.phi_in.astype(float), self.phi_sum_f, t)
+        i2 = osc_double(self.phi_out, self.phi_in, t)
         return self._physical_prefactor(slice(None)) * _cells(self.amp) * _cells(i2)
 
     def normal_form_values(self, t: float, pairs) -> np.ndarray:
@@ -298,47 +305,32 @@ class _QuinticTable:
         a = _cells(self.phi_out_f[pairs])
         c = self._physical_prefactor(pairs)
         amp = _cells(self.amp[pairs])
-        e_in = _cells(_osc_single_array(self.phi_in[pairs].astype(float), t))
+        e_in = _cells(osc_single(self.phi_in[pairs], t))
         boundary = c * amp * np.exp(1j * a * t) * e_in / (1j * a)
-        distributed = -c * amp * _cells(_osc_single_array(self.phi_sum_f[pairs], t)) / (1j * a)
+        distributed = -c * amp * _cells(osc_single(self.phi_sum_f[pairs], t)) / (1j * a)
         return boundary + distributed
 
 
 def _kernel_columns(terms, legs: np.ndarray) -> np.ndarray:
     """Each term's kernel at legs (..., 3), stacked on a last axis."""
-    return np.stack([_CUBIC_KERNELS[name](*np.moveaxis(legs, -1, 0)) for name in terms], axis=-1)
-
-
-def _exact_phases(triples: np.ndarray, mu: dict) -> np.ndarray:
-    """-mu(a+b+c) + mu(a) + mu(b) + mu(c) per row of triples, as exact ints."""
-    return np.array(
-        [-mu[a + b + c] + (mu[a] + mu[b] + mu[c]) for a, b, c in triples.tolist()],
-        dtype=object,
-    ).reshape(-1)
+    cols = [_CUBIC_KERNELS[name](*np.moveaxis(legs, -1, 0)) for name in terms]
+    return np.stack(cols, axis=-1) if cols else np.zeros(legs.shape[:-1] + (0,), np.int64)
 
 
 def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_terms,
                    slots) -> _QuinticTable:
     """Build every (inner in A3(n_slot), outer pair) entry over the leaves of
     support, with its cells for each slot, outer and inner cubic term."""
-    leaves = sorted(support)
-    vals = np.array([support[m] for m in leaves])
-    legs = np.array(leaves, dtype=np.int64)
-    k = len(leaves)
-    # inner triples in A3(n_slot), in walk order
-    tri = np.indices((k, k, k)).reshape(3, -1).T
-    inner = legs[tri]
-    n_slot = inner.sum(axis=1)
-    keep = np.all(inner != n_slot[:, None], axis=1)
-    tri, inner, n_slot = tri[keep], inner[keep], n_slot[keep]
+    legs, vals = _leaves(support, sorted(support))
+    k = len(legs)
+    _, inner, n_slot, amp_in = _leaf_triples(legs, vals)
     # pairs: inner x la x lb, outer in A3(n) whatever the slot; C order is walk order
-    i, ia, ib = np.indices((len(tri), k, k)).reshape(3, -1)
+    i, ia, ib = np.indices((len(inner), k, k)).reshape(3, -1)
     base = np.stack([legs[ia], legs[ib], n_slot[i]], axis=1)
     n = base.sum(axis=1)
     keep = np.all(base != n[:, None], axis=1)
     i, ia, ib, base, n = (a[keep] for a in (i, ia, ib, base, n))
     outer = base[:, _SLOT_ORDER[list(slots)]]
-    amp_in = vals[tri[:, 0]] * vals[tri[:, 1]] * vals[tri[:, 2]]
     # exact phases: mu once per distinct integer, phi_in once per inner
     # triple, phi_out once per distinct (la, lb, n_slot)
     slot_vals, slot_of_pair = np.unique(n_slot[i], return_inverse=True)
@@ -348,10 +340,9 @@ def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_t
     )
     key_slot, key_a, key_b = np.unravel_index(keys, shape)
     outer_keys = np.stack([legs[key_a], legs[key_b], slot_vals[key_slot]], axis=1)
-    ints = np.unique(np.concatenate([legs, n_slot, outer_keys.sum(axis=1)])).tolist()
-    mu = {m: dispersion_mu(m, spec.d1, spec.d2) for m in ints}
-    phi_out = _exact_phases(outer_keys, mu)[outer_of_pair.reshape(-1)]
-    phi_in = _exact_phases(inner, mu)[i]
+    phases = _cubic_phases(np.concatenate([inner, outer_keys]), spec.d1, spec.d2)
+    phi_in = phases[:len(inner)][i]
+    phi_out = phases[len(inner):][outer_of_pair.reshape(-1)]
     return _QuinticTable(
         n=n, n_slot=base[:, 2], la=base[:, 0], lb=base[:, 1], triple=i, inner=inner,
         amp=amp_in[i] * vals[ia] * vals[ib],
@@ -364,16 +355,28 @@ def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_t
     )
 
 
-def _sum_by_mode(n: np.ndarray, v: np.ndarray) -> dict:
-    """{mode: sum of v over its cells}, for v whose leading axis follows n:
-    modes in order of first appearance and each sum accumulated in C order,
-    as a dict filled cell by cell holds them."""
+def _mode_sums(n: np.ndarray):
+    """Group the flat array of modes n once; the returned function maps a
+    flat v of the same length to {mode: sum of v}: modes in order of first
+    appearance and each sum accumulated in order, as a dict filled cell by
+    cell holds them."""
     modes, first, inv = np.unique(n, return_index=True, return_inverse=True)
-    inv = np.broadcast_to(inv.reshape((-1,) + (1,) * (v.ndim - 1)), v.shape).ravel()
-    v = v.ravel()
-    re = np.bincount(inv, weights=v.real, minlength=len(modes))
-    im = np.bincount(inv, weights=v.imag, minlength=len(modes))
-    return {int(modes[j]): complex(re[j], im[j]) for j in np.argsort(first)}
+    inv, order = inv.reshape(-1), np.argsort(first)
+
+    def sums(v: np.ndarray) -> dict:
+        re = np.bincount(inv, weights=v.real, minlength=len(modes))
+        im = np.bincount(inv, weights=v.imag, minlength=len(modes))
+        return {int(modes[j]): complex(re[j], im[j]) for j in order}
+
+    return sums
+
+
+def _sum_by_mode(*parts) -> dict:
+    """_mode_sums over the cells of the (n, v) parts in turn, each v a cell
+    array whose leading axis follows n, flattened in C order."""
+    n = [np.broadcast_to(n.reshape((-1,) + (1,) * (v.ndim - 1)), v.shape).ravel()
+         for n, v in parts]
+    return _mode_sums(np.concatenate(n))(np.concatenate([v.ravel() for _, v in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +397,17 @@ def m0_tuple(spec: CounterexampleSpec) -> QuinticTuple:
     return QuinticTuple(
         N, outer, M0_SLOT, inner, "cubic2", "cubic2", amp,
         _CUBIC_KERNELS["cubic2"](*outer), _CUBIC_KERNELS["cubic2"](*inner),
-        _phi3(N, outer, spec), _phi3(N - 1, inner, spec),
+        phi_cubic(N, *outer, spec.d1, spec.d2), phi_cubic(N - 1, *inner, spec.d1, spec.d2),
     )
 
 
 def eval_d0(spec: CounterexampleSpec) -> complex:
-    """Single-tuple value at m0 (structure-only normalization).
+    """Single-tuple value at m0 (structure-only normalization), read from
+    the D-term table.
 
     phi(m0) = 0 exactly, so the integrand is constant and the value is
     linear in t."""
-    tup = m0_tuple(spec)
-    if tup.phi_out == 0:
-        raise ZeroDivisionError("outer phase vanished at m0 (cannot happen for d1 >= 0)")
-    return tup.structure_value(spec.t)
+    return eval_d_full(spec)["d0"]
 
 
 def eval_d_full(spec: CounterexampleSpec) -> dict:
@@ -426,16 +427,19 @@ def eval_d_full(spec: CounterexampleSpec) -> dict:
 def _d_full_report(tab: _QuinticTable, spec: CounterexampleSpec, live: np.ndarray,
                    v: np.ndarray) -> dict:
     """eval_d_full from v, the D value of each pair of tab with phi_out != 0
-    (the pairs flagged in live); each other pair is one skipped tuple."""
+    (the pairs flagged in live); each other pair is one skipped tuple.  D0
+    is the value of the m0 pair."""
     skipped = int(np.count_nonzero(~live))
     n = tab.n[live]
-    field_vals = _sum_by_mode(n, v)
-    d0 = eval_d0(spec)
+    field_vals = _sum_by_mode((n, v))
     m0 = m0_tuple(spec)
     weight_N = (1.0 + spec.N**2) ** (spec.s / 2.0)
     outer = tab.outer[live, tab.slots.index(M0_SLOT)]
     inner = tab.inner[tab.triple[live]]
     is_m0 = np.all(outer == m0.outer, axis=1) & np.all(inner == m0.inner, axis=1)
+    if not is_m0.any():  # the table holds m0 for every N >= 8
+        raise ZeroDivisionError("outer phase vanished at m0 (cannot happen for d1 >= 0)")
+    d0 = complex(v[is_m0][0])
     at_N = (n == spec.N) & ~is_m0
     moduli_at_N = sum((weight_N * np.abs(v[at_N])).tolist(), 0.0)
     d0_hsnorm = weight_N * abs(d0)
@@ -498,9 +502,9 @@ def eval_appendix_terms(spec: CounterexampleSpec, restricted: bool = False) -> N
     # every cell but D's is one term of _APPENDIX_TERMS
     skipped = int(np.count_nonzero(rest & ~live)) * len(_APPENDIX_TERMS)
     keep = rest[live]
-    n = tab.n[live][keep]
+    sums = _mode_sums(tab.n[live][keep])
     norms = {
-        name: hs_norm_of_map(_sum_by_mode(n, v[keep, slot, 0, y]), spec.s)
+        name: hs_norm_of_map(sums(v[keep, slot, 0, y]), spec.s)
         for name, (slot, y) in _APPENDIX_TERMS.items()
     }
     return NormalFormTermReport(
@@ -522,39 +526,44 @@ def eval_resonant_cubic_fifth(spec: CounterexampleSpec) -> float:
     The self-sourced piece (resonant inside resonant) carries the double
     time integral and produces the reported ~ t^2 N^{6-4s} growth.
     """
-    out: dict = {}
-    _add_resonant_outer_fifth(out, counterexample_support(spec), spec, ("cubic2", "cubic3"))
-    return hs_norm_of_map(out, spec.s)
+    outer, self_sourced, _ = _resonant_cells(
+        counterexample_support(spec), spec, ("cubic2", "cubic3")
+    )
+    return hs_norm_of_map(_sum_by_mode(outer, self_sourced), spec.s)
 
 
-def _add_resonant_outer_fifth(out, support, spec, cubics):
-    """delta^5 pieces with the resonant cubic -20i n^3 |v|^2 v as the outer
-    Duhamel term: its w3 sourced by the nonresonant cubics, then by the
-    resonant term itself (profile -20i n^3 a^2 conj(a) t')."""
+def _resonant_cells(support: dict, spec: CounterexampleSpec, cubics) -> tuple:
+    """(n, v) cells, without e^{i t mu(n)}, of the delta^5 pieces with the
+    resonant cubic -20i n^3 |v|^2 v, in walk order over support's insertion
+    order: outer (it over the nonresonant w3; per A3 triple whose sum is a
+    leaf, per cubic), self_sourced (it over itself, profile -20i n^3 a^2
+    conj(a) t'; per leaf) and resonant_inner (the nonresonant cubics over it
+    as w3; per A3 triple (n0, la, lb), slot of n0, cubic)."""
     t = spec.t
-    for m1 in support:
-        for m2 in support:
-            for m3 in support:
-                inner = (m1, m2, m3)
-                n = m1 + m2 + m3
-                if not _a3_ok(n, inner) or n not in support:
-                    continue
-                phi_in = _phi3(n, inner, spec)
-                amp_in = support[m1] * support[m2] * support[m3]
-                an = support[n]
-                for y in cubics:
-                    ky = _CUBIC_KERNELS[y](*inner)
-                    g3 = (10j * n) * ky * amp_in * osc_double(0, phi_in, t)
-                    out[n] = out.get(n, 0.0) + (-20j * n**3) * (
-                        2.0 * an * np.conj(an) * g3 + an * an * np.conj(g3)
-                    )
-    half_t2 = 0.5 * t * t
-    for n in support:
-        a = support[n]
-        G = (-20j * n**3) * a * a * np.conj(a)
-        out[n] = out.get(n, 0.0) + (-20j * n**3) * (
-            2.0 * a * np.conj(a) * G + a * a * np.conj(G)
-        ) * half_t2
+    legs, vals = _leaves(support, list(support))
+    idx, m, n, amp_in = _leaf_triples(legs, vals)
+    phi = _cubic_phases(m, spec.d1, spec.d2)
+    # w3 of the resonant term alone, per leaf
+    w3_amp = (-20j * legs**3) * vals * vals * np.conj(vals)
+
+    # outer: the triples whose sum n is a leaf, with that leaf's value an
+    hit = n[:, None] == legs
+    on = hit.any(axis=1)
+    an = vals[hit.argmax(axis=1)[on]][:, None]
+    nr = n[on][:, None]
+    i2 = osc_double(0, phi[on], t)[:, None]
+    g3 = (10j * nr) * _kernel_columns(cubics, m[on]) * amp_in[on, None] * i2
+    outer = (n[on], (-20j * nr**3) * (2.0 * an * np.conj(an) * g3 + an * an * np.conj(g3)))
+
+    self_sourced = (legs, (-20j * legs**3) * (
+        2.0 * vals * np.conj(vals) * w3_amp + vals * vals * np.conj(w3_amp)
+    ) * (0.5 * t * t))
+
+    # resonant_inner: outer legs (la, lb, n0) placed at each slot of n0
+    kx = _kernel_columns(cubics, m[:, [1, 2, 0]][:, _SLOT_ORDER])
+    la, lb, w3, i2 = (a[:, None, None] for a in (
+        vals[idx[:, 1]], vals[idx[:, 2]], w3_amp[idx[:, 0]], osc_double(phi, 0, t)))
+    return outer, self_sourced, (n, (10j * n)[:, None, None] * kx * la * lb * w3 * i2)
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +577,8 @@ def eval_c3_cubic(spec: CounterexampleSpec) -> dict:
     if spec.variant != "C3":
         raise ConfigurationError("eval_c3_cubic expects the C3 variant")
     support = counterexample_support(spec)
-    out: dict = {}
-    for m1 in support:
-        for m2 in support:
-            for m3 in support:
-                n = m1 + m2 + m3
-                phi = -(n**5) + m1**5 + m2**5 + m3**5
-                amp = support[m1] * support[m2] * support[m3]
-                val = (m3**3) * amp * osc_single(phi, spec.t)
-                out[n] = out.get(n, 0.0) + val
+    _, m, n, amp = _leaf_triples(*_leaves(support, list(support)), a3=False)
+    out = _sum_by_mode((n, (m[:, 2] ** 3) * amp * osc_single(_cubic_phases(m), spec.t)))
     return {"field": out, "hs_norm": hs_norm_of_map(out, spec.s)}
 
 
@@ -639,16 +641,15 @@ def fifth_derivative_direct(
     """
     t = spec.t
     cubics = [name for name in ("cubic2", "cubic3") if getattr(flow, name)]
-    parts = []  # (mode, value) of every nonresonant tuple, in walk order
+    parts = []  # (mode, value) cells of every piece, each in walk order
     if cubics:
         tab = _quintic_table(support, spec, tuple(cubics), tuple(cubics), (0, 1, 2))
-        v = tab.physical_values(t)
-        parts.append((np.broadcast_to(_cells(tab.n), v.shape).ravel(), v.ravel()))
+        parts.append((tab.n, tab.physical_values(t)))
     if flow.quintic:
         parts.append(_quintic_term_cells(support, spec))
-    out = _sum_by_mode(*map(np.concatenate, zip(*parts))) if parts else {}
     if flow.resonant_cubic:
-        _add_resonant_fifth(out, support, spec, cubics)
+        parts.extend(_resonant_cells(support, spec, cubics))
+    out = _sum_by_mode(*parts) if parts else {}
     # attach the linear phase
     return {n: v * np.exp(1j * float(_mu(n, spec)) * t) for n, v in out.items()}
 
@@ -657,42 +658,15 @@ def _quintic_term_cells(support, spec) -> tuple:
     """Output mode n and delta^5 coefficient 6i n * v0^5 * E_t(phi) (without
     e^{i t mu(n)}) of every quintuple in A5(n) over the sorted leaves, in
     walk order."""
-    leaves = sorted(support)
-    vals = np.array([support[m] for m in leaves])
-    legs = np.array(leaves, dtype=np.int64)
-    idx = np.indices((len(leaves),) * 5).reshape(5, -1)
+    legs, vals = _leaves(support, sorted(support))
+    idx = np.indices((len(legs),) * 5).reshape(5, -1)
     n = legs[idx].sum(axis=0)
     keep = np.all(legs[idx] != n, axis=0)
     idx, n = idx[:, keep], n[keep]
-    # exact phases, mu once per distinct integer
-    ints, pos = np.unique(np.concatenate([legs, n]), return_inverse=True)
-    mu = np.array([dispersion_mu(m, spec.d1, spec.d2) for m in ints.tolist()], dtype=object)
-    phi = -mu[pos[len(legs):]] + mu[pos[:len(legs)]][idx].sum(axis=0)
+    mu = _exact_mu(np.concatenate([legs, n]), spec.d1, spec.d2)
+    phi = -mu[len(legs):] + mu[:len(legs)][idx].sum(axis=0)
     amp = vals[idx[0]] * vals[idx[1]] * vals[idx[2]] * vals[idx[3]] * vals[idx[4]]
-    return n, (6j * n) * amp * _osc_single_array(phi.astype(float), spec.t)
-
-
-def _add_resonant_fifth(out, support, spec, cubics):
-    """delta^5 pieces involving the resonant cubic -20i n^3 |v|^2 v (both as
-    the outer Duhamel term and inside w3)."""
-    t = spec.t
-    _add_resonant_outer_fifth(out, support, spec, cubics)
-    # resonant inner (w3 piece) under a nonresonant outer cubic
-    for n0 in support:
-        a = support[n0]
-        w3_amp = (-20j * n0**3) * a * a * np.conj(a)
-        for la in support:
-            for lb in support:
-                for outer in ((n0, la, lb), (la, n0, lb), (la, lb, n0)):
-                    n = la + lb + n0
-                    if not _a3_ok(n, outer):
-                        continue
-                    phi_out = _phi3(n, outer, spec)
-                    for x in cubics:
-                        kx = _CUBIC_KERNELS[x](*outer)
-                        out[n] = out.get(n, 0.0) + (10j * n) * kx * support[la] * support[
-                            lb
-                        ] * w3_amp * osc_double(phi_out, 0, t)
+    return n, (6j * n) * amp * osc_single(phi, spec.t)
 
 
 def t2_duhamel_fifth(
@@ -712,7 +686,7 @@ def t2_duhamel_fifth(
         live = tab.phi_out != 0
         n, v = tab.n[live], tab.normal_form_values(t, live)
         skipped = int(np.count_nonzero(~live)) * math.prod(v.shape[1:])
-    out = _sum_by_mode(n, v)
+    out = _sum_by_mode((n, v))
     out = {n: v * np.exp(1j * float(_mu(n, spec)) * t) for n, v in out.items()}
     return out, skipped
 

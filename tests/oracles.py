@@ -294,11 +294,23 @@ def fs_oracle(traj, s, T, gamma=0.25):
 # tuple table of mkdvlab.illposed)
 # ---------------------------------------------------------------------------
 
+def _phi3(n, tup, spec):
+    from mkdvlab.equations import dispersion_mu
+
+    return -dispersion_mu(n, spec.d1, spec.d2) + sum(
+        dispersion_mu(m, spec.d1, spec.d2) for m in tup
+    )
+
+
+def _a3_ok(n, tup) -> bool:
+    return all(m != n for m in tup)
+
+
 def iter_quintic_tuples_oracle(support, spec, outer_terms=("cubic2",),
                                inner_terms=("cubic2", "cubic3"), slots=(0, 1, 2),
                                leaf_filter=None):
     """Every (outer in A3(n), slot, inner in A3(n_slot)) tuple, nested loops."""
-    from mkdvlab.illposed import _CUBIC_KERNELS, QuinticTuple, _a3_ok, _phi3
+    from mkdvlab.illposed import _CUBIC_KERNELS, QuinticTuple
 
     leaves = sorted(support)
     if leaf_filter is not None:
@@ -333,6 +345,17 @@ def iter_quintic_tuples_oracle(support, spec, outer_terms=("cubic2",),
                                     )
 
 
+def structure_value_oracle(tup, t):
+    """Structure-only normal-form value of one tuple (10i factors dropped):
+    (n * n_slot * K_X * K_Y / phi_out) * amp * E_t(phi_out + phi_in)."""
+    from mkdvlab.illposed import osc_single
+
+    if tup.phi_out == 0:
+        raise ZeroDivisionError("outer phase vanishes; tuple not normal-formable")
+    k = tup.n * tup.n_slot * tup.kernel_x * tup.kernel_y / float(tup.phi_out)
+    return k * tup.amp * osc_single(tup.phi_out + tup.phi_in, t)
+
+
 def _physical_prefactor(tup):
     return (10j * tup.n) * (10j * tup.n_slot) * tup.kernel_x * tup.kernel_y
 
@@ -357,20 +380,18 @@ def normal_form_value_oracle(tup, t):
 
 def eval_d_full_oracle(spec):
     """eval_d_full summed tuple by tuple."""
-    from mkdvlab.illposed import (
-        M0_SLOT, counterexample_support, eval_d0, hs_norm_of_map, m0_tuple,
-    )
+    from mkdvlab.illposed import M0_SLOT, counterexample_support, hs_norm_of_map, m0_tuple
 
     support = counterexample_support(spec)
     field_vals, skipped, moduli_at_N = {}, 0, 0.0
-    d0 = eval_d0(spec)
     m0 = m0_tuple(spec)
+    d0 = structure_value_oracle(m0, spec.t)
     weight_N = (1.0 + spec.N**2) ** (spec.s / 2.0)
     for tup in iter_quintic_tuples_oracle(support, spec, ("cubic2",), ("cubic2",), (M0_SLOT,)):
         if tup.phi_out == 0:
             skipped += 1
             continue
-        v = tup.structure_value(spec.t)
+        v = structure_value_oracle(tup, spec.t)
         field_vals[tup.n] = field_vals.get(tup.n, 0.0) + v
         if tup.n == spec.N and not (tup.outer == m0.outer and tup.inner == m0.inner):
             moduli_at_N += weight_N * abs(v)
@@ -401,7 +422,7 @@ def eval_appendix_terms_oracle(spec, restricted=False):
             skipped += 1
             continue
         d = acc[keys[(tup.slot, tup.y_term)]]
-        d[tup.n] = d.get(tup.n, 0.0) + tup.structure_value(spec.t)
+        d[tup.n] = d.get(tup.n, 0.0) + structure_value_oracle(tup, spec.t)
     dfull = eval_d_full_oracle(spec)
     return NormalFormTermReport(
         N=spec.N, s=spec.s, t=spec.t,
@@ -457,6 +478,74 @@ def fifth_derivative_nonresonant_oracle(support, spec, cubics, quintic=False):
                             amp *= support[m]
                         out[n] = out.get(n, 0.0) + (6j * n) * amp * osc_single(phi, spec.t)
     return _with_linear_phase(out, spec)
+
+
+def resonant_pieces_oracle(support, spec, cubics):
+    """The delta^5 pieces with the resonant cubic -20i n^3 |v|^2 v, without
+    e^{i t mu(n)}, summed tuple by tuple over support's insertion order:
+    the (outer, self-sourced, resonant-inner) dicts."""
+    from mkdvlab.illposed import _CUBIC_KERNELS, osc_double
+
+    t = spec.t
+    outer, self_sourced, resonant_inner = {}, {}, {}
+    # the resonant cubic as the outer term over the nonresonant w3
+    for m1 in support:
+        for m2 in support:
+            for m3 in support:
+                inner = (m1, m2, m3)
+                n = m1 + m2 + m3
+                if not _a3_ok(n, inner) or n not in support:
+                    continue
+                phi_in = _phi3(n, inner, spec)
+                amp_in = support[m1] * support[m2] * support[m3]
+                an = support[n]
+                for y in cubics:
+                    ky = _CUBIC_KERNELS[y](*inner)
+                    g3 = (10j * n) * ky * amp_in * osc_double(0, phi_in, t)
+                    outer[n] = outer.get(n, 0.0) + (-20j * n**3) * (
+                        2.0 * an * np.conj(an) * g3 + an * an * np.conj(g3)
+                    )
+    # ... over itself (profile -20i n^3 a^2 conj(a) t')
+    half_t2 = 0.5 * t * t
+    for n in support:
+        a = support[n]
+        G = (-20j * n**3) * a * a * np.conj(a)
+        self_sourced[n] = (-20j * n**3) * (
+            2.0 * a * np.conj(a) * G + a * a * np.conj(G)
+        ) * half_t2
+    # the nonresonant cubics as the outer term over it as w3
+    for n0 in support:
+        a = support[n0]
+        w3_amp = (-20j * n0**3) * a * a * np.conj(a)
+        for la in support:
+            for lb in support:
+                for legs in ((n0, la, lb), (la, n0, lb), (la, lb, n0)):
+                    n = la + lb + n0
+                    if not _a3_ok(n, legs):
+                        continue
+                    phi_out = _phi3(n, legs, spec)
+                    for x in cubics:
+                        kx = _CUBIC_KERNELS[x](*legs)
+                        resonant_inner[n] = resonant_inner.get(n, 0.0) + (
+                            10j * n
+                        ) * kx * support[la] * support[lb] * w3_amp * osc_double(phi_out, 0, t)
+    return outer, self_sourced, resonant_inner
+
+
+def eval_c3_cubic_oracle(spec):
+    """eval_c3_cubic's field summed triple by triple (unrestricted, pure n^5)."""
+    from mkdvlab.illposed import counterexample_support, osc_single
+
+    support = counterexample_support(spec)
+    out = {}
+    for m1 in support:
+        for m2 in support:
+            for m3 in support:
+                n = m1 + m2 + m3
+                phi = -(n**5) + m1**5 + m2**5 + m3**5
+                amp = support[m1] * support[m2] * support[m3]
+                out[n] = out.get(n, 0.0) + (m3**3) * amp * osc_single(phi, spec.t)
+    return out
 
 
 # ---------------------------------------------------------------------------

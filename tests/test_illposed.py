@@ -14,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     eval_appendix_terms_oracle,
+    eval_c3_cubic_oracle,
     eval_d_full_oracle,
     fifth_derivative_nonresonant_oracle,
     fifth_derivative_quadrature_oracle,
     iter_quintic_tuples_oracle,
+    resonant_pieces_oracle,
+    structure_value_oracle,
     t2_duhamel_fifth_oracle,
 )
 
@@ -28,9 +31,12 @@ from mkdvlab.illposed import (
     CounterexampleSpec,
     _check_osc_bound,
     _quintic_table,
+    _resonant_cells,
+    _sum_by_mode,
     build_counterexample_data,
     counterexample_support,
     eval_appendix_terms,
+    eval_c3_cubic,
     eval_d0,
     eval_d_full,
     eval_resonant_cubic_fifth,
@@ -86,6 +92,30 @@ class TestOscillatoryPrimitives:
         )
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
         assert proc.returncode == 0
+
+    def test_scalar_gives_python_complex(self):
+        for val in (osc_single(0, 0.3), osc_single(7, 0.3), osc_single(2**70, 0.3),
+                    osc_double(0, 0, 0.3), osc_double(3, 0, 0.3), osc_double(2, 2**70, 0.3)):
+            assert type(val) is complex
+
+    def test_array_equals_scalar_calls(self):
+        # exact phases beyond 2^63 in object arrays, floats, and the zero limits
+        t = 1e-4
+        big = [0, 1, -7, 3 * 2**63 + 5, -(2**70) - 1, 5**27, 2**63 - 1]
+        a = np.array(big * len(big), dtype=object)
+        b = np.array([x for x in big for _ in big], dtype=object)
+        got = osc_single(a, t)
+        assert got.tolist() == [osc_single(x, t) for x in a.tolist()]
+        got = osc_double(a, b, t)
+        assert got.tolist() == [osc_double(x, y, t) for x, y in zip(a.tolist(), b.tolist())]
+        # the exact sum a + b = 1 enters I2, not float(a) + float(b) = 0
+        a1, b1 = 2**70 + 1, -(2**70)
+        want = (osc_single(1, t) - osc_single(a1, t)) / (1j * float(b1))
+        assert osc_double(a1, b1, t) == pytest.approx(want, rel=1e-15)
+        assert osc_double(a1, b1, t) != osc_double(float(a1), float(b1), t)
+        phi = np.array([0.0, 2.5, -1e9, 3.0e21])
+        assert osc_single(phi, t).tolist() == [osc_single(x, t) for x in phi.tolist()]
+        assert osc_double(0, phi, t).tolist() == [osc_double(0, x, t) for x in phi.tolist()]
 
     @pytest.mark.parametrize("a,b", [(3.0, 5.0), (0.0, 7.0), (11.0, 0.0), (-40.0, 40.0), (0.0, 0.0)])
     def test_double_against_quadrature(self, a, b):
@@ -155,6 +185,15 @@ class TestD0:
         want_ns = t * N**3 * (N - 1) ** 3 / (2.5 * (N - 2) * (N + 1) * (2 * N**2 - 2 * N + 6))
         got = (1 + N * N) ** 0.5 * abs(eval_d0(spec))  # <N>^s weight
         assert got == pytest.approx(want_ns * math.sqrt(1 + 1 / N**2), rel=1e-10)
+
+    def test_outer_resonant_m0_raises(self):
+        # phi_out(m0) = -(5/2)(N+1)(N-2)(5 + (N-1)^2 + N^2 + 6 d1/5) vanishes
+        # at N = 9, d1 = -125: m0 cannot be normal-formed there
+        spec = CounterexampleSpec(N=9, s=1.0, t=1e-4, d1=-125)
+        assert m0_tuple(spec).phi_out == 0
+        for f in (eval_d0, eval_d_full, eval_appendix_terms):
+            with pytest.raises(ZeroDivisionError, match="m0"):
+                f(spec)
 
     def test_ratio_to_tN2_is_one_fifth(self):
         # the exact constant: ratio * 5 -> 1 from below
@@ -445,6 +484,35 @@ def test_factored_table_matches_walk(support, d1, slots, terms):
         assert len(_quintic_table(support, spec, *terms, slots)) == 0
 
 
+RESONANT_REL = 1e-14
+
+
+def assert_modes_close(got: dict, want: dict, rel: float):
+    assert list(got) == list(want)  # same modes, in the same order
+    for n, v in want.items():
+        assert abs(got[n] - v) <= rel * abs(v), n
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
+@given(
+    support=random_supports().flatmap(
+        lambda supp: st.permutations(list(supp)).map(lambda keys: {m: supp[m] for m in keys})
+    ),
+    d1=st.sampled_from([0, 3, -30]),
+    cubics=st.sampled_from([("cubic2",), ("cubic3",), ("cubic2", "cubic3")]),
+    N=st.integers(8, 5000),
+)
+def test_resonant_pieces_match_loops(support, d1, cubics, N):
+    # the array passes against the per-tuple loops, on supports in shuffled
+    # insertion order (the loops walk it, so the mode order follows it)
+    spec = CounterexampleSpec(N=8, s=1.0, t=1e-4, d1=d1)
+    for cells, want in zip(_resonant_cells(support, spec, cubics),
+                           resonant_pieces_oracle(support, spec, cubics)):
+        assert_modes_close(_sum_by_mode(cells), want, RESONANT_REL)
+    c3 = CounterexampleSpec(N=N, s=1.0, t=1e-4, variant="C3", d1=d1)
+    assert_modes_close(eval_c3_cubic(c3)["field"], eval_c3_cubic_oracle(c3), RESONANT_REL)
+
+
 class TestTupleTableMatchesOracle:
     """The tuple table against the per-tuple walker of tests/oracles.py."""
 
@@ -542,7 +610,7 @@ class TestTupleTableMatchesOracle:
         values = np.zeros(len(walk), dtype=complex)
         values[live[rows["pair"]]] = tab.structure_values(spec.t, live).ravel()
         np.testing.assert_allclose(
-            values[big], [walk[r].structure_value(spec.t) for r in big], rtol=REL, atol=0,
+            values[big], [structure_value_oracle(walk[r], spec.t) for r in big], rtol=REL, atol=0,
         )
         assert_reports_close(asdict(eval_appendix_terms(spec)),
                              asdict(eval_appendix_terms_oracle(spec)))
