@@ -19,7 +19,7 @@ command line with --set section.key=value.  Any other section or key, in the
 file or in --set, is a validation error naming it.  Every subcommand runs in
 one process.  Outputs: RFC-4180-style CSV with '.' decimals and 17
 significant digits, plus a JSON manifest holding the config, tolerances, a
-results summary, and the wall time.
+results summary, the wall time and the process's peak resident memory.
 
 Exit codes: 0 success, 2 validation error, 3 numerical divergence,
 4 tolerance failure in a check subcommand.
@@ -32,6 +32,7 @@ import configparser
 import csv
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ import numpy as np
 from . import __version__
 from .equations import EquationParams, RenormalizedTerms, derive_gauge_params
 from .errors import ConfigurationError, DivergenceError, MkdvLabError, ParameterError
-from .integrate import StepControl, evolve
+from .integrate import StepControl, evolve, uniform_steps
 from .invariants import drift_report
 from .spectral import GridSpec, SpectralField, sobolev_norm
 from .transforms import gauge_forward, miura_residual, chain_identity_gap
@@ -235,6 +236,7 @@ def write_manifest(path: Path, cfg: ExperimentConfig, summary: dict, wall: float
         "tolerances": TOLERANCES,
         "results_summary": summary,
         "wall_time_s": wall,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
 
@@ -468,8 +470,25 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
     k_max = max(1, int(np.ceil(np.log2(max(grid.max_mode, 2)))))
     span_min = 4.0 * 4.0 ** (-k_max)
     ctrl = build_ctrl(cfg)
+    # the windows need uniform record spacing of at most span_min / 64
     if ctrl.dt == 0 or ctrl.dt > span_min / 64:
         ctrl = StepControl(dt=span_min / 64 * 0.98, record_stride=1)
+    elif ctrl.record_stride == 0:
+        ctrl = StepControl(dt=ctrl.dt, record_stride=1)
+    elif T > 0:  # evolve rejects T <= 0
+        n_steps, dt = uniform_steps(T, ctrl.dt)
+        stride = ctrl.record_stride
+        if n_steps % stride:
+            raise ConfigurationError(
+                f"time.record_stride = {stride} does not divide the {n_steps} steps, "
+                "so the last record interval would be short; norms needs uniform "
+                "record spacing (0 records every step)"
+            )
+        if stride * dt > span_min / 64:
+            raise ConfigurationError(
+                f"time.record_stride = {stride} spaces records {stride * dt:.3e} apart; "
+                f"norms needs at most {span_min / 64:.3e} (0 records every step)"
+            )
     traj = evolve(u0, T, p, cfg.get("equation", "tag"), ctrl)
     wt = WeightTable(cfg.get_float("norms", "gamma"))
     s = cfg.get_float("norms", "s")

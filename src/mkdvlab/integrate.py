@@ -195,6 +195,13 @@ def _etdrk4_step(c, co: _EtdRk4Coefficients, nonlinear):
 # evolve
 # ---------------------------------------------------------------------------
 
+def uniform_steps(T: float, dt: float) -> tuple:
+    """Number of steps evolve takes to T from a requested dt > 0, and the dt
+    it steps with (T / steps, at most the requested dt up to round-off)."""
+    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    return n_steps, T / n_steps
+
+
 def evolve(
     u0: SpectralField,
     T: float,
@@ -223,8 +230,7 @@ def evolve(
     M = grid.max_mode
     u0.require_real(what=f"{tag} initial data")
     dt = ctrl.dt if ctrl.dt > 0 else default_dt(u0, p, tag)
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    dt = T / n_steps
+    n_steps, dt = uniform_steps(T, dt)
     stride = ctrl.record_stride
     if stride == 0:
         stride = max(1, int(np.ceil(n_steps / 600)))

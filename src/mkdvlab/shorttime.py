@@ -22,11 +22,15 @@ extensions; flagged in the result metadata).
 Cost model: a window at level k has L ~ 4 * 4^{-k}/dt samples however few
 records R it covers (L = 267,602 around R = 670 for k = 0 at the `norms`
 defaults).  Only the recorded rows of the band I_k are gathered; windows of
-one length share one batched FFT, and a zero-extended window is a chirp-z
-transform of its R rows (two FFTs of fast length >= L + R - 1, the same L
-bins).  One pass bins |G|^2 for F_k, N_k and the F^s block into a table of
-3 x centres x shells masses (centres <= records/4 + 1, so under
-records x shells), made once per (trajectory, k, T) and memoized on it.
+one length share one batched FFT, chunked to at most _BATCH_ELEMENTS complex
+entries per buffer (a window of more records runs alone).  A zero-extended
+window is transformed in blocks of its L bins, each block a chirp-z
+transform of its R rows against one kernel FFT shared by every block, with
+the block length set by the same budget; each block is binned as it is
+made, so the memory depends on R, not on L (or dt).  One pass bins |G|^2
+for F_k, N_k and the F^s block into a table of 3 x centres x shells masses
+(centres <= records/4 + 1, so under records x shells), made once per
+(trajectory, k, T) and memoized on it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .spectral import chi, eta0
 GAMMA_DEFAULT = 0.25
 WINDOW_HALF_WIDTH = 2.0  # support of eta0 in scaled units
 MIN_WINDOW_SAMPLES = 64
-_BATCH_ELEMENTS = 1 << 20  # complex entries per batched window FFT
+_BATCH_ELEMENTS = 1 << 17  # complex entries per window transform buffer
 
 
 def beta_weight(j: int, k: int, gamma: float = GAMMA_DEFAULT) -> float:
@@ -116,26 +120,52 @@ def _window_starts(traj: Trajectory, k: int, centers: np.ndarray):
     return dt, m_lo, m_hi - m_lo + 1
 
 
-def _czt_rows(x: np.ndarray, L: int) -> np.ndarray:
-    """sfft.fft(x, n=L, axis=1) of R <= L rows by a chirp-z transform,
-    X[f] = w^{f^2/2} sum_p (x[p] w^{p^2/2}) w^{-(f-p)^2/2} with w = e^{-2 pi i/L}:
-    two FFTs of fast length >= L + R - 1, where an L with large prime factors
-    would run as a Bluestein transform about 2L long.  The chirp phases are
-    taken from the exact integers q^2 mod 2L."""
+def _taus(L: int, dt: float, f0: int, n: int) -> np.ndarray:
+    """2 pi sfft.fftfreq(L, dt)[f0:f0 + n], bit for bit, without the other bins."""
+    f = np.arange(f0, f0 + n)
+    f[f > (L - 1) // 2] -= L
+    return 2.0 * np.pi * (f * (1.0 / (L * dt)))
+
+
+def _dft_blocks(x: np.ndarray, L: int):
+    """Yield (f0, X[:, f0:f0 + B]) of X = sfft.fft(x, n=L, axis=1) for x of
+    shape (batch, R, columns) with R <= L rows.
+
+    R = L is one FFT, which may overwrite x.  For R < L each block is a
+    chirp-z transform, X[f0 + q] = w^{q^2/2} sum_p (x[p] w^{f0 p + p^2/2})
+    w^{-(q-p)^2/2} with w = e^{-2 pi i/L}: a circular convolution of length
+    N >= B + R - 1 against one kernel FFT shared by every block.  N is the
+    largest 5-smooth length with batch * N * columns <= _BATCH_ELEMENTS, but
+    at least R, so the memory does not depend on L; each block is a view of
+    its length-N buffer.  Phases are taken from the exact integers
+    (2 f0 p + p^2) mod 2L and q^2 mod 2L.
+    """
     R = x.shape[1]
-    N = sfft.next_fast_len(L + R - 1)
-    q = np.arange(L)
+    if R == L:
+        yield 0, sfft.fft(x, axis=1, overwrite_x=True)
+        return
+    cols = x.shape[0] * x.shape[2]
+    N = max(sfft.prev_fast_len(max(_BATCH_ELEMENTS // cols, 1), True),
+            sfft.next_fast_len(R, True))
+    N = min(N, sfft.next_fast_len(L + R - 1, True))
+    B = min(L, N - R + 1)
+    q = np.arange(max(B, R))
     chirp = np.exp(-1j * np.pi * ((q * q) % (2 * L)) / L)
     kernel = np.zeros(N, dtype=np.complex128)
-    kernel[:L] = np.conj(chirp)
+    kernel[:B] = np.conj(chirp[:B])
     kernel[N - R + 1:] = np.conj(chirp[1:R][::-1])  # lags -(R-1)..-1
-    y = np.zeros((x.shape[0], N) + x.shape[2:], dtype=np.complex128)
-    y[:, :R] = x * chirp[:R, None]
-    Y = sfft.fft(y, axis=1, overwrite_x=True)
-    Y *= sfft.fft(kernel)[:, None]
-    Y = sfft.ifft(Y, axis=1, overwrite_x=True)[:, :L]
-    Y *= chirp[:, None]
-    return Y
+    kernel = sfft.fft(kernel)[:, None]
+    p = q[:R]
+    for f0 in range(0, L, B):
+        phase = (2 * ((f0 * p) % L) + p * p) % (2 * L)
+        y = np.zeros((x.shape[0], N, x.shape[2]), dtype=np.complex128)
+        y[:, :R] = x * np.exp(-1j * np.pi * phase / L)[:, None]
+        Y = sfft.fft(y, axis=1, overwrite_x=True)
+        Y *= kernel
+        n = min(B, L - f0)
+        Y = sfft.ifft(Y, axis=1, overwrite_x=True)[:, :n]
+        Y *= chirp[:n, None]
+        yield f0, Y
 
 
 def _window_masses(traj, k, centers, dt, m_lo, lengths):
@@ -144,8 +174,9 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     squared window L^2(dt) norms.
     One transform G per window; P = |G|^2 summed over the band (w = 0, X_k),
     divided by tau^2 + 16^k (w = 1, the N_k resolvent) or weighted by
-    chi_k(n)^2 (w = 2, the F^s block).  A zero-extended window transforms
-    only its recorded rows: the shift to the first one is a phase of G."""
+    chi_k(n)^2 (w = 2, the F^s block), binned block by block of _dft_blocks.
+    A zero-extended window transforms only its recorded rows: the shift to
+    the first one is a phase of G."""
     n_rec = len(traj.times)
     n_c = len(centers)
     chik = chi(k, traj.grid.modes)
@@ -156,17 +187,14 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     t_rec = traj.times[0] + np.arange(n_rec) * dt
     demod = traj.states[:, band] * np.exp(-1j * np.outer(t_rec, mu))
 
-    bins = {}
-    for L in np.unique(lengths):
-        taus = 2.0 * np.pi * sfft.fftfreq(L, d=dt)
-        bins[L] = (taus, _shell_index(np.abs(taus)))
-    n_shells = 1 + max(int(shell_of.max()) for _, shell_of in bins.values())
+    # |tau| is largest at the Nyquist bin L // 2
+    n_shells = 1 + max(int(_shell_index(np.abs(_taus(L, dt, L // 2, 1)))[0])
+                       for L in np.unique(lengths))
     mass_sq = np.zeros((3, n_c, n_shells))
     present = np.zeros((n_c, n_shells), dtype=bool)
     l2_sq = np.zeros(n_c)
-    for L, (taus, shell_of) in bins.items():
+    for L in np.unique(lengths):
         same = np.nonzero(lengths == L)[0]
-        present[same] |= np.bincount(shell_of, minlength=n_shells) > 0
         chunk = max(1, _BATCH_ELEMENTS // (L * band.size))
         for c in (same[i:i + chunk] for i in range(0, len(same), chunk)):
             first = np.maximum(m_lo[c], 0)
@@ -178,14 +206,18 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
             g = np.zeros((len(c), R, band.size), dtype=np.complex128)
             g[inside] = demod[r] * eta0(4.0**k * (t_rec[r] - t_k))[:, None]
             l2_sq[c] = dt * np.sum(np.abs(g) ** 2, axis=(1, 2))
-            G = sfft.fft(g, axis=1, overwrite_x=True) if R == L else _czt_rows(g, L)
-            P = np.abs(G) ** 2
-            # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
-            wf = P.sum(axis=2) * (dt / L)
-            w = np.stack([wf, wf / (taus**2 + 16.0**k), (P @ chik[band] ** 2) * (dt / L)])
-            flat = shell_of + n_shells * np.arange(3 * len(c)).reshape(3, -1, 1)
-            sums = np.bincount(flat.ravel(), w.ravel(), minlength=3 * len(c) * n_shells)
-            mass_sq[:, c] = sums.reshape(3, len(c), n_shells)
+            flat = n_shells * np.arange(3 * len(c)).reshape(3, -1, 1)
+            for f0, G in _dft_blocks(g, int(L)):
+                taus = _taus(L, dt, f0, G.shape[1])
+                shell_of = _shell_index(np.abs(taus))
+                present[c] |= np.bincount(shell_of, minlength=n_shells) > 0
+                P = np.abs(G) ** 2
+                # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
+                wf = P.sum(axis=2) * (dt / L)
+                w = np.stack([wf, wf / (taus**2 + 16.0**k), (P @ chik[band] ** 2) * (dt / L)])
+                sums = np.bincount((shell_of + flat).ravel(), w.ravel(),
+                                   minlength=3 * len(c) * n_shells)
+                mass_sq[:, c] += sums.reshape(3, len(c), n_shells)
     return mass_sq, present, l2_sq
 
 

@@ -135,8 +135,9 @@ class TestConserve:
         run(["conserve", "--out", str(tmp_path), "--set", "grid.max_mode=16",
              "--set", "time.T=0.001"])
         man = json.loads((tmp_path / "mkdvlab_conserve_manifest.json").read_text())
-        for key in ("config", "tolerances", "results_summary", "wall_time_s"):
+        for key in ("config", "tolerances", "results_summary", "wall_time_s", "peak_rss_mib"):
             assert key in man
+        assert man["peak_rss_mib"] > 0
 
     def test_reproducible_csv_bodies(self, tmp_path):
         a = tmp_path / "a"
@@ -306,3 +307,38 @@ class TestNorms:
         assert summary["record_stride"] == 1
         assert 0.0 < summary["dt"] <= span_min / 64 * 0.98
         assert (man["config"]["time"]["dt"], man["config"]["time"]["record_stride"]) == ("0.001", "3")
+
+    def test_user_dt_kept_records_every_step(self, tmp_path):
+        # 1,429 steps of dt 7e-6: the automatic stride 3 would leave a short
+        # last record interval, so a kept dt records every step
+        code = run([
+            "norms", "--out", str(tmp_path),
+            "--set", "grid.max_mode=16",
+            "--set", "time.dt=7e-6",
+        ])
+        assert code == 0
+        summary = json.loads((tmp_path / "mkdvlab_norms_manifest.json").read_text())["results_summary"]
+        assert summary["record_stride"] == 1
+        assert summary["dt"] == pytest.approx(0.01 / 1429, rel=1e-12)
+
+    @pytest.mark.parametrize("dt, stride, msg", [
+        ("7e-6", "3", "does not divide the 1429 steps"),
+        ("5e-6", "50", "spaces records 2.500e-04 apart"),  # span_min/64 = 2.441e-4
+    ])
+    def test_user_stride_checked_before_evolve(self, tmp_path, capsys, monkeypatch, dt, stride, msg):
+        from mkdvlab import cli
+
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran")
+
+        monkeypatch.setattr(cli, "evolve", no_evolve)
+        code = run([
+            "norms", "--out", str(tmp_path),
+            "--set", "grid.max_mode=16",
+            "--set", f"time.dt={dt}",
+            "--set", f"time.record_stride={stride}",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "time.record_stride" in err and msg in err
+        assert not list(tmp_path.iterdir())

@@ -1,9 +1,23 @@
 """The package's exported names, and the names the benchmark tracer wraps."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
+import scipy.fft
+
 import mkdvlab
+
+ROOT = Path(__file__).resolve().parents[1]
+FFT_HELPERS = {"next_fast_len", "prev_fast_len", "fftfreq", "rfftfreq", "fftshift", "ifftshift"}
+
+
+def load_tracing():
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_all_names_resolve():
@@ -18,13 +32,84 @@ def test_all_has_no_duplicates():
 def test_traced_names_resolve():
     # perfbench/tracing.py replaces these attributes when a run is traced;
     # a name deleted from the package would break those runs
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     missing = [
         f"{owner.__name__}.{attr}"
         for owner, attr, _ in tracing.TRACED
         if not callable(getattr(owner, attr, None))
     ]
     assert tracing.TRACED and missing == []
+
+
+def transform_call_breaches(source: str, traced: set) -> list:
+    """Lines of `source` that import numpy.fft, scipy.signal or names from
+    scipy.fft, or call a transform other than as a traced scipy.fft attribute."""
+    tree = ast.parse(source)
+    sfft_names, numpy_names, breaches = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith(("numpy.fft", "scipy.signal")):
+                    breaches.append((node.lineno, f"import {a.name}"))
+                elif a.name == "scipy.fft" and a.asname:
+                    sfft_names.add(a.asname)
+                elif a.name == "numpy":
+                    numpy_names.add(a.asname or a.name)
+        elif isinstance(node, ast.ImportFrom):
+            mod, names = node.module or "", {a.name for a in node.names}
+            if (mod.startswith(("scipy.fft", "numpy.fft", "scipy.signal"))
+                    or (mod == "numpy" and "fft" in names)
+                    or (mod == "scipy" and "signal" in names)):
+                breaches.append((node.lineno, f"from {mod} import {', '.join(sorted(names))}"))
+            elif mod == "scipy":
+                sfft_names |= {a.asname or a.name for a in node.names if a.name == "fft"}
+
+    def is_sfft(expr) -> bool:
+        if isinstance(expr, ast.Name):
+            return expr.id in sfft_names
+        return (isinstance(expr, ast.Attribute) and expr.attr == "fft"
+                and isinstance(expr.value, ast.Name) and expr.value.id == "scipy")
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            breaches.append((node.lineno, f"{node.value.id}.fft"))
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in traced:
+            breaches.append((node.lineno, f"bare {f.id}()"))
+        elif isinstance(f, ast.Attribute) and is_sfft(f.value):
+            if f.attr not in traced | FFT_HELPERS:
+                breaches.append((node.lineno, f"untraced scipy.fft.{f.attr}()"))
+    return breaches
+
+
+def test_transforms_called_as_traced_scipy_fft_attributes():
+    # perfbench's tracer and tests/test_fft_counts.py replace these attributes
+    # of the scipy.fft module; a transform reached any other way goes uncounted
+    traced = {attr for owner, attr, _ in load_tracing().TRACED if owner is scipy.fft}
+    bad = {
+        path.name: breaches
+        for path in sorted((ROOT / "src" / "mkdvlab").glob("*.py"))
+        if (breaches := transform_call_breaches(path.read_text(), traced))
+    }
+    assert bad == {}
+
+
+def test_transform_call_check_catches_each_breach():
+    traced = {"fft", "ifft", "rfft", "irfft"}
+    good = "import numpy as np\nimport scipy.fft as sfft\nsfft.fft(x)\nsfft.next_fast_len(9)\n"
+    assert transform_call_breaches(good, traced) == []
+    for line in (
+        "from scipy.fft import fft",
+        "import numpy.fft",
+        "from numpy import fft",
+        "import numpy as np\nnp.fft.fft(x)",
+        "import scipy.signal",
+        "from scipy import signal",
+        "from scipy.signal import czt",
+        "import scipy.fft as sfft\nsfft.fftn(x)",
+        "fft(x)",
+    ):
+        assert transform_call_breaches(line + "\n", traced), line

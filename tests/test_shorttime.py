@@ -14,8 +14,9 @@ from mkdvlab.errors import ParameterError, ResolutionError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.shorttime import (
     WeightTable,
-    _czt_rows,
+    _dft_blocks,
     _tk_grid,
+    _window_table,
     beta_weight,
     fk_norm,
     fs_norm,
@@ -102,6 +103,14 @@ def czt_sizes(draw):
     return L, draw(st.integers(1, L))
 
 
+def concatenated_blocks(x, L):
+    """_dft_blocks(x, L) joined along axis 1, and the length of each block
+    (copied: a block is a view of its whole convolution buffer)."""
+    blocks = [(f0, G.copy()) for f0, G in _dft_blocks(x.copy(), L)]
+    assert [f0 for f0, _ in blocks] == list(np.cumsum([0] + [G.shape[1] for _, G in blocks[:-1]]))
+    return np.concatenate([G for _, G in blocks], axis=1), [G.shape[1] for _, G in blocks]
+
+
 @settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
 @given(sizes=czt_sizes(), seed=st.integers(0, 2**32 - 1))
 @example(sizes=(1, 1), seed=0)
@@ -114,7 +123,26 @@ def test_czt_rows_matches_padded_fft(sizes, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, R, 3)) + 1j * rng.standard_normal((2, R, 3))
     want = sfft.fft(x, n=L, axis=1)
-    assert np.max(np.abs(_czt_rows(x, L) - want)) <= 1e-13 * np.max(np.abs(want))
+    got, _ = concatenated_blocks(x, L)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("L, R, sizes", [
+    (1000, 5, [6] * 166 + [4]),  # 6 = 10 - 5 + 1 bins; L is no multiple of 6
+    (100, 16, [1] * 100),  # 16 rows fill the fast length 16: one bin per block
+])
+def test_czt_blocks_under_a_small_budget(monkeypatch, L, R, sizes):
+    # 64 entries over 2 x 3 columns allow a fast length of 10 (at least R)
+    import mkdvlab.shorttime as shorttime
+
+    monkeypatch.setattr(shorttime, "_BATCH_ELEMENTS", 64)
+    rng = np.random.default_rng(L + R)
+    x = rng.standard_normal((2, R, 3)) + 1j * rng.standard_normal((2, R, 3))
+    want = sfft.fft(x, n=L, axis=1)
+    got, seen = concatenated_blocks(x, L)
+    assert seen == sizes
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestXkNorm:
@@ -421,3 +449,27 @@ def test_fs_norm_memory_peak(norms_traj):
     finally:
         tracemalloc.stop()
     assert peak < 96 * 2**20
+
+
+@pytest.mark.parametrize("dt", [1e-5, 1e-6])
+def test_zero_extended_table_memory_independent_of_dt(dt):
+    # 64 records at M = 16: the k = 0 window zero-extends them to
+    # L = 4/dt = 4e5 or 4e6 bins, transformed block by block
+    # (whole-window transforms took 55 and 549 MiB)
+    import tracemalloc
+
+    from mkdvlab.integrate import Trajectory
+
+    rng = np.random.default_rng(7)
+    times = dt * np.arange(64)
+    states = rng.standard_normal((64, 33)) + 1j * rng.standard_normal((64, 33))
+    traj = Trajectory(GridSpec(16), times, states, EquationParams.constrained_family(40.0),
+                      "physical_5mkdv", dt, 1)
+    tracemalloc.start()
+    try:
+        mass_sq, present = _window_table(traj, 0, float(times[-1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert present.shape == (1, mass_sq.shape[2]) and present.any()
+    assert peak < 16 * 2**20
