@@ -459,6 +459,15 @@ def cmd_appendix_b(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
+def _largest_divisor(n: int, cap: int) -> int:
+    """The largest divisor of n that is at most cap (cap >= 1)."""
+    best = 1
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            best = max([best] + [e for e in (d, n // d) if e <= cap])
+    return best
+
+
 def cmd_norms(cfg: ExperimentConfig, args) -> int:
     from .shorttime import WeightTable, _tk_grid, _window_table, fk_norm, fs_norm, nk_norm
 
@@ -473,21 +482,23 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
     # the windows need uniform record spacing of at most span_min / 64
     if ctrl.dt == 0 or ctrl.dt > span_min / 64:
         ctrl = StepControl(dt=span_min / 64 * 0.98, record_stride=1)
-    elif ctrl.record_stride == 0:
-        ctrl = StepControl(dt=ctrl.dt, record_stride=1)
     elif T > 0:  # evolve rejects T <= 0
         n_steps, dt = uniform_steps(T, ctrl.dt)
         stride = ctrl.record_stride
-        if n_steps % stride:
+        if stride == 0:
+            # the coarsest uniform spacing the windows accept
+            cap = max(1, int(span_min / 64 / dt))
+            ctrl = StepControl(dt=ctrl.dt, record_stride=_largest_divisor(n_steps, cap))
+        elif n_steps % stride:
             raise ConfigurationError(
                 f"time.record_stride = {stride} does not divide the {n_steps} steps, "
                 "so the last record interval would be short; norms needs uniform "
-                "record spacing (0 records every step)"
+                "record spacing (0 chooses one)"
             )
-        if stride * dt > span_min / 64:
+        elif stride * dt > span_min / 64:
             raise ConfigurationError(
                 f"time.record_stride = {stride} spaces records {stride * dt:.3e} apart; "
-                f"norms needs at most {span_min / 64:.3e} (0 records every step)"
+                f"norms needs at most {span_min / 64:.3e} (0 chooses a stride)"
             )
     traj = evolve(u0, T, p, cfg.get("equation", "tag"), ctrl)
     wt = WeightTable(cfg.get_float("norms", "gamma"))

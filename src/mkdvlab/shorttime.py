@@ -25,9 +25,12 @@ defaults).  Only the recorded rows of the band I_k are gathered; windows of
 one length share one batched FFT, chunked to at most _BATCH_ELEMENTS complex
 entries per buffer (a window of more records runs alone).  A zero-extended
 window is transformed in blocks of its L bins, each block a chirp-z
-transform of its R rows against one kernel FFT shared by every block, with
-the block length set by the same budget; each block is binned as it is
-made, so the memory depends on R, not on L (or dt).  One pass bins |G|^2
+transform of its R rows against one kernel FFT shared by every block.  The
+convolution length is set by the same budget but is at least 2R, so a block
+holds more than R bins and the blocks cost at most about twice one
+whole-window transform; columns that do not fit the budget at that length
+are transformed a slice at a time.  Each block is binned as it is made, so
+the memory depends on R, not on L (or dt).  One pass bins |G|^2
 for F_k, N_k and the F^s block into a table of 3 x centres x shells masses
 (centres <= records/4 + 1, so under records x shells), made once per
 (trajectory, k, T) and memoized on it.
@@ -128,44 +131,50 @@ def _taus(L: int, dt: float, f0: int, n: int) -> np.ndarray:
 
 
 def _dft_blocks(x: np.ndarray, L: int):
-    """Yield (f0, X[:, f0:f0 + B]) of X = sfft.fft(x, n=L, axis=1) for x of
-    shape (batch, R, columns) with R <= L rows.
+    """Yield (f0, s, X[:, f0:f0 + B, s]) of X = sfft.fft(x, n=L, axis=1) for x
+    of shape (batch, R, columns) with R <= L rows, s a slice of the columns.
 
-    R = L is one FFT, which may overwrite x.  For R < L each block is a
-    chirp-z transform, X[f0 + q] = w^{q^2/2} sum_p (x[p] w^{f0 p + p^2/2})
-    w^{-(q-p)^2/2} with w = e^{-2 pi i/L}: a circular convolution of length
-    N >= B + R - 1 against one kernel FFT shared by every block.  N is the
-    largest 5-smooth length with batch * N * columns <= _BATCH_ELEMENTS, but
-    at least R, so the memory does not depend on L; each block is a view of
-    its length-N buffer.  Phases are taken from the exact integers
-    (2 f0 p + p^2) mod 2L and q^2 mod 2L.
+    R = L is one FFT of every column, which may overwrite x.  For R < L each
+    block is a chirp-z transform, X[f0 + q] = w^{q^2/2} sum_p (x[p] w^{f0 p +
+    p^2/2}) w^{-(q-p)^2/2} with w = e^{-2 pi i/L}: a circular convolution of
+    length N >= B + R - 1 against one kernel FFT shared by every block.  N is
+    the largest 5-smooth length with batch * N * columns <= _BATCH_ELEMENTS,
+    but at least 2R, so B = N - R + 1 > R and the blocks cost at most about
+    twice one whole-window transform.  Where 2R rows of every column exceed
+    the budget, the columns are transformed in slices that fit it (one
+    column at a time if need be), so the memory does not depend on L; each
+    block is a view of its length-N buffer.  Phases are taken from the exact
+    integers (2 f0 p + p^2) mod 2L and q^2 mod 2L.
     """
-    R = x.shape[1]
+    batch, R, cols = x.shape
     if R == L:
-        yield 0, sfft.fft(x, axis=1, overwrite_x=True)
+        yield 0, slice(0, cols), sfft.fft(x, axis=1, overwrite_x=True)
         return
-    cols = x.shape[0] * x.shape[2]
-    N = max(sfft.prev_fast_len(max(_BATCH_ELEMENTS // cols, 1), True),
-            sfft.next_fast_len(R, True))
+    N = max(sfft.prev_fast_len(max(_BATCH_ELEMENTS // (batch * cols), 1), True),
+            sfft.next_fast_len(2 * R, True))
     N = min(N, sfft.next_fast_len(L + R - 1, True))
+    width = max(1, min(cols, _BATCH_ELEMENTS // (batch * N)))
     B = min(L, N - R + 1)
-    q = np.arange(max(B, R))
+    q = np.arange(B)
     chirp = np.exp(-1j * np.pi * ((q * q) % (2 * L)) / L)
     kernel = np.zeros(N, dtype=np.complex128)
-    kernel[:B] = np.conj(chirp[:B])
+    kernel[:B] = np.conj(chirp)
     kernel[N - R + 1:] = np.conj(chirp[1:R][::-1])  # lags -(R-1)..-1
     kernel = sfft.fft(kernel)[:, None]
     p = q[:R]
     for f0 in range(0, L, B):
         phase = (2 * ((f0 * p) % L) + p * p) % (2 * L)
-        y = np.zeros((x.shape[0], N, x.shape[2]), dtype=np.complex128)
-        y[:, :R] = x * np.exp(-1j * np.pi * phase / L)[:, None]
-        Y = sfft.fft(y, axis=1, overwrite_x=True)
-        Y *= kernel
+        shift = np.exp(-1j * np.pi * phase / L)[:, None]
         n = min(B, L - f0)
-        Y = sfft.ifft(Y, axis=1, overwrite_x=True)[:, :n]
-        Y *= chirp[:n, None]
-        yield f0, Y
+        for a in range(0, cols, width):
+            s = slice(a, min(a + width, cols))
+            y = np.zeros((batch, N, s.stop - a), dtype=np.complex128)
+            y[:, :R] = x[:, :, s] * shift
+            Y = sfft.fft(y, axis=1, overwrite_x=True)
+            Y *= kernel
+            Y = sfft.ifft(Y, axis=1, overwrite_x=True)[:, :n]
+            Y *= chirp[:n, None]
+            yield f0, s, Y
 
 
 def _window_masses(traj, k, centers, dt, m_lo, lengths):
@@ -174,7 +183,8 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     squared window L^2(dt) norms.
     One transform G per window; P = |G|^2 summed over the band (w = 0, X_k),
     divided by tau^2 + 16^k (w = 1, the N_k resolvent) or weighted by
-    chi_k(n)^2 (w = 2, the F^s block), binned block by block of _dft_blocks.
+    chi_k(n)^2 (w = 2, the F^s block), binned block by block (and column
+    slice by column slice) of _dft_blocks.
     A zero-extended window transforms only its recorded rows: the shift to
     the first one is a phase of G."""
     n_rec = len(traj.times)
@@ -184,6 +194,7 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     if band.size == 0:
         return np.zeros((3, n_c, 0)), np.zeros((n_c, 0), dtype=bool), np.zeros(n_c)
     mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[band]
+    chi_sq = chik[band] ** 2
     t_rec = traj.times[0] + np.arange(n_rec) * dt
     demod = traj.states[:, band] * np.exp(-1j * np.outer(t_rec, mu))
 
@@ -207,14 +218,15 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
             g[inside] = demod[r] * eta0(4.0**k * (t_rec[r] - t_k))[:, None]
             l2_sq[c] = dt * np.sum(np.abs(g) ** 2, axis=(1, 2))
             flat = n_shells * np.arange(3 * len(c)).reshape(3, -1, 1)
-            for f0, G in _dft_blocks(g, int(L)):
-                taus = _taus(L, dt, f0, G.shape[1])
-                shell_of = _shell_index(np.abs(taus))
-                present[c] |= np.bincount(shell_of, minlength=n_shells) > 0
+            for f0, s, G in _dft_blocks(g, int(L)):
+                if s.start == 0:  # the first column slice of a new block
+                    taus = _taus(L, dt, f0, G.shape[1])
+                    shell_of = _shell_index(np.abs(taus))
+                    present[c] |= np.bincount(shell_of, minlength=n_shells) > 0
                 P = np.abs(G) ** 2
                 # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
                 wf = P.sum(axis=2) * (dt / L)
-                w = np.stack([wf, wf / (taus**2 + 16.0**k), (P @ chik[band] ** 2) * (dt / L)])
+                w = np.stack([wf, wf / (taus**2 + 16.0**k), (P @ chi_sq[s]) * (dt / L)])
                 sums = np.bincount((shell_of + flat).ravel(), w.ravel(),
                                    minlength=3 * len(c) * n_shells)
                 mass_sq[:, c] += sums.reshape(3, len(c), n_shells)

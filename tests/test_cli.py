@@ -310,7 +310,7 @@ class TestNorms:
 
     def test_user_dt_kept_records_every_step(self, tmp_path):
         # 1,429 steps of dt 7e-6: the automatic stride 3 would leave a short
-        # last record interval, so a kept dt records every step
+        # last record interval; 1,429 is prime, so a kept dt records every step
         code = run([
             "norms", "--out", str(tmp_path),
             "--set", "grid.max_mode=16",
@@ -320,6 +320,19 @@ class TestNorms:
         summary = json.loads((tmp_path / "mkdvlab_norms_manifest.json").read_text())["results_summary"]
         assert summary["record_stride"] == 1
         assert summary["dt"] == pytest.approx(0.01 / 1429, rel=1e-12)
+
+    def test_user_dt_kept_records_at_the_coarsest_even_stride(self, tmp_path):
+        # 2,000 steps of dt 5e-6 and span_min/64 = 2.441e-4 allow a stride of
+        # at most 48; 40 is the largest that divides 2,000
+        code = run([
+            "norms", "--out", str(tmp_path),
+            "--set", "grid.max_mode=16",
+            "--set", "time.dt=5e-6",
+        ])
+        assert code == 0
+        summary = json.loads((tmp_path / "mkdvlab_norms_manifest.json").read_text())["results_summary"]
+        assert summary["record_stride"] == 40
+        assert summary["dt"] == pytest.approx(5e-6, rel=1e-12)
 
     @pytest.mark.parametrize("dt, stride, msg", [
         ("7e-6", "3", "does not divide the 1429 steps"),

@@ -103,12 +103,33 @@ def czt_sizes(draw):
     return L, draw(st.integers(1, L))
 
 
-def concatenated_blocks(x, L):
-    """_dft_blocks(x, L) joined along axis 1, and the length of each block
-    (copied: a block is a view of its whole convolution buffer)."""
-    blocks = [(f0, G.copy()) for f0, G in _dft_blocks(x.copy(), L)]
-    assert [f0 for f0, _ in blocks] == list(np.cumsum([0] + [G.shape[1] for _, G in blocks[:-1]]))
-    return np.concatenate([G for _, G in blocks], axis=1), [G.shape[1] for _, G in blocks]
+def concatenated_blocks(x, L, max_blocks=None):
+    """_dft_blocks(x, L) put together into the (batch, L, columns) transform,
+    and the length of each block; every (bin, column) must come exactly once,
+    in at most max_blocks blocks (checked as they come)."""
+    got = np.zeros((x.shape[0], L, x.shape[2]), dtype=np.complex128)
+    hits = np.zeros((L, x.shape[2]), dtype=int)
+    sizes = {}
+    for f0, s, G in _dft_blocks(x.copy(), L):
+        n = sizes.setdefault(f0, G.shape[1])
+        assert max_blocks is None or len(sizes) <= max_blocks
+        assert G.shape == (x.shape[0], n, s.stop - s.start)
+        got[:, f0:f0 + n, s] = G
+        hits[f0:f0 + n, s] += 1
+    assert (hits == 1).all()
+    assert list(sizes) == list(np.cumsum([0] + list(sizes.values())[:-1]))
+    return got, list(sizes.values())
+
+
+def transform_sizes(monkeypatch):
+    """Entries of every sfft.fft / sfft.ifft input from here on."""
+    sizes = []
+    for name in ("fft", "ifft"):
+        def traced(a, *args, _f=getattr(sfft, name), **kwargs):
+            sizes.append(np.size(a))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(sfft, name, traced)
+    return sizes
 
 
 @settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
@@ -130,18 +151,42 @@ def test_czt_rows_matches_padded_fft(sizes, seed):
 
 @pytest.mark.parametrize("L, R, sizes", [
     (1000, 5, [6] * 166 + [4]),  # 6 = 10 - 5 + 1 bins; L is no multiple of 6
-    (100, 16, [1] * 100),  # 16 rows fill the fast length 16: one bin per block
+    (997, 5, [6] * 166 + [1]),  # the last block holds a single bin
+    (100, 16, [17] * 5 + [15]),  # 2 x 16 rows outgrow the budget's fast length 10
 ])
 def test_czt_blocks_under_a_small_budget(monkeypatch, L, R, sizes):
-    # 64 entries over 2 x 3 columns allow a fast length of 10 (at least R)
+    # 64 entries over 2 x 3 columns allow a fast length of 10; the
+    # convolution is at least 2R long, so a block holds more than R bins, and
+    # at R = 16 (length 32) one column at a time fits the budget
     import mkdvlab.shorttime as shorttime
 
     monkeypatch.setattr(shorttime, "_BATCH_ELEMENTS", 64)
     rng = np.random.default_rng(L + R)
     x = rng.standard_normal((2, R, 3)) + 1j * rng.standard_normal((2, R, 3))
     want = sfft.fft(x, n=L, axis=1)
-    got, seen = concatenated_blocks(x, L)
+    buffers = transform_sizes(monkeypatch)
+    got, seen = concatenated_blocks(x, L, max_blocks=2 * L / R + 1)
     assert seen == sizes
+    assert all(B > R for B in seen[:-1])
+    assert max(buffers) <= 64
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_czt_blocks_when_the_rows_outgrow_the_budget(monkeypatch):
+    # 50,000 rows x 3 columns exceed _BATCH_ELEMENTS = 2^17: the blocks still
+    # hold more than R bins each (at most 2L/R + 1 of them), one column at a
+    # time, and no transform buffer exceeds the budget
+    import mkdvlab.shorttime as shorttime
+
+    L, R = 400_000, 50_000
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((1, R, 3)) + 1j * rng.standard_normal((1, R, 3))
+    assert x.size > shorttime._BATCH_ELEMENTS
+    want = sfft.fft(x, n=L, axis=1)
+    buffers = transform_sizes(monkeypatch)
+    got, seen = concatenated_blocks(x, L, max_blocks=2 * L / R + 1)
+    assert all(B > R for B in seen[:-1])
+    assert max(buffers) <= shorttime._BATCH_ELEMENTS
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
