@@ -93,8 +93,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"{section}.{key}: must be positive, got {v}")
         return v
 
-    def get_float(self, section, key):
-        return _parse_number(f"{section}.{key}", self.raw.get(section, key), float)
+    def get_float(self, section, key, positive=False):
+        v = _parse_number(f"{section}.{key}", self.raw.get(section, key), float)
+        if positive and v <= 0:
+            raise ConfigurationError(f"{section}.{key}: must be positive, got {v}")
+        return v
 
     def get_list(self, section, key, kind):
         """Comma-separated ints or finite floats (kind); empty items are skipped."""
@@ -117,6 +120,15 @@ def _parse_number(name: str, text: str, kind):
     if kind is float and not math.isfinite(v):
         raise ConfigurationError(f"{name}: must be finite, got {v}")
     return v
+
+
+def _in_field(name: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a validation error prefixed by the config
+    field its input came from."""
+    try:
+        return build(*args, **kwargs)
+    except (ConfigurationError, ParameterError) as e:
+        raise ConfigurationError(f"{name}: {e}") from None
 
 
 def load_config(path: str | None, overrides) -> ExperimentConfig:
@@ -165,6 +177,11 @@ def build_initial_data(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
     preset = cfg.get("initial_data", "preset")
     if preset == "cosine":
         amps = cfg.get_list("initial_data", "amplitudes", float)
+        if len(amps) > grid.max_mode:
+            raise ConfigurationError(
+                f"initial_data.amplitudes: {len(amps)} amplitudes set modes 1..{len(amps)}, "
+                f"beyond grid.max_mode = {grid.max_mode}"
+            )
         values = {}
         for i, a in enumerate(amps, start=1):
             values[i] = a / 2.0
@@ -213,10 +230,10 @@ def build_params(cfg: ExperimentConfig, u0: SpectralField | None = None) -> Equa
 
 
 def build_ctrl(cfg: ExperimentConfig) -> StepControl:
-    return StepControl(
-        dt=cfg.get_float("time", "dt"),
-        record_stride=cfg.get_int("time", "record_stride"),
-    )
+    dt = cfg.get_float("time", "dt")
+    stride = cfg.get_int("time", "record_stride")
+    _in_field("time.dt", StepControl, dt=dt)
+    return _in_field("time.record_stride", StepControl, dt=dt, record_stride=stride)
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -257,7 +274,8 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
     grid = build_grid(cfg)
     u0 = build_initial_data(cfg, grid)
     p = build_params(cfg, u0)
-    traj = evolve(u0, cfg.get_float("time", "T"), p, cfg.get("equation", "tag"), build_ctrl(cfg))
+    T = cfg.get_float("time", "T", positive=True)
+    traj = evolve(u0, T, p, cfg.get("equation", "tag"), build_ctrl(cfg))
     s = cfg.get_float("norms", "s")
     rep = drift_report(traj, p.c1)
     rows = [
@@ -279,7 +297,8 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> int:
     grid = build_grid(cfg)
     u0 = build_initial_data(cfg, grid)
     p = build_params(cfg, u0)
-    traj = evolve(u0, cfg.get_float("time", "T"), p, "physical_5mkdv", build_ctrl(cfg))
+    T = cfg.get_float("time", "T", positive=True)
+    traj = evolve(u0, T, p, "physical_5mkdv", build_ctrl(cfg))
     rep = drift_report(traj, p.c1)
     csv_path, man_path = _out_paths(cfg, "conserve")
     rep.write_csv(csv_path)
@@ -298,7 +317,7 @@ def cmd_gauge_check(cfg: ExperimentConfig, args) -> int:
     grid = build_grid(cfg)
     u0 = build_initial_data(cfg, grid)
     p = build_params(cfg, u0)
-    T = cfg.get_float("time", "T")
+    T = cfg.get_float("time", "T", positive=True)
     ctrl = build_ctrl(cfg)
     traj_u = evolve(u0, T, p, "physical_5mkdv", ctrl)
     traj_v = evolve(u0, T, p, "renormalized_5mkdv", ctrl)
@@ -341,7 +360,8 @@ def cmd_miura_check(cfg: ExperimentConfig, args) -> int:
         worst_static = max(worst_static, gap / scale)
 
     u0 = build_initial_data(cfg, grid)
-    traj = evolve(u0, cfg.get_float("time", "T"), EquationParams(), "mkdv3", build_ctrl(cfg))
+    T = cfg.get_float("time", "T", positive=True)
+    traj = evolve(u0, T, EquationParams(), "mkdv3", build_ctrl(cfg))
     res = miura_residual(traj)
     rows = [(traj.times[i], float(res[i])) for i in range(len(traj))]
     csv_path, man_path = _out_paths(cfg, "miura")
@@ -475,14 +495,14 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
     grid = build_grid(cfg)
     u0 = build_initial_data(cfg, grid)
     p = build_params(cfg, u0)
-    T = cfg.get_float("time", "T")
+    T = cfg.get_float("time", "T", positive=True)
     k_max = max(1, int(np.ceil(np.log2(max(grid.max_mode, 2)))))
     span_min = 4.0 * 4.0 ** (-k_max)
     ctrl = build_ctrl(cfg)
     # the windows need uniform record spacing of at most span_min / 64
     if ctrl.dt == 0 or ctrl.dt > span_min / 64:
         ctrl = StepControl(dt=span_min / 64 * 0.98, record_stride=1)
-    elif T > 0:  # evolve rejects T <= 0
+    else:
         n_steps, dt = uniform_steps(T, ctrl.dt)
         stride = ctrl.record_stride
         if stride == 0:
@@ -500,8 +520,8 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
                 f"time.record_stride = {stride} spaces records {stride * dt:.3e} apart; "
                 f"norms needs at most {span_min / 64:.3e} (0 chooses a stride)"
             )
+    wt = _in_field("norms.gamma", WeightTable, cfg.get_float("norms", "gamma"))
     traj = evolve(u0, T, p, cfg.get("equation", "tag"), ctrl)
-    wt = WeightTable(cfg.get_float("norms", "gamma"))
     s = cfg.get_float("norms", "s")
     grids = {k: _tk_grid(traj, k, T) for k in range(k_max + 1)}
     rows = []
@@ -546,7 +566,7 @@ def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> int:
     spec = CounterexampleSpec(
         N=cfg.get_int("initial_data", "N", positive=True),
         s=cfg.get_float("initial_data", "s"),
-        t=cfg.get_float("time", "T"),
+        t=cfg.get_float("time", "T", positive=True),
     )
     supp = symmetrized_support(counterexample_support(spec))
     u0 = SpectralField.zeros(grid)

@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import ConfigurationError, ParameterError
 from .spectral import (
@@ -120,12 +121,17 @@ def seq_l4_quartic(grid: GridSpec, coeff: np.ndarray):
     """sum_{n1+n2+n3+n4=0} c[n1]c[n2]c[n3]c[n4] of real fields, one value per
     row of ``coeff`` (dense -M..M on the last axis).
 
-    Computed as the collocation mean of u^4, exact on the dealiased grid.
+    Computed as the collocation mean of u^4, exact on the dealiased grid,
+    one stacked synthesis per chunk of rows.
     """
     require_hermitian(coeff, "seq_l4_quartic input")
-    (U,) = half_spectrum(grid).synthesize(coeff[..., grid.max_mode:], (0,))
-    u2 = U * U
-    return np.mean(u2 * u2, axis=-1)
+    half = coeff[..., grid.max_mode:]
+    rows = half.reshape(-1, half.shape[-1])
+    out = np.empty(len(rows))
+    for chunk, (U,) in half_spectrum(grid).synthesize_rows(rows, (0,)):
+        u2 = U * U
+        out[chunk] = np.mean(u2 * u2, axis=-1)
+    return out.reshape(half.shape[:-1])[()]
 
 
 def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
@@ -175,8 +181,8 @@ def _physical_divergence(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> 
     -(c2 u^2 u_xx + c3 u u_x^2 + c4/5 u^5)_x, so the mean is conserved exactly."""
     U, Ux, Uxx = h.synthesize(ch, (0, 1, 2))
     u2 = U * U
-    G = u2 * (p.c2 * Uxx) + (p.c3 * U) * (Ux * Ux) + (p.c4 / 5.0) * (u2 * u2 * U)
-    return -h.i_n * h.analyze(G)
+    G = U * (p.c2 * (U * Uxx) + p.c3 * (Ux * Ux) + (p.c4 / 5.0) * (u2 * u2))
+    return h.minus_dx * sfft.rfft(G, axis=-1)[..., : h.M + 1]
 
 
 def _physical_general(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
@@ -218,56 +224,58 @@ class RenormalizedTerms:
 def renormalized_nonlinear_coeff(
     grid: GridSpec, ch: np.ndarray, terms: RenormalizedTerms
 ) -> np.ndarray:
-    """Nonlinear part of the renormalized flow on the half spectrum c[0..M].
+    """Nonlinear part of the renormalized flow on the half spectrum c[0..M],
+    one row or a batch of rows (leading axes).
 
     The sums over A3(n) and A5(n) are full convolutions minus their
     hyperplane corrections.  One stacked synthesis gives v, v_x, v_xx for the
     enabled terms; one stacked analysis gives -10 v^2 v_xx - 10 v v_x^2 + 6 v^5
-    together with v^2 and v^3.  The corrections read c(-n), c(-3n) and the
-    coefficients of v^3 at -n and of v^2 at -2n as the conjugates of their
-    values at n, 3n, n and 2n.
+    together with v^2 and v^3.  Every correction is c(n) times a factor, and
+    so is the resonant cubic -20i n^3 |c|^2 c = -i n (20 n^2 |c|^2) c, so the
+    result is i n (full(n) - S(n) c(n)) with one factor S.  The corrections
+    read c(-n), c(-3n) and the coefficients of v^3 at -n and of v^2 at -2n
+    as the conjugates of their values at n, 3n, n and 2n.
     """
     h = half_spectrum(grid)
-    n = h.n
-    n2 = n * n
+    cubic2, cubic3, quintic = terms.cubic2, terms.cubic3, terms.quintic
     a = ch.real**2 + ch.imag**2  # |c(n)|^2 = c(n) c(-n)
-    out = (-20j * n * n2 * a) * ch if terms.resonant_cubic else np.zeros_like(ch)
-    if not (terms.cubic2 or terms.cubic3 or terms.quintic):
-        return out
-    orders = (0,) + (1,) * terms.cubic3 + (2,) * terms.cubic2
-    V = dict(zip(orders, h.synthesize(ch, orders)))
+    if not (cubic2 or cubic3 or quintic):
+        return h.i_n3 * (-20.0 * a * ch) if terms.resonant_cubic else np.zeros_like(ch)
+    # S = w_a n^2 |c|^2 + 10 n^2 l2 [cubic2] + w_h h1 (+ the quintic's), with
+    # l2 = sum_m c(m) c(-m) and h1 = sum_m m^2 c(m) c(-m): the resonant cubic
+    # gives 20 n^2 |c|^2, 10 sum c(n1) c(n2) n3^2 c(n3) gives
+    # 10 (n^2 l2 + 2 h1 - 3 n^2 |c|^2), 10 sum c(n1) n2 c(n2) n3 c(n3) gives
+    # 10 (n^2 |c|^2 - h1), and with all three on w_a = 0
+    w_a = 20.0 * terms.resonant_cubic - 30.0 * cubic2 + 10.0 * cubic3
+    w_h = 20.0 * cubic2 - 10.0 * cubic3
+    sums = a @ h.pair_sums
+    scalar = w_h * sums[..., 1:]
+    S = (10.0 * sums[..., :1]) * h.n2 if cubic2 else 0.0
+    if w_a:
+        S = S + w_a * (h.n2 * a)
+    V = h.synthesize(ch, (0,) + (1,) * cubic3 + (2,) * cubic2)
     v0 = V[0]
-    l2 = 2.0 * np.sum(a) - a[0]  # sum_m c(m) c(-m) over -M..M
-    h1 = 2.0 * np.dot(n2, a)     # sum_m m^2 c(m) c(-m)
-    g = 0.0
-    corr = 0.0
-    if terms.cubic2:  # 10 sum c(n1) c(n2) n3^2 c(n3)
-        g = g - 10.0 * (v0 * v0) * V[2]
-        corr = corr + 10.0 * (n2 * l2 + 2.0 * h1 - 3.0 * n2 * a) * ch
-    if terms.cubic3:  # 10 sum c(n1) n2 c(n2) n3 c(n3)
-        g = g - 10.0 * v0 * (V[1] * V[1])
-        corr = corr + 10.0 * (n2 * a - h1) * ch
-    if not terms.quintic:
-        return out + h.i_n * (h.analyze(g) - corr)
+    g = v0 * V[-1] if cubic2 else 0.0
+    if cubic3:
+        g = g + V[1] * V[1]
+    if not quintic:
+        return h.i_n * (h.analyze(-10.0 * v0 * g) - (S + scalar) * ch)
     # 6 sum c(n1)..c(n5): inclusion-exclusion over the five four-sum
     # hyperplanes; with q indices pinned to n the correction is
     # C(5,q) (-1)^(q+1) c(n)^q (c^{*(5-q)})(-(q-1)n).  The q = 5 tuple sits
     # at n = 0, where the factor i n kills it.
     M = h.M
-    v2 = v0 * v0
-    g = g + 6.0 * (v2 * v2) * v0
-    full, sq, cube = h.analyze(np.stack([g, v2, v2 * v0]), 2 * M + 1)
-    quartic = np.dot(v2, v2) / h.P  # sum over n1+..+n4 = 0
-    c_3n = np.zeros_like(ch)
-    c_3n[: M // 3 + 1] = ch[::3]
-    c2 = ch * ch
-    corr = corr + 6.0 * (
-        5.0 * quartic * ch
-        - 10.0 * c2 * np.conj(cube[: M + 1])
-        + 10.0 * c2 * ch * np.conj(sq[::2])
-        - 5.0 * c2 * c2 * np.conj(c_3n)
-    )
-    return out + h.i_n * (full[: M + 1] - corr)
+    products = np.empty((3,) + v0.shape)  # v (6 v^4 - 10 g), v^2, v^3
+    v2 = np.multiply(v0, v0, out=products[1])
+    np.multiply(v2, v0, out=products[2])
+    np.multiply(v0, 6.0 * (v2 * v2) - 10.0 * g, out=products[0])
+    full, sq, cube = h.analyze(products, 2 * M + 1)
+    scalar = scalar + np.vecdot(v2, v2)[..., None] * (30.0 / h.P)  # 30 sum_{n1+..+n4=0}
+    S = S + scalar + 60.0 * ch * (np.conj(sq[..., ::2]) * ch - np.conj(cube[..., : M + 1]))
+    m3 = M // 3 + 1
+    c = ch[..., :m3]
+    S[..., :m3] -= 30.0 * (c * c * c) * np.conj(ch[..., ::3])
+    return h.i_n * (full[..., : M + 1] - S * ch)
 
 
 def nonlinear_operator(

@@ -16,13 +16,14 @@ frequency of the initial data at the highest undamped wavenumber
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import equations
 from .equations import EquationParams, RenormalizedTerms
 from .errors import ConfigurationError, DivergenceError, SymmetryError
-from .spectral import GridSpec, SpectralField, half_spectrum, hermitian_extend
+from .spectral import GridSpec, SpectralField, half_spectrum, hermitian_defects, hermitian_extend
 
 EQUATION_TAGS = (
     "physical_5mkdv",
@@ -87,19 +88,25 @@ class Trajectory:
 
     def hermitian_defects(self) -> np.ndarray:
         """max_n |coeff(-n) - conj(coeff(n))| of every record."""
-        return np.max(np.abs(self.states[:, ::-1] - np.conj(self.states)), axis=1)
+        return hermitian_defects(self.states)[0]
+
+    @cached_property
+    def _first_non_hermitian(self):
+        """(index, defect) of the first record that breaks SpectralField.require_real's
+        rule (tol 1e-8 relative), or None; the states are read-only, so the
+        check runs once per trajectory."""
+        defect, scale = hermitian_defects(self.states)
+        bad = np.nonzero(defect > 1e-8 * np.maximum(1.0, scale))[0]
+        return (int(bad[0]), float(defect[bad[0]])) if bad.size else None
 
     def require_real(self, what: str):
-        """SpectralField.require_real's rule (tol 1e-8 relative) on every
-        record; the error names the first offending record."""
-        defect = self.hermitian_defects()
-        scale = np.maximum(1.0, np.max(np.abs(self.states), axis=1))
-        bad = np.nonzero(defect > 1e-8 * scale)[0]
-        if bad.size:
-            i = int(bad[0])
+        """SpectralField.require_real's rule on every record; the error names
+        the first offending record."""
+        if self._first_non_hermitian is not None:
+            i, defect = self._first_non_hermitian
             raise SymmetryError(
                 f"{what} record {i} (t={self.times[i]:.6e}) violates Hermitian symmetry"
-                f" (defect {defect[i]:.3e})"
+                f" (defect {defect:.3e})"
             )
 
 
@@ -176,19 +183,21 @@ class _EtdRk4Coefficients:
         self.E2 = np.exp(L / 2.0)
         self.Q = dt * np.mean((np.exp(z / 2.0) - 1.0) / z, axis=1)
         self.f1 = dt * np.mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z**3, axis=1)
-        self.f2 = dt * np.mean((2.0 + z + ez * (-2.0 + z)) / z**3, axis=1)
+        # 2 f2: Cox-Matthews' f2 weighs Na + Nb twice
+        self.f2x2 = 2.0 * (dt * np.mean((2.0 + z + ez * (-2.0 + z)) / z**3, axis=1))
         self.f3 = dt * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z**3, axis=1)
 
 
 def _etdrk4_step(c, co: _EtdRk4Coefficients, nonlinear):
     Nv = nonlinear(c)
-    a = co.E2 * c + co.Q * Nv
+    E2c = co.E2 * c
+    a = E2c + co.Q * Nv
     Na = nonlinear(a)
-    b = co.E2 * c + co.Q * Na
+    b = E2c + co.Q * Na
     Nb = nonlinear(b)
     cc = co.E2 * a + co.Q * (2.0 * Nb - Nv)
     Nc = nonlinear(cc)
-    return co.E * c + co.f1 * Nv + 2.0 * co.f2 * (Na + Nb) + co.f3 * Nc
+    return co.E * c + co.f1 * Nv + co.f2x2 * (Na + Nb) + co.f3 * Nc
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ The three Hamiltonians of the constrained family (physical integrals over
     H2 = int (u_xx)^2/2 + (c1/8) u^2 u_x^2 + (c1^2/1600) u^6
 
 All three are constant along the constrained flow; H2 generates it.  The
-series over a trajectory come from one stacked synthesis of u, u_x and u_xx
-over all records (:class:`spectral.HalfSpectrum`).
+series over a trajectory come from stacked syntheses of u, u_x and u_xx, one
+per chunk of records (:meth:`spectral.HalfSpectrum.synthesize_rows`), so the
+memory does not grow with the record count.
 """
 
 from __future__ import annotations
@@ -32,37 +33,41 @@ def _quad(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.sum(values, axis=-1) * (TWO_PI / grid.phys_points)
 
 
-def _hamiltonians(grid: GridSpec, states: np.ndarray, c1: float, top: int = 2) -> list:
-    """[H0, ..., H_top] of every row of states, from one stacked synthesis."""
-    D = half_spectrum(grid).synthesize(states[..., grid.max_mode:], range(top + 1))
-    U = D[0]
-    u2 = U * U
-    out = [0.5 * _quad(grid, u2)]
-    if top >= 1:
-        Ux = D[1]
-        out.append(_quad(grid, 0.5 * Ux * Ux + (c1 / 80.0) * u2 * u2))
-    if top >= 2:
-        Uxx = D[2]
-        out.append(_quad(
-            grid,
-            0.5 * Uxx * Uxx + (c1 / 8.0) * u2 * Ux * Ux + (c1**2 / 1600.0) * u2 * u2 * u2,
-        ))
+def _hamiltonians(grid: GridSpec, states: np.ndarray, c1: float, top: int = 2) -> np.ndarray:
+    """[H0, ..., H_top] of every row of 2-D states, one stacked synthesis per
+    chunk of rows (spectral.BATCH_ELEMENTS samples at most)."""
+    out = np.empty((top + 1, len(states)))
+    for rows, D in half_spectrum(grid).synthesize_rows(states[:, grid.max_mode:], range(top + 1)):
+        U = D[0]
+        u2 = U * U
+        out[0, rows] = 0.5 * _quad(grid, u2)
+        if top >= 1:
+            Ux = D[1]
+            out[1, rows] = _quad(grid, 0.5 * Ux * Ux + (c1 / 80.0) * u2 * u2)
+        if top >= 2:
+            Uxx = D[2]
+            out[2, rows] = _quad(
+                grid,
+                0.5 * Uxx * Uxx + (c1 / 8.0) * u2 * Ux * Ux + (c1**2 / 1600.0) * u2 * u2 * u2,
+            )
     return out
 
 
+def _hamiltonian(u: SpectralField, c1: float, top: int) -> float:
+    u.require_real(what=f"H{top} input")
+    return float(_hamiltonians(u.grid, u.coeff[None], c1, top)[top, 0])
+
+
 def hamiltonian_h0(u: SpectralField) -> float:
-    u.require_real(what="H0 input")
-    return float(_hamiltonians(u.grid, u.coeff, 0.0, top=0)[0])
+    return _hamiltonian(u, 0.0, 0)
 
 
 def hamiltonian_h1(u: SpectralField, c1: float) -> float:
-    u.require_real(what="H1 input")
-    return float(_hamiltonians(u.grid, u.coeff, c1, top=1)[1])
+    return _hamiltonian(u, c1, 1)
 
 
 def hamiltonian_h2(u: SpectralField, c1: float) -> float:
-    u.require_real(what="H2 input")
-    return float(_hamiltonians(u.grid, u.coeff, c1, top=2)[2])
+    return _hamiltonian(u, c1, 2)
 
 
 @dataclass

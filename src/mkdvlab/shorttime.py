@@ -21,9 +21,13 @@ extensions; flagged in the result metadata).
 
 Cost model: a window at level k has L ~ 4 * 4^{-k}/dt samples however few
 records R it covers (L = 267,602 around R = 670 for k = 0 at the `norms`
-defaults).  Only the recorded rows of the band I_k are gathered; windows of
-one length share one batched FFT, chunked to at most _BATCH_ELEMENTS complex
-entries per buffer (a window of more records runs alone).  A zero-extended
+defaults).  Only the recorded rows of the n >= 0 columns of the band I_k are
+gathered and transformed: the trajectory must hold real data, whose -n
+columns add what the n columns do (|G_{-n}(tau)|^2 = |G_n(-tau)|^2, and every
+shell and weight is even in tau), so each n > 0 column counts twice.
+Windows of one length share one batched FFT, chunked to at most
+_BATCH_ELEMENTS complex entries per buffer (a window of more records runs
+alone).  A zero-extended
 window is transformed in blocks of its L bins, each block a chirp-z
 transform of its R rows against one kernel FFT shared by every block.  The
 convolution length is set by the same budget but is at least 2R, so a block
@@ -45,12 +49,12 @@ import scipy.fft as sfft
 
 from .errors import ParameterError, ResolutionError
 from .integrate import Trajectory, _linear_symbol
+from .spectral import BATCH_ELEMENTS as _BATCH_ELEMENTS  # bound here, so tests can shrink it
 from .spectral import chi, eta0
 
 GAMMA_DEFAULT = 0.25
 WINDOW_HALF_WIDTH = 2.0  # support of eta0 in scaled units
 MIN_WINDOW_SAMPLES = 64
-_BATCH_ELEMENTS = 1 << 17  # complex entries per window transform buffer
 
 
 def beta_weight(j: int, k: int, gamma: float = GAMMA_DEFAULT) -> float:
@@ -185,18 +189,24 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     divided by tau^2 + 16^k (w = 1, the N_k resolvent) or weighted by
     chi_k(n)^2 (w = 2, the F^s block), binned block by block (and column
     slice by column slice) of _dft_blocks.
-    A zero-extended window transforms only its recorded rows: the shift to
-    the first one is a phase of G."""
+    Only the n >= 0 columns of the band are transformed: records of real
+    data have g_{-n}(t) = conj(g_n(t)) (mu is odd), so |G_{-n}(tau)|^2 =
+    |G_n(-tau)|^2, and every shell and weight is even in tau, so each n > 0
+    column counts twice.  A zero-extended window transforms only its
+    recorded rows: the shift to the first one is a phase of G."""
+    traj.require_real("short-time window input")
     n_rec = len(traj.times)
     n_c = len(centers)
-    chik = chi(k, traj.grid.modes)
+    M = traj.grid.max_mode
+    chik = chi(k, traj.grid.modes[M:])
     band = np.nonzero(chik)[0]
     if band.size == 0:
         return np.zeros((3, n_c, 0)), np.zeros((n_c, 0), dtype=bool), np.zeros(n_c)
-    mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[band]
-    chi_sq = chik[band] ** 2
+    twice = np.where(band > 0, 2.0, 1.0)  # column n > 0 stands for -n too
+    mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[M + band]
+    chi_sq = twice * chik[band] ** 2
     t_rec = traj.times[0] + np.arange(n_rec) * dt
-    demod = traj.states[:, band] * np.exp(-1j * np.outer(t_rec, mu))
+    demod = traj.states[:, M + band] * np.exp(-1j * np.outer(t_rec, mu))
 
     # |tau| is largest at the Nyquist bin L // 2
     n_shells = 1 + max(int(_shell_index(np.abs(_taus(L, dt, L // 2, 1)))[0])
@@ -216,16 +226,16 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
             t_k = np.broadcast_to(centers[c, None], inside.shape)[inside]
             g = np.zeros((len(c), R, band.size), dtype=np.complex128)
             g[inside] = demod[r] * eta0(4.0**k * (t_rec[r] - t_k))[:, None]
-            l2_sq[c] = dt * np.sum(np.abs(g) ** 2, axis=(1, 2))
+            l2_sq[c] = dt * (g.real**2 + g.imag**2).sum(axis=1) @ twice
             flat = n_shells * np.arange(3 * len(c)).reshape(3, -1, 1)
             for f0, s, G in _dft_blocks(g, int(L)):
                 if s.start == 0:  # the first column slice of a new block
                     taus = _taus(L, dt, f0, G.shape[1])
                     shell_of = _shell_index(np.abs(taus))
                     present[c] |= np.bincount(shell_of, minlength=n_shells) > 0
-                P = np.abs(G) ** 2
+                P = G.real**2 + G.imag**2
                 # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
-                wf = P.sum(axis=2) * (dt / L)
+                wf = (P @ twice[s]) * (dt / L)
                 w = np.stack([wf, wf / (taus**2 + 16.0**k), (P @ chi_sq[s]) * (dt / L)])
                 sums = np.bincount((shell_of + flat).ravel(), w.ravel(),
                                    minlength=3 * len(c) * n_shells)

@@ -31,6 +31,11 @@ from .errors import ConfigurationError, ParameterError, SymmetryError
 
 TWO_PI = 2.0 * np.pi
 
+#: Elements per stacked transform of many records (short-time windows,
+#: Hamiltonian and gauge syntheses), so that their memory does not grow with
+#: the record count.
+BATCH_ELEMENTS = 1 << 17
+
 #: Default padding factor: a 5-fold product of band-limited factors is
 #: alias-free on the retained band once phys_points >= 3*(2*max_mode+1).
 DEFAULT_DEALIAS_FACTOR = 3.0
@@ -141,11 +146,31 @@ class SpectralField:
         require_hermitian(self.coeff, what, tol)
 
 
+def row_chunks(n_rows: int, row_elements: int) -> list:
+    """Slices of range(n_rows) of at most BATCH_ELEMENTS // row_elements rows
+    each (one row at least)."""
+    step = max(1, BATCH_ELEMENTS // row_elements)
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+
+
+def hermitian_defects(coeff: np.ndarray) -> tuple:
+    """Per row (last axis) of 2-D ``coeff``: max_n |coeff(-n) - conj(coeff(n))|
+    and max_n |coeff(n)|, computed a chunk of rows at a time."""
+    defect = np.empty(len(coeff))
+    scale = np.empty(len(coeff))
+    for rows in row_chunks(len(coeff), coeff.shape[-1]):
+        c = coeff[rows]
+        defect[rows] = np.max(np.abs(c[:, ::-1] - np.conj(c)), axis=1)
+        scale[rows] = np.max(np.abs(c), axis=1)
+    return defect, scale
+
+
 def require_hermitian(coeff: np.ndarray, what: str, tol: float = 1e-8):
     """Raise SymmetryError unless coeff(-n) = conj(coeff(n)) along the last
     axis, within tol relative to max(1, max |coeff|) over all rows."""
-    defect = float(np.max(np.abs(coeff[..., ::-1] - np.conj(coeff))))
-    if not defect <= tol * max(1.0, float(np.max(np.abs(coeff)))):  # NaN fails too
+    rows = coeff.reshape(-1, coeff.shape[-1])
+    defect, scale = (float(np.max(v)) for v in hermitian_defects(rows))
+    if not defect <= tol * max(1.0, scale):  # NaN fails too
         raise SymmetryError(f"{what} violates Hermitian symmetry (defect {defect:.3e})")
 
 
@@ -168,11 +193,32 @@ class HalfSpectrum:
         n = np.arange(M + 1, dtype=float)
         self.M, self.P = M, grid.phys_points
         self.n = n
+        self.n2 = n * n
         self.i_n = 1j * n
-        # (i n)^k for k = 0..4, written out so that every entry is exact
-        self.deriv = np.array([np.ones(M + 1), 1j * n, -(n * n), -1j * n**3, n**4])
-        for table in (self.n, self.i_n, self.deriv):
+        self.i_n3 = 1j * n * self.n2
+        # P (i n)^k for k = 0..4: the irfft of table * c is the samples
+        # themselves, with no scaling pass over the P points
+        self.deriv = self.P * np.array([np.ones(M + 1), 1j * n, -self.n2, -self.i_n3, n**4])
+        # coefficients of -d/dx from an unnormalized rfft
+        self.minus_dx = -self.i_n / self.P
+        # |c(n)|^2 @ pair_sums = (sum_m c(m) c(-m), sum_m m^2 c(m) c(-m)) over -M..M
+        self.pair_sums = np.stack([np.where(n > 0, 2.0, 1.0), 2.0 * self.n2], axis=1)
+        for table in (self.n, self.n2, self.i_n, self.i_n3, self.deriv, self.minus_dx,
+                      self.pair_sums):
             table.setflags(write=False)
+        self._tables = {}
+
+    def _table(self, orders, ndim: int) -> np.ndarray:
+        """Rows k in ``orders`` of the P-scaled derivative table, shaped to
+        broadcast against ``ndim``-dimensional half spectra (memoized)."""
+        key = (tuple(orders), ndim)
+        table = self._tables.get(key)
+        if table is None:
+            table = self.deriv[list(key[0])]
+            table = table.reshape(table.shape[:1] + (1,) * (ndim - 1) + table.shape[1:])
+            table.setflags(write=False)
+            self._tables[key] = table
+        return table
 
     def synthesize(self, ch: np.ndarray, orders) -> np.ndarray:
         """Real samples of d^k u/dx^k on the grid for every k in ``orders``.
@@ -182,10 +228,14 @@ class HalfSpectrum:
         the P samples, so ``U, Ux = h.synthesize(ch, (0, 1))`` unpacks the same
         for one row or many.
         """
-        table = self.deriv[list(orders)]
-        if ch.ndim > 1:
-            table = table.reshape(table.shape[:1] + (1,) * (ch.ndim - 1) + table.shape[1:])
-        return sfft.irfft(table * ch, self.P, axis=-1) * self.P
+        return sfft.irfft(self._table(orders, ch.ndim) * ch, self.P, axis=-1)
+
+    def synthesize_rows(self, ch: np.ndarray, orders):
+        """Yield (rows, samples) of :meth:`synthesize` over slices of the
+        leading axis of ``ch`` that keep each synthesis within
+        BATCH_ELEMENTS samples (one row at least)."""
+        for rows in row_chunks(len(ch), len(orders) * self.P):
+            yield rows, self.synthesize(ch[rows], orders)
 
     def analyze(self, values: np.ndarray, width: int = 0) -> np.ndarray:
         """Coefficients 0..width-1 (0..M by default) of real samples, per row."""

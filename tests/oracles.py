@@ -249,6 +249,64 @@ def window_shells_oracle(traj, k, t_k, weight=None, resolvent=False):
     return shells, window_l2, len(idx), zero_extended
 
 
+def window_masses_full_band_oracle(traj, k, centers, dt, m_lo, lengths):
+    """shorttime._window_masses over every column of the band I_k, the -n
+    columns transformed as well, so no Hermitian symmetry is assumed.
+
+    Same batching, blocks (shorttime._dft_blocks) and binning, so the
+    half-band table must match it to round-off on real records.
+    """
+    from mkdvlab import shorttime
+    from mkdvlab.integrate import _linear_symbol
+    from mkdvlab.shorttime import _dft_blocks, _shell_index, _taus
+    from mkdvlab.spectral import chi, eta0
+
+    n_rec = len(traj.times)
+    n_c = len(centers)
+    chik = chi(k, traj.grid.modes)
+    band = np.nonzero(chik)[0]
+    if band.size == 0:
+        return np.zeros((3, n_c, 0)), np.zeros((n_c, 0), dtype=bool), np.zeros(n_c)
+    mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[band]
+    chi_sq = chik[band] ** 2
+    t_rec = traj.times[0] + np.arange(n_rec) * dt
+    demod = traj.states[:, band] * np.exp(-1j * np.outer(t_rec, mu))
+
+    # |tau| is largest at the Nyquist bin L // 2
+    n_shells = 1 + max(int(_shell_index(np.abs(_taus(L, dt, L // 2, 1)))[0])
+                       for L in np.unique(lengths))
+    mass_sq = np.zeros((3, n_c, n_shells))
+    present = np.zeros((n_c, n_shells), dtype=bool)
+    l2_sq = np.zeros(n_c)
+    for L in np.unique(lengths):
+        same = np.nonzero(lengths == L)[0]
+        chunk = max(1, shorttime._BATCH_ELEMENTS // (L * band.size))
+        for c in (same[i:i + chunk] for i in range(0, len(same), chunk)):
+            first = np.maximum(m_lo[c], 0)
+            count = np.minimum(m_lo[c] + L, n_rec) - first
+            R = max(1, int(count.max()))
+            inside = np.arange(R) < count[:, None]
+            r = (first[:, None] + np.arange(R))[inside]
+            t_k = np.broadcast_to(centers[c, None], inside.shape)[inside]
+            g = np.zeros((len(c), R, band.size), dtype=np.complex128)
+            g[inside] = demod[r] * eta0(4.0**k * (t_rec[r] - t_k))[:, None]
+            l2_sq[c] = dt * np.sum(np.abs(g) ** 2, axis=(1, 2))
+            flat = n_shells * np.arange(3 * len(c)).reshape(3, -1, 1)
+            for f0, s, G in _dft_blocks(g, int(L)):
+                if s.start == 0:  # the first column slice of a new block
+                    taus = _taus(L, dt, f0, G.shape[1])
+                    shell_of = _shell_index(np.abs(taus))
+                    present[c] |= np.bincount(shell_of, minlength=n_shells) > 0
+                P = np.abs(G) ** 2
+                # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
+                wf = P.sum(axis=2) * (dt / L)
+                w = np.stack([wf, wf / (taus**2 + 16.0**k), (P @ chi_sq[s]) * (dt / L)])
+                sums = np.bincount((shell_of + flat).ravel(), w.ravel(),
+                                   minlength=3 * len(c) * n_shells)
+                mass_sq[:, c] += sums.reshape(3, len(c), n_shells)
+    return mass_sq, present, l2_sq
+
+
 def window_centers_oracle(traj, k, T):
     """The t_k grid: spacing 4^{-k}/4 inside the span, else one centred window."""
     t0, t1 = traj.times[0], min(traj.times[-1], T)

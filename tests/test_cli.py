@@ -71,6 +71,28 @@ class TestValidation:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, item, fields", [
+        ("norms", "grid.max_mode=1", ("initial_data.amplitudes", "grid.max_mode")),
+        ("norms", "norms.gamma=0.5", ("norms.gamma",)),
+        ("evolve", "time.T=0", ("time.T",)),
+        ("gauge-check", "time.dt=-1", ("time.dt",)),
+        ("conserve", "time.record_stride=-1", ("time.record_stride",)),
+    ])
+    def test_out_of_range_named_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                               command, item, fields):
+        from mkdvlab import cli
+
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran")
+
+        monkeypatch.setattr(cli, "evolve", no_evolve)
+        code = run([command, "--set", item, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {fields[0]}: ")
+        assert all(f in err for f in fields)
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("text, name", [
         ("[time]\nsplitting = integrating_factor_rk4\n", "time.splitting"),
         ("[grid]\nmax_mod = 8\n", "grid.max_mod"),

@@ -8,8 +8,8 @@ import pytest
 import scipy.fft
 
 from mkdvlab import cli
-from mkdvlab.equations import EquationParams, derive_gauge_params
-from mkdvlab.integrate import StepControl, default_dt, evolve
+from mkdvlab.equations import EquationParams, RenormalizedTerms, derive_gauge_params
+from mkdvlab.integrate import StepControl, default_dt, evolve, uniform_steps
 from mkdvlab.invariants import drift_report
 from mkdvlab.shorttime import _tk_grid, fk_norm, fs_norm, nk_norm
 from mkdvlab.spectral import GridSpec, SpectralField
@@ -65,9 +65,81 @@ def test_drift_report_one_call(fft_calls):
     assert fft_calls(drift_report, long, 40.0) == 1
 
 
+def test_multi_chunk_syntheses(fft_calls, monkeypatch):
+    # under a budget of 16 records (times three orders) a chunk, the
+    # Hamiltonians and the gauge phase of 51 records take one FFT call per
+    # chunk and equal the one stacked synthesis bit for bit
+    import mkdvlab.spectral as spectral
+
+    _, traj = physical_trajectories()
+    assert len(traj) == 51
+    hams, gauge = drift_report(traj, 40.0), gauge_forward(traj)
+    P = traj.grid.phys_points
+    monkeypatch.setattr(spectral, "BATCH_ELEMENTS", 16 * 3 * P)
+    assert fft_calls(drift_report, dataclasses.replace(traj), 40.0) == 4  # 16 + 16 + 16 + 3
+    chunked = drift_report(dataclasses.replace(traj), 40.0)
+    for name in ("h0", "h1", "h2"):
+        assert np.array_equal(getattr(chunked, name), getattr(hams, name))
+    assert chunked.relative_drift == hams.relative_drift
+    assert fft_calls(gauge_forward, traj) == 2  # 48 + 3 records of one order
+    assert np.array_equal(gauge_forward(traj).states, gauge.states)
+
+
+def test_synthesis_memory_independent_of_records(monkeypatch, rng):
+    # past one chunk, the peak of drift_report and of the gauge quartic is
+    # one chunk's syntheses plus a few numbers per record
+    import tracemalloc
+
+    import mkdvlab.spectral as spectral
+    from mkdvlab.equations import seq_l4_quartic
+    from mkdvlab.integrate import Trajectory
+
+    grid = GridSpec(16)
+    monkeypatch.setattr(spectral, "BATCH_ELEMENTS", 16 * 3 * grid.phys_points)
+    peaks = []
+    for n in (200, 2000):
+        states = np.array([random_real_coeffs(16, rng, amplitude=0.05) for _ in range(n)])
+        traj = Trajectory(grid, 1e-4 * np.arange(n), states,
+                          EquationParams.constrained_family(40.0), "physical_5mkdv", 1e-4, 1)
+        tracemalloc.start()
+        try:
+            drift_report(traj, 40.0)
+            seq_l4_quartic(grid, states)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one record's three syntheses alone are 3 x 100 x 8 bytes
+    assert peaks[1] - peaks[0] < 100 * (2000 - 200)
+
+
 def test_default_dt_one_call(fft_calls):
     u0 = two_mode(GridSpec(16))
     assert fft_calls(default_dt, u0, EquationParams.constrained_family(40.0), "physical_5mkdv") == 1
+
+
+FLOWS = {
+    "physical": ("physical_5mkdv", None),
+    "renormalized": ("renormalized_5mkdv", None),
+    "renormalized-cubic2": (
+        "renormalized_5mkdv",
+        RenormalizedTerms(resonant_cubic=False, cubic2=True, cubic3=False, quintic=False),
+    ),
+}
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+@pytest.mark.parametrize("automatic_dt", [False, True], ids=["user-dt", "automatic-dt"])
+def test_evolve_calls_per_step(fft_calls, flow, automatic_dt):
+    # one stacked irfft and one stacked rfft per stage, four stages a step,
+    # one synthesis for the final sup check and one for the automatic dt
+    tag, terms = FLOWS[flow]
+    u0 = two_mode(GridSpec(16))
+    p = derive_gauge_params(u0, 40.0)
+    dt = default_dt(u0, p, tag) if automatic_dt else 1e-4
+    T = 100 * dt
+    assert uniform_steps(T, dt)[0] == 100
+    ctrl = StepControl(dt=0.0 if automatic_dt else dt)
+    assert fft_calls(evolve, u0, T, p, tag, ctrl, terms) == 801 + automatic_dt
 
 
 @pytest.mark.parametrize("transform", [gauge_forward, gauge_inverse])

@@ -23,6 +23,7 @@ from mkdvlab.spectral import GridSpec, SpectralField, half_spectrum
 
 from oracles import (
     analyze_complex,
+    random_real_coeffs,
     rhs_fifth_kdv_oracle,
     rhs_physical_oracle,
     rhs_renormalized_oracle,
@@ -95,7 +96,9 @@ def test_batches_equal_row_by_row_bitwise(batch):
     for i, c_half in enumerate(ch):
         assert np.array_equal(stacked[:, i], h.synthesize(c_half, range(5)))
         assert np.array_equal(h.analyze(stacked[:, i]), h.analyze(stacked)[:, i])
-    # every operator but the renormalized one takes a leading batch axis
+    # every operator takes a leading batch axis; these are bitwise row by row
+    # (the renormalized one, whose per-row sums may run in another order, is
+    # checked at round-off below)
     flows = [
         ("mkdv3", EquationParams()),
         ("kdv3", EquationParams()),
@@ -122,6 +125,17 @@ MASKS = [
     dict(resonant_cubic=False, cubic2=False, cubic3=False, quintic=True),
     dict(resonant_cubic=True, cubic2=True, cubic3=True, quintic=True),
 ]
+
+
+@pytest.mark.parametrize("mask", MASKS, ids=lambda m: "+".join(k for k, v in m.items() if v))
+def test_renormalized_batch_equals_row_by_row(mask, rng):
+    grid = GridSpec(16)
+    ch = np.stack([random_real_coeffs(16, rng)[16:] for _ in range(10)])
+    terms = RenormalizedTerms(**mask)
+    batch = equations.renormalized_nonlinear_coeff(grid, ch, terms)
+    rows = np.stack([equations.renormalized_nonlinear_coeff(grid, c, terms) for c in ch])
+    assert batch.shape == ch.shape
+    assert np.max(np.abs(batch - rows)) <= 1e-15 * np.max(np.abs(rows))
 
 
 @pytest.mark.parametrize("mask", MASKS, ids=lambda m: "+".join(k for k, v in m.items() if v))

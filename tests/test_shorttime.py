@@ -10,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mkdvlab.equations import EquationParams
-from mkdvlab.errors import ParameterError, ResolutionError
+from mkdvlab.errors import ParameterError, ResolutionError, SymmetryError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.shorttime import (
     WeightTable,
     _dft_blocks,
     _tk_grid,
+    _window_masses,
+    _window_starts,
     _window_table,
     beta_weight,
     fk_norm,
@@ -24,7 +26,7 @@ from mkdvlab.shorttime import (
     nk_norm,
     xk_norm,
 )
-from mkdvlab.spectral import GridSpec, SpectralField, sobolev_norm
+from mkdvlab.spectral import GridSpec, SpectralField, hermitian_extend, sobolev_norm
 
 LINEAR = EquationParams(c1=0, c2=0, c3=0, c4=0)
 
@@ -480,6 +482,58 @@ class TestBatchedWindowsMatchOracle:
             fs_norm(uneven, 1.0, NORMS_T)
 
 
+@pytest.fixture(scope="module")
+def odd_traj():
+    """Physical flow at M = 16 to T = 0.011: zero-extended windows of odd
+    length for k <= 3, one of them 16,729 bins at k = 0."""
+    u0 = SpectralField.from_modes(GridSpec(16), {1: 0.05, -1: 0.05, 2: 0.025j, -2: -0.025j})
+    return evolve(u0, 0.011, EquationParams.constrained_family(40.0), tag="physical_5mkdv",
+                  ctrl=StepControl(dt=norms_dt(16), record_stride=1))
+
+
+@pytest.mark.parametrize("which, k, extended, parities", [
+    ("norms", 0, True, {0}),  # the n = 0 column, even L
+    ("norms", 3, True, {0}),
+    ("norms", 5, False, {0, 1}),  # interior windows of L = 263 and 264
+    ("norms", 6, False, {0, 1}),
+    ("odd", 0, True, {1}),  # no Nyquist bin
+    ("odd", 2, True, {1}),
+])
+def test_half_band_table_matches_full_band_oracle(norms_traj, odd_traj, which, k, extended,
+                                                   parities):
+    # the n >= 0 columns, each n > 0 counted twice, against every column
+    # transformed: all three weightings, the present shells and the window norms
+    from oracles import window_masses_full_band_oracle
+
+    traj = norms_traj if which == "norms" else odd_traj
+    centers, ext = _tk_grid(traj, k, float(traj.times[-1]))
+    dt, m_lo, lengths = _window_starts(traj, k, centers)
+    assert ext == extended and {int(L) % 2 for L in lengths} == parities
+    args = (traj, k, centers, dt, m_lo, lengths)
+    (mass_sq, present, l2_sq), (want, want_present, want_l2) = (
+        _window_masses(*args), window_masses_full_band_oracle(*args))
+    assert mass_sq.shape == want.shape and np.array_equal(present, want_present)
+    for w in range(3):
+        assert np.max(np.abs(mass_sq[w] - want[w])) <= 1e-13 * np.max(want[w])
+    assert np.max(np.abs(l2_sq - want_l2)) <= 1e-13 * np.max(want_l2)
+
+
+def test_tables_reject_non_hermitian_records(norms_traj):
+    from mkdvlab.integrate import Trajectory
+
+    states = norms_traj.states.copy()
+    states[5, 64 + 3] += 1e-3  # c(3) of record 5 no longer conj(c(-3))
+    tr = norms_traj
+    traj = Trajectory(tr.grid, tr.times, states, tr.params, tr.equation_tag, tr.dt, 1)
+    for call in (
+        lambda: modulation_decompose(traj, 2, 0.005),
+        lambda: fk_norm(traj, 6, NORMS_T),
+        lambda: fs_norm(traj, 1.0, NORMS_T),
+    ):
+        with pytest.raises(SymmetryError, match="record 5 "):
+            call()
+
+
 def test_fs_norm_memory_peak(norms_traj):
     # the k = 0 window spans 267,602 samples around 670 records; only the
     # recorded band rows may be gathered (whole rows took 557 MiB)
@@ -507,7 +561,9 @@ def test_zero_extended_table_memory_independent_of_dt(dt):
 
     rng = np.random.default_rng(7)
     times = dt * np.arange(64)
-    states = rng.standard_normal((64, 33)) + 1j * rng.standard_normal((64, 33))
+    half = rng.standard_normal((64, 17)) + 1j * rng.standard_normal((64, 17))
+    half[:, 0] = half[:, 0].real
+    states = hermitian_extend(half)  # the tables take records of real data
     traj = Trajectory(GridSpec(16), times, states, EquationParams.constrained_family(40.0),
                       "physical_5mkdv", dt, 1)
     tracemalloc.start()
