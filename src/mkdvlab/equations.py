@@ -248,9 +248,10 @@ def renormalized_nonlinear_coeff(
     # 10 (n^2 |c|^2 - h1), and with all three on w_a = 0
     w_a = 20.0 * terms.resonant_cubic - 30.0 * cubic2 + 10.0 * cubic3
     w_h = 20.0 * cubic2 - 10.0 * cubic3
-    sums = a @ h.pair_sums
-    scalar = w_h * sums[..., 1:]
-    S = (10.0 * sums[..., :1]) * h.n2 if cubic2 else 0.0
+    sums = a @ h.pair_sums  # l2 and h1 of each row
+    S = w_h * sums[..., 1:]
+    if cubic2:
+        S = S + (10.0 * sums[..., :1]) * h.n2
     if w_a:
         S = S + w_a * (h.n2 * a)
     V = h.synthesize(ch, (0,) + (1,) * cubic3 + (2,) * cubic2)
@@ -259,7 +260,7 @@ def renormalized_nonlinear_coeff(
     if cubic3:
         g = g + V[1] * V[1]
     if not quintic:
-        return h.i_n * (h.analyze(-10.0 * v0 * g) - (S + scalar) * ch)
+        return h.i_n * (h.analyze(-10.0 * v0 * g) - S * ch)
     # 6 sum c(n1)..c(n5): inclusion-exclusion over the five four-sum
     # hyperplanes; with q indices pinned to n the correction is
     # C(5,q) (-1)^(q+1) c(n)^q (c^{*(5-q)})(-(q-1)n).  The q = 5 tuple sits
@@ -270,8 +271,8 @@ def renormalized_nonlinear_coeff(
     np.multiply(v2, v0, out=products[2])
     np.multiply(v0, 6.0 * (v2 * v2) - 10.0 * g, out=products[0])
     full, sq, cube = h.analyze(products, 2 * M + 1)
-    scalar = scalar + np.vecdot(v2, v2)[..., None] * (30.0 / h.P)  # 30 sum_{n1+..+n4=0}
-    S = S + scalar + 60.0 * ch * (np.conj(sq[..., ::2]) * ch - np.conj(cube[..., : M + 1]))
+    S = S + np.vecdot(v2, v2)[..., None] * (30.0 / h.P)  # 30 sum_{n1+..+n4=0}
+    S = S + 60.0 * ch * (np.conj(sq[..., ::2]) * ch - np.conj(cube[..., : M + 1]))
     m3 = M // 3 + 1
     c = ch[..., :m3]
     S[..., :m3] -= 30.0 * (c * c * c) * np.conj(ch[..., ::3])

@@ -27,10 +27,9 @@ columns add what the n columns do (|G_{-n}(tau)|^2 = |G_n(-tau)|^2, and every
 shell and weight is even in tau), so each n > 0 column counts twice.
 Windows of one length share one batched FFT, chunked to at most
 _BATCH_ELEMENTS complex entries per buffer (a window of more records runs
-alone).  A zero-extended
-window is transformed in blocks of its L bins, each block a chirp-z
-transform of its R rows against one kernel FFT shared by every block.  The
-convolution length is set by the same budget but is at least 2R, so a block
+alone).  A zero-extended window is transformed in blocks of its L bins, each
+block a chirp-z transform of its R rows against one kernel FFT shared by
+every block.  The convolution length is set by the same budget but is at least 2R, so a block
 holds more than R bins and the blocks cost at most about twice one
 whole-window transform; columns that do not fit the budget at that length
 are transformed a slice at a time.  Each block is binned as it is made, so
