@@ -220,25 +220,27 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
             first = np.maximum(m_lo[c], 0)
             count = np.minimum(m_lo[c] + L, n_rec) - first
             R = max(1, int(count.max()))
+            # rows past a window's last record are read at the last one and
+            # weighted by 0
+            rows = np.minimum(first[:, None] + np.arange(R), n_rec - 1)
             inside = np.arange(R) < count[:, None]
-            r = (first[:, None] + np.arange(R))[inside]
-            t_k = np.broadcast_to(centers[c, None], inside.shape)[inside]
-            g = np.zeros((len(c), R, band.size), dtype=np.complex128)
-            g[inside] = demod[r] * eta0(4.0**k * (t_rec[r] - t_k))[:, None]
+            weight = np.where(inside, eta0(4.0**k * (t_rec[rows] - centers[c, None])), 0.0)
+            g = demod[rows]
+            g *= weight[..., None]
             l2_sq[c] = dt * (g.real**2 + g.imag**2).sum(axis=1) @ twice
-            flat = n_shells * np.arange(3 * len(c)).reshape(3, -1, 1)
             for f0, s, G in _dft_blocks(g, int(L)):
                 if s.start == 0:  # the first column slice of a new block
                     taus = _taus(L, dt, f0, G.shape[1])
                     shell_of = _shell_index(np.abs(taus))
-                    present[c] |= np.bincount(shell_of, minlength=n_shells) > 0
+                    starts = np.flatnonzero(np.diff(shell_of, prepend=-1))  # runs of one shell
+                    runs = shell_of[starts]
+                    present[c[:, None], runs] = True
                 P = G.real**2 + G.imag**2
                 # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
                 wf = (P @ twice[s]) * (dt / L)
-                w = np.stack([wf, wf / (taus**2 + 16.0**k), (P @ chi_sq[s]) * (dt / L)])
-                sums = np.bincount((shell_of + flat).ravel(), w.ravel(),
-                                   minlength=3 * len(c) * n_shells)
-                mass_sq[:, c] += sums.reshape(3, len(c), n_shells)
+                for w, bins in enumerate((wf, wf / (taus**2 + 16.0**k), (P @ chi_sq[s]) * (dt / L))):
+                    # a shell may hold two runs (|tau| rises, then falls past Nyquist)
+                    np.add.at(mass_sq[w], (c[:, None], runs), np.add.reduceat(bins, starts, axis=-1))
     return mass_sq, present, l2_sq
 
 
