@@ -484,8 +484,8 @@ class TestBatchedWindowsMatchOracle:
 
 @pytest.fixture(scope="module")
 def odd_traj():
-    """Physical flow at M = 16 to T = 0.011: zero-extended windows of odd
-    length for k <= 3, one of them 16,729 bins at k = 0."""
+    """Physical flow at M = 16 to T = 0.011: a zero-extended window of odd
+    length at every k, 16,729 bins at k = 0."""
     u0 = SpectralField.from_modes(GridSpec(16), {1: 0.05, -1: 0.05, 2: 0.025j, -2: -0.025j})
     return evolve(u0, 0.011, EquationParams.constrained_family(40.0), tag="physical_5mkdv",
                   ctrl=StepControl(dt=norms_dt(16), record_stride=1))
