@@ -238,9 +238,11 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
                 P = G.real**2 + G.imag**2
                 # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
                 wf = (P @ twice[s]) * (dt / L)
-                for w, bins in enumerate((wf, wf / (taus**2 + 16.0**k), (P @ chi_sq[s]) * (dt / L))):
+                weighted = (wf, wf / (taus**2 + 16.0**k), (P @ chi_sq[s]) * (dt / L))
+                for w, bins in enumerate(weighted):
                     # a shell may hold two runs (|tau| rises, then falls past Nyquist)
-                    np.add.at(mass_sq[w], (c[:, None], runs), np.add.reduceat(bins, starts, axis=-1))
+                    sums = np.add.reduceat(bins, starts, axis=-1)
+                    np.add.at(mass_sq[w], (c[:, None], runs), sums)
     return mass_sq, present, l2_sq
 
 
