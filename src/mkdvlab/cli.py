@@ -521,7 +521,9 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
                 f"norms needs at most {span_min / 64:.3e} (0 chooses a stride)"
             )
     wt = _in_field("norms.gamma", WeightTable, cfg.get_float("norms", "gamma"))
+    t_evolve = time.perf_counter()
     traj = evolve(u0, T, p, cfg.get("equation", "tag"), ctrl)
+    t_tables = time.perf_counter()
     s = cfg.get_float("norms", "s")
     grids = {k: _tk_grid(traj, k, T) for k in range(k_max + 1)}
     rows = []
@@ -530,13 +532,13 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
         fk = fk_norm(traj, k, T, wt)
         nk = nk_norm(traj, k, T, wt)
         rows.append((k, fk, nk))
-        # shell masses of the middle window, from the table fk_norm built
+        # every shell mass of the middle window, from the table fk_norm built
         centers, _ = grids[k]
         c = len(centers) // 2
-        mass_sq, present = _window_table(traj, k, T)
-        for j in np.nonzero(present[c])[0]:
-            shell_rows.append((k, float(centers[c]), int(j), float(np.sqrt(mass_sq[0, c, j]))))
+        for j, m_sq in enumerate(_window_table(traj, k, T)[0, c]):
+            shell_rows.append((k, float(centers[c]), j, float(np.sqrt(m_sq))))
     fs = fs_norm(traj, s, T, wt)
+    t_done = time.perf_counter()
     csv_path, man_path = _out_paths(cfg, "norms")
     write_csv(csv_path, ["k", "fk", "nk"], rows)
     shells_path = csv_path.with_name(csv_path.name.replace("_norms", "_norm_shells"))
@@ -545,6 +547,7 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
         man_path, cfg,
         {"fs_norm": fs, "s": s, "gamma": wt.gamma,
          "dt": traj.dt, "record_stride": traj.record_stride,
+         "evolve_s": t_tables - t_evolve, "tables_s": t_done - t_tables,
          "zero_extended_k": [k for k, (_, ext) in grids.items() if ext],
          "windows_per_k": {k: len(centers) for k, (centers, _) in grids.items()}},
         time.perf_counter() - t0,

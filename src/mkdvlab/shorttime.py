@@ -1,15 +1,19 @@
 """Weighted short-time norms X_k, F_k(T), F^s(T) and the resolvent N_k.
 
 A trajectory sampled at uniform dt is windowed by eta0(2^{2k}(t - t_k))
-(support width 4 * 2^{-2k}), demodulated by exp(-i t mu(n)) so the discrete
-temporal frequency tau' equals the modulation tau - mu(n), transformed, and
-binned into dyadic shells in |tau'|:
+(support width 4 * 2^{-2k}) and demodulated by exp(-i t mu(n)), so the
+temporal frequency tau of the windowed samples g_p is the modulation
+tau - mu(n).  Their transform G(tau) = sum_p g_p e^{-i tau p dt} is split
+into dyadic shells of continuous |tau|, as in the X_k spaces of Ionescu,
+Kenig & Tataru (Invent. Math. 173 (2008)):
 
-    j = 0 bin:  |tau'| <= 2,       bin j >= 1:  2^j < |tau'| <= 2^{j+1}
+    j = 0:  |tau| <= 2,       j >= 1:  2^j < |tau| <= 2^{j+1},
 
-Shell masses are L^2(dt)-calibrated so that sum_j mass_j^2 equals the
-squared L^2(dt) norm of the windowed data exactly (discrete Plancherel).
-The X_k norm is sum_j 2^{j/2} beta_{j,k} mass_j with the weight
+every shell up to the Nyquist one J (2^J < pi/dt <= 2^{J+1}), cut at pi/dt.
+With W = 1 (F_k), 1/(tau^2 + 16^k) (the N_k resolvent) or chi_k(n)^2 (the
+F^s block), mass_j^2 = dt^2/(2 pi) int_{shell j} |G|^2 W dtau, so with W = 1
+sum_j mass_j^2 is the squared L^2(dt) norm of the windowed data.  The X_k
+norm is sum_j 2^{j/2} beta_{j,k} mass_j with the weight
 
     beta_{j,0} = 1,   beta_{j,k} = 1 + 2^{gamma (j - 5k)}  (k >= 1),
 
@@ -19,23 +23,25 @@ back to a single centered window with the data zero-extended (the
 trajectory acting as its own extension, which upper-bounds the infimum over
 extensions; flagged in the result metadata).
 
-Cost model: a window at level k has L ~ 4 * 4^{-k}/dt samples however few
-records R it covers (L = 267,602 around R = 670 for k = 0 at the `norms`
-defaults).  Only the recorded rows of the n >= 0 columns of the band I_k are
-gathered and transformed: the trajectory must hold real data, whose -n
-columns add what the n columns do (|G_{-n}(tau)|^2 = |G_n(-tau)|^2, and every
-shell and weight is even in tau), so each n > 0 column counts twice.
-Windows of one length share one batched FFT, chunked to at most
-_BATCH_ELEMENTS complex entries per buffer (a window of more records runs
-alone).  A zero-extended window is transformed in blocks of its L bins, each
-block a chirp-z transform of its R rows against one kernel FFT shared by
-every block.  The convolution length is set by the same budget but is at least 2R, so a block
-holds more than R bins and the blocks cost at most about twice one
-whole-window transform; columns that do not fit the budget at that length
-are transformed a slice at a time.  Each block is binned as it is made, so
-the memory depends on R, not on L (or dt).  One pass bins |G|^2
-for F_k, N_k and the F^s block into a table of 3 x centres x shells masses
-(centres <= records/4 + 1, so under records x shells), made once per
+Computation: with r the lag autocorrelation of the window's R recorded rows
+and K_j(m) = 2 int_a^b cos(tau m dt) W(tau) dtau over the shell (a, b],
+mass_j^2 = dt^2/(2 pi) [r(0) K_j(0) + 2 sum_{m>=1} Re r(m) K_j(m)].  For
+W = 1, K_j(m) = 2 (sin(b m dt) - sin(a m dt))/(m dt).  The resolvent kernel
+is arctan-exact at m = 0, 20-point Gauss-Legendre where cos(tau m dt) turns
+by at most 16 radians over the shell (or b <= 8 * 4^k), and elsewhere
+2 (F(a) - F(b)) with F(x) = int_x^inf cos(tau s)/(tau^2 + c^2) dtau =
+(1/x) Re sum_n (-(c/x)^2)^n E_{2n+2}(-i x s); there x s > 16, where the
+even continued fraction of E_1 is within 3e-16 of scipy.special.exp1 at an
+eighth of its cost.  Each mass^2 carries a round-off of about 1e-16 of the
+window's total, so a shell holding less reads about 1e-8 of its L^2 norm.
+
+Cost model: r is one FFT round trip of length next_fast_len(2R - 1) of the
+recorded rows of the band's n >= 0 columns (see _window_masses), batched
+over windows; the kernels are made once per table where they fit the budget
+(else once per chunk of windows).  Time and memory grow with R and the
+J + 1 shells, not with the 4 * 4^{-k}/dt samples a window spans, and every
+buffer stays under _BATCH_ELEMENTS entries as long as one column of 2R rows
+fits it.  The table of 3 x centres x shells masses is made once per
 (trajectory, k, T) and memoized on it.
 """
 
@@ -54,6 +60,9 @@ from .spectral import chi, eta0
 GAMMA_DEFAULT = 0.25
 WINDOW_HALF_WIDTH = 2.0  # support of eta0 in scaled units
 MIN_WINDOW_SAMPLES = 64
+_GAUSS = np.polynomial.legendre.leggauss(20)  # nodes and weights on [-1, 1]
+_SERIES_TERMS = 10  # of F(x) for x >= 8c: (1/8)^20 < 1e-18
+_FRACTION_LEVELS = 20  # of E_1(-i y) for y >= 16: within 3e-16
 
 
 def beta_weight(j: int, k: int, gamma: float = GAMMA_DEFAULT) -> float:
@@ -84,7 +93,9 @@ class WeightTable:
 
 @dataclass
 class ModulationShellSet:
-    """Dyadic shell masses of one windowed, demodulated snapshot."""
+    """Dyadic shell masses of one windowed, demodulated snapshot: the
+    one-window view of the window table, every shell up to the Nyquist one;
+    n_samples is the window's span in samples."""
 
     k: int
     window_center: float
@@ -96,14 +107,6 @@ class ModulationShellSet:
 
     def total_mass_sq(self) -> float:
         return float(sum(m * m for m in self.shells.values()))
-
-
-def _shell_index(abs_tau: np.ndarray) -> np.ndarray:
-    """Sharp dyadic binning: 0 for |tau| <= 2, else j with 2^j < |tau| <= 2^{j+1}."""
-    out = np.zeros(abs_tau.shape, dtype=int)
-    big = abs_tau > 2.0
-    out[big] = np.ceil(np.log2(abs_tau[big])).astype(int) - 1
-    return np.maximum(out, 0)
 
 
 def _window_starts(traj: Trajectory, k: int, centers: np.ndarray):
@@ -126,134 +129,127 @@ def _window_starts(traj: Trajectory, k: int, centers: np.ndarray):
     return dt, m_lo, m_hi - m_lo + 1
 
 
-def _taus(L: int, dt: float, f0: int, n: int) -> np.ndarray:
-    """2 pi sfft.fftfreq(L, dt)[f0:f0 + n], bit for bit, without the other bins."""
-    f = np.arange(f0, f0 + n)
-    f[f > (L - 1) // 2] -= L
-    return 2.0 * np.pi * (f * (1.0 / (L * dt)))
+def _shell_edges(dt: float) -> np.ndarray:
+    """Shell edges 0, 2, 4, ..., 2^J, pi/dt times dt (the last is pi), with
+    2^J < pi/dt <= 2^{J+1}."""
+    J = int(np.ceil(np.log2(np.pi / dt))) - 1
+    return np.concatenate(([0.0], 2.0 ** np.arange(1, J + 1) * dt, [np.pi]))
 
 
-def _dft_blocks(x: np.ndarray, L: int):
-    """Yield (f0, s, X[:, f0:f0 + B, s]) of X = sfft.fft(x, n=L, axis=1) for x
-    of shape (batch, R, columns) with R <= L rows, s a slice of the columns.
-
-    R = L is one FFT of every column, which may overwrite x.  For R < L each
-    block is a chirp-z transform, X[f0 + q] = w^{q^2/2} sum_p (x[p] w^{f0 p +
-    p^2/2}) w^{-(q-p)^2/2} with w = e^{-2 pi i/L}: a circular convolution of
-    length N >= B + R - 1 against one kernel FFT shared by every block.  N is
-    the largest 5-smooth length with batch * N * columns <= _BATCH_ELEMENTS,
-    but at least 2R, so B = N - R + 1 > R and the blocks cost at most about
-    twice one whole-window transform.  Where 2R rows of every column exceed
-    the budget, the columns are transformed in slices that fit it (one
-    column at a time if need be), so the memory does not depend on L; each
-    block is a view of its length-N buffer.  Phases are taken from the exact
-    integers (2 f0 p + p^2) mod 2L and q^2 mod 2L.
-    """
-    batch, R, cols = x.shape
-    if R == L:
-        yield 0, slice(0, cols), sfft.fft(x, axis=1, overwrite_x=True)
-        return
-    N = max(sfft.prev_fast_len(max(_BATCH_ELEMENTS // (batch * cols), 1), True),
-            sfft.next_fast_len(2 * R, True))
-    N = min(N, sfft.next_fast_len(L + R - 1, True))
-    width = max(1, min(cols, _BATCH_ELEMENTS // (batch * N)))
-    B = min(L, N - R + 1)
-    q = np.arange(B)
-    chirp = np.exp(-1j * np.pi * ((q * q) % (2 * L)) / L)
-    kernel = np.zeros(N, dtype=np.complex128)
-    kernel[:B] = np.conj(chirp)
-    kernel[N - R + 1:] = np.conj(chirp[1:R][::-1])  # lags -(R-1)..-1
-    kernel = sfft.fft(kernel)[:, None]
-    p = q[:R]
-    for f0 in range(0, L, B):
-        phase = (2 * ((f0 * p) % L) + p * p) % (2 * L)
-        shift = np.exp(-1j * np.pi * phase / L)[:, None]
-        n = min(B, L - f0)
-        for a in range(0, cols, width):
-            s = slice(a, min(a + width, cols))
-            y = np.zeros((batch, N, s.stop - a), dtype=np.complex128)
-            y[:, :R] = x[:, :, s] * shift
-            Y = sfft.fft(y, axis=1, overwrite_x=True)
-            Y *= kernel
-            Y = sfft.ifft(Y, axis=1, overwrite_x=True)[:, :n]
-            Y *= chirp[:n, None]
-            yield f0, s, Y
+def _lag_kernels(dt: float, c: float, m: np.ndarray) -> np.ndarray:
+    """K[w, j, i] = 2 int_a^b cos(tau m_i dt) W_w(tau) dtau over every shell
+    (a, b] and ascending lags m_i >= 0, with W_0 = 1 and W_1 = 1/(tau^2 + c^2)."""
+    theta = _shell_edges(dt)  # x dt for every edge x
+    x = theta / dt
+    a, b = x[:-1], x[1:]
+    lag = np.maximum(m, 1)  # m = 0 is set last
+    s = lag * dt
+    K = np.empty((2, len(a), len(m)))
+    sines = np.sin(np.outer(theta, lag))
+    sines[-1] = 0.0  # sin(pi m)
+    K[0] = 2.0 * np.diff(sines, axis=0) / s
+    # Gauss-Legendre while cos(tau s) turns by at most 16 radians over the shell
+    gauss = ((b - a)[:, None] * s <= 16.0) | (b <= 8.0 * c)[:, None]
+    nodes, weights = _GAUSS
+    for j, n in enumerate(gauss.sum(axis=1)):  # a prefix of the lags
+        half = 0.5 * (b[j] - a[j])
+        tau = half * nodes + (a[j] + half)
+        K[1, j, :n] = (2.0 * half * weights / (tau * tau + c * c)) @ np.cos(np.outer(tau, s[:n]))
+    series = ~gauss  # here a >= 8c and x s > 16 at both edges
+    if series.any():
+        at = np.zeros((len(x), len(m)), dtype=bool)
+        at[:-1] |= series
+        at[1:] |= series
+        edge = np.broadcast_to(x[:, None], at.shape)[at]
+        iy = 1j * np.outer(theta, lag)[at]  # i x s
+        rot = np.exp(iy)
+        # E_1(-i y) = e^{i y}/(1 - i y - 1/(3 - i y - 4/(5 - i y - ...)))
+        frac = (2 * _FRACTION_LEVELS + 1) - iy
+        for n in range(_FRACTION_LEVELS, 0, -1):
+            frac = ((2 * n - 1) - iy) - n * n / frac
+        e_p = rot / frac
+        F = np.zeros(iy.shape)
+        term = np.ones(iy.shape)  # (-(c/x)^2)^n
+        minus_zeta_sq = -((c / edge) ** 2)
+        for p in range(1, 2 * _SERIES_TERMS):
+            e_p *= iy  # E_{p+1}(-i x s) = (e^{i x s} + i x s E_p)/p
+            e_p += rot
+            e_p /= p
+            if p % 2:
+                F += term * e_p.real
+                term *= minus_zeta_sq
+        edge_F = np.zeros(at.shape)
+        edge_F[at] = F / edge
+        K[1][series] = -2.0 * np.diff(edge_F, axis=0)[series]
+    zero = m == 0
+    K[0][:, zero] = 2.0 * (b - a)[:, None]
+    K[1][:, zero] = (2.0 / c * np.arctan(c * (b - a) / (c * c + a * b)))[:, None]
+    return K
 
 
 def _window_masses(traj, k, centers, dt, m_lo, lengths):
-    """Squared shell masses mass_sq[w, c, j] of every window centre at once,
-    present[c, j] (some FFT bin of window c falls in shell j), and the
-    squared window L^2(dt) norms.
-    One transform G per window; P = |G|^2 summed over the band (w = 0, X_k),
-    divided by tau^2 + 16^k (w = 1, the N_k resolvent) or weighted by
-    chi_k(n)^2 (w = 2, the F^s block), binned block by block (and column
-    slice by column slice) of _dft_blocks.
-    Only the n >= 0 columns of the band are transformed: records of real
-    data have g_{-n}(t) = conj(g_n(t)) (mu is odd), so |G_{-n}(tau)|^2 =
-    |G_n(-tau)|^2, and every shell and weight is even in tau, so each n > 0
-    column counts twice.  A zero-extended window transforms only its
-    recorded rows: the shift to the first one is a phase of G."""
+    """Squared shell masses mass_sq[w, c, j] of every window centre (w = 0:
+    F_k, 1: N_k, 2: F^s block) and the squared window L^2(dt) norms.
+    Every window goes through one batched autocorrelation of R rows (R the
+    most any window records) and one set of lag kernels.  Only the n >= 0
+    columns of the band are gathered: records of real data have g_{-n}(t) =
+    conj(g_n(t)) (mu is odd), so |G_{-n}(tau)|^2 = |G_n(-tau)|^2, and every
+    shell and weight is even in tau, so each n > 0 column counts twice.  A
+    zero-extended window gathers only its recorded rows."""
     traj.require_real("short-time window input")
     n_rec = len(traj.times)
-    n_c = len(centers)
     M = traj.grid.max_mode
     chik = chi(k, traj.grid.modes[M:])
     band = np.nonzero(chik)[0]
+    mass_sq = np.zeros((3, len(centers), len(_shell_edges(dt)) - 1))
+    l2_sq = np.zeros(len(centers))
     if band.size == 0:
-        return np.zeros((3, n_c, 0)), np.zeros((n_c, 0), dtype=bool), np.zeros(n_c)
+        return mass_sq, l2_sq
     twice = np.where(band > 0, 2.0, 1.0)  # column n > 0 stands for -n too
+    weights = np.stack([twice, twice * chik[band] ** 2], axis=1)  # F_k and N_k, F^s
     mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[M + band]
-    chi_sq = twice * chik[band] ** 2
     t_rec = traj.times[0] + np.arange(n_rec) * dt
-    demod = traj.states[:, M + band] * np.exp(-1j * np.outer(t_rec, mu))
-
-    # |tau| is largest at the Nyquist bin L // 2
-    n_shells = 1 + max(int(_shell_index(np.abs(_taus(L, dt, L // 2, 1)))[0])
-                       for L in np.unique(lengths))
-    mass_sq = np.zeros((3, n_c, n_shells))
-    present = np.zeros((n_c, n_shells), dtype=bool)
-    l2_sq = np.zeros(n_c)
-    for L in np.unique(lengths):
-        same = np.nonzero(lengths == L)[0]
-        chunk = max(1, _BATCH_ELEMENTS // (L * band.size))
-        for c in (same[i:i + chunk] for i in range(0, len(same), chunk)):
-            first = np.maximum(m_lo[c], 0)
-            count = np.minimum(m_lo[c] + L, n_rec) - first
-            R = max(1, int(count.max()))
-            # rows past a window's last record are read at the last one and
-            # weighted by 0
-            rows = np.minimum(first[:, None] + np.arange(R), n_rec - 1)
-            inside = np.arange(R) < count[:, None]
-            weight = np.where(inside, eta0(4.0**k * (t_rec[rows] - centers[c, None])), 0.0)
-            g = demod[rows]
-            g *= weight[..., None]
-            l2_sq[c] = dt * (g.real**2 + g.imag**2).sum(axis=1) @ twice
-            for f0, s, G in _dft_blocks(g, int(L)):
-                if s.start == 0:  # the first column slice of a new block
-                    taus = _taus(L, dt, f0, G.shape[1])
-                    shell_of = _shell_index(np.abs(taus))
-                    starts = np.flatnonzero(np.diff(shell_of, prepend=-1))  # runs of one shell
-                    runs = shell_of[starts]
-                    present[c[:, None], runs] = True
-                P = G.real**2 + G.imag**2
-                # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
-                wf = (P @ twice[s]) * (dt / L)
-                weighted = (wf, wf / (taus**2 + 16.0**k), (P @ chi_sq[s]) * (dt / L))
-                for w, bins in enumerate(weighted):
-                    # a shell may hold two runs (|tau| rises, then falls past Nyquist)
-                    sums = np.add.reduceat(bins, starts, axis=-1)
-                    np.add.at(mass_sq[w], (c[:, None], runs), sums)
-    return mass_sq, present, l2_sq
+    demod = traj.states[:, M + band].T * np.exp(-1j * np.outer(mu, t_rec))  # (columns, records)
+    first = np.maximum(m_lo, 0)
+    count = np.minimum(m_lo + lengths, n_rec) - first
+    R = max(1, int(count.max()))
+    N = sfft.next_fast_len(2 * R - 1, True)
+    width = max(1, min(band.size, _BATCH_ELEMENTS // N))  # columns per transform
+    chunk = max(1, _BATCH_ELEMENTS // (N * width))  # windows per transform
+    # lag chunks whose kernel arrays (2 x edges or 20 nodes per lag) fit the
+    # budget; a single chunk is kept for every window chunk
+    step = max(1, _BATCH_ELEMENTS // max(2 * mass_sq.shape[2] + 2, len(_GAUSS[0])))
+    lags = [np.arange(i, min(i + step, R)) for i in range(0, R, step)]
+    kept = [_lag_kernels(dt, 4.0**k, lags[0])] if len(lags) == 1 else None
+    for c in (np.arange(i, min(i + chunk, len(centers))) for i in range(0, len(centers), chunk)):
+        # rows past a window's last record are read at the last one and weighted by 0
+        rows = np.minimum(first[c, None] + np.arange(R), n_rec - 1)
+        window = np.where(np.arange(R) < count[c, None],
+                          eta0(4.0**k * (t_rec[rows] - centers[c, None])), 0.0)
+        P = np.zeros((2, len(c), N))
+        for s in (slice(i, i + width) for i in range(0, band.size, width)):
+            G = sfft.fft(demod[s][:, rows] * window, n=N, axis=-1, overwrite_x=True)
+            P += np.tensordot(weights[s].T, G.real**2 + G.imag**2, axes=1)
+        # zero lag: sum_f P_f / N = sum_p |g_p|^2 (weighted)
+        l2_sq[c] = dt * P[0].sum(axis=-1) / N
+        r = sfft.ifft(P, axis=-1)[..., :R].real
+        r[..., 1:] *= 2.0  # lags m and -m
+        for m, K in zip(lags, kept or (_lag_kernels(dt, 4.0**k, m) for m in lags)):
+            # (F_k, N_k, F^s) = (r_0 K_0, r_0 K_1, r_1 K_0) in one sum, so
+            # equal r and K give equal bits in every weighting
+            mass_sq[:, c] += np.einsum("wcm,wjm->wcj", r[[0, 0, 1]][..., m], K[[0, 1, 0]])
+    mass_sq *= dt * dt / (2.0 * np.pi)
+    return np.maximum(mass_sq, 0.0), l2_sq
 
 
 def modulation_decompose(traj: Trajectory, k: int, t_k: float) -> ModulationShellSet:
-    """Windowed space-time transform of the I_k band, binned in |tau - mu(n)|."""
+    """Shell masses in |tau - mu(n)| of the I_k band in one window around t_k."""
     centers = np.array([float(t_k)])
     dt, m_lo, lengths = _window_starts(traj, k, centers)
-    mass_sq, present, l2_sq = _window_masses(traj, k, centers, dt, m_lo, lengths)
+    mass_sq, l2_sq = _window_masses(traj, k, centers, dt, m_lo, lengths)
     n = int(lengths[0])
     zero_extended = bool(m_lo[0] < 0 or m_lo[0] + n > len(traj.times))
-    shells = {int(j): float(np.sqrt(mass_sq[0, 0, j])) for j in np.nonzero(present[0])[0]}
+    shells = {j: float(np.sqrt(m)) for j, m in enumerate(mass_sq[0, 0])}
     return ModulationShellSet(k, t_k, shells, float(np.sqrt(l2_sq[0])), n, dt, zero_extended)
 
 
@@ -282,20 +278,20 @@ def _tk_grid(traj: Trajectory, k: int, T: float):
     return np.array([0.5 * (t0 + t1)]), True
 
 
-def _window_table(traj: Trajectory, k: int, T: float) -> tuple:
-    """_window_masses' (mass_sq, present) of the t_k grid, memoized per (k, T)."""
+def _window_table(traj: Trajectory, k: int, T: float) -> np.ndarray:
+    """_window_masses' mass_sq of the t_k grid, memoized per (k, T)."""
     key = (k, float(T))
     if key not in traj.window_tables:
         centers, _ = _tk_grid(traj, k, T)
         dt, m_lo, lengths = _window_starts(traj, k, centers)
-        traj.window_tables[key] = _window_masses(traj, k, centers, dt, m_lo, lengths)[:2]
+        traj.window_tables[key] = _window_masses(traj, k, centers, dt, m_lo, lengths)[0]
     return traj.window_tables[key]
 
 
 def _xk_sup(traj, k, T, wt, weighting) -> float:
     """sup over the t_k grid of the X_k sum of one weighting (0: F_k, 1: N_k,
     2: F^s block) of the window table."""
-    mass_sq = _window_table(traj, k, T)[0][weighting]
+    mass_sq = _window_table(traj, k, T)[weighting]
     if wt is None:
         wt = WeightTable()
     coef = np.array([2.0 ** (j / 2.0) * wt.beta(j, k) for j in range(mass_sq.shape[1])])

@@ -24,7 +24,14 @@ import numpy as np
 from .equations import nonlinear_operator, seq_l4_quartic
 from .errors import ConfigurationError
 from .integrate import Trajectory
-from .spectral import GridSpec, SpectralField, half_spectrum, hermitian_extend, require_hermitian
+from .spectral import (
+    GridSpec,
+    SpectralField,
+    half_spectrum,
+    hermitian_extend,
+    require_hermitian,
+    row_chunks,
+)
 
 GAUGE_PHASE_RATE = 20.0
 
@@ -45,8 +52,14 @@ def accumulate_phase(traj: Trajectory) -> np.ndarray:
 
 
 def _apply_phase(traj: Trajectory, phi: np.ndarray, sign: float) -> Trajectory:
+    """traj with every record twisted by exp(sign 20 i n Phi), the phase table
+    made a chunk of records (spectral.BATCH_ELEMENTS entries) at a time; the
+    product is formed as twist * states, the same bits for any chunking."""
     n = traj.grid.modes.astype(float)
-    states = traj.states * np.exp(sign * 1j * GAUGE_PHASE_RATE * np.outer(phi, n))
+    states = np.empty(traj.states.shape, dtype=np.complex128)
+    for rows in row_chunks(len(phi), len(n)):
+        twist = np.exp(sign * 1j * GAUGE_PHASE_RATE * np.outer(phi[rows], n))
+        np.multiply(twist, traj.states[rows], out=states[rows])
     return Trajectory(
         traj.grid,
         traj.times.copy(),

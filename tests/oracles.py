@@ -5,6 +5,8 @@ exact index bookkeeping, deliberately avoiding the FFT/inclusion-exclusion
 paths used by the package. Only usable at small max_mode.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -202,16 +204,10 @@ def random_real_coeffs(M, rng, decay=1.5, amplitude=1.0):
 # Short-time norms: one window at a time
 # ---------------------------------------------------------------------------
 
-def window_shells_oracle(traj, k, t_k, weight=None, resolvent=False):
-    """Shell masses of one window by gather, demodulate, FFT and a bin loop.
-
-    Returns (shells {j: mass}, window L^2(dt) norm, n_samples, zero_extended).
-    weight multiplies the band coefficients (chi_k for the F^s blocks);
-    resolvent divides by (tau - mu(n) + i 4^k).  One FFT per window; only
-    the band columns of the recorded rows are gathered.
-    """
-    import scipy.fft as sfft
-
+def _window_samples(traj, k, t_k):
+    """The windowed, demodulated band samples g (recorded rows x every column
+    of the band I_k, both signs of n), dt, chi_k on those columns, the
+    window's span in samples and whether it reaches past the records."""
     from mkdvlab.integrate import _linear_symbol
     from mkdvlab.spectral import chi, eta0
 
@@ -220,91 +216,83 @@ def window_shells_oracle(traj, k, t_k, weight=None, resolvent=False):
     half = 2.0 * 4.0 ** (-k)
     m_lo = int(np.floor((t_k - half - times[0]) / dt))
     m_hi = int(np.ceil((t_k + half - times[0]) / dt))
-    idx = np.arange(m_lo, m_hi + 1)
-    zero_extended = bool(idx[0] < 0 or idx[-1] >= len(times))
-    band = np.nonzero(chi(k, traj.grid.modes))[0]
-    mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[band]
-    states = traj.states[:, band]
-    if weight is not None:
-        states = states * weight[band]
-
-    t_atoms = times[0] + idx * dt
-    inside = (idx >= 0) & (idx < len(times))
-    data = np.zeros((len(idx), band.size), dtype=complex)
-    data[inside] = states[idx[inside]]
-    window = eta0(4.0**k * (t_atoms - t_k))
-    g = data * np.exp(-1j * np.outer(t_atoms, mu)) * window[:, None]
-    G = sfft.fft(g, axis=0)
-    taus = 2.0 * np.pi * sfft.fftfreq(len(idx), d=dt)
-    if resolvent:
-        G = G / (taus[:, None] + 1j * 4.0**k)
-    weights = (np.abs(G) ** 2).sum(axis=1) * (dt / len(idx))
-    shells = {}
-    for tau, w in zip(taus, weights):
-        a = abs(tau)
-        j = 0 if a <= 2.0 else max(int(np.ceil(np.log2(a))) - 1, 0)
-        shells[j] = shells.get(j, 0.0) + float(w)
-    shells = {j: float(np.sqrt(m)) for j, m in sorted(shells.items())}
-    window_l2 = float(np.sqrt(dt * np.sum(np.abs(g) ** 2)))
-    return shells, window_l2, len(idx), zero_extended
-
-
-def window_masses_full_band_oracle(traj, k, centers, dt, m_lo, lengths):
-    """shorttime._window_masses over every column of the band I_k, the -n
-    columns transformed as well, so no Hermitian symmetry is assumed.
-
-    Same batching, blocks (shorttime._dft_blocks) and binning, so the
-    half-band table must match it to round-off on real records.
-    """
-    from mkdvlab import shorttime
-    from mkdvlab.integrate import _linear_symbol
-    from mkdvlab.shorttime import _dft_blocks, _shell_index, _taus
-    from mkdvlab.spectral import chi, eta0
-
-    n_rec = len(traj.times)
-    n_c = len(centers)
+    idx = np.arange(max(m_lo, 0), min(m_hi, len(times) - 1) + 1)
     chik = chi(k, traj.grid.modes)
     band = np.nonzero(chik)[0]
-    if band.size == 0:
-        return np.zeros((3, n_c, 0)), np.zeros((n_c, 0), dtype=bool), np.zeros(n_c)
     mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[band]
-    chi_sq = chik[band] ** 2
-    t_rec = traj.times[0] + np.arange(n_rec) * dt
-    demod = traj.states[:, band] * np.exp(-1j * np.outer(t_rec, mu))
+    t = times[0] + idx * dt
+    g = traj.states[idx][:, band] * np.exp(-1j * np.outer(t, mu))
+    g *= eta0(4.0**k * (t - t_k))[:, None]
+    return g, dt, chik[band], m_hi - m_lo + 1, bool(m_lo < 0 or m_hi >= len(times))
 
-    # |tau| is largest at the Nyquist bin L // 2
-    n_shells = 1 + max(int(_shell_index(np.abs(_taus(L, dt, L // 2, 1)))[0])
-                       for L in np.unique(lengths))
-    mass_sq = np.zeros((3, n_c, n_shells))
-    present = np.zeros((n_c, n_shells), dtype=bool)
-    l2_sq = np.zeros(n_c)
-    for L in np.unique(lengths):
-        same = np.nonzero(lengths == L)[0]
-        chunk = max(1, shorttime._BATCH_ELEMENTS // (L * band.size))
-        for c in (same[i:i + chunk] for i in range(0, len(same), chunk)):
-            first = np.maximum(m_lo[c], 0)
-            count = np.minimum(m_lo[c] + L, n_rec) - first
-            R = max(1, int(count.max()))
-            inside = np.arange(R) < count[:, None]
-            r = (first[:, None] + np.arange(R))[inside]
-            t_k = np.broadcast_to(centers[c, None], inside.shape)[inside]
-            g = np.zeros((len(c), R, band.size), dtype=np.complex128)
-            g[inside] = demod[r] * eta0(4.0**k * (t_rec[r] - t_k))[:, None]
-            l2_sq[c] = dt * np.sum(np.abs(g) ** 2, axis=(1, 2))
-            flat = n_shells * np.arange(3 * len(c)).reshape(3, -1, 1)
-            for f0, s, G in _dft_blocks(g, int(L)):
-                if s.start == 0:  # the first column slice of a new block
-                    taus = _taus(L, dt, f0, G.shape[1])
-                    shell_of = _shell_index(np.abs(taus))
-                    present[c] |= np.bincount(shell_of, minlength=n_shells) > 0
-                P = np.abs(G) ** 2
-                # L^2(dt) calibration: sum_j mass_j^2 = dt * sum |g|^2
-                wf = P.sum(axis=2) * (dt / L)
-                w = np.stack([wf, wf / (taus**2 + 16.0**k), (P @ chi_sq[s]) * (dt / L)])
-                sums = np.bincount((shell_of + flat).ravel(), w.ravel(),
-                                   minlength=3 * len(c) * n_shells)
-                mass_sq[:, c] += sums.reshape(3, len(c), n_shells)
-    return mass_sq, present, l2_sq
+
+_gauss_legendre = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+_WINDOW_MEMO = {}  # id(traj) -> (traj, {(k, t_k): result}); holding traj keeps its id
+
+
+def window_masses_oracle(traj, k, t_k):
+    """Squared shell masses of one window by definition: Gauss-Legendre
+    quadrature over each shell a < |tau| <= b (edges 0, 2, 4, ..., 2^J, pi/dt)
+    of the directly evaluated transform G(tau) = sum_p g_p e^{-i tau p dt} of
+    every band column, with 0.5 (b - a)(R - 1) dt + 20 nodes, times dt^2/(2 pi).
+
+    Returns (mass_sq[3, shells] weighted by 1 (F_k), 1/(tau^2 + 16^k) (N_k)
+    and chi_k(n)^2 (F^s), squared window L^2(dt) norm, n_samples,
+    zero_extended).  No Hermitian symmetry is assumed.  Memoized per
+    trajectory object (its arrays are read-only).
+    """
+    memo = _WINDOW_MEMO.setdefault(id(traj), (traj, {}))[1]
+    if (k, t_k) not in memo:
+        memo[k, t_k] = _window_masses_by_quadrature(traj, k, t_k)
+    return memo[k, t_k]
+
+
+def _window_masses_by_quadrature(traj, k, t_k):
+    g, dt, chik, n_samples, zero_extended = _window_samples(traj, k, t_k)
+    R = len(g)
+    top = np.pi / dt
+    J = int(np.ceil(np.log2(top))) - 1
+    edges = [0.0] + [2.0**j for j in range(1, J + 1)] + [top]
+    both = np.hstack([g, np.conj(g)])  # |G(-tau)|^2 = |sum_p conj(g_p) e^{-i tau p dt}|^2
+    mass_sq = np.zeros((3, J + 1))
+    for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        x, w = _gauss_legendre(int(0.5 * (b - a) * (R - 1) * dt) + 20)
+        tau = 0.5 * (b - a) * x + 0.5 * (a + b)
+        P = np.abs(np.exp(-1j * np.outer(tau, np.arange(R) * dt)) @ both) ** 2
+        P = P[:, :g.shape[1]] + P[:, g.shape[1]:]
+        w = w * 0.5 * (b - a) * dt * dt / (2.0 * np.pi)
+        mass_sq[:, j] = [w @ P.sum(axis=1), (w / (tau**2 + 16.0**k)) @ P.sum(axis=1),
+                         w @ (P @ chik**2)]
+    return mass_sq, dt * np.sum(np.abs(g) ** 2), n_samples, zero_extended
+
+
+def window_shells_oracle(traj, k, t_k):
+    """(shells {j: mass} of the F_k weighting, window L^2(dt) norm,
+    n_samples, zero_extended) from window_masses_oracle."""
+    mass_sq, l2_sq, n, ext = window_masses_oracle(traj, k, t_k)
+    return {j: float(np.sqrt(m)) for j, m in enumerate(mass_sq[0])}, float(np.sqrt(l2_sq)), n, ext
+
+
+def window_bins_oracle(traj, k, t_k, padding=1):
+    """The L-bin surrogate of one window: F_k shell masses {j: mass} from the
+    FFT of the window's L samples zero-extended to padding * L bins, each bin
+    |G|^2 * dt/(padding L) put in the shell of its |tau|.  Padding refines
+    the bins towards the continuous-tau masses, at first order."""
+    import scipy.fft as sfft
+
+    g, dt, _, L, _ = _window_samples(traj, k, t_k)
+    n = padding * L
+    weights = (np.abs(sfft.fft(g, n=n, axis=0)) ** 2).sum(axis=1) * (dt / n)
+    a = np.abs(2.0 * np.pi * sfft.fftfreq(n, d=dt))
+    j = np.where(a <= 2.0, 0, np.ceil(np.log2(np.maximum(a, 2.0))) - 1).astype(int)
+    return {int(i): float(np.sqrt(m)) for i, m in enumerate(np.bincount(j, weights))}
+
+
+def window_masses_full_band_oracle(traj, k, centers):
+    """window_masses_oracle for every window centre: (mass_sq[3, centres,
+    shells], squared window L^2(dt) norms)."""
+    rows = [window_masses_oracle(traj, k, t_k)[:2] for t_k in centers]
+    return np.stack([m for m, _ in rows], axis=1), np.array([l2 for _, l2 in rows])
 
 
 def window_centers_oracle(traj, k, T):
@@ -318,13 +306,14 @@ def window_centers_oracle(traj, k, T):
     return [t0 + half + step * i for i in range(n)]
 
 
-def xk_sup_oracle(traj, k, T, gamma=0.25, weight=None, resolvent=False):
-    """sup over window centres of sum_j 2^{j/2} beta_{j,k} mass_j, one window at a time."""
+def xk_sup_oracle(traj, k, T, gamma=0.25, weighting=0):
+    """sup over window centres of sum_j 2^{j/2} beta_{j,k} mass_j, one window
+    at a time; weighting 0, 1, 2 picks F_k, N_k or the F^s block."""
     best = 0.0
     for t_k in window_centers_oracle(traj, k, T):
-        shells = window_shells_oracle(traj, k, t_k, weight, resolvent)[0]
+        mass_sq = window_masses_oracle(traj, k, t_k)[0][weighting]
         val = 0.0
-        for j, m in shells.items():
+        for j, m in enumerate(np.sqrt(mass_sq)):
             beta = 1.0 if k == 0 else 1.0 + 2.0 ** (gamma * (j - 5 * k))
             val += 2.0 ** (j / 2.0) * beta * m
         best = max(best, val)
@@ -338,10 +327,9 @@ def fs_oracle(traj, s, T, gamma=0.25):
     M = traj.grid.max_mode
     total = 0.0
     for k in range(0, int(np.ceil(np.log2(max(M, 2)))) + 1):
-        chik = chi(k, traj.grid.modes)
-        if not np.any(traj.states[:, chik != 0]):
+        if not np.any(traj.states[:, chi(k, traj.grid.modes) != 0]):
             continue
-        fk = xk_sup_oracle(traj, k, T, gamma, weight=chik)
+        fk = xk_sup_oracle(traj, k, T, gamma, weighting=2)
         total += 4.0 ** (s * k) * fk * fk
     return float(np.sqrt(total))
 

@@ -311,6 +311,13 @@ class TestNorms:
         summary = man["results_summary"]
         assert summary["zero_extended_k"] == [0, 1, 2]
         assert summary["windows_per_k"] == {"0": 1, "1": 1, "2": 1, "3": 5}
+        # the two phases of the run, each within its wall time
+        assert summary["evolve_s"] >= 0.0 and summary["tables_s"] >= 0.0
+        assert summary["evolve_s"] + summary["tables_s"] <= man["wall_time_s"]
+        # the middle window of every k, every shell up to the Nyquist one
+        shells = (tmp_path / "mkdvlab_norm_shells.csv").read_text().splitlines()[1:]
+        n_shells = int(np.ceil(np.log2(np.pi / summary["dt"])))
+        assert [int(r.split(",")[2]) for r in shells] == list(range(n_shells)) * 3
 
     def test_manifest_records_dt_and_stride_used(self, tmp_path):
         # a dt above span_min/64 and the user's stride are replaced by the

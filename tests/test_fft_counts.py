@@ -21,19 +21,21 @@ from oracles import random_real_coeffs
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Counts calls to scipy.fft's four transforms (the package looks them up
-    on the module at call time)."""
-    counter = {"n": 0}
+    on the module at call time), and in "points" the entries they return."""
+    counter = {"n": 0, "points": 0}
     for name in ("fft", "ifft", "rfft", "irfft"):
         transform = getattr(scipy.fft, name)
 
         def counted(*args, _transform=transform, **kwargs):
             counter["n"] += 1
-            return _transform(*args, **kwargs)
+            out = _transform(*args, **kwargs)
+            counter["points"] += out.size
+            return out
 
         monkeypatch.setattr(scipy.fft, name, counted)
 
     def calls(fn, *args):
-        counter["n"] = 0
+        counter["n"] = counter["points"] = 0
         fn(*args)
         return counter["n"]
 
@@ -110,6 +112,36 @@ def test_synthesis_memory_independent_of_records(monkeypatch, rng):
             tracemalloc.stop()
     # one record's three syntheses alone are 3 x 100 x 8 bytes
     assert peaks[1] - peaks[0] < 100 * (2000 - 200)
+
+
+def test_gauge_phase_memory_independent_of_records(monkeypatch, rng):
+    # past one chunk, the phase product's peak above its output is one
+    # chunk's phase table, and its states equal the one-table product bit for bit
+    import tracemalloc
+
+    import mkdvlab.spectral as spectral
+    from mkdvlab.integrate import Trajectory
+    from mkdvlab.transforms import GAUGE_PHASE_RATE, _apply_phase
+
+    grid = GridSpec(16)
+    n = grid.modes.astype(float)
+    monkeypatch.setattr(spectral, "BATCH_ELEMENTS", 16 * len(n))
+    above = []
+    for count in (200, 2000):
+        states = np.array([random_real_coeffs(16, rng, amplitude=0.05) for _ in range(count)])
+        traj = Trajectory(grid, 1e-4 * np.arange(count), states,
+                          EquationParams.constrained_family(40.0), "physical_5mkdv", 1e-4, 1)
+        phi = rng.standard_normal(count)
+        tracemalloc.start()
+        try:
+            out = _apply_phase(traj, phi, -1.0)
+            above.append(tracemalloc.get_traced_memory()[1] - out.states.nbytes)
+        finally:
+            tracemalloc.stop()
+        want = np.exp(-1j * GAUGE_PHASE_RATE * np.outer(phi, n)) * states
+        assert np.array_equal(out.states, want)
+    # one record's phase row alone is 33 x 16 bytes
+    assert above[1] - above[0] < 100 * (2000 - 200)
 
 
 def test_default_dt_one_call(fft_calls):
@@ -205,6 +237,28 @@ def test_norms_run_transforms_only_its_norms(fft_calls, monkeypatch, tmp_path):
     (traj,) = trajs
     assert [_tk_grid(traj, k, NORMS_T)[1] for k in range(5)] == [True] * 4 + [False]
     assert run == fft_calls(all_norms, dataclasses.replace(traj), range(1, 5)) > 0
+
+
+def test_zero_extended_table_transforms_independent_of_dt(fft_calls):
+    # the k = 0 window of 64 records spans 4/dt = 4e5 or 4e6 samples; its
+    # table transforms the 64 records alike at both
+    from mkdvlab.integrate import Trajectory
+    from mkdvlab.shorttime import _window_table
+    from mkdvlab.spectral import hermitian_extend
+
+    rng = np.random.default_rng(7)
+    half = rng.standard_normal((64, 17)) + 1j * rng.standard_normal((64, 17))
+    half[:, 0] = half[:, 0].real
+    states = hermitian_extend(half)
+    counts = []
+    for dt in (1e-5, 1e-6):
+        traj = Trajectory(GridSpec(16), dt * np.arange(64), states,
+                          EquationParams.constrained_family(40.0), "physical_5mkdv", dt, 1)
+        calls = fft_calls(_window_table, traj, 0, float(traj.times[-1]))
+        counts.append((calls, fft_calls.counter["points"]))
+    # one fft of the two n >= 0 columns of chi_0 and one ifft of the two
+    # weightings, each next_fast_len(2 * 64 - 1) = 128 long
+    assert counts == [(2, 2 * 128 + 2 * 128)] * 2
 
 
 def test_trajectory_arrays_read_only(norms_traj):

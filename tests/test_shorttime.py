@@ -1,20 +1,18 @@
 """Weight table, modulation shells, X_k / F_k / F^s / N_k diagnostics."""
 
 import dataclasses
-from datetime import timedelta
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from mkdvlab.equations import EquationParams
 from mkdvlab.errors import ParameterError, ResolutionError, SymmetryError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.shorttime import (
     WeightTable,
-    _dft_blocks,
+    _lag_kernels,
+    _shell_edges,
     _tk_grid,
     _window_masses,
     _window_starts,
@@ -99,97 +97,38 @@ class TestModulationDecompose:
         assert "need dt <=" in str(exc.value)
 
 
-@st.composite
-def czt_sizes(draw):
-    L = draw(st.integers(1, 4000))
-    return L, draw(st.integers(1, L))
-
-
-def concatenated_blocks(x, L, max_blocks=None):
-    """_dft_blocks(x, L) put together into the (batch, L, columns) transform,
-    and the length of each block; every (bin, column) must come exactly once,
-    in at most max_blocks blocks (checked as they come)."""
-    got = np.zeros((x.shape[0], L, x.shape[2]), dtype=np.complex128)
-    hits = np.zeros((L, x.shape[2]), dtype=int)
-    sizes = {}
-    for f0, s, G in _dft_blocks(x.copy(), L):
-        n = sizes.setdefault(f0, G.shape[1])
-        assert max_blocks is None or len(sizes) <= max_blocks
-        assert G.shape == (x.shape[0], n, s.stop - s.start)
-        got[:, f0:f0 + n, s] = G
-        hits[f0:f0 + n, s] += 1
-    assert (hits == 1).all()
-    assert list(sizes) == list(np.cumsum([0] + list(sizes.values())[:-1]))
-    return got, list(sizes.values())
-
-
 def transform_sizes(monkeypatch):
-    """Entries of every sfft.fft / sfft.ifft input from here on."""
+    """Entries of every sfft.fft / sfft.ifft output from here on."""
     sizes = []
     for name in ("fft", "ifft"):
-        def traced(a, *args, _f=getattr(sfft, name), **kwargs):
-            sizes.append(np.size(a))
-            return _f(a, *args, **kwargs)
+        def traced(*args, _f=getattr(sfft, name), **kwargs):
+            out = _f(*args, **kwargs)
+            sizes.append(out.size)
+            return out
         monkeypatch.setattr(sfft, name, traced)
     return sizes
 
 
-@settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
-@given(sizes=czt_sizes(), seed=st.integers(0, 2**32 - 1))
-@example(sizes=(1, 1), seed=0)
-@example(sizes=(3989, 1), seed=1)  # prime L
-@example(sizes=(3989, 3989), seed=2)
-@example(sizes=(3989, 100), seed=3)
-@example(sizes=(267602, 671), seed=4)  # the k = 0 window of the `norms` defaults
-def test_czt_rows_matches_padded_fft(sizes, seed):
-    L, R = sizes
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, R, 3)) + 1j * rng.standard_normal((2, R, 3))
-    want = sfft.fft(x, n=L, axis=1)
-    got, _ = concatenated_blocks(x, L)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("L, R, sizes", [
-    (1000, 5, [6] * 166 + [4]),  # 6 = 10 - 5 + 1 bins; L is no multiple of 6
-    (997, 5, [6] * 166 + [1]),  # the last block holds a single bin
-    (100, 16, [17] * 5 + [15]),  # 2 x 16 rows outgrow the budget's fast length 10
+@pytest.mark.parametrize("c, dt, R", [
+    (1.0, 1.5e-5, 670),  # the k = 0 window of the `norms` defaults
+    (256.0, 1.5e-5, 670),
+    (4096.0, 1.5e-5, 67),  # an interior k = 6 window
+    (16.0, 1e-7, 3000),  # most shells past the Gauss-Legendre range
 ])
-def test_czt_blocks_under_a_small_budget(monkeypatch, L, R, sizes):
-    # 64 entries over 2 x 3 columns allow a fast length of 10; the
-    # convolution is at least 2R long, so a block holds more than R bins, and
-    # at R = 16 (length 32) one column at a time fits the budget
-    import mkdvlab.shorttime as shorttime
+def test_lag_kernels_match_quad(c, dt, R):
+    # every shell, shell 0 included, against QUADPACK's cosine-weighted rule,
+    # relative to the shell's zero-lag kernel
+    from scipy.integrate import quad
 
-    monkeypatch.setattr(shorttime, "_BATCH_ELEMENTS", 64)
-    rng = np.random.default_rng(L + R)
-    x = rng.standard_normal((2, R, 3)) + 1j * rng.standard_normal((2, R, 3))
-    want = sfft.fft(x, n=L, axis=1)
-    buffers = transform_sizes(monkeypatch)
-    got, seen = concatenated_blocks(x, L, max_blocks=2 * L / R + 1)
-    assert seen == sizes
-    assert all(B > R for B in seen[:-1])
-    assert max(buffers) <= 64
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_czt_blocks_when_the_rows_outgrow_the_budget(monkeypatch):
-    # 50,000 rows x 3 columns exceed _BATCH_ELEMENTS = 2^17: the blocks still
-    # hold more than R bins each (at most 2L/R + 1 of them), one column at a
-    # time, and no transform buffer exceeds the budget
-    import mkdvlab.shorttime as shorttime
-
-    L, R = 400_000, 50_000
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((1, R, 3)) + 1j * rng.standard_normal((1, R, 3))
-    assert x.size > shorttime._BATCH_ELEMENTS
-    want = sfft.fft(x, n=L, axis=1)
-    buffers = transform_sizes(monkeypatch)
-    got, seen = concatenated_blocks(x, L, max_blocks=2 * L / R + 1)
-    assert all(B > R for B in seen[:-1])
-    assert max(buffers) <= shorttime._BATCH_ELEMENTS
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    edges = _shell_edges(dt) / dt
+    lags = np.unique(np.r_[0, 1, 2, np.random.default_rng(R).integers(3, R, 4), R - 1])
+    K = _lag_kernels(dt, c, lags)
+    for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        for i, m in enumerate(lags):
+            for w, f in enumerate((lambda t: 1.0, lambda t: 1.0 / (t * t + c * c))):
+                want = 2.0 * quad(f, a, b, weight="cos", wvar=m * dt, limit=500,
+                                  epsabs=1e-13 * K[w, j, 0], epsrel=0.0)[0]
+                assert abs(K[w, j, i] - want) <= 1e-12 * K[w, j, 0]
 
 
 class TestXkNorm:
@@ -377,7 +316,7 @@ def assert_shells_match(traj, k, t_k):
     sh = modulation_decompose(traj, k, t_k)
     shells, l2, n, ext = window_shells_oracle(traj, k, t_k)
     assert (sh.n_samples, sh.zero_extended) == (n, ext)
-    assert sorted(sh.shells) == sorted(shells)
+    assert sorted(sh.shells) == sorted(shells) == list(range(len(_shell_edges(traj.dt)) - 1))
     scale = max(shells.values())
     for j, m in shells.items():
         assert abs(sh.shells[j] - m) <= 1e-12 * scale
@@ -396,7 +335,7 @@ class TestBatchedWindowsMatchOracle:
         if k >= 1:
             assert rel(fk_norm(norms_traj, k, NORMS_T), xk_sup_oracle(norms_traj, k, NORMS_T)) <= 1e-12
             assert rel(nk_norm(norms_traj, k, NORMS_T),
-                       xk_sup_oracle(norms_traj, k, NORMS_T, resolvent=True)) <= 1e-12
+                       xk_sup_oracle(norms_traj, k, NORMS_T, weighting=1)) <= 1e-12
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_sliding_windows_of_two_lengths(self, norms_traj, k):
@@ -408,20 +347,23 @@ class TestBatchedWindowsMatchOracle:
         assert len(lengths) == 2
         assert rel(fk_norm(norms_traj, k, NORMS_T), xk_sup_oracle(norms_traj, k, NORMS_T)) <= 1e-12
         assert rel(nk_norm(norms_traj, k, NORMS_T),
-                   xk_sup_oracle(norms_traj, k, NORMS_T, resolvent=True)) <= 1e-12
+                   xk_sup_oracle(norms_traj, k, NORMS_T, weighting=1)) <= 1e-12
 
     def test_chunked_batches(self, norms_traj, monkeypatch):
-        # a small batch budget splits every window group into several FFTs
+        # a small batch budget splits every window group into several FFTs,
+        # the wide bands into column slices and the kernels into lag chunks
         from oracles import fs_oracle, xk_sup_oracle
 
         import mkdvlab.shorttime as st
 
         monkeypatch.setattr(st, "_BATCH_ELEMENTS", 4096)
+        buffers = transform_sizes(monkeypatch)
         traj = dataclasses.replace(norms_traj)  # no memoized tables
         for k in (5, 6):
             assert rel(nk_norm(traj, k, NORMS_T),
-                       xk_sup_oracle(traj, k, NORMS_T, resolvent=True)) <= 1e-12
+                       xk_sup_oracle(traj, k, NORMS_T, weighting=1)) <= 1e-12
         assert rel(fs_norm(traj, 1.0, NORMS_T), fs_oracle(traj, 1.0, NORMS_T)) <= 1e-12
+        assert max(buffers) <= 4096
 
     def test_fs_norm(self, norms_traj):
         from oracles import fs_oracle
@@ -435,7 +377,7 @@ class TestBatchedWindowsMatchOracle:
         for k in (2, 6):
             want = xk_sup_oracle(norms_traj, k, NORMS_T, 0.125)
             assert rel(fk_norm(norms_traj, k, NORMS_T, wt), want) <= 1e-12
-            want = xk_sup_oracle(norms_traj, k, NORMS_T, 0.125, resolvent=True)
+            want = xk_sup_oracle(norms_traj, k, NORMS_T, 0.125, weighting=1)
             assert rel(nk_norm(norms_traj, k, NORMS_T, wt), want) <= 1e-12
         assert rel(fs_norm(norms_traj, 1.5, NORMS_T, wt),
                    fs_oracle(norms_traj, 1.5, NORMS_T, 0.125)) <= 1e-12
@@ -452,7 +394,7 @@ class TestBatchedWindowsMatchOracle:
                       ctrl=StepControl(dt=norms_dt(16), record_stride=1))
         for k in range(1, 5):
             assert rel(fk_norm(traj, k, T), xk_sup_oracle(traj, k, T)) <= 1e-12
-            assert rel(nk_norm(traj, k, T), xk_sup_oracle(traj, k, T, resolvent=True)) <= 1e-12
+            assert rel(nk_norm(traj, k, T), xk_sup_oracle(traj, k, T, weighting=1)) <= 1e-12
         assert_shells_match(traj, 4, 0.02)
         assert rel(fs_norm(traj, 1.0, T), fs_oracle(traj, 1.0, T)) <= 1e-12
 
@@ -492,30 +434,72 @@ def odd_traj():
 
 
 @pytest.mark.parametrize("which, k, extended, parities", [
-    ("norms", 0, True, {0}),  # the n = 0 column, even L
+    ("norms", 0, True, {0}),  # the n = 0 column alone
     ("norms", 3, True, {0}),
-    ("norms", 5, False, {0, 1}),  # interior windows of L = 263 and 264
+    ("norms", 5, False, {0, 1}),  # interior windows spanning 263 and 264 samples
     ("norms", 6, False, {0, 1}),
-    ("odd", 0, True, {1}),  # no Nyquist bin
+    ("odd", 0, True, {1}),
     ("odd", 2, True, {1}),
 ])
 def test_half_band_table_matches_full_band_oracle(norms_traj, odd_traj, which, k, extended,
                                                    parities):
-    # the n >= 0 columns, each n > 0 counted twice, against every column
-    # transformed: all three weightings, the present shells and the window norms
+    # the n >= 0 columns, each n > 0 counted twice, against every column of
+    # every window by definition: all three weightings and the window norms
     from oracles import window_masses_full_band_oracle
 
     traj = norms_traj if which == "norms" else odd_traj
     centers, ext = _tk_grid(traj, k, float(traj.times[-1]))
     dt, m_lo, lengths = _window_starts(traj, k, centers)
     assert ext == extended and {int(L) % 2 for L in lengths} == parities
-    args = (traj, k, centers, dt, m_lo, lengths)
-    (mass_sq, present, l2_sq), (want, want_present, want_l2) = (
-        _window_masses(*args), window_masses_full_band_oracle(*args))
-    assert mass_sq.shape == want.shape and np.array_equal(present, want_present)
+    mass_sq, l2_sq = _window_masses(traj, k, centers, dt, m_lo, lengths)
+    want, want_l2 = window_masses_full_band_oracle(traj, k, centers)
+    assert mass_sq.shape == want.shape
     for w in range(3):
         assert np.max(np.abs(mass_sq[w] - want[w])) <= 1e-13 * np.max(want[w])
     assert np.max(np.abs(l2_sq - want_l2)) <= 1e-13 * np.max(want_l2)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_parseval_closure_every_window(norms_traj, k):
+    # the F_k masses of every window add up to its squared L^2(dt) norm
+    centers, _ = _tk_grid(norms_traj, k, NORMS_T)
+    mass_sq, l2_sq = _window_masses(norms_traj, k, centers, *_window_starts(norms_traj, k, centers))
+    assert np.all(np.abs(mass_sq[0].sum(axis=1) - l2_sq) <= 1e-13 * l2_sq)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_smooth_window_masses_at_round_off_floor(k):
+    # a linear wave's windowed spectrum falls below 1e-15 of its mass in the
+    # top shells; a mass^2 there is round-off of the lag sums, so the mass
+    # reads up to about 1e-8 of the window norm
+    from oracles import window_masses_oracle
+
+    traj = linear_wave_trajectory(k)
+    t_k = traj.times[-1] / 2
+    sh = modulation_decompose(traj, k, t_k)
+    want = np.sqrt(window_masses_oracle(traj, k, t_k)[0][0])
+    assert want[-1] ** 2 < 1e-15 * sh.window_l2**2
+    got = np.array([sh.shells[j] for j in range(len(want))])
+    assert np.max(np.abs(got - want)) <= 3e-8 * sh.window_l2
+
+
+@pytest.mark.parametrize("which, k", [("norms", 6), ("odd", 2)])
+def test_bins_converge_to_continuous_masses(norms_traj, odd_traj, which, k):
+    # the L-bin surrogate padded 16x and 64x nears the continuous-tau masses
+    # at first order in the bin spacing
+    from oracles import window_bins_oracle
+
+    traj = norms_traj if which == "norms" else odd_traj
+    centers, _ = _tk_grid(traj, k, float(traj.times[-1]))
+    t_k = centers[len(centers) // 2]
+    sh = modulation_decompose(traj, k, t_k)
+    total = sh.window_l2**2
+    gaps = []
+    for padding in (16, 64):
+        bins = window_bins_oracle(traj, k, t_k, padding)
+        assert sorted(bins) == sorted(sh.shells)
+        gaps.append(max(abs(bins[j] ** 2 - sh.shells[j] ** 2) for j in bins) / total)
+    assert 3.0 <= gaps[0] / gaps[1] <= 5.0
 
 
 def test_tables_reject_non_hermitian_records(norms_traj):
@@ -552,8 +536,7 @@ def test_fs_norm_memory_peak(norms_traj):
 
 @pytest.mark.parametrize("dt", [1e-5, 1e-6])
 def test_zero_extended_table_memory_independent_of_dt(dt):
-    # 64 records at M = 16: the k = 0 window zero-extends them to
-    # L = 4/dt = 4e5 or 4e6 bins, transformed block by block
+    # 64 records at M = 16: the k = 0 window spans 4/dt = 4e5 or 4e6 samples
     # (whole-window transforms took 55 and 549 MiB)
     import tracemalloc
 
@@ -568,9 +551,9 @@ def test_zero_extended_table_memory_independent_of_dt(dt):
                       "physical_5mkdv", dt, 1)
     tracemalloc.start()
     try:
-        mass_sq, present = _window_table(traj, 0, float(times[-1]))
+        mass_sq = _window_table(traj, 0, float(times[-1]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert present.shape == (1, mass_sq.shape[2]) and present.any()
+    assert mass_sq.shape == (3, 1, len(_shell_edges(dt)) - 1) and mass_sq.all()
     assert peak < 16 * 2**20
