@@ -43,10 +43,10 @@ import numpy as np
 from . import __version__
 from .equations import EquationParams, RenormalizedTerms, derive_gauge_params
 from .errors import ConfigurationError, DivergenceError, MkdvLabError, ParameterError
-from .integrate import StepControl, evolve, uniform_steps
+from .integrate import StepControl, default_dt, evolve, uniform_steps
 from .invariants import drift_report
 from .spectral import GridSpec, SpectralField, sobolev_norm
-from .transforms import gauge_forward, miura_residual, chain_identity_gap
+from .transforms import chain_identity_gap, gauge_forward, kdv_residual_values, miura_residual
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,6 +54,12 @@ EXIT_DIVERGENCE = 3
 EXIT_TOLERANCE = 4
 
 FLOAT_FMT = "{:.16e}"
+
+#: Cap on the complex entries a run may hold: 2**26 entries is 1 GiB, an
+#: eighth of an 8 GiB machine.  It bounds evolve's record buffer, records x
+#: (2*max_mode+1) entries, and, through phys_points <= MAX_ENTRIES // 64, its
+#: working arrays of about 28 entries per collocation point.
+MAX_ENTRIES = 1 << 26
 
 DEFAULTS = {
     "grid": {"max_mode": "64", "phys_points": "0", "dealias_factor": "3"},
@@ -170,6 +176,15 @@ def build_grid(cfg: ExperimentConfig) -> GridSpec:
     max_mode = cfg.get_int("grid", "max_mode", positive=True)
     phys = cfg.get_int("grid", "phys_points")
     factor = cfg.get_float("grid", "dealias_factor")
+    cap = MAX_ENTRIES // 64
+    # checked before GridSpec sizes anything; 3 is the least dealias factor
+    for name, points in (("grid.max_mode", 3 * (2 * max_mode + 1)),
+                         ("grid.phys_points", phys),
+                         ("grid.dealias_factor", factor * (2 * max_mode + 1))):
+        if points > cap:
+            raise ConfigurationError(
+                f"{name}: asks for {points:.4g} collocation points, above the cap of {cap}"
+            )
     return GridSpec(max_mode, phys_points=phys, dealias_factor=factor)
 
 
@@ -236,6 +251,27 @@ def build_ctrl(cfg: ExperimentConfig) -> StepControl:
     return _in_field("time.record_stride", StepControl, dt=dt, record_stride=stride)
 
 
+def check_records(u0: SpectralField, T: float, p: EquationParams, tag: str,
+                  ctrl: StepControl, name: str = "") -> None:
+    """ConfigurationError naming `name` (by default the stride, or the grid
+    when evolve chooses the stride) if evolve's record buffer would pass
+    MAX_ENTRIES."""
+    stride = ctrl.record_stride
+    if stride:
+        dt = ctrl.dt if ctrl.dt > 0 else default_dt(u0, p, tag)
+        records = (T / dt + 1.0) / stride + 2.0  # at least evolve's count
+    else:
+        records = 601  # the most that evolve's automatic stride keeps
+    width = 2 * u0.grid.max_mode + 1
+    if records * width > MAX_ENTRIES:
+        name = name or ("time.record_stride" if stride else "grid.max_mode")
+        raise ConfigurationError(
+            f"{name}: the run would keep {records:.4g} records of {width} modes, "
+            f"above the cap of {MAX_ENTRIES} complex entries; raise time.record_stride "
+            "or time.dt, or lower time.T or grid.max_mode"
+        )
+
+
 def write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -275,7 +311,10 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
     u0 = build_initial_data(cfg, grid)
     p = build_params(cfg, u0)
     T = cfg.get_float("time", "T", positive=True)
-    traj = evolve(u0, T, p, cfg.get("equation", "tag"), build_ctrl(cfg))
+    tag = cfg.get("equation", "tag")
+    ctrl = build_ctrl(cfg)
+    check_records(u0, T, p, tag, ctrl)
+    traj = evolve(u0, T, p, tag, ctrl)
     s = cfg.get_float("norms", "s")
     rep = drift_report(traj, p.c1)
     rows = [
@@ -298,7 +337,9 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> int:
     u0 = build_initial_data(cfg, grid)
     p = build_params(cfg, u0)
     T = cfg.get_float("time", "T", positive=True)
-    traj = evolve(u0, T, p, "physical_5mkdv", build_ctrl(cfg))
+    ctrl = build_ctrl(cfg)
+    check_records(u0, T, p, "physical_5mkdv", ctrl)
+    traj = evolve(u0, T, p, "physical_5mkdv", ctrl)
     rep = drift_report(traj, p.c1)
     csv_path, man_path = _out_paths(cfg, "conserve")
     rep.write_csv(csv_path)
@@ -319,6 +360,7 @@ def cmd_gauge_check(cfg: ExperimentConfig, args) -> int:
     p = build_params(cfg, u0)
     T = cfg.get_float("time", "T", positive=True)
     ctrl = build_ctrl(cfg)
+    check_records(u0, T, p, "physical_5mkdv", ctrl)  # the renormalized dt rule is the same
     traj_u = evolve(u0, T, p, "physical_5mkdv", ctrl)
     traj_v = evolve(u0, T, p, "renormalized_5mkdv", ctrl)
     nt_u = gauge_forward(traj_u)
@@ -342,6 +384,10 @@ def cmd_gauge_check(cfg: ExperimentConfig, args) -> int:
 def cmd_miura_check(cfg: ExperimentConfig, args) -> int:
     t0 = time.perf_counter()
     grid = build_grid(cfg)
+    u0 = build_initial_data(cfg, grid)
+    T = cfg.get_float("time", "T", positive=True)
+    ctrl = build_ctrl(cfg)
+    check_records(u0, T, EquationParams(), "mkdv3", ctrl)
     rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
     M = grid.max_mode
     worst_static = 0.0
@@ -356,12 +402,11 @@ def cmd_miura_check(cfg: ExperimentConfig, args) -> int:
         c[M] = rng.standard_normal()
         cdot[M] = rng.standard_normal()
         gap = chain_identity_gap(grid, c, cdot)
-        scale = max(1.0, float(np.max(np.abs(c))) ** 3 * M**4)
+        # scale: the identity's own term size
+        scale = max(1.0, float(np.max(np.abs(kdv_residual_values(grid, c, cdot)))))
         worst_static = max(worst_static, gap / scale)
 
-    u0 = build_initial_data(cfg, grid)
-    T = cfg.get_float("time", "T", positive=True)
-    traj = evolve(u0, T, EquationParams(), "mkdv3", build_ctrl(cfg))
+    traj = evolve(u0, T, EquationParams(), "mkdv3", ctrl)
     res = miura_residual(traj)
     rows = [(traj.times[i], float(res[i])) for i in range(len(traj))]
     csv_path, man_path = _out_paths(cfg, "miura")
@@ -408,22 +453,18 @@ def cmd_resonance_identity(cfg: ExperimentConfig, args) -> int:
             for c in range(-100, 101, 13):
                 resonance_h(a, b, c)  # internal direct == factored assertion
     rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
-    checked = 0
+    summary = {"passed": True, "identity_checks": 0}
     for _ in range(10000):
         a, b, c = (int(x) for x in rng.integers(-80, 81, 3))
         d1 = Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 30)))
         d2 = Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 30)))
         if resonance_g(a, b, c, d1) != -phi_cubic(a + b + c, a, b, c, d1, d2):
-            _, man_path = _out_paths(cfg, "resonance_identity")
-            write_manifest(man_path, cfg, {"passed": False, "counterexample": (a, b, c)}, 0.0)
-            return EXIT_TOLERANCE
-        checked += 1
+            summary.update(passed=False, counterexample=(a, b, c))
+            break
+        summary["identity_checks"] += 1
     _, man_path = _out_paths(cfg, "resonance_identity")
-    write_manifest(
-        man_path, cfg, {"passed": True, "identity_checks": checked},
-        time.perf_counter() - t0,
-    )
-    return EXIT_OK
+    write_manifest(man_path, cfg, summary, time.perf_counter() - t0)
+    return EXIT_OK if summary["passed"] else EXIT_TOLERANCE
 
 
 def cmd_illposed_growth(cfg: ExperimentConfig, args) -> int:
@@ -502,13 +543,16 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
     # the windows need uniform record spacing of at most span_min / 64
     if ctrl.dt == 0 or ctrl.dt > span_min / 64:
         ctrl = StepControl(dt=span_min / 64 * 0.98, record_stride=1)
+        blame = "time.T"
     else:
         n_steps, dt = uniform_steps(T, ctrl.dt)
         stride = ctrl.record_stride
+        blame = "time.record_stride"
         if stride == 0:
             # the coarsest uniform spacing the windows accept
             cap = max(1, int(span_min / 64 / dt))
             ctrl = StepControl(dt=ctrl.dt, record_stride=_largest_divisor(n_steps, cap))
+            blame = "time.dt"
         elif n_steps % stride:
             raise ConfigurationError(
                 f"time.record_stride = {stride} does not divide the {n_steps} steps, "
@@ -520,6 +564,7 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
                 f"time.record_stride = {stride} spaces records {stride * dt:.3e} apart; "
                 f"norms needs at most {span_min / 64:.3e} (0 chooses a stride)"
             )
+    check_records(u0, T, p, cfg.get("equation", "tag"), ctrl, blame)
     wt = _in_field("norms.gamma", WeightTable, cfg.get_float("norms", "gamma"))
     t_evolve = time.perf_counter()
     traj = evolve(u0, T, p, cfg.get("equation", "tag"), ctrl)

@@ -77,6 +77,15 @@ class TestValidation:
         ("evolve", "time.T=0", ("time.T",)),
         ("gauge-check", "time.dt=-1", ("time.dt",)),
         ("conserve", "time.record_stride=-1", ("time.record_stride",)),
+        # arrays past cli.MAX_ENTRIES: 2.98, 14.9 and 962 GiB of samples, a
+        # 74.5 GiB record buffer, and 601 records of 200,001 modes
+        ("evolve", "grid.max_mode=100000000", ("grid.max_mode",)),
+        ("evolve", "grid.phys_points=2000000000", ("grid.phys_points",)),
+        ("evolve", "grid.dealias_factor=1e9", ("grid.dealias_factor",)),
+        ("evolve", "time.dt=1e-12 time.record_stride=1", ("time.record_stride", "time.dt")),
+        ("evolve", "grid.max_mode=100000", ("grid.max_mode",)),
+        ("miura-check", "time.dt=1e-12 time.record_stride=1", ("time.record_stride",)),
+        ("norms", "grid.max_mode=1024", ("time.T", "grid.max_mode")),
     ])
     def test_out_of_range_named_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                command, item, fields):
@@ -86,7 +95,8 @@ class TestValidation:
             raise AssertionError("evolve ran")
 
         monkeypatch.setattr(cli, "evolve", no_evolve)
-        code = run([command, "--set", item, "--out", str(tmp_path)])
+        settings = [a for s in item.split() for a in ("--set", s)]
+        code = run([command, *settings, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {fields[0]}: ")
@@ -265,16 +275,41 @@ class TestResonance:
     def test_identity_passes(self, tmp_path):
         assert run(["resonance-identity", "--out", str(tmp_path)]) == 0
 
+    def test_identity_failure_recorded(self, tmp_path, monkeypatch):
+        from mkdvlab import resonance
+
+        phi = resonance.phi_cubic
+        monkeypatch.setattr(resonance, "phi_cubic", lambda *args: phi(*args) + 1)
+        assert run(["resonance-identity", "--out", str(tmp_path)]) == 4
+        man = json.loads((tmp_path / "mkdvlab_resonance_identity_manifest.json").read_text())
+        summary = man["results_summary"]
+        # the first random triple of the seed already fails
+        first = np.random.default_rng(int(DEFAULTS["initial_data"]["seed"])).integers(-80, 81, 3)
+        assert summary["passed"] is False
+        assert summary["counterexample"] == first.tolist()
+        assert summary["identity_checks"] == 0
+        assert man["wall_time_s"] > 0.0
+
+
+class TestToleranceFailure:
+    @pytest.mark.parametrize("command, artifact, settings, key, value", [
+        # criterion 2's perturbed c4: H2 drifts by the sextic generator shift
+        ("conserve", "conserve", ["grid.max_mode=32", "time.T=0.05", "equation.c4=-30.3"],
+         "max_drift", 1.84e-7),
+        # a d1 that is not the gauge's: v runs under the wrong dispersion
+        ("gauge-check", "gauge", ["grid.max_mode=16", "time.T=0.001", "equation.d1=1"],
+         "max_h2_discrepancy", 1.3e-3),
+    ], ids=["conserve", "gauge-check"])
+    def test_failed_check_exits_4(self, tmp_path, command, artifact, settings, key, value):
+        code = run([command, "--out", str(tmp_path)] + [a for s in settings for a in ("--set", s)])
+        assert code == 4
+        summary = json.loads(
+            (tmp_path / f"mkdvlab_{artifact}_manifest.json").read_text())["results_summary"]
+        assert summary["passed"] is False
+        assert summary[key] == pytest.approx(value, rel=0.01)
+
 
 class TestGrowth:
-    def test_default_sweep(self, tmp_path):
-        code = run(["illposed-growth", "--out", str(tmp_path)])
-        assert code == 0
-        man = json.loads((tmp_path / "mkdvlab_growth_manifest.json").read_text())
-        assert 1.9 <= man["results_summary"]["slope"] <= 2.1
-        lines = (tmp_path / "mkdvlab_growth.csv").read_text().splitlines()
-        assert lines[0].startswith("N,s,t,d0_norm,ratio_tN2")
-
     def test_appendix_b(self, tmp_path):
         code = run(["appendix-b", "--out", str(tmp_path),
                     "--set", "sweep.Ns=64,256,1024"])
