@@ -11,10 +11,8 @@ from .equations import (
     check_constraints,
     derive_gauge_params,
     dispersion_mu,
-    rhs_fifth_kdv,
-    rhs_physical,
-    rhs_renormalized,
-    rhs_third_order,
+    linear_symbol,
+    rhs,
 )
 from .integrate import StepControl, Trajectory, evolve
 from .invariants import (
@@ -70,6 +68,7 @@ __all__ = [
     "hamiltonian_h0",
     "hamiltonian_h1",
     "hamiltonian_h2",
+    "linear_symbol",
     "miura",
     "miura_residual",
     "modified_energy_ek",
@@ -78,10 +77,7 @@ __all__ = [
     "psi",
     "resonance_g",
     "resonance_h",
-    "rhs_fifth_kdv",
-    "rhs_physical",
-    "rhs_renormalized",
-    "rhs_third_order",
+    "rhs",
     "sobolev_norm",
     "synthesize",
     "__version__",

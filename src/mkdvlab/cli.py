@@ -41,9 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equations import EquationParams, RenormalizedTerms, derive_gauge_params
+from .equations import EquationParams, RenormalizedTerms, derive_gauge_params, flow
 from .errors import ConfigurationError, DivergenceError, MkdvLabError, ParameterError
-from .integrate import StepControl, default_dt, evolve, uniform_steps
+from .integrate import StepControl, evolve, step_plan, uniform_steps
 from .invariants import drift_report
 from .spectral import GridSpec, SpectralField, sobolev_norm
 from .transforms import chain_identity_gap, gauge_forward, kdv_residual_values, miura_residual
@@ -253,18 +253,14 @@ def build_ctrl(cfg: ExperimentConfig) -> StepControl:
 
 def check_records(u0: SpectralField, T: float, p: EquationParams, tag: str,
                   ctrl: StepControl, name: str = "") -> None:
-    """ConfigurationError naming `name` (by default the stride, or the grid
-    when evolve chooses the stride) if evolve's record buffer would pass
-    MAX_ENTRIES."""
-    stride = ctrl.record_stride
-    if stride:
-        dt = ctrl.dt if ctrl.dt > 0 else default_dt(u0, p, tag)
-        records = (T / dt + 1.0) / stride + 2.0  # at least evolve's count
-    else:
-        records = 601  # the most that evolve's automatic stride keeps
+    """ConfigurationError naming equation.tag if evolve does not know `tag`,
+    or naming `name` (by default the stride, or the grid when evolve chooses
+    the stride) if evolve's record buffer would pass MAX_ENTRIES."""
+    _in_field("equation.tag", flow, tag)
+    records = _in_field(name or "time.T", step_plan, u0, T, p, tag, ctrl)[3]
     width = 2 * u0.grid.max_mode + 1
     if records * width > MAX_ENTRIES:
-        name = name or ("time.record_stride" if stride else "grid.max_mode")
+        name = name or ("time.record_stride" if ctrl.record_stride else "grid.max_mode")
         raise ConfigurationError(
             f"{name}: the run would keep {records:.4g} records of {width} modes, "
             f"above the cap of {MAX_ENTRIES} complex entries; raise time.record_stride "
@@ -342,7 +338,7 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> int:
     traj = evolve(u0, T, p, "physical_5mkdv", ctrl)
     rep = drift_report(traj, p.c1)
     csv_path, man_path = _out_paths(cfg, "conserve")
-    rep.write_csv(csv_path)
+    write_csv(csv_path, ["time", "H0", "H1", "H2"], zip(rep.times, rep.h0, rep.h1, rep.h2))
     drift = max(rep.relative_drift)
     write_manifest(
         man_path, cfg,
@@ -537,6 +533,7 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
     u0 = build_initial_data(cfg, grid)
     p = build_params(cfg, u0)
     T = cfg.get_float("time", "T", positive=True)
+    tag = cfg.get("equation", "tag")
     k_max = max(1, int(np.ceil(np.log2(max(grid.max_mode, 2)))))
     span_min = 4.0 * 4.0 ** (-k_max)
     ctrl = build_ctrl(cfg)
@@ -545,7 +542,7 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
         ctrl = StepControl(dt=span_min / 64 * 0.98, record_stride=1)
         blame = "time.T"
     else:
-        n_steps, dt = uniform_steps(T, ctrl.dt)
+        n_steps, dt = _in_field("time.dt", uniform_steps, T, ctrl.dt)
         stride = ctrl.record_stride
         blame = "time.record_stride"
         if stride == 0:
@@ -564,10 +561,10 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
                 f"time.record_stride = {stride} spaces records {stride * dt:.3e} apart; "
                 f"norms needs at most {span_min / 64:.3e} (0 chooses a stride)"
             )
-    check_records(u0, T, p, cfg.get("equation", "tag"), ctrl, blame)
+    check_records(u0, T, p, tag, ctrl, blame)
     wt = _in_field("norms.gamma", WeightTable, cfg.get_float("norms", "gamma"))
     t_evolve = time.perf_counter()
-    traj = evolve(u0, T, p, cfg.get("equation", "tag"), ctrl)
+    traj = evolve(u0, T, p, tag, ctrl)
     t_tables = time.perf_counter()
     s = cfg.get_float("norms", "s")
     grids = {k: _tk_grid(traj, k, T) for k in range(k_max + 1)}

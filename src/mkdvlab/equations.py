@@ -1,23 +1,24 @@
-"""Right-hand sides of the fifth-order flows, coefficient constraints, gauge constants.
+"""The flows of the hierarchy, coefficient constraints, gauge constants.
 
-Equations implemented (all as ``du/dt = linear + nonlinear`` with the linear
-part handled separately by the integrator):
+Every flow is d/dt c(n) = i*mu(n)*c(n) + N(c); the integrator applies the
+linear part exactly.  Tags and their mu(n):
 
-* physical fifth-order flow:
+* ``physical_5mkdv`` (n^5):
     u_t = u_xxxxx - c1*u*u_x*u_xx - c2*u^2*u_xxx - c3*(u_x)^3 - c4*u^4*u_x
-* renormalized flow (Fourier side, nonresonant sums):
-    v_t(n) = i*mu(n)*v(n) - 20i n^3 |v(n)|^2 v(n)
-             + 10i n sum_{A3(n)} v v n3^2 v
-             + 10i n sum_{A3(n)} v n2 v n3 v
-             + 6i n sum_{A5(n)} v v v v v
-  where A3(n)/A5(n) exclude index tuples with a vanishing pair/four-sum
-  (equivalently: tuples with some component equal to n).
-* fifth-order KdV:  u_t = u_xxxxx - a1*u_x*u_xx - a2*u*u_xxx - a3*u^2*u_x
-* third-order KdV / defocusing mKdV for the Miura consistency check.
+* ``renormalized_5mkdv`` (n^5 + d1*n^3 + d2*n; Fourier side):
+    v_t(n) = i*mu(n)*v(n) - 20i n^3 |v(n)|^2 v(n) + 10i n sum_{A3(n)} v v n3^2 v
+             + 10i n sum_{A3(n)} v n2 v n3 v + 6i n sum_{A5(n)} v v v v v
+  where A3(n)/A5(n) exclude tuples with some component equal to n.
+* ``fifth_kdv`` (n^5):  u_t = u_xxxxx - a1*u_x*u_xx - a2*u*u_xxx - a3*u^2*u_x
+  with a1 = c1/2, a2 = c1/4, a3 = -3*c1^2/160 (the Miura partner of c1).
+* ``kdv3``, ``mkdv3`` (n^3): KdV and defocusing mKdV; ``linear``: N = 0.
 
-Each nonlinear term is written once, as an operator on the half spectrum
-c[0..M] of real data (:func:`nonlinear_operator`); the integrator steps it
-and the ``rhs_*`` functions wrap it with the linear part.
+:data:`FLOWS` is the one table of tags: each flow's symbol
+(:func:`linear_symbol`), its nonlinear term written once as an operator on
+the half spectrum c[0..M] of real data (:func:`nonlinear_operator`) and its
+step bound (:func:`nonlinear_frequency_bound`).  ``evolve`` steps the
+operator and :func:`rhs` adds the symbol to it, so the oracles that pin
+``rhs`` pin the code the integrator runs.
 
 Coefficient normalization: coefficients are stored with the constant-free
 convolution convention of :mod:`mkdvlab.spectral`; in that convention the
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.fft as sfft
@@ -198,14 +200,20 @@ def _physical_general(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.
     return h.analyze(N)
 
 
-def _fifth_kdv(h: HalfSpectrum, a1: float, a2: float, a3: float, ch: np.ndarray) -> np.ndarray:
+def _fifth_kdv_coeffs(p: EquationParams) -> tuple:
+    """a1, a2, a3 of the fifth-order KdV flow of the c1 family."""
+    return p.c1 / 2.0, p.c1 / 4.0, -3.0 * p.c1**2 / 160.0
+
+
+def _fifth_kdv(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
     """-a1 u_x u_xx - a2 u u_xxx - a3 u^2 u_x."""
+    a1, a2, a3 = _fifth_kdv_coeffs(p)
     U, Ux, Uxx, Uxxx = h.synthesize(ch, (0, 1, 2, 3))
     return h.analyze(-a1 * Ux * Uxx - a2 * U * Uxxx - a3 * U * U * Ux)
 
 
-def _third_order(h: HalfSpectrum, cubic: bool, ch: np.ndarray) -> np.ndarray:
-    """6 u u_x (KdV) or 6 u^2 u_x (defocusing mKdV)."""
+def _third_order(h: HalfSpectrum, p: EquationParams, ch: np.ndarray, cubic=False) -> np.ndarray:
+    """6 u u_x (KdV) or, if cubic, 6 u^2 u_x (defocusing mKdV)."""
     U, Ux = h.synthesize(ch, (0, 1))
     return h.analyze(6.0 * U * U * Ux if cubic else 6.0 * U * Ux)
 
@@ -279,80 +287,99 @@ def renormalized_nonlinear_coeff(
     return h.i_n * (full[..., : M + 1] - S * ch)
 
 
-def nonlinear_operator(
-    grid: GridSpec,
-    p: EquationParams,
-    tag: str,
-    renorm_terms: RenormalizedTerms | None = None,
-):
+# ---------------------------------------------------------------------------
+# The flows: linear symbol, nonlinear operator and step bound of each tag
+# ---------------------------------------------------------------------------
+
+def _on_half(op):
+    """The operator builder of a term op(h, p, c) of the half-spectrum tables h."""
+    return lambda grid, p, terms: partial(op, half_spectrum(grid), p)
+
+
+def _physical_operator(grid: GridSpec, p: EquationParams, terms):
+    op = _physical_divergence if p.constrained else _physical_general
+    return partial(op, half_spectrum(grid), p)
+
+
+def _renormalized_operator(grid: GridSpec, p: EquationParams, terms):
+    terms = RenormalizedTerms() if terms is None else terms
+    # the module attribute is looked up at every call, so a wrapper
+    # installed on it sees each stage
+    return lambda ch: renormalized_nonlinear_coeff(grid, ch, terms)
+
+
+def _mkdv5_bound(p: EquationParams, s0, s1, s01, M) -> float:
+    return (abs(p.c2) * s0**2 * M**3 + abs(p.c1) * s01 * M**2
+            + 3.0 * abs(p.c3) * s1**2 * M + abs(p.c4) * s0**4 * M)
+
+
+def _fifth_kdv_bound(p: EquationParams, s0, s1, s01, M) -> float:
+    a1, a2, a3 = _fifth_kdv_coeffs(p)
+    return abs(a2) * s0 * M**3 + abs(a1) * s1 * M**2 + abs(a3) * s0**2 * M
+
+
+class Flow(NamedTuple):
+    """d/dt c(n) = i symbol(n, p) c(n) + operator(grid, p, terms)(c) on the
+    half spectrum c[0..M] of real data; frequency_bound(p, sup|u|, sup|u_x|,
+    sup|u u_x|, M) bounds the nonlinear frequency up to wavenumber M."""
+
+    symbol: Callable
+    operator: Callable
+    frequency_bound: Callable
+
+
+#: Every flow tag.  The physical and fifth-order KdV symbols ignore the gauge
+#: constants d1, d2 that derive_gauge_params puts in p.
+FLOWS = {
+    "physical_5mkdv": Flow(lambda n, p: n**5, _physical_operator, _mkdv5_bound),
+    "renormalized_5mkdv": Flow(
+        lambda n, p: dispersion_mu(n, p.d1, p.d2), _renormalized_operator, _mkdv5_bound
+    ),
+    "fifth_kdv": Flow(lambda n, p: n**5, _on_half(_fifth_kdv), _fifth_kdv_bound),
+    "kdv3": Flow(lambda n, p: n**3, _on_half(_third_order),
+                 lambda p, s0, s1, s01, M: 6.0 * s0 * M + 6.0 * s1),
+    "mkdv3": Flow(lambda n, p: n**3, _on_half(partial(_third_order, cubic=True)),
+                  lambda p, s0, s1, s01, M: 6.0 * s0**2 * M + 12.0 * s0 * s1),
+    "linear": Flow(lambda n, p: dispersion_mu(n, p.d1, p.d2),
+                   lambda grid, p, terms: np.zeros_like, lambda *sups: 0.0),
+}
+
+
+def flow(tag: str) -> Flow:
+    """The entry of FLOWS for ``tag``; an unknown tag raises ConfigurationError."""
+    try:
+        return FLOWS[tag]
+    except KeyError:
+        raise ConfigurationError(f"unknown equation tag {tag!r}") from None
+
+
+def linear_symbol(n, p: EquationParams, tag: str) -> np.ndarray:
+    """mu(n), in float64 at wavenumbers n, of the linear flow d/dt c = i mu c of ``tag``."""
+    return flow(tag).symbol(np.asarray(n, dtype=float), p)
+
+
+def nonlinear_operator(grid: GridSpec, p: EquationParams, tag: str,
+                       renorm_terms: RenormalizedTerms | None = None):
     """The nonlinear term of flow ``tag`` as a function of c[0..M]."""
-    if tag == "renormalized_5mkdv":
-        terms = RenormalizedTerms() if renorm_terms is None else renorm_terms
-        # the module attribute is looked up at every call, so a wrapper
-        # installed on it sees each stage
-        return lambda ch: renormalized_nonlinear_coeff(grid, ch, terms)
-    h = half_spectrum(grid)
-    if tag == "physical_5mkdv":
-        return partial(_physical_divergence if p.constrained else _physical_general, h, p)
-    if tag == "fifth_kdv":
-        return partial(_fifth_kdv, h, p.c1 / 2.0, p.c1 / 4.0, -3.0 * p.c1**2 / 160.0)
-    if tag in ("kdv3", "mkdv3"):
-        return partial(_third_order, h, tag == "mkdv3")
-    if tag == "linear":
-        return np.zeros_like
-    raise ConfigurationError(f"unknown equation tag {tag!r}")
+    return flow(tag).operator(grid, p, renorm_terms)
 
 
-# ---------------------------------------------------------------------------
-# Right-hand sides: linear part plus the flow's operator
-# ---------------------------------------------------------------------------
+def nonlinear_frequency_bound(u0: SpectralField, p: EquationParams, tag: str,
+                              n_top: float) -> float:
+    """Frozen-coefficient bound on |nonlinear frequency| of flow ``tag`` up to
+    wavenumber n_top."""
+    u0.require_real(what="nonlinear_frequency_bound input")
+    U, Ux = half_spectrum(u0.grid).synthesize(u0.coeff[u0.grid.max_mode:], (0, 1))
+    s0, s1, s01 = (float(np.max(np.abs(v))) for v in (U, Ux, U * Ux))
+    return flow(tag).frequency_bound(p, s0, s1, s01, float(n_top))
 
-def _rhs(u: SpectralField, what: str, nonlinear, mu) -> SpectralField:
-    """Dense i*mu(n)*c + nonlinear(c), evaluated on the half spectrum of real u."""
-    u.require_real(what=what)
+
+def rhs(u: SpectralField, p: EquationParams, tag: str,
+        renorm_terms: RenormalizedTerms | None = None) -> SpectralField:
+    """du/dt of flow ``tag`` for real u, alias-free: i mu(n) c(n) plus the
+    operator ``evolve`` steps, as dense coefficients -M..M."""
+    nonlinear = nonlinear_operator(u.grid, p, tag, renorm_terms)
+    u.require_real(what=f"{tag} rhs input")
     ch = u.coeff[u.grid.max_mode:]
-    out = nonlinear(ch)
-    if mu is not None:
-        out = out + 1j * mu * ch
-    return SpectralField(u.grid, hermitian_extend(out))
-
-
-def rhs_physical(u: SpectralField, p: EquationParams) -> SpectralField:
-    """du/dt for the generalized fifth-order flow, alias-free.
-
-    Returns the full right-hand side including the linear u_xxxxx part.
-    """
-    nonlinear = nonlinear_operator(u.grid, p, "physical_5mkdv")
-    return _rhs(u, "rhs_physical input", nonlinear, half_spectrum(u.grid).n ** 5)
-
-
-def rhs_fifth_kdv(u: SpectralField, a1: float, a2: float, a3: float) -> SpectralField:
-    """du/dt = u_xxxxx - a1*u_x*u_xx - a2*u*u_xxx - a3*u^2*u_x."""
-    h = half_spectrum(u.grid)
-    return _rhs(u, "rhs_fifth_kdv input", partial(_fifth_kdv, h, a1, a2, a3), h.n**5)
-
-
-def rhs_third_order(u: SpectralField, which: str) -> SpectralField:
-    """du/dt for KdV (u_t + u_xxx = 6 u u_x) or defocusing mKdV
-    (v_t + v_xxx - 6 v^2 v_x = 0)."""
-    if which not in ("kdv", "mkdv_defocusing"):
-        raise ParameterError(f"unknown third-order flow {which!r}")
-    h = half_spectrum(u.grid)
-    nonlinear = partial(_third_order, h, which == "mkdv_defocusing")
-    return _rhs(u, "rhs_third_order input", nonlinear, h.n**3)
-
-
-def rhs_renormalized(
-    v: SpectralField,
-    p: EquationParams,
-    terms: RenormalizedTerms | None = None,
-    include_linear: bool = True,
-) -> SpectralField:
-    """Right-hand side of the renormalized flow (Fourier side) for real data.
-
-    The nonlinear part is ``renormalized_nonlinear_coeff``, the operator
-    ``evolve`` steps; the small-band loop oracle in the tests pins it.
-    """
-    nonlinear = nonlinear_operator(v.grid, p, "renormalized_5mkdv", terms)
-    mu = dispersion_mu(half_spectrum(v.grid).n, p.d1, p.d2) if include_linear else None
-    return _rhs(v, "rhs_renormalized input", nonlinear, mu)
+    mu = linear_symbol(half_spectrum(u.grid).n, p, tag)
+    return SpectralField(u.grid, hermitian_extend(nonlinear(ch) + 1j * mu * ch))

@@ -171,10 +171,6 @@ _CUBIC_KERNELS = {
 }
 
 
-def _mu(n: int, spec: CounterexampleSpec):
-    return dispersion_mu(int(n), spec.d1, spec.d2)
-
-
 @dataclass
 class QuinticTuple:
     """One (outer, slot, inner) contribution to the fifth delta-derivative."""
@@ -651,7 +647,8 @@ def fifth_derivative_direct(
         parts.extend(_resonant_cells(support, spec, cubics))
     out = _sum_by_mode(*parts) if parts else {}
     # attach the linear phase
-    return {n: v * np.exp(1j * float(_mu(n, spec)) * t) for n, v in out.items()}
+    return {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, spec.d2)) * t)
+            for n, v in out.items()}
 
 
 def _quintic_term_cells(support, spec) -> tuple:
@@ -687,7 +684,8 @@ def t2_duhamel_fifth(
         n, v = tab.n[live], tab.normal_form_values(t, live)
         skipped = int(np.count_nonzero(~live)) * math.prod(v.shape[1:])
     out = _sum_by_mode((n, v))
-    out = {n: v * np.exp(1j * float(_mu(n, spec)) * t) for n, v in out.items()}
+    out = {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, spec.d2)) * t)
+           for n, v in out.items()}
     return out, skipped
 
 

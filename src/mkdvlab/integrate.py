@@ -25,15 +25,6 @@ from .equations import EquationParams, RenormalizedTerms
 from .errors import ConfigurationError, DivergenceError, SymmetryError
 from .spectral import GridSpec, SpectralField, half_spectrum, hermitian_defects, hermitian_extend
 
-EQUATION_TAGS = (
-    "physical_5mkdv",
-    "renormalized_5mkdv",
-    "fifth_kdv",
-    "kdv3",
-    "mkdv3",
-    "linear",
-)
-
 BLOWUP_SUP = 1.0e6
 RK4_IMAG_STABILITY = 2.5  # conservative fraction of the 2*sqrt(2) limit
 
@@ -110,60 +101,16 @@ class Trajectory:
             )
 
 
-def _sup_estimates(grid: GridSpec, coeff: np.ndarray):
-    U, Ux = half_spectrum(grid).synthesize(coeff[grid.max_mode:], (0, 1))
-    s0 = float(np.max(np.abs(U)))
-    s1 = float(np.max(np.abs(Ux)))
-    s01 = float(np.max(np.abs(U * Ux)))
-    return s0, s1, s01
-
-
-def nonlinear_frequency_bound(
-    u0: SpectralField, p: EquationParams, tag: str, n_top: float
-) -> float:
-    """Frozen-coefficient bound on |nonlinear frequency| up to wavenumber n_top."""
-    u0.require_real(what="nonlinear_frequency_bound input")
-    M = float(n_top)
-    s0, s1, s01 = _sup_estimates(u0.grid, u0.coeff)
-    if tag in ("physical_5mkdv", "renormalized_5mkdv"):
-        return (
-            abs(p.c2) * s0**2 * M**3
-            + abs(p.c1) * s01 * M**2
-            + 3.0 * abs(p.c3) * s1**2 * M
-            + abs(p.c4) * s0**4 * M
-        )
-    if tag == "fifth_kdv":
-        a1, a2, a3 = p.c1 / 2.0, p.c1 / 4.0, -3.0 * p.c1**2 / 160.0
-        return abs(a2) * s0 * M**3 + abs(a1) * s1 * M**2 + abs(a3) * s0**2 * M
-    if tag == "kdv3":
-        return 6.0 * s0 * M + 6.0 * s1
-    if tag == "mkdv3":
-        return 6.0 * s0**2 * M + 12.0 * s0 * s1
-    return 0.0
-
-
 def default_dt(u0: SpectralField, p: EquationParams, tag: str) -> float:
     M = u0.grid.max_mode
     dt = 0.5 * min(1.0e-2, (2.0 * M) ** -2)
     # stages at mu(n) dt > 1 are phi-damped; the CFL only involves the
     # undamped low band
     n_eff = min(M, max(2, int(np.ceil((1.0 / dt) ** 0.2))))
-    omega = nonlinear_frequency_bound(u0, p, tag, n_top=n_eff)
+    omega = equations.nonlinear_frequency_bound(u0, p, tag, n_top=n_eff)
     if omega > 0:
         dt = min(dt, RK4_IMAG_STABILITY / omega)
     return dt
-
-
-def _linear_symbol(grid: GridSpec, p: EquationParams, tag: str) -> np.ndarray:
-    """mu(n) such that the linear flow is d/dt c = i*mu(n)*c."""
-    n = grid.modes.astype(float)
-    if tag in ("physical_5mkdv", "fifth_kdv"):
-        return n**5
-    if tag in ("renormalized_5mkdv", "linear"):
-        return n**5 + p.d1 * n**3 + p.d2 * n
-    if tag in ("kdv3", "mkdv3"):
-        return n**3
-    raise ConfigurationError(f"unknown equation tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +154,22 @@ def _etdrk4_step(c, co: _EtdRk4Coefficients, nonlinear):
 def uniform_steps(T: float, dt: float) -> tuple:
     """Number of steps evolve takes to T from a requested dt > 0, and the dt
     it steps with (T / steps, at most the requested dt up to round-off)."""
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    steps = T / dt
+    if not np.isfinite(steps):
+        raise ConfigurationError(f"T = {T:g} takes {steps} steps of dt = {dt:g}")
+    n_steps = max(1, int(np.ceil(steps - 1e-12)))
     return n_steps, T / n_steps
+
+
+def step_plan(u0: SpectralField, T: float, p: EquationParams, tag: str,
+              ctrl: StepControl) -> tuple:
+    """(steps, dt, record_stride, records) of evolve's run: dt and the stride
+    resolved where ctrl leaves them automatic (at most 600 recorded intervals),
+    and the records kept: the first state, every stride-th step and the last."""
+    dt = ctrl.dt if ctrl.dt > 0 else default_dt(u0, p, tag)
+    n_steps, dt = uniform_steps(T, dt)
+    stride = ctrl.record_stride or max(1, int(np.ceil(n_steps / 600)))
+    return n_steps, dt, stride, -(-n_steps // stride) + 1
 
 
 def evolve(
@@ -228,8 +189,7 @@ def evolve(
     naming the tag.  Raises DivergenceError (with last good state) if the
     sup norm exceeds 1e6 or coefficients stop being finite.
     """
-    if tag not in EQUATION_TAGS:
-        raise ConfigurationError(f"unknown equation tag {tag!r}")
+    nonlinear = equations.nonlinear_operator(u0.grid, p, tag, renorm_terms)
     if T <= 0:
         raise ConfigurationError("T must be positive")
     if ctrl is None:
@@ -238,18 +198,12 @@ def evolve(
     grid = u0.grid
     M = grid.max_mode
     u0.require_real(what=f"{tag} initial data")
-    dt = ctrl.dt if ctrl.dt > 0 else default_dt(u0, p, tag)
-    n_steps, dt = uniform_steps(T, dt)
-    stride = ctrl.record_stride
-    if stride == 0:
-        stride = max(1, int(np.ceil(n_steps / 600)))
+    n_steps, dt, stride, n_records = step_plan(u0, T, p, tag, ctrl)
 
     state = u0.coeff[M:].copy()
-    mu = _linear_symbol(grid, p, tag)[M:]
-    nonlinear = equations.nonlinear_operator(grid, p, tag, renorm_terms)
+    mu = equations.linear_symbol(half_spectrum(grid).n, p, tag)
     co = _EtdRk4Coefficients(1j * mu, dt)
 
-    n_records = n_steps // stride + 1 + (1 if n_steps % stride else 0)
     times = np.empty(n_records)
     states = np.empty((n_records, 2 * M + 1), dtype=np.complex128)
 

@@ -15,7 +15,6 @@ memory does not grow with the record count.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,20 +76,6 @@ class HamiltonianReport:
     h1: np.ndarray
     h2: np.ndarray
     relative_drift: tuple
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "H0", "H1", "H2"])
-            for i in range(len(self.times)):
-                w.writerow(
-                    [
-                        f"{self.times[i]:.16e}",
-                        f"{self.h0[i]:.16e}",
-                        f"{self.h1[i]:.16e}",
-                        f"{self.h2[i]:.16e}",
-                    ]
-                )
 
 
 def _rel_drift(series: np.ndarray) -> float:

@@ -53,7 +53,8 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ParameterError, ResolutionError
-from .integrate import Trajectory, _linear_symbol
+from .equations import linear_symbol
+from .integrate import Trajectory
 from .spectral import BATCH_ELEMENTS as _BATCH_ELEMENTS  # bound here, so tests can shrink it
 from .spectral import chi, eta0
 
@@ -207,7 +208,7 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
         return mass_sq, l2_sq
     twice = np.where(band > 0, 2.0, 1.0)  # column n > 0 stands for -n too
     weights = np.stack([twice, twice * chik[band] ** 2], axis=1)  # F_k and N_k, F^s
-    mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[M + band]
+    mu = linear_symbol(band, traj.params, traj.equation_tag)  # column i is mode n = i
     t_rec = traj.times[0] + np.arange(n_rec) * dt
     demod = traj.states[:, M + band].T * np.exp(-1j * np.outer(mu, t_rec))  # (columns, records)
     first = np.maximum(m_lo, 0)

@@ -63,11 +63,11 @@ class GridSpec:
     def __post_init__(self):
         if self.max_mode < 1:
             raise ConfigurationError(f"max_mode must be positive, got {self.max_mode}")
-        if self.dealias_factor < 3.0:
-            raise ConfigurationError(
-                f"dealias_factor must be >= 3 for quintic products, got {self.dealias_factor}"
-            )
-        min_pts = int(np.ceil(self.dealias_factor * (2 * self.max_mode + 1)))
+        points = self.dealias_factor * (2 * self.max_mode + 1)
+        if not (self.dealias_factor >= 3.0 and np.isfinite(points)):
+            raise ConfigurationError(f"dealias_factor must be >= 3 for quintic products and "
+                                     f"give finite sizes, got {self.dealias_factor}")
+        min_pts = int(np.ceil(points))
         if self.phys_points == 0:
             object.__setattr__(self, "phys_points", _next_fast_len(min_pts))
         if self.phys_points < min_pts:

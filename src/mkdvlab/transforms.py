@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .equations import nonlinear_operator, seq_l4_quartic
+from .equations import linear_symbol, nonlinear_operator, seq_l4_quartic
 from .errors import ConfigurationError
 from .integrate import Trajectory
 from .spectral import (
@@ -171,7 +171,8 @@ def miura_residual(traj_v: Trajectory) -> np.ndarray:
     grid = traj_v.grid
     h = half_spectrum(grid)
     ch = traj_v.states[:, grid.max_mode:]
-    vdot = nonlinear_operator(grid, traj_v.params, "mkdv3")(ch) + 1j * h.n**3 * ch
+    p = traj_v.params
+    vdot = nonlinear_operator(grid, p, "mkdv3")(ch) + 1j * linear_symbol(h.n, p, "mkdv3") * ch
     vals = _kdv_residual(h.synthesize(ch, range(5)), h.synthesize(vdot, (0, 1)))
     dx = 2.0 * np.pi / grid.phys_points
     return np.sqrt(np.sum(vals**2, axis=-1) * dx / (2.0 * np.pi))

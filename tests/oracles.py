@@ -208,7 +208,7 @@ def _window_samples(traj, k, t_k):
     """The windowed, demodulated band samples g (recorded rows x every column
     of the band I_k, both signs of n), dt, chi_k on those columns, the
     window's span in samples and whether it reaches past the records."""
-    from mkdvlab.integrate import _linear_symbol
+    from mkdvlab.equations import linear_symbol
     from mkdvlab.spectral import chi, eta0
 
     times = traj.times
@@ -219,7 +219,7 @@ def _window_samples(traj, k, t_k):
     idx = np.arange(max(m_lo, 0), min(m_hi, len(times) - 1) + 1)
     chik = chi(k, traj.grid.modes)
     band = np.nonzero(chik)[0]
-    mu = _linear_symbol(traj.grid, traj.params, traj.equation_tag)[band]
+    mu = linear_symbol(traj.grid.modes[band], traj.params, traj.equation_tag)
     t = times[0] + idx * dt
     g = traj.states[idx][:, band] * np.exp(-1j * np.outer(t, mu))
     g *= eta0(4.0**k * (t - t_k))[:, None]
@@ -479,9 +479,10 @@ def eval_appendix_terms_oracle(spec, restricted=False):
 
 
 def _with_linear_phase(out, spec):
-    from mkdvlab.illposed import _mu
+    from mkdvlab.equations import dispersion_mu
 
-    return {n: v * np.exp(1j * float(_mu(n, spec)) * spec.t) for n, v in out.items()}
+    return {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, spec.d2)) * spec.t)
+            for n, v in out.items()}
 
 
 def t2_duhamel_fifth_oracle(support, spec, inner_terms=("cubic2",), route="direct"):
@@ -503,7 +504,8 @@ def fifth_derivative_nonresonant_oracle(support, spec, cubics, quintic=False):
     """fifth_derivative_direct of a flow holding only the given nonresonant
     cubics and, if quintic, the quintic term 6i n sum v^5, summed tuple by
     tuple: the cubic tuples, then every quintuple of leaves."""
-    from mkdvlab.illposed import _mu, osc_single
+    from mkdvlab.equations import dispersion_mu
+    from mkdvlab.illposed import osc_single
 
     out = {}
     for tup in iter_quintic_tuples_oracle(support, spec, tuple(cubics), tuple(cubics)):
@@ -518,7 +520,9 @@ def fifth_derivative_nonresonant_oracle(support, spec, cubics, quintic=False):
                         n = sum(tup)
                         if any(m == n for m in tup):
                             continue
-                        phi = -_mu(n, spec) + sum(_mu(m, spec) for m in tup)
+                        phi = -dispersion_mu(n, spec.d1, spec.d2) + sum(
+                            dispersion_mu(m, spec.d1, spec.d2) for m in tup
+                        )
                         amp = 1.0
                         for m in tup:
                             amp *= support[m]

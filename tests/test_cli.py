@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mkdvlab import cli
 from mkdvlab.cli import (
     DEFAULTS,
     build_ctrl,
@@ -14,7 +15,11 @@ from mkdvlab.cli import (
     load_config,
     main,
 )
-from mkdvlab.integrate import evolve
+from mkdvlab.equations import EquationParams
+from mkdvlab.errors import ConfigurationError
+from mkdvlab.integrate import StepControl, evolve
+from mkdvlab.invariants import drift_report
+from mkdvlab.spectral import GridSpec, SpectralField
 from mkdvlab.transforms import gauge_forward
 
 
@@ -84,6 +89,7 @@ class TestValidation:
         ("evolve", "grid.dealias_factor=1e9", ("grid.dealias_factor",)),
         ("evolve", "time.dt=1e-12 time.record_stride=1", ("time.record_stride", "time.dt")),
         ("evolve", "grid.max_mode=100000", ("grid.max_mode",)),
+        ("evolve", "time.T=1e308 time.dt=1e-10", ("time.T",)),  # T / dt overflows
         ("miura-check", "time.dt=1e-12 time.record_stride=1", ("time.record_stride",)),
         ("norms", "grid.max_mode=1024", ("time.T", "grid.max_mode")),
     ])
@@ -102,6 +108,27 @@ class TestValidation:
         assert err.startswith(f"error: {fields[0]}: ")
         assert all(f in err for f in fields)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["evolve", "norms"])
+    def test_unknown_tag_named(self, tmp_path, capsys, command):
+        code = run([command, "--set", "equation.tag=kdv5", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: equation.tag: unknown equation tag 'kdv5'\n"
+
+    @pytest.mark.parametrize("T, dt, stride", [
+        (0.01, 1e-4, 5),  # a user stride
+        (0.01, 1e-4, 7),  # a user stride that leaves a short last interval
+        (1.5, 0.0, 0),    # the automatic dt and stride, past 600 steps
+    ])
+    def test_record_cap_counts_the_records_evolve_keeps(self, monkeypatch, T, dt, stride):
+        u0 = SpectralField.from_modes(GridSpec(8), {1: 0.05, -1: 0.05})
+        p, ctrl = EquationParams(), StepControl(dt=dt, record_stride=stride)
+        kept = len(evolve(u0, T, p, "physical_5mkdv", ctrl)) * 17
+        monkeypatch.setattr(cli, "MAX_ENTRIES", kept)
+        cli.check_records(u0, T, p, "physical_5mkdv", ctrl)
+        monkeypatch.setattr(cli, "MAX_ENTRIES", kept - 1)
+        with pytest.raises(ConfigurationError, match=f"would keep {kept // 17} records"):
+            cli.check_records(u0, T, p, "physical_5mkdv", ctrl)
 
     @pytest.mark.parametrize("text, name", [
         ("[time]\nsplitting = integrating_factor_rk4\n", "time.splitting"),
@@ -178,6 +205,19 @@ class TestConserve:
             run(["conserve", "--out", str(out), "--set", "grid.max_mode=16",
                  "--set", "time.T=0.001"])
         assert (a / "mkdvlab_conserve.csv").read_bytes() == (b / "mkdvlab_conserve.csv").read_bytes()
+
+    def test_csv_rows_are_the_drift_report(self, tmp_path):
+        settings = ["grid.max_mode=8", "time.T=0.001"]
+        run(["conserve", "--out", str(tmp_path), *(a for s in settings for a in ("--set", s))])
+        cfg = load_config(None, settings)
+        u0 = build_initial_data(cfg, build_grid(cfg))
+        p = build_params(cfg, u0)
+        rep = drift_report(evolve(u0, 0.001, p, "physical_5mkdv", build_ctrl(cfg)), p.c1)
+        lines = (tmp_path / "mkdvlab_conserve.csv").read_text().splitlines()
+        assert lines[0] == "time,H0,H1,H2"
+        assert len(lines) == len(rep.times) + 1 > 2
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(rows, np.column_stack([rep.times, rep.h0, rep.h1, rep.h2]))
 
 
 class TestEvolve:

@@ -9,10 +9,7 @@ from mkdvlab.equations import (
     check_constraints,
     derive_gauge_params,
     dispersion_mu,
-    rhs_fifth_kdv,
-    rhs_physical,
-    rhs_renormalized,
-    rhs_third_order,
+    rhs,
     seq_l4_quartic,
 )
 from mkdvlab.errors import ParameterError
@@ -100,14 +97,14 @@ class TestGaugeParams:
 class TestRhsPhysical:
     def test_zero(self, grid8):
         p = EquationParams.constrained_family(40.0)
-        out = rhs_physical(SpectralField.zeros(grid8), p)
+        out = rhs(SpectralField.zeros(grid8), p, "physical_5mkdv")
         assert np.max(np.abs(out.coeff)) == 0.0
 
     def test_linear_part_single_mode(self, grid8):
         eps = 0.3
         p = EquationParams(c1=0, c2=0, c3=0, c4=0)
         f = SpectralField.from_modes(grid8, {1: eps / 2, -1: eps / 2})
-        out = rhs_physical(f, p)
+        out = rhs(f, p, "physical_5mkdv")
         assert out.get(1) == pytest.approx(1j * eps / 2, rel=1e-13)
         assert out.get(-1) == pytest.approx(-1j * eps / 2, rel=1e-13)
 
@@ -116,14 +113,14 @@ class TestRhsPhysical:
         rng = np.random.default_rng(seed)
         c = random_real_coeffs(8, rng, amplitude=0.7)
         p = EquationParams.constrained_family(40.0)
-        got = rhs_physical(SpectralField(grid8, c), p).coeff
+        got = rhs(SpectralField(grid8, c), p, "physical_5mkdv").coeff
         want = rhs_physical_oracle(c, 8, p.c1, p.c2, p.c3, p.c4)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) < 1e-12 * scale
 
     def test_cosine_oracle(self, grid8, cosine_field):
         p = EquationParams.constrained_family(40.0)
-        got = rhs_physical(cosine_field, p).coeff
+        got = rhs(cosine_field, p, "physical_5mkdv").coeff
         want = rhs_physical_oracle(cosine_field.coeff, 8, p.c1, p.c2, p.c3, p.c4)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -131,19 +128,19 @@ class TestRhsPhysical:
         # divergence form: the mean is exactly conserved
         c = random_real_coeffs(8, rng, amplitude=0.5)
         p = EquationParams.constrained_family(40.0)
-        out = rhs_physical(SpectralField(grid8, c), p)
+        out = rhs(SpectralField(grid8, c), p, "physical_5mkdv")
         assert abs(out.get(0)) < 1e-12 * max(1.0, np.max(np.abs(out.coeff)))
 
     def test_reality_preserved(self, grid8, rng):
         c = random_real_coeffs(8, rng)
         p = EquationParams.constrained_family(40.0)
-        out = rhs_physical(SpectralField(grid8, c), p)
+        out = rhs(SpectralField(grid8, c), p, "physical_5mkdv")
         assert out.is_real(tol=1e-12)
 
 
 class TestRhsFifthKdv:
     def test_zero(self, grid8):
-        out = rhs_fifth_kdv(SpectralField.zeros(grid8), 20, 10, -30)
+        out = rhs(SpectralField.zeros(grid8), EquationParams(), "fifth_kdv")
         assert np.max(np.abs(out.coeff)) == 0.0
 
     def test_coefficients_from_c1(self):
@@ -153,7 +150,7 @@ class TestRhsFifthKdv:
 
     def test_convolution_oracle(self, grid8, rng):
         c = random_real_coeffs(8, rng, amplitude=0.6)
-        got = rhs_fifth_kdv(SpectralField(grid8, c), 20.0, 10.0, -30.0).coeff
+        got = rhs(SpectralField(grid8, c), EquationParams(), "fifth_kdv").coeff
         # independent loops: u_xxxxx - a1 ux uxx - a2 u uxxx - a3 u^2 ux
         # (the a1 and a2 terms are quadratic)
         from oracles import conv3
@@ -175,20 +172,20 @@ class TestRhsFifthKdv:
 
 class TestRhsThirdOrder:
     def test_zero(self, grid8):
-        for which in ("kdv", "mkdv_defocusing"):
-            out = rhs_third_order(SpectralField.zeros(grid8), which)
+        for tag in ("kdv3", "mkdv3"):
+            out = rhs(SpectralField.zeros(grid8), EquationParams(), tag)
             assert np.max(np.abs(out.coeff)) == 0.0
 
     def test_constant_is_kdv_equilibrium(self, grid8):
         f = SpectralField.from_modes(grid8, {0: 0.7})
-        out = rhs_third_order(f, "kdv")
+        out = rhs(f, EquationParams(), "kdv3")
         assert np.max(np.abs(out.coeff)) < 1e-14
 
     def test_mkdv_oracle_cosine(self, grid8, cosine_field):
         from oracles import conv3
 
         c = cosine_field.coeff
-        got = rhs_third_order(cosine_field, "mkdv_defocusing").coeff
+        got = rhs(cosine_field, EquationParams(), "mkdv3").coeff
         n_arr = np.arange(-8, 9, dtype=float)
         want = -((1j * n_arr) ** 3) * c + 6.0 * conv3(c, 8, lambda a, b, d: (1j * d))
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
@@ -201,7 +198,7 @@ class TestRhsRenormalized:
         c = random_real_coeffs(8, rng, amplitude=0.6)
         p = EquationParams.constrained_family(40.0)
         p.d1, p.d2 = 2.5, -1.25
-        got = rhs_renormalized(SpectralField(grid8, c), p).coeff
+        got = rhs(SpectralField(grid8, c), p, "renormalized_5mkdv").coeff
         want = rhs_renormalized_oracle(c, 8, p.d1, p.d2)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -214,8 +211,8 @@ class TestRhsRenormalized:
             dict(resonant_cubic=False, cubic2=False, cubic3=False, quintic=True),
             dict(resonant_cubic=True, cubic2=False, cubic3=False, quintic=False),
         ]:
-            got = rhs_renormalized(
-                SpectralField(grid8, c), p, RenormalizedTerms(**mask)
+            got = rhs(
+                SpectralField(grid8, c), p, "renormalized_5mkdv", RenormalizedTerms(**mask)
             ).coeff
             want = rhs_renormalized_oracle(c, 8, p.d1, p.d2, **mask)
             scale = max(np.max(np.abs(want)), 1e-30)
@@ -227,19 +224,19 @@ class TestRhsRenormalized:
         c[1 + 8] = 0.4
         c[-1 + 8] = 0.4
         p = EquationParams.constrained_family(40.0)
-        got = rhs_renormalized(SpectralField(grid8, c), p).coeff
+        got = rhs(SpectralField(grid8, c), p, "renormalized_5mkdv").coeff
         want = rhs_renormalized_oracle(c, 8, 0.0, 0.0)
         assert np.max(np.abs(got - want)) < 1e-13
 
     def test_zero(self, grid8):
         p = EquationParams.constrained_family(40.0)
-        out = rhs_renormalized(SpectralField.zeros(grid8), p)
+        out = rhs(SpectralField.zeros(grid8), p, "renormalized_5mkdv")
         assert np.max(np.abs(out.coeff)) == 0.0
 
     def test_reality_preserved(self, grid8, rng):
         c = random_real_coeffs(8, rng, amplitude=0.5)
         p = EquationParams.constrained_family(40.0)
-        out = rhs_renormalized(SpectralField(grid8, c), p)
+        out = rhs(SpectralField(grid8, c), p, "renormalized_5mkdv")
         assert out.is_real(tol=1e-12)
 
 
@@ -267,11 +264,11 @@ class TestResonanceRemovalConsistency:
         p.d1, p.d2 = d1, d2
 
         n = grid.modes.astype(float)
-        lhs = rhs_physical(f, p).coeff
+        lhs = rhs(f, p, "physical_5mkdv").coeff
 
         # renormalized RHS with linear mu-shift included, plus the d3 gauge
         # term, plus the degenerate quintic overlap corrections
-        ren = rhs_renormalized(f, p).coeff
+        ren = rhs(f, p, "renormalized_5mkdv").coeff
         gauge = 1j * 20.0 * r4 * n * c
 
         # overlap terms: 6 i n * [ -10 c^2 S(-n) + 10 c^3 C2(-2n) - 5 c^4 c(-3n) ]

@@ -139,16 +139,6 @@ class TestConservation:
         states[3, 8 + 2] = clean + 1e-9j  # inside the 1e-8 relative tolerance
         drift_report(dataclasses.replace(traj, states=states), 40.0)
 
-    def test_csv_roundtrip(self, tmp_path, grid8):
-        p = EquationParams.constrained_family(40.0)
-        u0 = SpectralField.from_modes(grid8, {1: 0.05, -1: 0.05})
-        rep = drift_report(evolve(u0, 0.001, p), 40.0)
-        path = tmp_path / "drift.csv"
-        rep.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time,H0,H1,H2"
-        assert len(lines) == len(rep.times) + 1
-
 
 class TestModifiedEnergy:
     def test_zero_w(self, grid16):

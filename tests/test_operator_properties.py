@@ -1,6 +1,6 @@
 """Property tests: the shared real-field synthesis and every half-spectrum
 operator against their definition-level references on random Hermitian
-bands, and one operator shared by ``evolve`` and the ``rhs_*`` wrappers."""
+bands, and one table of flows shared by ``evolve`` and ``rhs``."""
 
 from datetime import timedelta
 
@@ -10,14 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mkdvlab.equations as equations
-from mkdvlab.equations import (
-    EquationParams,
-    RenormalizedTerms,
-    rhs_fifth_kdv,
-    rhs_physical,
-    rhs_renormalized,
-    rhs_third_order,
-)
+from mkdvlab.equations import EquationParams, RenormalizedTerms, linear_symbol, rhs
+from mkdvlab.errors import ConfigurationError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.spectral import GridSpec, SpectralField, half_spectrum
 
@@ -144,7 +138,7 @@ def test_renormalized_batch_equals_row_by_row(mask, rng):
 def test_renormalized_matches_oracle(mask, u, d1, d2):
     p = EquationParams.constrained_family(40.0)
     p.d1, p.d2 = d1, d2
-    got = rhs_renormalized(u, p, RenormalizedTerms(**mask))
+    got = rhs(u, p, "renormalized_5mkdv", RenormalizedTerms(**mask))
     assert_matches(got, rhs_renormalized_oracle(u.coeff, u.grid.max_mode, d1, d2, **mask))
 
 
@@ -152,7 +146,7 @@ def test_renormalized_matches_oracle(mask, u, d1, d2):
 @given(u=hermitian_bands(), c1=st.floats(-60.0, 60.0))
 def test_physical_constrained_matches_oracle(u, c1):
     p = EquationParams.constrained_family(c1)
-    got = rhs_physical(u, p)
+    got = rhs(u, p, "physical_5mkdv")
     assert_matches(got, rhs_physical_oracle(u.coeff, u.grid.max_mode, p.c1, p.c2, p.c3, p.c4))
 
 
@@ -161,23 +155,88 @@ def test_physical_constrained_matches_oracle(u, c1):
 def test_physical_unconstrained_matches_oracle(u, cs):
     p = EquationParams(*cs)
     assume(not p.constrained)
-    got = rhs_physical(u, p)
+    got = rhs(u, p, "physical_5mkdv")
     assert_matches(got, rhs_physical_oracle(u.coeff, u.grid.max_mode, *cs))
 
 
+def fifth_kdv_oracle(c, M, p):
+    """The fifth-order KdV flow of the c1 family: a1, a2, a3 from c1."""
+    return rhs_fifth_kdv_oracle(c, M, p.c1 / 2.0, p.c1 / 4.0, -3.0 * p.c1**2 / 160.0)
+
+
 @PROPERTY
-@given(u=hermitian_bands(), a=st.tuples(*[st.floats(-40.0, 40.0)] * 3))
-def test_fifth_kdv_matches_oracle(u, a):
-    got = rhs_fifth_kdv(u, *a)
-    assert_matches(got, rhs_fifth_kdv_oracle(u.coeff, u.grid.max_mode, *a))
+@given(u=hermitian_bands(), c1=st.floats(-80.0, 80.0))
+def test_fifth_kdv_matches_oracle(u, c1):
+    p = EquationParams(c1=c1)
+    assert_matches(rhs(u, p, "fifth_kdv"), fifth_kdv_oracle(u.coeff, u.grid.max_mode, p))
 
 
 @pytest.mark.parametrize("which", ["kdv", "mkdv_defocusing"])
 @PROPERTY
 @given(u=hermitian_bands())
 def test_third_order_matches_oracle(which, u):
-    got = rhs_third_order(u, which)
+    got = rhs(u, EquationParams(), {"kdv": "kdv3", "mkdv_defocusing": "mkdv3"}[which])
     assert_matches(got, rhs_third_order_oracle(u.coeff, u.grid.max_mode, which))
+
+
+# the definition-level right-hand side of every tag, at params p; the
+# physical and fifth-order KdV flows ignore the gauge constants in p
+ORACLES = {
+    "physical_5mkdv": lambda c, M, p: rhs_physical_oracle(c, M, p.c1, p.c2, p.c3, p.c4),
+    "renormalized_5mkdv": lambda c, M, p: rhs_renormalized_oracle(c, M, p.d1, p.d2),
+    "fifth_kdv": fifth_kdv_oracle,
+    "kdv3": lambda c, M, p: rhs_third_order_oracle(c, M, "kdv"),
+    "mkdv3": lambda c, M, p: rhs_third_order_oracle(c, M, "mkdv_defocusing"),
+    "linear": lambda c, M, p: rhs_renormalized_oracle(c, M, p.d1, p.d2, False, False, False, False),
+}
+
+
+def test_every_tag_has_an_oracle():
+    assert set(ORACLES) == set(equations.FLOWS)
+
+
+@pytest.mark.parametrize("tag", sorted(ORACLES))
+def test_rhs_matches_oracle_for_every_tag(tag, rng):
+    u = SpectralField(GridSpec(4), random_real_coeffs(4, rng, amplitude=0.6))
+    p = EquationParams.constrained_family(40.0)
+    p.d1, p.d2 = 2.5, -1.25
+    assert_matches(rhs(u, p, tag), ORACLES[tag](u.coeff, 4, p))
+
+
+@pytest.mark.parametrize("tag", sorted(ORACLES))
+def test_evolve_without_nonlinearity_turns_each_mode_by_its_symbol(tag, monkeypatch):
+    monkeypatch.setattr(equations, "nonlinear_operator", lambda *args: np.zeros_like)
+    grid = GridSpec(8)
+    u0 = SpectralField.from_modes(grid, {1: 0.3, -1: 0.3, 2: 0.2j, -2: -0.2j})
+    p = EquationParams.constrained_family(40.0)
+    p.d1, p.d2 = 1.0, 2.0
+    traj = evolve(u0, 0.1, p, tag, StepControl(dt=0.05))
+    want = u0.coeff * np.exp(1j * linear_symbol(grid.modes, p, tag) * 0.1)
+    assert np.max(np.abs(traj.states[-1] - want)) < 1e-12
+
+
+def test_symbol_of_every_tag():
+    n = np.arange(-3.0, 4.0)
+    p = EquationParams(d1=1.0, d2=2.0)
+    for tag in ("physical_5mkdv", "fifth_kdv"):
+        assert np.array_equal(linear_symbol(n, p, tag), n**5)
+    for tag in ("renormalized_5mkdv", "linear"):
+        assert np.array_equal(linear_symbol(n, p, tag), n**5 + n**3 + 2.0 * n)
+    for tag in ("kdv3", "mkdv3"):
+        assert np.array_equal(linear_symbol(n, p, tag), n**3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda u, p: rhs(u, p, "kdv5"),
+    lambda u, p: linear_symbol(u.grid.modes, p, "kdv5"),
+    lambda u, p: evolve(u, 0.1, p, "kdv5"),
+    lambda u, p: equations.nonlinear_operator(u.grid, p, "kdv5"),
+    lambda u, p: equations.nonlinear_frequency_bound(u, p, "kdv5", 4),
+], ids=["rhs", "linear_symbol", "evolve", "nonlinear_operator", "nonlinear_frequency_bound"])
+def test_unknown_tag_rejected(call):
+    u = SpectralField.from_modes(GridSpec(4), {1: 0.1, -1: 0.1})
+    with pytest.raises(ConfigurationError, match="unknown equation tag 'kdv5'"):
+        call(u, EquationParams())
 
 
 def test_evolve_and_rhs_share_the_renormalized_operator(monkeypatch):
@@ -193,12 +252,12 @@ def test_evolve_and_rhs_share_the_renormalized_operator(monkeypatch):
     p = EquationParams.constrained_family(40.0)
     p.d1, p.d2 = 1.0, 2.0
 
-    rhs = rhs_renormalized(u0, p, include_linear=False)
+    mu = equations.dispersion_mu(grid.modes, p.d1, p.d2)
+    got = rhs(u0, p, "renormalized_5mkdv")
     assert calls == [(9,)]
-    assert np.max(np.abs(rhs.coeff)) == 0.0
+    assert np.array_equal(got.coeff, 1j * mu * u0.coeff)
 
     traj = evolve(u0, 0.1, p, "renormalized_5mkdv", StepControl(dt=0.05))
     assert calls == [(9,)] * (1 + 2 * 4)  # one call per stage, four stages a step
-    mu = equations.dispersion_mu(grid.modes, p.d1, p.d2)
     want = u0.coeff * np.exp(1j * mu * 0.1)
     assert np.max(np.abs(traj.states[-1] - want)) < 1e-12

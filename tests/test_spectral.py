@@ -33,6 +33,11 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(8, dealias_factor=1.5)
 
+    @pytest.mark.parametrize("factor", [1e308, float("inf"), float("nan")])
+    def test_dealias_factor_without_finite_size_rejected(self, factor):
+        with pytest.raises(ConfigurationError, match="dealias_factor"):
+            GridSpec(64, dealias_factor=factor)
+
     def test_modes_built_once_and_read_only(self):
         g = GridSpec(8)
         assert g.modes is g.modes
