@@ -137,6 +137,33 @@ def _in_field(name: str, build, *args, **kwargs):
         raise ConfigurationError(f"{name}: {e}") from None
 
 
+def _counterexample_spec(variant: str = "C5", **fields):
+    """CounterexampleSpec of the parameters given as param=(config field,
+    value), in the order N, s, t: each is added and checked in turn through
+    _in_field, so a rejected value is named by its own config field."""
+    from .illposed import CounterexampleSpec
+
+    given = {"variant": variant}
+    for param, (name, value) in fields.items():
+        given[param] = value
+        spec = _in_field(name, CounterexampleSpec, **given)
+    return spec
+
+
+def _sweep(cfg: ExperimentConfig, least: int) -> list:
+    """The counterexample specs of sweep.Ns at sweep.s and sweep.t, checked
+    before any table is built; sweep.Ns must hold at least `least` distinct N."""
+    Ns = cfg.get_list("sweep", "Ns", int)
+    if len(set(Ns)) < least:
+        raise ConfigurationError(
+            f"sweep.Ns: needs at least {least} distinct N, got {len(set(Ns))}"
+        )
+    s = cfg.get_float("sweep", "s")
+    t = cfg.get_float("sweep", "t")
+    return [_counterexample_spec(N=("sweep.Ns", N), s=("sweep.s", s), t=("sweep.t", t))
+            for N in Ns]
+
+
 def load_config(path: str | None, overrides) -> ExperimentConfig:
     """DEFAULTS, then the INI file, then --set overrides.  A section or key
     that DEFAULTS does not hold, in the file (its [DEFAULT] section too) or in
@@ -203,12 +230,12 @@ def build_initial_data(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
             values[-i] = a / 2.0
         return SpectralField.from_modes(grid, values)
     if preset in ("counterexample_C5", "counterexample_C3"):
-        from .illposed import CounterexampleSpec, build_counterexample_data
+        from .illposed import build_counterexample_data
 
-        spec = CounterexampleSpec(
-            N=cfg.get_int("initial_data", "N", positive=True),
-            s=cfg.get_float("initial_data", "s"),
-            variant=preset.rsplit("_", 1)[1],
+        spec = _counterexample_spec(
+            preset.rsplit("_", 1)[1],
+            N=("initial_data.N", cfg.get_int("initial_data", "N", positive=True)),
+            s=("initial_data.s", cfg.get_float("initial_data", "s")),
         )
         return build_counterexample_data(spec, grid)
     if preset == "random_smooth":
@@ -467,10 +494,8 @@ def cmd_illposed_growth(cfg: ExperimentConfig, args) -> int:
     from .illposed import growth_experiment
 
     t0 = time.perf_counter()
-    Ns = cfg.get_list("sweep", "Ns", int)
-    s = cfg.get_float("sweep", "s")
-    t = cfg.get_float("sweep", "t")
-    rows, slope = growth_experiment(Ns, s=s, t=t)
+    specs = _sweep(cfg, 2)  # a slope needs two N
+    rows, slope = growth_experiment([sp.N for sp in specs], s=specs[0].s, t=specs[0].t)
     csv_path, man_path = _out_paths(cfg, "growth")
     write_csv(
         csv_path,
@@ -489,13 +514,10 @@ def cmd_illposed_growth(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_appendix_b(cfg: ExperimentConfig, args) -> int:
-    from .illposed import CounterexampleSpec, eval_appendix_terms
+    from .illposed import eval_appendix_terms
 
     t0 = time.perf_counter()
-    Ns = cfg.get_list("sweep", "Ns", int)
-    s = cfg.get_float("sweep", "s")
-    t = cfg.get_float("sweep", "t")
-    reps = [eval_appendix_terms(CounterexampleSpec(N=N, s=s, t=t)) for N in Ns]
+    reps = [eval_appendix_terms(spec) for spec in _sweep(cfg, 1)]
     rows = [
         (r.N, r.s, r.t, r.d0_hsnorm, r.d_full_hsnorm, r.b1, r.b2, r.c1, r.c2,
          r.d1_norms, r.skipped_outer_resonant)
@@ -599,7 +621,6 @@ def cmd_norms(cfg: ExperimentConfig, args) -> int:
 
 def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> int:
     from .illposed import (
-        CounterexampleSpec,
         counterexample_support,
         fifth_derivative_direct,
         numeric_fifth_derivative,
@@ -608,16 +629,19 @@ def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> int:
 
     t0 = time.perf_counter()
     grid = build_grid(cfg)
-    spec = CounterexampleSpec(
-        N=cfg.get_int("initial_data", "N", positive=True),
-        s=cfg.get_float("initial_data", "s"),
-        t=cfg.get_float("time", "T", positive=True),
+    spec = _counterexample_spec(
+        N=("initial_data.N", cfg.get_int("initial_data", "N", positive=True)),
+        s=("initial_data.s", cfg.get_float("initial_data", "s")),
+        t=("time.T", cfg.get_float("time", "T", positive=True)),
     )
     supp = symmetrized_support(counterexample_support(spec))
     u0 = SpectralField.zeros(grid)
     for n, a in supp.items():
         if abs(n) > grid.max_mode:
-            raise ConfigurationError("grid.max_mode too small for the data support")
+            raise ConfigurationError(
+                f"grid.max_mode: {grid.max_mode} is too small for the data support "
+                f"(mode {n})"
+            )
         u0.coeff[n + grid.max_mode] = a
     flow = RenormalizedTerms(resonant_cubic=False, cubic2=True, cubic3=False, quintic=False)
     p = EquationParams.constrained_family(40.0)

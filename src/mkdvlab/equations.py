@@ -124,13 +124,13 @@ def seq_l4_quartic(grid: GridSpec, coeff: np.ndarray):
     row of ``coeff`` (dense -M..M on the last axis).
 
     Computed as the collocation mean of u^4, exact on the dealiased grid,
-    one stacked synthesis per chunk of rows.
+    one stacked synthesis per chunk of rows (sized for u, u^2 and u^4).
     """
     require_hermitian(coeff, "seq_l4_quartic input")
     half = coeff[..., grid.max_mode:]
     rows = half.reshape(-1, half.shape[-1])
     out = np.empty(len(rows))
-    for chunk, (U,) in half_spectrum(grid).synthesize_rows(rows, (0,)):
+    for chunk, (U,) in half_spectrum(grid).synthesize_rows(rows, (0,), 2):
         u2 = U * U
         out[chunk] = np.mean(u2 * u2, axis=-1)
     return out.reshape(half.shape[:-1])[()]

@@ -50,7 +50,8 @@ class Trajectory:
     """Recorded states of one run; states[i] are dense coefficients -M..M.
 
     times and states are held as read-only views (the caller's arrays stay
-    writable), so tables memoized on the trajectory cannot go stale.
+    writable), so tables memoized on the trajectory (the short-time window
+    tables and the lag basis they share) cannot go stale.
     """
 
     grid: GridSpec

@@ -34,9 +34,11 @@ def _quad(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 def _hamiltonians(grid: GridSpec, states: np.ndarray, c1: float, top: int = 2) -> np.ndarray:
     """[H0, ..., H_top] of every row of 2-D states, one stacked synthesis per
-    chunk of rows (spectral.BATCH_ELEMENTS samples at most)."""
+    chunk of rows; a chunk's syntheses, u^2 and the up to three partial
+    products of one integrand fit spectral.BATCH_ELEMENTS together."""
     out = np.empty((top + 1, len(states)))
-    for rows, D in half_spectrum(grid).synthesize_rows(states[:, grid.max_mode:], range(top + 1)):
+    syntheses = half_spectrum(grid).synthesize_rows(states[:, grid.max_mode:], range(top + 1), 4)
+    for rows, D in syntheses:
         U = D[0]
         u2 = U * U
         out[0, rows] = 0.5 * _quad(grid, u2)

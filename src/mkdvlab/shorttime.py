@@ -35,19 +35,32 @@ even continued fraction of E_1 is within 3e-16 of scipy.special.exp1 at an
 eighth of its cost.  Each mass^2 carries a round-off of about 1e-16 of the
 window's total, so a shell holding less reads about 1e-8 of its L^2 norm.
 
-Cost model: r is one FFT round trip of length next_fast_len(2R - 1) of the
-recorded rows of the band's n >= 0 columns (see _window_masses), batched
-over windows; the kernels are made once per table where they fit the budget
-(else once per chunk of windows).  Time and memory grow with R and the
-J + 1 shells, not with the 4 * 4^{-k}/dt samples a window spans, and every
-buffer stays under _BATCH_ELEMENTS entries as long as one column of 2R rows
-fits it.  The table of 3 x centres x shells masses is made once per
-(trajectory, k, T) and memoized on it.
+Cost model: r is one FFT round trip of length N = next_fast_len(2R - 1) of
+the recorded rows of the band's n >= 0 columns (see _window_masses), batched
+over windows.  The windowed rows go straight into one zero-padded buffer
+that every chunk reuses and that is transformed in place, and |G|^2 is
+formed in one float array.  _BATCH_ELEMENTS bounds a chunk's whole working
+set: per bin, the buffer and |G|^2 of each column and, per window, the
+weighted power, its inverse transform and the lag rows, after the arrays the
+table holds throughout (the demodulated band, columns x records, the kept
+kernels and numpy's buffers for the gather); columns go a slice at a time
+and windows a chunk at a time, one at least, so this holds as long as one
+column of 2R rows and the demodulated band fit it.  What the kernels share
+across tables depends only on dt and the lags (the W = 1 kernels and E_1 at
+the series' edges, _LagBasis): it is made once per trajectory for every lag
+a window can have, shells x lags floats and edges x lags complex numbers
+(0.3 MiB for 670 records, 18 shells), and each table forms only its
+Gauss-Legendre and series weights for c = 4^k, once where they fit the
+budget (else once per chunk of windows).  Time and memory grow with R and
+the J + 1 shells, not with the 4 * 4^{-k}/dt samples a window spans.  The
+table of 3 x centres x shells masses is made once per (trajectory, k, T)
+and memoized on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft as sfft
@@ -137,18 +150,67 @@ def _shell_edges(dt: float) -> np.ndarray:
     return np.concatenate(([0.0], 2.0 ** np.arange(1, J + 1) * dt, [np.pi]))
 
 
-def _lag_kernels(dt: float, c: float, m: np.ndarray) -> np.ndarray:
+class _LagBasis(NamedTuple):
+    """The parts of every table's lag kernels that depend only on the record
+    spacing dt and the lags m = 0..count-1: K0[j, m], the W = 1 kernel of
+    every shell j, and E1[e, m] = E_1(-i x_e m dt) at every edge x_e of a
+    shell over which cos(tau m dt) turns by more than 16 radians (zero
+    elsewhere), the only pairs where the resolvent kernel may take its
+    series."""
+
+    dt: float
+    K0: np.ndarray
+    E1: np.ndarray
+
+
+def _lag_basis(dt: float, count: int) -> _LagBasis:
+    """The _LagBasis of lags 0..count-1."""
+    theta = _shell_edges(dt)  # x dt for every edge x
+    width = np.diff(theta / dt)
+    lag = np.maximum(np.arange(count), 1)  # m = 0 is set last
+    s = lag * dt
+    sines = np.sin(np.outer(theta, lag))
+    sines[-1] = 0.0  # sin(pi m)
+    K0 = 2.0 * np.diff(sines, axis=0) / s
+    K0[:, 0] = 2.0 * width
+    wide = width[:, None] * s > 16.0
+    at = np.zeros(sines.shape, dtype=bool)
+    at[:-1] |= wide
+    at[1:] |= wide
+    iy = 1j * np.outer(theta, lag)[at]  # i x s
+    # E_1(-i y) = e^{i y}/(1 - i y - 1/(3 - i y - 4/(5 - i y - ...)))
+    frac = (2 * _FRACTION_LEVELS + 1) - iy
+    for n in range(_FRACTION_LEVELS, 0, -1):
+        frac = ((2 * n - 1) - iy) - n * n / frac
+    E1 = np.zeros(sines.shape, dtype=complex)
+    E1[at] = np.exp(iy) / frac
+    return _LagBasis(dt, K0, E1)
+
+
+def _shared_lag_basis(traj: Trajectory, dt: float) -> _LagBasis:
+    """_lag_basis of the lags of every window traj can have (at most the
+    records, and the 4/dt + 3 samples a k = 0 window spans), made once per
+    trajectory and kept with its tables."""
+    basis = traj.window_tables.get("lag basis")
+    if basis is None:
+        span = int(2.0 * WINDOW_HALF_WIDTH / dt) + 3
+        basis = traj.window_tables["lag basis"] = _lag_basis(dt, min(len(traj.times), span))
+    return basis
+
+
+def _lag_kernels(basis: _LagBasis, c: float, m: np.ndarray) -> np.ndarray:
     """K[w, j, i] = 2 int_a^b cos(tau m_i dt) W_w(tau) dtau over every shell
-    (a, b] and ascending lags m_i >= 0, with W_0 = 1 and W_1 = 1/(tau^2 + c^2)."""
+    (a, b] and ascending lags m_i >= 0 of the basis, with W_0 = 1 and
+    W_1 = 1/(tau^2 + c^2): K_0 is the basis', and only the resolvent's
+    Gauss-Legendre and series weights are formed for c."""
+    dt = basis.dt
     theta = _shell_edges(dt)  # x dt for every edge x
     x = theta / dt
     a, b = x[:-1], x[1:]
     lag = np.maximum(m, 1)  # m = 0 is set last
     s = lag * dt
     K = np.empty((2, len(a), len(m)))
-    sines = np.sin(np.outer(theta, lag))
-    sines[-1] = 0.0  # sin(pi m)
-    K[0] = 2.0 * np.diff(sines, axis=0) / s
+    K[0] = basis.K0[:, m]
     # Gauss-Legendre while cos(tau s) turns by at most 16 radians over the shell
     gauss = ((b - a)[:, None] * s <= 16.0) | (b <= 8.0 * c)[:, None]
     nodes, weights = _GAUSS
@@ -164,11 +226,7 @@ def _lag_kernels(dt: float, c: float, m: np.ndarray) -> np.ndarray:
         edge = np.broadcast_to(x[:, None], at.shape)[at]
         iy = 1j * np.outer(theta, lag)[at]  # i x s
         rot = np.exp(iy)
-        # E_1(-i y) = e^{i y}/(1 - i y - 1/(3 - i y - 4/(5 - i y - ...)))
-        frac = (2 * _FRACTION_LEVELS + 1) - iy
-        for n in range(_FRACTION_LEVELS, 0, -1):
-            frac = ((2 * n - 1) - iy) - n * n / frac
-        e_p = rot / frac
+        e_p = basis.E1[:, m][at]
         F = np.zeros(iy.shape)
         term = np.ones(iy.shape)  # (-(c/x)^2)^n
         minus_zeta_sq = -((c / edge) ** 2)
@@ -182,9 +240,7 @@ def _lag_kernels(dt: float, c: float, m: np.ndarray) -> np.ndarray:
         edge_F = np.zeros(at.shape)
         edge_F[at] = F / edge
         K[1][series] = -2.0 * np.diff(edge_F, axis=0)[series]
-    zero = m == 0
-    K[0][:, zero] = 2.0 * (b - a)[:, None]
-    K[1][:, zero] = (2.0 / c * np.arctan(c * (b - a) / (c * c + a * b)))[:, None]
+    K[1][:, m == 0] = (2.0 / c * np.arctan(c * (b - a) / (c * c + a * b)))[:, None]
     return K
 
 
@@ -215,30 +271,49 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     count = np.minimum(m_lo + lengths, n_rec) - first
     R = max(1, int(count.max()))
     N = sfft.next_fast_len(2 * R - 1, True)
-    width = max(1, min(band.size, _BATCH_ELEMENTS // N))  # columns per transform
-    chunk = max(1, _BATCH_ELEMENTS // (N * width))  # windows per transform
     # lag chunks whose kernel arrays (2 x edges or 20 nodes per lag) fit the
     # budget; a single chunk is kept for every window chunk
     step = max(1, _BATCH_ELEMENTS // max(2 * mass_sq.shape[2] + 2, len(_GAUSS[0])))
     lags = [np.arange(i, min(i + step, R)) for i in range(0, R, step)]
-    kept = [_lag_kernels(dt, 4.0**k, lags[0])] if len(lags) == 1 else None
+    basis = _shared_lag_basis(traj, dt)
+    kept = [_lag_kernels(basis, 4.0**k, lags[0])[[0, 1, 0]]] if len(lags) == 1 else None
+    # In float64 entries per window and bin, a chunk holds 3 a column (its
+    # row of the padded buffer, complex, and |G|^2) and 8 more (the power P
+    # of both weightings, its complex inverse transform and the lag rows).
+    # Columns go a slice at a time within the budget, and windows a chunk at
+    # a time within what the table's other arrays leave of it: the
+    # demodulated band, the kept kernels, and the three buffers of up to
+    # np.getbufsize() entries that numpy takes for a window's gather.
+    width = max(1, min(band.size, (2 * _BATCH_ELEMENTS // N - 8) // 3))  # columns per transform
+    held = 2 * demod.size + sum(K.size for K in kept or ()) + 6 * min(width * R, np.getbufsize())
+    chunk = max(1, min(len(centers), (2 * _BATCH_ELEMENTS - held) // (N * (3 * width + 8))))
+    padded = np.empty(width * chunk * N, dtype=complex)
+    power = np.empty(width * chunk * N)
     for c in (np.arange(i, min(i + chunk, len(centers))) for i in range(0, len(centers), chunk)):
-        # rows past a window's last record are read at the last one and weighted by 0
+        # times past a window's last record are read at the last one and weighted by 0
         rows = np.minimum(first[c, None] + np.arange(R), n_rec - 1)
         window = np.where(np.arange(R) < count[c, None],
                           eta0(4.0**k * (t_rec[rows] - centers[c, None])), 0.0)
         P = np.zeros((2, len(c), N))
-        for s in (slice(i, i + width) for i in range(0, band.size, width)):
-            G = sfft.fft(demod[s][:, rows] * window, n=N, axis=-1, overwrite_x=True)
-            P += np.tensordot(weights[s].T, G.real**2 + G.imag**2, axes=1)
+        for s in (slice(i, min(i + width, band.size)) for i in range(0, band.size, width)):
+            size = (s.stop - s.start) * len(c) * N
+            G = padded[:size].reshape(-1, len(c), N)
+            for i, (f, n) in enumerate(zip(first[c], count[c])):
+                np.multiply(demod[s, f:f + n], window[i, :n], out=G[:, i, :n])
+                G[:, i, n:] = 0.0
+            G = sfft.fft(G, axis=-1, overwrite_x=True)  # in place: G is the padded buffer
+            G2 = np.square(G.real, out=power[:size].reshape(G.shape))
+            G2 += np.square(G.imag, out=G.imag)
+            P += np.tensordot(weights[s].T, G2, axes=1)
         # zero lag: sum_f P_f / N = sum_p |g_p|^2 (weighted)
         l2_sq[c] = dt * P[0].sum(axis=-1) / N
         r = sfft.ifft(P, axis=-1)[..., :R].real
         r[..., 1:] *= 2.0  # lags m and -m
-        for m, K in zip(lags, kept or (_lag_kernels(dt, 4.0**k, m) for m in lags)):
+        r = r[[0, 0, 1]]  # the rows of (F_k, N_k, F^s); frees the transform
+        for m, K in zip(lags, kept or (_lag_kernels(basis, 4.0**k, m)[[0, 1, 0]] for m in lags)):
             # (F_k, N_k, F^s) = (r_0 K_0, r_0 K_1, r_1 K_0) in one sum, so
             # equal r and K give equal bits in every weighting
-            mass_sq[:, c] += np.einsum("wcm,wjm->wcj", r[[0, 0, 1]][..., m], K[[0, 1, 0]])
+            mass_sq[:, c] += np.einsum("wcm,wjm->wcj", r[..., m], K)
     mass_sq *= dt * dt / (2.0 * np.pi)
     return np.maximum(mass_sq, 0.0), l2_sq
 

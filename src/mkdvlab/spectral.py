@@ -31,9 +31,11 @@ from .errors import ConfigurationError, ParameterError, SymmetryError
 
 TWO_PI = 2.0 * np.pi
 
-#: Elements per stacked transform of many records (short-time windows,
-#: Hamiltonian and gauge syntheses), so that their memory does not grow with
-#: the record count.
+#: Working set of one chunk of a chunked pass over many records (short-time
+#: windows, Hamiltonian and gauge syntheses, Hermitian checks), in complex128
+#: entries (2 MiB; a float64 entry counts half): every temporary a chunk holds
+#: at once fits it, so the memory of these passes does not grow with the
+#: record count.
 BATCH_ELEMENTS = 1 << 17
 
 #: Default padding factor: a 5-fold product of band-limited factors is
@@ -148,20 +150,27 @@ class SpectralField:
 
 def row_chunks(n_rows: int, row_elements: int) -> list:
     """Slices of range(n_rows) of at most BATCH_ELEMENTS // row_elements rows
-    each (one row at least)."""
+    each (one row at least), where ``row_elements`` counts every temporary
+    that one row of the caller's pass holds at once, in complex128 entries."""
     step = max(1, BATCH_ELEMENTS // row_elements)
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 def hermitian_defects(coeff: np.ndarray) -> tuple:
     """Per row (last axis) of 2-D ``coeff``: max_n |coeff(-n) - conj(coeff(n))|
-    and max_n |coeff(n)|, computed a chunk of rows at a time."""
+    and max_n |coeff(n)|, computed a chunk of rows at a time.  The defect is
+    symmetric in n, so only the n >= 0 columns meet their mirrors, and a chunk
+    holds their difference (complex) and its modulus (float)."""
     defect = np.empty(len(coeff))
     scale = np.empty(len(coeff))
-    for rows in row_chunks(len(coeff), coeff.shape[-1]):
+    width = coeff.shape[-1]
+    half = width - width // 2  # columns n >= 0
+    for rows in row_chunks(len(coeff), (3 * half + 1) // 2):
         c = coeff[rows]
-        defect[rows] = np.max(np.abs(c[:, ::-1] - np.conj(c)), axis=1)
         scale[rows] = np.max(np.abs(c), axis=1)
+        diff = np.conj(c[:, width // 2:])
+        np.subtract(c[:, half - 1::-1], diff, out=diff)
+        defect[rows] = np.max(np.abs(diff), axis=1)
     return defect, scale
 
 
@@ -230,11 +239,16 @@ class HalfSpectrum:
         """
         return sfft.irfft(self._table(orders, ch.ndim) * ch, self.P, axis=-1)
 
-    def synthesize_rows(self, ch: np.ndarray, orders):
+    def synthesize_rows(self, ch: np.ndarray, orders, products: int):
         """Yield (rows, samples) of :meth:`synthesize` over slices of the
-        leading axis of ``ch`` that keep each synthesis within
-        BATCH_ELEMENTS samples (one row at least)."""
-        for rows in row_chunks(len(ch), len(orders) * self.P):
+        leading axis of ``ch``, each sized (one row at least) so that its
+        synthesis and the caller's work fit BATCH_ELEMENTS together: per row
+        and order, the irfft's input, scipy's zero-padded copy of it and the
+        P samples, and ``products`` more arrays of P samples that the caller
+        holds beside them."""
+        n = len(orders)
+        per_row = n * (self.M + self.P // 2 + 2) + (n + products) * self.P // 2
+        for rows in row_chunks(len(ch), per_row):
             yield rows, self.synthesize(ch[rows], orders)
 
     def analyze(self, values: np.ndarray, width: int = 0) -> np.ndarray:

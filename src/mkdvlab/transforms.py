@@ -53,11 +53,12 @@ def accumulate_phase(traj: Trajectory) -> np.ndarray:
 
 def _apply_phase(traj: Trajectory, phi: np.ndarray, sign: float) -> Trajectory:
     """traj with every record twisted by exp(sign 20 i n Phi), the phase table
-    made a chunk of records (spectral.BATCH_ELEMENTS entries) at a time; the
-    product is formed as twist * states, the same bits for any chunking."""
+    made a chunk of records at a time; a chunk's complex phases and their
+    exponentials fit spectral.BATCH_ELEMENTS together.  The product is formed
+    as twist * states, the same bits for any chunking."""
     n = traj.grid.modes.astype(float)
     states = np.empty(traj.states.shape, dtype=np.complex128)
-    for rows in row_chunks(len(phi), len(n)):
+    for rows in row_chunks(len(phi), 2 * len(n)):
         twist = np.exp(sign * 1j * GAUGE_PHASE_RATE * np.outer(phi[rows], n))
         np.multiply(twist, traj.states[rows], out=states[rows])
     return Trajectory(

@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,3 +28,22 @@ def rng():
 @pytest.fixture
 def cosine_field(grid8):
     return SpectralField.from_modes(grid8, {1: 0.5, -1: 0.5})
+
+
+def _peak_above(fn, *args, **kwargs):
+    """(peak, kept, result) of fn(*args, **kwargs) under tracemalloc, in
+    bytes: the traced peak above what was allocated before the call, and
+    what the call left allocated after it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, current - before, out
+
+
+@pytest.fixture
+def peak_above():
+    return _peak_above

@@ -92,15 +92,36 @@ class TestValidation:
         ("evolve", "time.T=1e308 time.dt=1e-10", ("time.T",)),  # T / dt overflows
         ("miura-check", "time.dt=1e-12 time.record_stride=1", ("time.record_stride",)),
         ("norms", "grid.max_mode=1024", ("time.T", "grid.max_mode")),
+        # a growth slope needs two distinct N, an appendix-b table one
+        ("illposed-growth", "sweep.Ns=", ("sweep.Ns",)),
+        ("illposed-growth", "sweep.Ns=64", ("sweep.Ns",)),
+        ("illposed-growth", "sweep.Ns=64,64", ("sweep.Ns",)),
+        ("appendix-b", "sweep.Ns=", ("sweep.Ns",)),
+        # the counterexample's N >= 8, s > 0 and 0 < t < 1, named by their fields
+        ("illposed-growth", "sweep.Ns=4,64", ("sweep.Ns",)),
+        ("illposed-growth", "sweep.s=0", ("sweep.s",)),
+        ("illposed-growth", "sweep.t=2", ("sweep.t",)),
+        ("appendix-b", "sweep.Ns=64,4", ("sweep.Ns",)),
+        ("appendix-b", "sweep.s=-1", ("sweep.s",)),
+        ("appendix-b", "sweep.t=0", ("sweep.t",)),
+        ("fifth-derivative", "initial_data.N=3", ("initial_data.N",)),
+        ("fifth-derivative", "initial_data.s=0", ("initial_data.s",)),
+        ("fifth-derivative", "time.T=2", ("time.T",)),
+        ("fifth-derivative", "grid.max_mode=7", ("grid.max_mode",)),
+        ("evolve", "initial_data.preset=counterexample_C5 initial_data.N=4", ("initial_data.N",)),
+        ("evolve", "initial_data.preset=counterexample_C3 initial_data.s=-2", ("initial_data.s",)),
     ])
     def test_out_of_range_named_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                command, item, fields):
-        from mkdvlab import cli
+        from mkdvlab import cli, illposed
 
-        def no_evolve(*args, **kwargs):
-            raise AssertionError("evolve ran")
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
 
-        monkeypatch.setattr(cli, "evolve", no_evolve)
+        monkeypatch.setattr(cli, "evolve", no_run)
+        for name in ("growth_experiment", "eval_appendix_terms", "fifth_derivative_direct",
+                     "numeric_fifth_derivative"):
+            monkeypatch.setattr(illposed, name, no_run)
         settings = [a for s in item.split() for a in ("--set", s)]
         code = run([command, *settings, "--out", str(tmp_path)])
         err = capsys.readouterr().err

@@ -68,30 +68,32 @@ def test_drift_report_one_call(fft_calls):
 
 
 def test_multi_chunk_syntheses(fft_calls, monkeypatch):
-    # under a budget of 16 records (times three orders) a chunk, the
-    # Hamiltonians and the gauge phase of 51 records take one FFT call per
-    # chunk and equal the one stacked synthesis bit for bit
+    # under a budget of 4,800 entries, the Hamiltonians and the gauge phase
+    # of 51 records take one FFT call per chunk and equal the one stacked
+    # synthesis bit for bit.  At M = 16 and P = 100 a record of drift_report
+    # holds 554 entries (three orders of irfft input, padded copy and samples,
+    # 3 x 68 + 3 x 50, and four products, 4 x 50), so a chunk is 8 records;
+    # one of the gauge quartic holds 218 (68 + 50 and two products), 22 a chunk
     import mkdvlab.spectral as spectral
 
     _, traj = physical_trajectories()
     assert len(traj) == 51
     hams, gauge = drift_report(traj, 40.0), gauge_forward(traj)
     P = traj.grid.phys_points
+    assert P == 100
     monkeypatch.setattr(spectral, "BATCH_ELEMENTS", 16 * 3 * P)
-    assert fft_calls(drift_report, dataclasses.replace(traj), 40.0) == 4  # 16 + 16 + 16 + 3
+    assert fft_calls(drift_report, dataclasses.replace(traj), 40.0) == 7  # 6 x 8 + 3
     chunked = drift_report(dataclasses.replace(traj), 40.0)
     for name in ("h0", "h1", "h2"):
         assert np.array_equal(getattr(chunked, name), getattr(hams, name))
     assert chunked.relative_drift == hams.relative_drift
-    assert fft_calls(gauge_forward, traj) == 2  # 48 + 3 records of one order
+    assert fft_calls(gauge_forward, traj) == 3  # 22 + 22 + 7
     assert np.array_equal(gauge_forward(traj).states, gauge.states)
 
 
-def test_synthesis_memory_independent_of_records(monkeypatch, rng):
+def test_synthesis_memory_independent_of_records(monkeypatch, rng, peak_above):
     # past one chunk, the peak of drift_report and of the gauge quartic is
     # one chunk's syntheses plus a few numbers per record
-    import tracemalloc
-
     import mkdvlab.spectral as spectral
     from mkdvlab.equations import seq_l4_quartic
     from mkdvlab.integrate import Trajectory
@@ -103,22 +105,15 @@ def test_synthesis_memory_independent_of_records(monkeypatch, rng):
         states = np.array([random_real_coeffs(16, rng, amplitude=0.05) for _ in range(n)])
         traj = Trajectory(grid, 1e-4 * np.arange(n), states,
                           EquationParams.constrained_family(40.0), "physical_5mkdv", 1e-4, 1)
-        tracemalloc.start()
-        try:
-            drift_report(traj, 40.0)
-            seq_l4_quartic(grid, states)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(peak_above(lambda: (drift_report(traj, 40.0),
+                                         seq_l4_quartic(grid, states)))[0])
     # one record's three syntheses alone are 3 x 100 x 8 bytes
     assert peaks[1] - peaks[0] < 100 * (2000 - 200)
 
 
-def test_gauge_phase_memory_independent_of_records(monkeypatch, rng):
+def test_gauge_phase_memory_independent_of_records(monkeypatch, rng, peak_above):
     # past one chunk, the phase product's peak above its output is one
     # chunk's phase table, and its states equal the one-table product bit for bit
-    import tracemalloc
-
     import mkdvlab.spectral as spectral
     from mkdvlab.integrate import Trajectory
     from mkdvlab.transforms import GAUGE_PHASE_RATE, _apply_phase
@@ -132,12 +127,8 @@ def test_gauge_phase_memory_independent_of_records(monkeypatch, rng):
         traj = Trajectory(grid, 1e-4 * np.arange(count), states,
                           EquationParams.constrained_family(40.0), "physical_5mkdv", 1e-4, 1)
         phi = rng.standard_normal(count)
-        tracemalloc.start()
-        try:
-            out = _apply_phase(traj, phi, -1.0)
-            above.append(tracemalloc.get_traced_memory()[1] - out.states.nbytes)
-        finally:
-            tracemalloc.stop()
+        peak, _, out = peak_above(_apply_phase, traj, phi, -1.0)
+        above.append(peak - out.states.nbytes)
         want = np.exp(-1j * GAUGE_PHASE_RATE * np.outer(phi, n)) * states
         assert np.array_equal(out.states, want)
     # one record's phase row alone is 33 x 16 bytes

@@ -1,6 +1,5 @@
 """Exact resonance arithmetic and enumeration against defining brute force."""
 
-import tracemalloc
 from datetime import timedelta
 from fractions import Fraction
 
@@ -195,14 +194,9 @@ class TestEnumerators:
         assert (int(got.n1[0]), int(got.n2[0]), int(got.n3[0])) == (m, m, m)
         assert int(got.h_value[0]) == (3 * m) ** 5 - 3 * m**5 == resonance_h(m, m, m)
 
-    def test_n5_memory_bound(self):
+    def test_n5_memory_bound(self, peak_above):
         enumerate_n5(1, 2)
-        tracemalloc.start()
-        try:
-            got = enumerate_n5(1, 12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _, got = peak_above(enumerate_n5, 1, 12)
         assert len(got) == 186_070
         assert peak < 12 * 2**20, peak
 

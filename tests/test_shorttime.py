@@ -11,6 +11,7 @@ from mkdvlab.errors import ParameterError, ResolutionError, SymmetryError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.shorttime import (
     WeightTable,
+    _lag_basis,
     _lag_kernels,
     _shell_edges,
     _tk_grid,
@@ -122,7 +123,7 @@ def test_lag_kernels_match_quad(c, dt, R):
 
     edges = _shell_edges(dt) / dt
     lags = np.unique(np.r_[0, 1, 2, np.random.default_rng(R).integers(3, R, 4), R - 1])
-    K = _lag_kernels(dt, c, lags)
+    K = _lag_kernels(_lag_basis(dt, R), c, lags)
     for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         for i, m in enumerate(lags):
             for w, f in enumerate((lambda t: 1.0, lambda t: 1.0 / (t * t + c * c))):
@@ -518,28 +519,69 @@ def test_tables_reject_non_hermitian_records(norms_traj):
             call()
 
 
-def test_fs_norm_memory_peak(norms_traj):
+def test_fs_norm_memory_peak(norms_traj, peak_above):
     # the k = 0 window spans 267,602 samples around 670 records; only the
     # recorded band rows may be gathered (whole rows took 557 MiB)
-    import tracemalloc
-
     assert len(norms_traj) == 670
     traj = dataclasses.replace(norms_traj)  # no memoized tables
-    tracemalloc.start()
-    try:
-        fs_norm(traj, 1.0, NORMS_T)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_above(fs_norm, traj, 1.0, NORMS_T)[0]
     assert peak < 96 * 2**20
 
 
+def test_chunked_pass_working_sets(norms_traj, peak_above):
+    # spectral.BATCH_ELEMENTS bounds all that a chunk holds at once, so each
+    # chunked pass over the 670 records peaks at most 2 MiB (plus 0.25 MiB
+    # of small arrays) above what it keeps: the record Hermitian check, every
+    # window table (the first keeps the shared lag kernels), the Hamiltonians
+    # and the gauge transform (which keeps its twisted records)
+    import mkdvlab.spectral as spectral
+    from mkdvlab.invariants import drift_report
+    from mkdvlab.transforms import gauge_forward
+
+    budget = spectral.BATCH_ELEMENTS * 16
+    assert budget == 2 * 2**20
+    traj = dataclasses.replace(norms_traj)  # no memoized tables
+    passes = {"hermitian": (traj.require_real, "records")}
+    passes.update({f"k={k}": (_window_table, traj, k, NORMS_T) for k in range(7)})
+    passes.update(drift_report=(drift_report, traj, 40.0), gauge_forward=(gauge_forward, traj))
+    above = {}
+    for name, (fn, *args) in passes.items():
+        peak, kept, _ = peak_above(fn, *args)
+        above[name] = peak - kept
+    assert max(above.values()) <= budget + 2**18, above
+
+
+def test_lag_basis_built_once_per_trajectory(norms_traj, monkeypatch):
+    # the seven tables of a `norms` run share one lag basis, and each equals
+    # the table made from a basis of its own R lags bit for bit
+    import mkdvlab.shorttime as st
+
+    builds = []
+
+    def counted(dt, count):
+        builds.append(count)
+        return _lag_basis(dt, count)
+
+    monkeypatch.setattr(st, "_lag_basis", counted)
+    traj = dataclasses.replace(norms_traj)
+    for k in range(1, 7):
+        fk_norm(traj, k, NORMS_T)
+        nk_norm(traj, k, NORMS_T)
+    fs_norm(traj, 1.0, NORMS_T)
+    assert builds == [len(traj)]
+    for k in range(7):
+        centers, _ = _tk_grid(traj, k, NORMS_T)
+        dt, m_lo, lengths = _window_starts(traj, k, centers)
+        R = int(np.max(np.minimum(m_lo + lengths, len(traj)) - np.maximum(m_lo, 0)))
+        alone = dataclasses.replace(norms_traj)
+        alone.window_tables["lag basis"] = _lag_basis(dt, R)
+        assert np.array_equal(_window_table(alone, k, NORMS_T), _window_table(traj, k, NORMS_T))
+
+
 @pytest.mark.parametrize("dt", [1e-5, 1e-6])
-def test_zero_extended_table_memory_independent_of_dt(dt):
+def test_zero_extended_table_memory_independent_of_dt(dt, peak_above):
     # 64 records at M = 16: the k = 0 window spans 4/dt = 4e5 or 4e6 samples
     # (whole-window transforms took 55 and 549 MiB)
-    import tracemalloc
-
     from mkdvlab.integrate import Trajectory
 
     rng = np.random.default_rng(7)
@@ -549,11 +591,6 @@ def test_zero_extended_table_memory_independent_of_dt(dt):
     states = hermitian_extend(half)  # the tables take records of real data
     traj = Trajectory(GridSpec(16), times, states, EquationParams.constrained_family(40.0),
                       "physical_5mkdv", dt, 1)
-    tracemalloc.start()
-    try:
-        mass_sq = _window_table(traj, 0, float(times[-1]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _, mass_sq = peak_above(_window_table, traj, 0, float(times[-1]))
     assert mass_sq.shape == (3, 1, len(_shell_edges(dt)) - 1) and mass_sq.all()
     assert peak < 16 * 2**20
