@@ -45,7 +45,7 @@ from .equations import EquationParams, RenormalizedTerms, derive_gauge_params, f
 from .errors import ConfigurationError, DivergenceError, MkdvLabError, ParameterError
 from .integrate import StepControl, evolve, step_plan, uniform_steps
 from .invariants import drift_report
-from .spectral import GridSpec, SpectralField, sobolev_norm
+from .spectral import GridSpec, SpectralField, hermitian_extend, row_chunks, sobolev_norm
 from .transforms import chain_identity_gap, gauge_forward, kdv_residual_values, miura_residual
 
 EXIT_OK = 0
@@ -56,9 +56,10 @@ EXIT_TOLERANCE = 4
 FLOAT_FMT = "{:.16e}"
 
 #: Cap on the complex entries a run may hold: 2**26 entries is 1 GiB, an
-#: eighth of an 8 GiB machine.  It bounds evolve's record buffer, records x
-#: (2*max_mode+1) entries, and, through phys_points <= MAX_ENTRIES // 64, its
-#: working arrays of about 28 entries per collocation point.
+#: eighth of an 8 GiB machine.  It bounds the record buffers a subcommand
+#: keeps at once, records x (max_mode+1) half-spectrum entries each, and,
+#: through phys_points <= MAX_ENTRIES // 64, evolve's working arrays of about
+#: 28 entries per collocation point.
 MAX_ENTRIES = 1 << 26
 
 DEFAULTS = {
@@ -279,17 +280,19 @@ def build_ctrl(cfg: ExperimentConfig) -> StepControl:
 
 
 def check_records(u0: SpectralField, T: float, p: EquationParams, tag: str,
-                  ctrl: StepControl, name: str = "") -> None:
+                  ctrl: StepControl, name: str = "", buffers: int = 1) -> None:
     """ConfigurationError naming equation.tag if evolve does not know `tag`,
     or naming `name` (by default the stride, or the grid when evolve chooses
-    the stride) if evolve's record buffer would pass MAX_ENTRIES."""
+    the stride) if `buffers` record buffers of evolve's run would pass
+    MAX_ENTRIES together."""
     _in_field("equation.tag", flow, tag)
     records = _in_field(name or "time.T", step_plan, u0, T, p, tag, ctrl)[3]
-    width = 2 * u0.grid.max_mode + 1
-    if records * width > MAX_ENTRIES:
+    width = u0.grid.max_mode + 1
+    if buffers * records * width > MAX_ENTRIES:
         name = name or ("time.record_stride" if ctrl.record_stride else "grid.max_mode")
+        kept = f"{buffers} x " if buffers > 1 else ""
         raise ConfigurationError(
-            f"{name}: the run would keep {records:.4g} records of {width} modes, "
+            f"{name}: the run would keep {kept}{records:.4g} records of {width} modes, "
             f"above the cap of {MAX_ENTRIES} complex entries; raise time.record_stride "
             "or time.dt, or lower time.T or grid.max_mode"
         )
@@ -383,14 +386,19 @@ def cmd_gauge_check(cfg: ExperimentConfig, args) -> int:
     p = build_params(cfg, u0)
     T = cfg.get_float("time", "T", positive=True)
     ctrl = build_ctrl(cfg)
-    check_records(u0, T, p, "physical_5mkdv", ctrl)  # the renormalized dt rule is the same
+    # u, v and the gauged u; the renormalized dt rule is the same
+    check_records(u0, T, p, "physical_5mkdv", ctrl, buffers=3)
     traj_u = evolve(u0, T, p, "physical_5mkdv", ctrl)
     traj_v = evolve(u0, T, p, "renormalized_5mkdv", ctrl)
     nt_u = gauge_forward(traj_u)
     n = grid.modes.astype(float)
     w = (1.0 + n * n) ** 2
     m = min(len(nt_u), len(traj_v))
-    diff = np.sqrt(np.sum(w * np.abs(nt_u.states[:m] - traj_v.states[:m]) ** 2, axis=1))
+    diff = np.empty(m)
+    for rows in row_chunks(m, 3 * len(n)):  # two dense rows, |difference| and its square
+        d = hermitian_extend(nt_u.half[rows])
+        d -= hermitian_extend(traj_v.half[rows])
+        diff[rows] = np.sqrt(np.sum(w * np.abs(d) ** 2, axis=1))
     worst = float(np.max(diff, initial=0.0))
     rows = list(zip(nt_u.times[:m].tolist(), diff.tolist()))
     csv_path, man_path = _out_paths(cfg, "gauge")

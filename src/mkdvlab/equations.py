@@ -121,19 +121,24 @@ def seq_h1dot_sq(grid: GridSpec, coeff: np.ndarray) -> float:
 
 def seq_l4_quartic(grid: GridSpec, coeff: np.ndarray):
     """sum_{n1+n2+n3+n4=0} c[n1]c[n2]c[n3]c[n4] of real fields, one value per
-    row of ``coeff`` (dense -M..M on the last axis).
+    row of ``coeff`` (dense -M..M on the last axis): :func:`half_l4_quartic`
+    of its n >= 0 columns."""
+    require_hermitian(coeff, "seq_l4_quartic input")
+    half = coeff[..., grid.max_mode:]
+    return half_l4_quartic(grid, half.reshape(-1, half.shape[-1])).reshape(half.shape[:-1])[()]
+
+
+def half_l4_quartic(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """seq_l4_quartic of every row of 2-D half spectra c[0..M] of real fields.
 
     Computed as the collocation mean of u^4, exact on the dealiased grid,
     one stacked synthesis per chunk of rows (sized for u, u^2 and u^4).
     """
-    require_hermitian(coeff, "seq_l4_quartic input")
-    half = coeff[..., grid.max_mode:]
-    rows = half.reshape(-1, half.shape[-1])
-    out = np.empty(len(rows))
-    for chunk, (U,) in half_spectrum(grid).synthesize_rows(rows, (0,), 2):
+    out = np.empty(len(half))
+    for chunk, (U,) in half_spectrum(grid).synthesize_rows(half, (0,), 2):
         u2 = U * U
         out[chunk] = np.mean(u2 * u2, axis=-1)
-    return out.reshape(half.shape[:-1])[()]
+    return out
 
 
 def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:

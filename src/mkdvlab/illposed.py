@@ -719,7 +719,7 @@ def numeric_fifth_derivative(
         for sgn in (1.0, -1.0):
             scaled = SpectralField(u0.grid, sgn * d * u0.coeff)
             traj = evolve(scaled, t, p, tag="renormalized_5mkdv", ctrl=ctrl, renorm_terms=terms)
-            finals[sgn * d] = traj.states[-1]
+            finals[sgn * d] = traj.final().coeff
 
     odd = np.array([(finals[d] - finals[-d]) / 2.0 for d in deltas])
     even = np.array([(finals[d] + finals[-d]) / 2.0 for d in deltas])

@@ -16,14 +16,13 @@ frequency of the initial data at the highest undamped wavenumber
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import equations
 from .equations import EquationParams, RenormalizedTerms
-from .errors import ConfigurationError, DivergenceError, SymmetryError
-from .spectral import GridSpec, SpectralField, half_spectrum, hermitian_defects, hermitian_extend
+from .errors import ConfigurationError, DivergenceError
+from .spectral import GridSpec, SpectralField, half_spectrum, hermitian_extend
 
 BLOWUP_SUP = 1.0e6
 RK4_IMAG_STABILITY = 2.5  # conservative fraction of the 2*sqrt(2) limit
@@ -47,16 +46,18 @@ class StepControl:
 
 @dataclass
 class Trajectory:
-    """Recorded states of one run; states[i] are dense coefficients -M..M.
+    """Recorded states of one run: half[i] is the half spectrum c[0..M] of
+    the real field at times[i], the state evolve steps; c(-n) = conj(c(n)),
+    so every record is real by construction.
 
-    times and states are held as read-only views (the caller's arrays stay
+    times and half are held as read-only views (the caller's arrays stay
     writable), so tables memoized on the trajectory (the short-time window
     tables and the lag basis they share) cannot go stale.
     """
 
     grid: GridSpec
     times: np.ndarray
-    states: np.ndarray
+    half: np.ndarray
     params: EquationParams
     equation_tag: str
     dt: float
@@ -64,42 +65,32 @@ class Trajectory:
     window_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("times", "states"):
+        for name in ("times", "half"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             setattr(self, name, view)
+        if self.half.shape != (len(self.times), self.grid.max_mode + 1):
+            raise ConfigurationError(
+                f"half must hold one row of max_mode + 1 = {self.grid.max_mode + 1} "
+                f"coefficients per time, got {self.half.shape}"
+            )
 
     def __len__(self):
         return len(self.times)
 
+    @property
+    def states(self) -> np.ndarray:
+        """Dense coefficients -M..M of every record, (records, 2M+1), built on
+        each access and read-only."""
+        dense = hermitian_extend(self.half)
+        dense.flags.writeable = False
+        return dense
+
     def field(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.states[i].copy())
+        return SpectralField(self.grid, hermitian_extend(self.half[i]))
 
     def final(self) -> SpectralField:
         return self.field(len(self.times) - 1)
-
-    def hermitian_defects(self) -> np.ndarray:
-        """max_n |coeff(-n) - conj(coeff(n))| of every record."""
-        return hermitian_defects(self.states)[0]
-
-    @cached_property
-    def _first_non_hermitian(self):
-        """(index, defect) of the first record that breaks SpectralField.require_real's
-        rule (tol 1e-8 relative), or None; the states are read-only, so the
-        check runs once per trajectory."""
-        defect, scale = hermitian_defects(self.states)
-        bad = np.nonzero(defect > 1e-8 * np.maximum(1.0, scale))[0]
-        return (int(bad[0]), float(defect[bad[0]])) if bad.size else None
-
-    def require_real(self, what: str):
-        """SpectralField.require_real's rule on every record; the error names
-        the first offending record."""
-        if self._first_non_hermitian is not None:
-            i, defect = self._first_non_hermitian
-            raise SymmetryError(
-                f"{what} record {i} (t={self.times[i]:.6e}) violates Hermitian symmetry"
-                f" (defect {defect:.3e})"
-            )
 
 
 def default_dt(u0: SpectralField, p: EquationParams, tag: str) -> float:
@@ -120,7 +111,9 @@ def default_dt(u0: SpectralField, p: EquationParams, tag: str) -> float:
 
 class _EtdRk4Coefficients:
     """Cox-Matthews coefficients via a Cauchy-integral contour mean
-    (radius-1 contour, 32 points) to avoid cancellation for small |L dt|."""
+    (radius-1 contour, 32 points) to avoid cancellation for small |L dt|.
+    Where L = 0 they take their exact real limits, so a mode with mu = 0
+    (the mean, c(0)) stays real whenever the nonlinearity keeps it real."""
 
     def __init__(self, imu: np.ndarray, dt: float, n_points: int = 32):
         L = imu * dt
@@ -134,6 +127,10 @@ class _EtdRk4Coefficients:
         # 2 f2: Cox-Matthews' f2 weighs Na + Nb twice
         self.f2x2 = 2.0 * (dt * np.mean((2.0 + z + ez * (-2.0 + z)) / z**3, axis=1))
         self.f3 = dt * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z**3, axis=1)
+        zero = L == 0
+        self.Q[zero] = dt / 2.0
+        self.f1[zero] = self.f3[zero] = dt / 6.0
+        self.f2x2[zero] = dt / 3.0
 
 
 def _etdrk4_step(c, co: _EtdRk4Coefficients, nonlinear):
@@ -187,8 +184,10 @@ def evolve(
     the flow's operator from :func:`equations.nonlinear_operator` (the
     renormalized flow calls ``equations.renormalized_nonlinear_coeff`` once
     per stage); initial data that are not Hermitian raise SymmetryError
-    naming the tag.  Raises DivergenceError (with last good state) if the
-    sup norm exceeds 1e6 or coefficients stop being finite.
+    naming the tag.  The records are the stepped half spectra themselves,
+    one (records, M+1) buffer.  Raises DivergenceError if a coefficient
+    passes 1e6 or stops being finite, or if the final state's sup norm
+    passes 1e6; it carries the record before the failing state and its time.
     """
     nonlinear = equations.nonlinear_operator(u0.grid, p, tag, renorm_terms)
     if T <= 0:
@@ -206,13 +205,14 @@ def evolve(
     co = _EtdRk4Coefficients(1j * mu, dt)
 
     times = np.empty(n_records)
-    states = np.empty((n_records, 2 * M + 1), dtype=np.complex128)
+    half = np.empty((n_records, M + 1), dtype=np.complex128)
+    times[0], half[0] = 0.0, state
 
-    def record(idx, t, s):
-        times[idx] = t
-        states[idx] = hermitian_extend(s)
+    def diverged(message: str, i: int) -> DivergenceError:
+        """The error, carrying record i, the last good one."""
+        return DivergenceError(message, t_last=times[i],
+                               state_last=SpectralField(grid, hermitian_extend(half[i])))
 
-    record(0, 0.0, state)
     rec = 1
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up detector below
@@ -221,23 +221,15 @@ def evolve(
             t = step * dt
             amax = np.max(np.abs(state))
             if not np.isfinite(amax) or amax > BLOWUP_SUP:
-                last = Trajectory(
-                    grid, times[:rec].copy(), states[:rec].copy(), p, tag, dt, stride
-                )
-                raise DivergenceError(
-                    f"blow-up detected at t={t:.6g} (|coeff|_max={amax:.3e})",
-                    t_last=times[rec - 1],
-                    state_last=last.final(),
-                )
+                raise diverged(f"blow-up detected at t={t:.6g} (|coeff|_max={amax:.3e})", rec - 1)
             if step % stride == 0 or step == n_steps:
-                record(rec, t, state)
+                times[rec], half[rec] = t, state
                 rec += 1
 
     # sup-norm check on the final state (coefficient bound is a lower bound
     # on the sup norm; the synthesized check catches the rest)
     sup = float(np.max(np.abs(half_spectrum(grid).synthesize(state, (0,)))))
     if not np.isfinite(sup) or sup > BLOWUP_SUP:
-        raise DivergenceError(f"blow-up detected at final time (sup={sup:.3e})")
+        raise diverged(f"blow-up detected at final time (sup={sup:.3e})", rec - 2)
 
-    return Trajectory(grid, times[:rec], states[:rec], p, tag, dt, stride)
-
+    return Trajectory(grid, times[:rec], half[:rec], p, tag, dt, stride)

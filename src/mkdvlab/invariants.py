@@ -32,12 +32,12 @@ def _quad(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.sum(values, axis=-1) * (TWO_PI / grid.phys_points)
 
 
-def _hamiltonians(grid: GridSpec, states: np.ndarray, c1: float, top: int = 2) -> np.ndarray:
-    """[H0, ..., H_top] of every row of 2-D states, one stacked synthesis per
-    chunk of rows; a chunk's syntheses, u^2 and the up to three partial
-    products of one integrand fit spectral.BATCH_ELEMENTS together."""
-    out = np.empty((top + 1, len(states)))
-    syntheses = half_spectrum(grid).synthesize_rows(states[:, grid.max_mode:], range(top + 1), 4)
+def _hamiltonians(grid: GridSpec, half: np.ndarray, c1: float, top: int = 2) -> np.ndarray:
+    """[H0, ..., H_top] of every row of 2-D half spectra, one stacked
+    synthesis per chunk of rows; a chunk's syntheses, u^2 and the up to three
+    partial products of one integrand fit spectral.BATCH_ELEMENTS together."""
+    out = np.empty((top + 1, len(half)))
+    syntheses = half_spectrum(grid).synthesize_rows(half, range(top + 1), 4)
     for rows, D in syntheses:
         U = D[0]
         u2 = U * U
@@ -56,7 +56,7 @@ def _hamiltonians(grid: GridSpec, states: np.ndarray, c1: float, top: int = 2) -
 
 def _hamiltonian(u: SpectralField, c1: float, top: int) -> float:
     u.require_real(what=f"H{top} input")
-    return float(_hamiltonians(u.grid, u.coeff[None], c1, top)[top, 0])
+    return float(_hamiltonians(u.grid, u.coeff[None, u.grid.max_mode:], c1, top)[top, 0])
 
 
 def hamiltonian_h0(u: SpectralField) -> float:
@@ -88,8 +88,7 @@ def _rel_drift(series: np.ndarray) -> float:
 
 def drift_report(traj: Trajectory, c1: float) -> HamiltonianReport:
     """Time series of H0, H1, H2 on the recorded states with max relative drift."""
-    traj.require_real("drift_report input")
-    h0, h1, h2 = _hamiltonians(traj.grid, traj.states, c1)
+    h0, h1, h2 = _hamiltonians(traj.grid, traj.half, c1)
     return HamiltonianReport(
         traj.times.copy(), h0, h1, h2, (_rel_drift(h0), _rel_drift(h1), _rel_drift(h2))
     )
@@ -181,21 +180,23 @@ def es_energy(traj: Trajectory, s: float, T: float | None = None) -> float:
     """||P_0 u(0)|| ^2 + sum_{k>=1} 2^{2sk} sup_t ||P_k u(t)||^2, square-rooted.
 
     The sup runs over the recorded time grid (recording stride bounds the
-    gap to the continuous sup).
+    gap to the continuous sup).  The records hold n >= 0, and chi_k is even,
+    so each n > 0 counts twice.
     """
     grid = traj.grid
     M = grid.max_mode
     mask = np.ones(len(traj), dtype=bool)
     if T is not None:
         mask = traj.times <= T + 1e-15
-    states = traj.states[mask]
+    half = traj.half[mask]
+    n = half_spectrum(grid).n
+    twice = np.where(n > 0, 2.0, 1.0)
     k_max = max(1, int(np.ceil(np.log2(max(M, 2)))) + 1)
-    chi0 = chi(0, grid.modes)
-    total = float(np.sum(np.abs(chi0 * states[0]) ** 2))
+    total = float(twice @ np.abs(chi(0, n) * half[0]) ** 2)
     for k in range(1, k_max + 1):
-        chik = chi(k, grid.modes)
+        chik = chi(k, n)
         if not np.any(chik):
             continue
-        masses = np.sum(np.abs(states * chik[None, :]) ** 2, axis=1)
+        masses = np.abs(half * chik) ** 2 @ twice
         total += 2.0 ** (2 * s * k) * float(np.max(masses))
     return float(np.sqrt(total))

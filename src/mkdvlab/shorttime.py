@@ -253,7 +253,6 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     conj(g_n(t)) (mu is odd), so |G_{-n}(tau)|^2 = |G_n(-tau)|^2, and every
     shell and weight is even in tau, so each n > 0 column counts twice.  A
     zero-extended window gathers only its recorded rows."""
-    traj.require_real("short-time window input")
     n_rec = len(traj.times)
     M = traj.grid.max_mode
     chik = chi(k, traj.grid.modes[M:])
@@ -266,7 +265,7 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     weights = np.stack([twice, twice * chik[band] ** 2], axis=1)  # F_k and N_k, F^s
     mu = linear_symbol(band, traj.params, traj.equation_tag)  # column i is mode n = i
     t_rec = traj.times[0] + np.arange(n_rec) * dt
-    demod = traj.states[:, M + band].T * np.exp(-1j * np.outer(mu, t_rec))  # (columns, records)
+    demod = traj.half[:, band].T * np.exp(-1j * np.outer(mu, t_rec))  # (columns, records)
     first = np.maximum(m_lo, 0)
     count = np.minimum(m_lo + lengths, n_rec) - first
     R = max(1, int(count.max()))
@@ -386,10 +385,11 @@ def nk_norm(traj: Trajectory, k: int, T: float, wt: WeightTable | None = None) -
 
 def fs_norm(traj: Trajectory, s: float, T: float, wt: WeightTable | None = None) -> float:
     """(sum_k 2^{2sk} ||P_k traj||_{F_k(T)}^2)^{1/2} over the retained bands."""
-    k_max = max(0, int(np.ceil(np.log2(max(traj.grid.max_mode, 2)))))
+    M = traj.grid.max_mode
+    k_max = max(0, int(np.ceil(np.log2(max(M, 2)))))
     total = 0.0
     for k in range(0, k_max + 1):
-        if not np.any(traj.states[:, chi(k, traj.grid.modes) != 0]):
+        if not np.any(traj.half[:, chi(k, traj.grid.modes[M:]) != 0]):
             continue
         fk = _xk_sup(traj, k, T, wt, 2)
         total += 4.0 ** (s * k) * fk * fk

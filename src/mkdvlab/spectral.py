@@ -156,29 +156,22 @@ def row_chunks(n_rows: int, row_elements: int) -> list:
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
-def hermitian_defects(coeff: np.ndarray) -> tuple:
-    """Per row (last axis) of 2-D ``coeff``: max_n |coeff(-n) - conj(coeff(n))|
-    and max_n |coeff(n)|, computed a chunk of rows at a time.  The defect is
-    symmetric in n, so only the n >= 0 columns meet their mirrors, and a chunk
-    holds their difference (complex) and its modulus (float)."""
-    defect = np.empty(len(coeff))
-    scale = np.empty(len(coeff))
-    width = coeff.shape[-1]
-    half = width - width // 2  # columns n >= 0
-    for rows in row_chunks(len(coeff), (3 * half + 1) // 2):
-        c = coeff[rows]
-        scale[rows] = np.max(np.abs(c), axis=1)
-        diff = np.conj(c[:, width // 2:])
-        np.subtract(c[:, half - 1::-1], diff, out=diff)
-        defect[rows] = np.max(np.abs(diff), axis=1)
-    return defect, scale
-
-
 def require_hermitian(coeff: np.ndarray, what: str, tol: float = 1e-8):
     """Raise SymmetryError unless coeff(-n) = conj(coeff(n)) along the last
-    axis, within tol relative to max(1, max |coeff|) over all rows."""
+    axis, within tol relative to max(1, max |coeff|) over all rows, checked a
+    chunk of rows at a time.  The defect is symmetric in n, so only the
+    n >= 0 columns meet their mirrors, and a chunk holds their difference
+    (complex) and its modulus (float)."""
     rows = coeff.reshape(-1, coeff.shape[-1])
-    defect, scale = (float(np.max(v)) for v in hermitian_defects(rows))
+    width = rows.shape[-1]
+    half = width - width // 2  # columns n >= 0
+    defect = scale = 0.0
+    for chunk in row_chunks(len(rows), (3 * half + 1) // 2):
+        c = rows[chunk]
+        scale = np.maximum(scale, np.max(np.abs(c)))
+        diff = np.conj(c[:, width // 2:])
+        np.subtract(c[:, half - 1::-1], diff, out=diff)
+        defect = np.maximum(defect, np.max(np.abs(diff)))  # NaN stays NaN
     if not defect <= tol * max(1.0, scale):  # NaN fails too
         raise SymmetryError(f"{what} violates Hermitian symmetry (defect {defect:.3e})")
 

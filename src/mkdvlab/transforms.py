@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .equations import linear_symbol, nonlinear_operator, seq_l4_quartic
+from .equations import half_l4_quartic, linear_symbol, nonlinear_operator
 from .errors import ConfigurationError
 from .integrate import Trajectory
 from .spectral import (
@@ -48,23 +48,24 @@ def accumulate_phase(traj: Trajectory) -> np.ndarray:
     """Cumulative quartic integral Phi on the recorded grid (Phi[0] = 0)."""
     if np.any(np.diff(traj.times) <= 0):
         raise ConfigurationError("trajectory times must be strictly increasing")
-    return _cumtrapz(traj.times, seq_l4_quartic(traj.grid, traj.states))
+    return _cumtrapz(traj.times, half_l4_quartic(traj.grid, traj.half))
 
 
 def _apply_phase(traj: Trajectory, phi: np.ndarray, sign: float) -> Trajectory:
     """traj with every record twisted by exp(sign 20 i n Phi), the phase table
     made a chunk of records at a time; a chunk's complex phases and their
-    exponentials fit spectral.BATCH_ELEMENTS together.  The product is formed
-    as twist * states, the same bits for any chunking."""
-    n = traj.grid.modes.astype(float)
-    states = np.empty(traj.states.shape, dtype=np.complex128)
+    exponentials fit spectral.BATCH_ELEMENTS together.  The phase is odd in
+    n, so the twisted records stay real and only n >= 0 is twisted.  The
+    product is formed as twist * half, the same bits for any chunking."""
+    n = half_spectrum(traj.grid).n
+    half = np.empty(traj.half.shape, dtype=np.complex128)
     for rows in row_chunks(len(phi), 2 * len(n)):
         twist = np.exp(sign * 1j * GAUGE_PHASE_RATE * np.outer(phi[rows], n))
-        np.multiply(twist, traj.states[rows], out=states[rows])
+        np.multiply(twist, traj.half[rows], out=half[rows])
     return Trajectory(
         traj.grid,
         traj.times.copy(),
-        states,
+        half,
         traj.params,
         traj.equation_tag,
         traj.dt,
@@ -168,10 +169,9 @@ def miura_residual(traj_v: Trajectory) -> np.ndarray:
         raise ConfigurationError(
             f"miura_residual needs an mkdv3 trajectory, got {traj_v.equation_tag!r}"
         )
-    traj_v.require_real("miura_residual input")
     grid = traj_v.grid
     h = half_spectrum(grid)
-    ch = traj_v.states[:, grid.max_mode:]
+    ch = traj_v.half
     p = traj_v.params
     vdot = nonlinear_operator(grid, p, "mkdv3")(ch) + 1j * linear_symbol(h.n, p, "mkdv3") * ch
     vals = _kdv_residual(h.synthesize(ch, range(5)), h.synthesize(vdot, (0, 1)))

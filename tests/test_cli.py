@@ -83,12 +83,12 @@ class TestValidation:
         ("gauge-check", "time.dt=-1", ("time.dt",)),
         ("conserve", "time.record_stride=-1", ("time.record_stride",)),
         # arrays past cli.MAX_ENTRIES: 2.98, 14.9 and 962 GiB of samples, a
-        # 74.5 GiB record buffer, and 601 records of 200,001 modes
+        # 74.5 GiB record buffer, and 601 records of 150,001 modes n >= 0
         ("evolve", "grid.max_mode=100000000", ("grid.max_mode",)),
         ("evolve", "grid.phys_points=2000000000", ("grid.phys_points",)),
         ("evolve", "grid.dealias_factor=1e9", ("grid.dealias_factor",)),
         ("evolve", "time.dt=1e-12 time.record_stride=1", ("time.record_stride", "time.dt")),
-        ("evolve", "grid.max_mode=100000", ("grid.max_mode",)),
+        ("evolve", "grid.max_mode=150000", ("grid.max_mode",)),
         ("evolve", "time.T=1e308 time.dt=1e-10", ("time.T",)),  # T / dt overflows
         ("miura-check", "time.dt=1e-12 time.record_stride=1", ("time.record_stride",)),
         ("norms", "grid.max_mode=1024", ("time.T", "grid.max_mode")),
@@ -144,12 +144,28 @@ class TestValidation:
     def test_record_cap_counts_the_records_evolve_keeps(self, monkeypatch, T, dt, stride):
         u0 = SpectralField.from_modes(GridSpec(8), {1: 0.05, -1: 0.05})
         p, ctrl = EquationParams(), StepControl(dt=dt, record_stride=stride)
-        kept = len(evolve(u0, T, p, "physical_5mkdv", ctrl)) * 17
+        kept = evolve(u0, T, p, "physical_5mkdv", ctrl).half.size  # 9 entries a record
         monkeypatch.setattr(cli, "MAX_ENTRIES", kept)
         cli.check_records(u0, T, p, "physical_5mkdv", ctrl)
         monkeypatch.setattr(cli, "MAX_ENTRIES", kept - 1)
-        with pytest.raises(ConfigurationError, match=f"would keep {kept // 17} records"):
+        with pytest.raises(ConfigurationError, match=f"would keep {kept // 9} records of 9 "):
             cli.check_records(u0, T, p, "physical_5mkdv", ctrl)
+
+    def test_gauge_check_cap_counts_its_three_buffers(self, tmp_path, capsys, monkeypatch):
+        # gauge-check keeps the records of u, v and the gauged u at once
+        # (and the cap on collocation points, MAX_ENTRIES // 64, admits P = 51)
+        settings = ["grid.max_mode=8", "time.T=0.02", "time.dt=1e-4", "time.record_stride=1"]
+        args = ["gauge-check", *(a for s in settings for a in ("--set", s)), "--out", str(tmp_path)]
+        kept = 3 * 201 * 9  # three buffers of 201 records of c[0..8]
+        monkeypatch.setattr(cli, "MAX_ENTRIES", kept)
+        assert run(args) == 0
+        monkeypatch.setattr(cli, "MAX_ENTRIES", kept - 1)
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            "error: time.record_stride: the run would keep 3 x 201 records of 9 modes, above "
+            f"the cap of {kept - 1} complex entries; raise time.record_stride or time.dt, "
+            "or lower time.T or grid.max_mode\n"
+        )
 
     @pytest.mark.parametrize("text, name", [
         ("[time]\nsplitting = integrating_factor_rk4\n", "time.splitting"),

@@ -88,7 +88,7 @@ def test_multi_chunk_syntheses(fft_calls, monkeypatch):
         assert np.array_equal(getattr(chunked, name), getattr(hams, name))
     assert chunked.relative_drift == hams.relative_drift
     assert fft_calls(gauge_forward, traj) == 3  # 22 + 22 + 7
-    assert np.array_equal(gauge_forward(traj).states, gauge.states)
+    assert np.array_equal(gauge_forward(traj).half, gauge.half)
 
 
 def test_synthesis_memory_independent_of_records(monkeypatch, rng, peak_above):
@@ -103,7 +103,7 @@ def test_synthesis_memory_independent_of_records(monkeypatch, rng, peak_above):
     peaks = []
     for n in (200, 2000):
         states = np.array([random_real_coeffs(16, rng, amplitude=0.05) for _ in range(n)])
-        traj = Trajectory(grid, 1e-4 * np.arange(n), states,
+        traj = Trajectory(grid, 1e-4 * np.arange(n), states[:, 16:],
                           EquationParams.constrained_family(40.0), "physical_5mkdv", 1e-4, 1)
         peaks.append(peak_above(lambda: (drift_report(traj, 40.0),
                                          seq_l4_quartic(grid, states)))[0])
@@ -113,25 +113,26 @@ def test_synthesis_memory_independent_of_records(monkeypatch, rng, peak_above):
 
 def test_gauge_phase_memory_independent_of_records(monkeypatch, rng, peak_above):
     # past one chunk, the phase product's peak above its output is one
-    # chunk's phase table, and its states equal the one-table product bit for bit
+    # chunk's phase table, and its records, extended, equal the one-table
+    # product of the dense records bit for bit
     import mkdvlab.spectral as spectral
     from mkdvlab.integrate import Trajectory
     from mkdvlab.transforms import GAUGE_PHASE_RATE, _apply_phase
 
     grid = GridSpec(16)
     n = grid.modes.astype(float)
-    monkeypatch.setattr(spectral, "BATCH_ELEMENTS", 16 * len(n))
+    monkeypatch.setattr(spectral, "BATCH_ELEMENTS", 16 * 17)
     above = []
     for count in (200, 2000):
         states = np.array([random_real_coeffs(16, rng, amplitude=0.05) for _ in range(count)])
-        traj = Trajectory(grid, 1e-4 * np.arange(count), states,
+        traj = Trajectory(grid, 1e-4 * np.arange(count), states[:, 16:],
                           EquationParams.constrained_family(40.0), "physical_5mkdv", 1e-4, 1)
         phi = rng.standard_normal(count)
         peak, _, out = peak_above(_apply_phase, traj, phi, -1.0)
-        above.append(peak - out.states.nbytes)
+        above.append(peak - out.half.nbytes)
         want = np.exp(-1j * GAUGE_PHASE_RATE * np.outer(phi, n)) * states
         assert np.array_equal(out.states, want)
-    # one record's phase row alone is 33 x 16 bytes
+    # one record's phase row alone is 17 x 16 bytes
     assert above[1] - above[0] < 100 * (2000 - 200)
 
 
@@ -235,15 +236,13 @@ def test_zero_extended_table_transforms_independent_of_dt(fft_calls):
     # table transforms the 64 records alike at both
     from mkdvlab.integrate import Trajectory
     from mkdvlab.shorttime import _window_table
-    from mkdvlab.spectral import hermitian_extend
 
     rng = np.random.default_rng(7)
     half = rng.standard_normal((64, 17)) + 1j * rng.standard_normal((64, 17))
     half[:, 0] = half[:, 0].real
-    states = hermitian_extend(half)
     counts = []
     for dt in (1e-5, 1e-6):
-        traj = Trajectory(GridSpec(16), dt * np.arange(64), states,
+        traj = Trajectory(GridSpec(16), dt * np.arange(64), half,
                           EquationParams.constrained_family(40.0), "physical_5mkdv", dt, 1)
         calls = fft_calls(_window_table, traj, 0, float(traj.times[-1]))
         counts.append((calls, fft_calls.counter["points"]))
@@ -253,11 +252,10 @@ def test_zero_extended_table_transforms_independent_of_dt(fft_calls):
 
 
 def test_trajectory_arrays_read_only(norms_traj):
-    times, states = norms_traj.times.copy(), norms_traj.states.copy()
-    traj = dataclasses.replace(norms_traj, times=times, states=states)
-    with pytest.raises(ValueError, match="read-only"):
-        traj.states[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        traj.times[0] = 1.0
-    states[0, 0] = 1.0  # the caller's own arrays stay writable
+    times, half = norms_traj.times.copy(), norms_traj.half.copy()
+    traj = dataclasses.replace(norms_traj, times=times, half=half)
+    for array in (traj.half, traj.times, traj.states):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    half[0, 0] = 1.0  # the caller's own arrays stay writable
     times[0] = 1.0

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from mkdvlab.equations import EquationParams, RenormalizedTerms
+import mkdvlab.integrate as integrate
+from mkdvlab.equations import FLOWS, EquationParams, RenormalizedTerms
 from mkdvlab.errors import ConfigurationError, DivergenceError, SymmetryError
 from mkdvlab.integrate import StepControl, evolve
-from mkdvlab.spectral import GridSpec, SpectralField
+from mkdvlab.spectral import GridSpec, SpectralField, hermitian_extend
 
 from oracles import random_real_coeffs
 
@@ -48,7 +49,7 @@ class TestPhysicalFlow:
         p = EquationParams.constrained_family(40.0)
         u0 = SpectralField.from_modes(grid16, {1: 0.05, -1: 0.05, 2: 0.025, -2: 0.025})
         traj = evolve(u0, 0.005, p, tag="physical_5mkdv")
-        assert np.max(traj.hermitian_defects()) < 1e-12
+        assert np.all(traj.half[:, 0].imag == 0.0)
 
     def test_self_convergence_order(self):
         # 4th-order temporal convergence on smooth data: least-squares slope
@@ -71,12 +72,33 @@ class TestPhysicalFlow:
         assert slope >= 3.8, diffs
 
     def test_divergence_detection(self):
+        # a coefficient passes 1e6 mid-run: the error carries the record of
+        # the step before, bit for bit that of the run which stops there
         grid = GridSpec(8)
         p = EquationParams.constrained_family(40.0)
-        u0 = SpectralField.from_modes(grid, {1: 40.0, -1: 40.0, 2: 30.0, -2: 30.0})
-        with pytest.raises(DivergenceError) as exc:
-            evolve(u0, 1.0, p, tag="physical_5mkdv", ctrl=StepControl(dt=0.05))
-        assert exc.value.state_last is not None or exc.value.t_last is None
+        u0 = SpectralField.from_modes(grid, {1: 0.4, -1: 0.4, 2: 0.3, -2: 0.3})
+        ctrl = StepControl(dt=0.01, record_stride=1)
+        with pytest.raises(DivergenceError, match="blow-up detected at t=0.05 ") as exc:
+            evolve(u0, 1.0, p, tag="physical_5mkdv", ctrl=ctrl)
+        t_last, state_last = exc.value.t_last, exc.value.state_last
+        assert t_last == 0.04
+        before = evolve(u0, t_last, p, tag="physical_5mkdv", ctrl=ctrl)
+        assert before.dt == 0.01 and before.times[-1] == t_last
+        assert np.array_equal(state_last.coeff, before.final().coeff)
+
+    def test_divergence_at_final_time(self, monkeypatch):
+        # every coefficient stays under the bound but the final sup norm
+        # passes it: the error carries the record before the final one
+        grid = GridSpec(8)
+        p = EquationParams.constrained_family(40.0)
+        u0 = SpectralField.from_modes(grid, {1: 0.05, -1: 0.05, 2: 0.025, -2: 0.025})
+        ctrl = StepControl(dt=1e-3, record_stride=2)
+        traj = evolve(u0, 0.01, p, tag="physical_5mkdv", ctrl=ctrl)
+        monkeypatch.setattr(integrate, "BLOWUP_SUP", 0.06)
+        with pytest.raises(DivergenceError, match="at final time") as exc:
+            evolve(u0, 0.01, p, tag="physical_5mkdv", ctrl=ctrl)
+        assert exc.value.t_last == traj.times[-2]
+        assert np.array_equal(exc.value.state_last.coeff, traj.field(len(traj) - 2).coeff)
 
 
 class TestRenormalizedFlow:
@@ -90,7 +112,7 @@ class TestRenormalizedFlow:
         p.d1, p.d2 = 1.0, 2.0
         u0 = SpectralField.from_modes(grid8, {1: 0.05, -1: 0.05})
         traj = evolve(u0, 0.01, p, tag="renormalized_5mkdv")
-        assert np.max(traj.hermitian_defects()) < 1e-12
+        assert np.all(traj.half[:, 0].imag == 0.0)
 
     def test_non_hermitian_data_rejected(self, grid8):
         p = EquationParams.constrained_family(40.0)
@@ -125,6 +147,32 @@ class TestTrajectoryRecording:
         u0 = SpectralField.from_modes(grid8, {1: 0.05, -1: 0.05})
         traj = evolve(u0, 0.0123, p, ctrl=StepControl(dt=0.001))
         assert traj.times[-1] == pytest.approx(0.0123, rel=1e-12)
+
+    @pytest.mark.parametrize("tag", list(FLOWS))
+    def test_mean_stays_real(self, grid16, tag):
+        # records hold c[0..M], so Im c(0) = 0 is their one reality
+        # condition; the phi-coefficients at mu = 0 are exactly real
+        p = EquationParams.constrained_family(40.0)
+        p.d1, p.d2 = 1.0, 2.0
+        c = random_real_coeffs(16, np.random.default_rng(3), amplitude=0.3)
+        traj = evolve(SpectralField(grid16, c), 0.002, p, tag, StepControl(dt=1e-4))
+        assert np.all(traj.half[:, 0].imag == 0.0)
+
+    def test_records_are_half_spectra(self, grid8):
+        # states is the dense extension of the stored half, made on access
+        # and read-only
+        p = EquationParams.constrained_family(40.0)
+        u0 = SpectralField.from_modes(grid8, {1: 0.05, -1: 0.05, 2: 0.02j, -2: -0.02j})
+        traj = evolve(u0, 0.002, p, ctrl=StepControl(dt=2e-4, record_stride=1))
+        assert traj.half.shape == (len(traj), 9)
+        assert np.array_equal(traj.states, hermitian_extend(traj.half))
+        assert traj.states is not traj.states
+        with pytest.raises(ValueError, match="read-only"):
+            traj.states[0, 0] = 1.0
+        for i in range(len(traj)):
+            assert np.array_equal(traj.field(i).coeff, traj.states[i])
+        with pytest.raises(ConfigurationError, match="max_mode \\+ 1 = 9"):
+            integrate.Trajectory(grid8, traj.times, traj.states, p, "physical_5mkdv", traj.dt, 1)
 
 
 class TestStrideAuto:

@@ -7,7 +7,7 @@ import pytest
 import scipy.fft as sfft
 
 from mkdvlab.equations import EquationParams
-from mkdvlab.errors import ParameterError, ResolutionError, SymmetryError
+from mkdvlab.errors import ParameterError, ResolutionError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.shorttime import (
     WeightTable,
@@ -25,7 +25,7 @@ from mkdvlab.shorttime import (
     nk_norm,
     xk_norm,
 )
-from mkdvlab.spectral import GridSpec, SpectralField, hermitian_extend, sobolev_norm
+from mkdvlab.spectral import GridSpec, SpectralField, sobolev_norm
 
 LINEAR = EquationParams(c1=0, c2=0, c3=0, c4=0)
 
@@ -217,12 +217,11 @@ class TestNkNorm:
         times = np.arange(0.0, 3.0 * span, dt)
         mu = float(n0) ** 5
         tone = 2.0 ** 11  # modulation well above the window bandwidth 2^{2k}
-        states = np.zeros((len(times), 2 * grid.max_mode + 1), dtype=complex)
-        states[:, n0 + grid.max_mode] = 0.5 * np.exp(1j * (mu + tone) * times)
-        states[:, -n0 + grid.max_mode] = np.conj(states[:, n0 + grid.max_mode])
+        half = np.zeros((len(times), grid.max_mode + 1), dtype=complex)
+        half[:, n0] = 0.5 * np.exp(1j * (mu + tone) * times)
         from mkdvlab.integrate import Trajectory
 
-        traj = Trajectory(grid, times, states, LINEAR, "linear", dt, 1)
+        traj = Trajectory(grid, times, half, LINEAR, "linear", dt, 1)
         t_k = 1.5 * span
         sh = modulation_decompose(traj, k, t_k)
         xk = xk_norm(sh)
@@ -403,11 +402,11 @@ class TestBatchedWindowsMatchOracle:
         from mkdvlab.integrate import Trajectory
 
         tr = norms_traj
-        one = Trajectory(tr.grid, tr.times[:1], tr.states[:1], tr.params,
+        one = Trajectory(tr.grid, tr.times[:1], tr.half[:1], tr.params,
                          tr.equation_tag, tr.dt, 1)
         bumped = tr.times.copy()
         bumped[5] += 0.3 * tr.dt
-        uneven = Trajectory(tr.grid, bumped, tr.states, tr.params, tr.equation_tag, tr.dt, 1)
+        uneven = Trajectory(tr.grid, bumped, tr.half, tr.params, tr.equation_tag, tr.dt, 1)
         cases = (
             (one, 2, "at least two records"),
             (uneven, 2, "uniform record spacing"),
@@ -503,22 +502,6 @@ def test_bins_converge_to_continuous_masses(norms_traj, odd_traj, which, k):
     assert 3.0 <= gaps[0] / gaps[1] <= 5.0
 
 
-def test_tables_reject_non_hermitian_records(norms_traj):
-    from mkdvlab.integrate import Trajectory
-
-    states = norms_traj.states.copy()
-    states[5, 64 + 3] += 1e-3  # c(3) of record 5 no longer conj(c(-3))
-    tr = norms_traj
-    traj = Trajectory(tr.grid, tr.times, states, tr.params, tr.equation_tag, tr.dt, 1)
-    for call in (
-        lambda: modulation_decompose(traj, 2, 0.005),
-        lambda: fk_norm(traj, 6, NORMS_T),
-        lambda: fs_norm(traj, 1.0, NORMS_T),
-    ):
-        with pytest.raises(SymmetryError, match="record 5 "):
-            call()
-
-
 def test_fs_norm_memory_peak(norms_traj, peak_above):
     # the k = 0 window spans 267,602 samples around 670 records; only the
     # recorded band rows may be gathered (whole rows took 557 MiB)
@@ -531,9 +514,9 @@ def test_fs_norm_memory_peak(norms_traj, peak_above):
 def test_chunked_pass_working_sets(norms_traj, peak_above):
     # spectral.BATCH_ELEMENTS bounds all that a chunk holds at once, so each
     # chunked pass over the 670 records peaks at most 2 MiB (plus 0.25 MiB
-    # of small arrays) above what it keeps: the record Hermitian check, every
-    # window table (the first keeps the shared lag kernels), the Hamiltonians
-    # and the gauge transform (which keeps its twisted records)
+    # of small arrays) above what it keeps: every window table (the first
+    # keeps the shared lag kernels), the Hamiltonians and the gauge transform
+    # (which keeps its twisted records)
     import mkdvlab.spectral as spectral
     from mkdvlab.invariants import drift_report
     from mkdvlab.transforms import gauge_forward
@@ -541,14 +524,28 @@ def test_chunked_pass_working_sets(norms_traj, peak_above):
     budget = spectral.BATCH_ELEMENTS * 16
     assert budget == 2 * 2**20
     traj = dataclasses.replace(norms_traj)  # no memoized tables
-    passes = {"hermitian": (traj.require_real, "records")}
-    passes.update({f"k={k}": (_window_table, traj, k, NORMS_T) for k in range(7)})
+    passes = {f"k={k}": (_window_table, traj, k, NORMS_T) for k in range(7)}
     passes.update(drift_report=(drift_report, traj, 40.0), gauge_forward=(gauge_forward, traj))
     above = {}
     for name, (fn, *args) in passes.items():
         peak, kept, _ = peak_above(fn, *args)
         above[name] = peak - kept
     assert max(above.values()) <= budget + 2**18, above
+
+
+def test_records_keep_half_spectra(norms_traj, peak_above):
+    # a record is the half spectrum c[0..M] that evolve steps: the 670
+    # records of evolve and of gauge_forward each keep at most records x
+    # (M+1) complex entries, plus 64 KiB of small arrays
+    from mkdvlab.transforms import gauge_forward
+
+    tr = norms_traj
+    bound = len(tr) * 65 * 16 + 2**16
+    ctrl = StepControl(dt=norms_dt(64), record_stride=1)
+    _, kept, traj = peak_above(evolve, tr.field(0), NORMS_T, tr.params, "physical_5mkdv", ctrl)
+    assert len(traj) == 670 and kept <= bound
+    _, kept, gauged = peak_above(gauge_forward, traj)
+    assert gauged.half.shape == (670, 65) and kept <= bound
 
 
 def test_lag_basis_built_once_per_trajectory(norms_traj, monkeypatch):
@@ -587,9 +584,8 @@ def test_zero_extended_table_memory_independent_of_dt(dt, peak_above):
     rng = np.random.default_rng(7)
     times = dt * np.arange(64)
     half = rng.standard_normal((64, 17)) + 1j * rng.standard_normal((64, 17))
-    half[:, 0] = half[:, 0].real
-    states = hermitian_extend(half)  # the tables take records of real data
-    traj = Trajectory(GridSpec(16), times, states, EquationParams.constrained_family(40.0),
+    half[:, 0] = half[:, 0].real  # records of real data
+    traj = Trajectory(GridSpec(16), times, half, EquationParams.constrained_family(40.0),
                       "physical_5mkdv", dt, 1)
     peak, _, mass_sq = peak_above(_window_table, traj, 0, float(times[-1]))
     assert mass_sq.shape == (3, 1, len(_shell_edges(dt)) - 1) and mass_sq.all()

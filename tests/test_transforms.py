@@ -92,7 +92,7 @@ class TestGauge:
         bad = Trajectory(
             traj.grid,
             np.array([0.0, 0.0]),
-            np.zeros((2, 17), dtype=complex),
+            np.zeros((2, 9), dtype=complex),
             p,
             "physical_5mkdv",
             traj.dt,
