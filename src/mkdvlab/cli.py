@@ -17,8 +17,10 @@ Configuration: a flat INI file (sections [grid], [equation], [initial_data],
 [time], [norms], [sweep], [output]); every value can be overridden on the
 command line with --set section.key=value.  Any other section or key, in the
 file or in --set, is a validation error naming it.  Every subcommand runs in
-one process.  Outputs: RFC-4180-style CSV with '.' decimals and 17
-significant digits, plus a JSON manifest holding the config, tolerances, a
+one process.  Each subcommand returns what it computed (an Outcome) and one
+runner writes it: RFC-4180-style CSVs with '.' decimals and 17 significant
+digits, <output.dir>/<output.prefix>_<artifact>.csv, plus a JSON manifest,
+<output.prefix>_<artifact>_manifest.json, holding the config, tolerances, the
 results summary, the wall time and the process's peak resident memory.
 
 Exit codes: 0 success, 2 validation error, 3 numerical divergence,
@@ -35,8 +37,9 @@ import math
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,14 +141,14 @@ def _in_field(name: str, build, *args, **kwargs):
         raise ConfigurationError(f"{name}: {e}") from None
 
 
-def _counterexample_spec(variant: str = "C5", **fields):
+def _counterexample_spec(**inputs):
     """CounterexampleSpec of the parameters given as param=(config field,
     value), in the order N, s, t: each is added and checked in turn through
     _in_field, so a rejected value is named by its own config field."""
     from .illposed import CounterexampleSpec
 
-    given = {"variant": variant}
-    for param, (name, value) in fields.items():
+    given = {}
+    for param, (name, value) in inputs.items():
         given[param] = value
         spec = _in_field(name, CounterexampleSpec, **given)
     return spec
@@ -230,15 +233,6 @@ def build_initial_data(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
             values[i] = a / 2.0
             values[-i] = a / 2.0
         return SpectralField.from_modes(grid, values)
-    if preset in ("counterexample_C5", "counterexample_C3"):
-        from .illposed import build_counterexample_data
-
-        spec = _counterexample_spec(
-            preset.rsplit("_", 1)[1],
-            N=("initial_data.N", cfg.get_int("initial_data", "N", positive=True)),
-            s=("initial_data.s", cfg.get_float("initial_data", "s")),
-        )
-        return build_counterexample_data(spec, grid)
     if preset == "random_smooth":
         rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
         decay = cfg.get_float("initial_data", "decay")
@@ -268,7 +262,7 @@ def build_params(cfg: ExperimentConfig, u0: SpectralField | None = None) -> Equa
         p.d2 = cfg.get_float("equation", "d2") if d2 else 0.0
     elif u0 is not None and p.constrained and abs(p.c1 - 40.0) < 1e-12:
         gp = derive_gauge_params(u0, 40.0)
-        p.d1, p.d2, p.gamma1, p.gamma2 = gp.d1, gp.d2, gp.gamma1, gp.gamma2
+        p.d1, p.d2 = gp.d1, gp.d2
     return p
 
 
@@ -298,6 +292,47 @@ def check_records(u0: SpectralField, T: float, p: EquationParams, tag: str,
         )
 
 
+class Run(NamedTuple):
+    """The inputs of an evolving subcommand, in evolve's argument order."""
+
+    u0: SpectralField
+    T: float
+    p: EquationParams
+    tag: str
+    ctrl: StepControl
+
+
+def build_run(cfg: ExperimentConfig, tag: str = "", params: EquationParams | None = None,
+              buffers: int = 1, records=None) -> Run:
+    """The initial data on the configured grid, time.T, the equation (params,
+    or build_params'), the flow (tag, or equation.tag) and the step control
+    of an evolving subcommand, checked by check_records for `buffers` record
+    buffers before anything runs.  records(grid, T, ctrl), if given, returns
+    the step control to use instead and the field that its records blame."""
+    grid = build_grid(cfg)
+    u0 = build_initial_data(cfg, grid)
+    p = build_params(cfg, u0) if params is None else params
+    T = cfg.get_float("time", "T", positive=True)
+    tag = tag or cfg.get("equation", "tag")
+    ctrl = build_ctrl(cfg)
+    blame = ""
+    if records is not None:
+        ctrl, blame = records(grid, T, ctrl)
+    check_records(u0, T, p, tag, ctrl, blame, buffers)
+    return Run(u0, T, p, tag, ctrl)
+
+
+@dataclass
+class Outcome:
+    """What a subcommand computed: its results summary, its verdict (None
+    when it checks nothing) and its CSV tables, artifact name -> (header,
+    rows)."""
+
+    summary: dict
+    passed: bool | None = None
+    tables: dict = field(default_factory=dict)
+
+
 def write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -320,78 +355,61 @@ def write_manifest(path: Path, cfg: ExperimentConfig, summary: dict, wall: float
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
 
 
-def _out_paths(cfg: ExperimentConfig, name: str):
+def run_command(command: str, cfg: ExperimentConfig, args) -> int:
+    """Run one subcommand, write each of its tables to
+    <output.dir>/<output.prefix>_<artifact>.csv and its manifest to
+    <output.prefix>_<artifact>_manifest.json under the artifact name COMMANDS
+    gives it, and map its verdict to the exit code."""
+    artifact, cmd = COMMANDS[command]
+    t0 = time.perf_counter()
+    out = cmd(cfg, args)
     outdir = Path(cfg.get("output", "dir"))
     outdir.mkdir(parents=True, exist_ok=True)
     prefix = cfg.get("output", "prefix")
-    return outdir / f"{prefix}_{name}.csv", outdir / f"{prefix}_{name}_manifest.json"
+    for name, (header, rows) in out.tables.items():
+        write_csv(outdir / f"{prefix}_{name}.csv", header, rows)
+    summary = out.summary if out.passed is None else {**out.summary, "passed": out.passed}
+    write_manifest(outdir / f"{prefix}_{artifact}_manifest.json", cfg, summary,
+                   time.perf_counter() - t0)
+    return EXIT_TOLERANCE if out.passed is False else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_evolve(cfg: ExperimentConfig, args) -> int:
-    t0 = time.perf_counter()
-    grid = build_grid(cfg)
-    u0 = build_initial_data(cfg, grid)
-    p = build_params(cfg, u0)
-    T = cfg.get_float("time", "T", positive=True)
-    tag = cfg.get("equation", "tag")
-    ctrl = build_ctrl(cfg)
-    check_records(u0, T, p, tag, ctrl)
-    traj = evolve(u0, T, p, tag, ctrl)
+def cmd_evolve(cfg: ExperimentConfig, args) -> Outcome:
+    run = build_run(cfg)
     s = cfg.get_float("norms", "s")
-    rep = drift_report(traj, p.c1)
+    traj = evolve(*run)
+    rep = drift_report(traj, run.p.c1)
     rows = [
         (rep.times[i], rep.h0[i], rep.h1[i], rep.h2[i], sobolev_norm(traj.field(i), s))
         for i in range(len(traj))
     ]
-    csv_path, man_path = _out_paths(cfg, "evolve")
-    write_csv(csv_path, ["time", "H0", "H1", "H2", f"Hs(s={s})"], rows)
-    write_manifest(
-        man_path, cfg,
+    return Outcome(
         {"records": len(traj), "dt": traj.dt, "final_time": float(traj.times[-1])},
-        time.perf_counter() - t0,
+        tables={"evolve": (["time", "H0", "H1", "H2", f"Hs(s={s})"], rows)},
     )
-    return EXIT_OK
 
 
-def cmd_conserve(cfg: ExperimentConfig, args) -> int:
-    t0 = time.perf_counter()
-    grid = build_grid(cfg)
-    u0 = build_initial_data(cfg, grid)
-    p = build_params(cfg, u0)
-    T = cfg.get_float("time", "T", positive=True)
-    ctrl = build_ctrl(cfg)
-    check_records(u0, T, p, "physical_5mkdv", ctrl)
-    traj = evolve(u0, T, p, "physical_5mkdv", ctrl)
-    rep = drift_report(traj, p.c1)
-    csv_path, man_path = _out_paths(cfg, "conserve")
-    write_csv(csv_path, ["time", "H0", "H1", "H2"], zip(rep.times, rep.h0, rep.h1, rep.h2))
+def cmd_conserve(cfg: ExperimentConfig, args) -> Outcome:
+    run = build_run(cfg, "physical_5mkdv")
+    rep = drift_report(evolve(*run), run.p.c1)
     drift = max(rep.relative_drift)
-    write_manifest(
-        man_path, cfg,
-        {"relative_drift": list(rep.relative_drift), "max_drift": drift,
-         "passed": drift < TOLERANCES["conserve_drift"]},
-        time.perf_counter() - t0,
+    return Outcome(
+        {"relative_drift": list(rep.relative_drift), "max_drift": drift},
+        drift < TOLERANCES["conserve_drift"],
+        {"conserve": (["time", "H0", "H1", "H2"], zip(rep.times, rep.h0, rep.h1, rep.h2))},
     )
-    return EXIT_OK if drift < TOLERANCES["conserve_drift"] else EXIT_TOLERANCE
 
 
-def cmd_gauge_check(cfg: ExperimentConfig, args) -> int:
-    t0 = time.perf_counter()
-    grid = build_grid(cfg)
-    u0 = build_initial_data(cfg, grid)
-    p = build_params(cfg, u0)
-    T = cfg.get_float("time", "T", positive=True)
-    ctrl = build_ctrl(cfg)
+def cmd_gauge_check(cfg: ExperimentConfig, args) -> Outcome:
     # u, v and the gauged u; the renormalized dt rule is the same
-    check_records(u0, T, p, "physical_5mkdv", ctrl, buffers=3)
-    traj_u = evolve(u0, T, p, "physical_5mkdv", ctrl)
-    traj_v = evolve(u0, T, p, "renormalized_5mkdv", ctrl)
-    nt_u = gauge_forward(traj_u)
-    n = grid.modes.astype(float)
+    run = build_run(cfg, "physical_5mkdv", buffers=3)
+    nt_u = gauge_forward(evolve(*run))
+    traj_v = evolve(*run._replace(tag="renormalized_5mkdv"))
+    n = run.u0.grid.modes.astype(float)
     w = (1.0 + n * n) ** 2
     m = min(len(nt_u), len(traj_v))
     diff = np.empty(m)
@@ -400,25 +418,16 @@ def cmd_gauge_check(cfg: ExperimentConfig, args) -> int:
         d -= hermitian_extend(traj_v.half[rows])
         diff[rows] = np.sqrt(np.sum(w * np.abs(d) ** 2, axis=1))
     worst = float(np.max(diff, initial=0.0))
-    rows = list(zip(nt_u.times[:m].tolist(), diff.tolist()))
-    csv_path, man_path = _out_paths(cfg, "gauge")
-    write_csv(csv_path, ["time", "h2_discrepancy"], rows)
-    write_manifest(
-        man_path, cfg,
-        {"max_h2_discrepancy": worst, "passed": worst < TOLERANCES["gauge_h2"],
-         "d1": p.d1, "d2": p.d2},
-        time.perf_counter() - t0,
+    return Outcome(
+        {"max_h2_discrepancy": worst, "d1": run.p.d1, "d2": run.p.d2},
+        worst < TOLERANCES["gauge_h2"],
+        {"gauge": (["time", "h2_discrepancy"], zip(nt_u.times[:m].tolist(), diff.tolist()))},
     )
-    return EXIT_OK if worst < TOLERANCES["gauge_h2"] else EXIT_TOLERANCE
 
 
-def cmd_miura_check(cfg: ExperimentConfig, args) -> int:
-    t0 = time.perf_counter()
-    grid = build_grid(cfg)
-    u0 = build_initial_data(cfg, grid)
-    T = cfg.get_float("time", "T", positive=True)
-    ctrl = build_ctrl(cfg)
-    check_records(u0, T, EquationParams(), "mkdv3", ctrl)
+def cmd_miura_check(cfg: ExperimentConfig, args) -> Outcome:
+    run = build_run(cfg, "mkdv3", EquationParams())
+    grid = run.u0.grid
     rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
     M = grid.max_mode
     worst_static = 0.0
@@ -437,113 +446,87 @@ def cmd_miura_check(cfg: ExperimentConfig, args) -> int:
         scale = max(1.0, float(np.max(np.abs(kdv_residual_values(grid, c, cdot)))))
         worst_static = max(worst_static, gap / scale)
 
-    traj = evolve(u0, T, EquationParams(), "mkdv3", ctrl)
+    traj = evolve(*run)
     res = miura_residual(traj)
-    rows = [(traj.times[i], float(res[i])) for i in range(len(traj))]
-    csv_path, man_path = _out_paths(cfg, "miura")
-    write_csv(csv_path, ["time", "kdv_residual_l2"], rows)
-    ok = worst_static < TOLERANCES["miura_static_rel"] and float(np.max(res)) < TOLERANCES["miura_dynamic"]
-    write_manifest(
-        man_path, cfg,
-        {"static_identity_rel": worst_static, "max_dynamic_residual": float(np.max(res)),
-         "passed": ok},
-        time.perf_counter() - t0,
+    worst = float(np.max(res))
+    return Outcome(
+        {"static_identity_rel": worst_static, "max_dynamic_residual": worst},
+        worst_static < TOLERANCES["miura_static_rel"] and worst < TOLERANCES["miura_dynamic"],
+        {"miura": (["time", "kdv_residual_l2"], zip(traj.times.tolist(), res.tolist()))},
     )
-    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_resonance_enum(cfg: ExperimentConfig, args) -> int:
-    from .resonance import enumerate_n3, enumerate_n5, write_quintuples_csv, write_triples_csv
+def cmd_resonance_enum(cfg: ExperimentConfig, args) -> Outcome:
+    from .resonance import N3_RADIUS_CAP, enumerate_n3, enumerate_n5, resonance_g
 
-    t0 = time.perf_counter()
-    n = args.n
-    trips = enumerate_n3(n, args.radius)
-    csv_path, man_path = _out_paths(cfg, "resonance_n3")
-    write_triples_csv(csv_path, n, trips, d1=0)
-    quint_path = csv_path.with_name(csv_path.name.replace("_n3", "_n5"))
-    n5_radius = min(args.radius, 12)
+    n, radius = args.n, args.radius
+    if not 0 <= radius <= N3_RADIUS_CAP:
+        raise ConfigurationError(
+            f"--radius: enumeration radius must be in [0, {N3_RADIUS_CAP}], got {radius}"
+        )
+    n5_radius = min(radius, 12)
+    trips = enumerate_n3(n, radius)
     quints = enumerate_n5(n, n5_radius)
-    write_quintuples_csv(quint_path, n, quints)
-    write_manifest(
-        man_path, cfg,
-        {"n": n, "radius": args.radius, "n5_radius": n5_radius,
+    # G = H + 3 d1 (n1+n2)(n1+n3)(n2+n3), exact, at d1 = 0
+    return Outcome(
+        {"n": n, "radius": radius, "n5_radius": n5_radius,
          "triples": len(trips), "quintuples": len(quints)},
-        time.perf_counter() - t0,
+        tables={
+            "resonance_n3": (["n", "n1", "n2", "n3", "H", "G"],
+                             ((n, a, b, c, h, resonance_g(a, b, c))
+                              for a, b, c, h in trips.tolist())),
+            "resonance_n5": (["n", "n1", "n2", "n3", "n4", "n5"],
+                             ((n, *q) for q in quints.tolist())),
+        },
     )
-    return EXIT_OK
 
 
-def cmd_resonance_identity(cfg: ExperimentConfig, args) -> int:
+def cmd_resonance_identity(cfg: ExperimentConfig, args) -> Outcome:
     from fractions import Fraction
 
     from .resonance import phi_cubic, resonance_g, resonance_h
 
-    t0 = time.perf_counter()
     for a in range(-100, 101, 7):
         for b in range(-100, 101, 11):
             for c in range(-100, 101, 13):
                 resonance_h(a, b, c)  # internal direct == factored assertion
     rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
-    summary = {"passed": True, "identity_checks": 0}
+    summary = {"identity_checks": 0}
     for _ in range(10000):
         a, b, c = (int(x) for x in rng.integers(-80, 81, 3))
         d1 = Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 30)))
         d2 = Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 30)))
         if resonance_g(a, b, c, d1) != -phi_cubic(a + b + c, a, b, c, d1, d2):
-            summary.update(passed=False, counterexample=(a, b, c))
+            summary["counterexample"] = (a, b, c)
             break
         summary["identity_checks"] += 1
-    _, man_path = _out_paths(cfg, "resonance_identity")
-    write_manifest(man_path, cfg, summary, time.perf_counter() - t0)
-    return EXIT_OK if summary["passed"] else EXIT_TOLERANCE
+    return Outcome(summary, "counterexample" not in summary)
 
 
-def cmd_illposed_growth(cfg: ExperimentConfig, args) -> int:
-    from .illposed import growth_experiment
+def cmd_illposed_growth(cfg: ExperimentConfig, args) -> Outcome:
+    from .illposed import GrowthRow, growth_experiment
 
-    t0 = time.perf_counter()
     specs = _sweep(cfg, 2)  # a slope needs two N
     rows, slope = growth_experiment([sp.N for sp in specs], s=specs[0].s, t=specs[0].t)
-    csv_path, man_path = _out_paths(cfg, "growth")
-    write_csv(
-        csv_path,
-        ["N", "s", "t", "d0_norm", "ratio_tN2", "b1", "b2", "c1", "c2", "d1", "slope_running"],
-        [
-            (r.N, r.s, r.t, r.d0_norm, r.ratio_tN2, r.b1, r.b2, r.c1, r.c2, r.d1,
-             r.slope_running)
-            for r in rows
-        ],
+    header = [f.name for f in fields(GrowthRow)]
+    return Outcome(
+        {"slope": slope},
+        TOLERANCES["growth_slope_lo"] <= slope <= TOLERANCES["growth_slope_hi"],
+        {"growth": (header, [astuple(r) for r in rows])},
     )
-    ok = TOLERANCES["growth_slope_lo"] <= slope <= TOLERANCES["growth_slope_hi"]
-    write_manifest(
-        man_path, cfg, {"slope": slope, "passed": ok}, time.perf_counter() - t0
-    )
-    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_appendix_b(cfg: ExperimentConfig, args) -> int:
+def cmd_appendix_b(cfg: ExperimentConfig, args) -> Outcome:
     from .illposed import eval_appendix_terms
 
-    t0 = time.perf_counter()
     reps = [eval_appendix_terms(spec) for spec in _sweep(cfg, 1)]
-    rows = [
-        (r.N, r.s, r.t, r.d0_hsnorm, r.d_full_hsnorm, r.b1, r.b2, r.c1, r.c2,
-         r.d1_norms, r.skipped_outer_resonant)
+    separated = all(
+        max(r.b1, r.b2, r.c1, r.c2, r.d1_norms) < TOLERANCES["appendix_separation"] * r.t * r.N**2
         for r in reps
-    ]
-    csv_path, man_path = _out_paths(cfg, "appendix_b")
-    write_csv(
-        csv_path,
-        ["N", "s", "t", "d0", "d_full", "b1", "b2", "c1", "c2", "d1", "skipped"],
-        rows,
     )
-    ok = True
-    for r in reps:
-        bound = TOLERANCES["appendix_separation"] * r.t * r.N**2
-        if max(r.b1, r.b2, r.c1, r.c2, r.d1_norms) >= bound:
-            ok = False
-    write_manifest(man_path, cfg, {"passed": ok, "rows": len(rows)}, time.perf_counter() - t0)
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    header = ["N", "s", "t", "d0", "d_full", "b1", "b2", "c1", "c2", "d1", "skipped"]
+    return Outcome({"rows": len(reps)}, separated,
+                   {"appendix_b": (header, [astuple(r) for r in reps])})
 
 
 def _largest_divisor(n: int, cap: int) -> int:
@@ -555,87 +538,86 @@ def _largest_divisor(n: int, cap: int) -> int:
     return best
 
 
-def cmd_norms(cfg: ExperimentConfig, args) -> int:
-    from .shorttime import WeightTable, _tk_grid, _window_table, fk_norm, fs_norm, nk_norm
+def _window_records(grid: GridSpec, T: float, ctrl: StepControl):
+    """The step control of a `norms` run and the field its records blame: the
+    windows of the top band need uniform record spacing of at most
+    shorttime.max_record_spacing, so a dt above it is replaced, a kept user dt
+    records at the coarsest stride that spaces records evenly within it, and a
+    user stride that does not is rejected."""
+    from .shorttime import max_record_spacing, top_band
 
-    t0 = time.perf_counter()
-    grid = build_grid(cfg)
-    u0 = build_initial_data(cfg, grid)
-    p = build_params(cfg, u0)
-    T = cfg.get_float("time", "T", positive=True)
-    tag = cfg.get("equation", "tag")
-    k_max = max(1, int(np.ceil(np.log2(max(grid.max_mode, 2)))))
-    span_min = 4.0 * 4.0 ** (-k_max)
-    ctrl = build_ctrl(cfg)
-    # the windows need uniform record spacing of at most span_min / 64
-    if ctrl.dt == 0 or ctrl.dt > span_min / 64:
-        ctrl = StepControl(dt=span_min / 64 * 0.98, record_stride=1)
-        blame = "time.T"
-    else:
-        n_steps, dt = _in_field("time.dt", uniform_steps, T, ctrl.dt)
-        stride = ctrl.record_stride
-        blame = "time.record_stride"
-        if stride == 0:
-            # the coarsest uniform spacing the windows accept
-            cap = max(1, int(span_min / 64 / dt))
-            ctrl = StepControl(dt=ctrl.dt, record_stride=_largest_divisor(n_steps, cap))
-            blame = "time.dt"
-        elif n_steps % stride:
-            raise ConfigurationError(
-                f"time.record_stride = {stride} does not divide the {n_steps} steps, "
-                "so the last record interval would be short; norms needs uniform "
-                "record spacing (0 chooses one)"
-            )
-        elif stride * dt > span_min / 64:
-            raise ConfigurationError(
-                f"time.record_stride = {stride} spaces records {stride * dt:.3e} apart; "
-                f"norms needs at most {span_min / 64:.3e} (0 chooses a stride)"
-            )
-    check_records(u0, T, p, tag, ctrl, blame)
+    spacing = max_record_spacing(top_band(grid.max_mode))
+    if ctrl.dt == 0 or ctrl.dt > spacing:
+        return StepControl(dt=spacing * 0.98, record_stride=1), "time.T"
+    n_steps, dt = _in_field("time.dt", uniform_steps, T, ctrl.dt)
+    stride = ctrl.record_stride
+    if stride == 0:
+        stride = _largest_divisor(n_steps, max(1, int(spacing / dt)))
+        return StepControl(dt=ctrl.dt, record_stride=stride), "time.dt"
+    if n_steps % stride:
+        raise ConfigurationError(
+            f"time.record_stride = {stride} does not divide the {n_steps} steps, "
+            "so the last record interval would be short; norms needs uniform "
+            "record spacing (0 chooses one)"
+        )
+    if stride * dt > spacing:
+        raise ConfigurationError(
+            f"time.record_stride = {stride} spaces records {stride * dt:.3e} apart; "
+            f"norms needs at most {spacing:.3e} (0 chooses a stride)"
+        )
+    return ctrl, "time.record_stride"
+
+
+def cmd_norms(cfg: ExperimentConfig, args) -> Outcome:
+    from .shorttime import (
+        WeightTable,
+        fk_norm,
+        fs_norm,
+        nk_norm,
+        top_band,
+        window_centers,
+        window_table,
+    )
+
+    run = build_run(cfg, records=_window_records)
     wt = _in_field("norms.gamma", WeightTable, cfg.get_float("norms", "gamma"))
-    t_evolve = time.perf_counter()
-    traj = evolve(u0, T, p, tag, ctrl)
-    t_tables = time.perf_counter()
     s = cfg.get_float("norms", "s")
-    grids = {k: _tk_grid(traj, k, T) for k in range(k_max + 1)}
+    T = run.T
+    t_evolve = time.perf_counter()
+    traj = evolve(*run)
+    t_tables = time.perf_counter()
+    k_max = top_band(run.u0.grid.max_mode)
+    grids = {k: window_centers(traj, k, T) for k in range(k_max + 1)}
     rows = []
     shell_rows = []
     for k in range(1, k_max + 1):
-        fk = fk_norm(traj, k, T, wt)
-        nk = nk_norm(traj, k, T, wt)
-        rows.append((k, fk, nk))
+        rows.append((k, fk_norm(traj, k, T, wt), nk_norm(traj, k, T, wt)))
         # every shell mass of the middle window, from the table fk_norm built
         centers, _ = grids[k]
         c = len(centers) // 2
-        for j, m_sq in enumerate(_window_table(traj, k, T)[0, c]):
+        for j, m_sq in enumerate(window_table(traj, k, T)[0, c]):
             shell_rows.append((k, float(centers[c]), j, float(np.sqrt(m_sq))))
     fs = fs_norm(traj, s, T, wt)
     t_done = time.perf_counter()
-    csv_path, man_path = _out_paths(cfg, "norms")
-    write_csv(csv_path, ["k", "fk", "nk"], rows)
-    shells_path = csv_path.with_name(csv_path.name.replace("_norms", "_norm_shells"))
-    write_csv(shells_path, ["k", "t_k", "j", "shell_mass"], shell_rows)
-    write_manifest(
-        man_path, cfg,
+    return Outcome(
         {"fs_norm": fs, "s": s, "gamma": wt.gamma,
          "dt": traj.dt, "record_stride": traj.record_stride,
          "evolve_s": t_tables - t_evolve, "tables_s": t_done - t_tables,
          "zero_extended_k": [k for k, (_, ext) in grids.items() if ext],
          "windows_per_k": {k: len(centers) for k, (centers, _) in grids.items()}},
-        time.perf_counter() - t0,
+        tables={"norms": (["k", "fk", "nk"], rows),
+                "norm_shells": (["k", "t_k", "j", "shell_mass"], shell_rows)},
     )
-    return EXIT_OK
 
 
-def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> int:
+def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> Outcome:
     from .illposed import (
         counterexample_support,
-        fifth_derivative_direct,
         numeric_fifth_derivative,
         symmetrized_support,
+        t2_duhamel_fifth,
     )
 
-    t0 = time.perf_counter()
     grid = build_grid(cfg)
     spec = _counterexample_spec(
         N=("initial_data.N", cfg.get_int("initial_data", "N", positive=True)),
@@ -651,17 +633,17 @@ def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> int:
                 f"(mode {n})"
             )
         u0.coeff[n + grid.max_mode] = a
-    flow = RenormalizedTerms(resonant_cubic=False, cubic2=True, cubic3=False, quintic=False)
-    p = EquationParams.constrained_family(40.0)
-    p.d1 = p.d2 = 0.0
-    ana = fifth_derivative_direct(supp, spec, flow)
+    terms = RenormalizedTerms(resonant_cubic=False, cubic2=True, cubic3=False, quintic=False)
+    # the normal-form assembly: boundary + B1 + C1 + D pieces
+    ana, skipped = t2_duhamel_fifth(supp, spec, route="normal_form")
     M = grid.max_mode
     ana_arr = np.zeros(2 * M + 1, dtype=complex)
     for n, v in ana.items():
         if abs(n) <= M:
             ana_arr[n + M] = v
     a5, rep = numeric_fifth_derivative(
-        u0, spec.t, [0.01, 0.02, 0.03, 0.04], p, flow,
+        u0, spec.t, [0.008, 0.012, 0.016, 0.02, 0.024],
+        EquationParams.constrained_family(40.0), terms,
         ctrl=StepControl(dt=2e-6, record_stride=10**9),
     )
     rel = float(np.max(np.abs(a5.coeff - ana_arr)) / np.max(np.abs(ana_arr)))
@@ -670,29 +652,26 @@ def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> int:
         for n in range(2 * M + 1)
         if abs(ana_arr[n]) > 0
     ]
-    csv_path, man_path = _out_paths(cfg, "fifth_derivative")
-    write_csv(csv_path, ["n", "numeric_abs", "analytic_abs"], rows)
-    ok = rel < TOLERANCES["fifth_derivative_rel"]
-    write_manifest(
-        man_path, cfg,
-        {"relative_error": rel, "passed": ok,
+    return Outcome(
+        {"relative_error": rel, "skipped": skipped,
          "conditioning": rep["vandermonde_condition"]},
-        time.perf_counter() - t0,
+        rel < TOLERANCES["fifth_derivative_rel"] and skipped == 0,
+        {"fifth_derivative": (["n", "numeric_abs", "analytic_abs"], rows)},
     )
-    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
+#: subcommand -> (the artifact name of its manifest, its function)
 COMMANDS = {
-    "evolve": cmd_evolve,
-    "conserve": cmd_conserve,
-    "gauge-check": cmd_gauge_check,
-    "miura-check": cmd_miura_check,
-    "resonance-enum": cmd_resonance_enum,
-    "resonance-identity": cmd_resonance_identity,
-    "illposed-growth": cmd_illposed_growth,
-    "appendix-b": cmd_appendix_b,
-    "norms": cmd_norms,
-    "fifth-derivative": cmd_fifth_derivative,
+    "evolve": ("evolve", cmd_evolve),
+    "conserve": ("conserve", cmd_conserve),
+    "gauge-check": ("gauge", cmd_gauge_check),
+    "miura-check": ("miura", cmd_miura_check),
+    "resonance-enum": ("resonance_n3", cmd_resonance_enum),
+    "resonance-identity": ("resonance_identity", cmd_resonance_identity),
+    "illposed-growth": ("growth", cmd_illposed_growth),
+    "appendix-b": ("appendix_b", cmd_appendix_b),
+    "norms": ("norms", cmd_norms),
+    "fifth-derivative": ("fifth_derivative", cmd_fifth_derivative),
 }
 
 
@@ -719,7 +698,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.set)
         if args.out:
             cfg.raw.set("output", "dir", args.out)
-        code = COMMANDS[args.command](cfg, args)
+        return run_command(args.command, cfg, args)
     except (ConfigurationError, ParameterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -729,7 +708,6 @@ def main(argv=None) -> int:
     except MkdvLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    return code
 
 
 if __name__ == "__main__":

@@ -22,9 +22,10 @@ operator and :func:`rhs` adds the symbol to it, so the oracles that pin
 
 Coefficient normalization: coefficients are stored with the constant-free
 convolution convention of :mod:`mkdvlab.spectral`; in that convention the
-gauge constants are exactly d1 = 10*sum|c[n]|^2, d2 = 10*(sum n^2|c[n]|^2 +
-quartic_l4), d3 = 20, where ``quartic_l4 = sum_{n1+..+n4=0} c[n1]..c[n4]``
-plays the role of the L^4 norm to the fourth power.
+gauge constants are exactly d1 = 10*sum|c[n]|^2 and d2 = 10*(sum n^2|c[n]|^2 +
+quartic_l4), with phase rate 20 (:data:`transforms.GAUGE_PHASE_RATE`), where
+``quartic_l4 = sum_{n1+..+n4=0} c[n1]..c[n4]`` plays the role of the L^4 norm
+to the fourth power.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class EquationParams:
 
     c1..c4: coefficients of the generalized fifth-order equation.
     d1, d2: gauge dispersion constants (frozen at t=0 from the initial data).
-    d3: gauge frequency-shift constant, 20 for the c1=40 normalization.
-    gamma1, gamma2: level-set values, physical integrals over [0, 2*pi].
     """
 
     c1: float = 40.0
@@ -66,9 +65,6 @@ class EquationParams:
     c4: float = -30.0
     d1: float = 0.0
     d2: float = 0.0
-    d3: float = 20.0
-    gamma1: float = 0.0
-    gamma2: float = 0.0
 
     @property
     def constrained(self) -> bool:
@@ -142,11 +138,11 @@ def half_l4_quartic(grid: GridSpec, half: np.ndarray) -> np.ndarray:
 
 
 def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
-    """Freeze level sets and gauge constants from the initial data.
+    """Freeze the gauge constants from the initial data.
 
-    Only c1 = 40 carries the exact constants d1 = 10*sum|c|^2,
-    d2 = 10*(sum n^2 |c|^2 + quartic), d3 = 20; other c1 values are
-    rejected because the conservation-law bookkeeping changes.
+    Only c1 = 40 carries the exact constants d1 = 10*sum|c|^2 and
+    d2 = 10*(sum n^2 |c|^2 + quartic); other c1 values are rejected because
+    the conservation-law bookkeeping changes.
     """
     if abs(c1 - 40.0) > 1e-12:
         raise ParameterError(
@@ -158,19 +154,9 @@ def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
     p2 = seq_l2_sq(u0.coeff)
     q2 = seq_h1dot_sq(grid, u0.coeff)
     r4 = float(seq_l4_quartic(grid, u0.coeff))
-
-    # physical level-set integrals over [0, 2*pi]
-    U, Ux = half_spectrum(grid).synthesize(u0.coeff[grid.max_mode:], (0, 1))
-    dx = 2.0 * np.pi / grid.phys_points
-    gamma1 = float(np.sum(U**2) * dx)
-    gamma2 = float(np.sum(Ux**2 + U**4) * dx)
-
     p = EquationParams.constrained_family(c1)
     p.d1 = 10.0 * p2
     p.d2 = 10.0 * (q2 + r4)
-    p.d3 = 20.0
-    p.gamma1 = gamma1
-    p.gamma2 = gamma2
     return p
 
 

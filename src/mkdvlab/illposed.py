@@ -43,7 +43,7 @@ import numpy as np
 from .equations import EquationParams, RenormalizedTerms, dispersion_mu
 from .errors import ConfigurationError, ConditioningError, ParameterError
 from .resonance import phi_cubic
-from .spectral import GridSpec, SpectralField
+from .spectral import SpectralField
 
 # ---------------------------------------------------------------------------
 # Exact oscillatory primitives
@@ -132,17 +132,6 @@ def counterexample_support(spec: CounterexampleSpec) -> dict:
     if spec.variant == "C5":
         return {-2: 1.0, -1: 1.0, 1: 1.0, 2: 1.0, spec.N - 1: hi, spec.N: hi}
     return {-1: 1.0, 1: 1.0, spec.N: hi}
-
-
-def build_counterexample_data(spec: CounterexampleSpec, grid: GridSpec) -> SpectralField:
-    if grid.max_mode < spec.N:
-        raise ConfigurationError(
-            f"grid max_mode={grid.max_mode} cannot hold the N={spec.N} mode"
-        )
-    f = SpectralField.zeros(grid)
-    for n, a in counterexample_support(spec).items():
-        f.coeff[n + grid.max_mode] = a
-    return f
 
 
 def symmetrized_support(support: dict) -> dict:

@@ -32,7 +32,6 @@ and 7.56 M quintuples (303 MB) at r = 30.
 
 from __future__ import annotations
 
-import csv
 from fractions import Fraction
 
 import numpy as np
@@ -151,22 +150,3 @@ def enumerate_n5(n: int, radius: int) -> np.recarray:
     """A5(n) for |n_i| <= radius <= N5_RADIUS_CAP, as records (n1, ..., n5);
     at the cap 7.56 M rows (303 MB) plus O((2r+1)^3) temporaries."""
     return _plane(n, radius, N5_RADIUS_CAP, 5).view(_N5).reshape(-1).view(np.recarray)
-
-
-def _columns(recs) -> list:
-    return np.column_stack([recs[f] for f in recs.dtype.names]).tolist()
-
-
-def write_triples_csv(path, n: int, triples, d1=0) -> None:
-    """One row per triple; G = H + 3 d1 (n1+n2)(n1+n3)(n2+n3), exact."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "n1", "n2", "n3", "H", "G"])
-        w.writerows([n, a, b, c, h, resonance_g(a, b, c, d1)] for a, b, c, h in _columns(triples))
-
-
-def write_quintuples_csv(path, n: int, quints) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "n1", "n2", "n3", "n4", "n5"])
-        w.writerows([n, *row] for row in _columns(quints))

@@ -123,6 +123,17 @@ class ModulationShellSet:
         return float(sum(m * m for m in self.shells.values()))
 
 
+def top_band(max_mode: int) -> int:
+    """k_max, the last dyadic band k = 0..k_max of a grid of max_mode modes."""
+    return max(1, int(np.ceil(np.log2(max(max_mode, 2)))))
+
+
+def max_record_spacing(k: int) -> float:
+    """The coarsest record spacing that band k's windows accept: their span
+    4 * 4^{-k} in MIN_WINDOW_SAMPLES intervals."""
+    return 2.0 * WINDOW_HALF_WIDTH * 4.0 ** (-k) / MIN_WINDOW_SAMPLES
+
+
 def _window_starts(traj: Trajectory, k: int, centers: np.ndarray):
     """Validated record spacing, first sample index and length of each window."""
     times = traj.times
@@ -133,7 +144,7 @@ def _window_starts(traj: Trajectory, k: int, centers: np.ndarray):
     if np.max(np.abs(dts - dt)) > 1e-9 * max(dt, 1e-300):
         raise ResolutionError("modulation decomposition needs uniform record spacing")
     half = WINDOW_HALF_WIDTH * 4.0 ** (-k)
-    need = 2.0 * half / MIN_WINDOW_SAMPLES
+    need = max_record_spacing(k)
     if dt > need * (1 + 1e-12):
         raise ResolutionError(
             f"record spacing {dt:.3e} too coarse for k={k}: need dt <= {need:.3e}"
@@ -340,9 +351,10 @@ def xk_norm(shells: ModulationShellSet, wt: WeightTable | None = None) -> float:
     )
 
 
-def _tk_grid(traj: Trajectory, k: int, T: float):
-    """Window centers: interior sliding grid of spacing 2^{-2k}/4, or a
-    single centered window (zero-extended data) when none fits."""
+def window_centers(traj: Trajectory, k: int, T: float):
+    """(centers, zero_extended) of band k's windows: the interior sliding
+    t_k grid of spacing 2^{-2k}/4, or a single centered window (zero-extended
+    data, flagged True) when none fits."""
     t0, t1 = traj.times[0], min(traj.times[-1], T)
     half = WINDOW_HALF_WIDTH * 4.0 ** (-k)
     lo, hi = t0 + half, t1 - half
@@ -353,11 +365,12 @@ def _tk_grid(traj: Trajectory, k: int, T: float):
     return np.array([0.5 * (t0 + t1)]), True
 
 
-def _window_table(traj: Trajectory, k: int, T: float) -> np.ndarray:
-    """_window_masses' mass_sq of the t_k grid, memoized per (k, T)."""
+def window_table(traj: Trajectory, k: int, T: float) -> np.ndarray:
+    """Squared shell masses mass_sq[w, c, j] of every window centre c of
+    window_centers (w = 0: F_k, 1: N_k, 2: F^s block), memoized per (k, T)."""
     key = (k, float(T))
     if key not in traj.window_tables:
-        centers, _ = _tk_grid(traj, k, T)
+        centers, _ = window_centers(traj, k, T)
         dt, m_lo, lengths = _window_starts(traj, k, centers)
         traj.window_tables[key] = _window_masses(traj, k, centers, dt, m_lo, lengths)[0]
     return traj.window_tables[key]
@@ -366,7 +379,7 @@ def _window_table(traj: Trajectory, k: int, T: float) -> np.ndarray:
 def _xk_sup(traj, k, T, wt, weighting) -> float:
     """sup over the t_k grid of the X_k sum of one weighting (0: F_k, 1: N_k,
     2: F^s block) of the window table."""
-    mass_sq = _window_table(traj, k, T)[weighting]
+    mass_sq = window_table(traj, k, T)[weighting]
     if wt is None:
         wt = WeightTable()
     coef = np.array([2.0 ** (j / 2.0) * wt.beta(j, k) for j in range(mass_sq.shape[1])])
@@ -386,9 +399,8 @@ def nk_norm(traj: Trajectory, k: int, T: float, wt: WeightTable | None = None) -
 def fs_norm(traj: Trajectory, s: float, T: float, wt: WeightTable | None = None) -> float:
     """(sum_k 2^{2sk} ||P_k traj||_{F_k(T)}^2)^{1/2} over the retained bands."""
     M = traj.grid.max_mode
-    k_max = max(0, int(np.ceil(np.log2(max(M, 2)))))
     total = 0.0
-    for k in range(0, k_max + 1):
+    for k in range(0, top_band(M) + 1):
         if not np.any(traj.half[:, chi(k, traj.grid.modes[M:]) != 0]):
             continue
         fk = _xk_sup(traj, k, T, wt, 2)

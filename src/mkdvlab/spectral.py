@@ -21,7 +21,7 @@ Conventions (used consistently across the package):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -60,7 +60,6 @@ class GridSpec:
     max_mode: int
     phys_points: int = 0
     dealias_factor: float = DEFAULT_DEALIAS_FACTOR
-    domain_length: float = field(default=TWO_PI)
 
     def __post_init__(self):
         if self.max_mode < 1:
@@ -76,8 +75,6 @@ class GridSpec:
             raise ConfigurationError(
                 f"phys_points={self.phys_points} < dealias_factor*(2*max_mode+1)={min_pts}"
             )
-        if abs(self.domain_length - TWO_PI) > 1e-15:
-            raise ConfigurationError("domain_length is fixed to 2*pi")
 
     @cached_property
     def modes(self) -> np.ndarray:

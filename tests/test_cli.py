@@ -108,8 +108,8 @@ class TestValidation:
         ("fifth-derivative", "initial_data.s=0", ("initial_data.s",)),
         ("fifth-derivative", "time.T=2", ("time.T",)),
         ("fifth-derivative", "grid.max_mode=7", ("grid.max_mode",)),
-        ("evolve", "initial_data.preset=counterexample_C5 initial_data.N=4", ("initial_data.N",)),
-        ("evolve", "initial_data.preset=counterexample_C3 initial_data.s=-2", ("initial_data.s",)),
+        # the counterexample data are not real, so no evolving subcommand takes them
+        ("evolve", "initial_data.preset=counterexample_C5", ("initial_data.preset",)),
     ])
     def test_out_of_range_named_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                command, item, fields):
@@ -119,7 +119,7 @@ class TestValidation:
             raise AssertionError("the run started")
 
         monkeypatch.setattr(cli, "evolve", no_run)
-        for name in ("growth_experiment", "eval_appendix_terms", "fifth_derivative_direct",
+        for name in ("growth_experiment", "eval_appendix_terms", "t2_duhamel_fifth",
                      "numeric_fifth_derivative"):
             monkeypatch.setattr(illposed, name, no_run)
         settings = [a for s in item.split() for a in ("--set", s)]
@@ -334,8 +334,23 @@ class TestResonance:
     def test_enum_negative_radius_named(self, tmp_path, capsys):
         code = run(["resonance-enum", "--out", str(tmp_path), "--radius", "-3"])
         assert code == 2
-        assert "radius" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: --radius: ")
         assert not (tmp_path / "mkdvlab_resonance_n3.csv").exists()
+
+    def test_enum_csv_rows(self, tmp_path):
+        from mkdvlab.resonance import enumerate_n3, enumerate_n5, resonance_g
+
+        assert run(["resonance-enum", "--out", str(tmp_path), "--n", "1", "--radius", "3"]) == 0
+        n3 = (tmp_path / "mkdvlab_resonance_n3.csv").read_text().splitlines()
+        n5 = (tmp_path / "mkdvlab_resonance_n5.csv").read_text().splitlines()
+        assert n3[0] == "n,n1,n2,n3,H,G" and n5[0] == "n,n1,n2,n3,n4,n5"
+        trips = enumerate_n3(1, 3)
+        assert [[int(v) for v in line.split(",")] for line in n3[1:]] == [
+            [1, a, b, c, h, resonance_g(a, b, c, 0)] for a, b, c, h in trips.tolist()
+        ]
+        assert [[int(v) for v in line.split(",")] for line in n5[1:]] == [
+            [1, *q] for q in enumerate_n5(1, 3).tolist()
+        ]
 
     def test_enum_far_n_writes_empty_csvs(self, tmp_path):
         n = "100000000000000000000"
@@ -366,6 +381,43 @@ class TestResonance:
         assert summary["counterexample"] == first.tolist()
         assert summary["identity_checks"] == 0
         assert man["wall_time_s"] > 0.0
+
+
+# subcommand -> (a small preset, its manifest's artifact name, its CSVs' names)
+SCHEMA_RUNS = {
+    "evolve": (["grid.max_mode=8", "time.T=0.001"], "evolve", ["evolve"]),
+    "conserve": (["grid.max_mode=8", "time.T=0.001"], "conserve", ["conserve"]),
+    "gauge-check": (["grid.max_mode=8", "time.T=0.001"], "gauge", ["gauge"]),
+    "miura-check": (["grid.max_mode=8", "time.T=0.001"], "miura", ["miura"]),
+    "resonance-enum": ([], "resonance_n3", ["resonance_n3", "resonance_n5"]),
+    "resonance-identity": ([], "resonance_identity", []),
+    "illposed-growth": (["sweep.Ns=64,128"], "growth", ["growth"]),
+    "appendix-b": (["sweep.Ns=64"], "appendix_b", ["appendix_b"]),
+    "norms": (["grid.max_mode=8", "initial_data.amplitudes=0.05", "time.T=0.08"],
+              "norms", ["norms", "norm_shells"]),
+    "fifth-derivative": (["grid.max_mode=16", "time.T=0.0005"],
+                         "fifth_derivative", ["fifth_derivative"]),
+}
+
+
+class TestManifestSchema:
+    @pytest.mark.parametrize("command", list(SCHEMA_RUNS))
+    def test_outputs_manifest_and_exit_code(self, tmp_path, command):
+        # the prefix holds artifact names, which no output path may rewrite
+        settings, manifest, tables = SCHEMA_RUNS[command]
+        prefix = "my_norms_n3"
+        flags = ["--radius", "3"] if command == "resonance-enum" else []
+        code = run([command, *flags, "--out", str(tmp_path), "--set", f"output.prefix={prefix}",
+                    *(a for s in settings for a in ("--set", s))])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"{prefix}_{name}.csv" for name in tables] + [f"{prefix}_{manifest}_manifest.json"]
+        )
+        man = json.loads((tmp_path / f"{prefix}_{manifest}_manifest.json").read_text())
+        assert set(man) == {"config", "code_version", "tolerances", "results_summary",
+                            "wall_time_s", "peak_rss_mib"}
+        summary = man["results_summary"]
+        assert ("passed" in summary) == (command not in ("evolve", "norms", "resonance-enum"))
+        assert code == (4 if summary.get("passed") is False else 0)
 
 
 class TestToleranceFailure:

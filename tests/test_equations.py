@@ -61,16 +61,6 @@ class TestGaugeParams:
         g = GridSpec(8)
         p = derive_gauge_params(SpectralField.zeros(g), 40.0)
         assert p.d1 == p.d2 == 0.0
-        assert p.gamma1 == p.gamma2 == 0.0
-        assert p.d3 == 20.0
-
-    def test_cosine_level_sets(self):
-        g = GridSpec(8)
-        f = SpectralField.from_modes(g, {1: 0.5, -1: 0.5})
-        p = derive_gauge_params(f, 40.0)
-        # integral cos^2 = pi ; integral sin^2 + cos^4 = pi + 3pi/4
-        assert p.gamma1 == pytest.approx(np.pi, rel=1e-12)
-        assert p.gamma2 == pytest.approx(np.pi + 3 * np.pi / 4, rel=1e-12)
 
     def test_cosine_gauge_constants_sequence_side(self):
         # d-constants live on the coefficient side where the renormalized

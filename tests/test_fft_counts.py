@@ -11,7 +11,7 @@ from mkdvlab import cli
 from mkdvlab.equations import EquationParams, RenormalizedTerms, derive_gauge_params
 from mkdvlab.integrate import StepControl, default_dt, evolve, uniform_steps
 from mkdvlab.invariants import drift_report
-from mkdvlab.shorttime import _tk_grid, fk_norm, fs_norm, nk_norm
+from mkdvlab.shorttime import fk_norm, fs_norm, nk_norm, window_centers
 from mkdvlab.spectral import GridSpec, SpectralField
 from mkdvlab.transforms import chain_identity_gap, gauge_forward, gauge_inverse, miura_residual
 
@@ -203,7 +203,7 @@ def all_norms(traj, ks):
 
 @pytest.mark.parametrize("ks", [range(1, 5), range(4, 0, -1)])
 def test_one_window_transform_per_k(fft_calls, norms_traj, ks):
-    extended = [_tk_grid(norms_traj, k, NORMS_T)[1] for k in range(5)]
+    extended = [window_centers(norms_traj, k, NORMS_T)[1] for k in range(5)]
     assert extended == [True] * 4 + [False]
     alone = fft_calls(fs_norm, dataclasses.replace(norms_traj), 1.0, NORMS_T)
     assert alone > 0
@@ -227,7 +227,7 @@ def test_norms_run_transforms_only_its_norms(fft_calls, monkeypatch, tmp_path):
     assert cli.main(args + ["--out", str(tmp_path)]) == 0
     run = fft_calls.counter["n"]
     (traj,) = trajs
-    assert [_tk_grid(traj, k, NORMS_T)[1] for k in range(5)] == [True] * 4 + [False]
+    assert [window_centers(traj, k, NORMS_T)[1] for k in range(5)] == [True] * 4 + [False]
     assert run == fft_calls(all_norms, dataclasses.replace(traj), range(1, 5)) > 0
 
 
@@ -235,7 +235,7 @@ def test_zero_extended_table_transforms_independent_of_dt(fft_calls):
     # the k = 0 window of 64 records spans 4/dt = 4e5 or 4e6 samples; its
     # table transforms the 64 records alike at both
     from mkdvlab.integrate import Trajectory
-    from mkdvlab.shorttime import _window_table
+    from mkdvlab.shorttime import window_table
 
     rng = np.random.default_rng(7)
     half = rng.standard_normal((64, 17)) + 1j * rng.standard_normal((64, 17))
@@ -244,7 +244,7 @@ def test_zero_extended_table_transforms_independent_of_dt(fft_calls):
     for dt in (1e-5, 1e-6):
         traj = Trajectory(GridSpec(16), dt * np.arange(64), half,
                           EquationParams.constrained_family(40.0), "physical_5mkdv", dt, 1)
-        calls = fft_calls(_window_table, traj, 0, float(traj.times[-1]))
+        calls = fft_calls(window_table, traj, 0, float(traj.times[-1]))
         counts.append((calls, fft_calls.counter["points"]))
     # one fft of the two n >= 0 columns of chi_0 and one ifft of the two
     # weightings, each next_fast_len(2 * 64 - 1) = 128 long

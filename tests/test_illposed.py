@@ -26,14 +26,13 @@ from oracles import (
 
 import mkdvlab
 from mkdvlab.equations import EquationParams, RenormalizedTerms
-from mkdvlab.errors import ConditioningError, ConfigurationError
+from mkdvlab.errors import ConditioningError
 from mkdvlab.illposed import (
     CounterexampleSpec,
     _check_osc_bound,
     _quintic_table,
     _resonant_cells,
     _sum_by_mode,
-    build_counterexample_data,
     counterexample_support,
     eval_appendix_terms,
     eval_c3_cubic,
@@ -136,16 +135,6 @@ class TestCounterexampleData:
     def test_c3_support(self):
         spec = CounterexampleSpec(N=8, s=1.0, variant="C3")
         assert set(counterexample_support(spec)) == {-1, 1, 8}
-
-    def test_field_not_hermitian(self):
-        grid = GridSpec(16)
-        f = build_counterexample_data(CounterexampleSpec(N=8, s=1.0), grid)
-        assert not f.is_real()
-
-    def test_grid_too_small(self):
-        grid = GridSpec(8)
-        with pytest.raises(ConfigurationError):
-            build_counterexample_data(CounterexampleSpec(N=16, s=1.0), grid)
 
     @pytest.mark.parametrize("N", [8, 64, 512])
     @pytest.mark.parametrize("s", [0.25, 0.5, 1.0])

@@ -113,3 +113,59 @@ def test_transform_call_check_catches_each_breach():
         "fft(x)",
     ):
         assert transform_call_breaches(line + "\n", traced), line
+
+
+def private_imports(source: str) -> list:
+    """Lines of a mkdvlab module that import an underscore name from another
+    mkdvlab module, or read one from a mkdvlab module it imported."""
+    tree = ast.parse(source)
+    modules, breaches = set(), []
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "mkdvlab"):
+            for a in node.names:
+                if private(a.name):
+                    breaches.append((node.lineno, f"{node.module or '.'}.{a.name}"))
+                elif node.module is None:  # from . import module
+                    modules.add(a.asname or a.name)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "mkdvlab":
+                    if any(private(part) for part in a.name.split(".")):
+                        breaches.append((node.lineno, a.name))
+                    modules.add(a.asname or a.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            breaches.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return breaches
+
+
+def test_modules_import_only_public_names():
+    # a module's underscore names are its own: another module that needs one
+    # needs a public name for it
+    bad = {
+        path.name: breaches
+        for path in sorted((ROOT / "src" / "mkdvlab").glob("*.py"))
+        if (breaches := private_imports(path.read_text()))
+    }
+    assert bad == {}
+
+
+def test_private_import_check_catches_each_breach():
+    good = ("from . import __version__, equations\nfrom .spectral import BATCH_ELEMENTS as _B\n"
+            "import numpy as np\nnp._x\nequations.rhs\n")
+    assert private_imports(good) == []
+    for line in (
+        "from .shorttime import fk_norm, _tk_grid",
+        "from mkdvlab.shorttime import _tk_grid",
+        "from .. import _private",
+        "from . import equations\nequations._physical_divergence",
+        "import mkdvlab.shorttime as st\nst._window_table",
+        "import mkdvlab._private",
+    ):
+        assert private_imports(line + "\n"), line

@@ -236,18 +236,3 @@ def test_n3_records_property(n, radius):
 @given(n=st.integers(-40, 40), radius=st.integers(0, 8))
 def test_n5_records_property(n, radius):
     assert_plane_records(enumerate_n5(n, radius), n, radius, 5)
-
-
-class TestCsv:
-    def test_triples_csv(self, tmp_path):
-        from mkdvlab.resonance import write_triples_csv
-
-        trips = enumerate_n3(0, 2)
-        path = tmp_path / "n3.csv"
-        write_triples_csv(path, 0, trips, d1=1)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,n1,n2,n3,H,G"
-        assert len(lines) == len(trips) + 1
-        n, a, b, c, h, g = (int(v) for v in lines[1].split(","))
-        assert (n, a, b, c, h) == (0, trips.n1[0], trips.n2[0], trips.n3[0], trips.h_value[0])
-        assert g == resonance_g(a, b, c, 1)

@@ -14,15 +14,15 @@ from mkdvlab.shorttime import (
     _lag_basis,
     _lag_kernels,
     _shell_edges,
-    _tk_grid,
     _window_masses,
     _window_starts,
-    _window_table,
     beta_weight,
     fk_norm,
     fs_norm,
     modulation_decompose,
     nk_norm,
+    window_centers,
+    window_table,
     xk_norm,
 )
 from mkdvlab.spectral import GridSpec, SpectralField, sobolev_norm
@@ -176,7 +176,7 @@ class TestXkNorm:
 class TestFkNorm:
     def test_stationarity_linear_wave(self):
         traj = linear_wave_trajectory(4)
-        centers, extended = _tk_grid(traj, 4, traj.times[-1])
+        centers, extended = window_centers(traj, 4, traj.times[-1])
         assert not extended
         vals = [xk_norm(modulation_decompose(traj, 4, t)) for t in centers[::7]]
         assert (max(vals) - min(vals)) / max(vals) < 0.05
@@ -329,7 +329,7 @@ class TestBatchedWindowsMatchOracle:
     def test_zero_extended_windows(self, norms_traj, k):
         from oracles import xk_sup_oracle
 
-        centers, extended = _tk_grid(norms_traj, k, NORMS_T)
+        centers, extended = window_centers(norms_traj, k, NORMS_T)
         assert extended and len(centers) == 1
         assert_shells_match(norms_traj, k, centers[0])
         if k >= 1:
@@ -341,7 +341,7 @@ class TestBatchedWindowsMatchOracle:
     def test_sliding_windows_of_two_lengths(self, norms_traj, k):
         from oracles import xk_sup_oracle
 
-        centers, extended = _tk_grid(norms_traj, k, NORMS_T)
+        centers, extended = window_centers(norms_traj, k, NORMS_T)
         assert not extended
         lengths = {assert_shells_match(norms_traj, k, t) for t in centers[::3]}
         assert len(lengths) == 2
@@ -448,7 +448,7 @@ def test_half_band_table_matches_full_band_oracle(norms_traj, odd_traj, which, k
     from oracles import window_masses_full_band_oracle
 
     traj = norms_traj if which == "norms" else odd_traj
-    centers, ext = _tk_grid(traj, k, float(traj.times[-1]))
+    centers, ext = window_centers(traj, k, float(traj.times[-1]))
     dt, m_lo, lengths = _window_starts(traj, k, centers)
     assert ext == extended and {int(L) % 2 for L in lengths} == parities
     mass_sq, l2_sq = _window_masses(traj, k, centers, dt, m_lo, lengths)
@@ -462,7 +462,7 @@ def test_half_band_table_matches_full_band_oracle(norms_traj, odd_traj, which, k
 @pytest.mark.parametrize("k", range(7))
 def test_parseval_closure_every_window(norms_traj, k):
     # the F_k masses of every window add up to its squared L^2(dt) norm
-    centers, _ = _tk_grid(norms_traj, k, NORMS_T)
+    centers, _ = window_centers(norms_traj, k, NORMS_T)
     mass_sq, l2_sq = _window_masses(norms_traj, k, centers, *_window_starts(norms_traj, k, centers))
     assert np.all(np.abs(mass_sq[0].sum(axis=1) - l2_sq) <= 1e-13 * l2_sq)
 
@@ -490,7 +490,7 @@ def test_bins_converge_to_continuous_masses(norms_traj, odd_traj, which, k):
     from oracles import window_bins_oracle
 
     traj = norms_traj if which == "norms" else odd_traj
-    centers, _ = _tk_grid(traj, k, float(traj.times[-1]))
+    centers, _ = window_centers(traj, k, float(traj.times[-1]))
     t_k = centers[len(centers) // 2]
     sh = modulation_decompose(traj, k, t_k)
     total = sh.window_l2**2
@@ -524,7 +524,7 @@ def test_chunked_pass_working_sets(norms_traj, peak_above):
     budget = spectral.BATCH_ELEMENTS * 16
     assert budget == 2 * 2**20
     traj = dataclasses.replace(norms_traj)  # no memoized tables
-    passes = {f"k={k}": (_window_table, traj, k, NORMS_T) for k in range(7)}
+    passes = {f"k={k}": (window_table, traj, k, NORMS_T) for k in range(7)}
     passes.update(drift_report=(drift_report, traj, 40.0), gauge_forward=(gauge_forward, traj))
     above = {}
     for name, (fn, *args) in passes.items():
@@ -567,12 +567,12 @@ def test_lag_basis_built_once_per_trajectory(norms_traj, monkeypatch):
     fs_norm(traj, 1.0, NORMS_T)
     assert builds == [len(traj)]
     for k in range(7):
-        centers, _ = _tk_grid(traj, k, NORMS_T)
+        centers, _ = window_centers(traj, k, NORMS_T)
         dt, m_lo, lengths = _window_starts(traj, k, centers)
         R = int(np.max(np.minimum(m_lo + lengths, len(traj)) - np.maximum(m_lo, 0)))
         alone = dataclasses.replace(norms_traj)
         alone.window_tables["lag basis"] = _lag_basis(dt, R)
-        assert np.array_equal(_window_table(alone, k, NORMS_T), _window_table(traj, k, NORMS_T))
+        assert np.array_equal(window_table(alone, k, NORMS_T), window_table(traj, k, NORMS_T))
 
 
 @pytest.mark.parametrize("dt", [1e-5, 1e-6])
@@ -587,6 +587,6 @@ def test_zero_extended_table_memory_independent_of_dt(dt, peak_above):
     half[:, 0] = half[:, 0].real  # records of real data
     traj = Trajectory(GridSpec(16), times, half, EquationParams.constrained_family(40.0),
                       "physical_5mkdv", dt, 1)
-    peak, _, mass_sq = peak_above(_window_table, traj, 0, float(times[-1]))
+    peak, _, mass_sq = peak_above(window_table, traj, 0, float(times[-1]))
     assert mass_sq.shape == (3, 1, len(_shell_edges(dt)) - 1) and mass_sq.all()
     assert peak < 16 * 2**20
