@@ -17,7 +17,6 @@ from .equations import (
 from .integrate import StepControl, Trajectory, evolve
 from .invariants import (
     HamiltonianReport,
-    ModifiedEnergyParams,
     drift_report,
     es_energy,
     hamiltonian_h0,
@@ -48,7 +47,6 @@ __all__ = [
     "EquationParams",
     "GridSpec",
     "HamiltonianReport",
-    "ModifiedEnergyParams",
     "RenormalizedTerms",
     "SpectralField",
     "StepControl",

@@ -48,7 +48,7 @@ from .equations import EquationParams, RenormalizedTerms, derive_gauge_params, f
 from .errors import ConfigurationError, DivergenceError, MkdvLabError, ParameterError
 from .integrate import StepControl, evolve, step_plan, uniform_steps
 from .invariants import drift_report
-from .spectral import GridSpec, SpectralField, hermitian_extend, row_chunks, sobolev_norm
+from .spectral import GridSpec, SpectralField, hermitian_extend, row_chunks, sobolev_norm, top_band
 from .transforms import chain_identity_gap, gauge_forward, kdv_residual_values, miura_residual
 
 EXIT_OK = 0
@@ -61,12 +61,12 @@ FLOAT_FMT = "{:.16e}"
 #: Cap on the complex entries a run may hold: 2**26 entries is 1 GiB, an
 #: eighth of an 8 GiB machine.  It bounds the record buffers a subcommand
 #: keeps at once, records x (max_mode+1) half-spectrum entries each, and,
-#: through phys_points <= MAX_ENTRIES // 64, evolve's working arrays of about
-#: 28 entries per collocation point.
+#: through 3*(2*max_mode+1) <= MAX_ENTRIES // 64 collocation points, evolve's
+#: working arrays of about 28 entries per point.
 MAX_ENTRIES = 1 << 26
 
 DEFAULTS = {
-    "grid": {"max_mode": "64", "phys_points": "0", "dealias_factor": "3"},
+    "grid": {"max_mode": "64"},
     "equation": {"c1": "40", "c2": "10", "c3": "10", "c4": "-30",
                  "d1": "", "d2": "", "tag": "physical_5mkdv"},
     "initial_data": {"preset": "cosine", "amplitudes": "0.1,0.05",
@@ -205,18 +205,13 @@ def load_config(path: str | None, overrides) -> ExperimentConfig:
 
 def build_grid(cfg: ExperimentConfig) -> GridSpec:
     max_mode = cfg.get_int("grid", "max_mode", positive=True)
-    phys = cfg.get_int("grid", "phys_points")
-    factor = cfg.get_float("grid", "dealias_factor")
     cap = MAX_ENTRIES // 64
-    # checked before GridSpec sizes anything; 3 is the least dealias factor
-    for name, points in (("grid.max_mode", 3 * (2 * max_mode + 1)),
-                         ("grid.phys_points", phys),
-                         ("grid.dealias_factor", factor * (2 * max_mode + 1))):
-        if points > cap:
-            raise ConfigurationError(
-                f"{name}: asks for {points:.4g} collocation points, above the cap of {cap}"
-            )
-    return GridSpec(max_mode, phys_points=phys, dealias_factor=factor)
+    points = 3 * (2 * max_mode + 1)  # checked before GridSpec sizes anything
+    if points > cap:
+        raise ConfigurationError(
+            f"grid.max_mode: asks for {points:.4g} collocation points, above the cap of {cap}"
+        )
+    return GridSpec(max_mode)
 
 
 def build_initial_data(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
@@ -544,7 +539,7 @@ def _window_records(grid: GridSpec, T: float, ctrl: StepControl):
     shorttime.max_record_spacing, so a dt above it is replaced, a kept user dt
     records at the coarsest stride that spaces records evenly within it, and a
     user stride that does not is rejected."""
-    from .shorttime import max_record_spacing, top_band
+    from .shorttime import max_record_spacing
 
     spacing = max_record_spacing(top_band(grid.max_mode))
     if ctrl.dt == 0 or ctrl.dt > spacing:
@@ -569,18 +564,11 @@ def _window_records(grid: GridSpec, T: float, ctrl: StepControl):
 
 
 def cmd_norms(cfg: ExperimentConfig, args) -> Outcome:
-    from .shorttime import (
-        WeightTable,
-        fk_norm,
-        fs_norm,
-        nk_norm,
-        top_band,
-        window_centers,
-        window_table,
-    )
+    from .shorttime import beta_weight, fk_norm, fs_norm, nk_norm, window_centers, window_table
 
     run = build_run(cfg, records=_window_records)
-    wt = _in_field("norms.gamma", WeightTable, cfg.get_float("norms", "gamma"))
+    gamma = cfg.get_float("norms", "gamma")
+    _in_field("norms.gamma", beta_weight, 0, 1, gamma)  # checks gamma before the run
     s = cfg.get_float("norms", "s")
     T = run.T
     t_evolve = time.perf_counter()
@@ -591,16 +579,16 @@ def cmd_norms(cfg: ExperimentConfig, args) -> Outcome:
     rows = []
     shell_rows = []
     for k in range(1, k_max + 1):
-        rows.append((k, fk_norm(traj, k, T, wt), nk_norm(traj, k, T, wt)))
+        rows.append((k, fk_norm(traj, k, T, gamma), nk_norm(traj, k, T, gamma)))
         # every shell mass of the middle window, from the table fk_norm built
         centers, _ = grids[k]
         c = len(centers) // 2
         for j, m_sq in enumerate(window_table(traj, k, T)[0, c]):
             shell_rows.append((k, float(centers[c]), j, float(np.sqrt(m_sq))))
-    fs = fs_norm(traj, s, T, wt)
+    fs = fs_norm(traj, s, T, gamma)
     t_done = time.perf_counter()
     return Outcome(
-        {"fs_norm": fs, "s": s, "gamma": wt.gamma,
+        {"fs_norm": fs, "s": s, "gamma": gamma,
          "dt": traj.dt, "record_stride": traj.record_stride,
          "evolve_s": t_tables - t_evolve, "tables_s": t_done - t_tables,
          "zero_extended_k": [k for k, (_, ext) in grids.items() if ext],
@@ -699,9 +687,6 @@ def main(argv=None) -> int:
         if args.out:
             cfg.raw.set("output", "dir", args.out)
         return run_command(args.command, cfg, args)
-    except (ConfigurationError, ParameterError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE

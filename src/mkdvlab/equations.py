@@ -75,12 +75,12 @@ class EquationParams:
         return cls(c1=c1, c2=c1 / 4.0, c3=c1 / 4.0, c4=-3.0 * c1**2 / 160.0)
 
 
-def check_constraints(c1, c2, c3, c4, rtol: float = CONSTRAINT_RTOL) -> bool:
-    """True iff c2 = c3 = c1/4 and c4 = -3*c1^2/160 within rtol."""
-    scale1 = max(abs(c1) / 4.0, abs(c2), abs(c3), 1e-300)
-    scale4 = max(abs(c4), 3.0 * c1**2 / 160.0, 1e-300)
-    ok23 = abs(c2 - c1 / 4.0) <= rtol * scale1 and abs(c3 - c1 / 4.0) <= rtol * scale1
-    ok4 = abs(c4 + 3.0 * c1**2 / 160.0) <= rtol * scale4
+def check_constraints(c1, c2, c3, c4) -> bool:
+    """True iff c2 = c3 = c1/4 and c4 = -3*c1^2/160 within CONSTRAINT_RTOL."""
+    tol1 = CONSTRAINT_RTOL * max(abs(c1) / 4.0, abs(c2), abs(c3), 1e-300)
+    tol4 = CONSTRAINT_RTOL * max(abs(c4), 3.0 * c1**2 / 160.0, 1e-300)
+    ok23 = abs(c2 - c1 / 4.0) <= tol1 and abs(c3 - c1 / 4.0) <= tol1
+    ok4 = abs(c4 + 3.0 * c1**2 / 160.0) <= tol4
     return bool(ok23 and ok4)
 
 

@@ -113,7 +113,6 @@ class CounterexampleSpec:
     variant: str = "C5"
     t: float = 1.0e-4
     d1: int = 0
-    d2: int = 0
 
     def __post_init__(self):
         if self.N < 8:
@@ -200,18 +199,18 @@ def _leaf_triples(legs: np.ndarray, vals: np.ndarray, a3: bool = True) -> tuple:
     return idx, m, n, vals[idx[:, 0]] * vals[idx[:, 1]] * vals[idx[:, 2]]
 
 
-def _exact_mu(ints: np.ndarray, d1, d2) -> np.ndarray:
+def _exact_mu(ints: np.ndarray, d1) -> np.ndarray:
     """mu at every entry of an int64 array, as exact Python ints in an object
     array of the same shape; mu is evaluated once per distinct integer."""
     vals, inv = np.unique(ints, return_inverse=True)
-    mu = np.array([dispersion_mu(m, d1, d2) for m in vals.tolist()], dtype=object)
+    mu = np.array([dispersion_mu(m, d1, 0) for m in vals.tolist()], dtype=object)
     return mu[inv.reshape(np.shape(ints))]
 
 
-def _cubic_phases(legs: np.ndarray, d1=0, d2=0) -> np.ndarray:
+def _cubic_phases(legs: np.ndarray, d1=0) -> np.ndarray:
     """phi = -mu(a+b+c) + mu(a) + mu(b) + mu(c) per row (a, b, c) of legs,
     as exact ints (resonance.phi_cubic, one array pass)."""
-    mu = _exact_mu(np.column_stack([legs.sum(axis=1), legs]), d1, d2)
+    mu = _exact_mu(np.column_stack([legs.sum(axis=1), legs]), d1)
     return -mu[:, 0] + mu[:, 1:].sum(axis=1)
 
 
@@ -325,7 +324,7 @@ def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_t
     )
     key_slot, key_a, key_b = np.unravel_index(keys, shape)
     outer_keys = np.stack([legs[key_a], legs[key_b], slot_vals[key_slot]], axis=1)
-    phases = _cubic_phases(np.concatenate([inner, outer_keys]), spec.d1, spec.d2)
+    phases = _cubic_phases(np.concatenate([inner, outer_keys]), spec.d1)
     phi_in = phases[:len(inner)][i]
     phi_out = phases[len(inner):][outer_of_pair.reshape(-1)]
     return _QuinticTable(
@@ -382,7 +381,7 @@ def m0_tuple(spec: CounterexampleSpec) -> QuinticTuple:
     return QuinticTuple(
         N, outer, M0_SLOT, inner, "cubic2", "cubic2", amp,
         _CUBIC_KERNELS["cubic2"](*outer), _CUBIC_KERNELS["cubic2"](*inner),
-        phi_cubic(N, *outer, spec.d1, spec.d2), phi_cubic(N - 1, *inner, spec.d1, spec.d2),
+        phi_cubic(N, *outer, spec.d1), phi_cubic(N - 1, *inner, spec.d1),
     )
 
 
@@ -527,7 +526,7 @@ def _resonant_cells(support: dict, spec: CounterexampleSpec, cubics) -> tuple:
     t = spec.t
     legs, vals = _leaves(support, list(support))
     idx, m, n, amp_in = _leaf_triples(legs, vals)
-    phi = _cubic_phases(m, spec.d1, spec.d2)
+    phi = _cubic_phases(m, spec.d1)
     # w3 of the resonant term alone, per leaf
     w3_amp = (-20j * legs**3) * vals * vals * np.conj(vals)
 
@@ -586,13 +585,13 @@ class GrowthRow:
     slope_running: float
 
 
-def growth_experiment(Ns, s: float, t: float, variant: str = "C5", d1: int = 0, d2: int = 0):
+def growth_experiment(Ns, s: float, t: float, variant: str = "C5"):
     """Per-N norms of the resonant quintic term and the remainders, plus the
     least-squares slope of log ||D0|| against log N."""
     rows = []
     logs = []
     for N in Ns:
-        spec = CounterexampleSpec(N=int(N), s=s, variant=variant, t=t, d1=d1, d2=d2)
+        spec = CounterexampleSpec(N=int(N), s=s, variant=variant, t=t)
         if variant == "C5":
             rep = eval_appendix_terms(spec)
             d0n = rep.d0_hsnorm
@@ -636,7 +635,7 @@ def fifth_derivative_direct(
         parts.extend(_resonant_cells(support, spec, cubics))
     out = _sum_by_mode(*parts) if parts else {}
     # attach the linear phase
-    return {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, spec.d2)) * t)
+    return {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, 0)) * t)
             for n, v in out.items()}
 
 
@@ -649,7 +648,7 @@ def _quintic_term_cells(support, spec) -> tuple:
     n = legs[idx].sum(axis=0)
     keep = np.all(legs[idx] != n, axis=0)
     idx, n = idx[:, keep], n[keep]
-    mu = _exact_mu(np.concatenate([legs, n]), spec.d1, spec.d2)
+    mu = _exact_mu(np.concatenate([legs, n]), spec.d1)
     phi = -mu[len(legs):] + mu[:len(legs)][idx].sum(axis=0)
     amp = vals[idx[0]] * vals[idx[1]] * vals[idx[2]] * vals[idx[3]] * vals[idx[4]]
     return n, (6j * n) * amp * osc_single(phi, spec.t)
@@ -673,7 +672,7 @@ def t2_duhamel_fifth(
         n, v = tab.n[live], tab.normal_form_values(t, live)
         skipped = int(np.count_nonzero(~live)) * math.prod(v.shape[1:])
     out = _sum_by_mode((n, v))
-    out = {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, spec.d2)) * t)
+    out = {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, 0)) * t)
            for n, v in out.items()}
     return out, skipped
 

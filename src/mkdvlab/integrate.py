@@ -115,9 +115,9 @@ class _EtdRk4Coefficients:
     Where L = 0 they take their exact real limits, so a mode with mu = 0
     (the mean, c(0)) stays real whenever the nonlinearity keeps it real."""
 
-    def __init__(self, imu: np.ndarray, dt: float, n_points: int = 32):
+    def __init__(self, imu: np.ndarray, dt: float):
         L = imu * dt
-        r = np.exp(2j * np.pi * (np.arange(n_points) + 0.5) / n_points)
+        r = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
         z = L[:, None] + r[None, :]
         ez = np.exp(z)
         self.E = np.exp(L)

@@ -15,13 +15,13 @@ memory does not grow with the record count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 from .integrate import Trajectory
-from .spectral import GridSpec, SpectralField, chi, half_spectrum, project_pk, psi
+from .spectral import GridSpec, SpectralField, chi, half_spectrum, project_pk, psi, top_band
 
 TWO_PI = 2.0 * np.pi
 
@@ -98,12 +98,9 @@ def drift_report(traj: Trajectory, c1: float) -> HamiltonianReport:
 # Localized modified energy E_k
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModifiedEnergyParams:
-    """Correction weights; the defaults are the proof's choice."""
-
-    kappa: float = -4.0 / 3.0
-    epsilon: float = -2.0 / 3.0
+#: The proof's weights of the psi_k and chi_k cubic corrections of E_k.
+KAPPA = -4.0 / 3.0
+EPSILON = -2.0 / 3.0
 
 
 def _ek_correction(grid: GridSpec, v1c, v2c, wc, k: int, weight3: np.ndarray) -> complex:
@@ -148,16 +145,13 @@ def modified_energy_ek(
     v2: SpectralField,
     w: SpectralField,
     k: int,
-    mp: ModifiedEnergyParams | None = None,
 ) -> float:
-    """||P_k w||^2 plus the kappa/psi and epsilon/chi cubic corrections,
+    """||P_k w||^2 plus the KAPPA/psi and EPSILON/chi cubic corrections,
     summed over the (l, m) pairs (1,1), (1,2), (2,2) with equal weights.
 
     Defined for k >= 1 (the k = 0 block carries no correction)."""
     if k < 1:
         raise ParameterError("modified energy E_k is defined for k >= 1")
-    if mp is None:
-        mp = ModifiedEnergyParams()
     grid = w.grid
     w.require_real(what="modified energy w")
     pkw = project_pk(w, k)
@@ -168,7 +162,7 @@ def modified_energy_ek(
     for a, b in ((v1.coeff, v1.coeff), (v1.coeff, v2.coeff), (v2.coeff, v2.coeff)):
         s_psi = _ek_correction(grid, a, b, w.coeff, k, psik)
         s_chi = _ek_correction(grid, a, b, w.coeff, k, chik)
-        total += mp.kappa * s_psi.real + mp.epsilon * s_chi.real
+        total += KAPPA * s_psi.real + EPSILON * s_chi.real
     return total
 
 
@@ -191,9 +185,8 @@ def es_energy(traj: Trajectory, s: float, T: float | None = None) -> float:
     half = traj.half[mask]
     n = half_spectrum(grid).n
     twice = np.where(n > 0, 2.0, 1.0)
-    k_max = max(1, int(np.ceil(np.log2(max(M, 2)))) + 1)
     total = float(twice @ np.abs(chi(0, n) * half[0]) ** 2)
-    for k in range(1, k_max + 1):
+    for k in range(1, top_band(M) + 1):
         chik = chi(k, n)
         if not np.any(chik):
             continue

@@ -69,7 +69,7 @@ from .errors import ParameterError, ResolutionError
 from .equations import linear_symbol
 from .integrate import Trajectory
 from .spectral import BATCH_ELEMENTS as _BATCH_ELEMENTS  # bound here, so tests can shrink it
-from .spectral import chi, eta0
+from .spectral import chi, eta0, top_band
 
 GAMMA_DEFAULT = 0.25
 WINDOW_HALF_WIDTH = 2.0  # support of eta0 in scaled units
@@ -90,19 +90,10 @@ def beta_weight(j: int, k: int, gamma: float = GAMMA_DEFAULT) -> float:
     return 1.0 + 2.0 ** (gamma * (j - 5 * k))
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Weight parameters for the X_k sums: every modulation shell j of the
-    discrete surrogate carries 2^{j/2} beta_{j,k}."""
-
-    gamma: float = GAMMA_DEFAULT
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 0.25:
-            raise ParameterError(f"gamma must lie in (0, 1/4], got {self.gamma}")
-
-    def beta(self, j: int, k: int) -> float:
-        return beta_weight(j, k, self.gamma)
+def _xk_weights(k: int, shells: int, gamma: float) -> np.ndarray:
+    """2^{j/2} beta_{j,k}, the X_k weight of modulation shell j, for
+    j = 0..shells-1."""
+    return np.array([2.0 ** (j / 2.0) * beta_weight(j, k, gamma) for j in range(shells)])
 
 
 @dataclass
@@ -121,11 +112,6 @@ class ModulationShellSet:
 
     def total_mass_sq(self) -> float:
         return float(sum(m * m for m in self.shells.values()))
-
-
-def top_band(max_mode: int) -> int:
-    """k_max, the last dyadic band k = 0..k_max of a grid of max_mode modes."""
-    return max(1, int(np.ceil(np.log2(max(max_mode, 2)))))
 
 
 def max_record_spacing(k: int) -> float:
@@ -339,16 +325,10 @@ def modulation_decompose(traj: Trajectory, k: int, t_k: float) -> ModulationShel
     return ModulationShellSet(k, t_k, shells, float(np.sqrt(l2_sq[0])), n, dt, zero_extended)
 
 
-def xk_norm(shells: ModulationShellSet, wt: WeightTable | None = None) -> float:
+def xk_norm(shells: ModulationShellSet, gamma: float = GAMMA_DEFAULT) -> float:
     """sum_j 2^{j/2} beta_{j,k} * (shell mass)."""
-    if wt is None:
-        wt = WeightTable()
-    return float(
-        sum(
-            2.0 ** (j / 2.0) * wt.beta(j, shells.k) * m
-            for j, m in shells.shells.items()
-        )
-    )
+    coef = _xk_weights(shells.k, max(shells.shells, default=-1) + 1, gamma)
+    return float(sum(coef[j] * m for j, m in shells.shells.items()))
 
 
 def window_centers(traj: Trajectory, k: int, T: float):
@@ -376,33 +356,31 @@ def window_table(traj: Trajectory, k: int, T: float) -> np.ndarray:
     return traj.window_tables[key]
 
 
-def _xk_sup(traj, k, T, wt, weighting) -> float:
+def _xk_sup(traj, k, T, gamma, weighting) -> float:
     """sup over the t_k grid of the X_k sum of one weighting (0: F_k, 1: N_k,
     2: F^s block) of the window table."""
     mass_sq = window_table(traj, k, T)[weighting]
-    if wt is None:
-        wt = WeightTable()
-    coef = np.array([2.0 ** (j / 2.0) * wt.beta(j, k) for j in range(mass_sq.shape[1])])
+    coef = _xk_weights(k, mass_sq.shape[1], gamma)
     return max(0.0, float(np.max(np.sqrt(mass_sq) @ coef)))
 
 
-def fk_norm(traj: Trajectory, k: int, T: float, wt: WeightTable | None = None) -> float:
+def fk_norm(traj: Trajectory, k: int, T: float, gamma: float = GAMMA_DEFAULT) -> float:
     """sup over the t_k grid of the X_k norm of the windowed data."""
-    return _xk_sup(traj, k, T, wt, 0)
+    return _xk_sup(traj, k, T, gamma, 0)
 
 
-def nk_norm(traj: Trajectory, k: int, T: float, wt: WeightTable | None = None) -> float:
+def nk_norm(traj: Trajectory, k: int, T: float, gamma: float = GAMMA_DEFAULT) -> float:
     """Like fk_norm with the resolvent weight (tau - mu(n) + i 2^{2k})^{-1}."""
-    return _xk_sup(traj, k, T, wt, 1)
+    return _xk_sup(traj, k, T, gamma, 1)
 
 
-def fs_norm(traj: Trajectory, s: float, T: float, wt: WeightTable | None = None) -> float:
+def fs_norm(traj: Trajectory, s: float, T: float, gamma: float = GAMMA_DEFAULT) -> float:
     """(sum_k 2^{2sk} ||P_k traj||_{F_k(T)}^2)^{1/2} over the retained bands."""
     M = traj.grid.max_mode
     total = 0.0
     for k in range(0, top_band(M) + 1):
         if not np.any(traj.half[:, chi(k, traj.grid.modes[M:]) != 0]):
             continue
-        fk = _xk_sup(traj, k, T, wt, 2)
+        fk = _xk_sup(traj, k, T, gamma, 2)
         total += 4.0 ** (s * k) * fk * fk
     return float(np.sqrt(total))

@@ -38,43 +38,23 @@ TWO_PI = 2.0 * np.pi
 #: record count.
 BATCH_ELEMENTS = 1 << 17
 
-#: Default padding factor: a 5-fold product of band-limited factors is
-#: alias-free on the retained band once phys_points >= 3*(2*max_mode+1).
-DEFAULT_DEALIAS_FACTOR = 3.0
-
-
-def _next_fast_len(n: int) -> int:
-    return sfft.next_fast_len(int(n), real=True)
-
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Collocation grid for a 2*pi-periodic real field.
-
-    max_mode: largest retained |n|.
-    phys_points: number of collocation points; must be at least
-        dealias_factor * (2*max_mode + 1) so quintic products are alias-free.
-    dealias_factor: padding rule, >= 3 for the quintic nonlinearity.
-    """
+    """Collocation grid for a 2*pi-periodic real field of the modes
+    |n| <= max_mode, sampled at phys_points = next_fast_len(3*(2*max_mode+1))
+    points, so quintic products of band-limited factors are alias-free on
+    the retained band."""
 
     max_mode: int
-    phys_points: int = 0
-    dealias_factor: float = DEFAULT_DEALIAS_FACTOR
 
     def __post_init__(self):
         if self.max_mode < 1:
             raise ConfigurationError(f"max_mode must be positive, got {self.max_mode}")
-        points = self.dealias_factor * (2 * self.max_mode + 1)
-        if not (self.dealias_factor >= 3.0 and np.isfinite(points)):
-            raise ConfigurationError(f"dealias_factor must be >= 3 for quintic products and "
-                                     f"give finite sizes, got {self.dealias_factor}")
-        min_pts = int(np.ceil(points))
-        if self.phys_points == 0:
-            object.__setattr__(self, "phys_points", _next_fast_len(min_pts))
-        if self.phys_points < min_pts:
-            raise ConfigurationError(
-                f"phys_points={self.phys_points} < dealias_factor*(2*max_mode+1)={min_pts}"
-            )
+
+    @cached_property
+    def phys_points(self) -> int:
+        return sfft.next_fast_len(3 * (2 * self.max_mode + 1), real=True)
 
     @cached_property
     def modes(self) -> np.ndarray:
@@ -132,14 +112,6 @@ class SpectralField:
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeff.copy())
-
-    def hermitian_defect(self) -> float:
-        """max_n |coeff(-n) - conj(coeff(n))|, zero for real fields."""
-        return float(np.max(np.abs(self.coeff[::-1] - np.conj(self.coeff))))
-
-    def is_real(self, tol: float = 1e-10) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.coeff))))
-        return self.hermitian_defect() <= tol * scale
 
     def require_real(self, tol: float = 1e-8, what: str = "field"):
         require_hermitian(self.coeff, what, tol)
@@ -341,6 +313,12 @@ def chi(k: int, n) -> np.ndarray:
     if k == 0:
         return eta0(n)
     return eta0(n / 2.0**k) - eta0(n / 2.0 ** (k - 1))
+
+
+def top_band(max_mode: int) -> int:
+    """k_max: the dyadic bands k = 0..k_max cover |n| <= max_mode, and band
+    k_max + 1 misses it."""
+    return max(1, int(np.ceil(np.log2(max(max_mode, 2)))))
 
 
 def psi(k: int, n) -> np.ndarray:

@@ -343,8 +343,8 @@ def fs_oracle(traj, s, T, gamma=0.25):
 def _phi3(n, tup, spec):
     from mkdvlab.equations import dispersion_mu
 
-    return -dispersion_mu(n, spec.d1, spec.d2) + sum(
-        dispersion_mu(m, spec.d1, spec.d2) for m in tup
+    return -dispersion_mu(n, spec.d1, 0) + sum(
+        dispersion_mu(m, spec.d1, 0) for m in tup
     )
 
 
@@ -481,7 +481,7 @@ def eval_appendix_terms_oracle(spec, restricted=False):
 def _with_linear_phase(out, spec):
     from mkdvlab.equations import dispersion_mu
 
-    return {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, spec.d2)) * spec.t)
+    return {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, 0)) * spec.t)
             for n, v in out.items()}
 
 
@@ -520,8 +520,8 @@ def fifth_derivative_nonresonant_oracle(support, spec, cubics, quintic=False):
                         n = sum(tup)
                         if any(m == n for m in tup):
                             continue
-                        phi = -dispersion_mu(n, spec.d1, spec.d2) + sum(
-                            dispersion_mu(m, spec.d1, spec.d2) for m in tup
+                        phi = -dispersion_mu(n, spec.d1, 0) + sum(
+                            dispersion_mu(m, spec.d1, 0) for m in tup
                         )
                         amp = 1.0
                         for m in tup:
@@ -650,7 +650,7 @@ def fifth_derivative_quadrature_oracle(support, spec, cubics, nodes=64):
     inner_w = 0.5 * s[:, None] * w
 
     def mu(n):
-        return float(dispersion_mu(n, spec.d1, spec.d2))
+        return float(dispersion_mu(n, spec.d1, 0))
 
     def resonant(n, v):
         return -20j * n**3 * v * v * np.conj(v)

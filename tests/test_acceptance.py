@@ -34,7 +34,7 @@ from mkdvlab.cli import TOLERANCES
 from mkdvlab.equations import EquationParams
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.invariants import drift_report
-from mkdvlab.spectral import GridSpec, SpectralField, half_spectrum, sobolev_norm
+from mkdvlab.spectral import GridSpec, SpectralField, half_spectrum, sobolev_norm, top_band
 
 from oracles import (
     random_real_coeffs,
@@ -297,6 +297,7 @@ class TestCriterion9NormDiagnostics:
         from mkdvlab.shorttime import (
             beta_weight,
             fs_norm,
+            max_record_spacing,
             modulation_decompose,
         )
 
@@ -339,7 +340,7 @@ class TestCriterion9NormDiagnostics:
             p = EquationParams.constrained_family(40.0)
             p.d1, p.d2 = 1.0, 1.0
             T = 0.25
-            dtr = (4.0 * 4.0 ** (-4)) / 64 * 0.98
+            dtr = max_record_spacing(top_band(M)) * 0.98  # the `norms` dt
             traj = evolve(u0, T, p, tag="renormalized_5mkdv",
                           ctrl=StepControl(dt=dtr, record_stride=1))
             sup_h = max(sobolev_norm(traj.field(i), 1.0) for i in range(0, len(traj), 40))

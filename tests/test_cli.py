@@ -34,10 +34,13 @@ class TestValidation:
         assert "grid.max_mode" in capsys.readouterr().err
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
-        for item in ("grid.bogus=3", "time.splitting=etd_rk4"):
+        # removed keys too, so an old config never runs at a silent default
+        # (the grid follows from grid.max_mode alone)
+        for item in ("grid.bogus=3", "time.splitting=etd_rk4", "grid.phys_points=2000000000",
+                     "grid.dealias_factor=1e9"):
             code = run(["conserve", "--set", item, "--out", str(tmp_path)])
             assert code == 2
-            assert item.split("=")[0] in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: unknown config field {item.split('=')[0]}\n"
         assert not list(tmp_path.iterdir())
 
     def test_bad_override_syntax(self, tmp_path):
@@ -50,7 +53,6 @@ class TestValidation:
         ("time.T", "nan"),
         ("time.T", "inf"),
         ("time.dt", "nan"),
-        ("grid.dealias_factor", "nan"),
         ("equation.d1", "nan"),
         ("equation.d2", "abc"),
     ])
@@ -82,11 +84,13 @@ class TestValidation:
         ("evolve", "time.T=0", ("time.T",)),
         ("gauge-check", "time.dt=-1", ("time.dt",)),
         ("conserve", "time.record_stride=-1", ("time.record_stride",)),
-        # arrays past cli.MAX_ENTRIES: 2.98, 14.9 and 962 GiB of samples, a
-        # 74.5 GiB record buffer, and 601 records of 150,001 modes n >= 0
+        # arrays past cli.MAX_ENTRIES: 2.98 GiB of samples
         ("evolve", "grid.max_mode=100000000", ("grid.max_mode",)),
-        ("evolve", "grid.phys_points=2000000000", ("grid.phys_points",)),
-        ("evolve", "grid.dealias_factor=1e9", ("grid.dealias_factor",)),
+        # no modes, and a gamma below (0, 1/4]
+        ("evolve", "grid.max_mode=0", ("grid.max_mode",)),
+        ("norms", "norms.gamma=0", ("norms.gamma",)),
+        # past cli.MAX_ENTRIES: a 74.5 GiB record buffer, and 601 records of
+        # 150,001 modes n >= 0
         ("evolve", "time.dt=1e-12 time.record_stride=1", ("time.record_stride", "time.dt")),
         ("evolve", "grid.max_mode=150000", ("grid.max_mode",)),
         ("evolve", "time.T=1e308 time.dt=1e-10", ("time.T",)),  # T / dt overflows
@@ -364,9 +368,6 @@ class TestResonance:
         summary = man["results_summary"]
         assert (summary["radius"], summary["n5_radius"]) == (20, 12)
 
-    def test_identity_passes(self, tmp_path):
-        assert run(["resonance-identity", "--out", str(tmp_path)]) == 0
-
     def test_identity_failure_recorded(self, tmp_path, monkeypatch):
         from mkdvlab import resonance
 
@@ -383,20 +384,22 @@ class TestResonance:
         assert man["wall_time_s"] > 0.0
 
 
-# subcommand -> (a small preset, its manifest's artifact name, its CSVs' names)
+# subcommand -> (a small preset, its manifest's artifact name, its CSVs'
+# names, its verdict: None where it checks nothing)
 SCHEMA_RUNS = {
-    "evolve": (["grid.max_mode=8", "time.T=0.001"], "evolve", ["evolve"]),
-    "conserve": (["grid.max_mode=8", "time.T=0.001"], "conserve", ["conserve"]),
-    "gauge-check": (["grid.max_mode=8", "time.T=0.001"], "gauge", ["gauge"]),
-    "miura-check": (["grid.max_mode=8", "time.T=0.001"], "miura", ["miura"]),
-    "resonance-enum": ([], "resonance_n3", ["resonance_n3", "resonance_n5"]),
-    "resonance-identity": ([], "resonance_identity", []),
-    "illposed-growth": (["sweep.Ns=64,128"], "growth", ["growth"]),
-    "appendix-b": (["sweep.Ns=64"], "appendix_b", ["appendix_b"]),
+    "evolve": (["grid.max_mode=8", "time.T=0.001"], "evolve", ["evolve"], None),
+    "conserve": (["grid.max_mode=8", "time.T=0.001"], "conserve", ["conserve"], True),
+    "gauge-check": (["grid.max_mode=8", "time.T=0.001"], "gauge", ["gauge"], True),
+    "miura-check": (["grid.max_mode=8", "time.T=0.001"], "miura", ["miura"], True),
+    "resonance-enum": ([], "resonance_n3", ["resonance_n3", "resonance_n5"], None),
+    "resonance-identity": ([], "resonance_identity", [], True),
+    "illposed-growth": (["sweep.Ns=64,128"], "growth", ["growth"], True),
+    "appendix-b": (["sweep.Ns=64"], "appendix_b", ["appendix_b"], True),
     "norms": (["grid.max_mode=8", "initial_data.amplitudes=0.05", "time.T=0.08"],
-              "norms", ["norms", "norm_shells"]),
+              "norms", ["norms", "norm_shells"], None),
+    # relative error 1.9e-3 at this preset, above fifth_derivative_rel = 1e-3
     "fifth-derivative": (["grid.max_mode=16", "time.T=0.0005"],
-                         "fifth_derivative", ["fifth_derivative"]),
+                         "fifth_derivative", ["fifth_derivative"], False),
 }
 
 
@@ -404,7 +407,7 @@ class TestManifestSchema:
     @pytest.mark.parametrize("command", list(SCHEMA_RUNS))
     def test_outputs_manifest_and_exit_code(self, tmp_path, command):
         # the prefix holds artifact names, which no output path may rewrite
-        settings, manifest, tables = SCHEMA_RUNS[command]
+        settings, manifest, tables, verdict = SCHEMA_RUNS[command]
         prefix = "my_norms_n3"
         flags = ["--radius", "3"] if command == "resonance-enum" else []
         code = run([command, *flags, "--out", str(tmp_path), "--set", f"output.prefix={prefix}",
@@ -416,8 +419,9 @@ class TestManifestSchema:
         assert set(man) == {"config", "code_version", "tolerances", "results_summary",
                             "wall_time_s", "peak_rss_mib"}
         summary = man["results_summary"]
-        assert ("passed" in summary) == (command not in ("evolve", "norms", "resonance-enum"))
-        assert code == (4 if summary.get("passed") is False else 0)
+        assert summary.get("passed") is verdict
+        assert ("passed" in summary) == (verdict is not None)
+        assert code == (4 if verdict is False else 0)
 
 
 class TestToleranceFailure:

@@ -7,7 +7,8 @@ from mkdvlab.equations import EquationParams
 from mkdvlab.errors import ParameterError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.invariants import (
-    ModifiedEnergyParams,
+    EPSILON,
+    KAPPA,
     drift_report,
     es_energy,
     hamiltonian_h0,
@@ -147,7 +148,6 @@ class TestModifiedEnergy:
     def test_comparability_small_data(self, grid16, rng):
         # |E_k - ||P_k w||^2| <= C ||v||^2 ||P~_k w||^2 with C modest, and
         # the 1/2 .. 3/2 comparability window at small ||v||
-        mp = ModifiedEnergyParams()
         ratios = []
         for trial in range(6):
             w = SpectralField(grid16, random_real_coeffs(16, rng))
@@ -156,7 +156,7 @@ class TestModifiedEnergy:
                 base = float(np.sum(np.abs(project_pk(w, k).coeff) ** 2))
                 if base < 1e-12:
                     continue
-                ek = modified_energy_ek(v, v, w, k, mp)
+                ek = modified_energy_ek(v, v, w, k)
                 vnorm2 = sobolev_norm(v, 0.0) ** 2
                 band = float(
                     sum(
@@ -169,9 +169,8 @@ class TestModifiedEnergy:
         assert ratios and max(ratios) < 100.0
 
     def test_defaults_match_proof_choice(self):
-        mp = ModifiedEnergyParams()
-        assert mp.kappa == pytest.approx(-4.0 / 3.0)
-        assert mp.epsilon == pytest.approx(-2.0 / 3.0)
+        assert KAPPA == pytest.approx(-4.0 / 3.0)
+        assert EPSILON == pytest.approx(-2.0 / 3.0)
 
 
 class TestEsEnergy:

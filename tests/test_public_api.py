@@ -7,6 +7,7 @@ from pathlib import Path
 import scipy.fft
 
 import mkdvlab
+from mkdvlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 FFT_HELPERS = {"next_fast_len", "prev_fast_len", "fftfreq", "rfftfreq", "fftshift", "ifftshift"}
@@ -169,3 +170,29 @@ def test_private_import_check_catches_each_breach():
         "import mkdvlab._private",
     ):
         assert private_imports(line + "\n"), line
+
+
+def config_reads(source: str) -> set:
+    """(section, key) of every cfg.get, get_int, get_float or get_list call in
+    `source` whose first two arguments are string literals."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in {"get", "get_int", "get_float", "get_list"}
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "cfg"):
+            continue
+        args = node.args[:2]
+        if len(args) == 2 and all(isinstance(a, ast.Constant) and isinstance(a.value, str)
+                                  for a in args):
+            reads.add((args[0].value, args[1].value))
+    return reads
+
+
+def test_every_config_key_is_read():
+    # a key of cli.DEFAULTS that the CLI never reads is a setting that
+    # changes nothing but the manifest
+    sample = 'cfg.get("a", "b")\ncfg.get_int("c", "d", positive=True)\nraw.get("e", "f")\n'
+    assert config_reads(sample) == {("a", "b"), ("c", "d")}
+    reads = config_reads((ROOT / "src" / "mkdvlab" / "cli.py").read_text())
+    keys = {(section, key) for section, values in cli.DEFAULTS.items() for key in values}
+    assert keys - reads == set()

@@ -10,7 +10,6 @@ from mkdvlab.equations import EquationParams
 from mkdvlab.errors import ParameterError, ResolutionError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.shorttime import (
-    WeightTable,
     _lag_basis,
     _lag_kernels,
     _shell_edges,
@@ -19,13 +18,14 @@ from mkdvlab.shorttime import (
     beta_weight,
     fk_norm,
     fs_norm,
+    max_record_spacing,
     modulation_decompose,
     nk_norm,
     window_centers,
     window_table,
     xk_norm,
 )
-from mkdvlab.spectral import GridSpec, SpectralField, sobolev_norm
+from mkdvlab.spectral import GridSpec, SpectralField, sobolev_norm, top_band
 
 LINEAR = EquationParams(c1=0, c2=0, c3=0, c4=0)
 
@@ -64,7 +64,7 @@ class TestBetaWeight:
         with pytest.raises(ParameterError):
             beta_weight(3, 1, 0.3)
         with pytest.raises(ParameterError):
-            WeightTable(gamma=0.0)
+            beta_weight(3, 1, 0.0)
 
 
 class TestModulationDecompose:
@@ -162,7 +162,7 @@ class TestXkNorm:
             k=2, window_center=0.0, shells={11: 0.5, 14: 0.25},
             window_l2=1.0, n_samples=64, dt=1e-3,
         )
-        assert xk_norm(sh, WeightTable(0.25)) >= xk_norm(sh, WeightTable(0.125))
+        assert xk_norm(sh, 0.25) >= xk_norm(sh, 0.125)
 
     def test_gamma_reversal_below_five_k(self):
         # below the 5k line the heavier gamma gives the lighter weight
@@ -170,7 +170,7 @@ class TestXkNorm:
         sh = modulation_decompose(traj, 3, traj.times[-1] / 2)
         low = {j: m for j, m in sh.shells.items() if j < 5 * 3}
         assert sum(low.values()) > 0.9 * sum(sh.shells.values())
-        assert xk_norm(sh, WeightTable(0.25)) <= xk_norm(sh, WeightTable(0.125))
+        assert xk_norm(sh, 0.25) <= xk_norm(sh, 0.125)
 
 
 class TestFkNorm:
@@ -273,9 +273,8 @@ class TestFsNorm:
             p = EquationParams.constrained_family(40.0)
             p.d1, p.d2 = 1.0, 1.0
             T = 0.25
-            dtr = (4.0 * 4.0 ** (-4)) / 64 * 0.98
             traj = evolve(u0, T, p, tag="renormalized_5mkdv",
-                          ctrl=StepControl(dt=dtr, record_stride=1))
+                          ctrl=StepControl(dt=norms_dt(M), record_stride=1))
             sup_h = max(sobolev_norm(traj.field(i), 1.0) for i in range(0, len(traj), 40))
             ratios.append(sup_h / fs_norm(traj, 1.0, T))
         assert max(ratios) / min(ratios) < 4.0
@@ -290,8 +289,7 @@ NORMS_T = 0.01
 
 def norms_dt(M):
     """The `norms` subcommand's dt: 64 samples (x 0.98) across the finest window."""
-    k_max = max(1, int(np.ceil(np.log2(max(M, 2)))))
-    return 4.0 * 4.0 ** (-k_max) / 64 * 0.98
+    return max_record_spacing(top_band(M)) * 0.98
 
 
 @pytest.fixture(scope="module")
@@ -373,13 +371,12 @@ class TestBatchedWindowsMatchOracle:
     def test_clamped_weight_table(self, norms_traj):
         from oracles import fs_oracle, xk_sup_oracle
 
-        wt = WeightTable(gamma=0.125)
         for k in (2, 6):
             want = xk_sup_oracle(norms_traj, k, NORMS_T, 0.125)
-            assert rel(fk_norm(norms_traj, k, NORMS_T, wt), want) <= 1e-12
+            assert rel(fk_norm(norms_traj, k, NORMS_T, 0.125), want) <= 1e-12
             want = xk_sup_oracle(norms_traj, k, NORMS_T, 0.125, weighting=1)
-            assert rel(nk_norm(norms_traj, k, NORMS_T, wt), want) <= 1e-12
-        assert rel(fs_norm(norms_traj, 1.5, NORMS_T, wt),
+            assert rel(nk_norm(norms_traj, k, NORMS_T, 0.125), want) <= 1e-12
+        assert rel(fs_norm(norms_traj, 1.5, NORMS_T, 0.125),
                    fs_oracle(norms_traj, 1.5, NORMS_T, 0.125)) <= 1e-12
 
     def test_renormalized_flow(self, rng):

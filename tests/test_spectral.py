@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from mkdvlab.errors import ConfigurationError, ParameterError, SymmetryError
 from mkdvlab.spectral import (
@@ -15,6 +16,7 @@ from mkdvlab.spectral import (
     psi,
     sobolev_norm,
     synthesize,
+    top_band,
 )
 
 from oracles import dft_coefficients, random_real_coeffs
@@ -22,21 +24,16 @@ from oracles import dft_coefficients, random_real_coeffs
 
 class TestGridSpec:
     def test_dealias_invariant(self):
-        g = GridSpec(8)
-        assert g.phys_points >= 3 * (2 * 8 + 1)
+        # the least fast size that keeps quintic products alias-free
+        for M in (1, 8, 64, 100, 1000):
+            g = GridSpec(M)
+            assert g.phys_points == sfft.next_fast_len(3 * (2 * M + 1), real=True)
+            assert g.phys_points >= 3 * (2 * M + 1)
 
     def test_undersized_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GridSpec(8, phys_points=20)
-
-    def test_dealias_factor_below_three_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GridSpec(8, dealias_factor=1.5)
-
-    @pytest.mark.parametrize("factor", [1e308, float("inf"), float("nan")])
-    def test_dealias_factor_without_finite_size_rejected(self, factor):
-        with pytest.raises(ConfigurationError, match="dealias_factor"):
-            GridSpec(64, dealias_factor=factor)
+        for M in (0, -3):
+            with pytest.raises(ConfigurationError, match="max_mode must be positive"):
+                GridSpec(M)
 
     def test_modes_built_once_and_read_only(self):
         g = GridSpec(8)
@@ -149,12 +146,15 @@ class TestCutoffs:
 
 
 class TestCutoffFamily:
-    def test_k_max_covers_band(self, grid16):
-        # the family chi_0..chi_K over a grid's whole retained band,
-        # K = ceil(log2 M) + 1 the last annulus meeting |n| <= M
-        K = int(np.ceil(np.log2(grid16.max_mode))) + 1
-        total = sum(chi(k, grid16.modes) for k in range(K + 1))
-        assert np.max(np.abs(total - 1.0)) < 1e-12
+    def test_k_max_covers_band(self):
+        # chi_0..chi_K, K = top_band(M), sum to 1 over a grid's whole
+        # retained band, and no later annulus meets |n| <= M
+        for M in (1, 2, 3, 16, 17, 100, 2999):
+            modes = GridSpec(M).modes
+            K = top_band(M)
+            total = sum(chi(k, modes) for k in range(K + 1))
+            assert np.max(np.abs(total - 1.0)) < 1e-12
+            assert not np.any(chi(K + 1, modes))
 
 
 class TestProjections:
