@@ -181,7 +181,7 @@ def load_config(path: str | None, overrides) -> ExperimentConfig:
             raise ConfigurationError(f"unknown config section {section!r}")
         for key in keys:
             if cp.optionxform(key) not in known[section]:
-                raise ConfigurationError(f"unknown config field {section}.{key}")
+                raise ConfigurationError(f"{section}.{key}: unknown config field")
 
     if path:
         read = cp.read(path)
