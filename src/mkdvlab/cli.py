@@ -7,7 +7,7 @@ One subcommand per acceptance-check family:
     gauge-check          physical-vs-renormalized gauge equivalence
     miura-check          algebraic + dynamic Miura identity checks
     resonance-enum       enumerate the nonresonant index sets to CSV
-    resonance-identity   exact H/G identity checks
+    resonance-identity   exact H (|n_i| <= 100) and G (10^4 rational samples) checks
     illposed-growth      ||D0|| growth sweep with slope fit
     appendix-b           remainder-term norms and separation check
     norms                F_k / N_k / F^s diagnostics on a short run
@@ -232,15 +232,16 @@ def build_initial_data(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
         rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
         decay = cfg.get_float("initial_data", "decay")
         amp = cfg.get_float("initial_data", "amplitude")
-        M = grid.max_mode
-        c = np.zeros(2 * M + 1, dtype=complex)
-        for n in range(1, M + 1):
-            a = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + n) ** decay
-            c[n + M] = a
-            c[-n + M] = np.conj(a)
-        c *= amp
-        return SpectralField(grid, c)
+        modes = _decaying_modes(rng.standard_normal((grid.max_mode, 2)), decay)[:, 0]
+        return SpectralField(grid, hermitian_extend(np.concatenate(([0.0], modes))) * amp)
     raise ConfigurationError(f"initial_data.preset: unknown preset {preset!r}")
+
+
+def _decaying_modes(normals: np.ndarray, decay: float) -> np.ndarray:
+    """(M, k) complex modes n = 1..M from (M, 2k) normals, each (re, im) pair
+    over (1+n)**decay in Python floats (numpy's array power can miss an ulp)."""
+    scale = np.array([float(1 + n) ** decay for n in range(1, len(normals) + 1)])
+    return (normals / scale[:, None]).view(complex)
 
 
 def build_params(cfg: ExperimentConfig, u0: SpectralField | None = None) -> EquationParams:
@@ -427,15 +428,10 @@ def cmd_miura_check(cfg: ExperimentConfig, args) -> Outcome:
     M = grid.max_mode
     worst_static = 0.0
     for _ in range(100):
-        c = np.zeros(2 * M + 1, dtype=complex)
-        cdot = np.zeros(2 * M + 1, dtype=complex)
-        for n in range(1, M + 1):
-            c[n + M] = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + n) ** 2
-            c[-n + M] = np.conj(c[n + M])
-            cdot[n + M] = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + n) ** 2
-            cdot[-n + M] = np.conj(cdot[n + M])
-        c[M] = rng.standard_normal()
-        cdot[M] = rng.standard_normal()
+        # per mode n = 1..M: Re c, Im c, Re cdot, Im cdot; then c(0), cdot(0)
+        draws = rng.standard_normal(4 * M + 2)
+        modes = _decaying_modes(draws[:4 * M].reshape(M, 4), 2.0).T
+        c, cdot = hermitian_extend(np.column_stack([draws[4 * M:], modes]))
         gap = chain_identity_gap(grid, c, cdot)
         # scale: the identity's own term size
         scale = max(1.0, float(np.max(np.abs(kdv_residual_values(grid, c, cdot)))))
@@ -477,20 +473,26 @@ def cmd_resonance_enum(cfg: ExperimentConfig, args) -> Outcome:
 
 
 def cmd_resonance_identity(cfg: ExperimentConfig, args) -> Outcome:
+    """H direct == factored on the cube |n_i| <= 100, then G = -phi_cubic on
+    10^4 random triples of it with d1, d2 drawn from [-99, 99]/[1, 39]; the
+    first failing triple is the counterexample."""
     from fractions import Fraction
 
-    from .resonance import phi_cubic, resonance_g, resonance_h
+    from .resonance import phi_cubic, resonance_g, resonance_h_array
 
-    for a in range(-100, 101, 7):
-        for b in range(-100, 101, 11):
-            for c in range(-100, 101, 13):
-                resonance_h(a, b, c)  # internal direct == factored assertion
-    rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
     summary = {"identity_checks": 0}
+    r = np.arange(-100, 101, dtype=np.int64)
+    n2, n3 = np.meshgrid(r, r, indexing="ij")
+    for a in r:  # one n1 slice of the cube at a time
+        bad = np.argwhere(resonance_h_array(a, n2, n3)[1])
+        if len(bad):
+            summary["counterexample"] = (int(a), *r[bad[0]].tolist())
+            return Outcome(summary, False)
+    rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
     for _ in range(10000):
-        a, b, c = (int(x) for x in rng.integers(-80, 81, 3))
-        d1 = Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 30)))
-        d2 = Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 30)))
+        a, b, c = (int(x) for x in rng.integers(-100, 101, 3))
+        d1 = Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 40)))
+        d2 = Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 40)))
         if resonance_g(a, b, c, d1) != -phi_cubic(a + b + c, a, b, c, d1, d2):
             summary["counterexample"] = (a, b, c)
             break
@@ -613,22 +615,12 @@ def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> Outcome:
         t=("time.T", cfg.get_float("time", "T", positive=True)),
     )
     supp = symmetrized_support(counterexample_support(spec))
-    u0 = SpectralField.zeros(grid)
-    for n, a in supp.items():
-        if abs(n) > grid.max_mode:
-            raise ConfigurationError(
-                f"grid.max_mode: {grid.max_mode} is too small for the data support "
-                f"(mode {n})"
-            )
-        u0.coeff[n + grid.max_mode] = a
+    u0 = _in_field("grid.max_mode", SpectralField.from_modes, grid, supp)
     terms = RenormalizedTerms(resonant_cubic=False, cubic2=True, cubic3=False, quintic=False)
     # the normal-form assembly: boundary + B1 + C1 + D pieces
     ana, skipped = t2_duhamel_fifth(supp, spec, route="normal_form")
     M = grid.max_mode
-    ana_arr = np.zeros(2 * M + 1, dtype=complex)
-    for n, v in ana.items():
-        if abs(n) <= M:
-            ana_arr[n + M] = v
+    ana_arr = SpectralField.from_modes(grid, {n: v for n, v in ana.items() if abs(n) <= M}).coeff
     a5, rep = numeric_fifth_derivative(
         u0, spec.t, [0.008, 0.012, 0.016, 0.02, 0.024],
         EquationParams.constrained_family(40.0), terms,

@@ -623,19 +623,21 @@ def fifth_derivative_direct(
     Includes the e^{i t mu(n)} prefactor so values compare directly against
     evolved states.
     """
-    t = spec.t
     cubics = [name for name in ("cubic2", "cubic3") if getattr(flow, name)]
     parts = []  # (mode, value) cells of every piece, each in walk order
     if cubics:
         tab = _quintic_table(support, spec, tuple(cubics), tuple(cubics), (0, 1, 2))
-        parts.append((tab.n, tab.physical_values(t)))
+        parts.append((tab.n, tab.physical_values(spec.t)))
     if flow.quintic:
         parts.append(_quintic_term_cells(support, spec))
     if flow.resonant_cubic:
         parts.extend(_resonant_cells(support, spec, cubics))
-    out = _sum_by_mode(*parts) if parts else {}
-    # attach the linear phase
-    return {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, 0)) * t)
+    return _with_linear_phase(_sum_by_mode(*parts) if parts else {}, spec)
+
+
+def _with_linear_phase(out: dict, spec) -> dict:
+    """Each mode's value times e^{i t mu(n)} at spec.t and spec.d1."""
+    return {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, 0)) * spec.t)
             for n, v in out.items()}
 
 
@@ -671,10 +673,7 @@ def t2_duhamel_fifth(
         live = tab.phi_out != 0
         n, v = tab.n[live], tab.normal_form_values(t, live)
         skipped = int(np.count_nonzero(~live)) * math.prod(v.shape[1:])
-    out = _sum_by_mode((n, v))
-    out = {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, 0)) * t)
-           for n, v in out.items()}
-    return out, skipped
+    return _with_linear_phase(_sum_by_mode((n, v)), spec), skipped
 
 
 def numeric_fifth_derivative(

@@ -183,8 +183,8 @@ def es_energy(traj: Trajectory, s: float, T: float | None = None) -> float:
     if T is not None:
         mask = traj.times <= T + 1e-15
     half = traj.half[mask]
-    n = half_spectrum(grid).n
-    twice = np.where(n > 0, 2.0, 1.0)
+    h = half_spectrum(grid)
+    n, twice = h.n, h.twice
     total = float(twice @ np.abs(chi(0, n) * half[0]) ** 2)
     for k in range(1, top_band(M) + 1):
         chik = chi(k, n)

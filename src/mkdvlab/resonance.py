@@ -133,15 +133,21 @@ def _plane(n: int, radius: int, cap: int, k: int, extra: int = 0) -> np.ndarray:
     return buf
 
 
+def resonance_h_array(n1: np.ndarray, n2: np.ndarray, n3: np.ndarray) -> tuple:
+    """resonance_h on broadcast int64 arrays (exact inside the radius caps): H
+    direct, and the mask of entries where the (5/2)-factored form differs."""
+    n = n1 + n2 + n3
+    direct = n**5 - n1**5 - n2**5 - n3**5
+    prod = (n1 + n2) * (n1 + n3) * (n2 + n3) * (n1 * n1 + n2 * n2 + n3 * n3 + n * n)
+    return direct, (prod % 2 != 0) | (direct != 5 * (prod // 2))
+
+
 def enumerate_n3(n: int, radius: int) -> np.recarray:
     """A3(n) for |n_i| <= radius <= N3_RADIUS_CAP, as records (n1, n2, n3, h_value);
     H is int64 and checked direct == factored on the whole array."""
     buf = _plane(n, radius, N3_RADIUS_CAP, 3, extra=1)
-    a, b, c = buf[:, 0], buf[:, 1], buf[:, 2]
-    s = a + b + c
-    buf[:, 3] = s**5 - a**5 - b**5 - c**5
-    prod = (a + b) * (a + c) * (b + c) * (a * a + b * b + c * c + s * s)
-    if np.any(prod % 2 != 0) or np.any(buf[:, 3] != 5 * (prod // 2)):
+    buf[:, 3], bad = resonance_h_array(buf[:, 0], buf[:, 1], buf[:, 2])
+    if np.any(bad):
         raise ArithmeticError("resonance factorization mismatch in enumerate_n3")
     return buf.view(_N3).reshape(-1).view(np.recarray)
 

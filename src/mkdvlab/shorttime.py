@@ -69,7 +69,7 @@ from .errors import ParameterError, ResolutionError
 from .equations import linear_symbol
 from .integrate import Trajectory
 from .spectral import BATCH_ELEMENTS as _BATCH_ELEMENTS  # bound here, so tests can shrink it
-from .spectral import chi, eta0, top_band
+from .spectral import chi, eta0, half_spectrum, top_band
 
 GAMMA_DEFAULT = 0.25
 WINDOW_HALF_WIDTH = 2.0  # support of eta0 in scaled units
@@ -258,7 +258,7 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     l2_sq = np.zeros(len(centers))
     if band.size == 0:
         return mass_sq, l2_sq
-    twice = np.where(band > 0, 2.0, 1.0)  # column n > 0 stands for -n too
+    twice = half_spectrum(traj.grid).twice[band]
     weights = np.stack([twice, twice * chik[band] ** 2], axis=1)  # F_k and N_k, F^s
     mu = linear_symbol(band, traj.params, traj.equation_tag)  # column i is mode n = i
     t_rec = traj.times[0] + np.arange(n_rec) * dt

@@ -172,10 +172,11 @@ class HalfSpectrum:
         self.deriv = self.P * np.array([np.ones(M + 1), 1j * n, -self.n2, -self.i_n3, n**4])
         # coefficients of -d/dx from an unnormalized rfft
         self.minus_dx = -self.i_n / self.P
+        self.twice = np.where(n > 0, 2.0, 1.0)  # column n > 0 stands for -n too
         # |c(n)|^2 @ pair_sums = (sum_m c(m) c(-m), sum_m m^2 c(m) c(-m)) over -M..M
-        self.pair_sums = np.stack([np.where(n > 0, 2.0, 1.0), 2.0 * self.n2], axis=1)
+        self.pair_sums = np.stack([self.twice, 2.0 * self.n2], axis=1)
         for table in (self.n, self.n2, self.i_n, self.i_n3, self.deriv, self.minus_dx,
-                      self.pair_sums):
+                      self.twice, self.pair_sums):
             table.setflags(write=False)
         self._tables = {}
 

@@ -44,11 +44,6 @@ def analyze_complex(grid, values):
     return np.concatenate([full[P - M:], full[: M + 1]])
 
 
-def coeff_dict(field):
-    g = field.grid
-    return {int(n): field.coeff[n + g.max_mode] for n in range(-g.max_mode, g.max_mode + 1)}
-
-
 def conv2(c, M, kernel):
     """sum_{n1+n2=n} kernel(n1,n2) c(n1) c(n2), dense loops."""
     out = np.zeros(2 * M + 1, dtype=complex)
@@ -86,23 +81,6 @@ def conv3_nonresonant(c, M, kernel):
                 n = n1 + n2 + n3
                 if abs(n) <= M:
                     out[n + M] += kernel(n1, n2, n3) * c[n1 + M] * c[n2 + M] * c[n3 + M]
-    return out
-
-
-def conv5(c, M):
-    """sum_{n1+..+n5=n} c(n1)..c(n5), dense loops (O(M^4))."""
-    out = np.zeros(2 * M + 1, dtype=complex)
-    rng = range(-M, M + 1)
-    for n1 in rng:
-        for n2 in rng:
-            for n3 in rng:
-                for n4 in rng:
-                    s4 = n1 + n2 + n3 + n4
-                    p4 = c[n1 + M] * c[n2 + M] * c[n3 + M] * c[n4 + M]
-                    for n5 in rng:
-                        n = s4 + n5
-                        if abs(n) <= M:
-                            out[n + M] += p4 * c[n5 + M]
     return out
 
 
@@ -198,6 +176,40 @@ def random_real_coeffs(M, rng, decay=1.5, amplitude=1.0):
         c[-n + M] = np.conj(a)
     c[M] = rng.standard_normal()
     return amplitude * c
+
+
+def random_smooth_oracle(M, seed, decay, amplitude):
+    """The CLI's random_smooth preset drawn one mode at a time: for n = 1..M,
+    c(n) = amplitude * (x + iy) / (1+n)^decay with x, y fresh standard
+    normals, c(-n) = conj(c(n)), c(0) = 0."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros(2 * M + 1, dtype=complex)
+    for n in range(1, M + 1):
+        a = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + n) ** decay
+        c[n + M] = a
+        c[-n + M] = np.conj(a)
+    c *= amplitude
+    return c
+
+
+def miura_static_fields_oracle(M, seed, count=100):
+    """miura-check's static (c, cdot) pairs drawn one mode at a time: per
+    field and mode n = 1..M, c(n) then cdot(n), each (x + iy)/(1+n)^2, then
+    real c(0) and cdot(0)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        c = np.zeros(2 * M + 1, dtype=complex)
+        cdot = np.zeros(2 * M + 1, dtype=complex)
+        for n in range(1, M + 1):
+            c[n + M] = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + n) ** 2
+            c[-n + M] = np.conj(c[n + M])
+            cdot[n + M] = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + n) ** 2
+            cdot[-n + M] = np.conj(cdot[n + M])
+        c[M] = rng.standard_normal()
+        cdot[M] = rng.standard_normal()
+        pairs.append((c, cdot))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

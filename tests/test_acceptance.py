@@ -3,11 +3,13 @@
 Each test prints a single ``[criterion N] PASS/FAIL`` line (visible with
 ``pytest -s``; under ``pytest -v`` the test outcome itself is the line).
 
-Criteria 1, 3, 4, 6, 7 and 8 run the subcommand that makes their numbers
-(``conserve``, ``gauge-check``, ``miura-check``, ``illposed-growth``,
-``appendix-b``, ``fifth-derivative``) in-process through ``cli.main``, with their data as ``--set``
-overrides, and take the verdict from its exit code and the numbers from its
-manifest and CSV.  Every gate that ``cli.TOLERANCES`` holds is read from it.
+Criteria 1, 3, 4, 5, 6, 7 and 8 run the subcommand that makes their numbers
+(``conserve``, ``gauge-check``, ``miura-check``, ``resonance-identity``,
+``illposed-growth``, ``appendix-b``, ``fifth-derivative``) in-process through
+``cli.main``, with their data as ``--set`` overrides, and take the verdict
+from its exit code and the numbers from its manifest and CSV.  Every gate
+that ``cli.TOLERANCES`` holds is read from it.  Criterion 5 adds the
+enumerators against their defining-condition brute force.
 
 Criterion 2 (negative control) reruns criterion 1 with c4 scaled by 1.01.
 That perturbation is itself Hamiltonian: -c4 u^4 u_x is the x-derivative of
@@ -159,43 +161,16 @@ class TestCriterion4Miura:
 
 
 class TestCriterion5Resonance:
-    def test_criterion_05_resonance_exactness(self):
+    def test_criterion_05_resonance_exactness(self, tmp_path):
+        from mkdvlab.resonance import enumerate_n3, enumerate_n5
+
         t0 = time.perf_counter()
-        # H direct == factored for all |n_i| <= 100, exactly, vectorized
-        r = np.arange(-100, 101, dtype=np.int64)
-        ok_fact = True
-        for a in r:
-            n1 = np.full((201, 201), a, dtype=np.int64)
-            n2, n3 = np.meshgrid(r, r, indexing="ij")
-            n = n1 + n2 + n3
-            direct = n**5 - n1**5 - n2**5 - n3**5
-            prod = (n1 + n2) * (n1 + n3) * (n2 + n3) * (n1 * n1 + n2 * n2 + n3 * n3 + n * n)
-            if np.any(prod % 2 != 0) or np.any(direct != 5 * (prod // 2)):
-                ok_fact = False
-                break
-
-        # G - mu identity, exact rational arithmetic, 1e4 random triples
-        from fractions import Fraction
-
-        from mkdvlab.equations import dispersion_mu
-        from mkdvlab.resonance import enumerate_n3, enumerate_n5, resonance_g
-
-        rng = np.random.default_rng(5)
-        ok_g = True
-        for _ in range(10**4):
-            a, b, c = (int(x) for x in rng.integers(-100, 101, 3))
-            d1 = Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 40)))
-            d2 = Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 40)))
-            lhs = resonance_g(a, b, c, d1)
-            rhs = (
-                dispersion_mu(a + b + c, d1, d2)
-                - dispersion_mu(a, d1, d2)
-                - dispersion_mu(b, d1, d2)
-                - dispersion_mu(c, d1, d2)
-            )
-            if lhs != rhs:
-                ok_g = False
-                break
+        # H direct == factored for all |n_i| <= 100, and G - mu in exact
+        # rational arithmetic on the 1e4 random triples of seed 5
+        code = cli.main(["resonance-identity", "--out", str(tmp_path),
+                         "--set", "initial_data.seed=5"])
+        man = json.loads((tmp_path / "mkdvlab_resonance_identity_manifest.json").read_text())
+        ok_identity = code == 0 and man["results_summary"]["identity_checks"] == 10**4
 
         # enumerators against definitional brute force at radius 12
         def brute3(n, r):
@@ -227,9 +202,10 @@ class TestCriterion5Resonance:
                             brute5.add(t5)
         ok_enum = ok_enum and got5 == brute5
         wall = time.perf_counter() - t0
-        ok = ok_fact and ok_g and ok_enum and wall < 20.0
-        report(5, ok, f"factorization={ok_fact}, G-mu={ok_g}, enum={ok_enum}, wall={wall:.1f}s (<20s)")
-        assert ok_fact and ok_g and ok_enum
+        ok = ok_identity and ok_enum and wall < 20.0
+        report(5, ok, f"factorization and G-mu={ok_identity}, enum={ok_enum}, "
+                      f"wall={wall:.1f}s (<20s)")
+        assert ok_identity and ok_enum
         assert wall < 20.0
 
 

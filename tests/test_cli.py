@@ -22,6 +22,8 @@ from mkdvlab.invariants import drift_report
 from mkdvlab.spectral import GridSpec, SpectralField
 from mkdvlab.transforms import gauge_forward
 
+from oracles import miura_static_fields_oracle, random_smooth_oracle
+
 
 def run(args):
     return main(args)
@@ -329,6 +331,34 @@ class TestMiuraCheck:
         assert code == 0
 
 
+class TestRandomData:
+    """The CLI's random draws against the per-mode loops they replaced."""
+
+    @pytest.mark.parametrize("seed", [20240817, 7])
+    @pytest.mark.parametrize("decay", ["2.0", "1.5", "2.7", "0.3"])
+    def test_random_smooth_matches_per_mode_draws(self, seed, decay):
+        cfg = load_config(None, ["initial_data.preset=random_smooth", "grid.max_mode=40",
+                                 f"initial_data.seed={seed}", f"initial_data.decay={decay}"])
+        u0 = build_initial_data(cfg, build_grid(cfg))
+        want = random_smooth_oracle(40, seed, float(decay),
+                                    float(DEFAULTS["initial_data"]["amplitude"]))
+        assert u0.coeff.tobytes() == want.tobytes()
+
+    def test_miura_static_fields_match_per_mode_draws(self, tmp_path, monkeypatch):
+        drawn = []
+        gap = cli.chain_identity_gap
+
+        def record(grid, c, cdot):
+            drawn.append((c.tobytes(), cdot.tobytes()))
+            return gap(grid, c, cdot)
+
+        monkeypatch.setattr(cli, "chain_identity_gap", record)
+        assert run(["miura-check", "--out", str(tmp_path),
+                    "--set", "grid.max_mode=8", "--set", "time.T=0.001"]) == 0
+        want = miura_static_fields_oracle(8, int(DEFAULTS["initial_data"]["seed"]))
+        assert drawn == [(c.tobytes(), cdot.tobytes()) for c, cdot in want]
+
+
 class TestResonance:
     def test_enum_writes_both_csvs(self, tmp_path):
         code = run(["resonance-enum", "--out", str(tmp_path), "--n", "0", "--radius", "5"])
@@ -381,11 +411,29 @@ class TestResonance:
         man = json.loads((tmp_path / "mkdvlab_resonance_identity_manifest.json").read_text())
         summary = man["results_summary"]
         # the first random triple of the seed already fails
-        first = np.random.default_rng(int(DEFAULTS["initial_data"]["seed"])).integers(-80, 81, 3)
+        first = np.random.default_rng(int(DEFAULTS["initial_data"]["seed"])).integers(-100, 101, 3)
         assert summary["passed"] is False
         assert summary["counterexample"] == first.tolist()
         assert summary["identity_checks"] == 0
         assert man["wall_time_s"] > 0.0
+
+    def test_factorization_mismatch_is_a_verdict(self, tmp_path, monkeypatch, capsys):
+        from mkdvlab import resonance
+
+        h_array = resonance.resonance_h_array
+
+        def broken(n1, n2, n3):
+            h, bad = h_array(n1, n2, n3)
+            return h, bad | ((n1 == 3) & (n2 == -5) & ((n3 == 7) | (n3 == 9)))
+
+        monkeypatch.setattr(resonance, "resonance_h_array", broken)
+        assert run(["resonance-identity", "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == ""
+        man = json.loads((tmp_path / "mkdvlab_resonance_identity_manifest.json").read_text())
+        # the first mismatch in the cube's order, before any rational check
+        assert man["results_summary"] == {
+            "identity_checks": 0, "counterexample": [3, -5, 7], "passed": False,
+        }
 
 
 # subcommand -> (a small preset, its manifest's artifact name, its CSVs'

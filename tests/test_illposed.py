@@ -51,7 +51,7 @@ from mkdvlab.illposed import (
 )
 from mkdvlab.integrate import StepControl
 from mkdvlab.resonance import enumerate_n3, phi_cubic
-from mkdvlab.spectral import GridSpec, SpectralField, sobolev_norm
+from mkdvlab.spectral import GridSpec, SpectralField
 
 
 class TestOscillatoryPrimitives:
