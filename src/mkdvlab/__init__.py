@@ -19,9 +19,6 @@ from .invariants import (
     HamiltonianReport,
     drift_report,
     es_energy,
-    hamiltonian_h0,
-    hamiltonian_h1,
-    hamiltonian_h2,
     modified_energy_ek,
 )
 from .resonance import (
@@ -29,7 +26,6 @@ from .resonance import (
     enumerate_n5,
     phi_cubic,
     resonance_g,
-    resonance_h,
 )
 from .spectral import (
     GridSpec,
@@ -41,7 +37,7 @@ from .spectral import (
     sobolev_norm,
     synthesize,
 )
-from .transforms import gauge_forward, gauge_inverse, miura, miura_residual
+from .transforms import gauge_forward, miura, miura_residual
 
 __all__ = [
     "EquationParams",
@@ -62,10 +58,6 @@ __all__ = [
     "es_energy",
     "evolve",
     "gauge_forward",
-    "gauge_inverse",
-    "hamiltonian_h0",
-    "hamiltonian_h1",
-    "hamiltonian_h2",
     "linear_symbol",
     "miura",
     "miura_residual",
@@ -74,7 +66,6 @@ __all__ = [
     "project_pk",
     "psi",
     "resonance_g",
-    "resonance_h",
     "rhs",
     "sobolev_norm",
     "synthesize",

@@ -448,7 +448,7 @@ def cmd_miura_check(cfg: ExperimentConfig, args) -> Outcome:
 
 
 def cmd_resonance_enum(cfg: ExperimentConfig, args) -> Outcome:
-    from .resonance import N3_RADIUS_CAP, enumerate_n3, enumerate_n5, resonance_g
+    from .resonance import N3_RADIUS_CAP, enumerate_n3, enumerate_n5
 
     n, radius = args.n, args.radius
     if not 0 <= radius <= N3_RADIUS_CAP:
@@ -458,14 +458,13 @@ def cmd_resonance_enum(cfg: ExperimentConfig, args) -> Outcome:
     n5_radius = min(radius, 12)
     trips = enumerate_n3(n, radius)
     quints = enumerate_n5(n, n5_radius)
-    # G = H + 3 d1 (n1+n2)(n1+n3)(n2+n3), exact, at d1 = 0
+    # G = H + 3 d1 (n1+n2)(n1+n3)(n2+n3) is H at d1 = 0
     return Outcome(
         {"n": n, "radius": radius, "n5_radius": n5_radius,
          "triples": len(trips), "quintuples": len(quints)},
         tables={
             "resonance_n3": (["n", "n1", "n2", "n3", "H", "G"],
-                             ((n, a, b, c, h, resonance_g(a, b, c))
-                              for a, b, c, h in trips.tolist())),
+                             ((n, a, b, c, h, h) for a, b, c, h in trips.tolist())),
             "resonance_n5": (["n", "n1", "n2", "n3", "n4", "n5"],
                              ((n, *q) for q in quints.tolist())),
         },
@@ -618,7 +617,7 @@ def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> Outcome:
     u0 = _in_field("grid.max_mode", SpectralField.from_modes, grid, supp)
     terms = RenormalizedTerms(resonant_cubic=False, cubic2=True, cubic3=False, quintic=False)
     # the normal-form assembly: boundary + B1 + C1 + D pieces
-    ana, skipped = t2_duhamel_fifth(supp, spec, route="normal_form")
+    ana, skipped = t2_duhamel_fifth(supp, spec)
     M = grid.max_mode
     ana_arr = SpectralField.from_modes(grid, {n: v for n, v in ana.items() if abs(n) <= M}).coeff
     a5, rep = numeric_fifth_derivative(

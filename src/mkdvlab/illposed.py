@@ -17,20 +17,23 @@ with C = 10i*freq for the two cubic terms, K the respective kernels, and
 
 Integration by parts in t' splits each tuple into a boundary piece and a
 distributed piece (valid when phi_out != 0); the distributed pieces are the
-quintic normal-form terms.  Reported norms use the structure-only
-normalization (the 10i prefactors dropped):
+quintic normal-form terms, and boundary plus distributed is the one w5
+assembly here (`t2_duhamel_fifth`).  The direct sum of I2 closed forms is
+kept only tuple by tuple, as the tests' reference.  Reported norms use the
+structure-only normalization (the 10i prefactors dropped):
 
     structure_tuple = (n * n_s * K_X * K_Y / phi_out) * v0^5 * E_t(phi_out+phi_in)
 
 All phases are exact integers (arbitrary precision), so resonant tuples are
 detected exactly.  Every tuple sum takes one array path: index arrays over
 the leaves (A3 triples from `_leaf_triples`), exact phases with mu once per
-distinct integer, one E_t (`osc_single`) and one I2 (`osc_double`) that
-take scalars or arrays, and per-mode sums in walk order (`_sum_by_mode`).
-The quintic terms use one table per call (`_QuinticTable`), factored by
-(inner triple, outer pair) so that a pair's mode, amplitude, phases, E_t
-and I2 are formed once and broadcast over its slots and cubic terms; D0 is
-its m0 pair.  Legs and kernels are int64, phases object arrays of ints.
+distinct integer, one E_t (`osc_single`) that takes scalars or arrays, and
+per-mode sums in walk order (`_sum_by_mode`); I2 (`osc_double`) takes the
+same arguments.  The quintic terms use one table per call (`_QuinticTable`),
+factored by (inner triple, outer pair) so that a pair's mode, amplitude,
+phases and E_t are formed once and broadcast over its slots and cubic
+terms; D0 is its m0 pair.  Legs and kernels are int64, phases object arrays
+of ints.
 """
 
 from __future__ import annotations
@@ -175,10 +178,6 @@ class QuinticTuple:
     phi_out: object
     phi_in: object
 
-    @property
-    def n_slot(self) -> int:
-        return self.outer[self.slot]
-
 
 def _leaves(support: dict, keys) -> tuple:
     """The given keys of support as int64 legs, and their data values."""
@@ -188,29 +187,25 @@ def _leaves(support: dict, keys) -> tuple:
 def _leaf_triples(legs: np.ndarray, vals: np.ndarray, a3: bool = True) -> tuple:
     """Every index triple into the leaves in C order (the walk order of three
     nested loops over them), kept only where it lies in A3 of its sum (no
-    leg equal to the sum) unless a3 is False.  Returns the (rows, 3) indices
-    and legs, the sums and the amplitude products."""
+    leg equal to the sum) unless a3 is False.  Returns the (rows, 3) legs,
+    the sums and the amplitude products."""
     idx = np.indices((len(legs),) * 3).reshape(3, -1).T
     m = legs[idx]
     n = m.sum(axis=1)
     if a3:
         keep = np.all(m != n[:, None], axis=1)
         idx, m, n = idx[keep], m[keep], n[keep]
-    return idx, m, n, vals[idx[:, 0]] * vals[idx[:, 1]] * vals[idx[:, 2]]
-
-
-def _exact_mu(ints: np.ndarray, d1) -> np.ndarray:
-    """mu at every entry of an int64 array, as exact Python ints in an object
-    array of the same shape; mu is evaluated once per distinct integer."""
-    vals, inv = np.unique(ints, return_inverse=True)
-    mu = np.array([dispersion_mu(m, d1, 0) for m in vals.tolist()], dtype=object)
-    return mu[inv.reshape(np.shape(ints))]
+    return m, n, vals[idx[:, 0]] * vals[idx[:, 1]] * vals[idx[:, 2]]
 
 
 def _cubic_phases(legs: np.ndarray, d1=0) -> np.ndarray:
     """phi = -mu(a+b+c) + mu(a) + mu(b) + mu(c) per row (a, b, c) of legs,
-    as exact ints (resonance.phi_cubic, one array pass)."""
-    mu = _exact_mu(np.column_stack([legs.sum(axis=1), legs]), d1)
+    as exact ints in an object array (resonance.phi_cubic, one array pass);
+    mu is evaluated once per distinct integer."""
+    ints = np.column_stack([legs.sum(axis=1), legs])
+    vals, inv = np.unique(ints, return_inverse=True)
+    mu = np.array([dispersion_mu(m, d1, 0) for m in vals.tolist()], dtype=object)
+    mu = mu[inv.reshape(ints.shape)]
     return -mu[:, 0] + mu[:, 1:].sum(axis=1)
 
 
@@ -232,8 +227,8 @@ class _QuinticTable:
     sorted leaves, then la, then lb.  It has one cell per (slot, outer term,
     inner term); the value methods return (pairs, slots, outer terms, inner
     terms) arrays, whose C-order flattening is the tuple walk.  Mode,
-    amplitude, exact phases, E_t and I2 are formed once per pair and
-    broadcast, in the operation order of one tuple at a time.
+    amplitude, exact phases and E_t are formed once per pair and broadcast,
+    in the operation order of one tuple at a time.
 
     Legs and kernels are int64 (|leg| <= 5 max|leaf|); the phases are object
     arrays of exact Python ints, since n^5 overflows int64 once |n| > 6208,
@@ -273,21 +268,12 @@ class _QuinticTable:
         k = nn * self.kernel_x[pairs] * self.kernel_y[pairs] / _cells(self.phi_out_f[pairs])
         return k * _cells(self.amp[pairs]) * _cells(osc_single(self.phi_sum_f[pairs], t))
 
-    def _physical_prefactor(self, pairs) -> np.ndarray:
-        c = _cells((10j * self.n[pairs]) * (10j * self.n_slot[pairs]))
-        return c * self.kernel_x[pairs] * self.kernel_y[pairs]
-
-    def physical_values(self, t: float) -> np.ndarray:
-        """Exact delta^5 coefficient contribution of every cell (constants
-        kept), without the overall e^{i t mu(n)} prefactor."""
-        i2 = osc_double(self.phi_out, self.phi_in, t)
-        return self._physical_prefactor(slice(None)) * _cells(self.amp) * _cells(i2)
-
     def normal_form_values(self, t: float, pairs) -> np.ndarray:
         """Boundary plus distributed piece of the integration by parts of
         every cell of the selected pairs (phi_out != 0 on all)."""
         a = _cells(self.phi_out_f[pairs])
-        c = self._physical_prefactor(pairs)
+        c = _cells((10j * self.n[pairs]) * (10j * self.n_slot[pairs]))
+        c = c * self.kernel_x[pairs] * self.kernel_y[pairs]
         amp = _cells(self.amp[pairs])
         e_in = _cells(osc_single(self.phi_in[pairs], t))
         boundary = c * amp * np.exp(1j * a * t) * e_in / (1j * a)
@@ -297,8 +283,7 @@ class _QuinticTable:
 
 def _kernel_columns(terms, legs: np.ndarray) -> np.ndarray:
     """Each term's kernel at legs (..., 3), stacked on a last axis."""
-    cols = [_CUBIC_KERNELS[name](*np.moveaxis(legs, -1, 0)) for name in terms]
-    return np.stack(cols, axis=-1) if cols else np.zeros(legs.shape[:-1] + (0,), np.int64)
+    return np.stack([_CUBIC_KERNELS[name](*np.moveaxis(legs, -1, 0)) for name in terms], axis=-1)
 
 
 def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_terms,
@@ -307,7 +292,7 @@ def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_t
     support, with its cells for each slot, outer and inner cubic term."""
     legs, vals = _leaves(support, sorted(support))
     k = len(legs)
-    _, inner, n_slot, amp_in = _leaf_triples(legs, vals)
+    inner, n_slot, amp_in = _leaf_triples(legs, vals)
     # pairs: inner x la x lb, outer in A3(n) whatever the slot; C order is walk order
     i, ia, ib = np.indices((len(inner), k, k)).reshape(3, -1)
     base = np.stack([legs[ia], legs[ib], n_slot[i]], axis=1)
@@ -355,12 +340,11 @@ def _mode_sums(n: np.ndarray):
     return sums
 
 
-def _sum_by_mode(*parts) -> dict:
-    """_mode_sums over the cells of the (n, v) parts in turn, each v a cell
-    array whose leading axis follows n, flattened in C order."""
-    n = [np.broadcast_to(n.reshape((-1,) + (1,) * (v.ndim - 1)), v.shape).ravel()
-         for n, v in parts]
-    return _mode_sums(np.concatenate(n))(np.concatenate([v.ravel() for _, v in parts]))
+def _sum_by_mode(n: np.ndarray, v: np.ndarray) -> dict:
+    """_mode_sums over the cells of v, a cell array whose leading axis
+    follows n, flattened in C order."""
+    n = np.broadcast_to(n.reshape((-1,) + (1,) * (v.ndim - 1)), v.shape).ravel()
+    return _mode_sums(n)(v.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -385,61 +369,21 @@ def m0_tuple(spec: CounterexampleSpec) -> QuinticTuple:
     )
 
 
-def eval_d0(spec: CounterexampleSpec) -> complex:
-    """Single-tuple value at m0 (structure-only normalization), read from
-    the D-term table.
-
-    phi(m0) = 0 exactly, so the integrand is constant and the value is
-    linear in t."""
-    return eval_d_full(spec)["d0"]
-
-
-def eval_d_full(spec: CounterexampleSpec) -> dict:
-    """Full quintic D term: slot-3 distribution with the n3^2-kernel inner
-    cubic, exhaustively over the data support.
-
-    Returns {"field": {n: value}, "hs_norm", "d0", "nonresonant_moduli",
-    "skipped_outer_resonant"}.
-    """
-    tab = _quintic_table(
-        counterexample_support(spec), spec, ("cubic2",), ("cubic2",), (M0_SLOT,)
-    )
-    live = tab.phi_out != 0
-    return _d_full_report(tab, spec, live, tab.structure_values(spec.t, live)[:, 0, 0, 0])
-
-
-def _d_full_report(tab: _QuinticTable, spec: CounterexampleSpec, live: np.ndarray,
-                   v: np.ndarray) -> dict:
-    """eval_d_full from v, the D value of each pair of tab with phi_out != 0
-    (the pairs flagged in live); each other pair is one skipped tuple.  D0
-    is the value of the m0 pair."""
-    skipped = int(np.count_nonzero(~live))
-    n = tab.n[live]
-    field_vals = _sum_by_mode((n, v))
+def _d_term_norms(tab: _QuinticTable, spec: CounterexampleSpec, live: np.ndarray,
+                  v: np.ndarray) -> tuple:
+    """H^s norms of D0 and of the full D term, and the skipped count, from
+    v, the D value of each pair of tab with phi_out != 0 (the pairs flagged
+    in live); each other pair is one skipped tuple.  D0 is the value of the
+    m0 pair, and phi(m0) = 0 exactly, so it is linear in t."""
     m0 = m0_tuple(spec)
-    weight_N = (1.0 + spec.N**2) ** (spec.s / 2.0)
     outer = tab.outer[live, tab.slots.index(M0_SLOT)]
     inner = tab.inner[tab.triple[live]]
     is_m0 = np.all(outer == m0.outer, axis=1) & np.all(inner == m0.inner, axis=1)
     if not is_m0.any():  # the table holds m0 for every N >= 8
         raise ZeroDivisionError("outer phase vanished at m0 (cannot happen for d1 >= 0)")
-    d0 = complex(v[is_m0][0])
-    at_N = (n == spec.N) & ~is_m0
-    moduli_at_N = sum((weight_N * np.abs(v[at_N])).tolist(), 0.0)
-    d0_hsnorm = weight_N * abs(d0)
-    hs_norm = hs_norm_of_map(field_vals, spec.s)
-    return {
-        "field": field_vals,
-        "hs_norm": hs_norm,
-        "d0": d0,
-        "d0_hsnorm": d0_hsnorm,
-        # triangle inequality at the output mode N: |D(N)| >= |D0| - sum of
-        # the other tuples' moduli (several share the resonant leg multiset
-        # of m0, so the slack can be order one -- reported, never assumed)
-        "nonresonant_moduli": moduli_at_N,
-        "cancellation_slack": max(0.0, d0_hsnorm - hs_norm),
-        "skipped_outer_resonant": skipped,
-    }
+    d0_hsnorm = (1.0 + spec.N**2) ** (spec.s / 2.0) * abs(complex(v[is_m0][0]))
+    hs_norm = hs_norm_of_map(_sum_by_mode(tab.n[live], v), spec.s)
+    return d0_hsnorm, hs_norm, int(np.count_nonzero(~live))
 
 
 @dataclass
@@ -478,7 +422,7 @@ def eval_appendix_terms(spec: CounterexampleSpec, restricted: bool = False) -> N
     )
     live = tab.phi_out != 0
     v = tab.structure_values(spec.t, live)
-    dfull = _d_full_report(tab, spec, live, v[:, M0_SLOT, 0, 0])  # the D term itself
+    d0_hsnorm, d_full_hsnorm, d_skipped = _d_term_norms(tab, spec, live, v[:, M0_SLOT, 0, 0])
     rest = np.ones(len(tab), dtype=bool)
     if restricted:
         leaves = np.column_stack([tab.inner[tab.triple], tab.la, tab.lb])
@@ -495,59 +439,11 @@ def eval_appendix_terms(spec: CounterexampleSpec, restricted: bool = False) -> N
         N=spec.N,
         s=spec.s,
         t=spec.t,
-        d0_hsnorm=dfull["d0_hsnorm"],
-        d_full_hsnorm=dfull["hs_norm"],
+        d0_hsnorm=d0_hsnorm,
+        d_full_hsnorm=d_full_hsnorm,
         **norms,
-        skipped_outer_resonant=skipped + dfull["skipped_outer_resonant"],
+        skipped_outer_resonant=skipped + d_skipped,
     )
-
-
-def eval_resonant_cubic_fifth(spec: CounterexampleSpec) -> float:
-    """H^s norm of the fifth delta-derivative of the dropped resonant cubic
-    Duhamel term -20i n^3 |v(n)|^2 v(n), with w3 sourced from the two
-    nonresonant cubics and from the resonant term itself.
-
-    The self-sourced piece (resonant inside resonant) carries the double
-    time integral and produces the reported ~ t^2 N^{6-4s} growth.
-    """
-    outer, self_sourced, _ = _resonant_cells(
-        counterexample_support(spec), spec, ("cubic2", "cubic3")
-    )
-    return hs_norm_of_map(_sum_by_mode(outer, self_sourced), spec.s)
-
-
-def _resonant_cells(support: dict, spec: CounterexampleSpec, cubics) -> tuple:
-    """(n, v) cells, without e^{i t mu(n)}, of the delta^5 pieces with the
-    resonant cubic -20i n^3 |v|^2 v, in walk order over support's insertion
-    order: outer (it over the nonresonant w3; per A3 triple whose sum is a
-    leaf, per cubic), self_sourced (it over itself, profile -20i n^3 a^2
-    conj(a) t'; per leaf) and resonant_inner (the nonresonant cubics over it
-    as w3; per A3 triple (n0, la, lb), slot of n0, cubic)."""
-    t = spec.t
-    legs, vals = _leaves(support, list(support))
-    idx, m, n, amp_in = _leaf_triples(legs, vals)
-    phi = _cubic_phases(m, spec.d1)
-    # w3 of the resonant term alone, per leaf
-    w3_amp = (-20j * legs**3) * vals * vals * np.conj(vals)
-
-    # outer: the triples whose sum n is a leaf, with that leaf's value an
-    hit = n[:, None] == legs
-    on = hit.any(axis=1)
-    an = vals[hit.argmax(axis=1)[on]][:, None]
-    nr = n[on][:, None]
-    i2 = osc_double(0, phi[on], t)[:, None]
-    g3 = (10j * nr) * _kernel_columns(cubics, m[on]) * amp_in[on, None] * i2
-    outer = (n[on], (-20j * nr**3) * (2.0 * an * np.conj(an) * g3 + an * an * np.conj(g3)))
-
-    self_sourced = (legs, (-20j * legs**3) * (
-        2.0 * vals * np.conj(vals) * w3_amp + vals * vals * np.conj(w3_amp)
-    ) * (0.5 * t * t))
-
-    # resonant_inner: outer legs (la, lb, n0) placed at each slot of n0
-    kx = _kernel_columns(cubics, m[:, [1, 2, 0]][:, _SLOT_ORDER])
-    la, lb, w3, i2 = (a[:, None, None] for a in (
-        vals[idx[:, 1]], vals[idx[:, 2]], w3_amp[idx[:, 0]], osc_double(phi, 0, t)))
-    return outer, self_sourced, (n, (10j * n)[:, None, None] * kx * la * lb * w3 * i2)
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +457,8 @@ def eval_c3_cubic(spec: CounterexampleSpec) -> dict:
     if spec.variant != "C3":
         raise ConfigurationError("eval_c3_cubic expects the C3 variant")
     support = counterexample_support(spec)
-    _, m, n, amp = _leaf_triples(*_leaves(support, list(support)), a3=False)
-    out = _sum_by_mode((n, (m[:, 2] ** 3) * amp * osc_single(_cubic_phases(m), spec.t)))
+    m, n, amp = _leaf_triples(*_leaves(support, list(support)), a3=False)
+    out = _sum_by_mode(n, (m[:, 2] ** 3) * amp * osc_single(_cubic_phases(m), spec.t))
     return {"field": out, "hs_norm": hs_norm_of_map(out, spec.s)}
 
 
@@ -611,69 +507,27 @@ def growth_experiment(Ns, s: float, t: float, variant: str = "C5"):
 
 
 # ---------------------------------------------------------------------------
-# Analytic fifth derivative (direct route) and numeric cross-check
+# Analytic fifth derivative (normal form) and numeric cross-check
 # ---------------------------------------------------------------------------
 
-def fifth_derivative_direct(
-    support: dict, spec: CounterexampleSpec, flow: RenormalizedTerms
-) -> dict:
-    """Coefficient of delta^5 of the flow map at the given data (complex
-    support form), assembled from exact double oscillatory integrals.
-
-    Includes the e^{i t mu(n)} prefactor so values compare directly against
-    evolved states.
-    """
-    cubics = [name for name in ("cubic2", "cubic3") if getattr(flow, name)]
-    parts = []  # (mode, value) cells of every piece, each in walk order
-    if cubics:
-        tab = _quintic_table(support, spec, tuple(cubics), tuple(cubics), (0, 1, 2))
-        parts.append((tab.n, tab.physical_values(spec.t)))
-    if flow.quintic:
-        parts.append(_quintic_term_cells(support, spec))
-    if flow.resonant_cubic:
-        parts.extend(_resonant_cells(support, spec, cubics))
-    return _with_linear_phase(_sum_by_mode(*parts) if parts else {}, spec)
-
-
-def _with_linear_phase(out: dict, spec) -> dict:
-    """Each mode's value times e^{i t mu(n)} at spec.t and spec.d1."""
-    return {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, 0)) * spec.t)
-            for n, v in out.items()}
-
-
-def _quintic_term_cells(support, spec) -> tuple:
-    """Output mode n and delta^5 coefficient 6i n * v0^5 * E_t(phi) (without
-    e^{i t mu(n)}) of every quintuple in A5(n) over the sorted leaves, in
-    walk order."""
-    legs, vals = _leaves(support, sorted(support))
-    idx = np.indices((len(legs),) * 5).reshape(5, -1)
-    n = legs[idx].sum(axis=0)
-    keep = np.all(legs[idx] != n, axis=0)
-    idx, n = idx[:, keep], n[keep]
-    mu = _exact_mu(np.concatenate([legs, n]), spec.d1)
-    phi = -mu[len(legs):] + mu[:len(legs)][idx].sum(axis=0)
-    amp = vals[idx[0]] * vals[idx[1]] * vals[idx[2]] * vals[idx[3]] * vals[idx[4]]
-    return n, (6j * n) * amp * osc_single(phi, spec.t)
-
-
 def t2_duhamel_fifth(
-    support: dict, spec: CounterexampleSpec, inner_terms=("cubic2",), route: str = "direct"
+    support: dict, spec: CounterexampleSpec, inner_terms=("cubic2",), route: str = "normal_form"
 ):
-    """delta^5 coefficient of the n3^2-kernel cubic Duhamel term alone.
-
-    route="direct" uses I2 closed forms; route="normal_form" assembles the
-    boundary + distributed split (skipping and counting phi_out = 0 tuples).
-    Returns (field dict with e^{i t mu} prefactor, skipped count).
+    """delta^5 coefficient of the n3^2-kernel cubic Duhamel term alone, by the
+    normal form: the boundary + distributed split of every tuple, skipping
+    and counting the phi_out = 0 tuples.  route names that one assembly, and
+    any other value raises ValueError.  Returns (field dict with e^{i t mu}
+    prefactor, skipped count).
     """
-    t = spec.t
+    if route != "normal_form":
+        raise ValueError(f"unknown route {route!r}: only 'normal_form' is assembled")
     tab = _quintic_table(support, spec, ("cubic2",), tuple(inner_terms), (0, 1, 2))
-    if route == "direct":
-        n, v, skipped = tab.n, tab.physical_values(t), 0
-    else:
-        live = tab.phi_out != 0
-        n, v = tab.n[live], tab.normal_form_values(t, live)
-        skipped = int(np.count_nonzero(~live)) * math.prod(v.shape[1:])
-    return _with_linear_phase(_sum_by_mode((n, v)), spec), skipped
+    live = tab.phi_out != 0
+    v = tab.normal_form_values(spec.t, live)
+    skipped = int(np.count_nonzero(~live)) * math.prod(v.shape[1:])
+    field = {n: w * np.exp(1j * float(dispersion_mu(n, spec.d1, 0)) * spec.t)
+             for n, w in _sum_by_mode(tab.n[live], v).items()}
+    return field, skipped
 
 
 def numeric_fifth_derivative(

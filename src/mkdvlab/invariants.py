@@ -32,43 +32,20 @@ def _quad(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.sum(values, axis=-1) * (TWO_PI / grid.phys_points)
 
 
-def _hamiltonians(grid: GridSpec, half: np.ndarray, c1: float, top: int = 2) -> np.ndarray:
-    """[H0, ..., H_top] of every row of 2-D half spectra, one stacked
-    synthesis per chunk of rows; a chunk's syntheses, u^2 and the up to three
-    partial products of one integrand fit spectral.BATCH_ELEMENTS together."""
-    out = np.empty((top + 1, len(half)))
-    syntheses = half_spectrum(grid).synthesize_rows(half, range(top + 1), 4)
-    for rows, D in syntheses:
-        U = D[0]
+def _hamiltonians(grid: GridSpec, half: np.ndarray, c1: float) -> np.ndarray:
+    """[H0, H1, H2] of every row of 2-D half spectra, one stacked synthesis
+    per chunk of rows; a chunk's syntheses, u^2 and the up to three partial
+    products of one integrand fit spectral.BATCH_ELEMENTS together."""
+    out = np.empty((3, len(half)))
+    for rows, (U, Ux, Uxx) in half_spectrum(grid).synthesize_rows(half, range(3), 4):
         u2 = U * U
         out[0, rows] = 0.5 * _quad(grid, u2)
-        if top >= 1:
-            Ux = D[1]
-            out[1, rows] = _quad(grid, 0.5 * Ux * Ux + (c1 / 80.0) * u2 * u2)
-        if top >= 2:
-            Uxx = D[2]
-            out[2, rows] = _quad(
-                grid,
-                0.5 * Uxx * Uxx + (c1 / 8.0) * u2 * Ux * Ux + (c1**2 / 1600.0) * u2 * u2 * u2,
-            )
+        out[1, rows] = _quad(grid, 0.5 * Ux * Ux + (c1 / 80.0) * u2 * u2)
+        out[2, rows] = _quad(
+            grid,
+            0.5 * Uxx * Uxx + (c1 / 8.0) * u2 * Ux * Ux + (c1**2 / 1600.0) * u2 * u2 * u2,
+        )
     return out
-
-
-def _hamiltonian(u: SpectralField, c1: float, top: int) -> float:
-    u.require_real(what=f"H{top} input")
-    return float(_hamiltonians(u.grid, u.coeff[None, u.grid.max_mode:], c1, top)[top, 0])
-
-
-def hamiltonian_h0(u: SpectralField) -> float:
-    return _hamiltonian(u, 0.0, 0)
-
-
-def hamiltonian_h1(u: SpectralField, c1: float) -> float:
-    return _hamiltonian(u, c1, 1)
-
-
-def hamiltonian_h2(u: SpectralField, c1: float) -> float:
-    return _hamiltonian(u, c1, 2)
 
 
 @dataclass

@@ -11,9 +11,10 @@ n = n1+n2+n3, and with the gauge shift d1 the modulation weight becomes
                     (n1^2+n2^2+n3^2+n^2 + 6 d1/5)
                   = mu(n) - mu(n1) - mu(n2) - mu(n3)
 
-with mu(m) = m^5 + d1 m^3 + d2 m (d2 cancels identically).  resonance_h and
-resonance_g use Python's arbitrary-precision ints, so nothing wraps at any
-size; rational d1/d2 go through fractions.Fraction exactly.
+with mu(m) = m^5 + d1 m^3 + d2 m (d2 cancels identically).  resonance_g and
+phi_cubic use Python's arbitrary-precision ints, so nothing wraps at any
+size; rational d1/d2 go through fractions.Fraction exactly.  H on int64
+arrays (`resonance_h_array`) is checked direct == factored entry by entry.
 
 Index sets (defining conditions):
 
@@ -37,26 +38,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-
-
-def resonance_h(n1: int, n2: int, n3: int) -> int:
-    """H = (n1+n2+n3)^5 - n1^5 - n2^5 - n3^5, exact.
-
-    Both the direct quintic difference and the (5/2)-factored form are
-    computed and must agree (the factored product is always even).
-    """
-    n1, n2, n3 = int(n1), int(n2), int(n3)
-    n = n1 + n2 + n3
-    direct = n**5 - n1**5 - n2**5 - n3**5
-    prod = (n1 + n2) * (n1 + n3) * (n2 + n3) * (n1 * n1 + n2 * n2 + n3 * n3 + n * n)
-    if prod % 2 != 0:
-        raise ArithmeticError("factored resonance product must be even")
-    factored = 5 * (prod // 2)
-    if direct != factored:
-        raise ArithmeticError(
-            f"resonance factorization mismatch at ({n1},{n2},{n3}): {direct} != {factored}"
-        )
-    return direct
 
 
 def resonance_g(n1: int, n2: int, n3: int, d1=0):
@@ -134,8 +115,9 @@ def _plane(n: int, radius: int, cap: int, k: int, extra: int = 0) -> np.ndarray:
 
 
 def resonance_h_array(n1: np.ndarray, n2: np.ndarray, n3: np.ndarray) -> tuple:
-    """resonance_h on broadcast int64 arrays (exact inside the radius caps): H
-    direct, and the mask of entries where the (5/2)-factored form differs."""
+    """H = (n1+n2+n3)^5 - n1^5 - n2^5 - n3^5 on broadcast int64 arrays (exact
+    inside the radius caps): H direct, and the mask of entries where the
+    (5/2)-factored form differs or its product is odd."""
     n = n1 + n2 + n3
     direct = n**5 - n1**5 - n2**5 - n3**5
     prod = (n1 + n2) * (n1 + n3) * (n2 + n3) * (n1 * n1 + n2 * n2 + n3 * n3 + n * n)

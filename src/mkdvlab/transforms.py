@@ -1,4 +1,4 @@
-"""Gauge renormalization of trajectories, its inverse, and the Miura map.
+"""Gauge renormalization of trajectories, and the Miura map.
 
 The gauge transform twists each Fourier mode by the accumulated quartic
 phase:
@@ -10,8 +10,8 @@ phase:
 so |v(t,n)| = |u(t,n)| pointwise and v(0) = u(0).  Phi is accumulated by
 composite trapezoid on the recorded time grid.  The twist e^{-20 i n Phi}
 translates u by 20*Phi in space, and l4 (the mean of u^4) does not change
-under a translation, so l4(v) = l4(u) record by record: the inverse reads
-Phi from v directly, in one pass.
+under a translation, so l4(v) = l4(u) record by record: the inverse twist
+(sign +1, the tests' round-trip reference) reads Phi from v directly.
 
 Every real-data synthesis here is one stacked irfft of
 :class:`spectral.HalfSpectrum` over all records and derivative orders.
@@ -81,12 +81,6 @@ def gauge_forward(traj_u: Trajectory) -> Trajectory:
     scales like n * quadrature error, amplified by max_mode).
     """
     return _apply_phase(traj_u, accumulate_phase(traj_u), -1.0)
-
-
-def gauge_inverse(traj_v: Trajectory) -> Trajectory:
-    """Inverse gauge transform: Phi accumulated from v itself, since
-    l4(v) = l4(u) on every record."""
-    return _apply_phase(traj_v, accumulate_phase(traj_v), +1.0)
 
 
 # ---------------------------------------------------------------------------

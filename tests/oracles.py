@@ -6,6 +6,7 @@ paths used by the package. Only usable at small max_mode.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -212,6 +213,14 @@ def miura_static_fields_oracle(M, seed, count=100):
     return pairs
 
 
+def gauge_inverse(traj_v):
+    """Inverse gauge transform, the round-trip reference of gauge_forward:
+    Phi accumulated from v itself, since l4(v) = l4(u) on every record."""
+    from mkdvlab.transforms import _apply_phase, accumulate_phase
+
+    return _apply_phase(traj_v, accumulate_phase(traj_v), +1.0)
+
+
 # ---------------------------------------------------------------------------
 # Short-time norms: one window at a time
 # ---------------------------------------------------------------------------
@@ -410,34 +419,47 @@ def structure_value_oracle(tup, t):
 
     if tup.phi_out == 0:
         raise ZeroDivisionError("outer phase vanishes; tuple not normal-formable")
-    k = tup.n * tup.n_slot * tup.kernel_x * tup.kernel_y / float(tup.phi_out)
+    k = tup.n * tup.outer[tup.slot] * tup.kernel_x * tup.kernel_y / float(tup.phi_out)
     return k * tup.amp * osc_single(tup.phi_out + tup.phi_in, t)
 
 
 def _physical_prefactor(tup):
-    return (10j * tup.n) * (10j * tup.n_slot) * tup.kernel_x * tup.kernel_y
+    return (10j * tup.n) * (10j * tup.outer[tup.slot]) * tup.kernel_x * tup.kernel_y
 
 
-def physical_value_oracle(tup, t):
-    """Exact delta^5 contribution of one tuple, without e^{i t mu(n)}."""
+def _exact(phases):
+    """Exact-int phases as an object array: one E_t or I2 call over it gives
+    each element's scalar call bit for bit (test_array_equals_scalar_calls)."""
+    return np.array(list(phases), dtype=object)
+
+
+def physical_values_oracle(tuples, t):
+    """Exact delta^5 contribution of each tuple, without e^{i t mu(n)}."""
     from mkdvlab.illposed import osc_double
 
-    return _physical_prefactor(tup) * tup.amp * osc_double(tup.phi_out, tup.phi_in, t)
+    i2 = osc_double(_exact(tup.phi_out for tup in tuples),
+                    _exact(tup.phi_in for tup in tuples), t)
+    return [_physical_prefactor(tup) * tup.amp * v for tup, v in zip(tuples, i2.tolist())]
 
 
-def normal_form_value_oracle(tup, t):
-    """Boundary plus distributed piece of one tuple (phi_out != 0)."""
+def normal_form_values_oracle(tuples, t):
+    """Boundary plus distributed piece of each tuple (phi_out != 0 on all)."""
     from mkdvlab.illposed import osc_single
 
-    a = float(tup.phi_out)
-    c = _physical_prefactor(tup)
-    boundary = c * tup.amp * np.exp(1j * a * t) * osc_single(tup.phi_in, t) / (1j * a)
-    distributed = -c * tup.amp * osc_single(tup.phi_out + tup.phi_in, t) / (1j * a)
-    return boundary + distributed
+    e_in = osc_single(_exact(tup.phi_in for tup in tuples), t).tolist()
+    e_sum = osc_single(_exact(tup.phi_out + tup.phi_in for tup in tuples), t).tolist()
+    out = []
+    for tup, ei, es in zip(tuples, e_in, e_sum):
+        a = float(tup.phi_out)
+        c = _physical_prefactor(tup)
+        boundary = c * tup.amp * np.exp(1j * a * t) * ei / (1j * a)
+        out.append(boundary + -c * tup.amp * es / (1j * a))
+    return out
 
 
 def eval_d_full_oracle(spec):
-    """eval_d_full summed tuple by tuple."""
+    """The quintic D term (slot 3, n3^2 kernels outside and inside) over the
+    C5 support, D0 and the other tuples' moduli at mode N, tuple by tuple."""
     from mkdvlab.illposed import M0_SLOT, counterexample_support, hs_norm_of_map, m0_tuple
 
     support = counterexample_support(spec)
@@ -498,47 +520,46 @@ def _with_linear_phase(out, spec):
 
 
 def t2_duhamel_fifth_oracle(support, spec, inner_terms=("cubic2",), route="direct"):
-    """t2_duhamel_fifth summed tuple by tuple; returns (field, skipped)."""
-    out, skipped = {}, 0
-    for tup in iter_quintic_tuples_oracle(support, spec, ("cubic2",), tuple(inner_terms)):
-        if route == "direct":
-            v = physical_value_oracle(tup, spec.t)
-        elif tup.phi_out == 0:
-            skipped += 1
-            continue
-        else:
-            v = normal_form_value_oracle(tup, spec.t)
+    """t2_duhamel_fifth summed tuple by tuple; returns (field, skipped).
+    route="direct" sums the exact I2 closed forms, "normal_form" the
+    boundary + distributed split (skipping and counting phi_out = 0)."""
+    tuples = list(iter_quintic_tuples_oracle(support, spec, ("cubic2",), tuple(inner_terms)))
+    if route == "direct":
+        skipped, values = 0, physical_values_oracle(tuples, spec.t)
+    else:
+        live = [tup for tup in tuples if tup.phi_out != 0]
+        skipped, tuples = len(tuples) - len(live), live
+        values = normal_form_values_oracle(live, spec.t)
+    out = {}
+    for tup, v in zip(tuples, values):
         out[tup.n] = out.get(tup.n, 0.0) + v
     return _with_linear_phase(out, spec), skipped
 
 
 def fifth_derivative_nonresonant_oracle(support, spec, cubics, quintic=False):
-    """fifth_derivative_direct of a flow holding only the given nonresonant
-    cubics and, if quintic, the quintic term 6i n sum v^5, summed tuple by
-    tuple: the cubic tuples, then every quintuple of leaves."""
+    """delta^5 coefficient, with e^{i t mu(n)}, of a flow holding only the
+    given nonresonant cubics and, if quintic, 6i n sum v^5, summed tuple by
+    tuple from exact I2 closed forms: cubic tuples, then quintuples."""
     from mkdvlab.equations import dispersion_mu
     from mkdvlab.illposed import osc_single
 
     out = {}
-    for tup in iter_quintic_tuples_oracle(support, spec, tuple(cubics), tuple(cubics)):
-        out[tup.n] = out.get(tup.n, 0.0) + physical_value_oracle(tup, spec.t)
-    leaves = sorted(support) if quintic else []
-    for i1 in leaves:
-        for i2 in leaves:
-            for i3 in leaves:
-                for i4 in leaves:
-                    for i5 in leaves:
-                        tup = (i1, i2, i3, i4, i5)
-                        n = sum(tup)
-                        if any(m == n for m in tup):
-                            continue
-                        phi = -dispersion_mu(n, spec.d1, 0) + sum(
-                            dispersion_mu(m, spec.d1, 0) for m in tup
-                        )
-                        amp = 1.0
-                        for m in tup:
-                            amp *= support[m]
-                        out[n] = out.get(n, 0.0) + (6j * n) * amp * osc_single(phi, spec.t)
+    tuples = list(iter_quintic_tuples_oracle(support, spec, tuple(cubics), tuple(cubics)))
+    for tup, v in zip(tuples, physical_values_oracle(tuples, spec.t)):
+        out[tup.n] = out.get(tup.n, 0.0) + v
+    quintuples = []  # (n, amp, phi) in the order of five nested loops
+    for tup in itertools.product(sorted(support) if quintic else [], repeat=5):
+        n = sum(tup)
+        if any(m == n for m in tup):
+            continue
+        phi = -dispersion_mu(n, spec.d1, 0) + sum(dispersion_mu(m, spec.d1, 0) for m in tup)
+        amp = 1.0
+        for m in tup:
+            amp *= support[m]
+        quintuples.append((n, amp, phi))
+    e_t = osc_single(_exact(phi for _, _, phi in quintuples), spec.t).tolist()
+    for (n, amp, _), e in zip(quintuples, e_t):
+        out[n] = out.get(n, 0.0) + (6j * n) * amp * e
     return _with_linear_phase(out, spec)
 
 
@@ -592,6 +613,18 @@ def resonant_pieces_oracle(support, spec, cubics):
                             10j * n
                         ) * kx * support[la] * support[lb] * w3_amp * osc_double(phi_out, 0, t)
     return outer, self_sourced, resonant_inner
+
+
+def fifth_derivative_resonant_oracle(support, spec, cubics):
+    """delta^5 coefficient, with e^{i t mu(n)}, of a flow holding the
+    resonant cubic and the given nonresonant cubics, from exact closed forms
+    summed tuple by tuple."""
+    out = {}
+    for piece in resonant_pieces_oracle(support, spec, cubics):
+        _add_into(out, piece)
+    out = _with_linear_phase(out, spec)
+    _add_into(out, fifth_derivative_nonresonant_oracle(support, spec, cubics))
+    return out
 
 
 def eval_c3_cubic_oracle(spec):

@@ -13,9 +13,9 @@ from mkdvlab.integrate import StepControl, default_dt, evolve, uniform_steps
 from mkdvlab.invariants import drift_report
 from mkdvlab.shorttime import fk_norm, fs_norm, nk_norm, window_centers
 from mkdvlab.spectral import GridSpec, SpectralField
-from mkdvlab.transforms import chain_identity_gap, gauge_forward, gauge_inverse, miura_residual
+from mkdvlab.transforms import chain_identity_gap, gauge_forward, miura_residual
 
-from oracles import random_real_coeffs
+from oracles import gauge_inverse, random_real_coeffs
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from oracles import (
     eval_d_full_oracle,
     fifth_derivative_nonresonant_oracle,
     fifth_derivative_quadrature_oracle,
+    fifth_derivative_resonant_oracle,
     iter_quintic_tuples_oracle,
     resonant_pieces_oracle,
     structure_value_oracle,
@@ -31,15 +32,9 @@ from mkdvlab.illposed import (
     CounterexampleSpec,
     _check_osc_bound,
     _quintic_table,
-    _resonant_cells,
-    _sum_by_mode,
     counterexample_support,
     eval_appendix_terms,
     eval_c3_cubic,
-    eval_d0,
-    eval_d_full,
-    eval_resonant_cubic_fifth,
-    fifth_derivative_direct,
     growth_experiment,
     hs_norm_of_map,
     m0_tuple,
@@ -165,14 +160,15 @@ class TestD0:
     def test_linear_in_t(self):
         s1 = CounterexampleSpec(N=128, s=1.0, t=1e-4)
         s2 = CounterexampleSpec(N=128, s=1.0, t=2e-4)
-        assert abs(eval_d0(s2)) == pytest.approx(2 * abs(eval_d0(s1)), rel=1e-12)
+        d0 = [eval_appendix_terms(spec).d0_hsnorm for spec in (s1, s2)]
+        assert d0[1] == pytest.approx(2 * d0[0], rel=1e-12)
 
     def test_closed_form_value(self):
         # |N^s D0| = t N^3 (N-1)^3 / [(5/2)(N-2)(N+1)(2N^2-2N+6)]  (s = 1)
         spec = CounterexampleSpec(N=64, s=1.0, t=1e-4)
         N, t = 64, 1e-4
         want_ns = t * N**3 * (N - 1) ** 3 / (2.5 * (N - 2) * (N + 1) * (2 * N**2 - 2 * N + 6))
-        got = (1 + N * N) ** 0.5 * abs(eval_d0(spec))  # <N>^s weight
+        got = eval_appendix_terms(spec).d0_hsnorm  # <N>^s |D0|
         assert got == pytest.approx(want_ns * math.sqrt(1 + 1 / N**2), rel=1e-10)
 
     def test_outer_resonant_m0_raises(self):
@@ -180,23 +176,23 @@ class TestD0:
         # at N = 9, d1 = -125: m0 cannot be normal-formed there
         spec = CounterexampleSpec(N=9, s=1.0, t=1e-4, d1=-125)
         assert m0_tuple(spec).phi_out == 0
-        for f in (eval_d0, eval_d_full, eval_appendix_terms):
-            with pytest.raises(ZeroDivisionError, match="m0"):
-                f(spec)
+        with pytest.raises(ZeroDivisionError, match="m0"):
+            eval_appendix_terms(spec)
 
     def test_ratio_to_tN2_is_one_fifth(self):
         # the exact constant: ratio * 5 -> 1 from below
         for N in (64, 512, 4096):
             spec = CounterexampleSpec(N=N, s=1.0, t=1e-4)
-            ratio = (1 + N * N) ** 0.5 * abs(eval_d0(spec)) / (1e-4 * N**2)
+            ratio = eval_appendix_terms(spec).d0_hsnorm / (1e-4 * N**2)
             assert 0.98 < 5.0 * ratio < 1.001
 
 
 class TestDFull:
     def test_m0_term_reproduced_bitwise(self):
+        # D0 is the table's m0 pair: the m0 tuple's structure value, bit for bit
         spec = CounterexampleSpec(N=16, s=1.0, t=1e-4)
-        rep = eval_d_full(spec)
-        assert rep["d0"] == eval_d0(spec)  # same code path, bit-identical
+        d0 = structure_value_oracle(m0_tuple(spec), spec.t)
+        assert eval_appendix_terms(spec).d0_hsnorm == (1.0 + 16**2) ** 0.5 * abs(d0)
 
     def test_tuples_respect_nonresonant_sets(self):
         # every outer tuple of the walker lies in the enumerated A3 sets
@@ -212,7 +208,7 @@ class TestDFull:
 
     def test_triangle_bookkeeping(self):
         spec = CounterexampleSpec(N=64, s=1.0, t=1e-4)
-        rep = eval_d_full(spec)
+        rep = eval_d_full_oracle(spec)
         # |D(N)| >= |D0| - sum of other tuples' moduli at mode N (weighted)
         assert rep["hs_norm"] >= rep["d0_hsnorm"] - rep["nonresonant_moduli"] - 1e-12
         # the cancellation slack is what the siblings of m0 remove; reported
@@ -226,14 +222,13 @@ class TestDFull:
         # single-tuple rate
         norms = []
         for N in (256, 512, 1024, 2048):
-            rep = eval_d_full(CounterexampleSpec(N=N, s=1.0, t=1e-4))
-            norms.append(rep["hs_norm"])
+            norms.append(eval_appendix_terms(CounterexampleSpec(N=N, s=1.0, t=1e-4)).d_full_hsnorm)
         slope = np.polyfit(np.log([256, 512, 1024, 2048]), np.log(norms), 1)[0]
         assert 0.9 <= slope <= 1.1
 
     def test_no_skipped_tuples_at_zero_d1(self):
         spec = CounterexampleSpec(N=32, s=1.0, t=1e-4)
-        assert eval_d_full(spec)["skipped_outer_resonant"] == 0
+        assert eval_appendix_terms(spec).skipped_outer_resonant == 0
 
 
 class TestGrowthExperiment:
@@ -285,43 +280,57 @@ class TestAppendixTerms:
         restr = eval_appendix_terms(spec, restricted=True)
         assert restr.d1_norms <= full.d1_norms
 
+    @staticmethod
+    def resonant_cubic_fifth_norm(spec):
+        """H^s norm of the delta^5 coefficient of the dropped resonant cubic
+        -20i n^3 |v|^2 v over w3 of both nonresonant cubics and of itself."""
+        outer, self_sourced, _ = resonant_pieces_oracle(
+            counterexample_support(spec), spec, ("cubic2", "cubic3"))
+        total = {n: outer.get(n, 0.0) + self_sourced.get(n, 0.0) for n in outer | self_sourced}
+        return hs_norm_of_map(total, spec.s)
+
     def test_resonant_cubic_report_scaling(self):
-        # dropped resonant term's fifth derivative ~ t^2 N^{6-4s}
+        # dropped resonant term's fifth derivative ~ t^2 N^{6-4s}: the
+        # self-sourced piece carries the double time integral
         Ns = (256, 512, 1024)
-        vals = [
-            eval_resonant_cubic_fifth(CounterexampleSpec(N=N, s=1.0, t=1e-4)) for N in Ns
-        ]
+        vals = [self.resonant_cubic_fifth_norm(CounterexampleSpec(N=N, s=1.0, t=1e-4))
+                for N in Ns]
         slope = np.polyfit(np.log(Ns), np.log(vals), 1)[0]
         assert abs(slope - 2.0) < 0.1
-        v1 = eval_resonant_cubic_fifth(CounterexampleSpec(N=256, s=1.0, t=1e-4))
-        v2 = eval_resonant_cubic_fifth(CounterexampleSpec(N=256, s=1.0, t=2e-4))
+        v1 = self.resonant_cubic_fifth_norm(CounterexampleSpec(N=256, s=1.0, t=1e-4))
+        v2 = self.resonant_cubic_fifth_norm(CounterexampleSpec(N=256, s=1.0, t=2e-4))
         assert v2 / v1 == pytest.approx(4.0, rel=0.05)  # t^2 scaling
 
 
 class TestNormalFormConsistency:
     def test_direct_equals_boundary_plus_distributed(self):
+        # the package's normal form against the oracle's sum of I2 closed forms
         spec = CounterexampleSpec(N=8, s=1.0, t=0.005)
         supp = symmetrized_support(counterexample_support(spec))
-        d_direct, _ = t2_duhamel_fifth(supp, spec, route="direct")
-        d_nf, skipped = t2_duhamel_fifth(supp, spec, route="normal_form")
+        d_direct, _ = t2_duhamel_fifth_oracle(supp, spec, route="direct")
+        d_nf, skipped = t2_duhamel_fifth(supp, spec)
         assert skipped == 0
         keys = set(d_direct) | set(d_nf)
         scale = max(abs(v) for v in d_direct.values())
         gap = max(abs(d_direct.get(k, 0) - d_nf.get(k, 0)) for k in keys)
         assert gap < 1e-12 * scale
 
+    def test_other_route_rejected(self):
+        spec = CounterexampleSpec(N=8, s=1.0, t=0.005)
+        with pytest.raises(ValueError, match="'direct'"):
+            t2_duhamel_fifth(COMPLEX_SUPPORT, spec, route="direct")
+
 
 class TestResonantCubicPieces:
-    """The delta^5 pieces that pair the resonant cubic with a nonresonant
-    cubic (resonant outer term over a nonresonant w3, and nonresonant outer
-    term over the resonant w3), against quadrature of the Duhamel iterates."""
+    """The oracles' closed-form delta^5 pieces that pair the resonant cubic
+    with a nonresonant cubic (resonant outer term over a nonresonant w3, and
+    nonresonant outer term over the resonant w3), against quadrature."""
 
     @pytest.mark.parametrize("cubic", ["cubic2", "cubic3"])
     def test_with_one_nonresonant_cubic(self, cubic):
         spec = CounterexampleSpec(N=8, s=1.0, t=2e-6)
         supp = symmetrized_support(counterexample_support(spec))
-        flow = RenormalizedTerms(True, cubic == "cubic2", cubic == "cubic3", False)
-        got = fifth_derivative_direct(supp, spec, flow)
+        got = fifth_derivative_resonant_oracle(supp, spec, (cubic,))
         want = fifth_derivative_quadrature_oracle(supp, spec, (cubic,), nodes=96)
         assert set(got) == set(want)
         scale = max(abs(v) for v in want.values())
@@ -348,23 +357,19 @@ class TestNumericFifthDerivative:
                                      RenormalizedTerms())
 
     @staticmethod
-    def _cross_validation_rel(flow, t, dt):
+    def _cross_validation_rel(flow, t, dt, closed_form):
         """max |numeric - closed form| / max |closed form| of the fifth
-        delta-derivative at N=8, max_mode=32."""
+        delta-derivative at N=8, max_mode=32; closed_form(support, spec)
+        gives the field of the flow."""
         spec = CounterexampleSpec(N=8, s=1.0, t=t)
         grid = GridSpec(32)
         supp = symmetrized_support(counterexample_support(spec))
-        u0 = SpectralField.zeros(grid)
-        for n, a in supp.items():
-            u0.coeff[n + grid.max_mode] = a
+        u0 = SpectralField.from_modes(grid, supp)
         p = EquationParams.constrained_family(40.0)
         p.d1 = p.d2 = 0.0
-        ana = fifth_derivative_direct(supp, spec, flow)
-        M = grid.max_mode
-        ana_arr = np.zeros(2 * M + 1, dtype=complex)
-        for n, v in ana.items():
-            if abs(n) <= M:
-                ana_arr[n + M] = v
+        ana = closed_form(supp, spec)
+        ana_arr = SpectralField.from_modes(
+            grid, {n: v for n, v in ana.items() if abs(n) <= grid.max_mode}).coeff
         a5, _ = numeric_fifth_derivative(
             u0, spec.t, [0.01, 0.02, 0.03, 0.04], p, flow,
             ctrl=StepControl(dt=dt, record_stride=10**9),
@@ -373,17 +378,22 @@ class TestNumericFifthDerivative:
 
     def test_cross_validation_small(self):
         # cubic-only flow at N=8, max_mode=32: numeric divided difference
-        # matches the closed-form second iterate
+        # matches the normal-form second iterate
         flow = RenormalizedTerms(False, True, False, False)
-        assert self._cross_validation_rel(flow, 0.002, 2e-6) < 1e-3
+        rel = self._cross_validation_rel(
+            flow, 0.002, 2e-6, lambda supp, spec: t2_duhamel_fifth(supp, spec)[0])
+        assert rel < 1e-3
 
-    @pytest.mark.parametrize("flow", [
-        RenormalizedTerms(False, False, False, True),
-        RenormalizedTerms(True, False, False, False),
+    @pytest.mark.parametrize("flow, closed_form", [
+        (RenormalizedTerms(False, False, False, True),
+         lambda supp, spec: fifth_derivative_nonresonant_oracle(supp, spec, (), quintic=True)),
+        (RenormalizedTerms(True, False, False, False),
+         lambda supp, spec: fifth_derivative_resonant_oracle(supp, spec, ())),
     ], ids=["quintic", "resonant_cubic"])
-    def test_cross_validation_single_term(self, flow):
-        # the k^5 loop and the resonant-cubic pieces of fifth_derivative_direct
-        assert self._cross_validation_rel(flow, 5e-4, 5e-6) < 1e-3
+    def test_cross_validation_single_term(self, flow, closed_form):
+        # the k^5 quintuples and the self-sourced resonant-cubic piece, each
+        # summed tuple by tuple by the oracles
+        assert self._cross_validation_rel(flow, 5e-4, 5e-6, closed_form) < 1e-3
 
 
 # complex, non-Hermitian data on four leaves: cheap for the per-tuple walker
@@ -402,10 +412,7 @@ def assert_reports_close(got: dict, want: dict):
     assert got.pop("skipped_outer_resonant") == want.pop("skipped_outer_resonant")
     assert list(got) == list(want)
     for key, v in want.items():
-        if key == "field":
-            assert_fields_close(got[key], v)
-        else:
-            assert got[key] == pytest.approx(v, rel=REL, abs=0.0), key
+        assert got[key] == pytest.approx(v, rel=REL, abs=0.0), key
 
 
 def table_rows(tab):
@@ -473,33 +480,16 @@ def test_factored_table_matches_walk(support, d1, slots, terms):
         assert len(_quintic_table(support, spec, *terms, slots)) == 0
 
 
-RESONANT_REL = 1e-14
-
-
-def assert_modes_close(got: dict, want: dict, rel: float):
-    assert list(got) == list(want)  # same modes, in the same order
-    for n, v in want.items():
-        assert abs(got[n] - v) <= rel * abs(v), n
-
-
 @settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
-@given(
-    support=random_supports().flatmap(
-        lambda supp: st.permutations(list(supp)).map(lambda keys: {m: supp[m] for m in keys})
-    ),
-    d1=st.sampled_from([0, 3, -30]),
-    cubics=st.sampled_from([("cubic2",), ("cubic3",), ("cubic2", "cubic3")]),
-    N=st.integers(8, 5000),
-)
-def test_resonant_pieces_match_loops(support, d1, cubics, N):
-    # the array passes against the per-tuple loops, on supports in shuffled
-    # insertion order (the loops walk it, so the mode order follows it)
-    spec = CounterexampleSpec(N=8, s=1.0, t=1e-4, d1=d1)
-    for cells, want in zip(_resonant_cells(support, spec, cubics),
-                           resonant_pieces_oracle(support, spec, cubics)):
-        assert_modes_close(_sum_by_mode(cells), want, RESONANT_REL)
+@given(d1=st.sampled_from([0, 3, -30]), N=st.integers(8, 5000))
+def test_c3_cubic_matches_loops(d1, N):
+    # the array pass against the per-triple loop, modes in the loop's order
     c3 = CounterexampleSpec(N=N, s=1.0, t=1e-4, variant="C3", d1=d1)
-    assert_modes_close(eval_c3_cubic(c3)["field"], eval_c3_cubic_oracle(c3), RESONANT_REL)
+    want = eval_c3_cubic_oracle(c3)
+    got = eval_c3_cubic(c3)["field"]
+    assert list(got) == list(want)
+    for n, v in want.items():
+        assert abs(got[n] - v) <= 1e-14 * abs(v), n
 
 
 class TestTupleTableMatchesOracle:
@@ -547,9 +537,13 @@ class TestTupleTableMatchesOracle:
     @pytest.mark.parametrize("d1", [0, 3, -30])
     def test_d_full(self, d1):
         spec = CounterexampleSpec(N=16, s=1.0, t=1e-4, d1=d1)
-        assert_reports_close(eval_d_full(spec), eval_d_full_oracle(spec))
+        got, want = eval_appendix_terms(spec), eval_d_full_oracle(spec)
+        assert got.d0_hsnorm == pytest.approx(want["d0_hsnorm"], rel=REL, abs=0.0)
+        assert got.d_full_hsnorm == pytest.approx(want["hs_norm"], rel=REL, abs=0.0)
 
-    @pytest.mark.parametrize("route", ["direct", "normal_form"])
+    # the package assembles the normal form only; the oracle's direct route
+    # is compared with it in TestNormalFormConsistency
+    @pytest.mark.parametrize("route", ["normal_form"])
     @pytest.mark.parametrize("d1", [0, 3, -30])
     def test_t2_duhamel_fifth(self, route, d1):
         spec = CounterexampleSpec(N=8, s=1.0, t=0.005, d1=d1)
@@ -558,29 +552,6 @@ class TestTupleTableMatchesOracle:
             want, want_skipped = t2_duhamel_fifth_oracle(supp, spec, ("cubic2", "cubic3"), route)
             assert got_skipped == want_skipped
             assert_fields_close(got, want)
-
-    @pytest.mark.parametrize("cubics", [("cubic2",), ("cubic3",), ("cubic2", "cubic3")])
-    def test_fifth_derivative_direct(self, cubics):
-        spec = CounterexampleSpec(N=8, s=1.0, t=0.005, d1=-30)
-        flow = RenormalizedTerms(False, "cubic2" in cubics, "cubic3" in cubics, False)
-        for supp in (counterexample_support(spec), COMPLEX_SUPPORT):
-            got = fifth_derivative_direct(supp, spec, flow)
-            assert_fields_close(got, fifth_derivative_nonresonant_oracle(supp, spec, cubics))
-
-    @pytest.mark.parametrize("d1", [0, -30])
-    def test_fifth_derivative_direct_quintic(self, d1):
-        # the k^5 quintuples as one array pass, against the loop: bitwise on
-        # the symmetrized N = 8 support, and summed after the cubic tuples
-        spec = CounterexampleSpec(N=8, s=1.0, t=5e-4, d1=d1)
-        supp = symmetrized_support(counterexample_support(spec))
-        got = fifth_derivative_direct(supp, spec, RenormalizedTerms(False, False, False, True))
-        want = fifth_derivative_nonresonant_oracle(supp, spec, (), quintic=True)
-        assert_fields_close(got, want)
-        assert got == want
-        flow = RenormalizedTerms(False, True, True, True)
-        want = fifth_derivative_nonresonant_oracle(
-            COMPLEX_SUPPORT, spec, ("cubic2", "cubic3"), quintic=True)
-        assert_fields_close(fifth_derivative_direct(COMPLEX_SUPPORT, spec, flow), want)
 
     def test_phases_beyond_int64(self):
         # |n| reaches 5N = 20480 and 20480^5 ~ 3.6e21 does not fit in int64:

@@ -9,11 +9,9 @@ from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.invariants import (
     EPSILON,
     KAPPA,
+    _hamiltonians,
     drift_report,
     es_energy,
-    hamiltonian_h0,
-    hamiltonian_h1,
-    hamiltonian_h2,
     modified_energy_ek,
 )
 from mkdvlab.spectral import GridSpec, SpectralField, project_pk, sobolev_norm
@@ -21,43 +19,46 @@ from mkdvlab.spectral import GridSpec, SpectralField, project_pk, sobolev_norm
 from oracles import random_real_coeffs
 
 
+def hamiltonians(u, c1=0.0):
+    """[H0, H1, H2] of one real field, as drift_report computes a record's."""
+    return _hamiltonians(u.grid, u.coeff[None, u.grid.max_mode:], c1)[:, 0].tolist()
+
+
 class TestHamiltonianValues:
     def test_zero(self, grid8):
         z = SpectralField.zeros(grid8)
-        assert hamiltonian_h0(z) == 0.0
-        assert hamiltonian_h1(z, 40.0) == 0.0
-        assert hamiltonian_h2(z, 40.0) == 0.0
+        assert hamiltonians(z, 40.0) == [0.0, 0.0, 0.0]
 
     def test_cosine_h0(self, cosine_field):
-        assert hamiltonian_h0(cosine_field) == pytest.approx(np.pi / 2, rel=1e-13)
+        assert hamiltonians(cosine_field)[0] == pytest.approx(np.pi / 2, rel=1e-13)
 
     def test_h0_quadratic_scaling(self, grid8):
         for A in (0.5, 2.0, 3.0):
             f = SpectralField.from_modes(grid8, {1: A / 2, -1: A / 2})
-            assert hamiltonian_h0(f) == pytest.approx(A**2 * np.pi / 2, rel=1e-12)
+            assert hamiltonians(f)[0] == pytest.approx(A**2 * np.pi / 2, rel=1e-12)
 
     def test_cosine_h1(self, cosine_field):
         # pi/2 + (40/80) * 3pi/4
-        assert hamiltonian_h1(cosine_field, 40.0) == pytest.approx(
+        assert hamiltonians(cosine_field, 40.0)[1] == pytest.approx(
             np.pi / 2 + 3 * np.pi / 8, rel=1e-13
         )
-        assert hamiltonian_h1(cosine_field, 0.0) == pytest.approx(np.pi / 2, rel=1e-13)
+        assert hamiltonians(cosine_field, 0.0)[1] == pytest.approx(np.pi / 2, rel=1e-13)
 
     def test_cosine_h2(self, cosine_field):
         # int uxx^2/2 = pi/2 ; 5 * int cos^2 sin^2 = 5 pi/4 ; int cos^6 = 5pi/8
         want = np.pi / 2 + 5 * np.pi / 4 + 5 * np.pi / 8
-        assert hamiltonian_h2(cosine_field, 40.0) == pytest.approx(want, rel=1e-13)
-        assert hamiltonian_h2(cosine_field, 0.0) == pytest.approx(np.pi / 2, rel=1e-13)
+        assert hamiltonians(cosine_field, 40.0)[2] == pytest.approx(want, rel=1e-13)
+        assert hamiltonians(cosine_field, 0.0)[2] == pytest.approx(np.pi / 2, rel=1e-13)
 
     def test_scaling_decomposition(self, grid8, rng):
         # h1(lambda u) = lambda^2 a + lambda^4 b with a, b from two probes
         c = random_real_coeffs(8, rng, amplitude=0.3)
         f1 = SpectralField(grid8, c)
         f2 = SpectralField(grid8, 2.0 * c)
-        a_plus_b = hamiltonian_h1(f1, 40.0)
-        v2 = hamiltonian_h1(f2, 40.0)  # 4a + 16b
+        a_plus_b = hamiltonians(f1, 40.0)[1]
+        v2 = hamiltonians(f2, 40.0)[1]  # 4a + 16b
         f3 = SpectralField(grid8, 3.0 * c)
-        v3 = hamiltonian_h1(f3, 40.0)  # 9a + 81b
+        v3 = hamiltonians(f3, 40.0)[1]  # 9a + 81b
         b = (v2 - 4 * a_plus_b) / 12.0
         a = a_plus_b - b
         assert v3 == pytest.approx(9 * a + 81 * b, rel=1e-10)
@@ -122,9 +123,7 @@ class TestConservation:
         rep = drift_report(traj, 40.0)
         for i in range(len(traj)):
             f = traj.field(i)
-            assert rep.h0[i] == hamiltonian_h0(f)
-            assert rep.h1[i] == hamiltonian_h1(f, 40.0)
-            assert rep.h2[i] == hamiltonian_h2(f, 40.0)
+            assert [rep.h0[i], rep.h1[i], rep.h2[i]] == hamiltonians(f, 40.0)
 
 
 class TestModifiedEnergy:

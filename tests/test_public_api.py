@@ -1,6 +1,8 @@
 """The package's exported names, and the names the benchmark tracer wraps."""
 
 import ast
+import functools
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -196,3 +198,94 @@ def test_every_config_key_is_read():
     reads = config_reads((ROOT / "src" / "mkdvlab" / "cli.py").read_text())
     keys = {(section, key) for section, values in cli.DEFAULTS.items() for key in values}
     assert keys - reads == set()
+
+
+def unreached_definitions(sources: dict) -> dict:
+    """{qualified name: lines} of the top-level functions and classes, and
+    non-dunder methods, of the modules in sources ({module: source}) that no
+    chain of references from cli.main or from import-time code (less
+    imports and __all__) reaches.  A reference is any name or attribute
+    spelt as a definition's last name, so the walk may over-reach but never
+    misses a call; reaching a class runs all of it but its other methods."""
+    defs, todo = {}, []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node
+                defs |= {f"{module}.{node.name}.{m.name}": m
+                         for m in (node.body if isinstance(node, ast.ClassDef) else ())
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")}
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)) and "__all__" not in {
+                    getattr(t, "id", None) for t in getattr(node, "targets", [])}:
+                todo.append(node)
+    reached, seen = {"cli.main"}, set()
+    todo.append(defs["cli.main"])
+    while todo:
+        for node in ast.walk(todo.pop()):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is None or name in seen:
+                continue
+            seen.add(name)
+            for qual in {q for q in defs if q.rsplit(".", 1)[1] == name} - reached:
+                reached.add(qual)
+                found = defs[qual]
+                todo += [found] if isinstance(found, ast.FunctionDef) else [
+                    *found.decorator_list, *found.bases,
+                    *(m for m in found.body if f"{qual}.{getattr(m, 'name', '')}" not in defs)]
+    return {qual: node.end_lineno - node.lineno + 1
+            for qual, node in defs.items() if qual not in reached}
+
+
+#: definitions no subcommand reaches yet, by the ROADMAP item that decides
+#: them; a definition that becomes reached leaves the list
+UNREACHED_ALLOWED = {
+    # perfbench reads Trajectory.states; the oracles and the tracer osc_double
+    "items 1/9": {"integrate.Trajectory.states", "illposed.osc_double"},
+    "item 2": {"shorttime.modulation_decompose", "shorttime.ModulationShellSet",
+               "shorttime.ModulationShellSet.total_mass_sq", "shorttime.xk_norm"},
+    "item 3": {"transforms.miura"},
+    "item 8": {"invariants.es_energy", "invariants.modified_energy_ek",
+               "invariants._ek_correction", "spectral.psi", "spectral.project_pk",
+               "spectral.eta0_prime", "spectral._g_prime"},
+}
+
+
+def test_reach_walk_finds_each_case():
+    cli_src = "TABLE = {'a': cmd_a}\ndef main():\n    return TABLE\n"
+    lab = ("def cmd_a():\n    return Box().size\n"
+           "class Box:\n    def __init__(self):\n        self.x = helper()\n"
+           "    @property\n    def size(self):\n        return 1\n"
+           "    def unused_method(self):\n        pass\n"
+           "def helper():\n    return 2\n"
+           "def unused(x):\n    return helper()\n")
+    got = unreached_definitions({"cli": cli_src, "lab": lab})
+    assert got == {"lab.Box.unused_method": 2, "lab.unused": 2}
+
+
+def test_every_definition_is_reached():
+    # a definition that no subcommand reaches is code that only tests run
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "mkdvlab").glob("*.py")}
+    allowed = set().union(*UNREACHED_ALLOWED.values())
+    unreached = set(unreached_definitions(sources))
+    assert sorted(unreached - allowed) == [] and sorted(allowed - unreached) == []
+
+
+def test_benchmark_reads_resolve():
+    # perfbench/workloads.py reads these names at the parent and at a change
+    # alike, so one deleted here breaks the benchmark of both
+    from mkdvlab import illposed
+    from mkdvlab.integrate import Trajectory
+
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    modules = {a.asname: importlib.import_module(a.name) for node in tree.body
+               if isinstance(node, ast.Import) for a in node.names if a.name.startswith("mkdvlab.")}
+    chains = [ast.unparse(n).split(".") for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    reads = [c for c in chains if c[0] in modules and all(map(str.isidentifier, c))]
+    missing = [".".join(c) for c in reads if functools.reduce(
+        lambda owner, attr: getattr(owner, attr, None), c[1:], modules[c[0]]) is None]
+    assert len(reads) > 20 and missing == []
+    assert isinstance(Trajectory.states, property)  # diagnostics_run reads .states
+    spec = illposed.CounterexampleSpec(N=8, s=1.0, t=0.005)
+    field, skipped = illposed.t2_duhamel_fifth(
+        illposed.counterexample_support(spec), spec, route="normal_form")
+    assert skipped == 0 and field

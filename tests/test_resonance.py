@@ -16,8 +16,15 @@ from mkdvlab.resonance import (
     enumerate_n5,
     phi_cubic,
     resonance_g,
-    resonance_h,
 )
+
+
+def resonance_h(n1, n2, n3):
+    """H in exact ints, direct (-phi_cubic, as resonance-identity reads it),
+    checked equal to the factored form (G at d1 = 0)."""
+    h = -phi_cubic(n1 + n2 + n3, n1, n2, n3)
+    assert type(h) is int and h == resonance_g(n1, n2, n3, 0), (n1, n2, n3)
+    return h
 
 
 class TestResonanceH:
@@ -36,7 +43,7 @@ class TestResonanceH:
         assert abs(ratios[-1]) > abs(ratios[0]) * 0.9
 
     def test_factorization_identity_window(self):
-        # resonance_h internally asserts direct == factored; sweep |n_i|<=25
+        # resonance_h asserts direct == factored; sweep |n_i|<=25
         for a in range(-25, 26, 5):
             for b in range(-25, 26, 3):
                 for c in range(-25, 26, 7):
@@ -62,7 +69,8 @@ class TestResonanceH:
 class TestResonanceG:
     def test_reduces_to_h_at_d1_zero(self):
         for tup in [(1, 1, 1), (2, -1, 7), (3, 4, -5)]:
-            assert resonance_g(*tup, 0) == resonance_h(*tup)
+            assert resonance_g(*tup, 0) == resonance_h(*tup) == sum(tup) ** 5 - sum(
+                m**5 for m in tup)
 
     def test_hand_expansion_with_d1(self):
         # G(1,1,1,d1) = 240 + 24 d1

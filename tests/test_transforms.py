@@ -11,13 +11,12 @@ from mkdvlab.transforms import (
     accumulate_phase,
     chain_identity_gap,
     gauge_forward,
-    gauge_inverse,
     kdv_residual_values,
     miura,
     miura_residual,
 )
 
-from oracles import random_real_coeffs
+from oracles import gauge_inverse, random_real_coeffs
 
 
 def small_physical_trajectory(M=32, T=0.005, amp=0.1):
