@@ -30,12 +30,10 @@ from .resonance import (
 from .spectral import (
     GridSpec,
     SpectralField,
-    analyze,
     chi,
     project_pk,
     psi,
     sobolev_norm,
-    synthesize,
 )
 from .transforms import gauge_forward, miura, miura_residual
 
@@ -47,7 +45,6 @@ __all__ = [
     "SpectralField",
     "StepControl",
     "Trajectory",
-    "analyze",
     "check_constraints",
     "chi",
     "derive_gauge_params",
@@ -68,6 +65,5 @@ __all__ = [
     "resonance_g",
     "rhs",
     "sobolev_norm",
-    "synthesize",
     "__version__",
 ]

@@ -31,7 +31,6 @@ to the fourth power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -87,16 +86,13 @@ def check_constraints(c1, c2, c3, c4) -> bool:
 def dispersion_mu(n, d1=0.0, d2=0.0):
     """mu(n) = n^5 + d1*n^3 + d2*n.
 
-    Python ints (and Fractions) are computed exactly at any size; numpy
-    arrays use float64, adequate for the integrator bands (|n| <= ~4000).
+    An integer n gives one scalar expression, exact at any size for int or
+    Fraction d1, d2; numpy arrays use float64, adequate for the integrator
+    bands (|n| <= ~4000).
     """
     if isinstance(n, (int, np.integer)) and not isinstance(n, bool):
         n = int(n)
-        if isinstance(d1, (int, np.integer)) and isinstance(d2, (int, np.integer)):
-            return n**5 + int(d1) * n**3 + int(d2) * n
-        if isinstance(d1, Fraction) or isinstance(d2, Fraction):
-            return Fraction(n) ** 5 + Fraction(d1) * n**3 + Fraction(d2) * n
-        return float(n**5) + d1 * float(n**3) + d2 * float(n)
+        return n**5 + d1 * n**3 + d2 * n
     arr = np.asarray(n, dtype=float)
     return arr**5 + d1 * arr**3 + d2 * arr
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import EquationParams, RenormalizedTerms, dispersion_mu
+from .equations import EquationParams, RenormalizedTerms
 from .errors import ConfigurationError, ConditioningError, ParameterError
 from .resonance import phi_cubic
 from .spectral import SpectralField
@@ -104,18 +104,14 @@ def osc_double(a, b, t: float):
 
 @dataclass(frozen=True)
 class CounterexampleSpec:
-    """Low+high frequency data of the growth experiment.
-
-    C5: a_n = 1 at n in {-2,-1,1,2}, N^{-s} at n in {N-1, N}.
-    C3: a_n = 1 at n in {-1, 1},     N^{-s} at n = N.
+    """Low+high frequency data of the growth experiment (C5):
+    a_n = 1 at n in {-2,-1,1,2}, N^{-s} at n in {N-1, N}.
     The field is deliberately not Hermitian-symmetric.
     """
 
     N: int
     s: float = 1.0
-    variant: str = "C5"
     t: float = 1.0e-4
-    d1: int = 0
 
     def __post_init__(self):
         if self.N < 8:
@@ -124,16 +120,12 @@ class CounterexampleSpec:
             raise ParameterError("s must be positive")
         if not 0.0 < self.t < 1.0:
             raise ParameterError("t must lie in (0, 1)")
-        if self.variant not in ("C5", "C3"):
-            raise ConfigurationError(f"unknown variant {self.variant!r}")
 
 
 def counterexample_support(spec: CounterexampleSpec) -> dict:
-    """Mapping n -> a_n of the chosen variant."""
+    """Mapping n -> a_n of the C5 data."""
     hi = spec.N ** (-spec.s)
-    if spec.variant == "C5":
-        return {-2: 1.0, -1: 1.0, 1: 1.0, 2: 1.0, spec.N - 1: hi, spec.N: hi}
-    return {-1: 1.0, 1: 1.0, spec.N: hi}
+    return {-2: 1.0, -1: 1.0, 1: 1.0, 2: 1.0, spec.N - 1: hi, spec.N: hi}
 
 
 def symmetrized_support(support: dict) -> dict:
@@ -198,13 +190,13 @@ def _leaf_triples(legs: np.ndarray, vals: np.ndarray, a3: bool = True) -> tuple:
     return m, n, vals[idx[:, 0]] * vals[idx[:, 1]] * vals[idx[:, 2]]
 
 
-def _cubic_phases(legs: np.ndarray, d1=0) -> np.ndarray:
+def _cubic_phases(legs: np.ndarray) -> np.ndarray:
     """phi = -mu(a+b+c) + mu(a) + mu(b) + mu(c) per row (a, b, c) of legs,
-    as exact ints in an object array (resonance.phi_cubic, one array pass);
-    mu is evaluated once per distinct integer."""
+    mu(m) = m^5, as exact ints in an object array (resonance.phi_cubic, one
+    array pass); mu is evaluated once per distinct integer."""
     ints = np.column_stack([legs.sum(axis=1), legs])
     vals, inv = np.unique(ints, return_inverse=True)
-    mu = np.array([dispersion_mu(m, d1, 0) for m in vals.tolist()], dtype=object)
+    mu = np.array([m**5 for m in vals.tolist()], dtype=object)
     mu = mu[inv.reshape(ints.shape)]
     return -mu[:, 0] + mu[:, 1:].sum(axis=1)
 
@@ -309,7 +301,7 @@ def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_t
     )
     key_slot, key_a, key_b = np.unravel_index(keys, shape)
     outer_keys = np.stack([legs[key_a], legs[key_b], slot_vals[key_slot]], axis=1)
-    phases = _cubic_phases(np.concatenate([inner, outer_keys]), spec.d1)
+    phases = _cubic_phases(np.concatenate([inner, outer_keys]))
     phi_in = phases[:len(inner)][i]
     phi_out = phases[len(inner):][outer_of_pair.reshape(-1)]
     return _QuinticTable(
@@ -356,8 +348,6 @@ M0_SLOT = 2  # the resonant tuple lives in the third slot (inner on n3)
 
 def m0_tuple(spec: CounterexampleSpec) -> QuinticTuple:
     """The distinguished resonant tuple m0 = (N, 2, -1, -2, 1, N)."""
-    if spec.variant != "C5":
-        raise ConfigurationError("m0 is defined for the C5 variant")
     support = counterexample_support(spec)
     N = spec.N
     inner, outer = (-2, 1, N), (2, -1, N - 1)
@@ -365,7 +355,7 @@ def m0_tuple(spec: CounterexampleSpec) -> QuinticTuple:
     return QuinticTuple(
         N, outer, M0_SLOT, inner, "cubic2", "cubic2", amp,
         _CUBIC_KERNELS["cubic2"](*outer), _CUBIC_KERNELS["cubic2"](*inner),
-        phi_cubic(N, *outer, spec.d1), phi_cubic(N - 1, *inner, spec.d1),
+        phi_cubic(N, *outer), phi_cubic(N - 1, *inner),
     )
 
 
@@ -374,13 +364,12 @@ def _d_term_norms(tab: _QuinticTable, spec: CounterexampleSpec, live: np.ndarray
     """H^s norms of D0 and of the full D term, and the skipped count, from
     v, the D value of each pair of tab with phi_out != 0 (the pairs flagged
     in live); each other pair is one skipped tuple.  D0 is the value of the
-    m0 pair, and phi(m0) = 0 exactly, so it is linear in t."""
+    m0 pair, which the table holds for every N >= 8 (phi_out(m0) != 0), and
+    phi(m0) = 0 exactly, so it is linear in t."""
     m0 = m0_tuple(spec)
     outer = tab.outer[live, tab.slots.index(M0_SLOT)]
     inner = tab.inner[tab.triple[live]]
     is_m0 = np.all(outer == m0.outer, axis=1) & np.all(inner == m0.inner, axis=1)
-    if not is_m0.any():  # the table holds m0 for every N >= 8
-        raise ZeroDivisionError("outer phase vanished at m0 (cannot happen for d1 >= 0)")
     d0_hsnorm = (1.0 + spec.N**2) ** (spec.s / 2.0) * abs(complex(v[is_m0][0]))
     hs_norm = hs_norm_of_map(_sum_by_mode(tab.n[live], v), spec.s)
     return d0_hsnorm, hs_norm, int(np.count_nonzero(~live))
@@ -405,17 +394,14 @@ class NormalFormTermReport:
 _APPENDIX_TERMS = {"b1": (0, 0), "b2": (0, 1), "c1": (1, 0), "c2": (1, 1), "d1_norms": (2, 1)}
 
 
-def eval_appendix_terms(spec: CounterexampleSpec, restricted: bool = False) -> NormalFormTermReport:
+def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
     """H^s norms of the normal-form remainder terms B1, B2, C1, C2, D1.
 
-    By default every tuple on the 6-point data support is summed with exact
-    oscillatory integrals; restricted=True keeps only data legs with values
-    in {1, N}.  The restricted sum reproduces the crude remainder-bound
-    computation but misses the phase-resonant tuples supported on the low
-    modes {-2,-1,2}, which are what realize the t*max(N^{2-s},1) growth of
-    the D1 term (exact time integrals suppress the {1,N} tuples whose total
-    phase is large).  Tuples whose outer phase vanishes are skipped and
-    counted (the normal form only applies off the resonant set).
+    Every tuple on the 6-point data support is summed with exact
+    oscillatory integrals; the phase-resonant tuples supported on the low
+    modes {-2,-1,2} are what realize the t*max(N^{2-s},1) growth of the D1
+    term.  Tuples whose outer phase vanishes are skipped and counted (the
+    normal form only applies off the resonant set).
     """
     tab = _quintic_table(
         counterexample_support(spec), spec, ("cubic2",), ("cubic2", "cubic3"), (0, 1, 2)
@@ -423,16 +409,11 @@ def eval_appendix_terms(spec: CounterexampleSpec, restricted: bool = False) -> N
     live = tab.phi_out != 0
     v = tab.structure_values(spec.t, live)
     d0_hsnorm, d_full_hsnorm, d_skipped = _d_term_norms(tab, spec, live, v[:, M0_SLOT, 0, 0])
-    rest = np.ones(len(tab), dtype=bool)
-    if restricted:
-        leaves = np.column_stack([tab.inner[tab.triple], tab.la, tab.lb])
-        rest = np.all(np.isin(leaves, (1, spec.N)), axis=1)
     # every cell but D's is one term of _APPENDIX_TERMS
-    skipped = int(np.count_nonzero(rest & ~live)) * len(_APPENDIX_TERMS)
-    keep = rest[live]
-    sums = _mode_sums(tab.n[live][keep])
+    skipped = int(np.count_nonzero(~live)) * len(_APPENDIX_TERMS)
+    sums = _mode_sums(tab.n[live])
     norms = {
-        name: hs_norm_of_map(sums(v[keep, slot, 0, y]), spec.s)
+        name: hs_norm_of_map(sums(v[:, slot, 0, y]), spec.s)
         for name, (slot, y) in _APPENDIX_TERMS.items()
     }
     return NormalFormTermReport(
@@ -447,16 +428,15 @@ def eval_appendix_terms(spec: CounterexampleSpec, restricted: bool = False) -> N
 
 
 # ---------------------------------------------------------------------------
-# C3 variant: resonant cubic growth of the unrenormalized flow
+# C3 data: resonant cubic growth of the unrenormalized flow
 # ---------------------------------------------------------------------------
 
 def eval_c3_cubic(spec: CounterexampleSpec) -> dict:
-    """First Picard iterate of the u^2 u_xxx term on the C3 data, full
+    """First Picard iterate of the u^2 u_xxx term on the C3 data a_n = 1 at
+    n in {-1, 1}, N^{-s} at n = N (from spec.N and spec.s): full
     (unrestricted) cubic sum with pure n^5 dispersion; the quadruple
     (N, 1, -1, N) is phase-resonant and drives ~ t N^3 growth."""
-    if spec.variant != "C3":
-        raise ConfigurationError("eval_c3_cubic expects the C3 variant")
-    support = counterexample_support(spec)
+    support = {-1: 1.0, 1: 1.0, spec.N: spec.N ** (-spec.s)}
     m, n, amp = _leaf_triples(*_leaves(support, list(support)), a3=False)
     out = _sum_by_mode(n, (m[:, 2] ** 3) * amp * osc_single(_cubic_phases(m), spec.t))
     return {"field": out, "hs_norm": hs_norm_of_map(out, spec.s)}
@@ -481,23 +461,18 @@ class GrowthRow:
     slope_running: float
 
 
-def growth_experiment(Ns, s: float, t: float, variant: str = "C5"):
+def growth_experiment(Ns, s: float, t: float):
     """Per-N norms of the resonant quintic term and the remainders, plus the
     least-squares slope of log ||D0|| against log N."""
     rows = []
     logs = []
     for N in Ns:
-        spec = CounterexampleSpec(N=int(N), s=s, variant=variant, t=t)
-        if variant == "C5":
-            rep = eval_appendix_terms(spec)
-            d0n = rep.d0_hsnorm
-            row = GrowthRow(
-                int(N), s, t, d0n, d0n / (t * N**2),
-                rep.b1, rep.b2, rep.c1, rep.c2, rep.d1_norms, float("nan"),
-            )
-        else:
-            d0n = eval_c3_cubic(spec)["hs_norm"]
-            row = GrowthRow(int(N), s, t, d0n, d0n / (t * N**2), 0, 0, 0, 0, 0, float("nan"))
+        rep = eval_appendix_terms(CounterexampleSpec(N=int(N), s=s, t=t))
+        d0n = rep.d0_hsnorm
+        row = GrowthRow(
+            int(N), s, t, d0n, d0n / (t * N**2),
+            rep.b1, rep.b2, rep.c1, rep.c2, rep.d1_norms, float("nan"),
+        )
         logs.append((math.log(N), math.log(d0n)))
         if len(logs) >= 2:
             row.slope_running = float(np.polyfit(*np.array(logs).T, 1)[0])
@@ -525,7 +500,7 @@ def t2_duhamel_fifth(
     live = tab.phi_out != 0
     v = tab.normal_form_values(spec.t, live)
     skipped = int(np.count_nonzero(~live)) * math.prod(v.shape[1:])
-    field = {n: w * np.exp(1j * float(dispersion_mu(n, spec.d1, 0)) * spec.t)
+    field = {n: w * np.exp(1j * float(n**5) * spec.t)
              for n, w in _sum_by_mode(tab.n[live], v).items()}
     return field, skipped
 

@@ -41,24 +41,15 @@ from .errors import ParameterError
 
 
 def resonance_g(n1: int, n2: int, n3: int, d1=0):
-    """G = (5/2)(n1+n2)(n1+n3)(n2+n3)(sum n_i^2 + n^2 + 6 d1/5).
-
-    Exact (int or Fraction) when d1 is int/Fraction; float otherwise.
-    Equals mu(n1+n2+n3) - mu(n1) - mu(n2) - mu(n3) with d2 cancelling.
+    """G = (5/2)(n1+n2)(n1+n3)(n2+n3)(sum n_i^2 + n^2 + 6 d1/5), an exact
+    Fraction for an int or Fraction d1.  Equals mu(n1+n2+n3) - mu(n1) -
+    mu(n2) - mu(n3) with d2 cancelling.
     """
     n1, n2, n3 = int(n1), int(n2), int(n3)
     n = n1 + n2 + n3
     pair = (n1 + n2) * (n1 + n3) * (n2 + n3)
     quad = n1 * n1 + n2 * n2 + n3 * n3 + n * n
-    if isinstance(d1, (int, np.integer)):
-        # 5/2 * pair * (quad + 6 d1/5) = (5 quad + 6 d1) * pair / 2
-        num = pair * (5 * quad + 6 * int(d1))
-        if num % 2 == 0:
-            return num // 2
-        return Fraction(num, 2)
-    if isinstance(d1, Fraction):
-        return Fraction(5, 2) * pair * (quad + Fraction(6, 5) * d1)
-    return 2.5 * pair * (quad + 1.2 * d1)
+    return Fraction(5, 2) * pair * (quad + Fraction(6, 5) * d1)
 
 
 def phi_cubic(n: int, n1: int, n2: int, n3: int, d1=0, d2=0):

@@ -29,8 +29,6 @@ import scipy.fft as sfft
 
 from .errors import ConfigurationError, ParameterError, SymmetryError
 
-TWO_PI = 2.0 * np.pi
-
 #: Working set of one chunk of a chunked pass over many records (short-time
 #: windows, Hamiltonian and gauge syntheses, Hermitian checks), in complex128
 #: entries (2 MiB; a float64 entry counts half): every temporary a chunk holds
@@ -63,11 +61,6 @@ class GridSpec:
         modes = np.arange(-self.max_mode, self.max_mode + 1)
         modes.setflags(write=False)
         return modes
-
-    @property
-    def x(self) -> np.ndarray:
-        """Collocation points x_j = 2*pi*j/phys_points."""
-        return TWO_PI * np.arange(self.phys_points) / self.phys_points
 
 
 @dataclass
@@ -113,8 +106,8 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeff.copy())
 
-    def require_real(self, tol: float = 1e-8, what: str = "field"):
-        require_hermitian(self.coeff, what, tol)
+    def require_real(self, what: str = "field"):
+        require_hermitian(self.coeff, what)
 
 
 def row_chunks(n_rows: int, row_elements: int) -> list:
@@ -125,9 +118,9 @@ def row_chunks(n_rows: int, row_elements: int) -> list:
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
-def require_hermitian(coeff: np.ndarray, what: str, tol: float = 1e-8):
+def require_hermitian(coeff: np.ndarray, what: str):
     """Raise SymmetryError unless coeff(-n) = conj(coeff(n)) along the last
-    axis, within tol relative to max(1, max |coeff|) over all rows, checked a
+    axis, within 1e-8 relative to max(1, max |coeff|) over all rows, checked a
     chunk of rows at a time.  The defect is symmetric in n, so only the
     n >= 0 columns meet their mirrors, and a chunk holds their difference
     (complex) and its modulus (float)."""
@@ -141,12 +134,12 @@ def require_hermitian(coeff: np.ndarray, what: str, tol: float = 1e-8):
         diff = np.conj(c[:, width // 2:])
         np.subtract(c[:, half - 1::-1], diff, out=diff)
         defect = np.maximum(defect, np.max(np.abs(diff)))  # NaN stays NaN
-    if not defect <= tol * max(1.0, scale):  # NaN fails too
+    if not defect <= 1e-8 * max(1.0, scale):  # NaN fails too
         raise SymmetryError(f"{what} violates Hermitian symmetry (defect {defect:.3e})")
 
 
 # ---------------------------------------------------------------------------
-# analyze / synthesize
+# Real-field synthesis and analysis
 # ---------------------------------------------------------------------------
 #
 # Real fields go through the half spectrum c[0..M], c(-n) = conj(c(n)): one
@@ -222,30 +215,6 @@ class HalfSpectrum:
 @lru_cache(maxsize=32)
 def half_spectrum(grid: GridSpec) -> HalfSpectrum:
     return HalfSpectrum(grid)
-
-
-def synthesize(field: SpectralField) -> np.ndarray:
-    """Real collocation samples of a Hermitian-symmetric field."""
-    field.require_real(what="synthesize input")
-    M = field.grid.max_mode
-    return half_spectrum(field.grid).synthesize(field.coeff[M:], (0,))[0]
-
-
-def analyze(grid: GridSpec, samples: np.ndarray) -> SpectralField:
-    """Truncated Fourier coefficients of real collocation samples.
-
-    Inverse of :func:`synthesize` on band-limited fields.
-    """
-    samples = np.asarray(samples)
-    if samples.shape != (grid.phys_points,):
-        raise ConfigurationError(
-            f"samples must have length phys_points={grid.phys_points}, got {samples.shape}"
-        )
-    if np.iscomplexobj(samples):
-        if np.max(np.abs(samples.imag)) > 1e-12 * max(1.0, np.max(np.abs(samples.real))):
-            raise ConfigurationError("analyze expects real-valued samples")
-        samples = samples.real
-    return SpectralField(grid, hermitian_extend(half_spectrum(grid).analyze(samples)))
 
 
 def hermitian_extend(half: np.ndarray) -> np.ndarray:

@@ -179,6 +179,11 @@ def random_real_coeffs(M, rng, decay=1.5, amplitude=1.0):
     return amplitude * c
 
 
+def mirror_defect(coeff):
+    """max |c(-n) - conj(c(n))| of dense coefficients -M..M."""
+    return float(np.max(np.abs(coeff[::-1] - np.conj(coeff))))
+
+
 def random_smooth_oracle(M, seed, decay, amplitude):
     """The CLI's random_smooth preset drawn one mode at a time: for n = 1..M,
     c(n) = amplitude * (x + iy) / (1+n)^decay with x, y fresh standard
@@ -361,19 +366,15 @@ def fs_oracle(traj, s, T, gamma=0.25):
 # tuple table of mkdvlab.illposed)
 # ---------------------------------------------------------------------------
 
-def _phi3(n, tup, spec):
-    from mkdvlab.equations import dispersion_mu
-
-    return -dispersion_mu(n, spec.d1, 0) + sum(
-        dispersion_mu(m, spec.d1, 0) for m in tup
-    )
+def _phi3(n, tup):
+    return -(n**5) + sum(m**5 for m in tup)
 
 
 def _a3_ok(n, tup) -> bool:
     return all(m != n for m in tup)
 
 
-def iter_quintic_tuples_oracle(support, spec, outer_terms=("cubic2",),
+def iter_quintic_tuples_oracle(support, outer_terms=("cubic2",),
                                inner_terms=("cubic2", "cubic3"), slots=(0, 1, 2),
                                leaf_filter=None):
     """Every (outer in A3(n), slot, inner in A3(n_slot)) tuple, nested loops."""
@@ -389,7 +390,7 @@ def iter_quintic_tuples_oracle(support, spec, outer_terms=("cubic2",),
                 n_slot = m1 + m2 + m3
                 if not _a3_ok(n_slot, inner):
                     continue
-                phi_in = _phi3(n_slot, inner, spec)
+                phi_in = _phi3(n_slot, inner)
                 amp_in = support[m1] * support[m2] * support[m3]
                 for la in leaves:
                     for lb in leaves:
@@ -401,7 +402,7 @@ def iter_quintic_tuples_oracle(support, spec, outer_terms=("cubic2",),
                             n = la + lb + n_slot
                             if not _a3_ok(n, outer):
                                 continue
-                            phi_out = _phi3(n, outer, spec)
+                            phi_out = _phi3(n, outer)
                             for x in outer_terms:
                                 kx = _CUBIC_KERNELS[x](*outer)
                                 for y in inner_terms:
@@ -467,7 +468,7 @@ def eval_d_full_oracle(spec):
     m0 = m0_tuple(spec)
     d0 = structure_value_oracle(m0, spec.t)
     weight_N = (1.0 + spec.N**2) ** (spec.s / 2.0)
-    for tup in iter_quintic_tuples_oracle(support, spec, ("cubic2",), ("cubic2",), (M0_SLOT,)):
+    for tup in iter_quintic_tuples_oracle(support, ("cubic2",), ("cubic2",), (M0_SLOT,)):
         if tup.phi_out == 0:
             skipped += 1
             continue
@@ -485,17 +486,16 @@ def eval_d_full_oracle(spec):
     }
 
 
-def eval_appendix_terms_oracle(spec, restricted=False):
+def eval_appendix_terms_oracle(spec):
     """eval_appendix_terms summed tuple by tuple."""
     from mkdvlab.illposed import NormalFormTermReport, counterexample_support, hs_norm_of_map
 
     support = counterexample_support(spec)
-    leaf_filter = (lambda n: n in (1, spec.N)) if restricted else None
     keys = {(0, "cubic2"): "b1", (0, "cubic3"): "b2", (1, "cubic2"): "c1",
             (1, "cubic3"): "c2", (2, "cubic3"): "d1_norms"}
     acc = {name: {} for name in keys.values()}
     skipped = 0
-    for tup in iter_quintic_tuples_oracle(support, spec, leaf_filter=leaf_filter):
+    for tup in iter_quintic_tuples_oracle(support):
         if (tup.slot, tup.y_term) == (2, "cubic2"):
             continue
         if tup.phi_out == 0:
@@ -513,9 +513,7 @@ def eval_appendix_terms_oracle(spec, restricted=False):
 
 
 def _with_linear_phase(out, spec):
-    from mkdvlab.equations import dispersion_mu
-
-    return {n: v * np.exp(1j * float(dispersion_mu(n, spec.d1, 0)) * spec.t)
+    return {n: v * np.exp(1j * float(n**5) * spec.t)
             for n, v in out.items()}
 
 
@@ -523,7 +521,7 @@ def t2_duhamel_fifth_oracle(support, spec, inner_terms=("cubic2",), route="direc
     """t2_duhamel_fifth summed tuple by tuple; returns (field, skipped).
     route="direct" sums the exact I2 closed forms, "normal_form" the
     boundary + distributed split (skipping and counting phi_out = 0)."""
-    tuples = list(iter_quintic_tuples_oracle(support, spec, ("cubic2",), tuple(inner_terms)))
+    tuples = list(iter_quintic_tuples_oracle(support, ("cubic2",), tuple(inner_terms)))
     if route == "direct":
         skipped, values = 0, physical_values_oracle(tuples, spec.t)
     else:
@@ -540,11 +538,10 @@ def fifth_derivative_nonresonant_oracle(support, spec, cubics, quintic=False):
     """delta^5 coefficient, with e^{i t mu(n)}, of a flow holding only the
     given nonresonant cubics and, if quintic, 6i n sum v^5, summed tuple by
     tuple from exact I2 closed forms: cubic tuples, then quintuples."""
-    from mkdvlab.equations import dispersion_mu
     from mkdvlab.illposed import osc_single
 
     out = {}
-    tuples = list(iter_quintic_tuples_oracle(support, spec, tuple(cubics), tuple(cubics)))
+    tuples = list(iter_quintic_tuples_oracle(support, tuple(cubics), tuple(cubics)))
     for tup, v in zip(tuples, physical_values_oracle(tuples, spec.t)):
         out[tup.n] = out.get(tup.n, 0.0) + v
     quintuples = []  # (n, amp, phi) in the order of five nested loops
@@ -552,7 +549,7 @@ def fifth_derivative_nonresonant_oracle(support, spec, cubics, quintic=False):
         n = sum(tup)
         if any(m == n for m in tup):
             continue
-        phi = -dispersion_mu(n, spec.d1, 0) + sum(dispersion_mu(m, spec.d1, 0) for m in tup)
+        phi = _phi3(n, tup)
         amp = 1.0
         for m in tup:
             amp *= support[m]
@@ -579,7 +576,7 @@ def resonant_pieces_oracle(support, spec, cubics):
                 n = m1 + m2 + m3
                 if not _a3_ok(n, inner) or n not in support:
                     continue
-                phi_in = _phi3(n, inner, spec)
+                phi_in = _phi3(n, inner)
                 amp_in = support[m1] * support[m2] * support[m3]
                 an = support[n]
                 for y in cubics:
@@ -606,7 +603,7 @@ def resonant_pieces_oracle(support, spec, cubics):
                     n = la + lb + n0
                     if not _a3_ok(n, legs):
                         continue
-                    phi_out = _phi3(n, legs, spec)
+                    phi_out = _phi3(n, legs)
                     for x in cubics:
                         kx = _CUBIC_KERNELS[x](*legs)
                         resonant_inner[n] = resonant_inner.get(n, 0.0) + (
@@ -628,10 +625,11 @@ def fifth_derivative_resonant_oracle(support, spec, cubics):
 
 
 def eval_c3_cubic_oracle(spec):
-    """eval_c3_cubic's field summed triple by triple (unrestricted, pure n^5)."""
-    from mkdvlab.illposed import counterexample_support, osc_single
+    """eval_c3_cubic's field summed triple by triple (unrestricted, pure n^5)
+    over the C3 data a_n = 1 at n in {-1, 1}, N^{-s} at n = N."""
+    from mkdvlab.illposed import osc_single
 
-    support = counterexample_support(spec)
+    support = {-1: 1.0, 1: 1.0, spec.N: spec.N ** (-spec.s)}
     out = {}
     for m1 in support:
         for m2 in support:
@@ -685,8 +683,6 @@ def fifth_derivative_quadrature_oracle(support, spec, cubics, nodes=64):
     where DN3(v)[w] is the derivative of N3 at v in the direction w (the
     conjugate in |v|^2 differentiated as such).  Each outer node s carries
     its own rule of the same order on [0, s]."""
-    from mkdvlab.equations import dispersion_mu
-
     x, w = np.polynomial.legendre.leggauss(nodes)
     t = spec.t
     s = 0.5 * t * (x + 1.0)
@@ -695,7 +691,7 @@ def fifth_derivative_quadrature_oracle(support, spec, cubics, nodes=64):
     inner_w = 0.5 * s[:, None] * w
 
     def mu(n):
-        return float(dispersion_mu(n, spec.d1, 0))
+        return float(n**5)
 
     def resonant(n, v):
         return -20j * n**3 * v * v * np.conj(v)

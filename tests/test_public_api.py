@@ -1,9 +1,13 @@
-"""The package's exported names, and the names the benchmark tracer wraps."""
+"""The package's exported names, the names and arguments the benchmark
+reads, and the guards that every definition and defaulted parameter in
+src/ has a caller."""
 
 import ast
 import functools
 import importlib
 import importlib.util
+import inspect
+import math
 from pathlib import Path
 
 import scipy.fft
@@ -200,38 +204,80 @@ def test_every_config_key_is_read():
     assert keys - reads == set()
 
 
+def import_bindings(tree: ast.Module, modules) -> tuple:
+    """({local name: qualified name}, {alias: module}) of the names and the
+    mkdvlab modules that a module's imports bind, wherever they stand."""
+    names, aliases = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "mkdvlab"):
+            source = (node.module or "").removeprefix("mkdvlab").strip(".").split(".")[-1]
+            for a in node.names:
+                local = a.asname or a.name
+                if not source and a.name in modules:  # from . import module
+                    aliases[local] = a.name
+                else:
+                    names[local] = f"{source or '__init__'}.{a.name}"
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname and a.name.split(".")[0] == "mkdvlab":
+                    aliases[a.asname] = a.name.split(".")[-1]
+    return names, aliases
+
+
 def unreached_definitions(sources: dict) -> dict:
     """{qualified name: lines} of the top-level functions and classes, and
     non-dunder methods, of the modules in sources ({module: source}) that no
     chain of references from cli.main or from import-time code (less
-    imports and __all__) reaches.  A reference is any name or attribute
-    spelt as a definition's last name, so the walk may over-reach but never
-    misses a call; reaching a class runs all of it but its other methods."""
-    defs, todo = {}, []
+    imports and __all__) reaches.  A module-level definition is reached by
+    its bare name in a module that defines or imports it, or as alias.name
+    of an imported mkdvlab module; a method by any attribute of its name.
+    Reaching a class runs all of it but its other methods."""
+    defs, todo, bindings = {}, [], {}
     for module, source in sources.items():
-        for node in ast.parse(source).body:
+        tree = ast.parse(source)
+        names, aliases = import_bindings(tree, sources)
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] = f"{module}.{node.name}"
                 defs[f"{module}.{node.name}"] = node
                 defs |= {f"{module}.{node.name}.{m.name}": m
                          for m in (node.body if isinstance(node, ast.ClassDef) else ())
                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")}
             elif not isinstance(node, (ast.Import, ast.ImportFrom)) and "__all__" not in {
                     getattr(t, "id", None) for t in getattr(node, "targets", [])}:
-                todo.append(node)
-    reached, seen = {"cli.main"}, set()
-    todo.append(defs["cli.main"])
-    while todo:
-        for node in ast.walk(todo.pop()):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name is None or name in seen:
-                continue
-            seen.add(name)
-            for qual in {q for q in defs if q.rsplit(".", 1)[1] == name} - reached:
-                reached.add(qual)
-                found = defs[qual]
-                todo += [found] if isinstance(found, ast.FunctionDef) else [
+                todo.append((module, node))
+        bindings[module] = names, aliases
+    methods = {}
+    for qual in defs:
+        if qual.count(".") == 2:
+            methods.setdefault(qual.rsplit(".", 1)[1], set()).add(qual)
+    reached, seen = set(), set()
+
+    def reach(qual):
+        if qual in defs and qual not in reached:
+            reached.add(qual)
+            found = defs[qual]
+            todo.extend((qual.split(".")[0], n) for n in (
+                [found] if isinstance(found, ast.FunctionDef) else [
                     *found.decorator_list, *found.bases,
-                    *(m for m in found.body if f"{qual}.{getattr(m, 'name', '')}" not in defs)]
+                    *(m for m in found.body if f"{qual}.{getattr(m, 'name', '')}" not in defs)]))
+
+    reach("cli.main")
+    while todo:
+        module, root = todo.pop()
+        names, aliases = bindings[module]
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and (module, node.id) not in seen:
+                seen.add((module, node.id))
+                reach(names.get(node.id))
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    reach(f"{aliases[node.value.id]}.{node.attr}")
+                if node.attr not in seen:
+                    seen.add(node.attr)
+                    for qual in methods.get(node.attr, ()):
+                        reach(qual)
     return {qual: node.end_lineno - node.lineno + 1
             for qual, node in defs.items() if qual not in reached}
 
@@ -244,22 +290,32 @@ UNREACHED_ALLOWED = {
     "item 2": {"shorttime.modulation_decompose", "shorttime.ModulationShellSet",
                "shorttime.ModulationShellSet.total_mass_sq", "shorttime.xk_norm"},
     "item 3": {"transforms.miura"},
+    # the C3 cubic sum is the reference of the full flow at delta^5
+    "item 7": {"illposed.eval_c3_cubic"},
     "item 8": {"invariants.es_energy", "invariants.modified_energy_ek",
                "invariants._ek_correction", "spectral.psi", "spectral.project_pk",
                "spectral.eta0_prime", "spectral._g_prime"},
+    # the oracles pin the stepped operator through rhs
+    "oracles' seam": {"equations.rhs"},
 }
 
 
 def test_reach_walk_finds_each_case():
-    cli_src = "TABLE = {'a': cmd_a}\ndef main():\n    return TABLE\n"
+    cli_src = ("from .lab import cmd_a\nfrom . import tools\nTABLE = {'a': cmd_a}\n"
+               "def main():\n    return TABLE, tools.used()\n")
     lab = ("def cmd_a():\n    return Box().size\n"
            "class Box:\n    def __init__(self):\n        self.x = helper()\n"
            "    @property\n    def size(self):\n        return 1\n"
            "    def unused_method(self):\n        pass\n"
            "def helper():\n    return 2\n"
-           "def unused(x):\n    return helper()\n")
-    got = unreached_definitions({"cli": cli_src, "lab": lab})
-    assert got == {"lab.Box.unused_method": 2, "lab.unused": 2}
+           "def unused(x):\n    return helper()\n"
+           "def spare():\n    return 3\n")
+    # a local variable named like another module's function, and a method
+    # named like a module-level function, reach neither function
+    tools = ("def used():\n    spare = 0\n    return spare, Box2().unused()\n"
+             "class Box2:\n    def unused(self):\n        return 4\n")
+    got = unreached_definitions({"cli": cli_src, "lab": lab, "tools": tools})
+    assert got == {"lab.Box.unused_method": 2, "lab.unused": 2, "lab.spare": 2}
 
 
 def test_every_definition_is_reached():
@@ -270,9 +326,142 @@ def test_every_definition_is_reached():
     assert sorted(unreached - allowed) == [] and sorted(allowed - unreached) == []
 
 
+def defaulted_parameters(module: str, tree: ast.Module) -> list:
+    """(key, name, callee names, position, settable by assignment) of every
+    parameter with a default of the functions and methods in tree, and every
+    field with a default of its dataclasses; position counts the arguments
+    a call passes before it (None if only a keyword can pass it)."""
+    out = []
+
+    def visit(body, prefix, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", node)
+                deco = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+                if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in deco):
+                    continue
+                frozen = any(k.arg == "frozen" and getattr(k.value, "value", False)
+                             for d in node.decorator_list if isinstance(d, ast.Call)
+                             for k in d.keywords)
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                          and "init=False" not in ast.unparse(f.value or ast.Constant(None))]
+                out.extend((f"{module}.{prefix}{node.name}.{f.target.id}", f.target.id,
+                            {node.name}, i, not frozen)
+                           for i, f in enumerate(fields) if f.value is not None)
+            elif isinstance(node, ast.FunctionDef):
+                visit(node.body, f"{prefix}{node.name}.", None)
+                shift = 0 if cls is None else 1  # self or cls
+                names = {node.name} | ({cls.name} if cls and node.name == "__init__" else set())
+                a = node.args
+                positional = a.posonlyargs + a.args
+                tail = positional[len(positional) - len(a.defaults):]
+                out.extend((f"{module}.{prefix}{node.name}({arg.arg})", arg.arg, names,
+                            positional.index(arg) - shift, False) for arg in tail)
+                out.extend((f"{module}.{prefix}{node.name}({arg.arg})", arg.arg, names, None, False)
+                           for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+
+    visit(tree.body, "", None)
+    return out
+
+
+def unset_parameters(sources: dict) -> set:
+    """Keys (see defaulted_parameters) of the defaulted parameters and
+    dataclass fields of the modules in sources that no call in them passes,
+    by position or keyword, matching the callee by its last name; partial(f,
+    ...) is a call of f, a call of a class passes its __init__ and fields,
+    and an attribute assignment sets the field of a dataclass not frozen."""
+    calls, assigned, params = {}, set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        params += defaulted_parameters(module, tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                assigned.add(node.attr)
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if getattr(func, "id", getattr(func, "attr", None)) == "partial" and args:
+                func, args = args[0], args[1:]
+            name = getattr(func, "id", getattr(func, "attr", None))
+            starred = any(isinstance(x, ast.Starred) for x in args)
+            calls.setdefault(name, []).append(
+                (math.inf if starred else len(args), {k.arg for k in node.keywords}))
+    return {key for key, arg, names, pos, settable in params
+            if not (settable and arg in assigned)
+            and not any((pos is not None and n > pos) or arg in kw or None in kw
+                        for name in names for n, kw in calls.get(name, ()))}
+
+
+#: defaulted parameters no call in src/ passes, with the reason each stays
+UNSET_ALLOWED = {
+    "console script: main() reads sys.argv": {"cli.main(argv)"},
+    # perfbench passes route; item 7's full flow at delta^5 needs inner_terms
+    "perfbench / item 7": {"illposed.t2_duhamel_fifth(route)",
+                           "illposed.t2_duhamel_fifth(inner_terms)"},
+    "oracles' seam": {"equations.rhs(renorm_terms)"},
+    "item 2": {"shorttime.xk_norm(gamma)"},
+    "item 8": {"invariants.es_energy(T)"},
+}
+
+
+def test_parameter_walk_finds_each_case():
+    src = ("from functools import partial\n"
+           "def f(a, b=1, *, c=2):\n    return a\n"
+           "def g(a, b=1, c=2):\n    return a\n"
+           "class K:\n    def m(self, x=0):\n        return x\n"
+           "@dataclass\nclass D:\n    u: int = 0\n    v: int = 1\n    w: int = 2\n"
+           "@dataclass(frozen=True)\nclass E:\n    u: int = 0\n"
+           "def main(d):\n    h = partial(g, c=3)\n    d.w = 5\n    e = E()\n    e.u = 1\n"
+           "    return f(1, 2), h(1), K().m(), D(0, v=2)\n")
+    got = unset_parameters({"lab": src})
+    # an unset default is found; c of g is set only through partial
+    assert got == {"lab.f(c)", "lab.g(b)", "lab.K.m(x)", "lab.E.u"}
+
+
+def test_every_parameter_is_set():
+    # a default that no call overrides is an option only tests use
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "mkdvlab").glob("*.py")}
+    allowed = set().union(*UNSET_ALLOWED.values())
+    unset = unset_parameters(sources)
+    assert sorted(unset - allowed) == [] and sorted(allowed - unset) == []
+
+
+def benchmark_calls(tree: ast.Module, modules: dict) -> list:
+    """(call text, callee, positional count, keywords) of every call in the
+    benchmark's workloads whose callee is read from a mkdvlab module; a
+    **NAME argument passes the keywords of a module-level NAME = dict(...)."""
+    spreads = {t.id: [k.arg for k in node.value.keywords] for node in tree.body
+               if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+               and getattr(node.value.func, "id", None) == "dict" for t in node.targets}
+    out = []
+    for node in ast.walk(tree):
+        chain = ast.unparse(node.func).split(".") if isinstance(node, ast.Call) else [""]
+        if chain[0] not in modules or not all(map(str.isidentifier, chain)):
+            continue
+        callee = functools.reduce(getattr, chain[1:], modules[chain[0]])
+        keywords = [k.arg for k in node.keywords if k.arg]
+        keywords += [name for k in node.keywords if k.arg is None
+                     for name in spreads[ast.unparse(k.value)]]
+        out.append((ast.unparse(node), callee, len(node.args), keywords))
+    return out
+
+
+def unbound_calls(calls: list) -> list:
+    """The calls of benchmark_calls whose arguments the callee's signature
+    does not bind, with the reason."""
+    unbound = []
+    for text, callee, n_args, keywords in calls:
+        try:
+            inspect.signature(callee).bind_partial(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{text}: {exc}")
+    return unbound
+
+
 def test_benchmark_reads_resolve():
-    # perfbench/workloads.py reads these names at the parent and at a change
-    # alike, so one deleted here breaks the benchmark of both
+    # perfbench/workloads.py reads these names, and passes these arguments,
+    # at the parent and at a change alike, so one deleted here breaks the
+    # benchmark of both
     from mkdvlab import illposed
     from mkdvlab.integrate import Trajectory
 
@@ -285,7 +474,26 @@ def test_benchmark_reads_resolve():
         lambda owner, attr: getattr(owner, attr, None), c[1:], modules[c[0]]) is None]
     assert len(reads) > 20 and missing == []
     assert isinstance(Trajectory.states, property)  # diagnostics_run reads .states
+    calls = benchmark_calls(tree, modules)
+    assert unbound_calls(calls) == []
+    passed = {(callee.__name__, k) for _, callee, _, keywords in calls for k in keywords}
+    assert {("growth_experiment", "s"), ("t2_duhamel_fifth", "route"), ("StepControl", "dt"),
+            ("RenormalizedTerms", "cubic2"), ("CounterexampleSpec", "N")} <= passed
     spec = illposed.CounterexampleSpec(N=8, s=1.0, t=0.005)
     field, skipped = illposed.t2_duhamel_fifth(
         illposed.counterexample_support(spec), spec, route="normal_form")
     assert skipped == 0 and field
+
+
+def test_benchmark_call_check_catches_each_breach():
+    from mkdvlab import illposed
+
+    tree = ast.parse("import mkdvlab.illposed as illposed\nSPEC = dict(N=8, variant='C3')\n"
+                     "illposed.growth_experiment([64], s=1.0, t=1e-4, variant='C3')\n"
+                     "illposed.CounterexampleSpec(**SPEC)\n")
+    calls = benchmark_calls(tree, {"illposed": illposed})
+    assert [(callee.__name__, n, k) for _, callee, n, k in calls] == [
+        ("growth_experiment", 1, ["s", "t", "variant"]),
+        ("CounterexampleSpec", 0, ["N", "variant"]),
+    ]
+    assert len(unbound_calls(calls)) == 2

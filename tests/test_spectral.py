@@ -8,18 +8,32 @@ from mkdvlab.errors import ConfigurationError, ParameterError, SymmetryError
 from mkdvlab.spectral import (
     GridSpec,
     SpectralField,
-    analyze,
     chi,
     eta0,
     eta0_prime,
+    half_spectrum,
+    hermitian_extend,
     project_pk,
     psi,
     sobolev_norm,
-    synthesize,
     top_band,
 )
 
 from oracles import dft_coefficients, random_real_coeffs
+
+
+def real_samples(f: SpectralField) -> np.ndarray:
+    """Real samples of f through its grid's half spectrum."""
+    return half_spectrum(f.grid).synthesize(f.coeff[f.grid.max_mode:], (0,))[0]
+
+
+def field_from_samples(grid: GridSpec, samples: np.ndarray) -> SpectralField:
+    """The field of real samples through the grid's half spectrum."""
+    return SpectralField(grid, hermitian_extend(half_spectrum(grid).analyze(samples)))
+
+
+def collocation_points(grid: GridSpec) -> np.ndarray:
+    return 2 * np.pi * np.arange(grid.phys_points) / grid.phys_points
 
 
 class TestGridSpec:
@@ -46,49 +60,51 @@ class TestGridSpec:
 
 class TestAnalyzeSynthesize:
     def test_cosine_coefficients(self, grid8):
-        samples = np.cos(grid8.x)
-        f = analyze(grid8, samples)
+        samples = np.cos(collocation_points(grid8))
+        f = field_from_samples(grid8, samples)
         assert abs(f.get(1) - 0.5) < 1e-14
         assert abs(f.get(-1) - 0.5) < 1e-14
         others = [f.get(n) for n in range(-8, 9) if abs(n) != 1]
         assert max(abs(v) for v in others) < 1e-14
 
     def test_zero_field(self, grid8):
-        f = analyze(grid8, np.zeros(grid8.phys_points))
+        f = field_from_samples(grid8, np.zeros(grid8.phys_points))
         assert np.all(f.coeff == 0)
-        assert np.all(synthesize(f) == 0)
+        assert np.all(real_samples(f) == 0)
 
     def test_synthesize_cosine(self, cosine_field, grid8):
-        assert np.max(np.abs(synthesize(cosine_field) - np.cos(grid8.x))) < 1e-13
+        x = collocation_points(grid8)
+        assert np.max(np.abs(real_samples(cosine_field) - np.cos(x))) < 1e-13
 
     def test_synthesize_sine_two(self, grid8):
         # coeff(2) = -i/2, coeff(-2) = i/2  ->  sin(2x)
         f = SpectralField.from_modes(grid8, {2: -0.5j, -2: 0.5j})
-        assert np.max(np.abs(synthesize(f) - np.sin(2 * grid8.x))) < 1e-13
+        assert np.max(np.abs(real_samples(f) - np.sin(2 * collocation_points(grid8)))) < 1e-13
 
     def test_roundtrip_random_trig_poly(self, grid8, rng):
         c = random_real_coeffs(8, rng)
         f = SpectralField(grid8, c)
-        back = analyze(grid8, synthesize(f))
+        back = field_from_samples(grid8, real_samples(f))
         scale = np.max(np.abs(c))
         assert np.max(np.abs(back.coeff - c)) < 1e-12 * scale
 
     def test_against_direct_dft(self, grid8, rng):
         c = random_real_coeffs(8, rng)
-        samples = synthesize(SpectralField(grid8, c))
+        samples = real_samples(SpectralField(grid8, c))
         direct = dft_coefficients(samples)
-        f = analyze(grid8, samples)
+        f = field_from_samples(grid8, samples)
         for n in range(-8, 9):
             assert abs(f.get(n) - direct[n]) < 1e-12
 
     def test_length_mismatch(self, grid8):
-        with pytest.raises(ConfigurationError):
-            analyze(grid8, np.zeros(grid8.phys_points + 1))
+        # a dense field holds exactly the 2M+1 coefficients -M..M
+        with pytest.raises(ConfigurationError, match=r"coeff must have shape \(17,\)"):
+            SpectralField(grid8, np.zeros(18))
 
     def test_non_hermitian_rejected(self, grid8):
         f = SpectralField.from_modes(grid8, {1: 1.0})
         with pytest.raises(SymmetryError):
-            synthesize(f)
+            f.require_real()
 
 
 class TestCutoffs:
@@ -188,6 +204,6 @@ class TestSobolevNorm:
     def test_parseval_quadrature(self, grid8, rng):
         c = random_real_coeffs(8, rng)
         f = SpectralField(grid8, c)
-        u = synthesize(f)
+        u = real_samples(f)
         quad = np.sum(u**2) * (2 * np.pi / grid8.phys_points)
         assert sobolev_norm(f, 0.0) ** 2 == pytest.approx(quad / (2 * np.pi), rel=1e-10)
