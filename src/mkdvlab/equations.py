@@ -5,6 +5,7 @@ linear part exactly.  Tags and their mu(n):
 
 * ``physical_5mkdv`` (n^5):
     u_t = u_xxxxx - c1*u*u_x*u_xx - c2*u^2*u_xxx - c3*(u_x)^3 - c4*u^4*u_x
+  for any coefficients, a pure divergence where c3 = (c1 - 2*c2)/2.
 * ``renormalized_5mkdv`` (n^5 + d1*n^3 + d2*n; Fourier side):
     v_t(n) = i*mu(n)*v(n) - 20i n^3 |v(n)|^2 v(n) + 10i n sum_{A3(n)} v v n3^2 v
              + 10i n sum_{A3(n)} v n2 v n3 v + 6i n sum_{A5(n)} v v v v v
@@ -165,26 +166,20 @@ def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
 # stacked rfft of the pointwise products (:class:`spectral.HalfSpectrum`).
 
 
-def _physical_divergence(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
-    """Physical nonlinearity of the constrained family in divergence form,
-    -(c2 u^2 u_xx + c3 u u_x^2 + c4/5 u^5)_x, so the mean is conserved exactly."""
+def _physical(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
+    """-c1 u u_x u_xx - c2 u^2 u_xxx - c3 u_x^3 - c4 u^4 u_x, written as
+    -(c2 u^2 u_xx + b u u_x^2 + c4/5 u^5)_x - (c3 - b) u_x^3 with
+    b = (c1 - 2 c2)/2.  Where c3 == b (every constrained family) only the
+    divergence is left, so the mean is conserved exactly; otherwise the
+    divergence's argument and u_x^3 share one stacked rfft."""
     U, Ux, Uxx = h.synthesize(ch, (0, 1, 2))
     u2 = U * U
-    G = U * (p.c2 * (U * Uxx) + p.c3 * (Ux * Ux) + (p.c4 / 5.0) * (u2 * u2))
-    return h.minus_dx * sfft.rfft(G, axis=-1)[..., : h.M + 1]
-
-
-def _physical_general(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
-    """-c1 u u_x u_xx - c2 u^2 u_xxx - c3 u_x^3 - c4 u^4 u_x for any coefficients."""
-    U, Ux, Uxx, Uxxx = h.synthesize(ch, (0, 1, 2, 3))
-    u2 = U * U
-    N = (
-        -(p.c1 * U) * (Ux * Uxx)
-        - (p.c2 * u2) * Uxxx
-        - p.c3 * (Ux * Ux * Ux)
-        - (p.c4 * u2) * (u2 * Ux)
-    )
-    return h.analyze(N)
+    b = (p.c1 - 2.0 * p.c2) / 2.0
+    G = U * (p.c2 * (U * Uxx) + b * (Ux * Ux) + (p.c4 / 5.0) * (u2 * u2))
+    if p.c3 == b:
+        return h.minus_dx * sfft.rfft(G, axis=-1)[..., : h.M + 1]
+    g, cube = sfft.rfft(np.stack([G, Ux * Ux * Ux]), axis=-1)[..., : h.M + 1]
+    return h.minus_dx * g - ((p.c3 - b) / h.P) * cube
 
 
 def _fifth_kdv_coeffs(p: EquationParams) -> tuple:
@@ -283,11 +278,6 @@ def _on_half(op):
     return lambda grid, p, terms: partial(op, half_spectrum(grid), p)
 
 
-def _physical_operator(grid: GridSpec, p: EquationParams, terms):
-    op = _physical_divergence if p.constrained else _physical_general
-    return partial(op, half_spectrum(grid), p)
-
-
 def _renormalized_operator(grid: GridSpec, p: EquationParams, terms):
     terms = RenormalizedTerms() if terms is None else terms
     # the module attribute is looked up at every call, so a wrapper
@@ -318,7 +308,7 @@ class Flow(NamedTuple):
 #: Every flow tag.  The physical and fifth-order KdV symbols ignore the gauge
 #: constants d1, d2 that derive_gauge_params puts in p.
 FLOWS = {
-    "physical_5mkdv": Flow(lambda n, p: n**5, _physical_operator, _mkdv5_bound),
+    "physical_5mkdv": Flow(lambda n, p: n**5, _on_half(_physical), _mkdv5_bound),
     "renormalized_5mkdv": Flow(
         lambda n, p: dispersion_mu(n, p.d1, p.d2), _renormalized_operator, _mkdv5_bound
     ),

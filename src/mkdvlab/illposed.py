@@ -16,9 +16,9 @@ with C = 10i*freq for the two cubic terms, K the respective kernels, and
     E_t(b)      = int_0^t e^{i b s} ds = t e^{i t b/2} sinc(t b/2).
 
 Integration by parts in t' splits each tuple into a boundary piece and a
-distributed piece (valid when phi_out != 0); the distributed pieces are the
-quintic normal-form terms, and boundary plus distributed is the one w5
-assembly here (`t2_duhamel_fifth`).  The direct sum of I2 closed forms is
+distributed piece (phi_out != 0 on every tuple, see `_QuinticTable`); the
+distributed pieces are the quintic normal-form terms, and boundary plus
+distributed is the one w5 assembly here (`t2_duhamel_fifth`).  The direct sum of I2 closed forms is
 kept only tuple by tuple, as the tests' reference.  Reported norms use the
 structure-only normalization (the 10i prefactors dropped):
 
@@ -31,9 +31,9 @@ distinct integer, one E_t (`osc_single`) that takes scalars or arrays, and
 per-mode sums in walk order (`_sum_by_mode`); I2 (`osc_double`) takes the
 same arguments.  The quintic terms use one table per call (`_QuinticTable`),
 factored by (inner triple, outer pair) so that a pair's mode, amplitude,
-phases and E_t are formed once and broadcast over its slots and cubic
-terms; D0 is its m0 pair.  Legs and kernels are int64, phases object arrays
-of ints.
+phases and E_t are formed once and broadcast over its three slots and its
+inner cubic terms; D0 is its m0 pair.  Legs and kernels are int64, phases
+object arrays of ints.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import numpy as np
 
 from .equations import EquationParams, RenormalizedTerms
 from .errors import ConfigurationError, ConditioningError, ParameterError
-from .resonance import phi_cubic
 from .spectral import SpectralField
 
 # ---------------------------------------------------------------------------
@@ -154,23 +153,6 @@ _CUBIC_KERNELS = {
 }
 
 
-@dataclass
-class QuinticTuple:
-    """One (outer, slot, inner) contribution to the fifth delta-derivative."""
-
-    n: int
-    outer: tuple
-    slot: int
-    inner: tuple
-    x_term: str
-    y_term: str
-    amp: complex        # product of the five data values
-    kernel_x: int
-    kernel_y: int
-    phi_out: object
-    phi_in: object
-
-
 def _leaves(support: dict, keys) -> tuple:
     """The given keys of support as int64 legs, and their data values."""
     return np.array(keys, dtype=np.int64), np.array([support[m] for m in keys])
@@ -206,8 +188,8 @@ _SLOT_ORDER = np.array([[2, 0, 1], [0, 2, 1], [0, 1, 2]])
 
 
 def _cells(a: np.ndarray) -> np.ndarray:
-    """A per-pair array as the (pairs, 1, 1, 1) leading axis of a cell array."""
-    return a.reshape(-1, 1, 1, 1)
+    """A per-pair array as the (pairs, 1, 1) leading axis of a cell array."""
+    return a.reshape(-1, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -216,11 +198,17 @@ class _QuinticTable:
 
     A pair is an inner triple (m1, m2, m3) in A3(n_slot) and outer legs
     la, lb with (la, lb, n_slot) in A3(n), in walk order: triple over the
-    sorted leaves, then la, then lb.  It has one cell per (slot, outer term,
-    inner term); the value methods return (pairs, slots, outer terms, inner
-    terms) arrays, whose C-order flattening is the tuple walk.  Mode,
-    amplitude, exact phases and E_t are formed once per pair and broadcast,
-    in the operation order of one tuple at a time.
+    sorted leaves, then la, then lb.  It has one cell per (slot, inner
+    term), the outer term being the n3^2-kernel cubic; the value methods
+    return (pairs, slots, inner terms) arrays, whose C-order flattening is
+    the tuple walk.  Mode, amplitude, exact phases and E_t are formed once
+    per pair and broadcast, in the operation order of one tuple at a time.
+
+    phi_out != 0 on every pair, so every tuple has a normal form: no leg of
+    (la, lb, n_slot) equals n, so each pair sum la + lb = n - n_slot,
+    la + n_slot = n - lb, lb + n_slot = n - la is nonzero, and
+    phi_out = -(5/2)(la+lb)(la+n_slot)(lb+n_slot)(la^2+lb^2+n_slot^2+n^2)
+    (resonance.resonance_g) is a product of nonzero factors.
 
     Legs and kernels are int64 (|leg| <= 5 max|leaf|); the phases are object
     arrays of exact Python ints, since n^5 overflows int64 once |n| > 6208,
@@ -229,8 +217,6 @@ class _QuinticTable:
 
     n: np.ndarray          # (pairs,) output mode
     n_slot: np.ndarray     # (pairs,) output mode of the inner triple
-    la: np.ndarray         # (pairs,) the outer legs other than n_slot
-    lb: np.ndarray
     triple: np.ndarray     # (pairs,) row of `inner`
     inner: np.ndarray      # (triples, 3) inner legs
     amp: np.ndarray        # (pairs,) product of the five data values
@@ -238,38 +224,35 @@ class _QuinticTable:
     phi_in: np.ndarray
     phi_out_f: np.ndarray  # (pairs,) float(phi_out), float(phi_out + phi_in)
     phi_sum_f: np.ndarray
-    outer: np.ndarray      # (pairs, slots, 3) outer legs, n_slot at its slot
-    kernel_x: np.ndarray   # (pairs, slots, outer terms, 1)
-    kernel_y: np.ndarray   # (pairs, 1, 1, inner terms)
-    slots: tuple
-    outer_terms: tuple
+    outer: np.ndarray      # (pairs, 3, 3) outer legs per slot, (la, lb, n_slot) at 2
+    kernel_x: np.ndarray   # (pairs, 3, 1) n3^2 of each slot's outer legs
+    kernel_y: np.ndarray   # (pairs, 1, inner terms)
     inner_terms: tuple
 
     def __len__(self) -> int:
         return len(self.n)
 
-    def structure_values(self, t: float, pairs) -> np.ndarray:
+    def structure_values(self, t: float) -> np.ndarray:
         """Structure-only normal-form value (n * n_slot * K_X * K_Y / phi_out)
-        * amp * E_t(phi_out + phi_in) of every cell of the selected pairs
-        (phi_out != 0 on all).
+        * amp * E_t(phi_out + phi_in) of every cell.
 
         The kernel product is formed in float64: a product has no
         cancellation, and n * n_slot * K_X * K_Y can exceed int64.
         """
-        nn = _cells(self.n[pairs].astype(float) * self.n_slot[pairs])
-        k = nn * self.kernel_x[pairs] * self.kernel_y[pairs] / _cells(self.phi_out_f[pairs])
-        return k * _cells(self.amp[pairs]) * _cells(osc_single(self.phi_sum_f[pairs], t))
+        nn = _cells(self.n.astype(float) * self.n_slot)
+        k = nn * self.kernel_x * self.kernel_y / _cells(self.phi_out_f)
+        return k * _cells(self.amp) * _cells(osc_single(self.phi_sum_f, t))
 
-    def normal_form_values(self, t: float, pairs) -> np.ndarray:
+    def normal_form_values(self, t: float) -> np.ndarray:
         """Boundary plus distributed piece of the integration by parts of
-        every cell of the selected pairs (phi_out != 0 on all)."""
-        a = _cells(self.phi_out_f[pairs])
-        c = _cells((10j * self.n[pairs]) * (10j * self.n_slot[pairs]))
-        c = c * self.kernel_x[pairs] * self.kernel_y[pairs]
-        amp = _cells(self.amp[pairs])
-        e_in = _cells(osc_single(self.phi_in[pairs], t))
+        every cell."""
+        a = _cells(self.phi_out_f)
+        c = _cells((10j * self.n) * (10j * self.n_slot))
+        c = c * self.kernel_x * self.kernel_y
+        amp = _cells(self.amp)
+        e_in = _cells(osc_single(self.phi_in, t))
         boundary = c * amp * np.exp(1j * a * t) * e_in / (1j * a)
-        distributed = -c * amp * _cells(osc_single(self.phi_sum_f[pairs], t)) / (1j * a)
+        distributed = -c * amp * _cells(osc_single(self.phi_sum_f, t)) / (1j * a)
         return boundary + distributed
 
 
@@ -278,10 +261,9 @@ def _kernel_columns(terms, legs: np.ndarray) -> np.ndarray:
     return np.stack([_CUBIC_KERNELS[name](*np.moveaxis(legs, -1, 0)) for name in terms], axis=-1)
 
 
-def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_terms,
-                   slots) -> _QuinticTable:
+def _quintic_table(support: dict, inner_terms) -> _QuinticTable:
     """Build every (inner in A3(n_slot), outer pair) entry over the leaves of
-    support, with its cells for each slot, outer and inner cubic term."""
+    support, with its cells for each slot and inner cubic term."""
     legs, vals = _leaves(support, sorted(support))
     k = len(legs)
     inner, n_slot, amp_in = _leaf_triples(legs, vals)
@@ -291,7 +273,7 @@ def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_t
     n = base.sum(axis=1)
     keep = np.all(base != n[:, None], axis=1)
     i, ia, ib, base, n = (a[keep] for a in (i, ia, ib, base, n))
-    outer = base[:, _SLOT_ORDER[list(slots)]]
+    outer = base[:, _SLOT_ORDER]
     # exact phases: mu once per distinct integer, phi_in once per inner
     # triple, phi_out once per distinct (la, lb, n_slot)
     slot_vals, slot_of_pair = np.unique(n_slot[i], return_inverse=True)
@@ -305,14 +287,14 @@ def _quintic_table(support: dict, spec: CounterexampleSpec, outer_terms, inner_t
     phi_in = phases[:len(inner)][i]
     phi_out = phases[len(inner):][outer_of_pair.reshape(-1)]
     return _QuinticTable(
-        n=n, n_slot=base[:, 2], la=base[:, 0], lb=base[:, 1], triple=i, inner=inner,
+        n=n, n_slot=base[:, 2], triple=i, inner=inner,
         amp=amp_in[i] * vals[ia] * vals[ib],
         phi_out=phi_out, phi_in=phi_in,
         phi_out_f=phi_out.astype(float), phi_sum_f=(phi_out + phi_in).astype(float),
         outer=outer,
-        kernel_x=_kernel_columns(outer_terms, outer)[..., None],
-        kernel_y=_kernel_columns(inner_terms, inner)[i][:, None, None],
-        slots=tuple(slots), outer_terms=tuple(outer_terms), inner_terms=tuple(inner_terms),
+        kernel_x=_kernel_columns(("cubic2",), outer),
+        kernel_y=_kernel_columns(inner_terms, inner)[i][:, None],
+        inner_terms=tuple(inner_terms),
     )
 
 
@@ -346,33 +328,17 @@ def _sum_by_mode(n: np.ndarray, v: np.ndarray) -> dict:
 M0_SLOT = 2  # the resonant tuple lives in the third slot (inner on n3)
 
 
-def m0_tuple(spec: CounterexampleSpec) -> QuinticTuple:
-    """The distinguished resonant tuple m0 = (N, 2, -1, -2, 1, N)."""
-    support = counterexample_support(spec)
+def _d_term_norms(tab: _QuinticTable, spec: CounterexampleSpec, v: np.ndarray) -> tuple:
+    """H^s norms of D0 and of the full D term from v, the D value of each
+    pair of tab.  D0 is the value of the m0 pair, the resonant tuple
+    m0 = (N, 2, -1, -2, 1, N): outer legs (2, -1, N-1) in slot M0_SLOT over
+    the inner triple (-2, 1, N), which the table holds for every N >= 8.
+    phi(m0) = 0 exactly, so D0 is linear in t."""
     N = spec.N
-    inner, outer = (-2, 1, N), (2, -1, N - 1)
-    amp = support[2] * support[-1] * support[-2] * support[1] * support[N]
-    return QuinticTuple(
-        N, outer, M0_SLOT, inner, "cubic2", "cubic2", amp,
-        _CUBIC_KERNELS["cubic2"](*outer), _CUBIC_KERNELS["cubic2"](*inner),
-        phi_cubic(N, *outer), phi_cubic(N - 1, *inner),
-    )
-
-
-def _d_term_norms(tab: _QuinticTable, spec: CounterexampleSpec, live: np.ndarray,
-                  v: np.ndarray) -> tuple:
-    """H^s norms of D0 and of the full D term, and the skipped count, from
-    v, the D value of each pair of tab with phi_out != 0 (the pairs flagged
-    in live); each other pair is one skipped tuple.  D0 is the value of the
-    m0 pair, which the table holds for every N >= 8 (phi_out(m0) != 0), and
-    phi(m0) = 0 exactly, so it is linear in t."""
-    m0 = m0_tuple(spec)
-    outer = tab.outer[live, tab.slots.index(M0_SLOT)]
-    inner = tab.inner[tab.triple[live]]
-    is_m0 = np.all(outer == m0.outer, axis=1) & np.all(inner == m0.inner, axis=1)
-    d0_hsnorm = (1.0 + spec.N**2) ** (spec.s / 2.0) * abs(complex(v[is_m0][0]))
-    hs_norm = hs_norm_of_map(_sum_by_mode(tab.n[live], v), spec.s)
-    return d0_hsnorm, hs_norm, int(np.count_nonzero(~live))
+    is_m0 = (np.all(tab.outer[:, M0_SLOT] == (2, -1, N - 1), axis=1)
+             & np.all(tab.inner[tab.triple] == (-2, 1, N), axis=1))
+    d0_hsnorm = (1.0 + N**2) ** (spec.s / 2.0) * abs(complex(v[is_m0][0]))
+    return d0_hsnorm, hs_norm_of_map(_sum_by_mode(tab.n, v), spec.s)
 
 
 @dataclass
@@ -387,7 +353,6 @@ class NormalFormTermReport:
     c1: float
     c2: float
     d1_norms: float
-    skipped_outer_resonant: int = 0
 
 
 # report field -> (slot, inner term index into ("cubic2", "cubic3"))
@@ -400,20 +365,14 @@ def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
     Every tuple on the 6-point data support is summed with exact
     oscillatory integrals; the phase-resonant tuples supported on the low
     modes {-2,-1,2} are what realize the t*max(N^{2-s},1) growth of the D1
-    term.  Tuples whose outer phase vanishes are skipped and counted (the
-    normal form only applies off the resonant set).
+    term.  Every tuple has a normal form (phi_out != 0, see _QuinticTable).
     """
-    tab = _quintic_table(
-        counterexample_support(spec), spec, ("cubic2",), ("cubic2", "cubic3"), (0, 1, 2)
-    )
-    live = tab.phi_out != 0
-    v = tab.structure_values(spec.t, live)
-    d0_hsnorm, d_full_hsnorm, d_skipped = _d_term_norms(tab, spec, live, v[:, M0_SLOT, 0, 0])
-    # every cell but D's is one term of _APPENDIX_TERMS
-    skipped = int(np.count_nonzero(~live)) * len(_APPENDIX_TERMS)
-    sums = _mode_sums(tab.n[live])
+    tab = _quintic_table(counterexample_support(spec), ("cubic2", "cubic3"))
+    v = tab.structure_values(spec.t)
+    d0_hsnorm, d_full_hsnorm = _d_term_norms(tab, spec, v[:, M0_SLOT, 0])
+    sums = _mode_sums(tab.n)
     norms = {
-        name: hs_norm_of_map(sums(v[:, slot, 0, y]), spec.s)
+        name: hs_norm_of_map(sums(v[:, slot, y]), spec.s)
         for name, (slot, y) in _APPENDIX_TERMS.items()
     }
     return NormalFormTermReport(
@@ -423,7 +382,6 @@ def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
         d0_hsnorm=d0_hsnorm,
         d_full_hsnorm=d_full_hsnorm,
         **norms,
-        skipped_outer_resonant=skipped + d_skipped,
     )
 
 
@@ -489,20 +447,19 @@ def t2_duhamel_fifth(
     support: dict, spec: CounterexampleSpec, inner_terms=("cubic2",), route: str = "normal_form"
 ):
     """delta^5 coefficient of the n3^2-kernel cubic Duhamel term alone, by the
-    normal form: the boundary + distributed split of every tuple, skipping
-    and counting the phi_out = 0 tuples.  route names that one assembly, and
-    any other value raises ValueError.  Returns (field dict with e^{i t mu}
-    prefactor, skipped count).
+    normal form: the boundary + distributed split of every tuple.  Returns
+    (field dict with e^{i t mu} prefactor, 0).  route names that one
+    assembly, and any other value raises ValueError; route and the constant
+    0 stay only because the benchmark's workloads pass the one and unpack
+    the other.
     """
     if route != "normal_form":
         raise ValueError(f"unknown route {route!r}: only 'normal_form' is assembled")
-    tab = _quintic_table(support, spec, ("cubic2",), tuple(inner_terms), (0, 1, 2))
-    live = tab.phi_out != 0
-    v = tab.normal_form_values(spec.t, live)
-    skipped = int(np.count_nonzero(~live)) * math.prod(v.shape[1:])
+    tab = _quintic_table(support, inner_terms)
+    v = tab.normal_form_values(spec.t)
     field = {n: w * np.exp(1j * float(n**5) * spec.t)
-             for n, w in _sum_by_mode(tab.n[live], v).items()}
-    return field, skipped
+             for n, w in _sum_by_mode(tab.n, v).items()}
+    return field, 0
 
 
 def numeric_fifth_derivative(

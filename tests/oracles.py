@@ -7,6 +7,7 @@ paths used by the package. Only usable at small max_mode.
 
 import functools
 import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -374,15 +375,45 @@ def _a3_ok(n, tup) -> bool:
     return all(m != n for m in tup)
 
 
-def iter_quintic_tuples_oracle(support, outer_terms=("cubic2",),
-                               inner_terms=("cubic2", "cubic3"), slots=(0, 1, 2),
-                               leaf_filter=None):
-    """Every (outer in A3(n), slot, inner in A3(n_slot)) tuple, nested loops."""
-    from mkdvlab.illposed import _CUBIC_KERNELS, QuinticTuple
+@dataclass
+class QuinticTuple:
+    """One (outer, slot, inner) contribution to the fifth delta-derivative,
+    the outer term being the n3^2-kernel cubic unless kernel_x says else."""
+
+    n: int
+    outer: tuple
+    slot: int
+    inner: tuple
+    y_term: str
+    amp: complex        # product of the five data values
+    kernel_x: int
+    kernel_y: int
+    phi_out: int
+    phi_in: int
+
+
+def m0_tuple(spec):
+    """The distinguished resonant tuple m0 = (N, 2, -1, -2, 1, N): outer legs
+    (2, -1, N-1) in slot M0_SLOT over the inner triple (-2, 1, N)."""
+    from mkdvlab.illposed import _CUBIC_KERNELS, M0_SLOT, counterexample_support
+
+    support = counterexample_support(spec)
+    N = spec.N
+    inner, outer = (-2, 1, N), (2, -1, N - 1)
+    amp = support[2] * support[-1] * support[-2] * support[1] * support[N]
+    return QuinticTuple(
+        N, outer, M0_SLOT, inner, "cubic2", amp,
+        _CUBIC_KERNELS["cubic2"](*outer), _CUBIC_KERNELS["cubic2"](*inner),
+        _phi3(N, outer), _phi3(N - 1, inner),
+    )
+
+
+def iter_quintic_tuples_oracle(support, inner_terms=("cubic2", "cubic3")):
+    """Every (outer in A3(n), slot, inner in A3(n_slot)) tuple of the
+    n3^2-kernel outer cubic, nested loops."""
+    from mkdvlab.illposed import _CUBIC_KERNELS
 
     leaves = sorted(support)
-    if leaf_filter is not None:
-        leaves = [n for n in leaves if leaf_filter(n)]
     for m1 in leaves:
         for m2 in leaves:
             for m3 in leaves:
@@ -395,7 +426,7 @@ def iter_quintic_tuples_oracle(support, outer_terms=("cubic2",),
                 for la in leaves:
                     for lb in leaves:
                         amp = amp_in * support[la] * support[lb]
-                        for slot in slots:
+                        for slot in range(3):
                             outer = [la, lb]
                             outer.insert(slot, n_slot)
                             outer = tuple(outer)
@@ -403,14 +434,12 @@ def iter_quintic_tuples_oracle(support, outer_terms=("cubic2",),
                             if not _a3_ok(n, outer):
                                 continue
                             phi_out = _phi3(n, outer)
-                            for x in outer_terms:
-                                kx = _CUBIC_KERNELS[x](*outer)
-                                for y in inner_terms:
-                                    ky = _CUBIC_KERNELS[y](*inner)
-                                    yield QuinticTuple(
-                                        n, outer, slot, inner, x, y, amp,
-                                        kx, ky, phi_out, phi_in,
-                                    )
+                            kx = _CUBIC_KERNELS["cubic2"](*outer)
+                            for y in inner_terms:
+                                ky = _CUBIC_KERNELS[y](*inner)
+                                yield QuinticTuple(
+                                    n, outer, slot, inner, y, amp, kx, ky, phi_out, phi_in,
+                                )
 
 
 def structure_value_oracle(tup, t):
@@ -461,16 +490,15 @@ def normal_form_values_oracle(tuples, t):
 def eval_d_full_oracle(spec):
     """The quintic D term (slot 3, n3^2 kernels outside and inside) over the
     C5 support, D0 and the other tuples' moduli at mode N, tuple by tuple."""
-    from mkdvlab.illposed import M0_SLOT, counterexample_support, hs_norm_of_map, m0_tuple
+    from mkdvlab.illposed import M0_SLOT, counterexample_support, hs_norm_of_map
 
     support = counterexample_support(spec)
-    field_vals, skipped, moduli_at_N = {}, 0, 0.0
+    field_vals, moduli_at_N = {}, 0.0
     m0 = m0_tuple(spec)
     d0 = structure_value_oracle(m0, spec.t)
     weight_N = (1.0 + spec.N**2) ** (spec.s / 2.0)
-    for tup in iter_quintic_tuples_oracle(support, ("cubic2",), ("cubic2",), (M0_SLOT,)):
-        if tup.phi_out == 0:
-            skipped += 1
+    for tup in iter_quintic_tuples_oracle(support, ("cubic2",)):
+        if tup.slot != M0_SLOT:
             continue
         v = structure_value_oracle(tup, spec.t)
         field_vals[tup.n] = field_vals.get(tup.n, 0.0) + v
@@ -482,7 +510,6 @@ def eval_d_full_oracle(spec):
         "field": field_vals, "hs_norm": hs_norm, "d0": d0, "d0_hsnorm": d0_hsnorm,
         "nonresonant_moduli": moduli_at_N,
         "cancellation_slack": max(0.0, d0_hsnorm - hs_norm),
-        "skipped_outer_resonant": skipped,
     }
 
 
@@ -494,12 +521,8 @@ def eval_appendix_terms_oracle(spec):
     keys = {(0, "cubic2"): "b1", (0, "cubic3"): "b2", (1, "cubic2"): "c1",
             (1, "cubic3"): "c2", (2, "cubic3"): "d1_norms"}
     acc = {name: {} for name in keys.values()}
-    skipped = 0
     for tup in iter_quintic_tuples_oracle(support):
         if (tup.slot, tup.y_term) == (2, "cubic2"):
-            continue
-        if tup.phi_out == 0:
-            skipped += 1
             continue
         d = acc[keys[(tup.slot, tup.y_term)]]
         d[tup.n] = d.get(tup.n, 0.0) + structure_value_oracle(tup, spec.t)
@@ -508,7 +531,6 @@ def eval_appendix_terms_oracle(spec):
         N=spec.N, s=spec.s, t=spec.t,
         d0_hsnorm=dfull["d0_hsnorm"], d_full_hsnorm=dfull["hs_norm"],
         **{name: hs_norm_of_map(d, spec.s) for name, d in acc.items()},
-        skipped_outer_resonant=skipped + dfull["skipped_outer_resonant"],
     )
 
 
@@ -518,30 +540,27 @@ def _with_linear_phase(out, spec):
 
 
 def t2_duhamel_fifth_oracle(support, spec, inner_terms=("cubic2",), route="direct"):
-    """t2_duhamel_fifth summed tuple by tuple; returns (field, skipped).
-    route="direct" sums the exact I2 closed forms, "normal_form" the
-    boundary + distributed split (skipping and counting phi_out = 0)."""
-    tuples = list(iter_quintic_tuples_oracle(support, ("cubic2",), tuple(inner_terms)))
-    if route == "direct":
-        skipped, values = 0, physical_values_oracle(tuples, spec.t)
-    else:
-        live = [tup for tup in tuples if tup.phi_out != 0]
-        skipped, tuples = len(tuples) - len(live), live
-        values = normal_form_values_oracle(live, spec.t)
+    """t2_duhamel_fifth's field summed tuple by tuple.  route="direct" sums
+    the exact I2 closed forms, "normal_form" the boundary + distributed split."""
+    tuples = list(iter_quintic_tuples_oracle(support, tuple(inner_terms)))
+    values = (physical_values_oracle if route == "direct" else normal_form_values_oracle)(
+        tuples, spec.t)
     out = {}
     for tup, v in zip(tuples, values):
         out[tup.n] = out.get(tup.n, 0.0) + v
-    return _with_linear_phase(out, spec), skipped
+    return _with_linear_phase(out, spec)
 
 
 def fifth_derivative_nonresonant_oracle(support, spec, cubics, quintic=False):
     """delta^5 coefficient, with e^{i t mu(n)}, of a flow holding only the
     given nonresonant cubics and, if quintic, 6i n sum v^5, summed tuple by
     tuple from exact I2 closed forms: cubic tuples, then quintuples."""
-    from mkdvlab.illposed import osc_single
+    from mkdvlab.illposed import _CUBIC_KERNELS, osc_single
 
     out = {}
-    tuples = list(iter_quintic_tuples_oracle(support, tuple(cubics), tuple(cubics)))
+    # each of cubics in place of the walk's n3^2-kernel outer term
+    tuples = [replace(tup, kernel_x=_CUBIC_KERNELS[x](*tup.outer))
+              for tup in iter_quintic_tuples_oracle(support, tuple(cubics)) for x in cubics]
     for tup, v in zip(tuples, physical_values_oracle(tuples, spec.t)):
         out[tup.n] = out.get(tup.n, 0.0) + v
     quintuples = []  # (n, amp, phi) in the order of five nested loops

@@ -211,7 +211,9 @@ class TestCriterion5Resonance:
 
 class TestCriterion6Growth:
     def test_criterion_06_growth_slope(self, growth_run):
-        from mkdvlab.illposed import CounterexampleSpec, m0_tuple
+        from oracles import m0_tuple
+
+        from mkdvlab.illposed import CounterexampleSpec
         from mkdvlab.resonance import phi_cubic
 
         code, man, rows = growth_run
@@ -257,7 +259,7 @@ class TestCriterion7AppendixSeparation:
 class TestCriterion8CrossValidation:
     def test_criterion_08_fifth_derivative_cross_validation(self, tmp_path):
         # numeric delta^5 coefficient against the normal-form assembly
-        # (boundary + B1 + C1 + D pieces, no tuple skipped), N = 8 at M = 64
+        # (boundary + B1 + C1 + D pieces), N = 8 at M = 64
         code, man, _ = run_cli(tmp_path, "fifth-derivative", "fifth_derivative", "time.T=0.005")
         rel = man["results_summary"]["relative_error"]
         wall = man["wall_time_s"]

@@ -20,6 +20,7 @@ from oracles import (
     fifth_derivative_quadrature_oracle,
     fifth_derivative_resonant_oracle,
     iter_quintic_tuples_oracle,
+    m0_tuple,
     resonant_pieces_oracle,
     structure_value_oracle,
     t2_duhamel_fifth_oracle,
@@ -37,7 +38,6 @@ from mkdvlab.illposed import (
     eval_c3_cubic,
     growth_experiment,
     hs_norm_of_map,
-    m0_tuple,
     numeric_fifth_derivative,
     osc_double,
     osc_single,
@@ -45,7 +45,7 @@ from mkdvlab.illposed import (
     t2_duhamel_fifth,
 )
 from mkdvlab.integrate import StepControl
-from mkdvlab.resonance import enumerate_n3, phi_cubic
+from mkdvlab.resonance import enumerate_n3, phi_cubic, resonance_g
 from mkdvlab.spectral import GridSpec, SpectralField
 
 
@@ -186,7 +186,7 @@ class TestDFull:
         # every outer tuple of the walker lies in the enumerated A3 sets
         spec = CounterexampleSpec(N=8, s=1.0, t=1e-3)
         supp = counterexample_support(spec)
-        rows = table_rows(_quintic_table(supp, spec, ("cubic2",), ("cubic2",), (2,)))
+        rows = table_rows(_quintic_table(supp, ("cubic2",)))
         from_enum = {}
         for n, outer in zip(rows["n"].tolist(), map(tuple, rows["outer"].tolist())):
             if abs(n) <= 12 and max(abs(m) for m in outer) <= 12:
@@ -213,10 +213,6 @@ class TestDFull:
             norms.append(eval_appendix_terms(CounterexampleSpec(N=N, s=1.0, t=1e-4)).d_full_hsnorm)
         slope = np.polyfit(np.log([256, 512, 1024, 2048]), np.log(norms), 1)[0]
         assert 0.9 <= slope <= 1.1
-
-    def test_no_skipped_tuples_at_zero_d1(self):
-        spec = CounterexampleSpec(N=32, s=1.0, t=1e-4)
-        assert eval_appendix_terms(spec).skipped_outer_resonant == 0
 
 
 class TestGrowthExperiment:
@@ -290,9 +286,8 @@ class TestNormalFormConsistency:
         # the package's normal form against the oracle's sum of I2 closed forms
         spec = CounterexampleSpec(N=8, s=1.0, t=0.005)
         supp = symmetrized_support(counterexample_support(spec))
-        d_direct, _ = t2_duhamel_fifth_oracle(supp, spec, route="direct")
-        d_nf, skipped = t2_duhamel_fifth(supp, spec)
-        assert skipped == 0
+        d_direct = t2_duhamel_fifth_oracle(supp, spec, route="direct")
+        d_nf, _ = t2_duhamel_fifth(supp, spec)
         keys = set(d_direct) | set(d_nf)
         scale = max(abs(v) for v in d_direct.values())
         gap = max(abs(d_direct.get(k, 0) - d_nf.get(k, 0)) for k in keys)
@@ -392,7 +387,6 @@ def assert_fields_close(got: dict, want: dict):
 
 
 def assert_reports_close(got: dict, want: dict):
-    assert got.pop("skipped_outer_resonant") == want.pop("skipped_outer_resonant")
     assert list(got) == list(want)
     for key, v in want.items():
         assert got[key] == pytest.approx(v, rel=REL, abs=0.0), key
@@ -400,20 +394,18 @@ def assert_reports_close(got: dict, want: dict):
 
 def table_rows(tab):
     """The factored table flattened to one row per tuple, in C order of
-    (pair, slot, outer term, inner term), with the pair of each row."""
-    shape = (len(tab), len(tab.slots), len(tab.outer_terms), len(tab.inner_terms))
-    pair, si, xi, yi = np.indices(shape).reshape(4, -1)
+    (pair, slot, inner term), with the pair of each row."""
+    pair, slot, yi = np.indices((len(tab), 3, len(tab.inner_terms))).reshape(3, -1)
     return {
         "pair": pair,
         "n": tab.n[pair],
-        "outer": tab.outer[pair, si],
-        "slot": np.asarray(tab.slots)[si],
+        "outer": tab.outer[pair, slot],
+        "slot": slot,
         "inner": tab.inner[tab.triple[pair]],
-        "x_term": [tab.outer_terms[x] for x in xi],
         "y_term": [tab.inner_terms[y] for y in yi],
         "amp": tab.amp[pair],
-        "kernel_x": tab.kernel_x[pair, si, xi, 0],
-        "kernel_y": tab.kernel_y[pair, 0, 0, yi],
+        "kernel_x": tab.kernel_x[pair, slot, 0],
+        "kernel_y": tab.kernel_y[pair, 0, yi],
         "phi_out": tab.phi_out[pair],
         "phi_in": tab.phi_in[pair],
     }
@@ -426,7 +418,6 @@ def assert_rows_match_walk(tab, walk):
     assert list(map(tuple, rows["outer"].tolist())) == [w.outer for w in walk]
     assert rows["slot"].tolist() == [w.slot for w in walk]
     assert list(map(tuple, rows["inner"].tolist())) == [w.inner for w in walk]
-    assert rows["x_term"] == [w.x_term for w in walk]
     assert rows["y_term"] == [w.y_term for w in walk]
     assert rows["amp"].tolist() == [w.amp for w in walk]
     assert rows["kernel_x"].tolist() == [w.kernel_x for w in walk]
@@ -446,20 +437,25 @@ def random_supports(draw):
 
 
 @settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
-@given(
-    support=random_supports(),
-    slots=st.sampled_from([(0, 1, 2), (2, 0), (1,)]),
-    terms=st.sampled_from([
-        (("cubic2",), ("cubic2", "cubic3")), (("cubic2", "cubic3"), ("cubic3",)),
-    ]),
-)
-def test_factored_table_matches_walk(support, slots, terms):
-    spec = CounterexampleSpec(N=8, s=1.0, t=1e-4)
-    walk = list(iter_quintic_tuples_oracle(support, *terms, slots=slots))
+@given(support=random_supports(),
+       inner_terms=st.sampled_from([("cubic2", "cubic3"), ("cubic2",), ("cubic3",)]))
+def test_factored_table_matches_walk(support, inner_terms):
+    walk = list(iter_quintic_tuples_oracle(support, inner_terms))
     if walk:
-        assert_rows_match_walk(_quintic_table(support, spec, *terms, slots), walk)
+        assert_rows_match_walk(_quintic_table(support, inner_terms), walk)
     else:
-        assert len(_quintic_table(support, spec, *terms, slots)) == 0
+        assert len(_quintic_table(support, inner_terms)) == 0
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
+@given(support=random_supports())
+def test_outer_phase_never_vanishes(support):
+    # phi_out = -G(la, lb, n_slot), whose factors are nonzero on A3(n): every
+    # tuple has a normal form, so no caller masks phi_out = 0
+    tab = _quintic_table(support, ("cubic2",))
+    want = [-resonance_g(la, lb, n_slot) for la, lb, n_slot in tab.outer[:, 2].tolist()]
+    assert tab.phi_out.tolist() == want
+    assert 0 not in want
 
 
 @settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
@@ -478,25 +474,16 @@ class TestTupleTableMatchesOracle:
     """The tuple table against the per-tuple walker of tests/oracles.py."""
 
     def test_rows_in_walk_order(self):
-        spec = CounterexampleSpec(N=8, s=1.0, t=1e-4)
-        supp = counterexample_support(spec)
-        only_1_8 = {n: a for n, a in supp.items() if n in (1, 8)}
-        cases = [  # table support, walk keywords, outer terms, inner terms, slots
-            (supp, {}, ("cubic2",), ("cubic2", "cubic3"), (0, 1, 2)),
-            (only_1_8, {"leaf_filter": lambda n: n in (1, 8)}, ("cubic2",),
-             ("cubic2", "cubic3"), (2, 0)),
-            (supp, {}, ("cubic2", "cubic3"), ("cubic3",), (0, 1, 2)),
-        ]
-        for leaves, walk_kw, *terms in cases:
-            walk = list(iter_quintic_tuples_oracle(supp, *terms, **walk_kw))
-            assert_rows_match_walk(_quintic_table(leaves, spec, *terms), walk)
+        supp = counterexample_support(CounterexampleSpec(N=8, s=1.0, t=1e-4))
+        assert_rows_match_walk(_quintic_table(supp, ("cubic2", "cubic3")),
+                               list(iter_quintic_tuples_oracle(supp)))
 
     def test_one_exact_phase_sum_per_pair(self):
         # every tuple of a pair shares its exact phi_out and phi_in, and the
         # pair's floats are those of phi_out and of the exact phi_out + phi_in
         spec = CounterexampleSpec(N=4096, s=1.0, t=1e-4)
         supp = counterexample_support(spec)
-        tab = _quintic_table(supp, spec, ("cubic2",), ("cubic2", "cubic3"), (0, 1, 2))
+        tab = _quintic_table(supp, ("cubic2", "cubic3"))
         walk = list(iter_quintic_tuples_oracle(supp))
         pair = table_rows(tab)["pair"]
         for p, w in zip(pair.tolist(), walk):
@@ -524,9 +511,8 @@ class TestTupleTableMatchesOracle:
     def test_t2_duhamel_fifth(self, route):
         spec = CounterexampleSpec(N=8, s=1.0, t=0.005)
         for supp in (counterexample_support(spec), COMPLEX_SUPPORT):
-            got, got_skipped = t2_duhamel_fifth(supp, spec, ("cubic2", "cubic3"), route)
-            want, want_skipped = t2_duhamel_fifth_oracle(supp, spec, ("cubic2", "cubic3"), route)
-            assert got_skipped == want_skipped
+            got, _ = t2_duhamel_fifth(supp, spec, ("cubic2", "cubic3"), route)
+            want = t2_duhamel_fifth_oracle(supp, spec, ("cubic2", "cubic3"), route)
             assert_fields_close(got, want)
 
     def test_phases_beyond_int64(self):
@@ -534,17 +520,15 @@ class TestTupleTableMatchesOracle:
         # the phases stay exact ints, and E_t takes the float of their exact sum
         spec = CounterexampleSpec(N=4096, s=1.0, t=1e-4)
         supp = counterexample_support(spec)
-        tab = _quintic_table(supp, spec, ("cubic2",), ("cubic2", "cubic3"), (0, 1, 2))
+        tab = _quintic_table(supp, ("cubic2", "cubic3"))
         rows = table_rows(tab)
         walk = list(iter_quintic_tuples_oracle(supp))
         phases = rows["phi_out"].tolist() + rows["phi_in"].tolist()
         assert all(type(p) is int for p in phases)
         assert phases == [t.phi_out for t in walk] + [t.phi_in for t in walk]
-        big = [r for r, t in enumerate(walk) if t.phi_out != 0 and abs(t.phi_out + t.phi_in) > 2**63]
+        big = [r for r, t in enumerate(walk) if abs(t.phi_out + t.phi_in) > 2**63]
         assert big
-        live = tab.phi_out != 0
-        values = np.zeros(len(walk), dtype=complex)
-        values[live[rows["pair"]]] = tab.structure_values(spec.t, live).ravel()
+        values = tab.structure_values(spec.t).ravel()
         np.testing.assert_allclose(
             values[big], [structure_value_oracle(walk[r], spec.t) for r in big], rtol=REL, atol=0,
         )

@@ -1,13 +1,12 @@
 """The package's exported names, the names and arguments the benchmark
-reads, and the guards that every definition and defaulted parameter in
-src/ has a caller."""
+reads, and the guards that every definition in src/ has a caller and
+every parameter a caller that sets it."""
 
 import ast
 import functools
 import importlib
 import importlib.util
 import inspect
-import math
 from pathlib import Path
 
 import scipy.fft
@@ -326,11 +325,13 @@ def test_every_definition_is_reached():
     assert sorted(unreached - allowed) == [] and sorted(allowed - unreached) == []
 
 
-def defaulted_parameters(module: str, tree: ast.Module) -> list:
-    """(key, name, callee names, position, settable by assignment) of every
-    parameter with a default of the functions and methods in tree, and every
-    field with a default of its dataclasses; position counts the arguments
-    a call passes before it (None if only a keyword can pass it)."""
+def parameters(module: str, tree: ast.Module) -> list:
+    """(key, name, callee names, position, settable by assignment, default,
+    read) of every parameter of the functions and methods in tree but self
+    or cls, and every field of its dataclasses; position counts the
+    arguments a call passes before it (None if only a keyword can pass it),
+    default is the default's node (None if it has none), and read says
+    whether the function's body reads the parameter (True for a field)."""
     out = []
 
     def visit(body, prefix, cls):
@@ -346,53 +347,92 @@ def defaulted_parameters(module: str, tree: ast.Module) -> list:
                 fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
                           and "init=False" not in ast.unparse(f.value or ast.Constant(None))]
                 out.extend((f"{module}.{prefix}{node.name}.{f.target.id}", f.target.id,
-                            {node.name}, i, not frozen)
-                           for i, f in enumerate(fields) if f.value is not None)
+                            {node.name}, i, not frozen, f.value, True)
+                           for i, f in enumerate(fields))
             elif isinstance(node, ast.FunctionDef):
                 visit(node.body, f"{prefix}{node.name}.", None)
                 shift = 0 if cls is None else 1  # self or cls
                 names = {node.name} | ({cls.name} if cls and node.name == "__init__" else set())
                 a = node.args
                 positional = a.posonlyargs + a.args
-                tail = positional[len(positional) - len(a.defaults):]
+                defaults = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                defaults.update(zip(a.kwonlyargs, a.kw_defaults))
+                reads = {n.id for stmt in node.body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
                 out.extend((f"{module}.{prefix}{node.name}({arg.arg})", arg.arg, names,
-                            positional.index(arg) - shift, False) for arg in tail)
-                out.extend((f"{module}.{prefix}{node.name}({arg.arg})", arg.arg, names, None, False)
-                           for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                            i - shift if i < len(positional) else None, False,
+                            defaults.get(arg), arg.arg in reads)
+                           for i, arg in enumerate(positional + a.kwonlyargs) if i >= shift)
 
     visit(tree.body, "", None)
     return out
 
 
+def _literal(node) -> bool:
+    """A constant, or a tuple or list of constants."""
+    return isinstance(node, ast.Constant) or (
+        isinstance(node, (ast.Tuple, ast.List))
+        and all(isinstance(e, ast.Constant) for e in node.elts))
+
+
 def unset_parameters(sources: dict) -> set:
-    """Keys (see defaulted_parameters) of the defaulted parameters and
-    dataclass fields of the modules in sources that no call in them passes,
-    by position or keyword, matching the callee by its last name; partial(f,
-    ...) is a call of f, a call of a class passes its __init__ and fields,
-    and an attribute assignment sets the field of a dataclass not frozen."""
-    calls, assigned, params = {}, set(), []
+    """Keys (see parameters) of the parameters and dataclass fields of the
+    modules in sources that no caller sets: a default that no call in them
+    passes, by position or keyword; a parameter that its function's body
+    never reads; and a parameter to which every call passes the same
+    literal (compared by AST), a call that leaves out a default passing the
+    default.  A callee matches by its last name; partial(f, ...) is a call
+    of f, a call of a class passes its __init__ and fields, an attribute
+    assignment sets the field of a dataclass not frozen, and a callee also
+    read as a value (passed or stored) may be called with anything."""
+    calls, assigned, as_value, params = {}, set(), set(), []
     for module, source in sources.items():
         tree = ast.parse(source)
-        params += defaulted_parameters(module, tree)
+        params += parameters(module, tree)
+        callees = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                 assigned.add(node.attr)
             if not isinstance(node, ast.Call):
                 continue
             func, args = node.func, node.args
+            callees.add(func)
             if getattr(func, "id", getattr(func, "attr", None)) == "partial" and args:
                 func, args = args[0], args[1:]
+                callees.add(func)
             name = getattr(func, "id", getattr(func, "attr", None))
-            starred = any(isinstance(x, ast.Starred) for x in args)
-            calls.setdefault(name, []).append(
-                (math.inf if starred else len(args), {k.arg for k in node.keywords}))
-    return {key for key, arg, names, pos, settable in params
-            if not (settable and arg in assigned)
-            and not any((pos is not None and n > pos) or arg in kw or None in kw
-                        for name in names for n, kw in calls.get(name, ()))}
+            calls.setdefault(name, []).append((args, {k.arg: k.value for k in node.keywords}))
+        as_value |= {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(tree)
+                     if isinstance(n, (ast.Name, ast.Attribute))
+                     and isinstance(n.ctx, ast.Load) and n not in callees}
+
+    def passed(args, kw, arg, pos):
+        """The node a call passes for the parameter: its argument, a * or **
+        argument that may hold it, or None if the call leaves it out."""
+        if pos is not None:
+            starred = [x for x in args[:pos + 1] if isinstance(x, ast.Starred)]
+            if starred:
+                return starred[0]
+            if len(args) > pos:
+                return args[pos]
+        return kw.get(arg, kw.get(None))
+
+    def unset(arg, names, pos, settable, default):
+        if settable and arg in assigned:
+            return False
+        nodes = [passed(args, kw, arg, pos) for name in names for args, kw in calls.get(name, ())]
+        if default is not None and all(n is None for n in nodes):
+            return True
+        nodes = [default if n is None else n for n in nodes]
+        return (bool(nodes) and not names & as_value and all(map(_literal, nodes))
+                and len({ast.dump(n) for n in nodes}) == 1)
+
+    return {key for key, arg, names, pos, settable, default, read in params
+            if not read or unset(arg, names, pos, settable, default)}
 
 
-#: defaulted parameters no call in src/ passes, with the reason each stays
+#: parameters that no call in src/ sets to more than one value, with the
+#: reason each stays
 UNSET_ALLOWED = {
     "console script: main() reads sys.argv": {"cli.main(argv)"},
     # perfbench passes route; item 7's full flow at delta^5 needs inner_terms
@@ -401,25 +441,43 @@ UNSET_ALLOWED = {
     "oracles' seam": {"equations.rhs(renorm_terms)"},
     "item 2": {"shorttime.xk_norm(gamma)"},
     "item 8": {"invariants.es_energy(T)"},
+    # COMMANDS calls each with (cfg, args)
+    "subcommand signature": {
+        "cli.cmd_evolve(args)", "cli.cmd_conserve(args)", "cli.cmd_gauge_check(args)",
+        "cli.cmd_miura_check(args)", "cli.cmd_resonance_enum(cfg)",
+        "cli.cmd_resonance_identity(args)", "cli.cmd_illposed_growth(args)",
+        "cli.cmd_appendix_b(args)", "cli.cmd_norms(args)", "cli.cmd_fifth_derivative(args)"},
+    # a term op(h, p, c), an operator(grid, p, terms) or a
+    # frequency_bound(p, s0, s1, s01, M) of FLOWS
+    "FLOWS signature": {"equations._third_order(p)", "equations._renormalized_operator(p)",
+                        "equations._fifth_kdv_bound(s01)"},
+    "perfbench passes it": {"equations.derive_gauge_params(c1)",
+                            "illposed.numeric_fifth_derivative(deltas)"},
 }
 
 
 def test_parameter_walk_finds_each_case():
     src = ("from functools import partial\n"
-           "def f(a, b=1, *, c=2):\n    return a\n"
-           "def g(a, b=1, c=2):\n    return a\n"
+           "def f(a, b=1, *, c=2):\n    return a, b, c\n"
+           "def g(a, b=1, c=2):\n    return a, b, c\n"
            "class K:\n    def m(self, x=0):\n        return x\n"
            "@dataclass\nclass D:\n    u: int = 0\n    v: int = 1\n    w: int = 2\n"
            "@dataclass(frozen=True)\nclass E:\n    u: int = 0\n"
-           "def main(d):\n    h = partial(g, c=3)\n    d.w = 5\n    e = E()\n    e.u = 1\n"
-           "    return f(1, 2), h(1), K().m(), D(0, v=2)\n")
+           "def unread(a):\n    return 0\n"
+           "def same(a, b):\n    return a, b\n"
+           "def main(d):\n    h = partial(g, c=d)\n    d.w = 5\n    e = E()\n    e.u = 1\n"
+           "    return (f(d, d), h(d), K().m(), D(d, v=d), unread(d),\n"
+           "            same((1, 'x'), 3), same((1, 'x'), 4))\n")
     got = unset_parameters({"lab": src})
-    # an unset default is found; c of g is set only through partial
-    assert got == {"lab.f(c)", "lab.g(b)", "lab.K.m(x)", "lab.E.u"}
+    # an unset default is found; c of g is set only through partial; a of
+    # same is passed one tuple by both calls, b two different literals
+    assert got == {"lab.f(c)", "lab.g(b)", "lab.K.m(x)", "lab.E.u", "lab.unread(a)",
+                   "lab.same(a)"}
 
 
 def test_every_parameter_is_set():
-    # a default that no call overrides is an option only tests use
+    # a default that no call overrides is an option only tests use, and a
+    # parameter never read or always passed one literal is no option at all
     sources = {path.stem: path.read_text() for path in (ROOT / "src" / "mkdvlab").glob("*.py")}
     allowed = set().union(*UNSET_ALLOWED.values())
     unset = unset_parameters(sources)
