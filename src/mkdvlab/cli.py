@@ -431,7 +431,7 @@ def cmd_miura_check(cfg: ExperimentConfig, args) -> Outcome:
         # per mode n = 1..M: Re c, Im c, Re cdot, Im cdot; then c(0), cdot(0)
         draws = rng.standard_normal(4 * M + 2)
         modes = _decaying_modes(draws[:4 * M].reshape(M, 4), 2.0).T
-        c, cdot = hermitian_extend(np.column_stack([draws[4 * M:], modes]))
+        c, cdot = np.column_stack([draws[4 * M:], modes])  # half spectra c[0..M]
         gap = chain_identity_gap(grid, c, cdot)
         # scale: the identity's own term size
         scale = max(1.0, float(np.max(np.abs(kdv_residual_values(grid, c, cdot)))))

@@ -39,14 +39,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ConfigurationError, ParameterError
-from .spectral import (
-    GridSpec,
-    HalfSpectrum,
-    SpectralField,
-    half_spectrum,
-    hermitian_extend,
-    require_hermitian,
-)
+from .spectral import GridSpec, HalfSpectrum, SpectralField, half_spectrum, hermitian_extend
 
 CONSTRAINT_RTOL = 1e-12
 
@@ -99,30 +92,12 @@ def dispersion_mu(n, d1=0.0, d2=0.0):
 
 
 # ---------------------------------------------------------------------------
-# Sequence-side quadratic/quartic functionals used by the gauge bookkeeping
+# The quartic functional and the gauge constants, on the half spectrum
 # ---------------------------------------------------------------------------
 
-def seq_l2_sq(coeff: np.ndarray) -> float:
-    """sum |c[n]|^2 (equals (1/2pi) * integral u^2 for real fields)."""
-    return float(np.sum(np.abs(coeff) ** 2))
-
-
-def seq_h1dot_sq(grid: GridSpec, coeff: np.ndarray) -> float:
-    n = grid.modes.astype(float)
-    return float(np.sum(n * n * np.abs(coeff) ** 2))
-
-
-def seq_l4_quartic(grid: GridSpec, coeff: np.ndarray):
-    """sum_{n1+n2+n3+n4=0} c[n1]c[n2]c[n3]c[n4] of real fields, one value per
-    row of ``coeff`` (dense -M..M on the last axis): :func:`half_l4_quartic`
-    of its n >= 0 columns."""
-    require_hermitian(coeff, "seq_l4_quartic input")
-    half = coeff[..., grid.max_mode:]
-    return half_l4_quartic(grid, half.reshape(-1, half.shape[-1])).reshape(half.shape[:-1])[()]
-
-
 def half_l4_quartic(grid: GridSpec, half: np.ndarray) -> np.ndarray:
-    """seq_l4_quartic of every row of 2-D half spectra c[0..M] of real fields.
+    """sum_{n1+n2+n3+n4=0} c[n1]c[n2]c[n3]c[n4] of the real field of every
+    row of 2-D half spectra c[0..M].
 
     Computed as the collocation mean of u^4, exact on the dealiased grid,
     one stacked synthesis per chunk of rows (sized for u, u^2 and u^4).
@@ -148,12 +123,11 @@ def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
         )
     u0.require_real(what="gauge initial data")
     grid = u0.grid
-    p2 = seq_l2_sq(u0.coeff)
-    q2 = seq_h1dot_sq(grid, u0.coeff)
-    r4 = float(seq_l4_quartic(grid, u0.coeff))
+    ch = u0.coeff[grid.max_mode:]
+    l2, h1 = (ch.real**2 + ch.imag**2) @ half_spectrum(grid).pair_sums
     p = EquationParams.constrained_family(c1)
-    p.d1 = 10.0 * p2
-    p.d2 = 10.0 * (q2 + r4)
+    p.d1 = 10.0 * float(l2)
+    p.d2 = 10.0 * float(h1 + half_l4_quartic(grid, ch[None])[0])
     return p
 
 

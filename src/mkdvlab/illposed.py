@@ -45,7 +45,7 @@ import numpy as np
 
 from .equations import EquationParams, RenormalizedTerms
 from .errors import ConfigurationError, ConditioningError, ParameterError
-from .spectral import SpectralField
+from .spectral import SpectralField, hermitian_extend
 
 # ---------------------------------------------------------------------------
 # Exact oscillatory primitives
@@ -474,10 +474,10 @@ def numeric_fifth_derivative(
     renormalized flow (real-field integrator).
 
     deltas are positive amplitudes; each is run with both signs and the odd
-    part is fitted to delta*a1 + delta^3*a3 + delta^5*a5 (+ delta^7
-    nuisance).  Returns (SpectralField holding a5 = fifth derivative / 5!,
-    report) with a conditioning summary; raises ConditioningError when the
-    spread of deltas is degenerate.
+    part of the final half spectrum is fitted to delta*a1 + delta^3*a3 +
+    delta^5*a5 (+ delta^7 nuisance).  Returns (SpectralField holding
+    a5 = fifth derivative / 5!, report) with a conditioning summary; raises
+    ConditioningError when the spread of deltas is degenerate.
     """
     from .integrate import evolve
 
@@ -492,7 +492,7 @@ def numeric_fifth_derivative(
         for sgn in (1.0, -1.0):
             scaled = SpectralField(u0.grid, sgn * d * u0.coeff)
             traj = evolve(scaled, t, p, tag="renormalized_5mkdv", ctrl=ctrl, renorm_terms=terms)
-            finals[sgn * d] = traj.final().coeff
+            finals[sgn * d] = traj.half[-1]
 
     odd = np.array([(finals[d] - finals[-d]) / 2.0 for d in deltas])
     even = np.array([(finals[d] + finals[-d]) / 2.0 for d in deltas])
@@ -509,4 +509,4 @@ def numeric_fifth_derivative(
         "deltas": deltas,
         "powers": powers,
     }
-    return SpectralField(u0.grid, a5), report
+    return SpectralField(u0.grid, hermitian_extend(a5)), report

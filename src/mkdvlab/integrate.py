@@ -89,9 +89,6 @@ class Trajectory:
     def field(self, i: int) -> SpectralField:
         return SpectralField(self.grid, hermitian_extend(self.half[i]))
 
-    def final(self) -> SpectralField:
-        return self.field(len(self.times) - 1)
-
 
 def default_dt(u0: SpectralField, p: EquationParams, tag: str) -> float:
     M = u0.grid.max_mode

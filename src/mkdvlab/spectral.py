@@ -30,10 +30,10 @@ import scipy.fft as sfft
 from .errors import ConfigurationError, ParameterError, SymmetryError
 
 #: Working set of one chunk of a chunked pass over many records (short-time
-#: windows, Hamiltonian and gauge syntheses, Hermitian checks), in complex128
-#: entries (2 MiB; a float64 entry counts half): every temporary a chunk holds
-#: at once fits it, so the memory of these passes does not grow with the
-#: record count.
+#: windows, Hamiltonian and gauge syntheses, the gauge phase table), in
+#: complex128 entries (2 MiB; a float64 entry counts half): every temporary a
+#: chunk holds at once fits it, so the memory of these passes does not grow
+#: with the record count.
 BATCH_ELEMENTS = 1 << 17
 
 
@@ -65,13 +65,13 @@ class GridSpec:
 
 @dataclass
 class SpectralField:
-    """Dense truncated Fourier coefficients on a GridSpec.
+    """Dense truncated Fourier coefficients of a real field on a GridSpec.
 
     ``coeff[i]`` is the coefficient of ``exp(i n x)`` with ``n = i - max_mode``
-    (ordered -max_mode..max_mode).  Real evolution states satisfy the
-    Hermitian symmetry ``coeff[-n] = conj(coeff[n])``; the ill-posedness
-    counterexample data intentionally violate it and are handled as genuinely
-    complex fields.
+    (ordered -max_mode..max_mode), with ``coeff[-n] = conj(coeff[n])``: the
+    entry points check it (:meth:`require_real`) and then read the half
+    spectrum ``coeff[max_mode:]``, the layout every real field has inside
+    the package.
     """
 
     grid: GridSpec
@@ -98,16 +98,13 @@ class SpectralField:
             f.coeff[n + grid.max_mode] = v
         return f
 
-    def get(self, n: int) -> complex:
-        if abs(n) > self.grid.max_mode:
-            return 0.0 + 0.0j
-        return complex(self.coeff[n + self.grid.max_mode])
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeff.copy())
-
     def require_real(self, what: str = "field"):
-        require_hermitian(self.coeff, what)
+        """Raise SymmetryError unless coeff(-n) = conj(coeff(n)) within 1e-8
+        relative to max(1, max |coeff|); a NaN fails."""
+        c, M = self.coeff, self.grid.max_mode
+        defect = np.max(np.abs(c[M::-1] - np.conj(c[M:])))
+        if not defect <= 1e-8 * max(1.0, np.max(np.abs(c))):
+            raise SymmetryError(f"{what} violates Hermitian symmetry (defect {defect:.3e})")
 
 
 def row_chunks(n_rows: int, row_elements: int) -> list:
@@ -116,26 +113,6 @@ def row_chunks(n_rows: int, row_elements: int) -> list:
     that one row of the caller's pass holds at once, in complex128 entries."""
     step = max(1, BATCH_ELEMENTS // row_elements)
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
-
-
-def require_hermitian(coeff: np.ndarray, what: str):
-    """Raise SymmetryError unless coeff(-n) = conj(coeff(n)) along the last
-    axis, within 1e-8 relative to max(1, max |coeff|) over all rows, checked a
-    chunk of rows at a time.  The defect is symmetric in n, so only the
-    n >= 0 columns meet their mirrors, and a chunk holds their difference
-    (complex) and its modulus (float)."""
-    rows = coeff.reshape(-1, coeff.shape[-1])
-    width = rows.shape[-1]
-    half = width - width // 2  # columns n >= 0
-    defect = scale = 0.0
-    for chunk in row_chunks(len(rows), (3 * half + 1) // 2):
-        c = rows[chunk]
-        scale = np.maximum(scale, np.max(np.abs(c)))
-        diff = np.conj(c[:, width // 2:])
-        np.subtract(c[:, half - 1::-1], diff, out=diff)
-        defect = np.maximum(defect, np.max(np.abs(diff)))  # NaN stays NaN
-    if not defect <= 1e-8 * max(1.0, scale):  # NaN fails too
-        raise SymmetryError(f"{what} violates Hermitian symmetry (defect {defect:.3e})")
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,7 @@ import numpy as np
 from .equations import half_l4_quartic, linear_symbol, nonlinear_operator
 from .errors import ConfigurationError
 from .integrate import Trajectory
-from .spectral import (
-    GridSpec,
-    SpectralField,
-    half_spectrum,
-    hermitian_extend,
-    require_hermitian,
-    row_chunks,
-)
+from .spectral import GridSpec, SpectralField, half_spectrum, hermitian_extend, row_chunks
 
 GAUGE_PHASE_RATE = 20.0
 
@@ -95,14 +88,11 @@ def miura(v: SpectralField) -> SpectralField:
     return SpectralField(v.grid, hermitian_extend(h.analyze(Vx + V * V)))
 
 
-def _chain_samples(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarray, what: str):
-    """Real samples (v, v_x, ..., v_xxxx) and (vdot, vdot_x) of dense real
-    coefficients -M..M, any leading axes."""
-    require_hermitian(v_coeff, f"{what} v_coeff")
-    require_hermitian(vdot_coeff, f"{what} vdot_coeff")
+def _chain_samples(grid: GridSpec, v_half: np.ndarray, vdot_half: np.ndarray):
+    """Real samples (v, v_x, ..., v_xxxx) and (vdot, vdot_x) of half spectra
+    c[0..M], any leading axes."""
     h = half_spectrum(grid)
-    M = grid.max_mode
-    return h.synthesize(v_coeff[..., M:], range(5)), h.synthesize(vdot_coeff[..., M:], (0, 1))
+    return h.synthesize(v_half, range(5)), h.synthesize(vdot_half, (0, 1))
 
 
 def _kdv_residual(Vs: np.ndarray, Vdots: np.ndarray) -> np.ndarray:
@@ -123,25 +113,25 @@ def _mkdv_residual(Vs: np.ndarray, Vdots: np.ndarray) -> np.ndarray:
     return Vdots[0] + Vxxx - 6.0 * V * V * Vx
 
 
-def kdv_residual_values(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarray) -> np.ndarray:
+def kdv_residual_values(grid: GridSpec, v_half: np.ndarray, vdot_half: np.ndarray) -> np.ndarray:
     """Pointwise values of u_t + u_xxx - 6 u u_x with u = v_x + v^2 and
-    u_t = (2v + d/dx) vdot, for real v and vdot.
+    u_t = (2v + d/dx) vdot, for real v and vdot given by their half spectra.
 
     Evaluated entirely pointwise on the collocation grid, so no truncation
     enters the identity check.
     """
-    return _kdv_residual(*_chain_samples(grid, v_coeff, vdot_coeff, "kdv_residual_values"))
+    return _kdv_residual(*_chain_samples(grid, v_half, vdot_half))
 
 
-def chain_identity_gap(grid: GridSpec, v_coeff: np.ndarray, vdot_coeff: np.ndarray) -> float:
+def chain_identity_gap(grid: GridSpec, v_half: np.ndarray, vdot_half: np.ndarray) -> float:
     """sup | KdV-residual(v_x+v^2) - (2v + d/dx) mKdV-residual(v) | for real
-    v and vdot.
+    v and vdot given by their half spectra.
 
     An algebraic identity in (v, vdot); zero to rounding for any fields.
     Every term (including the x-derivative of the residual) is expanded in
     closed form and evaluated pointwise, so no truncation enters.
     """
-    Vs, Vdots = _chain_samples(grid, v_coeff, vdot_coeff, "chain_identity_gap")
+    Vs, Vdots = _chain_samples(grid, v_half, vdot_half)
     V, Vx, Vxx, _, Vxxxx = Vs
     Vdot_x = Vdots[1]
     lhs = _kdv_residual(Vs, Vdots)

@@ -180,6 +180,25 @@ def random_real_coeffs(M, rng, decay=1.5, amplitude=1.0):
     return amplitude * c
 
 
+def gauge_constants_oracle(c, M):
+    """(sum |c(n)|^2, sum n^2 |c(n)|^2, sum_{n1+n2+n3+n4=0} c(n1)c(n2)c(n3)c(n4))
+    of dense coefficients -M..M, by explicit loops over the modes."""
+    l2 = h1 = 0.0
+    for n in range(-M, M + 1):
+        a = abs(c[n + M]) ** 2
+        l2 += a
+        h1 += n * n * a
+    quartic = 0.0
+    modes = range(-M, M + 1)
+    for n1 in modes:
+        for n2 in modes:
+            for n3 in modes:
+                n4 = -(n1 + n2 + n3)
+                if abs(n4) <= M:
+                    quartic += c[n1 + M] * c[n2 + M] * c[n3 + M] * c[n4 + M]
+    return l2, h1, quartic
+
+
 def mirror_defect(coeff):
     """max |c(-n) - conj(c(n))| of dense coefficients -M..M."""
     return float(np.max(np.abs(coeff[::-1] - np.conj(coeff))))

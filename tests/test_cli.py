@@ -356,7 +356,7 @@ class TestRandomData:
         assert run(["miura-check", "--out", str(tmp_path),
                     "--set", "grid.max_mode=8", "--set", "time.T=0.001"]) == 0
         want = miura_static_fields_oracle(8, int(DEFAULTS["initial_data"]["seed"]))
-        assert drawn == [(c.tobytes(), cdot.tobytes()) for c, cdot in want]
+        assert drawn == [(c[8:].tobytes(), cdot[8:].tobytes()) for c, cdot in want]
 
 
 class TestResonance:

@@ -9,13 +9,14 @@ from mkdvlab.equations import (
     check_constraints,
     derive_gauge_params,
     dispersion_mu,
+    half_l4_quartic,
     rhs,
-    seq_l4_quartic,
 )
 from mkdvlab.errors import ParameterError
 from mkdvlab.spectral import GridSpec, SpectralField
 
 from oracles import (
+    gauge_constants_oracle,
     mirror_defect,
     random_real_coeffs,
     rhs_physical_oracle,
@@ -73,11 +74,21 @@ class TestGaugeParams:
         assert p.d1 == pytest.approx(5.0, rel=1e-12)
         assert p.d2 == pytest.approx(10.0 * (0.5 + 0.375), rel=1e-12)
 
+    @pytest.mark.parametrize("M", [4, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_against_loop_oracle(self, M, seed):
+        c = random_real_coeffs(M, np.random.default_rng(seed))
+        l2, h1, quartic = gauge_constants_oracle(c, M)
+        assert abs(quartic.imag) < 1e-14 * abs(quartic)
+        p = derive_gauge_params(SpectralField(GridSpec(M), c), 40.0)
+        assert p.d1 == pytest.approx(10.0 * l2, rel=1e-14)
+        assert p.d2 == pytest.approx(10.0 * (h1 + quartic.real), rel=1e-14)
+
     def test_quartic_functional_cosine(self):
         g = GridSpec(8)
         f = SpectralField.from_modes(g, {1: 0.5, -1: 0.5})
         # sum over {n_i = +-1} sign patterns with zero sum: C(4,2)/2^4 = 3/8
-        assert seq_l4_quartic(g, f.coeff) == pytest.approx(0.375, rel=1e-12)
+        assert half_l4_quartic(g, f.coeff[None, 8:])[0] == pytest.approx(0.375, rel=1e-12)
 
     def test_rejects_other_c1(self):
         g = GridSpec(8)
@@ -96,8 +107,8 @@ class TestRhsPhysical:
         p = EquationParams(c1=0, c2=0, c3=0, c4=0)
         f = SpectralField.from_modes(grid8, {1: eps / 2, -1: eps / 2})
         out = rhs(f, p, "physical_5mkdv")
-        assert out.get(1) == pytest.approx(1j * eps / 2, rel=1e-13)
-        assert out.get(-1) == pytest.approx(-1j * eps / 2, rel=1e-13)
+        assert out.coeff[1 + 8] == pytest.approx(1j * eps / 2, rel=1e-13)
+        assert out.coeff[-1 + 8] == pytest.approx(-1j * eps / 2, rel=1e-13)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_convolution_oracle(self, grid8, seed):
@@ -120,7 +131,7 @@ class TestRhsPhysical:
         c = random_real_coeffs(8, rng, amplitude=0.5)
         p = EquationParams.constrained_family(40.0)
         out = rhs(SpectralField(grid8, c), p, "physical_5mkdv")
-        assert abs(out.get(0)) < 1e-12 * max(1.0, np.max(np.abs(out.coeff)))
+        assert abs(out.coeff[0 + 8]) < 1e-12 * max(1.0, np.max(np.abs(out.coeff)))
 
     def test_reality_preserved(self, grid8, rng):
         c = random_real_coeffs(8, rng)
@@ -237,22 +248,12 @@ class TestResonanceRemovalConsistency:
     quintic overlap terms that the renormalized display drops."""
 
     def test_identity_with_overlaps(self, grid8, rng):
-        from mkdvlab.equations import (
-            seq_h1dot_sq,
-            seq_l2_sq,
-        )
-
         c = random_real_coeffs(8, rng, amplitude=0.5)
         grid = grid8
         f = SpectralField(grid, c)
-        p = EquationParams.constrained_family(40.0)
         # current-state gauge constants (identity holds pointwise in u)
-        p2 = seq_l2_sq(c)
-        q2 = seq_h1dot_sq(grid, c)
-        r4 = seq_l4_quartic(grid, c)
-        d1 = 10.0 * p2
-        d2 = 10.0 * (q2 + r4)
-        p.d1, p.d2 = d1, d2
+        p = derive_gauge_params(f, 40.0)
+        r4 = half_l4_quartic(grid, c[None, 8:])[0]
 
         n = grid.modes.astype(float)
         lhs = rhs(f, p, "physical_5mkdv").coeff

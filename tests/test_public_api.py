@@ -325,6 +325,59 @@ def test_every_definition_is_reached():
     assert sorted(unreached - allowed) == [] and sorted(allowed - unreached) == []
 
 
+def dense_layout_calls(module: str, source: str) -> set:
+    """module.qualname of the function or method around each
+    hermitian_extend call in source (module alone at module level)."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) == "hermitian_extend":
+                found.add(prefix)
+            visit(child, prefix)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+#: where a real field leaves the half spectrum c[0..M] for the dense
+#: coefficients -M..M, by the reason it does
+DENSE_LAYOUT_ALLOWED = {
+    "perfbench reads Trajectory.states": {"integrate.Trajectory.states"},
+    "cmd_evolve's Hs column reads Trajectory.field": {"integrate.Trajectory.field"},
+    "DivergenceError carries a SpectralField": {"integrate.evolve.diverged"},
+    "oracles' seam: rhs returns a SpectralField": {"equations.rhs"},
+    "item 3": {"transforms.miura"},
+    "perfbench reads a5.coeff": {"illposed.numeric_fifth_derivative"},
+    "random_smooth initial data": {"cli.build_initial_data"},
+    "the gauge CSV's H^2 column, pinned bitwise": {"cli.cmd_gauge_check"},
+}
+
+
+def test_dense_layout_walk_finds_each_case():
+    src = ("from .spectral import hermitian_extend\nTABLE = hermitian_extend(x)\n"
+           "def f(h):\n    return hermitian_extend(h)\n"
+           "def g(h):\n    def inner():\n        return sp.hermitian_extend(h)\n    return inner\n"
+           "class K:\n    def m(self, h):\n        return [hermitian_extend(r) for r in h]\n"
+           "def untouched(h):\n    return h\n")
+    # module level, a function, a nested function through a module
+    # attribute and a method are each found; a function without one is not
+    assert dense_layout_calls("lab", src) == {"lab", "lab.f", "lab.g.inner", "lab.K.m"}
+
+
+def test_dense_layout_only_at_the_boundary():
+    # inside the package a real field is its half spectrum; each call that
+    # builds the dense layout is one of the boundary's reasons
+    found = set().union(*(dense_layout_calls(path.stem, path.read_text())
+                          for path in (ROOT / "src" / "mkdvlab").glob("*.py")))
+    allowed = set().union(*DENSE_LAYOUT_ALLOWED.values())
+    assert sorted(found - allowed) == [] and sorted(allowed - found) == []
+
+
 def parameters(module: str, tree: ast.Module) -> list:
     """(key, name, callee names, position, settable by assignment, default,
     read) of every parameter of the functions and methods in tree but self

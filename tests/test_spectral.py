@@ -62,9 +62,9 @@ class TestAnalyzeSynthesize:
     def test_cosine_coefficients(self, grid8):
         samples = np.cos(collocation_points(grid8))
         f = field_from_samples(grid8, samples)
-        assert abs(f.get(1) - 0.5) < 1e-14
-        assert abs(f.get(-1) - 0.5) < 1e-14
-        others = [f.get(n) for n in range(-8, 9) if abs(n) != 1]
+        assert abs(f.coeff[1 + 8] - 0.5) < 1e-14
+        assert abs(f.coeff[-1 + 8] - 0.5) < 1e-14
+        others = [f.coeff[n + 8] for n in range(-8, 9) if abs(n) != 1]
         assert max(abs(v) for v in others) < 1e-14
 
     def test_zero_field(self, grid8):
@@ -94,7 +94,7 @@ class TestAnalyzeSynthesize:
         direct = dft_coefficients(samples)
         f = field_from_samples(grid8, samples)
         for n in range(-8, 9):
-            assert abs(f.get(n) - direct[n]) < 1e-12
+            assert abs(f.coeff[n + 8] - direct[n]) < 1e-12
 
     def test_length_mismatch(self, grid8):
         # a dense field holds exactly the 2M+1 coefficients -M..M
