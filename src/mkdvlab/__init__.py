@@ -35,7 +35,7 @@ from .spectral import (
     psi,
     sobolev_norm,
 )
-from .transforms import gauge_forward, miura, miura_residual
+from .transforms import gauge_forward, miura
 
 __all__ = [
     "EquationParams",
@@ -57,7 +57,6 @@ __all__ = [
     "gauge_forward",
     "linear_symbol",
     "miura",
-    "miura_residual",
     "modified_energy_ek",
     "phi_cubic",
     "project_pk",

@@ -86,9 +86,6 @@ class Trajectory:
         dense.flags.writeable = False
         return dense
 
-    def field(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, hermitian_extend(self.half[i]))
-
 
 def default_dt(u0: SpectralField, p: EquationParams, tag: str) -> float:
     M = u0.grid.max_mode

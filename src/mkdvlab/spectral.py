@@ -285,9 +285,10 @@ def project_pk(field: SpectralField, k: int) -> SpectralField:
     return SpectralField(field.grid, field.coeff * w)
 
 
-def sobolev_norm(field: SpectralField, s: float) -> float:
-    """(sum_n <n>^{2s} |coeff(n)|^2)^{1/2} with <n> = sqrt(1+n^2)."""
-    n = field.grid.modes.astype(float)
-    w = (1.0 + n * n) ** s
-    return float(np.sqrt(np.sum(w * np.abs(field.coeff) ** 2)))
+def sobolev_norm(grid: GridSpec, half: np.ndarray, s: float):
+    """(sum_{|n| <= M} <n>^{2s} |c(n)|^2)^{1/2}, <n> = sqrt(1+n^2), of each
+    half spectrum c[0..M] of a real field on the last axis of ``half``."""
+    h = half_spectrum(grid)
+    w = h.twice * (1.0 + h.n2) ** s
+    return np.sqrt(np.sum(w * np.abs(half) ** 2, axis=-1))
 

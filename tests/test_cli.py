@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mkdvlab import cli
+from mkdvlab import cli, integrate
 from mkdvlab.cli import (
     DEFAULTS,
     build_ctrl,
@@ -17,7 +17,7 @@ from mkdvlab.cli import (
 )
 from mkdvlab.equations import EquationParams
 from mkdvlab.errors import ConfigurationError
-from mkdvlab.integrate import StepControl, evolve
+from mkdvlab.integrate import StepControl, Trajectory, evolve, step_plan, uniform_steps
 from mkdvlab.invariants import drift_report
 from mkdvlab.spectral import GridSpec, SpectralField
 from mkdvlab.transforms import gauge_forward
@@ -54,6 +54,7 @@ class TestValidation:
         ("time.dt", "nan"),
         ("equation.d1", "nan"),
         ("equation.d2", "abc"),
+        ("time.T", "%(x)s"),  # no interpolation: a literal, not a number
     ])
     def test_bad_float_named(self, tmp_path, capsys, field, value):
         code = run(["conserve", "--set", f"{field}={value}", "--out", str(tmp_path)])
@@ -175,14 +176,22 @@ class TestValidation:
         )
 
     @pytest.mark.parametrize("text, name", [
-        ("[time]\nsplitting = integrating_factor_rk4\n", "time.splitting"),
-        ("[grid]\nmax_mod = 8\n", "grid.max_mod"),
-        ("[bogus]\n", "bogus"),
-        ("[DEFAULT]\nmax_mode = 8\n", "DEFAULT"),
-    ], ids=["removed-key", "misspelt-key", "unknown-section", "default-section"])
+        (b"[time]\nsplitting = integrating_factor_rk4\n", "time.splitting"),
+        (b"[grid]\nmax_mod = 8\n", "grid.max_mod"),
+        (b"[bogus]\n", "bogus"),
+        (b"[DEFAULT]\nmax_mode = 8\n", "DEFAULT"),
+        # a file that does not parse is named by its path
+        (b"[grid]\nmax_mode = 8\nmax_mode = 9\n", "run.ini"),
+        (b"[grid]\nmax_mode = 8\n[grid]\n", "run.ini"),
+        (b"max_mode = 8\n", "run.ini"),
+        (b"[grid]\nmax_mode = 8\nnot a key value line\n", "run.ini"),
+        (b"[grid]\nmax_mode = 8 \xff\n", "run.ini"),
+    ], ids=["removed-key", "misspelt-key", "unknown-section", "default-section",
+            "duplicate-key", "duplicate-section", "no-section-header", "no-separator",
+            "not-utf8"])
     def test_unknown_config_file_entry_named(self, tmp_path, capsys, text, name):
         ini = tmp_path / "run.ini"
-        ini.write_text(text)
+        ini.write_bytes(text)
         out = tmp_path / "out"
         code = run(["conserve", "--config", str(ini), "--out", str(out)])
         err = capsys.readouterr().err
@@ -190,6 +199,15 @@ class TestValidation:
         assert name in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_percent_is_an_ordinary_character(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[output]\nprefix = 100%\n")
+        assert run(["evolve", "--config", str(ini), "--out", str(tmp_path),
+                    "--set", "grid.max_mode=8", "--set", "time.T=0.001"]) == 0
+        assert run(["evolve", "--out", str(tmp_path), "--set", "output.prefix=a%b",
+                    "--set", "grid.max_mode=8", "--set", "time.T=0.001"]) == 0
+        assert (tmp_path / "100%_evolve.csv").exists() and (tmp_path / "a%b_evolve.csv").exists()
 
     def test_config_file_fields_read(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -320,6 +338,13 @@ class TestGaugeCheck:
             assert diff == float(want)
 
 
+def miura_check(tmp_path, *settings):
+    """miura-check's exit code and results summary under --set settings."""
+    code = run(["miura-check", "--out", str(tmp_path), *(a for s in settings for a in ("--set", s))])
+    summary = json.loads((tmp_path / "mkdvlab_miura_manifest.json").read_text())["results_summary"]
+    return code, summary
+
+
 class TestMiuraCheck:
     def test_passes(self, tmp_path):
         code = run([
@@ -329,6 +354,61 @@ class TestMiuraCheck:
             "--set", "time.T=0.01",
         ])
         assert code == 0
+
+    def test_first_order_step_fails(self, tmp_path, monkeypatch):
+        # exponential Euler, c + dt phi1(L dt) N(c) after the exact linear
+        # step, in place of ETD-RK4: the flow gap reads the run, so a first
+        # order stepper misses the gate (6.6e-4 here, 1.7e-15 with ETD-RK4)
+        def exponential_euler(c, co, nonlinear):
+            # dt phi1(L dt) = dt (e^L - 1) / L = Q (e^{L/2} + 1)
+            return co.E * c + co.Q * (co.E2 + 1.0) * nonlinear(c)
+
+        settings = ["grid.max_mode=32", "initial_data.amplitudes=1.0,0.5", "time.T=0.05"]
+        assert miura_check(tmp_path, *settings)[0] == 0
+        monkeypatch.setattr(integrate, "_etdrk4_step", exponential_euler)
+        code, summary = miura_check(tmp_path, *settings)
+        assert code == 4 and summary["passed"] is False
+        assert summary["max_flow_gap"] > 1e-4
+
+    def test_flow_gap_falls_at_fourth_order(self, tmp_path):
+        # 2.0e-8, 1.3e-9 and 7.9e-11: a fall of 15.9 per halving of dt
+        gaps = [miura_check(tmp_path, "grid.max_mode=32", "initial_data.amplitudes=1.0,0.5",
+                            "time.T=0.25", f"time.dt={dt}")[1]["max_flow_gap"]
+                for dt in (4e-4, 2e-4, 1e-4)]
+        assert all(coarse > 12.0 * fine for coarse, fine in zip(gaps, gaps[1:])), gaps
+
+    def test_u_and_v_recorded_at_the_same_times(self, tmp_path, monkeypatch):
+        runs = []
+
+        def recorded(*args):
+            runs.append(evolve(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "evolve", recorded)
+        assert miura_check(tmp_path, "grid.max_mode=16", "time.T=0.01")[0] == 0
+        v, u = runs
+        assert (v.equation_tag, u.equation_tag) == ("mkdv3", "kdv3")
+        assert len(v) > 2 and np.array_equal(v.times, u.times)
+        lines = (tmp_path / "mkdvlab_miura.csv").read_text().splitlines()
+        assert lines[0] == "time,flow_gap"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == v.times.tolist()
+
+    def test_u_steps_as_v_where_the_stepped_dt_adds_a_step(self, tmp_path, monkeypatch):
+        # T = 0.5 at dt = 2.06e-5 takes 24,272 steps of T / 24,272, but
+        # 0.5 / (0.5 / 24,272) rounds past 24,272: a run at v's stepped dt
+        # would take 24,273 steps.  Only the step plans are compared
+        plans = []
+
+        def planned(u0, T, p, tag, ctrl):
+            plans.append(step_plan(u0, T, p, tag, ctrl))
+            steps, dt, stride, records = plans[-1]
+            half = np.zeros((records, u0.grid.max_mode + 1))
+            return Trajectory(u0.grid, np.arange(records) * stride * dt, half, p, tag, dt, stride)
+
+        monkeypatch.setattr(cli, "evolve", planned)
+        assert miura_check(tmp_path, "grid.max_mode=8", "time.T=0.5", "time.dt=2.06e-5")[0] == 0
+        assert plans[0] == plans[1] and plans[0][0] == 24272
+        assert uniform_steps(0.5, plans[0][1])[0] == 24273
 
 
 class TestRandomData:

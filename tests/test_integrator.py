@@ -21,10 +21,10 @@ class TestLinearFlow:
         p = EquationParams(c1=0, c2=0, c3=0, c4=0, d1=0, d2=0)
         u0 = SpectralField.from_modes(grid8, {1: 0.5, -1: 0.5})
         traj = evolve(u0, 0.5, p, tag="linear", ctrl=StepControl(dt=0.1, record_stride=1))
-        for i, t in enumerate(traj.times):
+        for t, c in zip(traj.times, traj.half):
             want = 0.5 * np.exp(1j * t)  # e^{i t mu(1)}, mu(1) = 1
-            assert abs(traj.field(i).coeff[1 + 8] - want) < 1e-13
-            assert abs(abs(traj.field(i).coeff[1 + 8]) - 0.5) < 1e-14
+            assert abs(c[1] - want) < 1e-13
+            assert abs(abs(c[1]) - 0.5) < 1e-14
 
     def test_exact_for_large_dt(self, grid8):
         # with all c_i = 0 the stepper is exact to rounding for any dt
@@ -84,7 +84,7 @@ class TestPhysicalFlow:
         assert t_last == 0.04
         before = evolve(u0, t_last, p, tag="physical_5mkdv", ctrl=ctrl)
         assert before.dt == 0.01 and before.times[-1] == t_last
-        assert np.array_equal(state_last.coeff, before.field(len(before) - 1).coeff)
+        assert np.array_equal(state_last.coeff, before.states[-1])
 
     def test_divergence_at_final_time(self, monkeypatch):
         # every coefficient stays under the bound but the final sup norm
@@ -98,7 +98,7 @@ class TestPhysicalFlow:
         with pytest.raises(DivergenceError, match="at final time") as exc:
             evolve(u0, 0.01, p, tag="physical_5mkdv", ctrl=ctrl)
         assert exc.value.t_last == traj.times[-2]
-        assert np.array_equal(exc.value.state_last.coeff, traj.field(len(traj) - 2).coeff)
+        assert np.array_equal(exc.value.state_last.coeff, traj.states[-2])
 
 
 class TestRenormalizedFlow:
@@ -169,8 +169,6 @@ class TestTrajectoryRecording:
         assert traj.states is not traj.states
         with pytest.raises(ValueError, match="read-only"):
             traj.states[0, 0] = 1.0
-        for i in range(len(traj)):
-            assert np.array_equal(traj.field(i).coeff, traj.states[i])
         with pytest.raises(ConfigurationError, match="max_mode \\+ 1 = 9"):
             integrate.Trajectory(grid8, traj.times, traj.states, p, "physical_5mkdv", traj.dt, 1)
 

@@ -288,7 +288,6 @@ UNREACHED_ALLOWED = {
     "items 1/9": {"integrate.Trajectory.states", "illposed.osc_double"},
     "item 2": {"shorttime.modulation_decompose", "shorttime.ModulationShellSet",
                "shorttime.ModulationShellSet.total_mass_sq", "shorttime.xk_norm"},
-    "item 3": {"transforms.miura"},
     # the C3 cubic sum is the reference of the full flow at delta^5
     "item 7": {"illposed.eval_c3_cubic"},
     "item 8": {"invariants.es_energy", "invariants.modified_energy_ek",
@@ -348,10 +347,9 @@ def dense_layout_calls(module: str, source: str) -> set:
 #: coefficients -M..M, by the reason it does
 DENSE_LAYOUT_ALLOWED = {
     "perfbench reads Trajectory.states": {"integrate.Trajectory.states"},
-    "cmd_evolve's Hs column reads Trajectory.field": {"integrate.Trajectory.field"},
     "DivergenceError carries a SpectralField": {"integrate.evolve.diverged"},
     "oracles' seam: rhs returns a SpectralField": {"equations.rhs"},
-    "item 3": {"transforms.miura"},
+    "evolve takes miura-check's u(0) as a SpectralField": {"cli.cmd_miura_check"},
     "perfbench reads a5.coeff": {"illposed.numeric_fifth_derivative"},
     "random_smooth initial data": {"cli.build_initial_data"},
     "the gauge CSV's H^2 column, pinned bitwise": {"cli.cmd_gauge_check"},
