@@ -46,7 +46,7 @@ import numpy as np
 from . import __version__
 from .equations import EquationParams, RenormalizedTerms, derive_gauge_params, flow
 from .errors import ConfigurationError, DivergenceError, MkdvLabError, ParameterError
-from .integrate import StepControl, default_dt, evolve, step_plan, uniform_steps
+from .integrate import StepControl, evolve, step_plan, uniform_steps
 from .invariants import drift_report
 from .spectral import GridSpec, SpectralField, hermitian_extend, row_chunks, sobolev_norm, top_band
 from .transforms import chain_identity_gap, gauge_forward, miura
@@ -274,13 +274,13 @@ def build_ctrl(cfg: ExperimentConfig) -> StepControl:
 
 
 def check_records(u0: SpectralField, T: float, p: EquationParams, tag: str,
-                  ctrl: StepControl, name: str = "", buffers: int = 1) -> None:
-    """ConfigurationError naming equation.tag if evolve does not know `tag`,
-    or naming `name` (by default the stride, or the grid when evolve chooses
-    the stride) if `buffers` record buffers of evolve's run would pass
-    MAX_ENTRIES together."""
+                  ctrl: StepControl, name: str = "", buffers: int = 1) -> StepControl:
+    """step_plan's dt and stride as a StepControl; ConfigurationError naming
+    equation.tag if evolve does not know `tag`, or naming `name` (by default
+    the stride, or the grid when evolve chooses the stride) if `buffers`
+    record buffers of the run would pass MAX_ENTRIES together."""
     _in_field("equation.tag", flow, tag)
-    records = _in_field(name or "time.T", step_plan, u0, T, p, tag, ctrl)[3]
+    _, dt, stride, records = _in_field(name or "time.T", step_plan, u0, T, p, tag, ctrl)
     width = u0.grid.max_mode + 1
     if buffers * records * width > MAX_ENTRIES:
         name = name or ("time.record_stride" if ctrl.record_stride else "grid.max_mode")
@@ -290,6 +290,7 @@ def check_records(u0: SpectralField, T: float, p: EquationParams, tag: str,
             f"above the cap of {MAX_ENTRIES} complex entries; raise time.record_stride "
             "or time.dt, or lower time.T or grid.max_mode"
         )
+    return StepControl(dt, stride)
 
 
 class Run(NamedTuple):
@@ -305,10 +306,11 @@ class Run(NamedTuple):
 def build_run(cfg: ExperimentConfig, tag: str = "", params: EquationParams | None = None,
               buffers: int = 1, records=None) -> Run:
     """The initial data on the configured grid, time.T, the equation (params,
-    or build_params'), the flow (tag, or equation.tag) and the step control
-    of an evolving subcommand, checked by check_records for `buffers` record
-    buffers before anything runs.  records(grid, T, ctrl), if given, returns
-    the step control to use instead and the field that its records blame."""
+    or build_params'), the flow (tag, or equation.tag) and the step plan that
+    check_records resolves for `buffers` record buffers before anything runs,
+    on which every run of the subcommand steps.  records(grid, T, ctrl), if
+    given, returns the step control to resolve instead and the field that its
+    records blame."""
     grid = build_grid(cfg)
     u0 = build_initial_data(cfg, grid)
     p = build_params(cfg, u0) if params is None else params
@@ -318,8 +320,7 @@ def build_run(cfg: ExperimentConfig, tag: str = "", params: EquationParams | Non
     blame = ""
     if records is not None:
         ctrl, blame = records(grid, T, ctrl)
-    check_records(u0, T, p, tag, ctrl, blame, buffers)
-    return Run(u0, T, p, tag, ctrl)
+    return Run(u0, T, p, tag, check_records(u0, T, p, tag, ctrl, blame, buffers))
 
 
 @dataclass
@@ -402,15 +403,14 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> Outcome:
 
 
 def cmd_gauge_check(cfg: ExperimentConfig, args) -> Outcome:
-    # u, v and the gauged u; the renormalized dt rule is the same
+    # u, v and the gauged u, both runs on the physical run's plan
     run = build_run(cfg, "physical_5mkdv", buffers=3)
     nt_u = gauge_forward(evolve(*run))
     traj_v = evolve(*run._replace(tag="renormalized_5mkdv"))
     n = run.u0.grid.modes.astype(float)
     w = (1.0 + n * n) ** 2
-    m = min(len(nt_u), len(traj_v))
-    diff = np.empty(m)
-    for rows in row_chunks(m, 3 * len(n)):  # two dense rows, |difference| and its square
+    diff = np.empty(len(nt_u))
+    for rows in row_chunks(len(diff), 3 * len(n)):  # two dense rows, |difference| and its square
         d = hermitian_extend(nt_u.half[rows])
         d -= hermitian_extend(traj_v.half[rows])
         diff[rows] = np.sqrt(np.sum(w * np.abs(d) ** 2, axis=1))
@@ -418,14 +418,14 @@ def cmd_gauge_check(cfg: ExperimentConfig, args) -> Outcome:
     return Outcome(
         {"max_h2_discrepancy": worst, "d1": run.p.d1, "d2": run.p.d2},
         worst < TOLERANCES["gauge_h2"],
-        {"gauge": (["time", "h2_discrepancy"], zip(nt_u.times[:m].tolist(), diff.tolist()))},
+        {"gauge": (["time", "h2_discrepancy"], zip(nt_u.times.tolist(), diff.tolist()))},
     )
 
 
 def cmd_miura_check(cfg: ExperimentConfig, args) -> Outcome:
     """The chain identity on 100 random (v, v_t) pairs, then the flow gap
     |miura(v_i) - u_i| / |u_i| in l2 over -M..M of each record of v under
-    mkdv3 and u from miura(v0) under kdv3, stepped alike (0 where u_i = 0)."""
+    mkdv3 and u from miura(v0) under kdv3, on one plan (0 where u_i = 0)."""
     run = build_run(cfg, "mkdv3", EquationParams(), buffers=3)  # v, u and miura(v)
     grid = run.u0.grid
     rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
@@ -438,12 +438,9 @@ def cmd_miura_check(cfg: ExperimentConfig, args) -> Outcome:
         c, cdot = np.column_stack([draws[4 * M:], modes])  # half spectra c[0..M]
         worst_static = max(worst_static, chain_identity_gap(grid, c, cdot))
 
-    # u steps at v's requested dt, so both runs take the same steps (from
-    # 16,615 steps on, T / (T / n) can round past n and add a step)
-    ctrl = StepControl(run.ctrl.dt or default_dt(run.u0, run.p, run.tag), run.ctrl.record_stride)
-    traj_v = evolve(*run._replace(ctrl=ctrl))
-    u0 = SpectralField(grid, hermitian_extend(miura(grid, run.u0.coeff[M:])))
-    traj_u = evolve(u0, run.T, run.p, "kdv3", ctrl)
+    traj_v = evolve(*run)
+    u0 = SpectralField(grid, hermitian_extend(miura(grid, run.u0.half("miura-check v0"))))
+    traj_u = evolve(u0, run.T, run.p, "kdv3", run.ctrl)
     gap = np.empty(len(traj_v))
     for rows in row_chunks(len(gap), 4 * grid.phys_points):  # miura's syntheses and rfft
         u = traj_u.half[rows]

@@ -121,9 +121,8 @@ def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
             "gauge constants are derived only for c1 = 40; the renormalized "
             "coefficients for other c1 are not pinned"
         )
-    u0.require_real(what="gauge initial data")
     grid = u0.grid
-    ch = u0.coeff[grid.max_mode:]
+    ch = u0.half("gauge initial data")
     l2, h1 = (ch.real**2 + ch.imag**2) @ half_spectrum(grid).pair_sums
     p = EquationParams.constrained_family(c1)
     p.d1 = 10.0 * float(l2)
@@ -319,8 +318,8 @@ def nonlinear_frequency_bound(u0: SpectralField, p: EquationParams, tag: str,
                               n_top: float) -> float:
     """Frozen-coefficient bound on |nonlinear frequency| of flow ``tag`` up to
     wavenumber n_top."""
-    u0.require_real(what="nonlinear_frequency_bound input")
-    U, Ux = half_spectrum(u0.grid).synthesize(u0.coeff[u0.grid.max_mode:], (0, 1))
+    ch = u0.half("nonlinear_frequency_bound input")
+    U, Ux = half_spectrum(u0.grid).synthesize(ch, (0, 1))
     s0, s1, s01 = (float(np.max(np.abs(v))) for v in (U, Ux, U * Ux))
     return flow(tag).frequency_bound(p, s0, s1, s01, float(n_top))
 
@@ -330,7 +329,6 @@ def rhs(u: SpectralField, p: EquationParams, tag: str,
     """du/dt of flow ``tag`` for real u, alias-free: i mu(n) c(n) plus the
     operator ``evolve`` steps, as dense coefficients -M..M."""
     nonlinear = nonlinear_operator(u.grid, p, tag, renorm_terms)
-    u.require_real(what=f"{tag} rhs input")
-    ch = u.coeff[u.grid.max_mode:]
+    ch = u.half(f"{tag} rhs input")
     mu = linear_symbol(half_spectrum(u.grid).n, p, tag)
     return SpectralField(u.grid, hermitian_extend(nonlinear(ch) + 1j * mu * ch))

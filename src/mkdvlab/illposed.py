@@ -328,17 +328,16 @@ def _sum_by_mode(n: np.ndarray, v: np.ndarray) -> dict:
 M0_SLOT = 2  # the resonant tuple lives in the third slot (inner on n3)
 
 
-def _d_term_norms(tab: _QuinticTable, spec: CounterexampleSpec, v: np.ndarray) -> tuple:
-    """H^s norms of D0 and of the full D term from v, the D value of each
-    pair of tab.  D0 is the value of the m0 pair, the resonant tuple
-    m0 = (N, 2, -1, -2, 1, N): outer legs (2, -1, N-1) in slot M0_SLOT over
-    the inner triple (-2, 1, N), which the table holds for every N >= 8.
-    phi(m0) = 0 exactly, so D0 is linear in t."""
+def _d0_hsnorm(tab: _QuinticTable, spec: CounterexampleSpec, v: np.ndarray) -> float:
+    """H^s norm of D0 from v, the D value of each pair of tab.  D0 is the
+    value of the m0 pair, the resonant tuple m0 = (N, 2, -1, -2, 1, N): outer
+    legs (2, -1, N-1) in slot M0_SLOT over the inner triple (-2, 1, N), which
+    the table holds for every N >= 8.  phi(m0) = 0 exactly, so D0 is linear
+    in t."""
     N = spec.N
     is_m0 = (np.all(tab.outer[:, M0_SLOT] == (2, -1, N - 1), axis=1)
              & np.all(tab.inner[tab.triple] == (-2, 1, N), axis=1))
-    d0_hsnorm = (1.0 + N**2) ** (spec.s / 2.0) * abs(complex(v[is_m0][0]))
-    return d0_hsnorm, hs_norm_of_map(_sum_by_mode(tab.n, v), spec.s)
+    return (1.0 + N**2) ** (spec.s / 2.0) * abs(complex(v[is_m0][0]))
 
 
 @dataclass
@@ -356,7 +355,8 @@ class NormalFormTermReport:
 
 
 # report field -> (slot, inner term index into ("cubic2", "cubic3"))
-_APPENDIX_TERMS = {"b1": (0, 0), "b2": (0, 1), "c1": (1, 0), "c2": (1, 1), "d1_norms": (2, 1)}
+_APPENDIX_TERMS = {"d_full_hsnorm": (M0_SLOT, 0), "b1": (0, 0), "b2": (0, 1), "c1": (1, 0),
+                   "c2": (1, 1), "d1_norms": (2, 1)}
 
 
 def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
@@ -369,7 +369,6 @@ def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
     """
     tab = _quintic_table(counterexample_support(spec), ("cubic2", "cubic3"))
     v = tab.structure_values(spec.t)
-    d0_hsnorm, d_full_hsnorm = _d_term_norms(tab, spec, v[:, M0_SLOT, 0])
     sums = _mode_sums(tab.n)
     norms = {
         name: hs_norm_of_map(sums(v[:, slot, y]), spec.s)
@@ -379,8 +378,7 @@ def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
         N=spec.N,
         s=spec.s,
         t=spec.t,
-        d0_hsnorm=d0_hsnorm,
-        d_full_hsnorm=d_full_hsnorm,
+        d0_hsnorm=_d0_hsnorm(tab, spec, v[:, M0_SLOT, 0]),
         **norms,
     )
 

@@ -145,19 +145,20 @@ def _etdrk4_step(c, co: _EtdRk4Coefficients, nonlinear):
 
 def uniform_steps(T: float, dt: float) -> tuple:
     """Number of steps evolve takes to T from a requested dt > 0, and the dt
-    it steps with (T / steps, at most the requested dt up to round-off)."""
+    it steps with (T / steps, at most the requested dt up to a round-off of
+    1e-12 relative to steps, so that uniform_steps(T, T / n) takes n steps)."""
     steps = T / dt
     if not np.isfinite(steps):
         raise ConfigurationError(f"T = {T:g} takes {steps} steps of dt = {dt:g}")
-    n_steps = max(1, int(np.ceil(steps - 1e-12)))
+    n_steps = max(1, int(np.ceil(steps * (1.0 - 1e-12))))
     return n_steps, T / n_steps
 
 
 def step_plan(u0: SpectralField, T: float, p: EquationParams, tag: str,
               ctrl: StepControl) -> tuple:
-    """(steps, dt, record_stride, records) of evolve's run: dt and the stride
-    resolved where ctrl leaves them automatic (at most 600 recorded intervals),
-    and the records kept: the first state, every stride-th step and the last."""
+    """(steps, dt, record_stride, records) of evolve's run: the stepped dt and
+    the stride, resolved where ctrl leaves them automatic (at most 600 recorded
+    intervals), and the records kept: the first state, every stride-th step and the last."""
     dt = ctrl.dt if ctrl.dt > 0 else default_dt(u0, p, tag)
     n_steps, dt = uniform_steps(T, dt)
     stride = ctrl.record_stride or max(1, int(np.ceil(n_steps / 600)))
@@ -190,16 +191,14 @@ def evolve(
         ctrl = StepControl()
 
     grid = u0.grid
-    M = grid.max_mode
-    u0.require_real(what=f"{tag} initial data")
+    state = u0.half(f"{tag} initial data").copy()
     n_steps, dt, stride, n_records = step_plan(u0, T, p, tag, ctrl)
 
-    state = u0.coeff[M:].copy()
     mu = equations.linear_symbol(half_spectrum(grid).n, p, tag)
     co = _EtdRk4Coefficients(1j * mu, dt)
 
     times = np.empty(n_records)
-    half = np.empty((n_records, M + 1), dtype=np.complex128)
+    half = np.empty((n_records, len(state)), dtype=np.complex128)
     times[0], half[0] = 0.0, state
 
     def diverged(message: str, i: int) -> DivergenceError:

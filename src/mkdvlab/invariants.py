@@ -130,7 +130,7 @@ def modified_energy_ek(
     if k < 1:
         raise ParameterError("modified energy E_k is defined for k >= 1")
     grid = w.grid
-    w.require_real(what="modified energy w")
+    w.half("modified energy w")
     pkw = project_pk(w, k)
     base = float(np.sum(np.abs(pkw.coeff) ** 2))
     psik = psi(k, grid.modes)

@@ -69,9 +69,9 @@ class SpectralField:
 
     ``coeff[i]`` is the coefficient of ``exp(i n x)`` with ``n = i - max_mode``
     (ordered -max_mode..max_mode), with ``coeff[-n] = conj(coeff[n])``: the
-    entry points check it (:meth:`require_real`) and then read the half
-    spectrum ``coeff[max_mode:]``, the layout every real field has inside
-    the package.
+    entry points read the half spectrum ``coeff[max_mode:]``, the layout
+    every real field has inside the package, through :meth:`half`, which
+    checks it.
     """
 
     grid: GridSpec
@@ -98,13 +98,14 @@ class SpectralField:
             f.coeff[n + grid.max_mode] = v
         return f
 
-    def require_real(self, what: str = "field"):
-        """Raise SymmetryError unless coeff(-n) = conj(coeff(n)) within 1e-8
-        relative to max(1, max |coeff|); a NaN fails."""
+    def half(self, what: str) -> np.ndarray:
+        """The half spectrum c[0..M], a view; SymmetryError naming `what` unless
+        c(-n) = conj(c(n)) within 1e-8 relative to max(1, max |c|) (a NaN fails)."""
         c, M = self.coeff, self.grid.max_mode
         defect = np.max(np.abs(c[M::-1] - np.conj(c[M:])))
         if not defect <= 1e-8 * max(1.0, np.max(np.abs(c))):
             raise SymmetryError(f"{what} violates Hermitian symmetry (defect {defect:.3e})")
+        return c[M:]
 
 
 def row_chunks(n_rows: int, row_elements: int) -> list:

@@ -393,10 +393,11 @@ class TestMiuraCheck:
         assert lines[0] == "time,flow_gap"
         assert [float(line.split(",")[0]) for line in lines[1:]] == v.times.tolist()
 
-    def test_u_steps_as_v_where_the_stepped_dt_adds_a_step(self, tmp_path, monkeypatch):
-        # T = 0.5 at dt = 2.06e-5 takes 24,272 steps of T / 24,272, but
-        # 0.5 / (0.5 / 24,272) rounds past 24,272: a run at v's stepped dt
-        # would take 24,273 steps.  Only the step plans are compared
+    def test_u_steps_as_v_and_the_stepped_dt_round_trips(self, tmp_path, monkeypatch):
+        # T = 0.5 at dt = 2.06e-5 takes 24,272 steps of T / 24,272, and
+        # 0.5 / (0.5 / 24,272) rounds past 24,272: both runs step on the
+        # plan's dt, and a run at it takes 24,272 steps again.  Only the
+        # step plans are compared
         plans = []
 
         def planned(u0, T, p, tag, ctrl):
@@ -408,7 +409,46 @@ class TestMiuraCheck:
         monkeypatch.setattr(cli, "evolve", planned)
         assert miura_check(tmp_path, "grid.max_mode=8", "time.T=0.5", "time.dt=2.06e-5")[0] == 0
         assert plans[0] == plans[1] and plans[0][0] == 24272
-        assert uniform_steps(0.5, plans[0][1])[0] == 24273
+        assert uniform_steps(0.5, plans[0][1])[0] == 24272
+
+
+class TestOneStepPlan:
+    """Every run of a subcommand steps on the plan that build_run resolves."""
+
+    SETTINGS = ("--set", "grid.max_mode=16", "--set", "time.T=0.005")
+
+    @pytest.fixture
+    def dt_calls(self, monkeypatch):
+        # the automatic dt, with each call's tag; 0.9 times it for the
+        # renormalized flow, so a run that chose its own dt would step apart
+        calls, default_dt = [], integrate.default_dt
+
+        def counted(u0, p, tag):
+            calls.append(tag)
+            return default_dt(u0, p, tag) * (0.9 if tag == "renormalized_5mkdv" else 1.0)
+
+        monkeypatch.setattr(integrate, "default_dt", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["evolve", "conserve", "gauge-check", "miura-check"])
+    def test_automatic_dt_evaluated_once(self, tmp_path, dt_calls, command):
+        # cli binds no default_dt of its own, which the count would not see
+        assert not hasattr(cli, "default_dt")
+        assert run([command, "--out", str(tmp_path), *self.SETTINGS]) == 0
+        assert len(dt_calls) == 1
+
+    def test_gauge_check_v_records_at_u_times(self, tmp_path, dt_calls, monkeypatch):
+        runs = []
+
+        def recorded(*args):
+            runs.append(evolve(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "evolve", recorded)
+        assert run(["gauge-check", "--out", str(tmp_path), *self.SETTINGS]) == 0
+        u, v = runs
+        assert (u.equation_tag, v.equation_tag) == ("physical_5mkdv", "renormalized_5mkdv")
+        assert len(u) > 2 and np.array_equal(u.times, v.times)
 
 
 class TestRandomData:

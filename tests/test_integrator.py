@@ -173,6 +173,14 @@ class TestTrajectoryRecording:
             integrate.Trajectory(grid8, traj.times, traj.states, p, "physical_5mkdv", traj.dt, 1)
 
 
+class TestStepCount:
+    @pytest.mark.parametrize("T", [0.005, 0.01, 0.05, 0.25, 1.0])
+    def test_stepped_dt_round_trips(self, T):
+        # a run re-stepped at its own dt, T / n, takes exactly its n steps
+        missed = [n for n in range(1, 40001) if integrate.uniform_steps(T, T / n)[0] != n]
+        assert missed == []
+
+
 class TestStrideAuto:
     def test_auto_stride_bounds_records(self, grid8):
         p = EquationParams.constrained_family(40.0)

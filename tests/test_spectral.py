@@ -104,7 +104,7 @@ class TestAnalyzeSynthesize:
     def test_non_hermitian_rejected(self, grid8):
         f = SpectralField.from_modes(grid8, {1: 1.0})
         with pytest.raises(SymmetryError):
-            f.require_real()
+            f.half("field")
 
 
 class TestCutoffs:
