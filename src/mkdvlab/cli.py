@@ -407,13 +407,10 @@ def cmd_gauge_check(cfg: ExperimentConfig, args) -> Outcome:
     run = build_run(cfg, "physical_5mkdv", buffers=3)
     nt_u = gauge_forward(evolve(*run))
     traj_v = evolve(*run._replace(tag="renormalized_5mkdv"))
-    n = run.u0.grid.modes.astype(float)
-    w = (1.0 + n * n) ** 2
+    grid = run.u0.grid
     diff = np.empty(len(nt_u))
-    for rows in row_chunks(len(diff), 3 * len(n)):  # two dense rows, |difference| and its square
-        d = hermitian_extend(nt_u.half[rows])
-        d -= hermitian_extend(traj_v.half[rows])
-        diff[rows] = np.sqrt(np.sum(w * np.abs(d) ** 2, axis=1))
+    for rows in row_chunks(len(diff), 3 * (grid.max_mode + 1)):  # difference, |.|, weighted |.|^2
+        diff[rows] = sobolev_norm(grid, nt_u.half[rows] - traj_v.half[rows], 2.0)
     worst = float(np.max(diff, initial=0.0))
     return Outcome(
         {"max_h2_discrepancy": worst, "d1": run.p.d1, "d2": run.p.d2},

@@ -8,8 +8,14 @@ linear part exactly.  Tags and their mu(n):
   for any coefficients, a pure divergence where c3 = (c1 - 2*c2)/2.
 * ``renormalized_5mkdv`` (n^5 + d1*n^3 + d2*n; Fourier side):
     v_t(n) = i*mu(n)*v(n) - 20i n^3 |v(n)|^2 v(n) + 10i n sum_{A3(n)} v v n3^2 v
-             + 10i n sum_{A3(n)} v n2 v n3 v + 6i n sum_{A5(n)} v v v v v
-  where A3(n)/A5(n) exclude tuples with some component equal to n.
+             + 10i n sum_{A3(n)} v n2 v n3 v + 6i n [(v*v*v*v*v)(n) - 5 l4 v(n)]
+  where A3(n) excludes triples with some component equal to n and
+  l4 = sum_{n1+..+n4=0} v..v.  This is the gauged equation: at c1 = 40 the
+  gauge of :mod:`mkdvlab.transforms` maps the physical flow onto it exactly,
+  which ``gauge-check`` checks.  The paper's display sums the quintic over
+  A5(n) (no component equal to n) and differs from it by the tuples with two
+  to four components at n, 6i n [-10 v^2 (v*v*v)(-n) + 10 v^3 (v*v)(-2n) -
+  5 v^4 v(-3n)], which no gauge absorbs; no flow here evolves the display.
 * ``fifth_kdv`` (n^5):  u_t = u_xxxxx - a1*u_x*u_xx - a2*u*u_xxx - a3*u^2*u_x
   with a1 = c1/2, a2 = c1/4, a3 = -3*c1^2/160 (the Miura partner of c1).
 * ``kdv3``, ``mkdv3`` (n^3): KdV and defocusing mKdV; ``linear``: N = 0.
@@ -181,7 +187,7 @@ class RenormalizedTerms:
     resonant_cubic: bool = True
     cubic2: bool = True   # 10 i n sum v v n3^2 v
     cubic3: bool = True   # 10 i n sum v n2 v n3 v
-    quintic: bool = True  # 6 i n sum v^5
+    quintic: bool = True  # 6 i n [v*v*v*v*v - 5 l4 v], the gauged quintic
 
 
 def renormalized_nonlinear_coeff(
@@ -190,21 +196,20 @@ def renormalized_nonlinear_coeff(
     """Nonlinear part of the renormalized flow on the half spectrum c[0..M],
     one row or a batch of rows (leading axes).
 
-    The sums over A3(n) and A5(n) are full convolutions minus their
-    hyperplane corrections.  One stacked synthesis gives v, v_x, v_xx for the
-    enabled terms; one stacked analysis gives -10 v^2 v_xx - 10 v v_x^2 + 6 v^5
-    together with v^2 and v^3.  Every correction is c(n) times a factor, and
-    so is the resonant cubic -20i n^3 |c|^2 c = -i n (20 n^2 |c|^2) c, so the
-    result is i n (full(n) - S(n) c(n)) with one factor S.  The corrections
-    read c(-n), c(-3n) and the coefficients of v^3 at -n and of v^2 at -2n
-    as the conjugates of their values at n, 3n, n and 2n.
+    The cubic sums over A3(n) are full convolutions minus their hyperplane
+    corrections, and the quintic is the full convolution minus 5 l4 c(n).
+    One stacked synthesis gives v, v_x, v_xx for the enabled terms; one
+    analysis gives -10 v^2 v_xx - 10 v v_x^2 + 6 v^5.  Every correction is
+    c(n) times a factor, and so is the resonant cubic -20i n^3 |c|^2 c =
+    -i n (20 n^2 |c|^2) c, so the result is i n (full(n) - S(n) c(n)) with
+    one factor S.
     """
     h = half_spectrum(grid)
     cubic2, cubic3, quintic = terms.cubic2, terms.cubic3, terms.quintic
     a = ch.real**2 + ch.imag**2  # |c(n)|^2 = c(n) c(-n)
     if not (cubic2 or cubic3 or quintic):
         return h.i_n3 * (-20.0 * a * ch) if terms.resonant_cubic else np.zeros_like(ch)
-    # S = w_a n^2 |c|^2 + 10 n^2 l2 [cubic2] + w_h h1 (+ the quintic's), with
+    # S = w_a n^2 |c|^2 + 10 n^2 l2 [cubic2] + w_h h1 (+ 30 l4 [quintic]), with
     # l2 = sum_m c(m) c(-m) and h1 = sum_m m^2 c(m) c(-m): the resonant cubic
     # gives 20 n^2 |c|^2, 10 sum c(n1) c(n2) n3^2 c(n3) gives
     # 10 (n^2 l2 + 2 h1 - 3 n^2 |c|^2), 10 sum c(n1) n2 c(n2) n3 c(n3) gives
@@ -224,22 +229,11 @@ def renormalized_nonlinear_coeff(
         g = g + V[1] * V[1]
     if not quintic:
         return h.i_n * (h.analyze(-10.0 * v0 * g) - S * ch)
-    # 6 sum c(n1)..c(n5): inclusion-exclusion over the five four-sum
-    # hyperplanes; with q indices pinned to n the correction is
-    # C(5,q) (-1)^(q+1) c(n)^q (c^{*(5-q)})(-(q-1)n).  The q = 5 tuple sits
-    # at n = 0, where the factor i n kills it.
-    M = h.M
-    products = np.empty((3,) + v0.shape)  # v (6 v^4 - 10 g), v^2, v^3
-    v2 = np.multiply(v0, v0, out=products[1])
-    np.multiply(v2, v0, out=products[2])
-    np.multiply(v0, 6.0 * (v2 * v2) - 10.0 * g, out=products[0])
-    full, sq, cube = h.analyze(products, 2 * M + 1)
+    # 6 [sum c(n1)..c(n5) - 5 l4 c(n)]: the full convolution less, for each of
+    # the five indices, the tuples with that index at n, which the gauge absorbs
+    v2 = v0 * v0
     S = S + np.vecdot(v2, v2)[..., None] * (30.0 / h.P)  # 30 sum_{n1+..+n4=0}
-    S = S + 60.0 * ch * (np.conj(sq[..., ::2]) * ch - np.conj(cube[..., : M + 1]))
-    m3 = M // 3 + 1
-    c = ch[..., :m3]
-    S[..., :m3] -= 30.0 * (c * c * c) * np.conj(ch[..., ::3])
-    return h.i_n * (full[..., : M + 1] - S * ch)
+    return h.i_n * (h.analyze(v0 * (6.0 * (v2 * v2) - 10.0 * g)) - S * ch)
 
 
 # ---------------------------------------------------------------------------

@@ -185,9 +185,9 @@ class HalfSpectrum:
         for rows in row_chunks(len(ch), per_row):
             yield rows, self.synthesize(ch[rows], orders)
 
-    def analyze(self, values: np.ndarray, width: int = 0) -> np.ndarray:
-        """Coefficients 0..width-1 (0..M by default) of real samples, per row."""
-        return sfft.rfft(values, axis=-1)[..., : width or self.M + 1] / self.P
+    def analyze(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients 0..M of real samples, per row."""
+        return sfft.rfft(values, axis=-1)[..., : self.M + 1] / self.P
 
 
 @lru_cache(maxsize=32)

@@ -86,8 +86,10 @@ def conv3_nonresonant(c, M, kernel):
     return out
 
 
-def conv5_nonresonant(c, M):
-    """Quintic sum restricted to all four-subset sums nonzero (defining set)."""
+def conv5_gauged(c, M):
+    """Quintic sum of the gauged flow: each 5-tuple weighted by
+    1 - #{i : n_i = n}, so the tuples with one component equal to n drop out
+    and those with two to four count 1 - q times."""
     out = np.zeros(2 * M + 1, dtype=complex)
     rng = range(-M, M + 1)
     for n1 in rng:
@@ -99,17 +101,27 @@ def conv5_nonresonant(c, M):
                         n = sum(tup)
                         if abs(n) > M:
                             continue
-                        ok = True
-                        tot = n
-                        for i in range(5):
-                            if tot - tup[i] == 0:  # four-sum omitting i
-                                ok = False
-                                break
-                        if ok:
-                            out[n + M] += (
+                        weight = 1 - sum(m == n for m in tup)
+                        if weight:
+                            out[n + M] += weight * (
                                 c[n1 + M] * c[n2 + M] * c[n3 + M] * c[n4 + M] * c[n5 + M]
                             )
     return out
+
+
+def quintic_overlap_half(ch):
+    """6i n [-10 c(n)^2 (c*c*c)(-n) + 10 c(n)^3 (c*c)(-2n) - 5 c(n)^4 c(-3n)]
+    at n = 0..M of one half spectrum c[0..M] of a real field: the gauged
+    quintic less the paper's A5(n) display, the tuples with two to four
+    components equal to n.  Convolutions by direct sums (np.convolve)."""
+    M = len(ch) - 1
+    n = np.arange(M + 1)
+    c = np.concatenate([np.conj(ch[:0:-1]), ch])  # -M..M
+    sq = np.convolve(c, c)  # -2M..2M
+    cube = np.convolve(sq, c)  # -3M..3M
+    c_minus_3n = np.where(3 * n <= M, c[np.maximum(M - 3 * n, 0)], 0.0)
+    return 6j * n * (-10.0 * ch**2 * cube[3 * M - n] + 10.0 * ch**3 * sq[2 * M - 2 * n]
+                     - 5.0 * ch**4 * c_minus_3n)
 
 
 def rhs_physical_oracle(c, M, c1, c2, c3, c4):
@@ -155,7 +167,8 @@ def rhs_third_order_oracle(c, M, which):
 
 
 def rhs_renormalized_oracle(c, M, d1, d2, resonant_cubic=True, cubic2=True, cubic3=True, quintic=True):
-    """RHS of the renormalized flow by definition-level restricted sums."""
+    """RHS of the renormalized flow by definition-level sums: cubics over
+    A3(n), the quintic weighted as in conv5_gauged."""
     n_arr = np.arange(-M, M + 1, dtype=float)
     out = 1j * (n_arr**5 + d1 * n_arr**3 + d2 * n_arr) * c
     if resonant_cubic:
@@ -165,7 +178,7 @@ def rhs_renormalized_oracle(c, M, d1, d2, resonant_cubic=True, cubic2=True, cubi
     if cubic3:
         out += 10j * n_arr * conv3_nonresonant(c, M, lambda a, b, d: b * d)
     if quintic:
-        out += 6j * n_arr * conv5_nonresonant(c, M)
+        out += 6j * n_arr * conv5_gauged(c, M)
     return out
 
 
@@ -572,8 +585,9 @@ def t2_duhamel_fifth_oracle(support, spec, inner_terms=("cubic2",), route="direc
 
 def fifth_derivative_nonresonant_oracle(support, spec, cubics, quintic=False):
     """delta^5 coefficient, with e^{i t mu(n)}, of a flow holding only the
-    given nonresonant cubics and, if quintic, 6i n sum v^5, summed tuple by
-    tuple from exact I2 closed forms: cubic tuples, then quintuples."""
+    given nonresonant cubics and, if quintic, the gauged quintic (each
+    quintuple weighted as in conv5_gauged), summed tuple by tuple from exact
+    I2 closed forms: cubic tuples, then quintuples."""
     from mkdvlab.illposed import _CUBIC_KERNELS, osc_single
 
     out = {}
@@ -585,10 +599,11 @@ def fifth_derivative_nonresonant_oracle(support, spec, cubics, quintic=False):
     quintuples = []  # (n, amp, phi) in the order of five nested loops
     for tup in itertools.product(sorted(support) if quintic else [], repeat=5):
         n = sum(tup)
-        if any(m == n for m in tup):
+        weight = 1 - sum(m == n for m in tup)
+        if not weight:
             continue
         phi = _phi3(n, tup)
-        amp = 1.0
+        amp = float(weight)
         for m in tup:
             amp *= support[m]
         quintuples.append((n, amp, phi))

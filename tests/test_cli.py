@@ -22,7 +22,7 @@ from mkdvlab.invariants import drift_report
 from mkdvlab.spectral import GridSpec, SpectralField
 from mkdvlab.transforms import gauge_forward
 
-from oracles import miura_static_fields_oracle, random_smooth_oracle
+from oracles import miura_static_fields_oracle, quintic_overlap_half, random_smooth_oracle
 
 
 def run(args):
@@ -335,7 +335,41 @@ class TestGaugeCheck:
             t, diff = (float(v) for v in line.split(","))
             assert t == nt_u.times[i]
             want = np.sqrt(np.sum(w * np.abs(nt_u.states[i] - traj_v.states[i]) ** 2))
-            assert diff == float(want)
+            # the CSV sums the half spectra, the loop the dense -M..M rows
+            assert diff == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+    @staticmethod
+    def gauge_check(tmp_path, *settings):
+        """gauge-check's exit code and max_h2_discrepancy at the defaults
+        with ``settings`` set."""
+        code = run(["gauge-check", "--out", str(tmp_path)] + [a for s in settings for a in ("--set", s)])
+        man = json.loads((tmp_path / "mkdvlab_gauge_manifest.json").read_text())
+        return code, man["results_summary"]["max_h2_discrepancy"]
+
+    @pytest.mark.parametrize("amplitudes", ["0.2,0.1", "0.4,0.2"])
+    def test_passes_on_larger_data(self, tmp_path, amplitudes):
+        # no O(a^5) model gap between the gauged u and v
+        assert self.gauge_check(tmp_path, f"initial_data.amplitudes={amplitudes}")[0] == 0
+
+    def test_large_data_gap_is_time_stepping_error(self, tmp_path):
+        # at 0.5,0.25 the default dt misses the gate, and halving dt cuts
+        # the gap by more than 8x (9.3e-7 -> 8.4e-8)
+        gaps = [self.gauge_check(tmp_path, "initial_data.amplitudes=0.5,0.25", f"time.dt={dt}")[1]
+                for dt in (1.5e-5, 7.5e-6)]
+        assert gaps[0] >= 8.0 * gaps[1]
+
+    def test_display_quintic_fails(self, tmp_path, monkeypatch):
+        # control: v under the paper's A5(n) display of the quintic, the
+        # gauged operator less the overlap tuples, keeps an a^5 model gap
+        # that no dt removes (9.0e-3 at 0.5,0.25)
+        from mkdvlab import equations
+
+        gauged = equations.renormalized_nonlinear_coeff
+        monkeypatch.setattr(equations, "renormalized_nonlinear_coeff",
+                            lambda grid, ch, terms: gauged(grid, ch, terms) - quintic_overlap_half(ch))
+        code, worst = self.gauge_check(tmp_path, "initial_data.amplitudes=0.5,0.25")
+        assert code == 4
+        assert worst >= 100.0 * cli.TOLERANCES["gauge_h2"]
 
 
 def miura_check(tmp_path, *settings):

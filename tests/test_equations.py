@@ -13,15 +13,15 @@ from mkdvlab.equations import (
     rhs,
 )
 from mkdvlab.errors import ParameterError
-from mkdvlab.spectral import GridSpec, SpectralField
+from mkdvlab.spectral import GridSpec, SpectralField, hermitian_extend
 
 from oracles import (
     gauge_constants_oracle,
     mirror_defect,
+    quintic_overlap_half,
     random_real_coeffs,
     rhs_physical_oracle,
     rhs_renormalized_oracle,
-    synthesize_values,
 )
 
 
@@ -243,45 +243,23 @@ class TestRhsRenormalized:
 
 
 class TestResonanceRemovalConsistency:
-    """Adding the gauge/linear shifts back to the renormalized RHS must
-    reproduce the full physical convolution RHS, up to the degenerate
-    quintic overlap terms that the renormalized display drops."""
+    """The renormalized flow is the gauged physical flow: adding the gauge
+    phase's term 20i l4 n c to its RHS gives the physical RHS exactly.  The
+    paper's A5(n) display of the quintic, which drops the tuples with two to
+    four components equal to n, misses that identity."""
 
-    def test_identity_with_overlaps(self, grid8, rng):
+    def test_gauge_identity_is_exact(self, grid8, rng):
         c = random_real_coeffs(8, rng, amplitude=0.5)
-        grid = grid8
-        f = SpectralField(grid, c)
+        f = SpectralField(grid8, c)
         # current-state gauge constants (identity holds pointwise in u)
         p = derive_gauge_params(f, 40.0)
-        r4 = half_l4_quartic(grid, c[None, 8:])[0]
-
-        n = grid.modes.astype(float)
+        half = c[8:]
+        r4 = half_l4_quartic(grid8, half[None])[0]
+        n = grid8.modes.astype(float)
         lhs = rhs(f, p, "physical_5mkdv").coeff
-
-        # renormalized RHS with linear mu-shift included, plus the d3 gauge
-        # term, plus the degenerate quintic overlap corrections
-        ren = rhs(f, p, "renormalized_5mkdv").coeff
-        gauge = 1j * 20.0 * r4 * n * c
-
-        # overlap terms: 6 i n * [ -10 c^2 S(-n) + 10 c^3 C2(-2n) - 5 c^4 c(-3n) ]
-        import scipy.fft as sfft
-
-        P = grid.phys_points
-        V0 = synthesize_values(grid, c)
-        c2_full = sfft.fft(V0 * V0) / P
-        c3_full = sfft.fft(V0 * V0 * V0) / P
-
-        def read(spec, m):
-            return spec[m % P] if abs(m) < P // 2 else 0.0
-
-        M = grid.max_mode
-        S_minus = np.array([read(c3_full, -int(m)) for m in grid.modes])
-        C2_minus2 = np.array([read(c2_full, -2 * int(m)) for m in grid.modes])
-        c_minus3 = np.array(
-            [c[(-3 * int(m)) + M] if abs(3 * m) <= M else 0.0 for m in grid.modes]
-        )
-        overlap = 6j * n * (-10.0 * c**2 * S_minus + 10.0 * c**3 * C2_minus2 - 5.0 * c**4 * c_minus3)
-
-        rhs_sum = ren + gauge + overlap
+        gauged = rhs(f, p, "renormalized_5mkdv").coeff + 20j * r4 * n * c
         scale = np.max(np.abs(lhs))
-        assert np.max(np.abs(rhs_sum - lhs)) < 1e-12 * scale
+        assert np.max(np.abs(gauged - lhs)) < 1e-12 * scale
+        # control: the display, the gauged quintic less its overlap tuples
+        display = gauged - hermitian_extend(quintic_overlap_half(half))
+        assert np.max(np.abs(display - lhs)) > 1e6 * 1e-12 * scale

@@ -166,6 +166,18 @@ def test_evolve_calls_per_step(fft_calls, flow, automatic_dt):
     assert fft_calls(evolve, u0, T, p, tag, ctrl, terms) == 801 + automatic_dt
 
 
+def test_renormalized_operator_transform_entries(fft_calls):
+    # one stacked irfft of v, v_x, v_xx and one rfft of one product row:
+    # 3P + P/2 + 1 entries at M = 16, P = 100
+    from mkdvlab.equations import renormalized_nonlinear_coeff
+
+    grid = GridSpec(16)
+    assert grid.phys_points == 100
+    ch = two_mode(grid).half("operator input")
+    assert fft_calls(renormalized_nonlinear_coeff, grid, ch, RenormalizedTerms()) == 2
+    assert fft_calls.counter["points"] == 3 * 100 + 51
+
+
 @pytest.mark.parametrize("transform", [gauge_forward, gauge_inverse])
 def test_gauge_calls_independent_of_length(fft_calls, transform):
     short, long = physical_trajectories()

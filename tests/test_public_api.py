@@ -352,7 +352,6 @@ DENSE_LAYOUT_ALLOWED = {
     "evolve takes miura-check's u(0) as a SpectralField": {"cli.cmd_miura_check"},
     "perfbench reads a5.coeff": {"illposed.numeric_fifth_derivative"},
     "random_smooth initial data": {"cli.build_initial_data"},
-    "the gauge CSV's H^2 column, pinned bitwise": {"cli.cmd_gauge_check"},
 }
 
 
