@@ -31,7 +31,6 @@ from .spectral import (
     GridSpec,
     SpectralField,
     chi,
-    project_pk,
     psi,
     sobolev_norm,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "miura",
     "modified_energy_ek",
     "phi_cubic",
-    "project_pk",
     "psi",
     "resonance_g",
     "rhs",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .integrate import Trajectory
-from .spectral import GridSpec, SpectralField, chi, half_spectrum, project_pk, psi, top_band
+from .spectral import GridSpec, SpectralField, chi, half_spectrum, psi, top_band
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,43 +80,6 @@ KAPPA = -4.0 / 3.0
 EPSILON = -2.0 / 3.0
 
 
-def _ek_correction(grid: GridSpec, v1c, v2c, wc, k: int, weight3: np.ndarray) -> complex:
-    """sum over n1+n2+n3+n = 0 (pairwise sums of (n1,n2,n3) nonzero) of
-    v1(n1) v2(n2) weight3(n3)/n3 * w(n3) chi_k(n)/n * w(n).
-
-    weight3 is a per-mode table (psi_k or chi_k evaluated on grid.modes).
-    Cost O(|supp chi_k| * M^2) by looping outputs over the chi_k band.
-    """
-    M = grid.max_mode
-    modes = grid.modes
-    chik = chi(k, modes)
-    out = 0.0 + 0.0j
-    idx_n = np.nonzero(chik)[0]
-    n1g, n2g = np.meshgrid(modes, modes, indexing="ij")
-    v1g = v1c[:, None]
-    v2g = v2c[None, :]
-    prod12 = v1g * v2g
-    for i_n in idx_n:
-        n = modes[i_n]
-        if n == 0:
-            continue
-        n3g = -n - n1g - n2g
-        valid = np.abs(n3g) <= M
-        # nonresonance: (n1+n2)(n1+n3)(n2+n3) != 0 with n1+n2+n3 = -n
-        nz = (n1g + n2g) * (n1g + n3g) * (n2g + n3g) != 0
-        sel = valid & nz & (n3g != 0)
-        if not np.any(sel):
-            continue
-        i3 = n3g[sel] + M
-        w3 = weight3[i3]
-        m = np.any(w3 != 0)
-        if not m:
-            continue
-        term = prod12[sel] * (w3 / n3g[sel]) * wc[i3]
-        out += np.sum(term) * (chik[i_n] / n) * wc[i_n]
-    return out
-
-
 def modified_energy_ek(
     v1: SpectralField,
     v2: SpectralField,
@@ -124,46 +87,59 @@ def modified_energy_ek(
     k: int,
 ) -> float:
     """||P_k w||^2 plus the KAPPA/psi and EPSILON/chi cubic corrections,
-    summed over the (l, m) pairs (1,1), (1,2), (2,2) with equal weights.
+    summed over the (l, m) pairs (1,1), (1,2), (2,2) with equal weights:
+
+        sum over n1+n2+n3+n = 0, (n1+n2)(n1+n3)(n2+n3) != 0, of
+        v_l(n1) v_m(n2) (KAPPA psi_k + EPSILON chi_k)(n3)/n3 w(n3) chi_k(n)/n w(n).
+
+    With the real fields g = d^-1((KAPPA psi_k + EPSILON chi_k) w) and
+    q = d^-1(chi_k w), the sum over all n1+n2+n3+n = 0 is -mean(v_l v_m g q)
+    on the grid, alias-free for quartic products.  The resonant planes
+    A: n1+n2 = 0, B: n1+n3 = 0 and C: n2+n3 = 0 come off by
+    inclusion-exclusion: each plane is a product of two pair sums, each two
+    planes meet in one sum over n, and all three meet only at n3 = 0, where
+    1/n3 drops the term.
 
     Defined for k >= 1 (the k = 0 block carries no correction)."""
     if k < 1:
         raise ParameterError("modified energy E_k is defined for k >= 1")
-    grid = w.grid
-    w.half("modified energy w")
-    pkw = project_pk(w, k)
-    base = float(np.sum(np.abs(pkw.coeff) ** 2))
-    psik = psi(k, grid.modes)
-    chik = chi(k, grid.modes)
-    total = base
-    for a, b in ((v1.coeff, v1.coeff), (v1.coeff, v2.coeff), (v2.coeff, v2.coeff)):
-        s_psi = _ek_correction(grid, a, b, w.coeff, k, psik)
-        s_chi = _ek_correction(grid, a, b, w.coeff, k, chik)
-        total += KAPPA * s_psi.real + EPSILON * s_chi.real
-    return total
+    h = half_spectrum(w.grid)
+    wh = w.half("E_k w")
+    chik = chi(k, h.n)
+    inv_dx = np.divide(1.0, h.i_n, out=np.zeros_like(h.i_n), where=h.n > 0)
+    g = inv_dx * (KAPPA * psi(k, h.n) + EPSILON * chik) * wh
+    q = inv_dx * chik * wh
+    fields = np.stack([v1.half("E_k v1"), v2.half("E_k v2"), g, q])
+    V1, V2, G, Q = h.synthesize(fields, (0,))[0]
+    total = h.twice @ np.abs(chik * wh) ** 2 - np.mean((V1 * V1 + V1 * V2 + V2 * V2) * G * Q)
+    # g and q enter the sum as i g and i q, so each sum below carries
+    # i*i = -1 and comes off with its sign flipped; pair[i, j] is the sum
+    # over -M..M of f_i(n) f_j(-n)
+    pair = ((fields * h.twice) @ fields.conj().T).real
+    meet_ab_ac = 2.0 * (np.conj(g) * q).real
+    meet_bc = np.conj(g * q)
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        total += pair[a, b] * pair[2, 3] + pair[a, 2] * pair[b, 3] + pair[a, 3] * pair[b, 2]
+        total -= h.twice @ (fields[a] * (np.conj(fields[b]) * meet_ab_ac
+                                         + fields[b] * meet_bc)).real
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
 # E^s energy on trajectories
 # ---------------------------------------------------------------------------
 
-def es_energy(traj: Trajectory, s: float, T: float | None = None) -> float:
+def es_energy(traj: Trajectory, s: float) -> float:
     """||P_0 u(0)|| ^2 + sum_{k>=1} 2^{2sk} sup_t ||P_k u(t)||^2, square-rooted.
 
     The sup runs over the recorded time grid (recording stride bounds the
     gap to the continuous sup).  The records hold n >= 0, and chi_k is even,
     so each n > 0 counts twice.
     """
-    grid = traj.grid
-    M = grid.max_mode
-    mask = np.ones(len(traj), dtype=bool)
-    if T is not None:
-        mask = traj.times <= T + 1e-15
-    half = traj.half[mask]
-    h = half_spectrum(grid)
-    n, twice = h.n, h.twice
+    h = half_spectrum(traj.grid)
+    half, n, twice = traj.half, h.n, h.twice
     total = float(twice @ np.abs(chi(0, n) * half[0]) ** 2)
-    for k in range(1, top_band(M) + 1):
+    for k in range(1, top_band(traj.grid.max_mode) + 1):
         chik = chi(k, n)
         if not np.any(chik):
             continue

@@ -280,12 +280,6 @@ def psi(k: int, n) -> np.ndarray:
     return n * dchi
 
 
-def project_pk(field: SpectralField, k: int) -> SpectralField:
-    """Littlewood-Paley projection P_k: multiply coefficients by chi_k(n)."""
-    w = chi(k, field.grid.modes)
-    return SpectralField(field.grid, field.coeff * w)
-
-
 def sobolev_norm(grid: GridSpec, half: np.ndarray, s: float):
     """(sum_{|n| <= M} <n>^{2s} |c(n)|^2)^{1/2}, <n> = sqrt(1+n^2), of each
     half spectrum c[0..M] of a real field on the last axis of ``half``."""

@@ -394,6 +394,52 @@ def fs_oracle(traj, s, T, gamma=0.25):
 
 
 # ---------------------------------------------------------------------------
+# Localized modified energy E_k: the cubic correction term by term
+# ---------------------------------------------------------------------------
+
+def ek_correction_oracle(grid, v1c, v2c, w3c, wc, k, weight3):
+    """sum over n1+n2+n3+n = 0, (n1+n2)(n1+n3)(n2+n3) != 0, n3 != 0, of
+    v1(n1) v2(n2) weight3(n3)/n3 w3(n3) chi_k(n)/n w(n), dense coefficients
+    -M..M, by a meshgrid over (n1, n2) for each n in supp chi_k.
+
+    weight3 is a per-mode table over -M..M (psi_k or chi_k of grid.modes);
+    w3 and w are separate slots, so the sum is linear in each factor."""
+    from mkdvlab.spectral import chi
+
+    M, modes = grid.max_mode, grid.modes
+    chik = chi(k, modes)
+    n1g, n2g = np.meshgrid(modes, modes, indexing="ij")
+    prod12 = v1c[:, None] * v2c[None, :]
+    out = 0.0 + 0.0j
+    for i_n in np.nonzero(chik)[0]:
+        n = modes[i_n]
+        n3g = -n - n1g - n2g
+        sel = ((np.abs(n3g) <= M) & (n3g != 0)
+               & ((n1g + n2g) * (n1g + n3g) * (n2g + n3g) != 0))
+        i3 = n3g[sel] + M
+        term = prod12[sel] * (weight3[i3] / n3g[sel]) * w3c[i3]
+        out += np.sum(term) * (chik[i_n] / n) * wc[i_n]
+    return out
+
+
+def modified_energy_ek_oracle(v1, v2, w, k):
+    """E_k of dense fields from ek_correction_oracle: ||P_k w||^2 plus
+    KAPPA and EPSILON times the psi_k and chi_k corrections over the pairs
+    (v1, v1), (v1, v2), (v2, v2)."""
+    from mkdvlab.invariants import EPSILON, KAPPA
+    from mkdvlab.spectral import chi, psi
+
+    grid = w.grid
+    chik, psik = chi(k, grid.modes), psi(k, grid.modes)
+    total = float(np.sum(np.abs(chik * w.coeff) ** 2))
+    for a, b in ((v1, v1), (v1, v2), (v2, v2)):
+        for weight, table in ((KAPPA, psik), (EPSILON, chik)):
+            total += weight * ek_correction_oracle(
+                grid, a.coeff, b.coeff, w.coeff, w.coeff, k, table).real
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Quintic normal-form terms: one QuinticTuple and one oscillatory call per
 # tuple, summed into dicts in walk order (the per-tuple reference for the
 # tuple table of mkdvlab.illposed)

@@ -13,7 +13,6 @@ from mkdvlab.spectral import (
     eta0_prime,
     half_spectrum,
     hermitian_extend,
-    project_pk,
     psi,
     sobolev_norm,
     top_band,
@@ -171,27 +170,6 @@ class TestCutoffFamily:
             total = sum(chi(k, modes) for k in range(K + 1))
             assert np.max(np.abs(total - 1.0)) < 1e-12
             assert not np.any(chi(K + 1, modes))
-
-
-class TestProjections:
-    def test_low_mode_unchanged_by_p0(self, grid8):
-        f = SpectralField.from_modes(grid8, {1: 0.5, -1: 0.5})
-        g = project_pk(f, 0)
-        assert np.allclose(g.coeff, f.coeff)
-
-    def test_outside_annulus_zeroed(self):
-        grid = GridSpec(40)
-        f = SpectralField.from_modes(grid, {32: 1.0, -32: 1.0})
-        g = project_pk(f, 2)  # I_2 = [2, 8]
-        assert np.max(np.abs(g.coeff)) == 0.0
-
-    def test_reconstruction(self, grid16, rng):
-        c = random_real_coeffs(16, rng)
-        f = SpectralField(grid16, c)
-        total = np.zeros_like(c)
-        for k in range(0, 7):
-            total += project_pk(f, k).coeff
-        assert np.max(np.abs(total - c)) < 1e-12 * np.max(np.abs(c))
 
 
 class TestSobolevNorm:
