@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .equations import EquationParams, RenormalizedTerms, derive_gauge_params, flow
-from .errors import ConfigurationError, DivergenceError, MkdvLabError, ParameterError
+from .errors import ConfigurationError, DivergenceError, MkdvLabError
 from .integrate import StepControl, evolve, step_plan, uniform_steps
 from .invariants import drift_report
 from .spectral import GridSpec, SpectralField, hermitian_extend, row_chunks, sobolev_norm, top_band
@@ -137,7 +137,7 @@ def _in_field(name: str, build, *args, **kwargs):
     field its input came from."""
     try:
         return build(*args, **kwargs)
-    except (ConfigurationError, ParameterError) as e:
+    except ConfigurationError as e:
         raise ConfigurationError(f"{name}: {e}") from None
 
 

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError
 from .spectral import GridSpec, HalfSpectrum, SpectralField, half_spectrum, hermitian_extend
 
 CONSTRAINT_RTOL = 1e-12
@@ -123,7 +123,7 @@ def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
     the conservation-law bookkeeping changes.
     """
     if abs(c1 - 40.0) > 1e-12:
-        raise ParameterError(
+        raise ConfigurationError(
             "gauge constants are derived only for c1 = 40; the renormalized "
             "coefficients for other c1 are not pinned"
         )

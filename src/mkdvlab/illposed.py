@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import EquationParams, RenormalizedTerms
-from .errors import ConfigurationError, ConditioningError, ParameterError
+from .errors import ConfigurationError
 from .spectral import SpectralField, hermitian_extend
 
 # ---------------------------------------------------------------------------
@@ -116,9 +116,9 @@ class CounterexampleSpec:
         if self.N < 8:
             raise ConfigurationError("counterexample requires N >= 8")
         if self.s <= 0:
-            raise ParameterError("s must be positive")
+            raise ConfigurationError("s must be positive")
         if not 0.0 < self.t < 1.0:
-            raise ParameterError("t must lie in (0, 1)")
+            raise ConfigurationError("t must lie in (0, 1)")
 
 
 def counterexample_support(spec: CounterexampleSpec) -> dict:
@@ -475,15 +475,15 @@ def numeric_fifth_derivative(
     part of the final half spectrum is fitted to delta*a1 + delta^3*a3 +
     delta^5*a5 (+ delta^7 nuisance).  Returns (SpectralField holding
     a5 = fifth derivative / 5!, report) with a conditioning summary; raises
-    ConditioningError when the spread of deltas is degenerate.
+    ConfigurationError when the spread of deltas is degenerate.
     """
     from .integrate import evolve
 
     deltas = sorted(float(d) for d in deltas)
     if len(deltas) < 3 or len(set(deltas)) != len(deltas) or min(deltas) <= 0:
-        raise ConditioningError("need >= 3 distinct positive delta values")
+        raise ConfigurationError("need >= 3 distinct positive delta values")
     if max(deltas) / min(deltas) < 1.2:
-        raise ConditioningError("delta spread too small for a stable fit")
+        raise ConfigurationError("delta spread too small for a stable fit")
 
     finals = {}
     for d in deltas:

@@ -9,13 +9,13 @@ only by the undamped low band.  The default dt is
     dt = min( 0.5 * min(1e-2, (2*max_mode)^-2),  C / omega_nl )
 
 where omega_nl is a frozen-coefficient estimate of the largest nonlinear
-frequency of the initial data at the highest undamped wavenumber
-(mu(n) dt <= 1).
+frequency of the initial data over the undamped band (|mu(n)| dt <= 1,
+with mu taken without the gauge constants d1, d2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -90,10 +90,15 @@ class Trajectory:
 def default_dt(u0: SpectralField, p: EquationParams, tag: str) -> float:
     M = u0.grid.max_mode
     dt = 0.5 * min(1.0e-2, (2.0 * M) ** -2)
-    # stages at mu(n) dt > 1 are phi-damped; the CFL only involves the
-    # undamped low band
-    n_eff = min(M, max(2, int(np.ceil((1.0 / dt) ** 0.2))))
-    omega = equations.nonlinear_frequency_bound(u0, p, tag, n_top=n_eff)
+    # stages at |mu(n)| dt > 1 are phi-damped, so the CFL involves only the
+    # band below the first such n.  mu is taken without the gauge constants
+    # d1, d2: they are as large as the nonlinear frequency, so a mode only
+    # they push past 1 is not damped against it
+    n = np.arange(1, M + 1)
+    mu = equations.linear_symbol(n, replace(p, d1=0.0, d2=0.0), tag)
+    damped = n[np.abs(mu) * dt > 1.0]
+    n_top = min(M, max(2, int(damped[0]) if len(damped) else M))
+    omega = equations.nonlinear_frequency_bound(u0, p, tag, n_top=n_top)
     if omega > 0:
         dt = min(dt, RK4_IMAG_STABILITY / omega)
     return dt
@@ -178,11 +183,12 @@ def evolve(
     Every tag runs on the rfft half spectrum c[0..M] of real data, stepping
     the flow's operator from :func:`equations.nonlinear_operator` (the
     renormalized flow calls ``equations.renormalized_nonlinear_coeff`` once
-    per stage); initial data that are not Hermitian raise SymmetryError
+    per stage); initial data that are not Hermitian raise ConfigurationError
     naming the tag.  The records are the stepped half spectra themselves,
     one (records, M+1) buffer.  Raises DivergenceError if a coefficient
     passes 1e6 or stops being finite, or if the final state's sup norm
-    passes 1e6; it carries the record before the failing state and its time.
+    passes 1e6; it carries the record before the failing state, its half
+    spectrum c[0..M], and its time.
     """
     nonlinear = equations.nonlinear_operator(u0.grid, p, tag, renorm_terms)
     if T <= 0:
@@ -203,8 +209,7 @@ def evolve(
 
     def diverged(message: str, i: int) -> DivergenceError:
         """The error, carrying record i, the last good one."""
-        return DivergenceError(message, t_last=times[i],
-                               state_last=SpectralField(grid, hermitian_extend(half[i])))
+        return DivergenceError(message, t_last=times[i], state_last=half[i].copy())
 
     rec = 1
     t = 0.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigurationError
 from .integrate import Trajectory
 from .spectral import GridSpec, SpectralField, chi, half_spectrum, psi, top_band
 
@@ -102,7 +102,7 @@ def modified_energy_ek(
 
     Defined for k >= 1 (the k = 0 block carries no correction)."""
     if k < 1:
-        raise ParameterError("modified energy E_k is defined for k >= 1")
+        raise ConfigurationError("modified energy E_k is defined for k >= 1")
     h = half_spectrum(w.grid)
     wh = w.half("E_k w")
     chik = chi(k, h.n)

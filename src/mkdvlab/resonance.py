@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigurationError
 
 
 def resonance_g(n1: int, n2: int, n3: int, d1=0):
@@ -79,7 +79,7 @@ def _plane(n: int, radius: int, cap: int, k: int, extra: int = 0) -> np.ndarray:
     n1 row keeps its slice of it; the count comes from polynomial convolution
     of the indicator, so the output is allocated once at its exact size."""
     if not 0 <= radius <= cap:
-        raise ParameterError(f"enumeration radius must be in [0, {cap}], got {radius}")
+        raise ConfigurationError(f"enumeration radius must be in [0, {cap}], got {radius}")
     r = int(radius)
     if abs(n) > k * r:  # empty plane; a huge n never reaches int64
         return np.empty((0, k + extra), dtype=np.int64)

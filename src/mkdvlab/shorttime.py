@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import ParameterError, ResolutionError
+from .errors import ConfigurationError
 from .equations import linear_symbol
 from .integrate import Trajectory
 from .spectral import BATCH_ELEMENTS as _BATCH_ELEMENTS  # bound here, so tests can shrink it
@@ -82,9 +82,9 @@ _FRACTION_LEVELS = 20  # of E_1(-i y) for y >= 16: within 3e-16
 def beta_weight(j: int, k: int, gamma: float = GAMMA_DEFAULT) -> float:
     """Modulation weight beta_{j,k} = 1 (k=0) or 1 + 2^{gamma(j-5k)}."""
     if not 0.0 < gamma <= 0.25:
-        raise ParameterError(f"gamma must lie in (0, 1/4], got {gamma}")
+        raise ConfigurationError(f"gamma must lie in (0, 1/4], got {gamma}")
     if j < 0 or k < 0:
-        raise ParameterError("dyadic indices must be nonnegative")
+        raise ConfigurationError("dyadic indices must be nonnegative")
     if k == 0:
         return 1.0
     return 1.0 + 2.0 ** (gamma * (j - 5 * k))
@@ -124,15 +124,15 @@ def _window_starts(traj: Trajectory, k: int, centers: np.ndarray):
     """Validated record spacing, first sample index and length of each window."""
     times = traj.times
     if len(times) < 2:
-        raise ResolutionError("trajectory must carry at least two records")
+        raise ConfigurationError("trajectory must carry at least two records")
     dts = np.diff(times)
     dt = float(dts[0])
     if np.max(np.abs(dts - dt)) > 1e-9 * max(dt, 1e-300):
-        raise ResolutionError("modulation decomposition needs uniform record spacing")
+        raise ConfigurationError("modulation decomposition needs uniform record spacing")
     half = WINDOW_HALF_WIDTH * 4.0 ** (-k)
     need = max_record_spacing(k)
     if dt > need * (1 + 1e-12):
-        raise ResolutionError(
+        raise ConfigurationError(
             f"record spacing {dt:.3e} too coarse for k={k}: need dt <= {need:.3e}"
         )
     m_lo = np.floor((centers - half - times[0]) / dt).astype(int)

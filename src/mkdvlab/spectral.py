@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import ConfigurationError, ParameterError, SymmetryError
+from .errors import ConfigurationError
 
 #: Working set of one chunk of a chunked pass over many records (short-time
 #: windows, Hamiltonian and gauge syntheses, the gauge phase table), in
@@ -99,12 +99,12 @@ class SpectralField:
         return f
 
     def half(self, what: str) -> np.ndarray:
-        """The half spectrum c[0..M], a view; SymmetryError naming `what` unless
+        """The half spectrum c[0..M], a view; ConfigurationError naming `what` unless
         c(-n) = conj(c(n)) within 1e-8 relative to max(1, max |c|) (a NaN fails)."""
         c, M = self.coeff, self.grid.max_mode
         defect = np.max(np.abs(c[M::-1] - np.conj(c[M:])))
         if not defect <= 1e-8 * max(1.0, np.max(np.abs(c))):
-            raise SymmetryError(f"{what} violates Hermitian symmetry (defect {defect:.3e})")
+            raise ConfigurationError(f"{what} violates Hermitian symmetry (defect {defect:.3e})")
         return c[M:]
 
 
@@ -256,7 +256,7 @@ def eta0_prime(x):
 def chi(k: int, n) -> np.ndarray:
     """Dyadic cut-off chi_k(n): chi_0 = eta0, chi_k = eta0(n/2^k) - eta0(n/2^{k-1})."""
     if k < 0:
-        raise ParameterError(f"dyadic index k must be >= 0, got {k}")
+        raise ConfigurationError(f"dyadic index k must be >= 0, got {k}")
     n = np.asarray(n, dtype=float)
     if k == 0:
         return eta0(n)
@@ -272,7 +272,7 @@ def top_band(max_mode: int) -> int:
 def psi(k: int, n) -> np.ndarray:
     """psi_k(n) = n * chi_k'(n); psi_0 := n * eta0'(n).  Even and real."""
     if k < 0:
-        raise ParameterError(f"dyadic index k must be >= 0, got {k}")
+        raise ConfigurationError(f"dyadic index k must be >= 0, got {k}")
     n = np.asarray(n, dtype=float)
     if k == 0:
         return n * eta0_prime(n)

@@ -11,7 +11,7 @@ so |v(t,n)| = |u(t,n)| pointwise and v(0) = u(0).  Phi is accumulated by
 composite trapezoid on the recorded time grid.  The twist e^{-20 i n Phi}
 translates u by 20*Phi in space, and l4 (the mean of u^4) does not change
 under a translation, so l4(v) = l4(u) record by record: the inverse twist
-(sign +1, the tests' round-trip reference) reads Phi from v directly.
+e^{+20 i n Phi} (the tests' round-trip reference) reads Phi from v directly.
 
 The Miura map u = v_x + v^2 takes defocusing mKdV solutions to KdV ones;
 ``miura-check`` compares :func:`miura` of an mKdV run with a KdV run, and
@@ -48,8 +48,8 @@ def accumulate_phase(traj: Trajectory) -> np.ndarray:
     return _cumtrapz(traj.times, half_l4_quartic(traj.grid, traj.half))
 
 
-def _apply_phase(traj: Trajectory, phi: np.ndarray, sign: float) -> Trajectory:
-    """traj with every record twisted by exp(sign 20 i n Phi), the phase table
+def _apply_phase(traj: Trajectory, phi: np.ndarray) -> Trajectory:
+    """traj with every record twisted by exp(-20 i n Phi), the phase table
     made a chunk of records at a time; a chunk's complex phases and their
     exponentials fit spectral.BATCH_ELEMENTS together.  The phase is odd in
     n, so the twisted records stay real and only n >= 0 is twisted.  The
@@ -57,7 +57,7 @@ def _apply_phase(traj: Trajectory, phi: np.ndarray, sign: float) -> Trajectory:
     n = half_spectrum(traj.grid).n
     half = np.empty(traj.half.shape, dtype=np.complex128)
     for rows in row_chunks(len(phi), 2 * len(n)):
-        twist = np.exp(sign * 1j * GAUGE_PHASE_RATE * np.outer(phi[rows], n))
+        twist = np.exp(-1j * GAUGE_PHASE_RATE * np.outer(phi[rows], n))
         np.multiply(twist, traj.half[rows], out=half[rows])
     return Trajectory(
         traj.grid,
@@ -77,7 +77,7 @@ def gauge_forward(traj_u: Trajectory) -> Trajectory:
     recording spacing should satisfy stride*dt <= 1e-3 (the phase error
     scales like n * quadrature error, amplified by max_mode).
     """
-    return _apply_phase(traj_u, accumulate_phase(traj_u), -1.0)
+    return _apply_phase(traj_u, accumulate_phase(traj_u))
 
 
 # ---------------------------------------------------------------------------

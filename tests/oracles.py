@@ -253,10 +253,13 @@ def miura_static_fields_oracle(M, seed, count=100):
 
 def gauge_inverse(traj_v):
     """Inverse gauge transform, the round-trip reference of gauge_forward:
-    Phi accumulated from v itself, since l4(v) = l4(u) on every record."""
-    from mkdvlab.transforms import _apply_phase, accumulate_phase
+    every record twisted by exp(+20 i n Phi) in one table, with Phi
+    accumulated from v itself, since l4(v) = l4(u) on every record."""
+    from mkdvlab.transforms import GAUGE_PHASE_RATE, accumulate_phase
 
-    return _apply_phase(traj_v, accumulate_phase(traj_v), +1.0)
+    n = np.arange(traj_v.grid.max_mode + 1)
+    twist = np.exp(1j * GAUGE_PHASE_RATE * np.outer(accumulate_phase(traj_v), n))
+    return replace(traj_v, half=twist * traj_v.half)
 
 
 # ---------------------------------------------------------------------------

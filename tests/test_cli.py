@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mkdvlab import cli, integrate
+from mkdvlab import cli, errors, integrate
 from mkdvlab.cli import (
     DEFAULTS,
     build_ctrl,
@@ -16,7 +16,7 @@ from mkdvlab.cli import (
     main,
 )
 from mkdvlab.equations import EquationParams
-from mkdvlab.errors import ConfigurationError
+from mkdvlab.errors import ConfigurationError, DivergenceError
 from mkdvlab.integrate import StepControl, Trajectory, evolve, step_plan, uniform_steps
 from mkdvlab.invariants import drift_report
 from mkdvlab.spectral import GridSpec, SpectralField
@@ -229,6 +229,22 @@ class TestValidation:
         assert (config["grid"]["max_mode"], config["initial_data"]["N"],
                 config["time"]["T"], config["sweep"]["Ns"]) == ("16", "4", "0.001", "64")
 
+    def test_one_error_class_per_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the taxonomy is the exit codes: whatever a subcommand raises, a
+        # divergence exits 3 and every other package error exits 2
+        classes = {name for name, v in vars(errors).items()
+                   if isinstance(v, type) and issubclass(v, Exception)}
+        assert classes == {"MkdvLabError", "ConfigurationError", "DivergenceError"}
+        for cls, code, prefix in ((errors.MkdvLabError, 2, "error"),
+                                  (ConfigurationError, 2, "error"),
+                                  (DivergenceError, 3, "divergence")):
+            def failing(cfg, args, cls=cls):
+                raise cls("planted")
+
+            monkeypatch.setitem(cli.COMMANDS, "evolve", ("evolve", failing))
+            assert run(["evolve", "--out", str(tmp_path)]) == code
+            assert capsys.readouterr().err == f"{prefix}: planted\n"
+
     def test_workers_option_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["appendix-b", "--workers", "2", "--out", str(tmp_path),
@@ -293,6 +309,20 @@ class TestEvolve:
         lines = (tmp_path / "mkdvlab_evolve.csv").read_text().splitlines()
         assert lines[0].startswith("time,H0,H1,H2")
         assert len(lines) > 2
+
+    @pytest.mark.parametrize("dt, code", [("0", 0), ("3.94e-4", 3)])
+    def test_automatic_dt_reads_the_third_order_band(self, tmp_path, dt, code):
+        # mu = n^3 leaves a wider undamped band than n^5: the automatic dt
+        # bounds the nonlinear frequency over all of it and completes, where
+        # 3.94e-4, the dt read off the n^5 band, blows up
+        assert run([
+            "evolve", "--out", str(tmp_path),
+            "--set", "grid.max_mode=16",
+            "--set", "equation.tag=mkdv3",
+            "--set", "initial_data.amplitudes=8,4",
+            "--set", "time.T=0.1",
+            "--set", f"time.dt={dt}",
+        ]) == code
 
     def test_divergence_exit_code(self, tmp_path):
         code = run([

@@ -12,7 +12,7 @@ from mkdvlab.equations import (
     half_l4_quartic,
     rhs,
 )
-from mkdvlab.errors import ParameterError
+from mkdvlab.errors import ConfigurationError
 from mkdvlab.spectral import GridSpec, SpectralField, hermitian_extend
 
 from oracles import (
@@ -92,7 +92,7 @@ class TestGaugeParams:
 
     def test_rejects_other_c1(self):
         g = GridSpec(8)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigurationError, match="derived only for c1 = 40"):
             derive_gauge_params(SpectralField.zeros(g), 20.0)
 
 

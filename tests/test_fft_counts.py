@@ -128,7 +128,7 @@ def test_gauge_phase_memory_independent_of_records(monkeypatch, rng, peak_above)
         traj = Trajectory(grid, 1e-4 * np.arange(count), states[:, 16:],
                           EquationParams.constrained_family(40.0), "physical_5mkdv", 1e-4, 1)
         phi = rng.standard_normal(count)
-        peak, _, out = peak_above(_apply_phase, traj, phi, -1.0)
+        peak, _, out = peak_above(_apply_phase, traj, phi)
         above.append(peak - out.half.nbytes)
         want = np.exp(-1j * GAUGE_PHASE_RATE * np.outer(phi, n)) * states
         assert np.array_equal(out.states, want)

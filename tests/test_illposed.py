@@ -28,7 +28,7 @@ from oracles import (
 
 import mkdvlab
 from mkdvlab.equations import EquationParams, RenormalizedTerms
-from mkdvlab.errors import ConditioningError
+from mkdvlab.errors import ConfigurationError
 from mkdvlab.illposed import (
     CounterexampleSpec,
     _check_osc_bound,
@@ -330,7 +330,7 @@ class TestNumericFifthDerivative:
         grid = GridSpec(16)
         u0 = SpectralField.from_modes(grid, {1: 0.5, -1: 0.5})
         p = EquationParams.constrained_family(40.0)
-        with pytest.raises(ConditioningError):
+        with pytest.raises(ConfigurationError, match="delta spread too small for a stable fit"):
             numeric_fifth_derivative(u0, 0.01, [0.05, 0.0500001, 0.05000011], p,
                                      RenormalizedTerms())
 

@@ -5,7 +5,7 @@ import pytest
 
 import mkdvlab.integrate as integrate
 from mkdvlab.equations import FLOWS, EquationParams, RenormalizedTerms
-from mkdvlab.errors import ConfigurationError, DivergenceError, SymmetryError
+from mkdvlab.errors import ConfigurationError, DivergenceError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.spectral import GridSpec, SpectralField, hermitian_extend
 
@@ -84,7 +84,7 @@ class TestPhysicalFlow:
         assert t_last == 0.04
         before = evolve(u0, t_last, p, tag="physical_5mkdv", ctrl=ctrl)
         assert before.dt == 0.01 and before.times[-1] == t_last
-        assert np.array_equal(state_last.coeff, before.states[-1])
+        assert np.array_equal(state_last, before.half[-1])
 
     def test_divergence_at_final_time(self, monkeypatch):
         # every coefficient stays under the bound but the final sup norm
@@ -98,7 +98,7 @@ class TestPhysicalFlow:
         with pytest.raises(DivergenceError, match="at final time") as exc:
             evolve(u0, 0.01, p, tag="physical_5mkdv", ctrl=ctrl)
         assert exc.value.t_last == traj.times[-2]
-        assert np.array_equal(exc.value.state_last.coeff, traj.states[-2])
+        assert np.array_equal(exc.value.state_last, traj.half[-2])
 
 
 class TestRenormalizedFlow:
@@ -117,7 +117,7 @@ class TestRenormalizedFlow:
     def test_non_hermitian_data_rejected(self, grid8):
         p = EquationParams.constrained_family(40.0)
         u0 = SpectralField.from_modes(grid8, {1: 0.05, -1: 0.02j})
-        with pytest.raises(SymmetryError, match="renormalized_5mkdv initial data"):
+        with pytest.raises(ConfigurationError, match="renormalized_5mkdv initial data"):
             evolve(u0, 0.01, p, tag="renormalized_5mkdv")
 
     def test_term_mask_respected(self, grid8):
@@ -179,6 +179,23 @@ class TestStepCount:
         # a run re-stepped at its own dt, T / n, takes exactly its n steps
         missed = [n for n in range(1, 40001) if integrate.uniform_steps(T, T / n)[0] != n]
         assert missed == []
+
+
+class TestDefaultDt:
+    @pytest.mark.parametrize("tag, n_top", [("physical_5mkdv", 5), ("fifth_kdv", 5),
+                                            ("renormalized_5mkdv", 5), ("kdv3", 13),
+                                            ("mkdv3", 13)])
+    def test_band_ends_at_the_first_damped_mode(self, monkeypatch, tag, n_top):
+        # at M = 16 the step before the frequency cap is 1/2048, and
+        # |mu(n)| dt first passes 1 at n = 5 for mu = n^5, at n = 13 for n^3;
+        # the gauge constants, which would pass 1 at n = 1, do not count
+        seen = []
+        monkeypatch.setattr(integrate.equations, "nonlinear_frequency_bound",
+                            lambda u0, p, tag, n_top: seen.append(n_top) or 0.0)
+        u0 = SpectralField.from_modes(GridSpec(16), {1: 0.1, -1: 0.1})
+        p = EquationParams(d1=1e3, d2=1e4)
+        assert integrate.default_dt(u0, p, tag) == 1 / 2048
+        assert seen == [n_top]
 
 
 class TestStrideAuto:

@@ -5,7 +5,7 @@ import pytest
 
 from mkdvlab import invariants
 from mkdvlab.equations import EquationParams, derive_gauge_params, rhs
-from mkdvlab.errors import ParameterError, SymmetryError
+from mkdvlab.errors import ConfigurationError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.invariants import (
     EPSILON,
@@ -145,7 +145,7 @@ class TestModifiedEnergy:
 
     def test_k_zero_unsupported(self, grid16):
         z = SpectralField.zeros(grid16)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigurationError, match="defined for k >= 1"):
             modified_energy_ek(z, z, z, 0)
 
     @pytest.mark.parametrize("slot", ["v1", "v2", "w"])
@@ -154,7 +154,7 @@ class TestModifiedEnergy:
         # an imaginary part is rejected by name, not dropped
         fields = {name: SpectralField(grid8, random_real_coeffs(8, rng)) for name in ("v1", "v2", "w")}
         fields[slot].coeff[8 + 3] += 0.1
-        with pytest.raises(SymmetryError, match=f"E_k {slot}"):
+        with pytest.raises(ConfigurationError, match=f"E_k {slot}"):
             modified_energy_ek(fields["v1"], fields["v2"], fields["w"], 2)
 
     def test_matches_oracle(self):

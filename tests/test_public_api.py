@@ -346,7 +346,6 @@ def dense_layout_calls(module: str, source: str) -> set:
 #: coefficients -M..M, by the reason it does
 DENSE_LAYOUT_ALLOWED = {
     "perfbench reads Trajectory.states": {"integrate.Trajectory.states"},
-    "DivergenceError carries a SpectralField": {"integrate.evolve.diverged"},
     "oracles' seam: rhs returns a SpectralField": {"equations.rhs"},
     "evolve takes miura-check's u(0) as a SpectralField": {"cli.cmd_miura_check"},
     "perfbench reads a5.coeff": {"illposed.numeric_fifth_derivative"},
@@ -493,8 +492,8 @@ UNSET_ALLOWED = {
     # perfbench passes route; item 7's full flow at delta^5 needs inner_terms
     "perfbench / item 7": {"illposed.t2_duhamel_fifth(route)",
                            "illposed.t2_duhamel_fifth(inner_terms)"},
-    # the oracles' inverse gauge twist passes sign=+1.0
-    "oracles' seam": {"equations.rhs(renorm_terms)", "transforms._apply_phase(sign)"},
+    # the oracles pin each renormalized term through rhs's term mask
+    "oracles' seam": {"equations.rhs(renorm_terms)"},
     "item 2": {"shorttime.xk_norm(gamma)"},
     # COMMANDS calls each with (cfg, args)
     "subcommand signature": {

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkdvlab.equations import dispersion_mu
-from mkdvlab.errors import ParameterError
+from mkdvlab.errors import ConfigurationError
 from mkdvlab.resonance import (
     N3_RADIUS_CAP,
     enumerate_n3,
@@ -175,16 +175,17 @@ class TestEnumerators:
         assert len(enumerate_n5(0, 0)) == 0
 
     def test_radius_caps(self):
-        with pytest.raises(ParameterError):
+        cap3 = rf"radius must be in \[0, {N3_RADIUS_CAP}\]"
+        with pytest.raises(ConfigurationError, match=cap3 + ", got 10001"):
             enumerate_n3(0, 10**4 + 1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigurationError, match=cap3 + f", got {N3_RADIUS_CAP + 1}"):
             enumerate_n3(0, N3_RADIUS_CAP + 1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigurationError, match=r"radius must be in \[0, 30\], got 31"):
             enumerate_n5(0, 31)
 
     def test_negative_radius_rejected(self):
         for enumerate_nk in (enumerate_n3, enumerate_n5):
-            with pytest.raises(ParameterError, match="radius"):
+            with pytest.raises(ConfigurationError, match="radius"):
                 enumerate_nk(0, -3)
 
     def test_far_n_is_empty_without_int64(self):

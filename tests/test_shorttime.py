@@ -7,7 +7,7 @@ import pytest
 import scipy.fft as sfft
 
 from mkdvlab.equations import EquationParams
-from mkdvlab.errors import ParameterError, ResolutionError
+from mkdvlab.errors import ConfigurationError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.shorttime import (
     _lag_basis,
@@ -25,7 +25,7 @@ from mkdvlab.shorttime import (
     window_table,
     xk_norm,
 )
-from mkdvlab.spectral import GridSpec, SpectralField, sobolev_norm, top_band
+from mkdvlab.spectral import GridSpec, SpectralField, top_band
 
 LINEAR = EquationParams(c1=0, c2=0, c3=0, c4=0)
 
@@ -61,9 +61,9 @@ class TestBetaWeight:
         assert beta_weight(17, 2, 0.25) >= beta_weight(17, 2, 0.125)
 
     def test_gamma_range_enforced(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigurationError, match=r"gamma must lie in \(0, 1/4\], got 0.3"):
             beta_weight(3, 1, 0.3)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigurationError, match=r"gamma must lie in \(0, 1/4\], got 0.0"):
             beta_weight(3, 1, 0.0)
 
 
@@ -93,9 +93,8 @@ class TestModulationDecompose:
 
     def test_insufficient_sampling_names_required_dt(self):
         traj = linear_wave_trajectory(3, samples_per_window=200)
-        with pytest.raises(ResolutionError) as exc:
+        with pytest.raises(ConfigurationError, match="too coarse for k=7: need dt <="):
             modulation_decompose(traj, 7, traj.times[-1] / 2)
-        assert "need dt <=" in str(exc.value)
 
 
 def transform_sizes(monkeypatch):
@@ -258,27 +257,6 @@ class TestFsNorm:
         T = traj.times[-1]
         assert fs_norm(traj, 1.5, T) >= fs_norm(traj, 1.0, T)
 
-    def test_embedding_constant_stable(self, rng):
-        # sup_t ||v||_{H^s} <= C * fs_norm with C stable across random runs
-        ratios = []
-        for trial in range(6):
-            M = 16
-            g = GridSpec(M)
-            c = np.zeros(2 * M + 1, dtype=complex)
-            for n in range(1, M + 1):
-                a = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.02 / (1 + n) ** 1.5
-                c[n + M] = a
-                c[-n + M] = np.conj(a)
-            u0 = SpectralField(g, c)
-            p = EquationParams.constrained_family(40.0)
-            p.d1, p.d2 = 1.0, 1.0
-            T = 0.25
-            traj = evolve(u0, T, p, tag="renormalized_5mkdv",
-                          ctrl=StepControl(dt=norms_dt(M), record_stride=1))
-            sup_h = np.max(sobolev_norm(traj.grid, traj.half[::40], 1.0))
-            ratios.append(sup_h / fs_norm(traj, 1.0, T))
-        assert max(ratios) / min(ratios) < 4.0
-
 
 # ---------------------------------------------------------------------------
 # The batched window transform against the one-window-at-a-time oracle
@@ -415,9 +393,9 @@ class TestBatchedWindowsMatchOracle:
                 lambda: fk_norm(traj, k, NORMS_T),
                 lambda: nk_norm(traj, k, NORMS_T),
             ):
-                with pytest.raises(ResolutionError, match=msg):
+                with pytest.raises(ConfigurationError, match=msg):
                     call()
-        with pytest.raises(ResolutionError, match="uniform record spacing"):
+        with pytest.raises(ConfigurationError, match="uniform record spacing"):
             fs_norm(uneven, 1.0, NORMS_T)
 
 

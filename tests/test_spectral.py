@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from mkdvlab.errors import ConfigurationError, ParameterError, SymmetryError
+from mkdvlab.errors import ConfigurationError
 from mkdvlab.spectral import (
     GridSpec,
     SpectralField,
@@ -102,7 +102,7 @@ class TestAnalyzeSynthesize:
 
     def test_non_hermitian_rejected(self, grid8):
         f = SpectralField.from_modes(grid8, {1: 1.0})
-        with pytest.raises(SymmetryError):
+        with pytest.raises(ConfigurationError, match="field violates Hermitian symmetry"):
             f.half("field")
 
 
@@ -156,7 +156,7 @@ class TestCutoffs:
                 assert psi(k, n) == pytest.approx(n * dchi, abs=1e-4)
 
     def test_negative_k_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigurationError, match="dyadic index k must be >= 0, got -1"):
             chi(-1, 3)
 
 
