@@ -29,15 +29,20 @@ detected exactly.  Every tuple sum takes one array path: index arrays over
 the leaves (A3 triples from `_leaf_triples`), exact phases with mu once per
 distinct integer, one E_t (`osc_single`) that takes scalars or arrays, and
 per-mode sums in walk order (`_sum_by_mode`); I2 (`osc_double`) takes the
-same arguments.  The quintic terms use one table per call (`_QuinticTable`),
-factored by (inner triple, outer pair) so that a pair's mode, amplitude,
-phases and E_t are formed once and broadcast over its three slots and its
-inner cubic terms; D0 is its m0 pair.  Legs and kernels are int64, phases
-object arrays of ints.
+same arguments.  The quintic terms are factored by (inner triple, outer
+pair) in two parts: a positional pair index (`_PairIndex`: which triples
+and pairs of leaf positions are kept, in walk order) and a value pass at one
+support's legs and data (`_QuinticTable`), in which a pair's mode,
+amplitude, phases and E_t are formed once and broadcast over its three
+slots and its inner cubic terms.  The C5 support has one index at every
+N >= 8 (`_c5_index`), so a growth or appendix sweep is one value pass per
+N; each remainder norm sums one weight per pair with a bincount, and D0 is
+the m0 pair.  Legs and kernels are int64, phases object arrays of ints.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,12 +140,6 @@ def symmetrized_support(support: dict) -> dict:
     }
 
 
-def hs_norm_of_map(values: dict, s: float) -> float:
-    return math.sqrt(
-        sum((1.0 + n * n) ** s * abs(v) ** 2 for n, v in values.items())
-    )
-
-
 # ---------------------------------------------------------------------------
 # Tuple walking
 # ---------------------------------------------------------------------------
@@ -158,18 +157,20 @@ def _leaves(support: dict, keys) -> tuple:
     return np.array(keys, dtype=np.int64), np.array([support[m] for m in keys])
 
 
-def _leaf_triples(legs: np.ndarray, vals: np.ndarray, a3: bool = True) -> tuple:
+def _leaf_triples(legs: np.ndarray, a3: bool = True) -> np.ndarray:
     """Every index triple into the leaves in C order (the walk order of three
     nested loops over them), kept only where it lies in A3 of its sum (no
-    leg equal to the sum) unless a3 is False.  Returns the (rows, 3) legs,
-    the sums and the amplitude products."""
+    leg equal to the sum) unless a3 is False: (rows, 3) leaf positions."""
     idx = np.indices((len(legs),) * 3).reshape(3, -1).T
-    m = legs[idx]
-    n = m.sum(axis=1)
     if a3:
-        keep = np.all(m != n[:, None], axis=1)
-        idx, m, n = idx[keep], m[keep], n[keep]
-    return m, n, vals[idx[:, 0]] * vals[idx[:, 1]] * vals[idx[:, 2]]
+        m = legs[idx]
+        idx = idx[np.all(m != m.sum(axis=1)[:, None], axis=1)]
+    return idx
+
+
+def _amplitudes(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Product of the data values at each row of leaf positions idx."""
+    return vals[idx[:, 0]] * vals[idx[:, 1]] * vals[idx[:, 2]]
 
 
 def _cubic_phases(legs: np.ndarray) -> np.ndarray:
@@ -180,11 +181,51 @@ def _cubic_phases(legs: np.ndarray) -> np.ndarray:
     vals, inv = np.unique(ints, return_inverse=True)
     mu = np.array([m**5 for m in vals.tolist()], dtype=object)
     mu = mu[inv.reshape(ints.shape)]
-    return -mu[:, 0] + mu[:, 1:].sum(axis=1)
+    return mu[:, 1] + mu[:, 2] + mu[:, 3] - mu[:, 0]
 
 
 # positions of the outer legs in (la, lb, n_slot), per slot
 _SLOT_ORDER = np.array([[2, 0, 1], [0, 2, 1], [0, 1, 2]])
+
+
+@dataclass(frozen=True)
+class _PairIndex:
+    """The quintic walk over sorted leaves by leaf position alone.
+
+    A pair is an inner triple (m1, m2, m3) in A3(n_slot) and outer legs
+    la, lb with (la, lb, n_slot) in A3(n), in walk order: triple over the
+    sorted leaves, then la, then lb.  A leg equals its triple's sum exactly
+    when the other two legs cancel, so which triples and pairs are kept
+    depends on the legs only through which sums of two and of four leaves
+    vanish: one index serves every support with the same vanishing sums
+    (`_c5_index`).  Pairs whose triples have the same position multiset and
+    whose {la, lb} have the same positions have the same outer legs up to
+    order at any values, and phi is symmetric in its legs: they share one
+    outer-phase key.
+    """
+
+    inner: np.ndarray     # (triples, 3) leaf positions of each inner triple
+    triple: np.ndarray    # (pairs,) row of inner
+    ia: np.ndarray        # (pairs,) leaf positions of la and lb
+    ib: np.ndarray
+    key: np.ndarray       # (pairs,) outer-phase key
+    key_pair: np.ndarray  # (keys,) first pair of each key
+
+
+def _pair_index(legs: np.ndarray) -> _PairIndex:
+    """The pair index of the sorted leaf legs."""
+    k = len(legs)
+    inner = _leaf_triples(legs)
+    n_slot = legs[inner].sum(axis=1)
+    # pairs: inner x la x lb, outer in A3(n) whatever the slot; C order is walk order
+    i, ia, ib = np.indices((len(inner), k, k)).reshape(3, -1)
+    base = np.stack([legs[ia], legs[ib], n_slot[i]], axis=1)
+    keep = np.all(base != base.sum(axis=1)[:, None], axis=1)
+    i, ia, ib = i[keep], ia[keep], ib[keep]
+    multiset = np.sort(inner, axis=1) @ np.array([k * k, k, 1])
+    code = (multiset[i] * k + np.minimum(ia, ib)) * k + np.maximum(ia, ib)
+    _, key_pair, key = np.unique(code, return_index=True, return_inverse=True)
+    return _PairIndex(inner, i, ia, ib, key.reshape(-1), key_pair)
 
 
 def _cells(a: np.ndarray) -> np.ndarray:
@@ -194,15 +235,13 @@ def _cells(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _QuinticTable:
-    """The quintic walk factored by (inner triple, outer pair).
+    """The values of a pair index at one support's legs and data.
 
-    A pair is an inner triple (m1, m2, m3) in A3(n_slot) and outer legs
-    la, lb with (la, lb, n_slot) in A3(n), in walk order: triple over the
-    sorted leaves, then la, then lb.  It has one cell per (slot, inner
-    term), the outer term being the n3^2-kernel cubic; the value methods
-    return (pairs, slots, inner terms) arrays, whose C-order flattening is
-    the tuple walk.  Mode, amplitude, exact phases and E_t are formed once
-    per pair and broadcast, in the operation order of one tuple at a time.
+    Each pair has one cell per (slot, inner term), the outer term being the
+    n3^2-kernel cubic; `normal_form_values` returns a (pairs, slots, inner
+    terms) array, whose C-order flattening is the tuple walk, and
+    `structure_weights` one weight per pair.  Mode, amplitude, exact phases
+    and E_t are formed once per pair.
 
     phi_out != 0 on every pair, so every tuple has a normal form: no leg of
     (la, lb, n_slot) equals n, so each pair sum la + lb = n - n_slot,
@@ -232,16 +271,13 @@ class _QuinticTable:
     def __len__(self) -> int:
         return len(self.n)
 
-    def structure_values(self, t: float) -> np.ndarray:
-        """Structure-only normal-form value (n * n_slot * K_X * K_Y / phi_out)
-        * amp * E_t(phi_out + phi_in) of every cell.
-
-        The kernel product is formed in float64: a product has no
-        cancellation, and n * n_slot * K_X * K_Y can exceed int64.
-        """
-        nn = _cells(self.n.astype(float) * self.n_slot)
-        k = nn * self.kernel_x * self.kernel_y / _cells(self.phi_out_f)
-        return k * _cells(self.amp) * _cells(osc_single(self.phi_sum_f, t))
+    def structure_weights(self, t: float) -> np.ndarray:
+        """Structure-only weight n * n_slot * amp * E_t(phi_out + phi_in) /
+        phi_out of every pair; a cell's structure-only normal-form value is
+        its pair's weight times K_X * K_Y.  Formed in float64: n * n_slot
+        times the kernels can exceed int64."""
+        nn = self.n.astype(float) * self.n_slot
+        return nn * self.amp * osc_single(self.phi_sum_f, t) / self.phi_out_f
 
     def normal_form_values(self, t: float) -> np.ndarray:
         """Boundary plus distributed piece of the integration by parts of
@@ -261,41 +297,37 @@ def _kernel_columns(terms, legs: np.ndarray) -> np.ndarray:
     return np.stack([_CUBIC_KERNELS[name](*np.moveaxis(legs, -1, 0)) for name in terms], axis=-1)
 
 
-def _quintic_table(support: dict, inner_terms) -> _QuinticTable:
-    """Build every (inner in A3(n_slot), outer pair) entry over the leaves of
-    support, with its cells for each slot and inner cubic term."""
-    legs, vals = _leaves(support, sorted(support))
-    k = len(legs)
-    inner, n_slot, amp_in = _leaf_triples(legs, vals)
-    # pairs: inner x la x lb, outer in A3(n) whatever the slot; C order is walk order
-    i, ia, ib = np.indices((len(inner), k, k)).reshape(3, -1)
-    base = np.stack([legs[ia], legs[ib], n_slot[i]], axis=1)
-    n = base.sum(axis=1)
-    keep = np.all(base != n[:, None], axis=1)
-    i, ia, ib, base, n = (a[keep] for a in (i, ia, ib, base, n))
+def _pair_values(index: _PairIndex, legs: np.ndarray, vals: np.ndarray,
+                 inner_terms) -> _QuinticTable:
+    """The values of index at the sorted leaf legs and their data values
+    vals: legs, exact phases (mu once per distinct integer, phi_in once per
+    inner triple, phi_out once per outer-phase key), amplitudes and the
+    kernels of inner_terms."""
+    inner = legs[index.inner]
+    n_slot = inner.sum(axis=1)[index.triple]
+    base = np.stack([legs[index.ia], legs[index.ib], n_slot], axis=1)
+    phases = _cubic_phases(np.concatenate([inner, base[index.key_pair]]))
+    phi_in = phases[:len(inner)][index.triple]
+    phi_out = phases[len(inner):][index.key]
     outer = base[:, _SLOT_ORDER]
-    # exact phases: mu once per distinct integer, phi_in once per inner
-    # triple, phi_out once per distinct (la, lb, n_slot)
-    slot_vals, slot_of_pair = np.unique(n_slot[i], return_inverse=True)
-    shape = (len(slot_vals), k, k)
-    keys, outer_of_pair = np.unique(
-        np.ravel_multi_index((slot_of_pair.reshape(-1), ia, ib), shape), return_inverse=True
-    )
-    key_slot, key_a, key_b = np.unravel_index(keys, shape)
-    outer_keys = np.stack([legs[key_a], legs[key_b], slot_vals[key_slot]], axis=1)
-    phases = _cubic_phases(np.concatenate([inner, outer_keys]))
-    phi_in = phases[:len(inner)][i]
-    phi_out = phases[len(inner):][outer_of_pair.reshape(-1)]
     return _QuinticTable(
-        n=n, n_slot=base[:, 2], triple=i, inner=inner,
-        amp=amp_in[i] * vals[ia] * vals[ib],
+        n=base.sum(axis=1), n_slot=n_slot, triple=index.triple, inner=inner,
+        amp=_amplitudes(vals, index.inner)[index.triple] * vals[index.ia] * vals[index.ib],
         phi_out=phi_out, phi_in=phi_in,
-        phi_out_f=phi_out.astype(float), phi_sum_f=(phi_out + phi_in).astype(float),
+        phi_out_f=phases[len(inner):].astype(float)[index.key],
+        phi_sum_f=(phi_out + phi_in).astype(float),
         outer=outer,
         kernel_x=_kernel_columns(("cubic2",), outer),
-        kernel_y=_kernel_columns(inner_terms, inner)[i][:, None],
+        kernel_y=_kernel_columns(inner_terms, inner)[index.triple][:, None],
         inner_terms=tuple(inner_terms),
     )
+
+
+def _quintic_table(support: dict, inner_terms) -> _QuinticTable:
+    """Every (inner in A3(n_slot), outer pair) entry over the leaves of
+    support, with its cells for each slot and inner cubic term."""
+    legs, vals = _leaves(support, sorted(support))
+    return _pair_values(_pair_index(legs), legs, vals, inner_terms)
 
 
 def _mode_sums(n: np.ndarray):
@@ -321,6 +353,17 @@ def _sum_by_mode(n: np.ndarray, v: np.ndarray) -> dict:
     return _mode_sums(n)(v.ravel())
 
 
+def _hs_norms(n: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
+    """H^s norm of the per-mode sums of each row of v (rows, len(n)), entry
+    j being at mode n[j]: one bincount over (row, mode) bins, each bin
+    summed in entry order."""
+    modes, inv = np.unique(n, return_inverse=True)
+    bins = (inv + len(modes) * np.arange(len(v)).reshape(-1, 1)).ravel()
+    size = len(v) * len(modes)
+    sq = np.bincount(bins, v.real.ravel(), size) ** 2 + np.bincount(bins, v.imag.ravel(), size) ** 2
+    return np.sqrt(np.sum(sq.reshape(len(v), -1) * (1.0 + modes.astype(float) ** 2) ** s, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # Structure-normalized quintic terms
 # ---------------------------------------------------------------------------
@@ -328,16 +371,32 @@ def _sum_by_mode(n: np.ndarray, v: np.ndarray) -> dict:
 M0_SLOT = 2  # the resonant tuple lives in the third slot (inner on n3)
 
 
-def _d0_hsnorm(tab: _QuinticTable, spec: CounterexampleSpec, v: np.ndarray) -> float:
-    """H^s norm of D0 from v, the D value of each pair of tab.  D0 is the
-    value of the m0 pair, the resonant tuple m0 = (N, 2, -1, -2, 1, N): outer
-    legs (2, -1, N-1) in slot M0_SLOT over the inner triple (-2, 1, N), which
-    the table holds for every N >= 8.  phi(m0) = 0 exactly, so D0 is linear
-    in t."""
+@functools.cache
+def _c5_index() -> tuple:
+    """The pair index of the C5 support and the row of its m0 pair (outer
+    legs (2, -1) over the inner triple (-2, 1, N)), built on first use.  The
+    leaves -2, -1, 1, 2, N-1, N have the same vanishing sums at every N >= 8
+    (only -2 + 2 and -1 + 1; a sum of four leaves with k of the two high
+    ones is at least k(N-1) - 2(4-k) > 0), so the index built at N = 8 is
+    the index at every N of a sweep."""
+    legs = np.array(sorted(counterexample_support(CounterexampleSpec(N=8))))
+    index = _pair_index(legs)
+    m0 = np.flatnonzero((legs[index.ia] == 2) & (legs[index.ib] == -1)
+                        & np.all(legs[index.inner[index.triple]] == (-2, 1, 8), axis=1))
+    return index, int(m0[0])
+
+
+def _d0_hsnorm(tab: _QuinticTable, spec: CounterexampleSpec, p: int) -> float:
+    """H^s norm of D0, the structure value of row p of tab, the m0 pair: the
+    resonant tuple m0 = (N, 2, -1, -2, 1, N), outer legs (2, -1, N-1) in
+    slot M0_SLOT over the inner triple (-2, 1, N).  Formed in one tuple's
+    operation order (the exact kernel product over float(phi_out), then amp,
+    then E_t).  phi(m0) = 0 exactly, so D0 is linear in t."""
     N = spec.N
-    is_m0 = (np.all(tab.outer[:, M0_SLOT] == (2, -1, N - 1), axis=1)
-             & np.all(tab.inner[tab.triple] == (-2, 1, N), axis=1))
-    return (1.0 + N**2) ** (spec.s / 2.0) * abs(complex(v[is_m0][0]))
+    k = math.prod(int(x) for x in (tab.n[p], tab.n_slot[p], tab.kernel_x[p, M0_SLOT, 0],
+                                   tab.kernel_y[p, 0, 0])) / float(tab.phi_out[p])
+    d0 = k * tab.amp[p] * osc_single(tab.phi_out[p] + tab.phi_in[p], spec.t)
+    return float((1.0 + N**2) ** (spec.s / 2.0) * abs(d0))
 
 
 @dataclass
@@ -366,20 +425,22 @@ def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
     oscillatory integrals; the phase-resonant tuples supported on the low
     modes {-2,-1,2} are what realize the t*max(N^{2-s},1) growth of the D1
     term.  Every tuple has a normal form (phi_out != 0, see _QuinticTable).
+    One value pass over `_c5_index` gives each pair's structure weight, and
+    each norm's per-mode sums are one bincount of the weights times that
+    (slot, inner term)'s kernels.
     """
-    tab = _quintic_table(counterexample_support(spec), ("cubic2", "cubic3"))
-    v = tab.structure_values(spec.t)
-    sums = _mode_sums(tab.n)
-    norms = {
-        name: hs_norm_of_map(sums(v[:, slot, y]), spec.s)
-        for name, (slot, y) in _APPENDIX_TERMS.items()
-    }
+    support = counterexample_support(spec)
+    index, m0 = _c5_index()
+    tab = _pair_values(index, *_leaves(support, sorted(support)), ("cubic2", "cubic3"))
+    slots, terms = (list(c) for c in zip(*_APPENDIX_TERMS.values()))
+    kernels = np.multiply(tab.kernel_x[:, slots, 0].T, tab.kernel_y[:, 0, terms].T, dtype=float)
+    norms = _hs_norms(tab.n, kernels * tab.structure_weights(spec.t), spec.s)
     return NormalFormTermReport(
         N=spec.N,
         s=spec.s,
         t=spec.t,
-        d0_hsnorm=_d0_hsnorm(tab, spec, v[:, M0_SLOT, 0]),
-        **norms,
+        d0_hsnorm=_d0_hsnorm(tab, spec, m0),
+        **{name: float(v) for name, v in zip(_APPENDIX_TERMS, norms)},
     )
 
 
@@ -393,9 +454,12 @@ def eval_c3_cubic(spec: CounterexampleSpec) -> dict:
     (unrestricted) cubic sum with pure n^5 dispersion; the quadruple
     (N, 1, -1, N) is phase-resonant and drives ~ t N^3 growth."""
     support = {-1: 1.0, 1: 1.0, spec.N: spec.N ** (-spec.s)}
-    m, n, amp = _leaf_triples(*_leaves(support, list(support)), a3=False)
-    out = _sum_by_mode(n, (m[:, 2] ** 3) * amp * osc_single(_cubic_phases(m), spec.t))
-    return {"field": out, "hs_norm": hs_norm_of_map(out, spec.s)}
+    legs, vals = _leaves(support, list(support))
+    idx = _leaf_triples(legs, a3=False)
+    m = legs[idx]
+    n = m.sum(axis=1)
+    v = (m[:, 2] ** 3) * _amplitudes(vals, idx) * osc_single(_cubic_phases(m), spec.t)
+    return {"field": _sum_by_mode(n, v), "hs_norm": float(_hs_norms(n, v[None], spec.s)[0])}
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ defining-product brute force.  They return np.recarray rows in
 lexicographic order with int64 fields (n1, n2, n3, h_value) and
 (n1, ..., n5).  int64 is exact inside the radius caps: |n_i| <= 256 and
 |n| <= 768 keep H and every partial sum below 3e14.  Memory is the output
-plus O((2r+1)^3) temporaries: at most 195,840 triples (6 MiB) at r = 256
-and 7.56 M quintuples (303 MB) at r = 30.
+plus O((2r+1)^3) temporaries, the largest a template of one row per middle
+(k-2)-tuple: at most 195,840 triples (6 MiB) at r = 256, beside a 16 KiB
+template, and 7.56 M quintuples (303 MB) at r = 30, beside a 9.1 MB one.
 """
 
 from __future__ import annotations
@@ -75,9 +76,12 @@ _N5 = np.dtype([(f"n{i}", np.int64) for i in range(1, 6)])
 def _plane(n: int, radius: int, cap: int, k: int, extra: int = 0) -> np.ndarray:
     """(count, k + extra) int64 buffer of the k-tuples in [-r, r]^k that sum
     to n with no entry n, in lexicographic order; the extra columns are left
-    for the caller.  The (k-2)-cube of middle entries is built once and each
-    n1 row keeps its slice of it; the count comes from polynomial convolution
-    of the indicator, so the output is allocated once at its exact size."""
+    for the caller.  One (rows, k + extra) template [n1 | middle | n - middle]
+    over the (k-2)-cube of middle entries is built once, and each n1 block
+    is one gather of its kept template rows into the output, whose first
+    column is then set to n1 and last entry reduced by it; the count comes
+    from polynomial convolution of the indicator, so the output is allocated
+    once at its exact size."""
     if not 0 <= radius <= cap:
         raise ConfigurationError(f"enumeration radius must be in [0, {cap}], got {radius}")
     r = int(radius)
@@ -92,15 +96,18 @@ def _plane(n: int, radius: int, cap: int, k: int, extra: int = 0) -> np.ndarray:
     buf = np.empty((int(poly[n + k * r]), k + extra), dtype=np.int64)
     mid = np.stack(np.meshgrid(*[vals] * (k - 2), indexing="ij"), axis=-1).reshape(-1, k - 2)
     mid = mid[np.all(mid != n, axis=1)]
-    rest = n - mid.sum(axis=1)
+    template = np.zeros((len(mid), k + extra), dtype=np.int64)
+    template[:, 1:k - 1] = mid
+    rest = template[:, k - 1]
+    np.subtract(n, mid.sum(axis=1), out=rest)
     pos = 0
     for a in vals[vals != n].tolist():
-        last = rest - a
-        keep = (np.abs(last) <= r) & (last != n)
+        # the last entry rest - a lies in [-r, r] and differs from n
+        keep = (rest >= a - r) & (rest <= a + r) & (rest != n + a)
         blk = buf[pos:pos + np.count_nonzero(keep)]
+        np.compress(keep, template, axis=0, out=blk)
         blk[:, 0] = a
-        blk[:, 1:k - 1] = mid[keep]
-        blk[:, k - 1] = last[keep]
+        blk[:, k - 1] -= a
         pos += len(blk)
     return buf
 
@@ -127,5 +134,6 @@ def enumerate_n3(n: int, radius: int) -> np.recarray:
 
 def enumerate_n5(n: int, radius: int) -> np.recarray:
     """A5(n) for |n_i| <= radius <= N5_RADIUS_CAP, as records (n1, ..., n5);
-    at the cap 7.56 M rows (303 MB) plus O((2r+1)^3) temporaries."""
+    at the cap 7.56 M rows (303 MB) plus O((2r+1)^3) temporaries (a
+    template of at most 226,981 rows, 9.1 MB)."""
     return _plane(n, radius, N5_RADIUS_CAP, 5).view(_N5).reshape(-1).view(np.recarray)

@@ -7,6 +7,7 @@ paths used by the package. Only usable at small max_mode.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -448,6 +449,11 @@ def modified_energy_ek_oracle(v1, v2, w, k):
 # tuple table of mkdvlab.illposed)
 # ---------------------------------------------------------------------------
 
+def hs_norm_of_map(values: dict, s: float) -> float:
+    """H^s norm of the coefficients {mode: value}, summed mode by mode."""
+    return math.sqrt(sum((1.0 + n * n) ** s * abs(v) ** 2 for n, v in values.items()))
+
+
 def _phi3(n, tup):
     return -(n**5) + sum(m**5 for m in tup)
 
@@ -571,7 +577,7 @@ def normal_form_values_oracle(tuples, t):
 def eval_d_full_oracle(spec):
     """The quintic D term (slot 3, n3^2 kernels outside and inside) over the
     C5 support, D0 and the other tuples' moduli at mode N, tuple by tuple."""
-    from mkdvlab.illposed import M0_SLOT, counterexample_support, hs_norm_of_map
+    from mkdvlab.illposed import M0_SLOT, counterexample_support
 
     support = counterexample_support(spec)
     field_vals, moduli_at_N = {}, 0.0
@@ -596,7 +602,7 @@ def eval_d_full_oracle(spec):
 
 def eval_appendix_terms_oracle(spec):
     """eval_appendix_terms summed tuple by tuple."""
-    from mkdvlab.illposed import NormalFormTermReport, counterexample_support, hs_norm_of_map
+    from mkdvlab.illposed import NormalFormTermReport, counterexample_support
 
     support = counterexample_support(spec)
     keys = {(0, "cubic2"): "b1", (0, "cubic3"): "b2", (1, "cubic2"): "c1",

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import timedelta
 
 import numpy as np
@@ -19,6 +19,7 @@ from oracles import (
     fifth_derivative_nonresonant_oracle,
     fifth_derivative_quadrature_oracle,
     fifth_derivative_resonant_oracle,
+    hs_norm_of_map,
     iter_quintic_tuples_oracle,
     m0_tuple,
     resonant_pieces_oracle,
@@ -31,13 +32,16 @@ from mkdvlab.equations import EquationParams, RenormalizedTerms
 from mkdvlab.errors import ConfigurationError
 from mkdvlab.illposed import (
     CounterexampleSpec,
+    _c5_index,
     _check_osc_bound,
+    _leaves,
+    _pair_index,
+    _pair_values,
     _quintic_table,
     counterexample_support,
     eval_appendix_terms,
     eval_c3_cubic,
     growth_experiment,
-    hs_norm_of_map,
     numeric_fifth_derivative,
     osc_double,
     osc_single,
@@ -220,6 +224,17 @@ class TestGrowthExperiment:
         Ns = [2**k for k in range(6, 13)]
         rows, slope = growth_experiment(Ns, s=1.0, t=1e-4)
         assert 1.9 <= slope <= 2.1
+
+    def test_rows_match_the_oracle(self):
+        # one value pass per N over the shared pair index gives the rows of
+        # the appendix terms summed tuple by tuple at each N
+        rows, _ = growth_experiment([8, 16], s=1.0, t=1e-4)
+        for row in rows:
+            want = eval_appendix_terms_oracle(CounterexampleSpec(N=row.N, s=1.0, t=1e-4))
+            got = (row.d0_norm, row.ratio_tN2, row.b1, row.b2, row.c1, row.c2, row.d1)
+            assert got == pytest.approx(
+                (want.d0_hsnorm, want.d0_hsnorm / (1e-4 * row.N**2), want.b1, want.b2,
+                 want.c1, want.c2, want.d1_norms), rel=REL, abs=0.0)
 
     def test_running_slope_column(self):
         Ns = [64, 128, 256]
@@ -458,6 +473,30 @@ def test_outer_phase_never_vanishes(support):
     assert 0 not in want
 
 
+def assert_same_arrays(got, want):
+    """Every field of two dataclasses equal, arrays in dtype, shape and value."""
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
+@given(N=st.integers(8, 10**4), N0=st.integers(8, 10**4))
+def test_pair_index_serves_every_n(N, N0):
+    # which C5 pairs are kept depends only on which sums of two and of four
+    # leaves vanish, the same at every N >= 8: the index built at N0 is the
+    # module's, and valued at N it is the table built at N (legs, walk
+    # order, exact phases and the float of their sum alike)
+    supp0, supp = (counterexample_support(CounterexampleSpec(N=n)) for n in (N0, N))
+    index = _pair_index(_leaves(supp0, sorted(supp0))[0])
+    assert_same_arrays(index, _c5_index()[0])
+    got = _pair_values(index, *_leaves(supp, sorted(supp)), ("cubic2", "cubic3"))
+    assert_same_arrays(got, _quintic_table(supp, ("cubic2", "cubic3")))
+
+
 @settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
 @given(N=st.integers(8, 5000))
 def test_c3_cubic_matches_loops(N):
@@ -528,7 +567,9 @@ class TestTupleTableMatchesOracle:
         assert phases == [t.phi_out for t in walk] + [t.phi_in for t in walk]
         big = [r for r, t in enumerate(walk) if abs(t.phi_out + t.phi_in) > 2**63]
         assert big
-        values = tab.structure_values(spec.t).ravel()
+        # a tuple's structure value is its pair's weight times K_X * K_Y
+        w = tab.structure_weights(spec.t)
+        values = w[rows["pair"]] * rows["kernel_x"] * rows["kernel_y"]
         np.testing.assert_allclose(
             values[big], [structure_value_oracle(walk[r], spec.t) for r in big], rtol=REL, atol=0,
         )

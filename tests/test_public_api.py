@@ -47,6 +47,19 @@ def test_traced_names_resolve():
     assert tracing.TRACED and missing == []
 
 
+def test_sweeps_go_through_traced_names(tmp_path):
+    # the tracer sees a sweep's appendix terms and E_t calls only while the
+    # sweep looks them up as module attributes, as illposed-growth and
+    # appendix-b both do
+    from mkdvlab import illposed
+
+    with load_tracing().Tracer() as tr:
+        illposed.growth_experiment([8, 16], s=1.0, t=1e-4)
+        cli.main(["appendix-b", "--out", str(tmp_path), "--set", "sweep.Ns=8,16,32"])
+    assert tr.counts["mkdvlab.illposed.eval_appendix_terms"] == 5
+    assert tr.counts["mkdvlab.illposed.osc_single"] >= 5
+
+
 def transform_call_breaches(source: str, traced: set) -> list:
     """Lines of `source` that import numpy.fft, scipy.signal or names from
     scipy.fft, or call a transform other than as a traced scipy.fft attribute."""
