@@ -521,10 +521,10 @@ def cmd_appendix_b(cfg: ExperimentConfig, args) -> Outcome:
 
     reps = [eval_appendix_terms(spec) for spec in _sweep(cfg, 1)]
     separated = all(
-        max(r.b1, r.b2, r.c1, r.c2, r.d1_norms) < TOLERANCES["appendix_separation"] * r.t * r.N**2
+        max(r.b1, r.b2, r.d1_norms) < TOLERANCES["appendix_separation"] * r.t * r.N**2
         for r in reps
     )
-    header = ["N", "s", "t", "d0", "d_full", "b1", "b2", "c1", "c2", "d1"]
+    header = ["N", "s", "t", "d0", "d_full", "b1", "b2", "d1"]
     return Outcome({"rows": len(reps)}, separated,
                    {"appendix_b": (header, [astuple(r) for r in reps])})
 
@@ -620,7 +620,8 @@ def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> Outcome:
     supp = symmetrized_support(counterexample_support(spec))
     u0 = _in_field("grid.max_mode", SpectralField.from_modes, grid, supp)
     terms = RenormalizedTerms(resonant_cubic=False, cubic2=True, cubic3=False, quintic=False)
-    # the normal-form assembly: boundary + B1 + C1 + D pieces
+    # the normal-form assembly: boundary + distributed pieces of B1 (the two
+    # undifferentiated slots) and of D (the third)
     ana, _ = t2_duhamel_fifth(supp, spec)
     M = grid.max_mode
     ana_arr = SpectralField.from_modes(grid, {n: v for n, v in ana.items() if abs(n) <= M}).coeff
@@ -636,7 +637,8 @@ def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> Outcome:
         if abs(ana_arr[n]) > 0
     ]
     return Outcome(
-        {"relative_error": rel, "conditioning": rep["vandermonde_condition"]},
+        {"relative_error": rel, "conditioning": rep["vandermonde_condition"],
+         "deltas": rep["deltas"], "powers": rep["powers"]},
         rel < TOLERANCES["fifth_derivative_rel"],
         {"fifth_derivative": (["n", "numeric_abs", "analytic_abs"], rows)},
     )

@@ -408,18 +408,19 @@ class NormalFormTermReport:
     d_full_hsnorm: float
     b1: float
     b2: float
-    c1: float
-    c2: float
     d1_norms: float
 
 
-# report field -> (slot, inner term index into ("cubic2", "cubic3"))
-_APPENDIX_TERMS = {"d_full_hsnorm": (M0_SLOT, 0), "b1": (0, 0), "b2": (0, 1), "c1": (1, 0),
-                   "c2": (1, 1), "d1_norms": (2, 1)}
+# report field -> (slot, inner term index into ("cubic2", "cubic3")).  The
+# outer kernel n3^2 reads lb in slots 0 and 1, and n * n_slot does not depend
+# on the slot, so the two undifferentiated slots carry one remainder: B is
+# reported from slot 0 (slot 1's cells are equal to it).
+_APPENDIX_TERMS = {"d_full_hsnorm": (M0_SLOT, 0), "b1": (0, 0), "b2": (0, 1),
+                   "d1_norms": (2, 1)}
 
 
 def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
-    """H^s norms of the normal-form remainder terms B1, B2, C1, C2, D1.
+    """H^s norms of the normal-form remainder terms B1, B2 and D1.
 
     Every tuple on the 6-point data support is summed with exact
     oscillatory integrals; the phase-resonant tuples supported on the low
@@ -475,8 +476,6 @@ class GrowthRow:
     ratio_tN2: float
     b1: float
     b2: float
-    c1: float
-    c2: float
     d1: float
     slope_running: float
 
@@ -491,7 +490,7 @@ def growth_experiment(Ns, s: float, t: float):
         d0n = rep.d0_hsnorm
         row = GrowthRow(
             int(N), s, t, d0n, d0n / (t * N**2),
-            rep.b1, rep.b2, rep.c1, rep.c2, rep.d1_norms, float("nan"),
+            rep.b1, rep.b2, rep.d1_norms, float("nan"),
         )
         logs.append((math.log(N), math.log(d0n)))
         if len(logs) >= 2:
@@ -535,11 +534,14 @@ def numeric_fifth_derivative(
     """Fifth divided difference in delta of delta*u0 -> v(t) under the
     renormalized flow (real-field integrator).
 
-    deltas are positive amplitudes; each is run with both signs and the odd
-    part of the final half spectrum is fitted to delta*a1 + delta^3*a3 +
-    delta^5*a5 (+ delta^7 nuisance).  Returns (SpectralField holding
-    a5 = fifth derivative / 5!, report) with a conditioning summary; raises
-    ConfigurationError when the spread of deltas is degenerate.
+    deltas are positive amplitudes, each run once: the flow is odd in delta
+    bit for bit (every term is odd in the field, the gauge terms are linear,
+    the automatic dt reads |u0| only, and ETD-RK4 commutes exactly with
+    negation), so the final half spectrum is its own odd part.  It is fitted
+    to delta*a1 + delta^3*a3 + delta^5*a5 (+ delta^7 nuisance).  Returns
+    (SpectralField holding a5 = fifth derivative / 5!, report) with a
+    conditioning summary; raises ConfigurationError when the spread of
+    deltas is degenerate.
     """
     from .integrate import evolve
 
@@ -549,25 +551,18 @@ def numeric_fifth_derivative(
     if max(deltas) / min(deltas) < 1.2:
         raise ConfigurationError("delta spread too small for a stable fit")
 
-    finals = {}
-    for d in deltas:
-        for sgn in (1.0, -1.0):
-            scaled = SpectralField(u0.grid, sgn * d * u0.coeff)
-            traj = evolve(scaled, t, p, tag="renormalized_5mkdv", ctrl=ctrl, renorm_terms=terms)
-            finals[sgn * d] = traj.half[-1]
-
-    odd = np.array([(finals[d] - finals[-d]) / 2.0 for d in deltas])
-    even = np.array([(finals[d] + finals[-d]) / 2.0 for d in deltas])
+    finals = np.array([
+        evolve(SpectralField(u0.grid, d * u0.coeff), t, p, tag="renormalized_5mkdv",
+               ctrl=ctrl, renorm_terms=terms).half[-1]
+        for d in deltas
+    ])
     darr = np.array(deltas)
     powers = [1, 3, 5, 7] if len(deltas) >= 4 else [1, 3, 5]
     V = np.stack([darr**k for k in powers], axis=1)
-    coef, res, rank, sv = np.linalg.lstsq(V, odd, rcond=None)
+    coef, _, _, sv = np.linalg.lstsq(V, finals, rcond=None)
     a5 = coef[powers.index(5)]
-    cond = float(sv[0] / sv[-1])
-    even_leak = float(np.max(np.abs(even)))
     report = {
-        "vandermonde_condition": cond,
-        "even_part_max": even_leak,
+        "vandermonde_condition": float(sv[0] / sv[-1]),
         "deltas": deltas,
         "powers": powers,
     }

@@ -605,11 +605,11 @@ def eval_appendix_terms_oracle(spec):
     from mkdvlab.illposed import NormalFormTermReport, counterexample_support
 
     support = counterexample_support(spec)
-    keys = {(0, "cubic2"): "b1", (0, "cubic3"): "b2", (1, "cubic2"): "c1",
-            (1, "cubic3"): "c2", (2, "cubic3"): "d1_norms"}
+    # slot 1 repeats slot 0's remainder, and (2, "cubic2") is D, summed below
+    keys = {(0, "cubic2"): "b1", (0, "cubic3"): "b2", (2, "cubic3"): "d1_norms"}
     acc = {name: {} for name in keys.values()}
     for tup in iter_quintic_tuples_oracle(support):
-        if (tup.slot, tup.y_term) == (2, "cubic2"):
+        if (tup.slot, tup.y_term) not in keys:
             continue
         d = acc[keys[(tup.slot, tup.y_term)]]
         d[tup.n] = d.get(tup.n, 0.0) + structure_value_oracle(tup, spec.t)

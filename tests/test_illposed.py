@@ -48,7 +48,7 @@ from mkdvlab.illposed import (
     symmetrized_support,
     t2_duhamel_fifth,
 )
-from mkdvlab.integrate import StepControl
+from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.resonance import enumerate_n3, phi_cubic, resonance_g
 from mkdvlab.spectral import GridSpec, SpectralField
 
@@ -231,10 +231,10 @@ class TestGrowthExperiment:
         rows, _ = growth_experiment([8, 16], s=1.0, t=1e-4)
         for row in rows:
             want = eval_appendix_terms_oracle(CounterexampleSpec(N=row.N, s=1.0, t=1e-4))
-            got = (row.d0_norm, row.ratio_tN2, row.b1, row.b2, row.c1, row.c2, row.d1)
+            got = (row.d0_norm, row.ratio_tN2, row.b1, row.b2, row.d1)
             assert got == pytest.approx(
                 (want.d0_hsnorm, want.d0_hsnorm / (1e-4 * row.N**2), want.b1, want.b2,
-                 want.c1, want.c2, want.d1_norms), rel=REL, abs=0.0)
+                 want.d1_norms), rel=REL, abs=0.0)
 
     def test_running_slope_column(self):
         Ns = [64, 128, 256]
@@ -260,9 +260,25 @@ class TestAppendixTerms:
         spec = CounterexampleSpec(N=1024, s=1.0, t=1e-4)
         rep = eval_appendix_terms(spec)
         tn2 = spec.t * spec.N**2
-        for v in (rep.b1, rep.b2, rep.c1, rep.c2, rep.d1_norms):
+        for v in (rep.b1, rep.b2, rep.d1_norms):
             assert v < 0.1 * tn2
-        assert rep.d0_hsnorm > 10.0 * max(rep.b1, rep.b2, rep.c1, rep.c2, rep.d1_norms)
+        assert rep.d0_hsnorm > 10.0 * max(rep.b1, rep.b2, rep.d1_norms)
+
+    def test_reported_columns_differ(self):
+        # each remainder is reported once: no two columns repeat a number
+        rep = eval_appendix_terms(CounterexampleSpec(N=64, s=1.0, t=1e-4))
+        cols = [getattr(rep, f.name) for f in fields(rep) if f.name not in ("N", "s", "t")]
+        assert len(set(cols)) == len(cols)
+
+    def test_undifferentiated_slots_carry_one_remainder(self):
+        # the outer kernel n3^2 reads lb in slots 0 and 1, so the two slots'
+        # tuple sums are equal mode by mode: B and C are one term
+        sums = {}
+        for tup in iter_quintic_tuples_oracle(counterexample_support(CounterexampleSpec(N=8))):
+            d = sums.setdefault((tup.slot, tup.y_term), {})
+            d[tup.n] = d.get(tup.n, 0.0) + structure_value_oracle(tup, 1e-4)
+        for y in ("cubic2", "cubic3"):
+            assert sums[(1, y)] == sums[(0, y)]
 
     def test_b1_tracks_its_bound(self):
         rows, _ = growth_experiment([2**k for k in range(6, 13)], s=1.0, t=1e-4)
@@ -332,14 +348,39 @@ class TestResonantCubicPieces:
 
 
 class TestNumericFifthDerivative:
-    def test_linear_flow_higher_derivatives_vanish(self):
+    def test_linear_flow_higher_derivatives_vanish(self, monkeypatch):
         grid = GridSpec(16)
         u0 = SpectralField.from_modes(grid, {1: 0.5, -1: 0.5, 3: 0.2, -3: 0.2})
         p = EquationParams.constrained_family(40.0)
         terms = RenormalizedTerms(False, False, False, False)
-        a5, rep = numeric_fifth_derivative(u0, 0.01, [0.05, 0.1, 0.15], p, terms)
+        runs = []
+
+        def counting_evolve(*args, **kwargs):
+            runs.append(args[0])
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(mkdvlab.integrate, "evolve", counting_evolve)
+        deltas = [0.05, 0.1, 0.15]
+        a5, _ = numeric_fifth_derivative(u0, 0.01, deltas, p, terms)
         assert np.max(np.abs(a5.coeff)) < 1e-10
-        assert rep["even_part_max"] < 1e-12
+        assert len(runs) == len(deltas)  # one run per delta: the flow is odd in delta
+
+    @pytest.mark.parametrize("terms", [
+        RenormalizedTerms(False, True, False, False), RenormalizedTerms(),
+    ], ids=["cubic2", "all_terms"])
+    def test_flow_is_odd_in_delta(self, terms):
+        # v(-delta) = -v(delta) bit for bit on every record, gauge terms and
+        # automatic dt included, so numeric_fifth_derivative runs +delta only
+        spec = CounterexampleSpec(N=8, s=1.0, t=0.002)
+        u0 = SpectralField.from_modes(GridSpec(16), symmetrized_support(counterexample_support(spec)))
+        p = EquationParams.constrained_family(40.0)
+        p.d1, p.d2 = 3.0, -1.5
+        plus, minus = (
+            evolve(SpectralField(u0.grid, d * u0.coeff), spec.t, p, tag="renormalized_5mkdv",
+                   renorm_terms=terms)
+            for d in (0.3, -0.3))
+        assert len(plus.half) > 2
+        assert np.array_equal(minus.half, -plus.half)
 
     def test_degenerate_deltas_rejected(self):
         grid = GridSpec(16)
