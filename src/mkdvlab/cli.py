@@ -46,7 +46,7 @@ import numpy as np
 from . import __version__
 from .equations import EquationParams, RenormalizedTerms, derive_gauge_params, flow
 from .errors import ConfigurationError, DivergenceError, MkdvLabError
-from .integrate import StepControl, evolve, step_plan, uniform_steps
+from .integrate import BLOWUP_SUP, StepControl, evolve, step_plan, uniform_steps
 from .invariants import drift_report
 from .spectral import GridSpec, SpectralField, hermitian_extend, row_chunks, sobolev_norm, top_band
 from .transforms import chain_identity_gap, gauge_forward, miura
@@ -218,6 +218,24 @@ def build_grid(cfg: ExperimentConfig) -> GridSpec:
     return GridSpec(max_mode)
 
 
+def _rng(cfg: ExperimentConfig) -> np.random.Generator:
+    """The generator of initial_data.seed, which must be non-negative."""
+    seed = cfg.get_int("initial_data", "seed")
+    if seed < 0:
+        raise ConfigurationError(f"initial_data.seed: must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
+def _evolvable(name: str, u0: SpectralField) -> SpectralField:
+    """u0, or a ConfigurationError naming the field `name` where a coefficient
+    passes evolve's blow-up threshold (a divergence at the first step)."""
+    peak = float(np.max(np.abs(u0.coeff)))
+    if not peak <= BLOWUP_SUP:
+        raise ConfigurationError(
+            f"{name}: |c(n)| = {peak:.4g} passes evolve's blow-up threshold {BLOWUP_SUP:g}")
+    return u0
+
+
 def build_initial_data(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
     preset = cfg.get("initial_data", "preset")
     if preset == "cosine":
@@ -231,21 +249,30 @@ def build_initial_data(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
         for i, a in enumerate(amps, start=1):
             values[i] = a / 2.0
             values[-i] = a / 2.0
-        return SpectralField.from_modes(grid, values)
+        return _evolvable("initial_data.amplitudes", SpectralField.from_modes(grid, values))
     if preset == "random_smooth":
-        rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
+        rng = _rng(cfg)
         decay = cfg.get_float("initial_data", "decay")
         amp = cfg.get_float("initial_data", "amplitude")
-        modes = _decaying_modes(rng.standard_normal((grid.max_mode, 2)), decay)[:, 0]
-        return SpectralField(grid, hermitian_extend(np.concatenate(([0.0], modes))) * amp)
+        normals = rng.standard_normal((grid.max_mode, 2))
+        modes = _in_field("initial_data.decay", _decaying_modes, normals, decay)[:, 0]
+        u0 = SpectralField(grid, hermitian_extend(np.concatenate(([0.0], modes))) * amp)
+        return _evolvable("initial_data.amplitude", u0)
     raise ConfigurationError(f"initial_data.preset: unknown preset {preset!r}")
 
 
 def _decaying_modes(normals: np.ndarray, decay: float) -> np.ndarray:
-    """(M, k) complex modes n = 1..M from (M, 2k) normals, each (re, im) pair
-    over (1+n)**decay in Python floats (numpy's array power can miss an ulp)."""
-    scale = np.array([float(1 + n) ** decay for n in range(1, len(normals) + 1)])
-    return (normals / scale[:, None]).view(complex)
+    """(..., M, k) complex modes n = 1..M from (..., M, 2k) normals, each
+    (re, im) pair over (1+n)**decay in Python floats (numpy's array power
+    can miss an ulp); ConfigurationError where one passes float64."""
+    M = normals.shape[-2]
+    try:
+        scale = np.array([float(1 + n) ** decay for n in range(1, M + 1)])
+        with np.errstate(over="raise", divide="raise"):
+            return (normals / scale[:, None]).view(complex)
+    except (OverflowError, FloatingPointError):
+        raise ConfigurationError(
+            f"decay = {decay:g}: (1+n)**decay passes float64 at some n <= {M}") from None
 
 
 def build_params(cfg: ExperimentConfig, u0: SpectralField | None = None) -> EquationParams:
@@ -276,11 +303,13 @@ def build_ctrl(cfg: ExperimentConfig) -> StepControl:
 def check_records(u0: SpectralField, T: float, p: EquationParams, tag: str,
                   ctrl: StepControl, name: str = "", buffers: int = 1) -> StepControl:
     """step_plan's dt and stride as a StepControl; ConfigurationError naming
-    equation.tag if evolve does not know `tag`, or naming `name` (by default
-    the stride, or the grid when evolve chooses the stride) if `buffers`
-    record buffers of the run would pass MAX_ENTRIES together."""
+    equation.tag if evolve does not know `tag`, or naming `name` if step_plan
+    rejects the plan (by default time.T, or time.dt when evolve chooses it)
+    or if `buffers` record buffers of the run would pass MAX_ENTRIES together
+    (by default the stride, or the grid when evolve chooses the stride)."""
     _in_field("equation.tag", flow, tag)
-    _, dt, stride, records = _in_field(name or "time.T", step_plan, u0, T, p, tag, ctrl)
+    plan = name or ("time.T" if ctrl.dt else "time.dt")
+    _, dt, stride, records = _in_field(plan, step_plan, u0, T, p, tag, ctrl)
     width = u0.grid.max_mode + 1
     if buffers * records * width > MAX_ENTRIES:
         name = name or ("time.record_stride" if ctrl.record_stride else "grid.max_mode")
@@ -425,14 +454,16 @@ def cmd_miura_check(cfg: ExperimentConfig, args) -> Outcome:
     mkdv3 and u from miura(v0) under kdv3, on one plan (0 where u_i = 0)."""
     run = build_run(cfg, "mkdv3", EquationParams(), buffers=3)  # v, u and miura(v)
     grid = run.u0.grid
-    rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
+    rng = _rng(cfg)
     M = grid.max_mode
     worst_static = 0.0
-    for _ in range(100):
+    # the pairs in chunks of draws, normals, modes and the two half spectra
+    # (one chunk up to M = 217), the generator filling them in loop order
+    for pairs in row_chunks(100, 6 * (M + 1)):
         # per mode n = 1..M: Re c, Im c, Re cdot, Im cdot; then c(0), cdot(0)
-        draws = rng.standard_normal(4 * M + 2)
-        modes = _decaying_modes(draws[:4 * M].reshape(M, 4), 2.0).T
-        c, cdot = np.column_stack([draws[4 * M:], modes])  # half spectra c[0..M]
+        draws = rng.standard_normal((pairs.stop - pairs.start, 4 * M + 2))
+        modes = np.moveaxis(_decaying_modes(draws[:, :4 * M].reshape(-1, M, 4), 2.0), -1, 0)
+        c, cdot = np.concatenate([draws[:, 4 * M:].T[..., None], modes], axis=-1)
         worst_static = max(worst_static, chain_identity_gap(grid, c, cdot))
 
     traj_v = evolve(*run)
@@ -483,6 +514,7 @@ def cmd_resonance_identity(cfg: ExperimentConfig, args) -> Outcome:
 
     from .resonance import phi_cubic, resonance_g, resonance_h_array
 
+    rng = _rng(cfg)  # checks the seed before the cube
     summary = {"identity_checks": 0}
     r = np.arange(-100, 101, dtype=np.int64)
     n2, n3 = np.meshgrid(r, r, indexing="ij")
@@ -491,7 +523,6 @@ def cmd_resonance_identity(cfg: ExperimentConfig, args) -> Outcome:
         if len(bad):
             summary["counterexample"] = (int(a), *r[bad[0]].tolist())
             return Outcome(summary, False)
-    rng = np.random.default_rng(cfg.get_int("initial_data", "seed"))
     for _ in range(10000):
         a, b, c = (int(x) for x in rng.integers(-100, 101, 3))
         d1 = Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 40)))
@@ -569,17 +600,19 @@ def _window_records(grid: GridSpec, T: float, ctrl: StepControl):
 
 
 def cmd_norms(cfg: ExperimentConfig, args) -> Outcome:
-    from .shorttime import beta_weight, fk_norm, fs_norm, nk_norm, window_centers, window_table
+    from .shorttime import (band_weight, beta_weight, fk_norm, fs_norm, nk_norm, window_centers,
+                            window_table)
 
     run = build_run(cfg, records=_window_records)
     gamma = cfg.get_float("norms", "gamma")
     _in_field("norms.gamma", beta_weight, 0, 1, gamma)  # checks gamma before the run
     s = cfg.get_float("norms", "s")
+    k_max = top_band(run.u0.grid.max_mode)
+    _in_field("norms.s", band_weight, k_max, s)  # and the top band's F^s weight
     T = run.T
     t_evolve = time.perf_counter()
     traj = evolve(*run)
     t_tables = time.perf_counter()
-    k_max = top_band(run.u0.grid.max_mode)
     grids = {k: window_centers(traj, k, T) for k in range(k_max + 1)}
     rows = []
     shell_rows = []

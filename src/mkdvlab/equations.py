@@ -37,6 +37,7 @@ to the fourth power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -77,9 +78,10 @@ class EquationParams:
 def check_constraints(c1, c2, c3, c4) -> bool:
     """True iff c2 = c3 = c1/4 and c4 = -3*c1^2/160 within CONSTRAINT_RTOL."""
     tol1 = CONSTRAINT_RTOL * max(abs(c1) / 4.0, abs(c2), abs(c3), 1e-300)
-    tol4 = CONSTRAINT_RTOL * max(abs(c4), 3.0 * c1**2 / 160.0, 1e-300)
+    c1_sq = 3.0 * (c1 * c1) / 160.0  # inf, not OverflowError, past float64
+    tol4 = CONSTRAINT_RTOL * max(abs(c4), c1_sq, 1e-300)
     ok23 = abs(c2 - c1 / 4.0) <= tol1 and abs(c3 - c1 / 4.0) <= tol1
-    ok4 = abs(c4 + 3.0 * c1**2 / 160.0) <= tol4
+    ok4 = abs(c4 + c1_sq) <= tol4
     return bool(ok23 and ok4)
 
 
@@ -163,7 +165,7 @@ def _physical(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
 
 def _fifth_kdv_coeffs(p: EquationParams) -> tuple:
     """a1, a2, a3 of the fifth-order KdV flow of the c1 family."""
-    return p.c1 / 2.0, p.c1 / 4.0, -3.0 * p.c1**2 / 160.0
+    return p.c1 / 2.0, p.c1 / 4.0, -3.0 * (p.c1 * p.c1) / 160.0  # inf past float64
 
 
 def _fifth_kdv(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
@@ -311,11 +313,14 @@ def nonlinear_operator(grid: GridSpec, p: EquationParams, tag: str,
 def nonlinear_frequency_bound(u0: SpectralField, p: EquationParams, tag: str,
                               n_top: float) -> float:
     """Frozen-coefficient bound on |nonlinear frequency| of flow ``tag`` up to
-    wavenumber n_top."""
+    wavenumber n_top; inf where it passes float64."""
     ch = u0.half("nonlinear_frequency_bound input")
     U, Ux = half_spectrum(u0.grid).synthesize(ch, (0, 1))
     s0, s1, s01 = (float(np.max(np.abs(v))) for v in (U, Ux, U * Ux))
-    return flow(tag).frequency_bound(p, s0, s1, s01, float(n_top))
+    try:
+        return flow(tag).frequency_bound(p, s0, s1, s01, float(n_top))
+    except OverflowError:  # a Python float power past float64
+        return math.inf
 
 
 def rhs(u: SpectralField, p: EquationParams, tag: str,

@@ -18,26 +18,25 @@ with C = 10i*freq for the two cubic terms, K the respective kernels, and
 Integration by parts in t' splits each tuple into a boundary piece and a
 distributed piece (phi_out != 0 on every tuple, see `_QuinticTable`); the
 distributed pieces are the quintic normal-form terms, and boundary plus
-distributed is the one w5 assembly here (`t2_duhamel_fifth`).  The direct sum of I2 closed forms is
-kept only tuple by tuple, as the tests' reference.  Reported norms use the
-structure-only normalization (the 10i prefactors dropped):
+distributed is the one w5 assembly here (`t2_duhamel_fifth`).  The direct
+sum of I2 closed forms is kept only tuple by tuple, as the tests'
+reference.  Reported norms use the structure-only normalization (the 10i
+prefactors dropped):
 
     structure_tuple = (n * n_s * K_X * K_Y / phi_out) * v0^5 * E_t(phi_out+phi_in)
 
 All phases are exact integers (arbitrary precision), so resonant tuples are
-detected exactly.  Every tuple sum takes one array path: index arrays over
-the leaves (A3 triples from `_leaf_triples`), exact phases with mu once per
-distinct integer, one E_t (`osc_single`) that takes scalars or arrays, and
-per-mode sums in walk order (`_sum_by_mode`); I2 (`osc_double`) takes the
-same arguments.  The quintic terms are factored by (inner triple, outer
-pair) in two parts: a positional pair index (`_PairIndex`: which triples
-and pairs of leaf positions are kept, in walk order) and a value pass at one
-support's legs and data (`_QuinticTable`), in which a pair's mode,
-amplitude, phases and E_t are formed once and broadcast over its three
-slots and its inner cubic terms.  The C5 support has one index at every
-N >= 8 (`_c5_index`), so a growth or appendix sweep is one value pass per
-N; each remainder norm sums one weight per pair with a bincount, and D0 is
-the m0 pair.  Legs and kernels are int64, phases object arrays of ints.
+detected exactly.  Every tuple sum takes one array path: A3 index triples
+over the leaves (`_leaf_triples`), exact phases with mu once per distinct
+integer, one E_t (`osc_single`, as I2 `osc_double`) on scalars or arrays,
+and one bincount over (row, mode) bins for per-mode sums (`_bin_by_mode`).
+The quintic tuples are factored into (inner triple, outer pair) pairs: a
+positional index (`_PairIndex`, in walk order) and a value pass at one
+support (`_QuinticTable`).  A tuple's value is its pair's weight times the
+outer kernel of its slot times the inner kernel of its term, so no tuple is
+formed.  The C5 support has one index at every N >= 8 (`_c5_index`): a sweep
+is one value pass per N, and D0 is the m0 pair.  Legs are int64 (|leg| <= 5N,
+checked by `CounterexampleSpec`), kernels float64, phases Python ints.
 """
 
 from __future__ import annotations
@@ -120,8 +119,11 @@ class CounterexampleSpec:
     def __post_init__(self):
         if self.N < 8:
             raise ConfigurationError("counterexample requires N >= 8")
-        if self.s <= 0:
-            raise ConfigurationError("s must be positive")
+        if 5 * self.N > np.iinfo(np.int64).max:
+            raise ConfigurationError(f"N = {self.N}: the legs, up to 5N, must fit in int64")
+        if not 0 < self.s * math.log1p(25.0 * self.N**2) < math.log(np.finfo(float).max):
+            raise ConfigurationError(f"s = {self.s:g} must be positive, with the H^s weight "
+                                     "(1 + n^2)^s at |n| = 5N within float64")
         if not 0.0 < self.t < 1.0:
             raise ConfigurationError("t must lie in (0, 1)")
 
@@ -184,10 +186,6 @@ def _cubic_phases(legs: np.ndarray) -> np.ndarray:
     return mu[:, 1] + mu[:, 2] + mu[:, 3] - mu[:, 0]
 
 
-# positions of the outer legs in (la, lb, n_slot), per slot
-_SLOT_ORDER = np.array([[2, 0, 1], [0, 2, 1], [0, 1, 2]])
-
-
 @dataclass(frozen=True)
 class _PairIndex:
     """The quintic walk over sorted leaves by leaf position alone.
@@ -228,20 +226,17 @@ def _pair_index(legs: np.ndarray) -> _PairIndex:
     return _PairIndex(inner, i, ia, ib, key.reshape(-1), key_pair)
 
 
-def _cells(a: np.ndarray) -> np.ndarray:
-    """A per-pair array as the (pairs, 1, 1) leading axis of a cell array."""
-    return a.reshape(-1, 1, 1)
-
-
 @dataclass(frozen=True)
 class _QuinticTable:
     """The values of a pair index at one support's legs and data.
 
-    Each pair has one cell per (slot, inner term), the outer term being the
-    n3^2-kernel cubic; `normal_form_values` returns a (pairs, slots, inner
-    terms) array, whose C-order flattening is the tuple walk, and
-    `structure_weights` one weight per pair.  Mode, amplitude, exact phases
-    and E_t are formed once per pair.
+    A pair stands for 3 x (inner terms) tuples: its outer legs (la, lb,
+    n_slot) with n_slot in each of the three slots, and each inner cubic
+    term.  A tuple's value is its pair's weight times K_X of its slot times
+    K_Y of its inner term.  K_X is the outer n3^2 kernel, which reads lb in
+    slots 0 and 1 and n_slot in slot 2, so `kernel_x` holds the two columns
+    lb^2 and n_slot^2; `kernel_y` holds one column per inner term.  Mode,
+    amplitude, exact phases and E_t are formed once per pair.
 
     phi_out != 0 on every pair, so every tuple has a normal form: no leg of
     (la, lb, n_slot) equals n, so each pair sum la + lb = n - n_slot,
@@ -249,13 +244,14 @@ class _QuinticTable:
     phi_out = -(5/2)(la+lb)(la+n_slot)(lb+n_slot)(la^2+lb^2+n_slot^2+n^2)
     (resonance.resonance_g) is a product of nonzero factors.
 
-    Legs and kernels are int64 (|leg| <= 5 max|leaf|); the phases are object
-    arrays of exact Python ints, since n^5 overflows int64 once |n| > 6208,
-    and float() is taken of phi_out and of the exact phi_out + phi_in.
+    Legs are int64 (|leg| <= 5 max|leaf|), kernels float64, since a kernel
+    passes int64 from |leg| > 3.04e9; the phases are exact Python ints,
+    since n^5 passes int64 from |n| > 6208, and float() is taken of phi_out
+    and of the exact phi_out + phi_in.
     """
 
     n: np.ndarray          # (pairs,) output mode
-    n_slot: np.ndarray     # (pairs,) output mode of the inner triple
+    outer: np.ndarray      # (pairs, 3) outer legs (la, lb, n_slot)
     triple: np.ndarray     # (pairs,) row of `inner`
     inner: np.ndarray      # (triples, 3) inner legs
     amp: np.ndarray        # (pairs,) product of the five data values
@@ -263,9 +259,8 @@ class _QuinticTable:
     phi_in: np.ndarray
     phi_out_f: np.ndarray  # (pairs,) float(phi_out), float(phi_out + phi_in)
     phi_sum_f: np.ndarray
-    outer: np.ndarray      # (pairs, 3, 3) outer legs per slot, (la, lb, n_slot) at 2
-    kernel_x: np.ndarray   # (pairs, 3, 1) n3^2 of each slot's outer legs
-    kernel_y: np.ndarray   # (pairs, 1, inner terms)
+    kernel_x: np.ndarray   # (pairs, 2) lb^2 (slots 0 and 1), n_slot^2 (slot 2)
+    kernel_y: np.ndarray   # (pairs, inner terms)
     inner_terms: tuple
 
     def __len__(self) -> int:
@@ -273,28 +268,9 @@ class _QuinticTable:
 
     def structure_weights(self, t: float) -> np.ndarray:
         """Structure-only weight n * n_slot * amp * E_t(phi_out + phi_in) /
-        phi_out of every pair; a cell's structure-only normal-form value is
-        its pair's weight times K_X * K_Y.  Formed in float64: n * n_slot
-        times the kernels can exceed int64."""
-        nn = self.n.astype(float) * self.n_slot
+        phi_out of every pair."""
+        nn = self.n.astype(float) * self.outer[:, 2]
         return nn * self.amp * osc_single(self.phi_sum_f, t) / self.phi_out_f
-
-    def normal_form_values(self, t: float) -> np.ndarray:
-        """Boundary plus distributed piece of the integration by parts of
-        every cell."""
-        a = _cells(self.phi_out_f)
-        c = _cells((10j * self.n) * (10j * self.n_slot))
-        c = c * self.kernel_x * self.kernel_y
-        amp = _cells(self.amp)
-        e_in = _cells(osc_single(self.phi_in, t))
-        boundary = c * amp * np.exp(1j * a * t) * e_in / (1j * a)
-        distributed = -c * amp * _cells(osc_single(self.phi_sum_f, t)) / (1j * a)
-        return boundary + distributed
-
-
-def _kernel_columns(terms, legs: np.ndarray) -> np.ndarray:
-    """Each term's kernel at legs (..., 3), stacked on a last axis."""
-    return np.stack([_CUBIC_KERNELS[name](*np.moveaxis(legs, -1, 0)) for name in terms], axis=-1)
 
 
 def _pair_values(index: _PairIndex, legs: np.ndarray, vals: np.ndarray,
@@ -305,71 +281,60 @@ def _pair_values(index: _PairIndex, legs: np.ndarray, vals: np.ndarray,
     kernels of inner_terms."""
     inner = legs[index.inner]
     n_slot = inner.sum(axis=1)[index.triple]
-    base = np.stack([legs[index.ia], legs[index.ib], n_slot], axis=1)
-    phases = _cubic_phases(np.concatenate([inner, base[index.key_pair]]))
+    outer = np.stack([legs[index.ia], legs[index.ib], n_slot], axis=1)
+    phases = _cubic_phases(np.concatenate([inner, outer[index.key_pair]]))
     phi_in = phases[:len(inner)][index.triple]
     phi_out = phases[len(inner):][index.key]
-    outer = base[:, _SLOT_ORDER]
     return _QuinticTable(
-        n=base.sum(axis=1), n_slot=n_slot, triple=index.triple, inner=inner,
+        n=outer.sum(axis=1), outer=outer, triple=index.triple, inner=inner,
         amp=_amplitudes(vals, index.inner)[index.triple] * vals[index.ia] * vals[index.ib],
         phi_out=phi_out, phi_in=phi_in,
         phi_out_f=phases[len(inner):].astype(float)[index.key],
         phi_sum_f=(phi_out + phi_in).astype(float),
-        outer=outer,
-        kernel_x=_kernel_columns(("cubic2",), outer),
-        kernel_y=_kernel_columns(inner_terms, inner)[index.triple][:, None],
+        kernel_x=outer[:, 1:].astype(float) ** 2,
+        kernel_y=np.stack([_CUBIC_KERNELS[name](*inner.T.astype(float))
+                           for name in inner_terms], axis=1)[index.triple],
         inner_terms=tuple(inner_terms),
     )
 
 
 def _quintic_table(support: dict, inner_terms) -> _QuinticTable:
     """Every (inner in A3(n_slot), outer pair) entry over the leaves of
-    support, with its cells for each slot and inner cubic term."""
+    support, with its kernels for the three slots and each inner cubic term."""
     legs, vals = _leaves(support, sorted(support))
     return _pair_values(_pair_index(legs), legs, vals, inner_terms)
 
 
-def _mode_sums(n: np.ndarray):
-    """Group the flat array of modes n once; the returned function maps a
-    flat v of the same length to {mode: sum of v}: modes in order of first
-    appearance and each sum accumulated in order, as a dict filled cell by
-    cell holds them."""
+def _bin_by_mode(n: np.ndarray, v: np.ndarray) -> tuple:
+    """Per-mode sums of each row of v (rows, len(n)), entry j being at mode
+    n[j], by one bincount over (row, mode) bins, each bin summed in entry
+    order: the sorted distinct modes, the entry at which each first
+    appears, and the real and imaginary sums (rows, modes)."""
     modes, first, inv = np.unique(n, return_index=True, return_inverse=True)
-    inv, order = inv.reshape(-1), np.argsort(first)
-
-    def sums(v: np.ndarray) -> dict:
-        re = np.bincount(inv, weights=v.real, minlength=len(modes))
-        im = np.bincount(inv, weights=v.imag, minlength=len(modes))
-        return {int(modes[j]): complex(re[j], im[j]) for j in order}
-
-    return sums
+    bins = (inv.reshape(-1) + len(modes) * np.arange(len(v)).reshape(-1, 1)).ravel()
+    size = len(v) * len(modes)
+    re, im = (np.bincount(bins, part.ravel(), size).reshape(len(v), -1)
+              for part in (v.real, v.imag))
+    return modes, first, re, im
 
 
-def _sum_by_mode(n: np.ndarray, v: np.ndarray) -> dict:
-    """_mode_sums over the cells of v, a cell array whose leading axis
-    follows n, flattened in C order."""
-    n = np.broadcast_to(n.reshape((-1,) + (1,) * (v.ndim - 1)), v.shape).ravel()
-    return _mode_sums(n)(v.ravel())
+def _field(n: np.ndarray, v: np.ndarray) -> dict:
+    """{mode: sum of v} of entries v at modes n, modes in order of first
+    appearance, as a dict filled entry by entry holds them."""
+    modes, first, re, im = _bin_by_mode(n, v[None])
+    return {int(modes[j]): complex(re[0, j], im[0, j]) for j in np.argsort(first)}
 
 
 def _hs_norms(n: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
     """H^s norm of the per-mode sums of each row of v (rows, len(n)), entry
-    j being at mode n[j]: one bincount over (row, mode) bins, each bin
-    summed in entry order."""
-    modes, inv = np.unique(n, return_inverse=True)
-    bins = (inv + len(modes) * np.arange(len(v)).reshape(-1, 1)).ravel()
-    size = len(v) * len(modes)
-    sq = np.bincount(bins, v.real.ravel(), size) ** 2 + np.bincount(bins, v.imag.ravel(), size) ** 2
-    return np.sqrt(np.sum(sq.reshape(len(v), -1) * (1.0 + modes.astype(float) ** 2) ** s, axis=1))
+    j being at mode n[j]."""
+    modes, _, re, im = _bin_by_mode(n, v)
+    return np.sqrt(np.sum((re**2 + im**2) * (1.0 + modes.astype(float) ** 2) ** s, axis=1))
 
 
 # ---------------------------------------------------------------------------
 # Structure-normalized quintic terms
 # ---------------------------------------------------------------------------
-
-M0_SLOT = 2  # the resonant tuple lives in the third slot (inner on n3)
-
 
 @functools.cache
 def _c5_index() -> tuple:
@@ -388,13 +353,14 @@ def _c5_index() -> tuple:
 
 def _d0_hsnorm(tab: _QuinticTable, spec: CounterexampleSpec, p: int) -> float:
     """H^s norm of D0, the structure value of row p of tab, the m0 pair: the
-    resonant tuple m0 = (N, 2, -1, -2, 1, N), outer legs (2, -1, N-1) in
-    slot M0_SLOT over the inner triple (-2, 1, N).  Formed in one tuple's
-    operation order (the exact kernel product over float(phi_out), then amp,
-    then E_t).  phi(m0) = 0 exactly, so D0 is linear in t."""
+    resonant tuple m0 = (N, 2, -1, -2, 1, N), outer legs (2, -1, N-1) with
+    n_slot = N-1 in slot 2 over the inner triple (-2, 1, N).  Formed in one
+    tuple's operation order (the kernel product in exact ints over
+    float(phi_out), then amp, then E_t).  phi(m0) = 0 exactly, so D0 is
+    linear in t."""
     N = spec.N
-    k = math.prod(int(x) for x in (tab.n[p], tab.n_slot[p], tab.kernel_x[p, M0_SLOT, 0],
-                                   tab.kernel_y[p, 0, 0])) / float(tab.phi_out[p])
+    k = math.prod(int(x) for x in (tab.n[p], tab.outer[p, 2], tab.kernel_x[p, 1],
+                                   tab.kernel_y[p, 0])) / float(tab.phi_out[p])
     d0 = k * tab.amp[p] * osc_single(tab.phi_out[p] + tab.phi_in[p], spec.t)
     return float((1.0 + N**2) ** (spec.s / 2.0) * abs(d0))
 
@@ -411,12 +377,12 @@ class NormalFormTermReport:
     d1_norms: float
 
 
-# report field -> (slot, inner term index into ("cubic2", "cubic3")).  The
-# outer kernel n3^2 reads lb in slots 0 and 1, and n * n_slot does not depend
-# on the slot, so the two undifferentiated slots carry one remainder: B is
-# reported from slot 0 (slot 1's cells are equal to it).
-_APPENDIX_TERMS = {"d_full_hsnorm": (M0_SLOT, 0), "b1": (0, 0), "b2": (0, 1),
-                   "d1_norms": (2, 1)}
+# report field -> (kernel_x column, inner term index into ("cubic2",
+# "cubic3")).  Column 0 is K_X of slots 0 and 1, which both read lb, and
+# n * n_slot does not depend on the slot, so the two undifferentiated slots
+# carry one remainder B; column 1 is slot 2 (D).
+_APPENDIX_TERMS = {"d_full_hsnorm": (1, 0), "b1": (0, 0), "b2": (0, 1),
+                   "d1_norms": (1, 1)}
 
 
 def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
@@ -428,13 +394,13 @@ def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
     term.  Every tuple has a normal form (phi_out != 0, see _QuinticTable).
     One value pass over `_c5_index` gives each pair's structure weight, and
     each norm's per-mode sums are one bincount of the weights times that
-    (slot, inner term)'s kernels.
+    norm's outer and inner kernel columns.
     """
     support = counterexample_support(spec)
     index, m0 = _c5_index()
     tab = _pair_values(index, *_leaves(support, sorted(support)), ("cubic2", "cubic3"))
-    slots, terms = (list(c) for c in zip(*_APPENDIX_TERMS.values()))
-    kernels = np.multiply(tab.kernel_x[:, slots, 0].T, tab.kernel_y[:, 0, terms].T, dtype=float)
+    cols, terms = (list(c) for c in zip(*_APPENDIX_TERMS.values()))
+    kernels = tab.kernel_x[:, cols].T * tab.kernel_y[:, terms].T
     norms = _hs_norms(tab.n, kernels * tab.structure_weights(spec.t), spec.s)
     return NormalFormTermReport(
         N=spec.N,
@@ -460,7 +426,7 @@ def eval_c3_cubic(spec: CounterexampleSpec) -> dict:
     m = legs[idx]
     n = m.sum(axis=1)
     v = (m[:, 2] ** 3) * _amplitudes(vals, idx) * osc_single(_cubic_phases(m), spec.t)
-    return {"field": _sum_by_mode(n, v), "hs_norm": float(_hs_norms(n, v[None], spec.s)[0])}
+    return {"field": _field(n, v), "hs_norm": float(_hs_norms(n, v[None], spec.s)[0])}
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +482,14 @@ def t2_duhamel_fifth(
     """
     if route != "normal_form":
         raise ValueError(f"unknown route {route!r}: only 'normal_form' is assembled")
-    tab = _quintic_table(support, inner_terms)
-    v = tab.normal_form_values(spec.t)
-    field = {n: w * np.exp(1j * float(n**5) * spec.t)
-             for n, w in _sum_by_mode(tab.n, v).items()}
-    return field, 0
+    tab, t = _quintic_table(support, inner_terms), spec.t
+    a = tab.phi_out_f
+    # W: the pair's boundary plus distributed piece at unit kernels; summed
+    # over its cells, K_X gives 2 lb^2 + n_slot^2 and K_Y its inner columns
+    w = (10j * tab.n) * (10j * tab.outer[:, 2]) * tab.amp * (
+        np.exp(1j * a * t) * osc_single(tab.phi_in, t) - osc_single(tab.phi_sum_f, t)) / (1j * a)
+    v = w * (2.0 * tab.kernel_x[:, 0] + tab.kernel_x[:, 1]) * tab.kernel_y.sum(axis=1)
+    return {n: x * np.exp(1j * float(n**5) * t) for n, x in _field(tab.n, v).items()}, 0
 
 
 def numeric_fifth_derivative(

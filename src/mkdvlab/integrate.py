@@ -99,6 +99,9 @@ def default_dt(u0: SpectralField, p: EquationParams, tag: str) -> float:
     damped = n[np.abs(mu) * dt > 1.0]
     n_top = min(M, max(2, int(damped[0]) if len(damped) else M))
     omega = equations.nonlinear_frequency_bound(u0, p, tag, n_top=n_top)
+    if not np.isfinite(omega):
+        raise ConfigurationError(f"the automatic dt is undefined for these data: the "
+                                 f"nonlinear frequency bound of {tag} is {omega}")
     if omega > 0:
         dt = min(dt, RK4_IMAG_STABILITY / omega)
     return dt
@@ -151,10 +154,12 @@ def _etdrk4_step(c, co: _EtdRk4Coefficients, nonlinear):
 def uniform_steps(T: float, dt: float) -> tuple:
     """Number of steps evolve takes to T from a requested dt > 0, and the dt
     it steps with (T / steps, at most the requested dt up to a round-off of
-    1e-12 relative to steps, so that uniform_steps(T, T / n) takes n steps)."""
+    1e-12 relative to steps, so that uniform_steps(T, T / n) takes n steps).
+    More than 2**53 steps, past which float64 does not count them exactly
+    (nor step * dt), is a ConfigurationError."""
     steps = T / dt
-    if not np.isfinite(steps):
-        raise ConfigurationError(f"T = {T:g} takes {steps} steps of dt = {dt:g}")
+    if not steps <= 2.0**53:
+        raise ConfigurationError(f"T = {T:g} takes {steps:.4g} steps of dt = {dt:g}, over 2**53")
     n_steps = max(1, int(np.ceil(steps * (1.0 - 1e-12))))
     return n_steps, T / n_steps
 

@@ -374,6 +374,15 @@ def nk_norm(traj: Trajectory, k: int, T: float, gamma: float = GAMMA_DEFAULT) ->
     return _xk_sup(traj, k, T, gamma, 1)
 
 
+def band_weight(k: int, s: float) -> float:
+    """2^{2sk}, the weight of band k in F^s; ConfigurationError past float64."""
+    try:
+        return 4.0 ** (s * k)
+    except OverflowError:
+        raise ConfigurationError(
+            f"s = {s:g}: the F^s weight 2^(2sk) passes float64 at band k = {k}") from None
+
+
 def fs_norm(traj: Trajectory, s: float, T: float, gamma: float = GAMMA_DEFAULT) -> float:
     """(sum_k 2^{2sk} ||P_k traj||_{F_k(T)}^2)^{1/2} over the retained bands."""
     M = traj.grid.max_mode
@@ -382,5 +391,5 @@ def fs_norm(traj: Trajectory, s: float, T: float, gamma: float = GAMMA_DEFAULT) 
         if not np.any(traj.half[:, chi(k, traj.grid.modes[M:]) != 0]):
             continue
         fk = _xk_sup(traj, k, T, gamma, 2)
-        total += 4.0 ** (s * k) * fk * fk
+        total += band_weight(k, s) * fk * fk
     return float(np.sqrt(total))

@@ -95,23 +95,29 @@ def miura(grid: GridSpec, v_half: np.ndarray) -> np.ndarray:
 def chain_identity_gap(grid: GridSpec, v_half: np.ndarray, vdot_half: np.ndarray) -> float:
     """sup | KdV-residual(v_x+v^2) - (2v + d/dx) mKdV-residual(v) | relative
     to max(1, sup |KdV-residual|), for real v and vdot given by their half
-    spectra, with u_t = (2v + d/dx) vdot and v_t = vdot.
+    spectra, with u_t = (2v + d/dx) vdot and v_t = vdot.  With leading axes,
+    the largest gap over the pairs, formed a chunk of pairs at a time.
 
     An algebraic identity in (v, vdot); zero to rounding for any fields.
     Every term (including the x-derivative of the residual) is expanded in
     closed form and evaluated pointwise, so no truncation enters.
     """
     h = half_spectrum(grid)
-    V, Vx, Vxx, Vxxx, Vxxxx = h.synthesize(v_half, range(5))
-    Vdot, Vdot_x = h.synthesize(vdot_half, (0, 1))
-    U = Vx + V * V
-    Ux = Vxx + 2.0 * V * Vx
-    u_t = 2.0 * V * Vdot + Vdot_x
-    # u_xxx = v_xxxx + (v^2)_xxx = v_xxxx + 2(v v_xx + vx^2)_x
-    u_xxx = Vxxxx + 2.0 * (V * Vxxx + 3.0 * Vx * Vxx)
-    lhs = u_t + u_xxx - 6.0 * U * Ux
-    res = Vdot + Vxxx - 6.0 * V * V * Vx
-    # d/dx res = vdot_x + v_xxxx - 12 v vx^2 - 6 v^2 vxx, closed form
-    res_x = Vdot_x + Vxxxx - 12.0 * V * Vx * Vx - 6.0 * V * V * Vxx
-    rhs = 2.0 * V * res + res_x
-    return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs))))
+    v_half, vdot_half = (np.reshape(a, (-1, h.M + 1)) for a in (v_half, vdot_half))
+    worst = 0.0
+    # beside v's five orders, per pair: v_t's two syntheses and 12 more sample arrays
+    for rows, (V, Vx, Vxx, Vxxx, Vxxxx) in h.synthesize_rows(v_half, range(5), 18):
+        Vdot, Vdot_x = h.synthesize(vdot_half[rows], (0, 1))
+        U = Vx + V * V
+        Ux = Vxx + 2.0 * V * Vx
+        u_t = 2.0 * V * Vdot + Vdot_x
+        # u_xxx = v_xxxx + (v^2)_xxx = v_xxxx + 2(v v_xx + vx^2)_x
+        u_xxx = Vxxxx + 2.0 * (V * Vxxx + 3.0 * Vx * Vxx)
+        lhs = u_t + u_xxx - 6.0 * U * Ux
+        res = Vdot + Vxxx - 6.0 * V * V * Vx
+        # d/dx res = vdot_x + v_xxxx - 12 v vx^2 - 6 v^2 vxx, closed form
+        res_x = Vdot_x + Vxxxx - 12.0 * V * Vx * Vx - 6.0 * V * V * Vxx
+        rhs = 2.0 * V * res + res_x
+        gap = np.max(np.abs(lhs - rhs), axis=-1) / np.maximum(1.0, np.max(np.abs(lhs), axis=-1))
+        worst = max(worst, float(np.max(gap)))
+    return worst

@@ -479,10 +479,13 @@ class QuinticTuple:
     phi_in: int
 
 
+M0_SLOT = 2  # the resonant tuple m0 holds n_slot = N-1 in the third outer slot
+
+
 def m0_tuple(spec):
     """The distinguished resonant tuple m0 = (N, 2, -1, -2, 1, N): outer legs
     (2, -1, N-1) in slot M0_SLOT over the inner triple (-2, 1, N)."""
-    from mkdvlab.illposed import _CUBIC_KERNELS, M0_SLOT, counterexample_support
+    from mkdvlab.illposed import _CUBIC_KERNELS, counterexample_support
 
     support = counterexample_support(spec)
     N = spec.N
@@ -577,7 +580,7 @@ def normal_form_values_oracle(tuples, t):
 def eval_d_full_oracle(spec):
     """The quintic D term (slot 3, n3^2 kernels outside and inside) over the
     C5 support, D0 and the other tuples' moduli at mode N, tuple by tuple."""
-    from mkdvlab.illposed import M0_SLOT, counterexample_support
+    from mkdvlab.illposed import counterexample_support
 
     support = counterexample_support(spec)
     field_vals, moduli_at_N = {}, 0.0

@@ -118,6 +118,27 @@ class TestValidation:
         # grid follows from grid.max_mode alone)
         ("evolve", "grid.dealias_factor=1e9", ("grid.dealias_factor",)),
         ("evolve", "grid.phys_points=2000000000", ("grid.phys_points",)),
+        # inputs past float64 or int64, named by their fields: data past
+        # evolve's blow-up threshold, an automatic dt of over 2**53 steps or
+        # from a frequency bound past float64, a decay whose (1+n)**decay
+        # passes float64, a negative seed, weights past float64 and legs
+        # past int64
+        ("conserve", "initial_data.amplitudes=1e100", ("initial_data.amplitudes",)),
+        ("miura-check", "initial_data.amplitudes=1e100", ("initial_data.amplitudes",)),
+        ("evolve", "equation.c1=1e300", ("time.dt",)),
+        ("gauge-check", "equation.c2=1e308", ("time.dt",)),
+        ("evolve", "time.dt=1e-300", ("time.T",)),
+        ("evolve", "initial_data.preset=random_smooth initial_data.decay=400",
+         ("initial_data.decay",)),
+        ("evolve", "initial_data.preset=random_smooth initial_data.decay=-400",
+         ("initial_data.decay",)),
+        ("evolve", "initial_data.preset=random_smooth initial_data.seed=-1",
+         ("initial_data.seed",)),
+        ("miura-check", "initial_data.seed=-1", ("initial_data.seed",)),
+        ("resonance-identity", "initial_data.seed=-1", ("initial_data.seed",)),
+        ("illposed-growth", "sweep.s=1e6", ("sweep.s",)),
+        ("norms", "norms.s=1e6", ("norms.s",)),
+        ("appendix-b", "sweep.Ns=100000000000000000000", ("sweep.Ns",)),
     ])
     def test_out_of_range_named_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                command, item, fields):
@@ -334,6 +355,15 @@ class TestEvolve:
         ])
         assert code == 3
 
+    def test_coefficient_past_float64_diverges(self, tmp_path, capsys):
+        # fifth_kdv's a3 = -3 c1^2/160 passes float64 at c1 = 1e300: at a
+        # given dt the run reports a divergence, not an OverflowError
+        code = run(["evolve", "--out", str(tmp_path), "--set", "grid.max_mode=8",
+                    "--set", "equation.tag=fifth_kdv", "--set", "equation.c1=1e300",
+                    "--set", "time.T=1e-4", "--set", "time.dt=1e-5"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("divergence: ")
+
 
 class TestGaugeCheck:
     def test_passes_on_small_run(self, tmp_path):
@@ -529,17 +559,21 @@ class TestRandomData:
         assert u0.coeff.tobytes() == want.tobytes()
 
     def test_miura_static_fields_match_per_mode_draws(self, tmp_path, monkeypatch):
-        drawn = []
+        # the 100 pairs are one call on their (100, M+1) half spectra, row i
+        # being the i-th pair of the per-pair loop
+        drawn, calls = [], []
         gap = cli.chain_identity_gap
 
         def record(grid, c, cdot):
-            drawn.append((c.tobytes(), cdot.tobytes()))
+            calls.append(c.shape)
+            drawn.extend((a.tobytes(), b.tobytes()) for a, b in zip(c, cdot))
             return gap(grid, c, cdot)
 
         monkeypatch.setattr(cli, "chain_identity_gap", record)
         assert run(["miura-check", "--out", str(tmp_path),
                     "--set", "grid.max_mode=8", "--set", "time.T=0.001"]) == 0
         want = miura_static_fields_oracle(8, int(DEFAULTS["initial_data"]["seed"]))
+        assert calls == [(100, 9)]
         assert drawn == [(c[8:].tobytes(), cdot[8:].tobytes()) for c, cdot in want]
 
 

@@ -236,6 +236,17 @@ class TestGrowthExperiment:
                 (want.d0_hsnorm, want.d0_hsnorm / (1e-4 * row.N**2), want.b1, want.b2,
                  want.d1_norms), rel=REL, abs=0.0)
 
+    def test_ratio_holds_past_int64_kernels(self):
+        # from N ~ 3.04e9 the kernel (N-1)^2 of D0 passes int64; the float64
+        # kernels keep D0 at 0.2 t N^2 there, as at N = 2^31
+        (below, beyond), _ = growth_experiment([2**31, 4 * 10**9], s=1.0, t=1e-4)
+        assert beyond.ratio_tN2 == pytest.approx(below.ratio_tN2, rel=1e-9, abs=0.0)
+
+    def test_legs_past_int64_rejected(self):
+        CounterexampleSpec(N=(2**63 - 1) // 5)
+        with pytest.raises(ConfigurationError, match="int64"):
+            CounterexampleSpec(N=(2**63 - 1) // 5 + 1)
+
     def test_running_slope_column(self):
         Ns = [64, 128, 256]
         rows, _ = growth_experiment(Ns, s=1.0, t=1e-4)
@@ -448,20 +459,26 @@ def assert_reports_close(got: dict, want: dict):
         assert got[key] == pytest.approx(v, rel=REL, abs=0.0), key
 
 
+# positions in the pair's outer legs (la, lb, n_slot) of each slot's legs
+SLOT_LEGS = np.array([[2, 0, 1], [0, 2, 1], [0, 1, 2]])
+
+
 def table_rows(tab):
     """The factored table flattened to one row per tuple, in C order of
-    (pair, slot, inner term), with the pair of each row."""
+    (pair, slot, inner term), with the pair of each row: each slot's legs
+    from the pair's (la, lb, n_slot), and its outer kernel from the column
+    of lb^2 (slots 0 and 1) or n_slot^2 (slot 2)."""
     pair, slot, yi = np.indices((len(tab), 3, len(tab.inner_terms))).reshape(3, -1)
     return {
         "pair": pair,
         "n": tab.n[pair],
-        "outer": tab.outer[pair, slot],
+        "outer": np.take_along_axis(tab.outer[pair], SLOT_LEGS[slot], axis=1),
         "slot": slot,
         "inner": tab.inner[tab.triple[pair]],
         "y_term": [tab.inner_terms[y] for y in yi],
         "amp": tab.amp[pair],
-        "kernel_x": tab.kernel_x[pair, slot, 0],
-        "kernel_y": tab.kernel_y[pair, 0, yi],
+        "kernel_x": tab.kernel_x[pair, (slot == 2).astype(int)],
+        "kernel_y": tab.kernel_y[pair, yi],
         "phi_out": tab.phi_out[pair],
         "phi_in": tab.phi_in[pair],
     }
@@ -509,7 +526,7 @@ def test_outer_phase_never_vanishes(support):
     # phi_out = -G(la, lb, n_slot), whose factors are nonzero on A3(n): every
     # tuple has a normal form, so no caller masks phi_out = 0
     tab = _quintic_table(support, ("cubic2",))
-    want = [-resonance_g(la, lb, n_slot) for la, lb, n_slot in tab.outer[:, 2].tolist()]
+    want = [-resonance_g(la, lb, n_slot) for la, lb, n_slot in tab.outer.tolist()]
     assert tab.phi_out.tolist() == want
     assert 0 not in want
 

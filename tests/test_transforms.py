@@ -120,6 +120,14 @@ class TestMiura:
         for i in range(5):
             assert np.allclose(batch[i, 0], miura(grid, v[i, 0]), rtol=0.0, atol=1e-15)
 
+    def test_chain_identity_largest_gap_over_pairs(self, rng):
+        # leading axes: the largest per-pair gap, bit for bit, whatever the chunks
+        grid = GridSpec(16)
+        v, vdot = (np.stack([random_real_coeffs(16, rng)[16:] for _ in range(40)])
+                   for _ in range(2))
+        each = [chain_identity_gap(grid, a, b) for a, b in zip(v, vdot)]
+        assert chain_identity_gap(grid, v.reshape(4, 10, 17), vdot.reshape(4, 10, 17)) == max(each)
+
     def test_chain_identity_random_fields(self, rng):
         # KdV-res(v_x + v^2) = (2v + d/dx)(mKdV-res(v)) for arbitrary
         # (v, vdot), to spectral accuracy, relative to the KdV residual
