@@ -411,6 +411,11 @@ def run_command(command: str, cfg: ExperimentConfig, args) -> int:
 def cmd_evolve(cfg: ExperimentConfig, args) -> Outcome:
     run = build_run(cfg)
     s = cfg.get_float("norms", "s")
+    M = run.u0.grid.max_mode
+    with np.errstate(over="ignore"):  # the Hs column's largest weight, as sobolev_norm forms it
+        if np.isinf(2.0 * np.float64(1 + M * M) ** s):
+            raise ConfigurationError(
+                f"norms.s: s = {s:g}: the Hs column's weight 2 (1 + M^2)^s passes float64 at M = {M}")
     traj = evolve(*run)
     rep = drift_report(traj, run.p.c1)
     rows = zip(rep.times, rep.h0, rep.h1, rep.h2, sobolev_norm(traj.grid, traj.half, s))
@@ -493,13 +498,12 @@ def cmd_resonance_enum(cfg: ExperimentConfig, args) -> Outcome:
     n5_radius = min(radius, 12)
     trips = enumerate_n3(n, radius)
     quints = enumerate_n5(n, n5_radius)
-    # G = H + 3 d1 (n1+n2)(n1+n3)(n2+n3) is H at d1 = 0
+    # only H: G = H + 3 d1 (n1+n2)(n1+n3)(n2+n3) is H at d1 = 0, and no d1 is taken
     return Outcome(
         {"n": n, "radius": radius, "n5_radius": n5_radius,
          "triples": len(trips), "quintuples": len(quints)},
         tables={
-            "resonance_n3": (["n", "n1", "n2", "n3", "H", "G"],
-                             ((n, a, b, c, h, h) for a, b, c, h in trips.tolist())),
+            "resonance_n3": (["n", "n1", "n2", "n3", "H"], ((n, *t) for t in trips.tolist())),
             "resonance_n5": (["n", "n1", "n2", "n3", "n4", "n5"],
                              ((n, *q) for q in quints.tolist())),
         },

@@ -21,7 +21,7 @@ gamma in (0, 1/4], default 1/4.  F_k(T) takes the sup over a t_k grid of
 spacing 2^{-2k}/4; windows that do not fit inside the recorded span fall
 back to a single centered window with the data zero-extended (the
 trajectory acting as its own extension, which upper-bounds the infimum over
-extensions; flagged in the result metadata).
+extensions; flagged by window_centers and in the `norms` manifest).
 
 Computation: with r the lag autocorrelation of the window's R recorded rows
 and K_j(m) = 2 int_a^b cos(tau m dt) W(tau) dtau over the shell (a, b],
@@ -54,12 +54,11 @@ Gauss-Legendre and series weights for c = 4^k, once where they fit the
 budget (else once per chunk of windows).  Time and memory grow with R and
 the J + 1 shells, not with the 4 * 4^{-k}/dt samples a window spans.  The
 table of 3 x centres x shells masses is made once per (trajectory, k, T)
-and memoized on it.
+and memoized on it; modulation_decompose gives one window's column of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -94,24 +93,6 @@ def _xk_weights(k: int, shells: int, gamma: float) -> np.ndarray:
     """2^{j/2} beta_{j,k}, the X_k weight of modulation shell j, for
     j = 0..shells-1."""
     return np.array([2.0 ** (j / 2.0) * beta_weight(j, k, gamma) for j in range(shells)])
-
-
-@dataclass
-class ModulationShellSet:
-    """Dyadic shell masses of one windowed, demodulated snapshot: the
-    one-window view of the window table, every shell up to the Nyquist one;
-    n_samples is the window's span in samples."""
-
-    k: int
-    window_center: float
-    shells: dict
-    window_l2: float
-    n_samples: int
-    dt: float
-    zero_extended: bool = False
-
-    def total_mass_sq(self) -> float:
-        return float(sum(m * m for m in self.shells.values()))
 
 
 def max_record_spacing(k: int) -> float:
@@ -241,7 +222,7 @@ def _lag_kernels(basis: _LagBasis, c: float, m: np.ndarray) -> np.ndarray:
     return K
 
 
-def _window_masses(traj, k, centers, dt, m_lo, lengths):
+def _window_masses(traj, k, centers):
     """Squared shell masses mass_sq[w, c, j] of every window centre (w = 0:
     F_k, 1: N_k, 2: F^s block) and the squared window L^2(dt) norms.
     Every window goes through one batched autocorrelation of R rows (R the
@@ -249,16 +230,17 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     columns of the band are gathered: records of real data have g_{-n}(t) =
     conj(g_n(t)) (mu is odd), so |G_{-n}(tau)|^2 = |G_n(-tau)|^2, and every
     shell and weight is even in tau, so each n > 0 column counts twice.  A
-    zero-extended window gathers only its recorded rows."""
+    window past the records gathers only its recorded rows."""
+    dt, m_lo, lengths = _window_starts(traj, k, centers)
     n_rec = len(traj.times)
-    M = traj.grid.max_mode
-    chik = chi(k, traj.grid.modes[M:])
+    h = half_spectrum(traj.grid)
+    chik = chi(k, h.n)
     band = np.nonzero(chik)[0]
     mass_sq = np.zeros((3, len(centers), len(_shell_edges(dt)) - 1))
     l2_sq = np.zeros(len(centers))
     if band.size == 0:
         return mass_sq, l2_sq
-    twice = half_spectrum(traj.grid).twice[band]
+    twice = h.twice[band]
     weights = np.stack([twice, twice * chik[band] ** 2], axis=1)  # F_k and N_k, F^s
     mu = linear_symbol(band, traj.params, traj.equation_tag)  # column i is mode n = i
     t_rec = traj.times[0] + np.arange(n_rec) * dt
@@ -314,21 +296,14 @@ def _window_masses(traj, k, centers, dt, m_lo, lengths):
     return np.maximum(mass_sq, 0.0), l2_sq
 
 
-def modulation_decompose(traj: Trajectory, k: int, t_k: float) -> ModulationShellSet:
-    """Shell masses in |tau - mu(n)| of the I_k band in one window around t_k."""
-    centers = np.array([float(t_k)])
-    dt, m_lo, lengths = _window_starts(traj, k, centers)
-    mass_sq, l2_sq = _window_masses(traj, k, centers, dt, m_lo, lengths)
-    n = int(lengths[0])
-    zero_extended = bool(m_lo[0] < 0 or m_lo[0] + n > len(traj.times))
-    shells = {j: float(np.sqrt(m)) for j, m in enumerate(mass_sq[0, 0])}
-    return ModulationShellSet(k, t_k, shells, float(np.sqrt(l2_sq[0])), n, dt, zero_extended)
-
-
-def xk_norm(shells: ModulationShellSet, gamma: float = GAMMA_DEFAULT) -> float:
-    """sum_j 2^{j/2} beta_{j,k} * (shell mass)."""
-    coef = _xk_weights(shells.k, max(shells.shells, default=-1) + 1, gamma)
-    return float(sum(coef[j] * m for j, m in shells.shells.items()))
+def modulation_decompose(traj: Trajectory, k: int, t_k: float) -> tuple[np.ndarray, float]:
+    """(mass_sq, l2_sq) of the one window around t_k: the squared shell
+    masses mass_sq[w, j] in |tau - mu(n)| of the I_k band, laid out as a
+    column of window_table (w = 0: F_k, 1: N_k, 2: F^s block), and the
+    window's squared L^2(dt) norm.  Past the records the data are
+    zero-extended, as in window_centers' single window."""
+    mass_sq, l2_sq = _window_masses(traj, k, np.array([float(t_k)]))
+    return mass_sq[:, 0], float(l2_sq[0])
 
 
 def window_centers(traj: Trajectory, k: int, T: float):
@@ -351,8 +326,7 @@ def window_table(traj: Trajectory, k: int, T: float) -> np.ndarray:
     key = (k, float(T))
     if key not in traj.window_tables:
         centers, _ = window_centers(traj, k, T)
-        dt, m_lo, lengths = _window_starts(traj, k, centers)
-        traj.window_tables[key] = _window_masses(traj, k, centers, dt, m_lo, lengths)[0]
+        traj.window_tables[key] = _window_masses(traj, k, centers)[0]
     return traj.window_tables[key]
 
 
@@ -385,10 +359,10 @@ def band_weight(k: int, s: float) -> float:
 
 def fs_norm(traj: Trajectory, s: float, T: float, gamma: float = GAMMA_DEFAULT) -> float:
     """(sum_k 2^{2sk} ||P_k traj||_{F_k(T)}^2)^{1/2} over the retained bands."""
-    M = traj.grid.max_mode
+    n = half_spectrum(traj.grid).n
     total = 0.0
-    for k in range(0, top_band(M) + 1):
-        if not np.any(traj.half[:, chi(k, traj.grid.modes[M:]) != 0]):
+    for k in range(0, top_band(traj.grid.max_mode) + 1):
+        if not np.any(traj.half[:, chi(k, n) != 0]):
             continue
         fk = _xk_sup(traj, k, T, gamma, 2)
         total += band_weight(k, s) * fk * fk

@@ -300,10 +300,10 @@ class TestCriterion9NormDiagnostics:
             span = 4.0 * 4.0 ** (-k)
             traj = evolve(u0, 2.0 * span, p_lin, tag="linear",
                           ctrl=StepControl(dt=span / 150, record_stride=1))
-            sh = modulation_decompose(traj, k, span)
-            tot = sh.total_mass_sq()
-            pars_ok &= abs(tot - sh.window_l2**2) < 1e-8 * max(tot, 1e-30)
-            low = sum(m * m for j, m in sh.shells.items() if 2.0**j <= 16.0 * 4.0**k)
+            mass_sq, l2_sq = modulation_decompose(traj, k, span)
+            tot = mass_sq[0].sum()
+            pars_ok &= abs(tot - l2_sq) < 1e-8 * max(tot, 1e-30)
+            low = mass_sq[0][2.0 ** np.arange(mass_sq.shape[1]) <= 16.0 * 4.0**k].sum()
             conc_ok &= low / tot >= 0.95
 
         # embedding constant over 20 random trajectories

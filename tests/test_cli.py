@@ -139,6 +139,7 @@ class TestValidation:
         ("illposed-growth", "sweep.s=1e6", ("sweep.s",)),
         ("norms", "norms.s=1e6", ("norms.s",)),
         ("appendix-b", "sweep.Ns=100000000000000000000", ("sweep.Ns",)),
+        ("evolve", "norms.s=1e6", ("norms.s",)),
     ])
     def test_out_of_range_named_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                command, item, fields):
@@ -596,11 +597,11 @@ class TestResonance:
         assert run(["resonance-enum", "--out", str(tmp_path), "--n", "1", "--radius", "3"]) == 0
         n3 = (tmp_path / "mkdvlab_resonance_n3.csv").read_text().splitlines()
         n5 = (tmp_path / "mkdvlab_resonance_n5.csv").read_text().splitlines()
-        assert n3[0] == "n,n1,n2,n3,H,G" and n5[0] == "n,n1,n2,n3,n4,n5"
+        assert n3[0] == "n,n1,n2,n3,H" and n5[0] == "n,n1,n2,n3,n4,n5"
         trips = enumerate_n3(1, 3)
-        assert [[int(v) for v in line.split(",")] for line in n3[1:]] == [
-            [1, a, b, c, h, resonance_g(a, b, c, 0)] for a, b, c, h in trips.tolist()
-        ]
+        rows = [[int(v) for v in line.split(",")] for line in n3[1:]]
+        assert rows == [[1, *t] for t in trips.tolist()]
+        assert all(h == resonance_g(a, b, c, 0) for _, a, b, c, h in rows)
         assert [[int(v) for v in line.split(",")] for line in n5[1:]] == [
             [1, *q] for q in enumerate_n5(1, 3).tolist()
         ]
@@ -608,7 +609,7 @@ class TestResonance:
     def test_enum_far_n_writes_empty_csvs(self, tmp_path):
         n = "100000000000000000000"
         assert run(["resonance-enum", "--out", str(tmp_path), "--n", n]) == 0
-        for name, header in (("n3", "n,n1,n2,n3,H,G"), ("n5", "n,n1,n2,n3,n4,n5")):
+        for name, header in (("n3", "n,n1,n2,n3,H"), ("n5", "n,n1,n2,n3,n4,n5")):
             assert (tmp_path / f"mkdvlab_resonance_{name}.csv").read_text().splitlines() == [header]
 
     def test_enum_manifest_records_n5_radius(self, tmp_path):

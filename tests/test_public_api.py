@@ -297,10 +297,11 @@ def unreached_definitions(sources: dict) -> dict:
 #: definitions no subcommand reaches yet, by the ROADMAP item that decides
 #: them; a definition that becomes reached leaves the list
 UNREACHED_ALLOWED = {
-    # perfbench reads Trajectory.states; the oracles and the tracer osc_double
-    "items 1/9": {"integrate.Trajectory.states", "illposed.osc_double"},
-    "item 2": {"shorttime.modulation_decompose", "shorttime.ModulationShellSet",
-               "shorttime.ModulationShellSet.total_mass_sq", "shorttime.xk_norm"},
+    # perfbench reads Trajectory.states and GridSpec.modes; the oracles and
+    # the tracer osc_double
+    "items 1/9": {"integrate.Trajectory.states", "spectral.GridSpec.modes",
+                  "illposed.osc_double"},
+    "item 2": {"shorttime.modulation_decompose"},
     # the C3 cubic sum is the reference of the full flow at delta^5
     "item 7": {"illposed.eval_c3_cubic"},
     "item 8": {"invariants.es_energy", "invariants.modified_energy_ek", "spectral.psi",
@@ -507,7 +508,6 @@ UNSET_ALLOWED = {
                            "illposed.t2_duhamel_fifth(inner_terms)"},
     # the oracles pin each renormalized term through rhs's term mask
     "oracles' seam": {"equations.rhs(renorm_terms)"},
-    "item 2": {"shorttime.xk_norm(gamma)"},
     # COMMANDS calls each with (cfg, args)
     "subcommand signature": {
         "cli.cmd_evolve(args)", "cli.cmd_conserve(args)", "cli.cmd_gauge_check(args)",

@@ -15,6 +15,7 @@ from mkdvlab.shorttime import (
     _shell_edges,
     _window_masses,
     _window_starts,
+    _xk_weights,
     beta_weight,
     fk_norm,
     fs_norm,
@@ -23,7 +24,6 @@ from mkdvlab.shorttime import (
     nk_norm,
     window_centers,
     window_table,
-    xk_norm,
 )
 from mkdvlab.spectral import GridSpec, SpectralField, top_band
 
@@ -67,11 +67,16 @@ class TestBetaWeight:
             beta_weight(3, 1, 0.0)
 
 
+def xk_of(mass_sq, k, gamma=0.25):
+    """The X_k sum of one window's F_k masses: a column of window_table."""
+    return np.sqrt(mass_sq[0]) @ _xk_weights(k, mass_sq.shape[1], gamma)
+
+
 class TestModulationDecompose:
     def test_parseval_closure(self):
         traj = linear_wave_trajectory(3)
-        sh = modulation_decompose(traj, 3, traj.times[-1] / 2)
-        assert abs(sh.total_mass_sq() - sh.window_l2**2) < 1e-8 * max(sh.window_l2**2, 1e-30)
+        mass_sq, l2_sq = modulation_decompose(traj, 3, traj.times[-1] / 2)
+        assert abs(mass_sq[0].sum() - l2_sq) < 1e-8 * max(l2_sq, 1e-30)
 
     def test_zero_data_empty_shells(self):
         grid = GridSpec(16)
@@ -79,17 +84,16 @@ class TestModulationDecompose:
             SpectralField.zeros(grid), 0.5, LINEAR, tag="linear",
             ctrl=StepControl(dt=1e-3, record_stride=1),
         )
-        sh = modulation_decompose(traj, 2, 0.25)
-        assert sh.total_mass_sq() == 0.0
+        mass_sq, _ = modulation_decompose(traj, 2, 0.25)
+        assert mass_sq[0].sum() == 0.0
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
     def test_linear_wave_concentration(self, k):
         # >= 95% of the mass below 2^j = 16 * 2^{2k} (window-bandwidth floor)
         traj = linear_wave_trajectory(k)
-        sh = modulation_decompose(traj, k, traj.times[-1] / 2)
-        tot = sh.total_mass_sq()
-        low = sum(m * m for j, m in sh.shells.items() if 2.0**j <= 16.0 * 4.0**k)
-        assert low / tot >= 0.95
+        mass_sq = modulation_decompose(traj, k, traj.times[-1] / 2)[0][0]
+        low = mass_sq[2.0 ** np.arange(len(mass_sq)) <= 16.0 * 4.0**k].sum()
+        assert low / mass_sq.sum() >= 0.95
 
     def test_insufficient_sampling_names_required_dt(self):
         traj = linear_wave_trajectory(3, samples_per_window=200)
@@ -138,7 +142,7 @@ class TestXkNorm:
             SpectralField.zeros(grid), 0.5, LINEAR, tag="linear",
             ctrl=StepControl(dt=1e-3, record_stride=1),
         )
-        assert xk_norm(modulation_decompose(traj, 2, 0.25)) == 0.0
+        assert xk_of(modulation_decompose(traj, 2, 0.25)[0], 2) == 0.0
 
     def test_uniform_in_k_for_unit_datum(self):
         # linear wave with unit-L2 datum: X_k values stay within a fixed
@@ -147,29 +151,25 @@ class TestXkNorm:
         vals = []
         for k in (3, 4, 5, 6):
             traj = linear_wave_trajectory(k)
-            sh = modulation_decompose(traj, k, traj.times[-1] / 2)
+            mass_sq, _ = modulation_decompose(traj, k, traj.times[-1] / 2)
             datum = 1.0 / np.sqrt(2.0)  # ||0.5 e^{inx} + c.c.||
-            vals.append(xk_norm(sh) / datum)
+            vals.append(xk_of(mass_sq, k) / datum)
         assert max(vals) / min(vals) < 8.0
 
     def test_gamma_monotonicity_above_five_k(self):
         # beta = 1 + 2^{gamma (j - 5k)} grows with gamma only for j > 5k;
-        # build a shell set with all mass above the 5k line
-        from mkdvlab.shorttime import ModulationShellSet
-
-        sh = ModulationShellSet(
-            k=2, window_center=0.0, shells={11: 0.5, 14: 0.25},
-            window_l2=1.0, n_samples=64, dt=1e-3,
-        )
-        assert xk_norm(sh, 0.25) >= xk_norm(sh, 0.125)
+        # build a window with all mass above the 5k line
+        mass_sq = np.zeros((3, 15))
+        mass_sq[0, [11, 14]] = [0.5**2, 0.25**2]
+        assert xk_of(mass_sq, 2, 0.25) >= xk_of(mass_sq, 2, 0.125)
 
     def test_gamma_reversal_below_five_k(self):
         # below the 5k line the heavier gamma gives the lighter weight
         traj = linear_wave_trajectory(3)
-        sh = modulation_decompose(traj, 3, traj.times[-1] / 2)
-        low = {j: m for j, m in sh.shells.items() if j < 5 * 3}
-        assert sum(low.values()) > 0.9 * sum(sh.shells.values())
-        assert xk_norm(sh, 0.25) <= xk_norm(sh, 0.125)
+        mass_sq, _ = modulation_decompose(traj, 3, traj.times[-1] / 2)
+        shells = np.sqrt(mass_sq[0])
+        assert shells[:5 * 3].sum() > 0.9 * shells.sum()
+        assert xk_of(mass_sq, 3, 0.25) <= xk_of(mass_sq, 3, 0.125)
 
 
 class TestFkNorm:
@@ -177,7 +177,7 @@ class TestFkNorm:
         traj = linear_wave_trajectory(4)
         centers, extended = window_centers(traj, 4, traj.times[-1])
         assert not extended
-        vals = [xk_norm(modulation_decompose(traj, 4, t)) for t in centers[::7]]
+        vals = [xk_of(modulation_decompose(traj, 4, t)[0], 4) for t in centers[::7]]
         assert (max(vals) - min(vals)) / max(vals) < 0.05
 
     def test_time_translation_covariance(self):
@@ -222,12 +222,11 @@ class TestNkNorm:
 
         traj = Trajectory(grid, times, half, LINEAR, "linear", dt, 1)
         t_k = 1.5 * span
-        sh = modulation_decompose(traj, k, t_k)
-        xk = xk_norm(sh)
+        mass_sq, _ = modulation_decompose(traj, k, t_k)
         nk_val = nk_norm(traj, k, traj.times[-1])
         fk_val = fk_norm(traj, k, traj.times[-1])
         # mass sits at j ~ 11 >> 2k = 6; the resolvent weight is ~ 2^{-j}
-        j_peak = max(sh.shells, key=lambda j: sh.shells[j])
+        j_peak = int(np.argmax(mass_sq[0]))
         assert j_peak >= 10
         assert nk_val <= 2.0 ** (-(j_peak - 1)) * fk_val * 1.5
 
@@ -289,14 +288,16 @@ def rel(a, b):
 def assert_shells_match(traj, k, t_k):
     from oracles import window_shells_oracle
 
-    sh = modulation_decompose(traj, k, t_k)
+    mass_sq, l2_sq = modulation_decompose(traj, k, t_k)
     shells, l2, n, ext = window_shells_oracle(traj, k, t_k)
-    assert (sh.n_samples, sh.zero_extended) == (n, ext)
-    assert sorted(sh.shells) == sorted(shells) == list(range(len(_shell_edges(traj.dt)) - 1))
+    _, m_lo, lengths = _window_starts(traj, k, np.array([t_k]))
+    assert (lengths[0], m_lo[0] < 0 or m_lo[0] + lengths[0] > len(traj)) == (n, ext)
+    assert (sorted(shells) == list(range(mass_sq.shape[1]))
+            == list(range(len(_shell_edges(traj.dt)) - 1)))
     scale = max(shells.values())
     for j, m in shells.items():
-        assert abs(sh.shells[j] - m) <= 1e-12 * scale
-    assert rel(sh.window_l2, l2) <= 1e-12
+        assert abs(np.sqrt(mass_sq[0, j]) - m) <= 1e-12 * scale
+    assert rel(np.sqrt(l2_sq), l2) <= 1e-12
     return n
 
 
@@ -424,9 +425,9 @@ def test_half_band_table_matches_full_band_oracle(norms_traj, odd_traj, which, k
 
     traj = norms_traj if which == "norms" else odd_traj
     centers, ext = window_centers(traj, k, float(traj.times[-1]))
-    dt, m_lo, lengths = _window_starts(traj, k, centers)
+    lengths = _window_starts(traj, k, centers)[2]
     assert ext == extended and {int(L) % 2 for L in lengths} == parities
-    mass_sq, l2_sq = _window_masses(traj, k, centers, dt, m_lo, lengths)
+    mass_sq, l2_sq = _window_masses(traj, k, centers)
     want, want_l2 = window_masses_full_band_oracle(traj, k, centers)
     assert mass_sq.shape == want.shape
     for w in range(3):
@@ -438,8 +439,24 @@ def test_half_band_table_matches_full_band_oracle(norms_traj, odd_traj, which, k
 def test_parseval_closure_every_window(norms_traj, k):
     # the F_k masses of every window add up to its squared L^2(dt) norm
     centers, _ = window_centers(norms_traj, k, NORMS_T)
-    mass_sq, l2_sq = _window_masses(norms_traj, k, centers, *_window_starts(norms_traj, k, centers))
+    mass_sq, l2_sq = _window_masses(norms_traj, k, centers)
     assert np.all(np.abs(mass_sq[0].sum(axis=1) - l2_sq) <= 1e-13 * l2_sq)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_one_window_view_is_a_table_column(norms_traj, k):
+    # modulation_decompose at a grid centre is that centre's column of
+    # window_table: bit for bit where the one window is zero-extended, and
+    # within round-off where a batch pads its windows to the longest one
+    centers, extended = window_centers(norms_traj, k, NORMS_T)
+    table = window_table(norms_traj, k, NORMS_T)
+    for c in range(0, len(centers), 3):
+        mass_sq, _ = modulation_decompose(norms_traj, k, centers[c])
+        if extended:
+            assert np.array_equal(mass_sq, table[:, c])
+        else:
+            scale = table[:, c].max(axis=1, keepdims=True)
+            assert np.all(np.abs(mass_sq - table[:, c]) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -451,11 +468,11 @@ def test_smooth_window_masses_at_round_off_floor(k):
 
     traj = linear_wave_trajectory(k)
     t_k = traj.times[-1] / 2
-    sh = modulation_decompose(traj, k, t_k)
+    mass_sq, l2_sq = modulation_decompose(traj, k, t_k)
     want = np.sqrt(window_masses_oracle(traj, k, t_k)[0][0])
-    assert want[-1] ** 2 < 1e-15 * sh.window_l2**2
-    got = np.array([sh.shells[j] for j in range(len(want))])
-    assert np.max(np.abs(got - want)) <= 3e-8 * sh.window_l2
+    assert want[-1] ** 2 < 1e-15 * l2_sq
+    got = np.sqrt(mass_sq[0])
+    assert np.max(np.abs(got - want)) <= 3e-8 * np.sqrt(l2_sq)
 
 
 @pytest.mark.parametrize("which, k", [("norms", 6), ("odd", 2)])
@@ -467,13 +484,12 @@ def test_bins_converge_to_continuous_masses(norms_traj, odd_traj, which, k):
     traj = norms_traj if which == "norms" else odd_traj
     centers, _ = window_centers(traj, k, float(traj.times[-1]))
     t_k = centers[len(centers) // 2]
-    sh = modulation_decompose(traj, k, t_k)
-    total = sh.window_l2**2
+    mass_sq, total = modulation_decompose(traj, k, t_k)
     gaps = []
     for padding in (16, 64):
         bins = window_bins_oracle(traj, k, t_k, padding)
-        assert sorted(bins) == sorted(sh.shells)
-        gaps.append(max(abs(bins[j] ** 2 - sh.shells[j] ** 2) for j in bins) / total)
+        assert sorted(bins) == list(range(mass_sq.shape[1]))
+        gaps.append(max(abs(bins[j] ** 2 - mass_sq[0, j]) for j in bins) / total)
     assert 3.0 <= gaps[0] / gaps[1] <= 5.0
 
 
