@@ -34,6 +34,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import resource
 import sys
 import time
@@ -64,6 +65,10 @@ FLOAT_FMT = "{:.16e}"
 #: through 3*(2*max_mode+1) <= MAX_ENTRIES // 64 collocation points, evolve's
 #: working arrays of about 28 entries per point.
 MAX_ENTRIES = 1 << 26
+
+#: Bound on |d1| M^3 dt and |d2| M dt, the gauge terms of a step's linear phase
+#: mu dt: the ETD-RK4 weights divide by (mu dt)^3, past float64 above 5.6e102.
+MAX_GAUGE_PHASE = 1e100
 
 DEFAULTS = {
     "grid": {"max_mode": "64"},
@@ -339,7 +344,7 @@ def build_run(cfg: ExperimentConfig, tag: str = "", params: EquationParams | Non
     check_records resolves for `buffers` record buffers before anything runs,
     on which every run of the subcommand steps.  records(grid, T, ctrl), if
     given, returns the step control to resolve instead and the field that its
-    records blame."""
+    records blame.  A gauge term of a step's phase past MAX_GAUGE_PHASE is rejected."""
     grid = build_grid(cfg)
     u0 = build_initial_data(cfg, grid)
     p = build_params(cfg, u0) if params is None else params
@@ -349,7 +354,13 @@ def build_run(cfg: ExperimentConfig, tag: str = "", params: EquationParams | Non
     blame = ""
     if records is not None:
         ctrl, blame = records(grid, T, ctrl)
-    return Run(u0, T, p, tag, check_records(u0, T, p, tag, ctrl, blame, buffers))
+    ctrl = check_records(u0, T, p, tag, ctrl, blame, buffers)
+    M, dt = grid.max_mode, ctrl.dt  # for every tag: gauge-check's v run steps on p too
+    for key, term, phase in (("d1", "M^3", abs(p.d1) * M**3 * dt), ("d2", "M", abs(p.d2) * M * dt)):
+        if not phase <= MAX_GAUGE_PHASE:
+            raise ConfigurationError(f"equation.{key}: |{key}| {term} dt = {phase:.4g} in a "
+                                     f"step's linear phase passes {MAX_GAUGE_PHASE:g}")
+    return Run(u0, T, p, tag, ctrl)
 
 
 @dataclass
@@ -386,16 +397,20 @@ def write_manifest(path: Path, cfg: ExperimentConfig, summary: dict, wall: float
 
 
 def run_command(command: str, cfg: ExperimentConfig, args) -> int:
-    """Run one subcommand, write each of its tables to
-    <output.dir>/<output.prefix>_<artifact>.csv and its manifest to
-    <output.prefix>_<artifact>_manifest.json under the artifact name COMMANDS
-    gives it, and map its verdict to the exit code."""
+    """Run one subcommand after checking output.prefix and making output.dir,
+    write each of its tables to <output.dir>/<output.prefix>_<artifact>.csv
+    and its manifest to <output.prefix>_<artifact>_manifest.json under the
+    artifact name COMMANDS gives it, and map its verdict to the exit code."""
     artifact, cmd = COMMANDS[command]
     t0 = time.perf_counter()
+    prefix, outdir = cfg.get("output", "prefix"), Path(cfg.get("output", "dir"))
+    if os.sep in prefix or (os.altsep and os.altsep in prefix):
+        raise ConfigurationError(f"output.prefix: {prefix!r} holds a path separator")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigurationError(f"output.dir: cannot create {outdir}: {e.strerror}") from None
     out = cmd(cfg, args)
-    outdir = Path(cfg.get("output", "dir"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    prefix = cfg.get("output", "prefix")
     for name, (header, rows) in out.tables.items():
         write_csv(outdir / f"{prefix}_{name}.csv", header, rows)
     summary = out.summary if out.passed is None else {**out.summary, "passed": out.passed}

@@ -209,8 +209,6 @@ def renormalized_nonlinear_coeff(
     h = half_spectrum(grid)
     cubic2, cubic3, quintic = terms.cubic2, terms.cubic3, terms.quintic
     a = ch.real**2 + ch.imag**2  # |c(n)|^2 = c(n) c(-n)
-    if not (cubic2 or cubic3 or quintic):
-        return h.i_n3 * (-20.0 * a * ch) if terms.resonant_cubic else np.zeros_like(ch)
     # S = w_a n^2 |c|^2 + 10 n^2 l2 [cubic2] + w_h h1 (+ 30 l4 [quintic]), with
     # l2 = sum_m c(m) c(-m) and h1 = sum_m m^2 c(m) c(-m): the resonant cubic
     # gives 20 n^2 |c|^2, 10 sum c(n1) c(n2) n3^2 c(n3) gives

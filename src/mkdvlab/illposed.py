@@ -79,7 +79,7 @@ def osc_single(phi, t: float):
     """
     phi = _floats(phi)
     theta = 0.5 * t * phi
-    val = np.where(theta == 0.0, t, t * np.exp(1j * theta) * np.sinc(theta / np.pi))
+    val = t * np.exp(1j * theta) * np.sinc(theta / np.pi)  # sinc(0) = 1: t at phi = 0
     _check_osc_bound(val, phi, t)
     return complex(val) if val.ndim == 0 else val
 

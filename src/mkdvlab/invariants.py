@@ -140,9 +140,6 @@ def es_energy(traj: Trajectory, s: float) -> float:
     half, n, twice = traj.half, h.n, h.twice
     total = float(twice @ np.abs(chi(0, n) * half[0]) ** 2)
     for k in range(1, top_band(traj.grid.max_mode) + 1):
-        chik = chi(k, n)
-        if not np.any(chik):
-            continue
-        masses = np.abs(half * chik) ** 2 @ twice
+        masses = np.abs(half * chi(k, n)) ** 2 @ twice
         total += 2.0 ** (2 * s * k) * float(np.max(masses))
     return float(np.sqrt(total))

@@ -238,8 +238,6 @@ def _window_masses(traj, k, centers):
     band = np.nonzero(chik)[0]
     mass_sq = np.zeros((3, len(centers), len(_shell_edges(dt)) - 1))
     l2_sq = np.zeros(len(centers))
-    if band.size == 0:
-        return mass_sq, l2_sq
     twice = h.twice[band]
     weights = np.stack([twice, twice * chik[band] ** 2], axis=1)  # F_k and N_k, F^s
     mu = linear_symbol(band, traj.params, traj.equation_tag)  # column i is mode n = i
@@ -335,7 +333,7 @@ def _xk_sup(traj, k, T, gamma, weighting) -> float:
     2: F^s block) of the window table."""
     mass_sq = window_table(traj, k, T)[weighting]
     coef = _xk_weights(k, mass_sq.shape[1], gamma)
-    return max(0.0, float(np.max(np.sqrt(mass_sq) @ coef)))
+    return float(np.max(np.sqrt(mass_sq) @ coef))
 
 
 def fk_norm(traj: Trajectory, k: int, T: float, gamma: float = GAMMA_DEFAULT) -> float:
@@ -362,6 +360,8 @@ def fs_norm(traj: Trajectory, s: float, T: float, gamma: float = GAMMA_DEFAULT) 
     n = half_spectrum(traj.grid).n
     total = 0.0
     for k in range(0, top_band(traj.grid.max_mode) + 1):
+        # a band without data adds 0 and builds no table, so records too
+        # coarse for its windows are not rejected on its account
         if not np.any(traj.half[:, chi(k, n) != 0]):
             continue
         fk = _xk_sup(traj, k, T, gamma, 2)

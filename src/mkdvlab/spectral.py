@@ -137,17 +137,17 @@ class HalfSpectrum:
         self.n = n
         self.n2 = n * n
         self.i_n = 1j * n
-        self.i_n3 = 1j * n * self.n2
         # P (i n)^k for k = 0..4: the irfft of table * c is the samples
         # themselves, with no scaling pass over the P points
-        self.deriv = self.P * np.array([np.ones(M + 1), 1j * n, -self.n2, -self.i_n3, n**4])
+        self.deriv = self.P * np.array(
+            [np.ones(M + 1), 1j * n, -self.n2, -(1j * n * self.n2), n**4])
         # coefficients of -d/dx from an unnormalized rfft
         self.minus_dx = -self.i_n / self.P
         self.twice = np.where(n > 0, 2.0, 1.0)  # column n > 0 stands for -n too
         # |c(n)|^2 @ pair_sums = (sum_m c(m) c(-m), sum_m m^2 c(m) c(-m)) over -M..M
         self.pair_sums = np.stack([self.twice, 2.0 * self.n2], axis=1)
-        for table in (self.n, self.n2, self.i_n, self.i_n3, self.deriv, self.minus_dx,
-                      self.twice, self.pair_sums):
+        for table in (self.n, self.n2, self.i_n, self.deriv, self.minus_dx, self.twice,
+                      self.pair_sums):
             table.setflags(write=False)
         self._tables = {}
 
@@ -233,8 +233,7 @@ def eta0(x):
     """
     x = np.abs(np.asarray(x, dtype=float))
     num = _g(2.0 - x)
-    den = num + _g(x - 1.0)
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    return num / (num + _g(x - 1.0))  # positive: one of g's arguments is
 
 
 def eta0_prime(x):
@@ -246,11 +245,8 @@ def eta0_prime(x):
     gb = _g(ax - 1.0)
     dga = -_g_prime(2.0 - ax)   # d/d|x| g(2-|x|)
     dgb = _g_prime(ax - 1.0)    # d/d|x| g(|x|-1)
-    den = ga + gb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = (dga * gb - ga * dgb) / den**2
-    d = np.where(den > 0, d, 0.0)
-    return sgn * np.where((ax > 1.0) & (ax < 2.0), d, 0.0)
+    # the denominator is positive, and outside (1, 2) the numerator is 0
+    return sgn * ((dga * gb - ga * dgb) / (ga + gb) ** 2)
 
 
 def chi(k: int, n) -> np.ndarray:

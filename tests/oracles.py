@@ -255,12 +255,13 @@ def miura_static_fields_oracle(M, seed, count=100):
 def gauge_inverse(traj_v):
     """Inverse gauge transform, the round-trip reference of gauge_forward:
     every record twisted by exp(+20 i n Phi) in one table, with Phi
-    accumulated from v itself, since l4(v) = l4(u) on every record."""
+    accumulated from v itself, since l4(v) = l4(u) on every record; the
+    result is tagged with the physical flow again."""
     from mkdvlab.transforms import GAUGE_PHASE_RATE, accumulate_phase
 
     n = np.arange(traj_v.grid.max_mode + 1)
     twist = np.exp(1j * GAUGE_PHASE_RATE * np.outer(accumulate_phase(traj_v), n))
-    return replace(traj_v, half=twist * traj_v.half)
+    return replace(traj_v, half=twist * traj_v.half, equation_tag="physical_5mkdv")
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ def run(args):
     return main(args)
 
 
+def no_run(*args, **kwargs):
+    raise AssertionError("the run started")
+
+
 class TestValidation:
     def test_missing_field_named_in_message(self, tmp_path, capsys):
         code = run(["conserve", "--set", "grid.max_mode=", "--out", str(tmp_path)])
@@ -140,13 +144,18 @@ class TestValidation:
         ("norms", "norms.s=1e6", ("norms.s",)),
         ("appendix-b", "sweep.Ns=100000000000000000000", ("sweep.Ns",)),
         ("evolve", "norms.s=1e6", ("norms.s",)),
+        # gauge constants whose term of the linear phase per step, d1 M^3 dt
+        # or d2 M dt, would overflow the cube in the ETD-RK4 weights; the
+        # gauge-check case is its renormalized run's
+        ("evolve", "equation.tag=renormalized_5mkdv equation.d1=1e300", ("equation.d1",)),
+        ("gauge-check", "equation.d1=1e300", ("equation.d1",)),
+        ("evolve", "equation.tag=linear equation.d2=1e305", ("equation.d2",)),
+        # an output name that would point into another directory
+        ("evolve", "output.prefix=a/b", ("output.prefix",)),
     ])
     def test_out_of_range_named_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                command, item, fields):
-        from mkdvlab import cli, illposed
-
-        def no_run(*args, **kwargs):
-            raise AssertionError("the run started")
+        from mkdvlab import illposed
 
         monkeypatch.setattr(cli, "evolve", no_run)
         for name in ("growth_experiment", "eval_appendix_terms", "t2_duhamel_fifth",
@@ -158,6 +167,16 @@ class TestValidation:
         assert code == 2
         assert err.startswith(f"error: {fields[0]}: ")
         assert all(f in err for f in fields)
+        assert "Traceback" not in err
+
+    def test_output_dir_that_cannot_be_made_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "evolve", no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run(["evolve", "--out", str(blocker / "sub")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: output.dir: ") and "Not a directory" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["evolve", "norms"])
@@ -776,6 +795,21 @@ class TestNorms:
         assert 0.0 < summary["dt"] <= span_min / 64 * 0.98
         assert (man["config"]["time"]["dt"], man["config"]["time"]["record_stride"]) == ("0.001", "3")
 
+    def test_user_stride_kept(self, tmp_path):
+        # 10 steps of dt 1e-4 at stride 2: records 2e-4 apart, within the
+        # top band's span_min/64 = 9.8e-4 at max_mode 8
+        code = run([
+            "norms", "--out", str(tmp_path),
+            "--set", "grid.max_mode=8",
+            "--set", "time.T=1e-3",
+            "--set", "time.dt=1e-4",
+            "--set", "time.record_stride=2",
+        ])
+        assert code == 0
+        summary = json.loads((tmp_path / "mkdvlab_norms_manifest.json").read_text())["results_summary"]
+        assert summary["record_stride"] == 2
+        assert summary["dt"] == pytest.approx(1e-4, rel=1e-12)
+
     def test_user_dt_kept_records_every_step(self, tmp_path):
         # 1,429 steps of dt 7e-6: the automatic stride 3 would leave a short
         # last record interval; 1,429 is prime, so a kept dt records every step
@@ -807,12 +841,7 @@ class TestNorms:
         ("5e-6", "50", "spaces records 2.500e-04 apart"),  # span_min/64 = 2.441e-4
     ])
     def test_user_stride_checked_before_evolve(self, tmp_path, capsys, monkeypatch, dt, stride, msg):
-        from mkdvlab import cli
-
-        def no_evolve(*args, **kwargs):
-            raise AssertionError("evolve ran")
-
-        monkeypatch.setattr(cli, "evolve", no_evolve)
+        monkeypatch.setattr(cli, "evolve", no_run)
         code = run([
             "norms", "--out", str(tmp_path),
             "--set", "grid.max_mode=16",

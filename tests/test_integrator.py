@@ -197,6 +197,22 @@ class TestDefaultDt:
         assert integrate.default_dt(u0, p, tag) == 1 / 2048
         assert seen == [n_top]
 
+    def test_fifth_kdv_bound_sets_dt(self):
+        # u = 2 cos x at M = 10, P = 64 samples, so sup|u| = sup|u_x| = 2 are
+        # sampled; before the cap dt = 1/800, where n^5 dt first passes 1 at
+        # n = 4, and there the fifth_kdv bound (a1, a2, a3 = 20, 10, -30) is
+        # 10 * 2 * 4^3 + 20 * 2 * 4^2 + 30 * 2^2 * 4 = 2400
+        u0 = SpectralField.from_modes(GridSpec(10), {1: 1.0, -1: 1.0})
+        dt = integrate.default_dt(u0, EquationParams(), "fifth_kdv")
+        assert dt == pytest.approx(integrate.RK4_IMAG_STABILITY / 2400.0, rel=1e-12)
+        assert dt < 1 / 800
+
+    def test_bound_past_float64_rejected(self):
+        # the physical bound's c4 term holds sup|u|^4 = (2e80)^4
+        u0 = SpectralField.from_modes(GridSpec(8), {1: 1e80, -1: 1e80})
+        with pytest.raises(ConfigurationError, match="the automatic dt is undefined"):
+            integrate.default_dt(u0, EquationParams(), "physical_5mkdv")
+
 
 class TestStrideAuto:
     def test_auto_stride_bounds_records(self, grid8):
@@ -211,3 +227,8 @@ class TestStepControlValidation:
     def test_bad_dt_rejected(self, dt):
         with pytest.raises(ConfigurationError, match="dt must be finite"):
             StepControl(dt=dt)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_nonpositive_T_rejected(self, grid8, T):
+        with pytest.raises(ConfigurationError, match="T must be positive"):
+            evolve(SpectralField.zeros(grid8), T, EquationParams())

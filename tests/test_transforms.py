@@ -6,8 +6,9 @@ import pytest
 from mkdvlab.cli import TOLERANCES
 from mkdvlab.equations import EquationParams, derive_gauge_params, half_l4_quartic
 from mkdvlab.errors import ConfigurationError
-from mkdvlab.integrate import Trajectory, evolve
-from mkdvlab.spectral import GridSpec, SpectralField, sobolev_norm
+from mkdvlab.integrate import StepControl, Trajectory, evolve
+from mkdvlab.shorttime import fk_norm, max_record_spacing
+from mkdvlab.spectral import GridSpec, SpectralField, sobolev_norm, top_band
 from mkdvlab.transforms import accumulate_phase, chain_identity_gap, gauge_forward, miura
 
 from oracles import gauge_inverse, random_real_coeffs
@@ -77,6 +78,20 @@ class TestGauge:
         traj = evolve(SpectralField.zeros(grid8), 0.01, p)
         back = gauge_inverse(gauge_forward(traj))
         assert np.max(np.abs(back.states)) == 0.0
+
+    def test_gauged_records_read_in_the_renormalized_frame(self):
+        # the gauged u solves the renormalized flow, so the short-time norms
+        # demodulate it by mu = n^5 + d1 n^3 + d2 n and read the v run's F_k
+        # (criterion 3's amplitude at M = 16, every step of the norms dt)
+        grid = GridSpec(16)
+        u0 = SpectralField.from_modes(grid, {1: 0.05, -1: 0.05})
+        p = derive_gauge_params(u0, 40.0)
+        ctrl = StepControl(dt=0.98 * max_record_spacing(top_band(16)), record_stride=1)
+        nt_u = gauge_forward(evolve(u0, 0.05, p, "physical_5mkdv", ctrl))
+        traj_v = evolve(u0, 0.05, p, "renormalized_5mkdv", ctrl)
+        assert nt_u.equation_tag == "renormalized_5mkdv"
+        for k in (1, 2):
+            assert fk_norm(nt_u, k, 0.05) == pytest.approx(fk_norm(traj_v, k, 0.05), rel=1e-8)
 
     def test_nonmonotone_times_rejected(self, grid8):
         p = EquationParams.constrained_family(40.0)
