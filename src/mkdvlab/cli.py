@@ -397,11 +397,12 @@ def write_manifest(path: Path, cfg: ExperimentConfig, summary: dict, wall: float
 
 
 def run_command(command: str, cfg: ExperimentConfig, args) -> int:
-    """Run one subcommand after checking output.prefix and making output.dir,
-    write each of its tables to <output.dir>/<output.prefix>_<artifact>.csv
+    """Run one subcommand after checking output.prefix, making output.dir and
+    checking that each output path is no directory and can be written;
+    write each of its tables to <output.dir>/<output.prefix>_<table>.csv
     and its manifest to <output.prefix>_<artifact>_manifest.json under the
-    artifact name COMMANDS gives it, and map its verdict to the exit code."""
-    artifact, cmd = COMMANDS[command]
+    names COMMANDS gives it, and map its verdict to the exit code."""
+    artifact, cmd, tables = COMMANDS[command]
     t0 = time.perf_counter()
     prefix, outdir = cfg.get("output", "prefix"), Path(cfg.get("output", "dir"))
     if os.sep in prefix or (os.altsep and os.altsep in prefix):
@@ -410,12 +411,16 @@ def run_command(command: str, cfg: ExperimentConfig, args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigurationError(f"output.dir: cannot create {outdir}: {e.strerror}") from None
+    csvs = {name: outdir / f"{prefix}_{name}.csv" for name in tables}
+    manifest = outdir / f"{prefix}_{artifact}_manifest.json"
+    for path in (*csvs.values(), manifest):
+        if path.is_dir() or not os.access(path if path.exists() else outdir, os.W_OK):
+            raise ConfigurationError(f"output.dir: {path} is a directory or cannot be written")
     out = cmd(cfg, args)
-    for name, (header, rows) in out.tables.items():
-        write_csv(outdir / f"{prefix}_{name}.csv", header, rows)
+    for name, path in csvs.items():
+        write_csv(path, *out.tables[name])
     summary = out.summary if out.passed is None else {**out.summary, "passed": out.passed}
-    write_manifest(outdir / f"{prefix}_{artifact}_manifest.json", cfg, summary,
-                   time.perf_counter() - t0)
+    write_manifest(manifest, cfg, summary, time.perf_counter() - t0)
     return EXIT_TOLERANCE if out.passed is False else EXIT_OK
 
 
@@ -696,18 +701,19 @@ def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> Outcome:
     )
 
 
-#: subcommand -> (the artifact name of its manifest, its function)
+#: subcommand -> (the artifact name of its manifest, its function, the
+#: names of the CSV tables it returns)
 COMMANDS = {
-    "evolve": ("evolve", cmd_evolve),
-    "conserve": ("conserve", cmd_conserve),
-    "gauge-check": ("gauge", cmd_gauge_check),
-    "miura-check": ("miura", cmd_miura_check),
-    "resonance-enum": ("resonance_n3", cmd_resonance_enum),
-    "resonance-identity": ("resonance_identity", cmd_resonance_identity),
-    "illposed-growth": ("growth", cmd_illposed_growth),
-    "appendix-b": ("appendix_b", cmd_appendix_b),
-    "norms": ("norms", cmd_norms),
-    "fifth-derivative": ("fifth_derivative", cmd_fifth_derivative),
+    "evolve": ("evolve", cmd_evolve, ("evolve",)),
+    "conserve": ("conserve", cmd_conserve, ("conserve",)),
+    "gauge-check": ("gauge", cmd_gauge_check, ("gauge",)),
+    "miura-check": ("miura", cmd_miura_check, ("miura",)),
+    "resonance-enum": ("resonance_n3", cmd_resonance_enum, ("resonance_n3", "resonance_n5")),
+    "resonance-identity": ("resonance_identity", cmd_resonance_identity, ()),
+    "illposed-growth": ("growth", cmd_illposed_growth, ("growth",)),
+    "appendix-b": ("appendix_b", cmd_appendix_b, ("appendix_b",)),
+    "norms": ("norms", cmd_norms, ("norms", "norm_shells")),
+    "fifth-derivative": ("fifth_derivative", cmd_fifth_derivative, ("fifth_derivative",)),
 }
 
 

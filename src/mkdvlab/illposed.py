@@ -27,16 +27,22 @@ prefactors dropped):
 
 All phases are exact integers (arbitrary precision), so resonant tuples are
 detected exactly.  Every tuple sum takes one array path: A3 index triples
-over the leaves (`_leaf_triples`), exact phases with mu once per distinct
-integer, one E_t (`osc_single`, as I2 `osc_double`) on scalars or arrays,
-and one bincount over (row, mode) bins for per-mode sums (`_bin_by_mode`).
+over the leaves (`_leaf_triples`), exact phases from mu once per leaf and
+per sum of leaves (`_mu`), one E_t (`osc_single`, as I2 `osc_double`) on
+scalars or arrays, and one bincount over (row, mode) bins for per-mode sums
+(`_bin_by_mode`), whose modes are grouped once per class of entries.
 The quintic tuples are factored into (inner triple, outer pair) pairs: a
 positional index (`_PairIndex`, in walk order) and a value pass at one
 support (`_QuinticTable`).  A tuple's value is its pair's weight times the
 outer kernel of its slot times the inner kernel of its term, so no tuple is
-formed.  The C5 support has one index at every N >= 8 (`_c5_index`): a sweep
-is one value pass per N, and D0 is the m0 pair.  Legs are int64 (|leg| <= 5N,
-checked by `CounterexampleSpec`), kernels float64, phases Python ints.
+formed.  A pair's output mode n and phi_out + phi_in depend only on the
+multiset of its five leaves, so the pairs fall into classes (248 classes of
+4,992 pairs at the C5 support), and n, the exact phase sum and E_t of it
+are formed once per class; phi_in once per inner triple and phi_out once
+per outer-phase key.  The C5 support has one index at every N >= 8
+(`_c5_index`): a sweep is one value pass per N, and D0 is the m0 pair.
+Legs are int64 (|leg| <= 5N, checked by `CounterexampleSpec`), kernels
+float64, phases Python ints.
 """
 
 from __future__ import annotations
@@ -175,15 +181,9 @@ def _amplitudes(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return vals[idx[:, 0]] * vals[idx[:, 1]] * vals[idx[:, 2]]
 
 
-def _cubic_phases(legs: np.ndarray) -> np.ndarray:
-    """phi = -mu(a+b+c) + mu(a) + mu(b) + mu(c) per row (a, b, c) of legs,
-    mu(m) = m^5, as exact ints in an object array (resonance.phi_cubic, one
-    array pass); mu is evaluated once per distinct integer."""
-    ints = np.column_stack([legs.sum(axis=1), legs])
-    vals, inv = np.unique(ints, return_inverse=True)
-    mu = np.array([m**5 for m in vals.tolist()], dtype=object)
-    mu = mu[inv.reshape(ints.shape)]
-    return mu[:, 1] + mu[:, 2] + mu[:, 3] - mu[:, 0]
+def _mu(ints: np.ndarray) -> np.ndarray:
+    """mu(m) = m^5 of each int64 entry, as exact ints in an object array."""
+    return np.array([m**5 for m in ints.tolist()], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,11 @@ class _PairIndex:
     (`_c5_index`).  Pairs whose triples have the same position multiset and
     whose {la, lb} have the same positions have the same outer legs up to
     order at any values, and phi is symmetric in its legs: they share one
-    outer-phase key.
+    outer-phase key.  Pairs whose five leaves (m1, m2, m3, la, lb) have the
+    same position multiset share one class: n is the sum of the five and
+    phi_out + phi_in = mu(la) + mu(lb) + mu(m1) + mu(m2) + mu(m3) - mu(n),
+    so both are the class's at any values.  A key lies in one class.
+    Classes are numbered in order of their first pair.
     """
 
     inner: np.ndarray     # (triples, 3) leaf positions of each inner triple
@@ -208,6 +212,8 @@ class _PairIndex:
     ib: np.ndarray
     key: np.ndarray       # (pairs,) outer-phase key
     key_pair: np.ndarray  # (keys,) first pair of each key
+    cls: np.ndarray       # (pairs,) class
+    leaves: np.ndarray    # (classes, 5) sorted leaf positions of each class
 
 
 def _pair_index(legs: np.ndarray) -> _PairIndex:
@@ -223,7 +229,11 @@ def _pair_index(legs: np.ndarray) -> _PairIndex:
     multiset = np.sort(inner, axis=1) @ np.array([k * k, k, 1])
     code = (multiset[i] * k + np.minimum(ia, ib)) * k + np.maximum(ia, ib)
     _, key_pair, key = np.unique(code, return_index=True, return_inverse=True)
-    return _PairIndex(inner, i, ia, ib, key.reshape(-1), key_pair)
+    five = np.sort(np.column_stack([inner[i], ia, ib]), axis=1)
+    _, first, cls = np.unique(five @ k ** np.arange(5), return_index=True, return_inverse=True)
+    order = np.argsort(first)  # classes renumbered in order of their first pair
+    return _PairIndex(inner, i, ia, ib, key.reshape(-1), key_pair,
+                      np.argsort(order)[cls.reshape(-1)], five[first[order]])
 
 
 @dataclass(frozen=True)
@@ -235,8 +245,12 @@ class _QuinticTable:
     term.  A tuple's value is its pair's weight times K_X of its slot times
     K_Y of its inner term.  K_X is the outer n3^2 kernel, which reads lb in
     slots 0 and 1 and n_slot in slot 2, so `kernel_x` holds the two columns
-    lb^2 and n_slot^2; `kernel_y` holds one column per inner term.  Mode,
-    amplitude, exact phases and E_t are formed once per pair.
+    lb^2 and n_slot^2; `kernel_y` holds one column per inner term.  Each
+    exact phase is formed once where it is determined: phi_in per inner
+    triple, phi_out per outer-phase key, and the output mode n and
+    phi_out + phi_in per class (`_PairIndex`); only floats are gathered
+    out to pairs.  A pair's exact phi_out is phi_out[key], its phi_in
+    phi_in[triple], its n mode[cls].
 
     phi_out != 0 on every pair, so every tuple has a normal form: no leg of
     (la, lb, n_slot) equals n, so each pair sum la + lb = n - n_slot,
@@ -250,47 +264,60 @@ class _QuinticTable:
     and of the exact phi_out + phi_in.
     """
 
-    n: np.ndarray          # (pairs,) output mode
-    outer: np.ndarray      # (pairs, 3) outer legs (la, lb, n_slot)
+    mode: np.ndarray       # (classes,) output mode n
+    cls: np.ndarray        # (pairs,) class
+    key: np.ndarray        # (pairs,) outer-phase key
     triple: np.ndarray     # (pairs,) row of `inner`
+    outer: np.ndarray      # (pairs, 3) outer legs (la, lb, n_slot)
     inner: np.ndarray      # (triples, 3) inner legs
     amp: np.ndarray        # (pairs,) product of the five data values
-    phi_out: np.ndarray    # (pairs,) exact ints
-    phi_in: np.ndarray
-    phi_out_f: np.ndarray  # (pairs,) float(phi_out), float(phi_out + phi_in)
-    phi_sum_f: np.ndarray
+    phi_out: np.ndarray    # (keys,) exact ints
+    phi_in: np.ndarray     # (triples,) exact ints
+    phi_sum: np.ndarray    # (classes,) exact phi_out + phi_in
+    phi_out_f: np.ndarray  # (keys,) float(phi_out)
+    phi_sum_f: np.ndarray  # (classes,) float(phi_sum)
     kernel_x: np.ndarray   # (pairs, 2) lb^2 (slots 0 and 1), n_slot^2 (slot 2)
     kernel_y: np.ndarray   # (pairs, inner terms)
     inner_terms: tuple
 
     def __len__(self) -> int:
-        return len(self.n)
+        return len(self.cls)
+
+    @property
+    def n(self) -> np.ndarray:
+        """(pairs,) output mode of each pair."""
+        return self.mode[self.cls]
 
     def structure_weights(self, t: float) -> np.ndarray:
         """Structure-only weight n * n_slot * amp * E_t(phi_out + phi_in) /
-        phi_out of every pair."""
+        phi_out of every pair, E_t taken once per class."""
         nn = self.n.astype(float) * self.outer[:, 2]
-        return nn * self.amp * osc_single(self.phi_sum_f, t) / self.phi_out_f
+        return nn * self.amp * osc_single(self.phi_sum_f, t)[self.cls] / self.phi_out_f[self.key]
 
 
 def _pair_values(index: _PairIndex, legs: np.ndarray, vals: np.ndarray,
                  inner_terms) -> _QuinticTable:
     """The values of index at the sorted leaf legs and their data values
-    vals: legs, exact phases (mu once per distinct integer, phi_in once per
-    inner triple, phi_out once per outer-phase key), amplitudes and the
-    kernels of inner_terms."""
+    vals: legs, amplitudes, the kernels of inner_terms and the exact
+    phases, with mu once per leaf, once per inner triple's sum and once per
+    class's sum: phi_in = mu(m1) + mu(m2) + mu(m3) - mu(n_slot) per triple,
+    phi_out = mu(la) + mu(lb) + mu(n_slot) - mu(n) per outer-phase key, and
+    phi_out + phi_in = mu(la) + mu(lb) + mu(m1) + mu(m2) + mu(m3) - mu(n)
+    per class."""
     inner = legs[index.inner]
-    n_slot = inner.sum(axis=1)[index.triple]
-    outer = np.stack([legs[index.ia], legs[index.ib], n_slot], axis=1)
-    phases = _cubic_phases(np.concatenate([inner, outer[index.key_pair]]))
-    phi_in = phases[:len(inner)][index.triple]
-    phi_out = phases[len(inner):][index.key]
+    slot = inner.sum(axis=1)
+    mode = legs[index.leaves].sum(axis=1)
+    mu, mu_slot, mu_n = _mu(legs), _mu(slot), _mu(mode)
+    kp = index.key_pair
+    phi_in = mu[index.inner].sum(axis=1) - mu_slot
+    phi_out = mu[index.ia[kp]] + mu[index.ib[kp]] + mu_slot[index.triple[kp]] - mu_n[index.cls[kp]]
+    phi_sum = mu[index.leaves].sum(axis=1) - mu_n
+    outer = np.stack([legs[index.ia], legs[index.ib], slot[index.triple]], axis=1)
     return _QuinticTable(
-        n=outer.sum(axis=1), outer=outer, triple=index.triple, inner=inner,
+        mode=mode, cls=index.cls, key=index.key, triple=index.triple, outer=outer, inner=inner,
         amp=_amplitudes(vals, index.inner)[index.triple] * vals[index.ia] * vals[index.ib],
-        phi_out=phi_out, phi_in=phi_in,
-        phi_out_f=phases[len(inner):].astype(float)[index.key],
-        phi_sum_f=(phi_out + phi_in).astype(float),
+        phi_out=phi_out, phi_in=phi_in, phi_sum=phi_sum,
+        phi_out_f=phi_out.astype(float), phi_sum_f=phi_sum.astype(float),
         kernel_x=outer[:, 1:].astype(float) ** 2,
         kernel_y=np.stack([_CUBIC_KERNELS[name](*inner.T.astype(float))
                            for name in inner_terms], axis=1)[index.triple],
@@ -305,30 +332,33 @@ def _quintic_table(support: dict, inner_terms) -> _QuinticTable:
     return _pair_values(_pair_index(legs), legs, vals, inner_terms)
 
 
-def _bin_by_mode(n: np.ndarray, v: np.ndarray) -> tuple:
-    """Per-mode sums of each row of v (rows, len(n)), entry j being at mode
-    n[j], by one bincount over (row, mode) bins, each bin summed in entry
-    order: the sorted distinct modes, the entry at which each first
-    appears, and the real and imaginary sums (rows, modes)."""
+def _bin_by_mode(n: np.ndarray, cls: np.ndarray, v: np.ndarray) -> tuple:
+    """Per-mode sums of each row of v (rows, len(cls)), entry j being in
+    class cls[j] of output mode n[cls[j]], by one bincount over (row, mode)
+    bins, each bin summed in entry order: the sorted distinct modes, the
+    class at which each first appears, and the real and imaginary sums
+    (rows, modes).  The modes are grouped once per class, and each entry's
+    bin is its class's."""
     modes, first, inv = np.unique(n, return_index=True, return_inverse=True)
-    bins = (inv.reshape(-1) + len(modes) * np.arange(len(v)).reshape(-1, 1)).ravel()
+    bins = (inv.reshape(-1)[cls] + len(modes) * np.arange(len(v)).reshape(-1, 1)).ravel()
     size = len(v) * len(modes)
     re, im = (np.bincount(bins, part.ravel(), size).reshape(len(v), -1)
               for part in (v.real, v.imag))
     return modes, first, re, im
 
 
-def _field(n: np.ndarray, v: np.ndarray) -> dict:
-    """{mode: sum of v} of entries v at modes n, modes in order of first
-    appearance, as a dict filled entry by entry holds them."""
-    modes, first, re, im = _bin_by_mode(n, v[None])
+def _field(n: np.ndarray, cls: np.ndarray, v: np.ndarray) -> dict:
+    """{mode: sum of v} of entries v in classes cls at modes n[cls], modes
+    in order of first appearance, as a dict filled entry by entry holds them
+    (classes being numbered in order of their first entry)."""
+    modes, first, re, im = _bin_by_mode(n, cls, v[None])
     return {int(modes[j]): complex(re[0, j], im[0, j]) for j in np.argsort(first)}
 
 
-def _hs_norms(n: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
-    """H^s norm of the per-mode sums of each row of v (rows, len(n)), entry
-    j being at mode n[j]."""
-    modes, _, re, im = _bin_by_mode(n, v)
+def _hs_norms(n: np.ndarray, cls: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
+    """H^s norm of the per-mode sums of each row of v (rows, len(cls)),
+    entry j being in class cls[j] of mode n[cls[j]]."""
+    modes, _, re, im = _bin_by_mode(n, cls, v)
     return np.sqrt(np.sum((re**2 + im**2) * (1.0 + modes.astype(float) ** 2) ** s, axis=1))
 
 
@@ -358,10 +388,10 @@ def _d0_hsnorm(tab: _QuinticTable, spec: CounterexampleSpec, p: int) -> float:
     tuple's operation order (the kernel product in exact ints over
     float(phi_out), then amp, then E_t).  phi(m0) = 0 exactly, so D0 is
     linear in t."""
-    N = spec.N
-    k = math.prod(int(x) for x in (tab.n[p], tab.outer[p, 2], tab.kernel_x[p, 1],
-                                   tab.kernel_y[p, 0])) / float(tab.phi_out[p])
-    d0 = k * tab.amp[p] * osc_single(tab.phi_out[p] + tab.phi_in[p], spec.t)
+    N, c = spec.N, tab.cls[p]
+    k = math.prod(int(x) for x in (tab.mode[c], tab.outer[p, 2], tab.kernel_x[p, 1],
+                                   tab.kernel_y[p, 0])) / float(tab.phi_out[tab.key[p]])
+    d0 = k * tab.amp[p] * osc_single(tab.phi_sum[c], spec.t)
     return float((1.0 + N**2) ** (spec.s / 2.0) * abs(d0))
 
 
@@ -401,7 +431,7 @@ def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
     tab = _pair_values(index, *_leaves(support, sorted(support)), ("cubic2", "cubic3"))
     cols, terms = (list(c) for c in zip(*_APPENDIX_TERMS.values()))
     kernels = tab.kernel_x[:, cols].T * tab.kernel_y[:, terms].T
-    norms = _hs_norms(tab.n, kernels * tab.structure_weights(spec.t), spec.s)
+    norms = _hs_norms(tab.mode, tab.cls, kernels * tab.structure_weights(spec.t), spec.s)
     return NormalFormTermReport(
         N=spec.N,
         s=spec.s,
@@ -425,8 +455,10 @@ def eval_c3_cubic(spec: CounterexampleSpec) -> dict:
     idx = _leaf_triples(legs, a3=False)
     m = legs[idx]
     n = m.sum(axis=1)
-    v = (m[:, 2] ** 3) * _amplitudes(vals, idx) * osc_single(_cubic_phases(m), spec.t)
-    return {"field": _field(n, v), "hs_norm": float(_hs_norms(n, v[None], spec.s)[0])}
+    phi = _mu(legs)[idx].sum(axis=1) - _mu(n)  # resonance.phi_cubic
+    v = (m[:, 2] ** 3) * _amplitudes(vals, idx) * osc_single(phi, spec.t)
+    own = np.arange(len(n))  # each triple its own class
+    return {"field": _field(n, own, v), "hs_norm": float(_hs_norms(n, own, v[None], spec.s)[0])}
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +517,15 @@ def t2_duhamel_fifth(
     tab, t = _quintic_table(support, inner_terms), spec.t
     a = tab.phi_out_f
     # W: the pair's boundary plus distributed piece at unit kernels; summed
-    # over its cells, K_X gives 2 lb^2 + n_slot^2 and K_Y its inner columns
-    w = (10j * tab.n) * (10j * tab.outer[:, 2]) * tab.amp * (
-        np.exp(1j * a * t) * osc_single(tab.phi_in, t) - osc_single(tab.phi_sum_f, t)) / (1j * a)
+    # over its cells, K_X gives 2 lb^2 + n_slot^2 and K_Y its inner columns.
+    # e^{i phi_out t} is taken per key, E_t(phi_in) per triple and
+    # E_t(phi_out + phi_in) per class
+    e = (np.exp(1j * a * t)[tab.key] * osc_single(tab.phi_in, t)[tab.triple]
+         - osc_single(tab.phi_sum_f, t)[tab.cls])
+    w = (10j * tab.n) * (10j * tab.outer[:, 2]) * tab.amp * e / (1j * a[tab.key])
     v = w * (2.0 * tab.kernel_x[:, 0] + tab.kernel_x[:, 1]) * tab.kernel_y.sum(axis=1)
-    return {n: x * np.exp(1j * float(n**5) * t) for n, x in _field(tab.n, v).items()}, 0
+    return {n: x * np.exp(1j * float(n**5) * t)
+            for n, x in _field(tab.mode, tab.cls, v).items()}, 0
 
 
 def numeric_fifth_derivative(

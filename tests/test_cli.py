@@ -179,6 +179,16 @@ class TestValidation:
         assert err.startswith("error: output.dir: ") and "Not a directory" in err
         assert "Traceback" not in err
 
+    def test_output_path_that_is_a_directory_named(self, tmp_path, capsys, monkeypatch):
+        # every output path is checked before the run, not at the write after it
+        monkeypatch.setattr(cli, "evolve", no_run)
+        (tmp_path / "mkdvlab_evolve.csv").mkdir()
+        code = run(["evolve", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: output.dir: ") and "mkdvlab_evolve.csv" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["evolve", "norms"])
     def test_unknown_tag_named(self, tmp_path, capsys, command):
         code = run([command, "--set", "equation.tag=kdv5", "--out", str(tmp_path)])
@@ -282,7 +292,7 @@ class TestValidation:
             def failing(cfg, args, cls=cls):
                 raise cls("planted")
 
-            monkeypatch.setitem(cli.COMMANDS, "evolve", ("evolve", failing))
+            monkeypatch.setitem(cli.COMMANDS, "evolve", ("evolve", failing, ("evolve",)))
             assert run(["evolve", "--out", str(tmp_path)]) == code
             assert capsys.readouterr().err == f"{prefix}: planted\n"
 

@@ -10,7 +10,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 import scipy.integrate as si
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     eval_appendix_terms_oracle,
@@ -467,7 +467,8 @@ def table_rows(tab):
     """The factored table flattened to one row per tuple, in C order of
     (pair, slot, inner term), with the pair of each row: each slot's legs
     from the pair's (la, lb, n_slot), and its outer kernel from the column
-    of lb^2 (slots 0 and 1) or n_slot^2 (slot 2)."""
+    of lb^2 (slots 0 and 1) or n_slot^2 (slot 2), and its exact phases
+    gathered from its pair's outer-phase key and inner triple."""
     pair, slot, yi = np.indices((len(tab), 3, len(tab.inner_terms))).reshape(3, -1)
     return {
         "pair": pair,
@@ -479,8 +480,8 @@ def table_rows(tab):
         "amp": tab.amp[pair],
         "kernel_x": tab.kernel_x[pair, (slot == 2).astype(int)],
         "kernel_y": tab.kernel_y[pair, yi],
-        "phi_out": tab.phi_out[pair],
-        "phi_in": tab.phi_in[pair],
+        "phi_out": tab.phi_out[tab.key[pair]],
+        "phi_in": tab.phi_in[tab.triple[pair]],
     }
 
 
@@ -527,7 +528,7 @@ def test_outer_phase_never_vanishes(support):
     # tuple has a normal form, so no caller masks phi_out = 0
     tab = _quintic_table(support, ("cubic2",))
     want = [-resonance_g(la, lb, n_slot) for la, lb, n_slot in tab.outer.tolist()]
-    assert tab.phi_out.tolist() == want
+    assert tab.phi_out[tab.key].tolist() == want
     assert 0 not in want
 
 
@@ -543,6 +544,7 @@ def assert_same_arrays(got, want):
 
 @settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
 @given(N=st.integers(8, 10**4), N0=st.integers(8, 10**4))
+@example(N=(2**63 - 1) // 5, N0=8)  # the largest N whose legs fit in int64
 def test_pair_index_serves_every_n(N, N0):
     # which C5 pairs are kept depends only on which sums of two and of four
     # leaves vanish, the same at every N >= 8: the index built at N0 is the
@@ -553,6 +555,10 @@ def test_pair_index_serves_every_n(N, N0):
     assert_same_arrays(index, _c5_index()[0])
     got = _pair_values(index, *_leaves(supp, sorted(supp)), ("cubic2", "cubic3"))
     assert_same_arrays(got, _quintic_table(supp, ("cubic2", "cubic3")))
+    # every pair of a class has the class's exact phi_out + phi_in and n
+    exact = got.phi_out[got.key] + got.phi_in[got.triple]
+    assert exact.tolist() == got.phi_sum[got.cls].tolist()
+    assert got.outer.sum(axis=1).tolist() == got.n.tolist()
 
 
 @settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
@@ -576,20 +582,39 @@ class TestTupleTableMatchesOracle:
                                list(iter_quintic_tuples_oracle(supp)))
 
     def test_one_exact_phase_sum_per_pair(self):
-        # every tuple of a pair shares its exact phi_out and phi_in, and the
-        # pair's floats are those of phi_out and of the exact phi_out + phi_in
+        # every tuple of a pair shares its key's exact phi_out, its triple's
+        # phi_in and its class's exact phi_out + phi_in, and the floats are
+        # those of phi_out and of the exact sum
         spec = CounterexampleSpec(N=4096, s=1.0, t=1e-4)
         supp = counterexample_support(spec)
         tab = _quintic_table(supp, ("cubic2", "cubic3"))
         walk = list(iter_quintic_tuples_oracle(supp))
         pair = table_rows(tab)["pair"]
         for p, w in zip(pair.tolist(), walk):
-            assert (w.phi_out, w.phi_in) == (tab.phi_out[p], tab.phi_in[p])
-        exact = tab.phi_out + tab.phi_in
-        assert tab.phi_sum_f.tolist() == [float(v) for v in exact]
+            assert (w.phi_out, w.phi_in) == (tab.phi_out[tab.key[p]], tab.phi_in[tab.triple[p]])
+            assert w.phi_out + w.phi_in == tab.phi_sum[tab.cls[p]]
+        assert tab.phi_sum_f.tolist() == [float(v) for v in tab.phi_sum]
         assert tab.phi_out_f.tolist() == [float(v) for v in tab.phi_out]
         # at this N the float sum of the two phases would round differently
-        assert np.any(tab.phi_sum_f != tab.phi_out_f + tab.phi_in.astype(float))
+        sum_f = tab.phi_out_f[tab.key] + tab.phi_in.astype(float)[tab.triple]
+        assert np.any(tab.phi_sum_f[tab.cls] != sum_f)
+
+    def test_one_e_t_value_per_class(self, monkeypatch):
+        # the sweep's E_t work: one value per class of the C5 index (248 of
+        # its 4,992 pairs) and one for D0, in two calls
+        from mkdvlab import illposed
+
+        sizes = []
+
+        def counted(phi, t):
+            sizes.append(np.size(phi))
+            return osc_single(phi, t)
+
+        monkeypatch.setattr(illposed, "osc_single", counted)
+        eval_appendix_terms(CounterexampleSpec(N=64))
+        index = _c5_index()[0]
+        assert (len(index.leaves), len(index.cls)) == (248, 4992)
+        assert len(sizes) == 2 and sum(sizes) == len(index.leaves) + 1
 
     def test_appendix_report(self):
         spec = CounterexampleSpec(N=8, s=1.0, t=1e-4)
