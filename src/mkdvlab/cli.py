@@ -49,7 +49,7 @@ from .equations import EquationParams, RenormalizedTerms, derive_gauge_params, f
 from .errors import ConfigurationError, DivergenceError, MkdvLabError
 from .integrate import BLOWUP_SUP, StepControl, evolve, step_plan, uniform_steps
 from .invariants import drift_report
-from .spectral import GridSpec, SpectralField, hermitian_extend, row_chunks, sobolev_norm, top_band
+from .spectral import GridSpec, SpectralField, row_chunks, sobolev_norm, top_band
 from .transforms import chain_identity_gap, gauge_forward, miura
 
 EXIT_OK = 0
@@ -69,6 +69,9 @@ MAX_ENTRIES = 1 << 26
 #: Bound on |d1| M^3 dt and |d2| M dt, the gauge terms of a step's linear phase
 #: mu dt: the ETD-RK4 weights divide by (mu dt)^3, past float64 above 5.6e102.
 MAX_GAUGE_PHASE = 1e100
+
+#: A step plan above this many steps is announced on stderr before the run.
+STEP_NOTICE = 10**6
 
 DEFAULTS = {
     "grid": {"max_mode": "64"},
@@ -250,18 +253,16 @@ def build_initial_data(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
                 f"initial_data.amplitudes: {len(amps)} amplitudes set modes 1..{len(amps)}, "
                 f"beyond grid.max_mode = {grid.max_mode}"
             )
-        values = {}
-        for i, a in enumerate(amps, start=1):
-            values[i] = a / 2.0
-            values[-i] = a / 2.0
-        return _evolvable("initial_data.amplitudes", SpectralField.from_modes(grid, values))
+        half = np.zeros(grid.max_mode + 1)
+        half[1:len(amps) + 1] = np.divide(amps, 2.0)
+        return _evolvable("initial_data.amplitudes", SpectralField.from_half(grid, half))
     if preset == "random_smooth":
         rng = _rng(cfg)
         decay = cfg.get_float("initial_data", "decay")
         amp = cfg.get_float("initial_data", "amplitude")
         normals = rng.standard_normal((grid.max_mode, 2))
         modes = _in_field("initial_data.decay", _decaying_modes, normals, decay)[:, 0]
-        u0 = SpectralField(grid, hermitian_extend(np.concatenate(([0.0], modes))) * amp)
+        u0 = SpectralField.from_half(grid, np.concatenate(([0.0], modes)) * amp)
         return _evolvable("initial_data.amplitude", u0)
     raise ConfigurationError(f"initial_data.preset: unknown preset {preset!r}")
 
@@ -344,7 +345,8 @@ def build_run(cfg: ExperimentConfig, tag: str = "", params: EquationParams | Non
     check_records resolves for `buffers` record buffers before anything runs,
     on which every run of the subcommand steps.  records(grid, T, ctrl), if
     given, returns the step control to resolve instead and the field that its
-    records blame.  A gauge term of a step's phase past MAX_GAUGE_PHASE is rejected."""
+    records blame.  A gauge term of a step's phase past MAX_GAUGE_PHASE is rejected,
+    and a plan of more than STEP_NOTICE steps is announced on stderr."""
     grid = build_grid(cfg)
     u0 = build_initial_data(cfg, grid)
     p = build_params(cfg, u0) if params is None else params
@@ -354,12 +356,17 @@ def build_run(cfg: ExperimentConfig, tag: str = "", params: EquationParams | Non
     blame = ""
     if records is not None:
         ctrl, blame = records(grid, T, ctrl)
+    rule = "time.dt" if 0 < ctrl.dt == cfg.get_float("time", "dt") else "the automatic rule"
     ctrl = check_records(u0, T, p, tag, ctrl, blame, buffers)
     M, dt = grid.max_mode, ctrl.dt  # for every tag: gauge-check's v run steps on p too
     for key, term, phase in (("d1", "M^3", abs(p.d1) * M**3 * dt), ("d2", "M", abs(p.d2) * M * dt)):
         if not phase <= MAX_GAUGE_PHASE:
             raise ConfigurationError(f"equation.{key}: |{key}| {term} dt = {phase:.4g} in a "
                                      f"step's linear phase passes {MAX_GAUGE_PHASE:g}")
+    steps = uniform_steps(T, dt)[0]
+    if steps > STEP_NOTICE:
+        print(f"note: the run plans {steps:,} steps of dt = {dt:.4g} (dt from {rule})",
+              file=sys.stderr)
     return Run(u0, T, p, tag, ctrl)
 
 
@@ -492,7 +499,7 @@ def cmd_miura_check(cfg: ExperimentConfig, args) -> Outcome:
         worst_static = max(worst_static, chain_identity_gap(grid, c, cdot))
 
     traj_v = evolve(*run)
-    u0 = SpectralField(grid, hermitian_extend(miura(grid, run.u0.half("miura-check v0"))))
+    u0 = SpectralField.from_half(grid, miura(grid, run.u0.half("miura-check v0")))
     traj_u = evolve(u0, run.T, run.p, "kdv3", run.ctrl)
     gap = np.empty(len(traj_v))
     for rows in row_chunks(len(gap), 4 * grid.phys_points):  # miura's syntheses and rfft
@@ -682,12 +689,17 @@ def cmd_fifth_derivative(cfg: ExperimentConfig, args) -> Outcome:
     ana, _ = t2_duhamel_fifth(supp, spec)
     M = grid.max_mode
     ana_arr = SpectralField.from_modes(grid, {n: v for n, v in ana.items() if abs(n) <= M}).coeff
+    scale = float(np.max(np.abs(ana_arr)))
+    if not scale >= np.finfo(float).tiny:  # the relative error divides by it
+        raise ConfigurationError(
+            f"time.T: the analytic fifth derivative at T = {spec.t:g} peaks at {scale:.4g}, "
+            "below float64's normal range; raise time.T")
     a5, rep = numeric_fifth_derivative(
         u0, spec.t, [0.008, 0.012, 0.016, 0.02, 0.024],
         EquationParams.constrained_family(40.0), terms,
         ctrl=StepControl(dt=2e-6, record_stride=10**9),
     )
-    rel = float(np.max(np.abs(a5.coeff - ana_arr)) / np.max(np.abs(ana_arr)))
+    rel = float(np.max(np.abs(a5.coeff - ana_arr)) / scale)
     rows = [
         (int(n - M), abs(a5.coeff[n]), abs(ana_arr[n]))
         for n in range(2 * M + 1)

@@ -46,7 +46,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ConfigurationError
-from .spectral import GridSpec, HalfSpectrum, SpectralField, half_spectrum, hermitian_extend
+from .spectral import GridSpec, HalfSpectrum, SpectralField, half_spectrum
 
 CONSTRAINT_RTOL = 1e-12
 
@@ -328,4 +328,4 @@ def rhs(u: SpectralField, p: EquationParams, tag: str,
     nonlinear = nonlinear_operator(u.grid, p, tag, renorm_terms)
     ch = u.half(f"{tag} rhs input")
     mu = linear_symbol(half_spectrum(u.grid).n, p, tag)
-    return SpectralField(u.grid, hermitian_extend(nonlinear(ch) + 1j * mu * ch))
+    return SpectralField.from_half(u.grid, nonlinear(ch) + 1j * mu * ch)

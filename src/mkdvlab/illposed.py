@@ -55,7 +55,7 @@ import numpy as np
 
 from .equations import EquationParams, RenormalizedTerms
 from .errors import ConfigurationError
-from .spectral import SpectralField, hermitian_extend
+from .spectral import SpectralField
 
 # ---------------------------------------------------------------------------
 # Exact oscillatory primitives
@@ -556,8 +556,9 @@ def numeric_fifth_derivative(
     if max(deltas) / min(deltas) < 1.2:
         raise ConfigurationError("delta spread too small for a stable fit")
 
+    half = u0.half("renormalized_5mkdv initial data")
     finals = np.array([
-        evolve(SpectralField(u0.grid, d * u0.coeff), t, p, tag="renormalized_5mkdv",
+        evolve(SpectralField.from_half(u0.grid, d * half), t, p, tag="renormalized_5mkdv",
                ctrl=ctrl, renorm_terms=terms).half[-1]
         for d in deltas
     ])
@@ -571,4 +572,4 @@ def numeric_fifth_derivative(
         "deltas": deltas,
         "powers": powers,
     }
-    return SpectralField(u0.grid, hermitian_extend(a5)), report
+    return SpectralField.from_half(u0.grid, a5), report

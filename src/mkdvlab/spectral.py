@@ -68,10 +68,10 @@ class SpectralField:
     """Dense truncated Fourier coefficients of a real field on a GridSpec.
 
     ``coeff[i]`` is the coefficient of ``exp(i n x)`` with ``n = i - max_mode``
-    (ordered -max_mode..max_mode), with ``coeff[-n] = conj(coeff[n])``: the
-    entry points read the half spectrum ``coeff[max_mode:]``, the layout
-    every real field has inside the package, through :meth:`half`, which
-    checks it.
+    (ordered -max_mode..max_mode), with ``coeff[-n] = conj(coeff[n])``.  The
+    half spectrum ``coeff[max_mode:]`` is the layout every real field has
+    inside the package: :meth:`from_half` is the one way from c[0..M] to a
+    field, and :meth:`half`, which checks it, the one way back.
     """
 
     grid: GridSpec
@@ -97,6 +97,11 @@ class SpectralField:
                 raise ConfigurationError(f"mode {n} outside |n| <= {grid.max_mode}")
             f.coeff[n + grid.max_mode] = v
         return f
+
+    @classmethod
+    def from_half(cls, grid: GridSpec, half: np.ndarray) -> "SpectralField":
+        """The real field of the half spectrum c[0..M], extended by c(-n) = conj(c(n))."""
+        return cls(grid, hermitian_extend(half))
 
     def half(self, what: str) -> np.ndarray:
         """The half spectrum c[0..M], a view; ConfigurationError naming `what` unless

@@ -169,6 +169,20 @@ class TestValidation:
         assert all(f in err for f in fields)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("T", ["1e-300", "1e-160"])
+    def test_vanishing_analytic_field_named_before_the_run(self, tmp_path, capsys,
+                                                           monkeypatch, T):
+        # the analytic field scales as T^2: 0 at 1e-300, subnormal at 1e-160,
+        # and the relative error divides by its peak
+        from mkdvlab import illposed
+
+        monkeypatch.setattr(illposed, "numeric_fifth_derivative", no_run)
+        code = run(["fifth-derivative", "--set", f"time.T={T}", "--set", "grid.max_mode=8",
+                    "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: time.T: ") and "Traceback" not in err
+
     def test_output_dir_that_cannot_be_made_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "evolve", no_run)
         blocker = tmp_path / "file"
@@ -573,6 +587,30 @@ class TestOneStepPlan:
         u, v = runs
         assert (u.equation_tag, v.equation_tag) == ("physical_5mkdv", "renormalized_5mkdv")
         assert len(u) > 2 and np.array_equal(u.times, v.times)
+
+
+class TestStepNotice:
+    """A plan above STEP_NOTICE steps says so on stderr before the run."""
+
+    @pytest.mark.parametrize("settings, steps, rule", [
+        (["equation.c1=1e10"], "49,446,470", "the automatic rule"),
+        (["time.dt=1e-320", "time.T=1e-310"], "10,000,111,330", "time.dt"),
+    ])
+    def test_long_plan_announced(self, capsys, settings, steps, rule):
+        cli.build_run(load_config(None, settings))
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"note: the run plans {steps} steps ")
+        assert f"(dt from {rule})" in err
+
+    def test_default_plan_quiet(self, capsys):
+        cli.build_run(load_config(None, []))
+        assert capsys.readouterr().err == ""
+
+    def test_exit_code_kept(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "STEP_NOTICE", 0)
+        code = run(["evolve", "--out", str(tmp_path), *TestOneStepPlan.SETTINGS])
+        err = capsys.readouterr().err
+        assert code == 0 and err.count("\n") == 1 and err.startswith("note: ")
 
 
 class TestRandomData:

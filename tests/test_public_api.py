@@ -360,10 +360,7 @@ def dense_layout_calls(module: str, source: str) -> set:
 #: coefficients -M..M, by the reason it does
 DENSE_LAYOUT_ALLOWED = {
     "perfbench reads Trajectory.states": {"integrate.Trajectory.states"},
-    "oracles' seam: rhs returns a SpectralField": {"equations.rhs"},
-    "evolve takes miura-check's u(0) as a SpectralField": {"cli.cmd_miura_check"},
-    "perfbench reads a5.coeff": {"illposed.numeric_fifth_derivative"},
-    "random_smooth initial data": {"cli.build_initial_data"},
+    "the one constructor of a field from c[0..M]": {"spectral.SpectralField.from_half"},
 }
 
 

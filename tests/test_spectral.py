@@ -28,7 +28,7 @@ def real_samples(f: SpectralField) -> np.ndarray:
 
 def field_from_samples(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     """The field of real samples through the grid's half spectrum."""
-    return SpectralField(grid, hermitian_extend(half_spectrum(grid).analyze(samples)))
+    return SpectralField.from_half(grid, half_spectrum(grid).analyze(samples))
 
 
 def collocation_points(grid: GridSpec) -> np.ndarray:
@@ -55,6 +55,17 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             g.modes[0] = 0
         assert g == GridSpec(8) and hash(g) == hash(GridSpec(8))
+
+
+class TestFromHalf:
+    @pytest.mark.parametrize("half", [
+        np.array([0.5, 0.25, 0.0, -0.125, 0.0625]),
+        np.array([0.5, 0.25 - 0.75j, 1e-3j, -0.125 + 2.0j, 3e-7 - 1.0j]),
+    ], ids=["real", "complex"])
+    def test_half_and_dense_layout_bit_for_bit(self, half):
+        f = SpectralField.from_half(GridSpec(4), half)
+        assert f.half("from_half").tobytes() == half.astype(np.complex128).tobytes()
+        assert f.coeff.tobytes() == hermitian_extend(half).tobytes()
 
 
 class TestAnalyzeSynthesize:
