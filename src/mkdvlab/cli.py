@@ -61,9 +61,11 @@ FLOAT_FMT = "{:.16e}"
 
 #: Cap on the complex entries a run may hold: 2**26 entries is 1 GiB, an
 #: eighth of an 8 GiB machine.  It bounds the record buffers a subcommand
-#: keeps at once, records x (max_mode+1) half-spectrum entries each, and,
-#: through 3*(2*max_mode+1) <= MAX_ENTRIES // 64 collocation points, evolve's
-#: working arrays of about 28 entries per point.
+#: keeps at once (one, or two for gauge-check and miura-check; the rest of a
+#: pass goes a chunk of records at a time, except norms' short-time tables),
+#: records x (max_mode+1) half-spectrum entries each, and, through
+#: 3*(2*max_mode+1) <= MAX_ENTRIES // 64 collocation points, evolve's working
+#: arrays of about 28 entries per point.
 MAX_ENTRIES = 1 << 26
 
 #: Bound on |d1| M^3 dt and |d2| M dt, the gauge terms of a step's linear phase
@@ -234,14 +236,15 @@ def _rng(cfg: ExperimentConfig) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _evolvable(name: str, u0: SpectralField) -> SpectralField:
-    """u0, or a ConfigurationError naming the field `name` where a coefficient
-    passes evolve's blow-up threshold (a divergence at the first step)."""
-    peak = float(np.max(np.abs(u0.coeff)))
+def _evolvable(name: str, grid: GridSpec, half: np.ndarray) -> SpectralField:
+    """The real field of the half spectrum c[0..M], or a ConfigurationError
+    naming the field `name` where a coefficient passes evolve's blow-up
+    threshold (a divergence at the first step)."""
+    peak = float(np.max(np.abs(half)))
     if not peak <= BLOWUP_SUP:
         raise ConfigurationError(
             f"{name}: |c(n)| = {peak:.4g} passes evolve's blow-up threshold {BLOWUP_SUP:g}")
-    return u0
+    return SpectralField.from_half(grid, half)
 
 
 def build_initial_data(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
@@ -255,15 +258,14 @@ def build_initial_data(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
             )
         half = np.zeros(grid.max_mode + 1)
         half[1:len(amps) + 1] = np.divide(amps, 2.0)
-        return _evolvable("initial_data.amplitudes", SpectralField.from_half(grid, half))
+        return _evolvable("initial_data.amplitudes", grid, half)
     if preset == "random_smooth":
         rng = _rng(cfg)
         decay = cfg.get_float("initial_data", "decay")
         amp = cfg.get_float("initial_data", "amplitude")
         normals = rng.standard_normal((grid.max_mode, 2))
         modes = _in_field("initial_data.decay", _decaying_modes, normals, decay)[:, 0]
-        u0 = SpectralField.from_half(grid, np.concatenate(([0.0], modes)) * amp)
-        return _evolvable("initial_data.amplitude", u0)
+        return _evolvable("initial_data.amplitude", grid, np.concatenate(([0.0], modes)) * amp)
     raise ConfigurationError(f"initial_data.preset: unknown preset {preset!r}")
 
 
@@ -281,7 +283,7 @@ def _decaying_modes(normals: np.ndarray, decay: float) -> np.ndarray:
             f"decay = {decay:g}: (1+n)**decay passes float64 at some n <= {M}") from None
 
 
-def build_params(cfg: ExperimentConfig, u0: SpectralField | None = None) -> EquationParams:
+def build_params(cfg: ExperimentConfig, u0: SpectralField) -> EquationParams:
     p = EquationParams(
         c1=cfg.get_float("equation", "c1"),
         c2=cfg.get_float("equation", "c2"),
@@ -293,39 +295,10 @@ def build_params(cfg: ExperimentConfig, u0: SpectralField | None = None) -> Equa
     if d1 or d2:
         p.d1 = cfg.get_float("equation", "d1") if d1 else 0.0
         p.d2 = cfg.get_float("equation", "d2") if d2 else 0.0
-    elif u0 is not None and p.constrained and abs(p.c1 - 40.0) < 1e-12:
+    elif p.constrained and abs(p.c1 - 40.0) < 1e-12:
         gp = derive_gauge_params(u0, 40.0)
         p.d1, p.d2 = gp.d1, gp.d2
     return p
-
-
-def build_ctrl(cfg: ExperimentConfig) -> StepControl:
-    dt = cfg.get_float("time", "dt")
-    stride = cfg.get_int("time", "record_stride")
-    _in_field("time.dt", StepControl, dt=dt)
-    return _in_field("time.record_stride", StepControl, dt=dt, record_stride=stride)
-
-
-def check_records(u0: SpectralField, T: float, p: EquationParams, tag: str,
-                  ctrl: StepControl, name: str = "", buffers: int = 1) -> StepControl:
-    """step_plan's dt and stride as a StepControl; ConfigurationError naming
-    equation.tag if evolve does not know `tag`, or naming `name` if step_plan
-    rejects the plan (by default time.T, or time.dt when evolve chooses it)
-    or if `buffers` record buffers of the run would pass MAX_ENTRIES together
-    (by default the stride, or the grid when evolve chooses the stride)."""
-    _in_field("equation.tag", flow, tag)
-    plan = name or ("time.T" if ctrl.dt else "time.dt")
-    _, dt, stride, records = _in_field(plan, step_plan, u0, T, p, tag, ctrl)
-    width = u0.grid.max_mode + 1
-    if buffers * records * width > MAX_ENTRIES:
-        name = name or ("time.record_stride" if ctrl.record_stride else "grid.max_mode")
-        kept = f"{buffers} x " if buffers > 1 else ""
-        raise ConfigurationError(
-            f"{name}: the run would keep {kept}{records:.4g} records of {width} modes, "
-            f"above the cap of {MAX_ENTRIES} complex entries; raise time.record_stride "
-            "or time.dt, or lower time.T or grid.max_mode"
-        )
-    return StepControl(dt, stride)
 
 
 class Run(NamedTuple):
@@ -341,33 +314,50 @@ class Run(NamedTuple):
 def build_run(cfg: ExperimentConfig, tag: str = "", params: EquationParams | None = None,
               buffers: int = 1, records=None) -> Run:
     """The initial data on the configured grid, time.T, the equation (params,
-    or build_params'), the flow (tag, or equation.tag) and the step plan that
-    check_records resolves for `buffers` record buffers before anything runs,
-    on which every run of the subcommand steps.  records(grid, T, ctrl), if
-    given, returns the step control to resolve instead and the field that its
-    records blame.  A gauge term of a step's phase past MAX_GAUGE_PHASE is rejected,
-    and a plan of more than STEP_NOTICE steps is announced on stderr."""
+    or build_params'), the flow (tag, or equation.tag) and the one step plan
+    that step_plan resolves before anything runs, on which every run of the
+    subcommand steps.  records(grid, T, ctrl), if given, returns the step
+    control to resolve instead and the field that its records blame.  A
+    ConfigurationError names equation.tag for a flow evolve does not know;
+    the blamed field (by default time.T, or time.dt when evolve chooses it)
+    for a plan step_plan rejects, or (by default the stride, or the grid when
+    evolve chooses the stride) for `buffers` record buffers of the run that
+    would pass MAX_ENTRIES together; and the gauge constant whose term of a
+    step's phase passes MAX_GAUGE_PHASE.  A plan of more than STEP_NOTICE
+    steps is announced on stderr."""
     grid = build_grid(cfg)
     u0 = build_initial_data(cfg, grid)
     p = build_params(cfg, u0) if params is None else params
     T = cfg.get_float("time", "T", positive=True)
     tag = tag or cfg.get("equation", "tag")
-    ctrl = build_ctrl(cfg)
+    dt, stride = cfg.get_float("time", "dt"), cfg.get_int("time", "record_stride")
+    _in_field("time.dt", StepControl, dt=dt)
+    ctrl = _in_field("time.record_stride", StepControl, dt=dt, record_stride=stride)
     blame = ""
     if records is not None:
         ctrl, blame = records(grid, T, ctrl)
-    rule = "time.dt" if 0 < ctrl.dt == cfg.get_float("time", "dt") else "the automatic rule"
-    ctrl = check_records(u0, T, p, tag, ctrl, blame, buffers)
-    M, dt = grid.max_mode, ctrl.dt  # for every tag: gauge-check's v run steps on p too
+    rule = "time.dt" if 0 < ctrl.dt == dt else "the automatic rule"
+    _in_field("equation.tag", flow, tag)
+    plan = blame or ("time.T" if ctrl.dt else "time.dt")
+    steps, dt, stride, kept = _in_field(plan, step_plan, u0, T, p, tag, ctrl)
+    M = grid.max_mode
+    if buffers * kept * (M + 1) > MAX_ENTRIES:
+        name = blame or ("time.record_stride" if ctrl.record_stride else "grid.max_mode")
+        copies = f"{buffers} x " if buffers > 1 else ""
+        raise ConfigurationError(
+            f"{name}: the run would keep {copies}{kept:.4g} records of {M + 1} modes, "
+            f"above the cap of {MAX_ENTRIES} complex entries; raise time.record_stride "
+            "or time.dt, or lower time.T or grid.max_mode"
+        )
+    # for every tag: gauge-check's v run steps on p too
     for key, term, phase in (("d1", "M^3", abs(p.d1) * M**3 * dt), ("d2", "M", abs(p.d2) * M * dt)):
         if not phase <= MAX_GAUGE_PHASE:
             raise ConfigurationError(f"equation.{key}: |{key}| {term} dt = {phase:.4g} in a "
                                      f"step's linear phase passes {MAX_GAUGE_PHASE:g}")
-    steps = uniform_steps(T, dt)[0]
     if steps > STEP_NOTICE:
         print(f"note: the run plans {steps:,} steps of dt = {dt:.4g} (dt from {rule})",
               file=sys.stderr)
-    return Run(u0, T, p, tag, ctrl)
+    return Run(u0, T, p, tag, StepControl(dt, stride))
 
 
 @dataclass
@@ -445,7 +435,10 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> Outcome:
                 f"norms.s: s = {s:g}: the Hs column's weight 2 (1 + M^2)^s passes float64 at M = {M}")
     traj = evolve(*run)
     rep = drift_report(traj, run.p.c1)
-    rows = zip(rep.times, rep.h0, rep.h1, rep.h2, sobolev_norm(traj.grid, traj.half, s))
+    hs = np.empty(len(traj))
+    for rows in row_chunks(len(hs), 2 * (M + 1)):  # |c|, |c|^2 and the weighted |c|^2
+        hs[rows] = sobolev_norm(traj.grid, traj.half[rows], s)
+    rows = zip(rep.times, rep.h0, rep.h1, rep.h2, hs)
     return Outcome(
         {"records": len(traj), "dt": traj.dt, "final_time": float(traj.times[-1])},
         tables={"evolve": (["time", "H0", "H1", "H2", f"Hs(s={s})"], rows)},
@@ -464,8 +457,9 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> Outcome:
 
 
 def cmd_gauge_check(cfg: ExperimentConfig, args) -> Outcome:
-    # u, v and the gauged u, both runs on the physical run's plan
-    run = build_run(cfg, "physical_5mkdv", buffers=3)
+    # two record buffers at once: u and the gauged u, then the gauged u and v
+    # (u is freed when gauge_forward returns), both runs on the physical run's plan
+    run = build_run(cfg, "physical_5mkdv", buffers=2)
     nt_u = gauge_forward(evolve(*run))
     traj_v = evolve(*run._replace(tag="renormalized_5mkdv"))
     grid = run.u0.grid
@@ -484,7 +478,7 @@ def cmd_miura_check(cfg: ExperimentConfig, args) -> Outcome:
     """The chain identity on 100 random (v, v_t) pairs, then the flow gap
     |miura(v_i) - u_i| / |u_i| in l2 over -M..M of each record of v under
     mkdv3 and u from miura(v0) under kdv3, on one plan (0 where u_i = 0)."""
-    run = build_run(cfg, "mkdv3", EquationParams(), buffers=3)  # v, u and miura(v)
+    run = build_run(cfg, "mkdv3", EquationParams(), buffers=2)  # v and u; miura(v) by chunks
     grid = run.u0.grid
     rng = _rng(cfg)
     M = grid.max_mode

@@ -8,7 +8,6 @@ import pytest
 from mkdvlab import cli, errors, integrate
 from mkdvlab.cli import (
     DEFAULTS,
-    build_ctrl,
     build_grid,
     build_initial_data,
     build_params,
@@ -210,36 +209,65 @@ class TestValidation:
         assert capsys.readouterr().err == "error: equation.tag: unknown equation tag 'kdv5'\n"
 
     @pytest.mark.parametrize("T, dt, stride", [
-        (0.01, 1e-4, 5),  # a user stride
-        (0.01, 1e-4, 7),  # a user stride that leaves a short last interval
-        (1.5, 0.0, 0),    # the automatic dt and stride, past 600 steps
+        (0.3, 1e-4, 5),  # a user stride
+        (0.3, 1e-4, 7),  # a user stride that leaves a short last interval
+        (1.5, 0.0, 0),   # the automatic dt and stride, past 600 steps
     ])
     def test_record_cap_counts_the_records_evolve_keeps(self, monkeypatch, T, dt, stride):
+        # at least 363 records of c[0..8], so that the cap on collocation
+        # points, MAX_ENTRIES // 64, still admits P = 51 at either cap
+        settings = ["grid.max_mode=8", "initial_data.amplitudes=0.1", f"time.T={T}",
+                    f"time.dt={dt}", f"time.record_stride={stride}"]
         u0 = SpectralField.from_modes(GridSpec(8), {1: 0.05, -1: 0.05})
         p, ctrl = EquationParams(), StepControl(dt=dt, record_stride=stride)
         kept = evolve(u0, T, p, "physical_5mkdv", ctrl).half.size  # 9 entries a record
+        assert kept >= 363 * 9
         monkeypatch.setattr(cli, "MAX_ENTRIES", kept)
-        cli.check_records(u0, T, p, "physical_5mkdv", ctrl)
+        cli.build_run(load_config(None, settings), "physical_5mkdv", p)
         monkeypatch.setattr(cli, "MAX_ENTRIES", kept - 1)
         with pytest.raises(ConfigurationError, match=f"would keep {kept // 9} records of 9 "):
-            cli.check_records(u0, T, p, "physical_5mkdv", ctrl)
+            cli.build_run(load_config(None, settings), "physical_5mkdv", p)
 
-    def test_gauge_check_cap_counts_its_three_buffers(self, tmp_path, capsys, monkeypatch):
-        # gauge-check keeps the records of u, v and the gauged u at once
-        # (and the cap on collocation points, MAX_ENTRIES // 64, admits P = 51)
+    def test_gauge_check_cap_counts_its_two_buffers(self, tmp_path, capsys, monkeypatch):
+        # gauge-check keeps two record buffers at once, u and the gauged u,
+        # then the gauged u and v (and the cap on collocation points,
+        # MAX_ENTRIES // 64, admits P = 51)
         settings = ["grid.max_mode=8", "time.T=0.02", "time.dt=1e-4", "time.record_stride=1"]
         args = ["gauge-check", *(a for s in settings for a in ("--set", s)), "--out", str(tmp_path)]
-        kept = 3 * 201 * 9  # three buffers of 201 records of c[0..8]
+        kept = 2 * 201 * 9  # two buffers of 201 records of c[0..8]
         monkeypatch.setattr(cli, "MAX_ENTRIES", kept)
         assert run(args) == 0
         monkeypatch.setattr(cli, "MAX_ENTRIES", kept - 1)
         assert run(args) == 2
         assert capsys.readouterr().err == (
-            "error: time.record_stride: the run would keep 3 x 201 records of 9 modes, above "
+            "error: time.record_stride: the run would keep 2 x 201 records of 9 modes, above "
             f"the cap of {kept - 1} complex entries; raise time.record_stride or time.dt, "
             "or lower time.T or grid.max_mode\n"
         )
 
+    @pytest.mark.parametrize("command, buffers", [
+        ("evolve", 1), ("conserve", 1), ("gauge-check", 2), ("miura-check", 2),
+    ])
+    def test_record_cap_counts_the_buffers_a_run_holds(self, tmp_path, monkeypatch, peak_above,
+                                                       command, buffers):
+        # the traced peak of a subcommand on 10,001 records of c[0..64] stays
+        # below the buffers its cap counts, a quarter buffer of slack, and the
+        # chunked passes' working sets; every run returns a fresh copy of one
+        # prebuilt trajectory, so nothing is integrated
+        records, grid = 10001, GridSpec(64)
+        rng = np.random.default_rng(7)
+        half = (rng.standard_normal((records, 65)) + 1j * rng.standard_normal((records, 65)))
+        half *= 1e-2 / (1.0 + np.arange(65)) ** 3
+        half[:, 0] = half[:, 0].real
+        times = np.linspace(0.0, 0.01, records)
+
+        def prebuilt(u0, T, p, tag, ctrl):
+            return Trajectory(grid, times.copy(), half.copy(), p, tag, times[1], 1)
+
+        monkeypatch.setattr(cli, "evolve", prebuilt)
+        peak, _, code = peak_above(run, [command, "--out", str(tmp_path)])
+        assert code in (0, 4)
+        assert peak < (buffers + 0.25) * half.nbytes + 2.25 * 2**20
     @pytest.mark.parametrize("text, name", [
         (b"[time]\nsplitting = integrating_factor_rk4\n", "time.splitting"),
         (b"[grid]\nmax_mod = 8\n", "grid.max_mod"),
@@ -355,7 +383,7 @@ class TestConserve:
         cfg = load_config(None, settings)
         u0 = build_initial_data(cfg, build_grid(cfg))
         p = build_params(cfg, u0)
-        rep = drift_report(evolve(u0, 0.001, p, "physical_5mkdv", build_ctrl(cfg)), p.c1)
+        rep = drift_report(evolve(u0, 0.001, p, "physical_5mkdv", StepControl()), p.c1)
         lines = (tmp_path / "mkdvlab_conserve.csv").read_text().splitlines()
         assert lines[0] == "time,H0,H1,H2"
         assert len(lines) == len(rep.times) + 1 > 2
@@ -429,8 +457,8 @@ class TestGaugeCheck:
         grid = build_grid(cfg)
         u0 = build_initial_data(cfg, grid)
         p = build_params(cfg, u0)
-        nt_u = gauge_forward(evolve(u0, 0.001, p, "physical_5mkdv", build_ctrl(cfg)))
-        traj_v = evolve(u0, 0.001, p, "renormalized_5mkdv", build_ctrl(cfg))
+        nt_u = gauge_forward(evolve(u0, 0.001, p, "physical_5mkdv", StepControl()))
+        traj_v = evolve(u0, 0.001, p, "renormalized_5mkdv", StepControl())
         n = grid.modes.astype(float)
         w = (1.0 + n * n) ** 2
         lines = (tmp_path / "mkdvlab_gauge.csv").read_text().splitlines()[1:]
