@@ -33,14 +33,14 @@ scalars or arrays, and one bincount over (row, mode) bins for per-mode sums
 (`_bin_by_mode`), whose modes are grouped once per class of entries.
 The quintic tuples are factored into (inner triple, outer pair) pairs: a
 positional index (`_PairIndex`, in walk order) and a value pass at one
-support (`_QuinticTable`).  A tuple's value is its pair's weight times the
-outer kernel of its slot times the inner kernel of its term, so no tuple is
-formed.  A pair's output mode n and phi_out + phi_in depend only on the
-multiset of its five leaves, so the pairs fall into classes (248 classes of
-4,992 pairs at the C5 support), and n, the exact phase sum and E_t of it
-are formed once per class; phi_in once per inner triple and phi_out once
-per outer-phase key.  The C5 support has one index at every N >= 8
-(`_c5_index`): a sweep is one value pass per N, and D0 is the m0 pair.
+support (`_QuinticTable`), so no tuple is formed.  A pair's output mode n
+and phi_out + phi_in depend only on the multiset of its five leaves, so the
+pairs fall into classes (248 of the 4,992 C5 pairs): n, the exact phase sum
+and E_t of it are formed once per class, phi_in once per inner triple and
+phi_out once per outer-phase key.  On the C5 data a pair's structure value
+is a class factor n * amp * E_t times a real pair factor, so the remainder
+norms sum pair factors per class.  The C5 support has one index at every
+N >= 8 (`_c5_index`): a sweep is one value pass per N, D0 its m0 pair.
 Legs are int64 (|leg| <= 5N, checked by `CounterexampleSpec`), kernels
 float64, phases Python ints.
 """
@@ -177,8 +177,8 @@ def _leaf_triples(legs: np.ndarray, a3: bool = True) -> np.ndarray:
 
 
 def _amplitudes(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Product of the data values at each row of leaf positions idx."""
-    return vals[idx[:, 0]] * vals[idx[:, 1]] * vals[idx[:, 2]]
+    """Product, left to right, of the data values at each row of leaf positions idx."""
+    return functools.reduce(np.multiply, vals[idx].T)
 
 
 def _mu(ints: np.ndarray) -> np.ndarray:
@@ -242,15 +242,15 @@ class _QuinticTable:
 
     A pair stands for 3 x (inner terms) tuples: its outer legs (la, lb,
     n_slot) with n_slot in each of the three slots, and each inner cubic
-    term.  A tuple's value is its pair's weight times K_X of its slot times
-    K_Y of its inner term.  K_X is the outer n3^2 kernel, which reads lb in
-    slots 0 and 1 and n_slot in slot 2, so `kernel_x` holds the two columns
-    lb^2 and n_slot^2; `kernel_y` holds one column per inner term.  Each
+    term.  A tuple's value is a pair factor times K_X of its slot times K_Y
+    of its inner term.  K_X is the outer n3^2 kernel, which reads lb in
+    slots 0 and 1 and n_slot in slot 2, so `kernel_x` holds the two rows
+    lb^2 and n_slot^2; `kernel_y` holds one row per inner term.  Each
     exact phase is formed once where it is determined: phi_in per inner
-    triple, phi_out per outer-phase key, and the output mode n and
-    phi_out + phi_in per class (`_PairIndex`); only floats are gathered
-    out to pairs.  A pair's exact phi_out is phi_out[key], its phi_in
-    phi_in[triple], its n mode[cls].
+    triple, n and phi_out + phi_in per class (`_PairIndex`), and phi_out per
+    outer-phase key as their difference; only floats are gathered to pairs,
+    and a pair's data product, which only the assembly reads, on demand.
+    A pair's exact phi_out is phi_out[key], its phi_in phi_in[triple].
 
     phi_out != 0 on every pair, so every tuple has a normal form: no leg of
     (la, lb, n_slot) equals n, so each pair sum la + lb = n - n_slot,
@@ -268,16 +268,20 @@ class _QuinticTable:
     cls: np.ndarray        # (pairs,) class
     key: np.ndarray        # (pairs,) outer-phase key
     triple: np.ndarray     # (pairs,) row of `inner`
-    outer: np.ndarray      # (pairs, 3) outer legs (la, lb, n_slot)
+    ia: np.ndarray         # (pairs,) leaf positions of la and lb
+    ib: np.ndarray
+    legs: np.ndarray       # (leaves,) sorted leaf legs
+    vals: np.ndarray       # (leaves,) their data values
+    n_slot: np.ndarray     # (pairs,) n_slot
     inner: np.ndarray      # (triples, 3) inner legs
-    amp: np.ndarray        # (pairs,) product of the five data values
+    inner_amp: np.ndarray  # (triples,) product of the three inner data values
     phi_out: np.ndarray    # (keys,) exact ints
     phi_in: np.ndarray     # (triples,) exact ints
     phi_sum: np.ndarray    # (classes,) exact phi_out + phi_in
     phi_out_f: np.ndarray  # (keys,) float(phi_out)
     phi_sum_f: np.ndarray  # (classes,) float(phi_sum)
-    kernel_x: np.ndarray   # (pairs, 2) lb^2 (slots 0 and 1), n_slot^2 (slot 2)
-    kernel_y: np.ndarray   # (pairs, inner terms)
+    kernel_x: np.ndarray   # (2, pairs) lb^2 (slots 0 and 1), n_slot^2 (slot 2)
+    kernel_y: np.ndarray   # (inner terms, pairs)
     inner_terms: tuple
 
     def __len__(self) -> int:
@@ -288,39 +292,38 @@ class _QuinticTable:
         """(pairs,) output mode of each pair."""
         return self.mode[self.cls]
 
-    def structure_weights(self, t: float) -> np.ndarray:
-        """Structure-only weight n * n_slot * amp * E_t(phi_out + phi_in) /
-        phi_out of every pair, E_t taken once per class."""
-        nn = self.n.astype(float) * self.outer[:, 2]
-        return nn * self.amp * osc_single(self.phi_sum_f, t)[self.cls] / self.phi_out_f[self.key]
+    @property
+    def amp(self) -> np.ndarray:
+        """(pairs,) product of each pair's five data values, in walk order."""
+        return self.inner_amp[self.triple] * self.vals[self.ia] * self.vals[self.ib]
 
 
 def _pair_values(index: _PairIndex, legs: np.ndarray, vals: np.ndarray,
                  inner_terms) -> _QuinticTable:
     """The values of index at the sorted leaf legs and their data values
-    vals: legs, amplitudes, the kernels of inner_terms and the exact
+    vals: legs, inner amplitudes, the kernels of inner_terms and the exact
     phases, with mu once per leaf, once per inner triple's sum and once per
     class's sum: phi_in = mu(m1) + mu(m2) + mu(m3) - mu(n_slot) per triple,
-    phi_out = mu(la) + mu(lb) + mu(n_slot) - mu(n) per outer-phase key, and
     phi_out + phi_in = mu(la) + mu(lb) + mu(m1) + mu(m2) + mu(m3) - mu(n)
-    per class."""
+    per class, and phi_out per outer-phase key as the class's sum less the
+    triple's phi_in."""
     inner = legs[index.inner]
     slot = inner.sum(axis=1)
     mode = legs[index.leaves].sum(axis=1)
     mu, mu_slot, mu_n = _mu(legs), _mu(slot), _mu(mode)
     kp = index.key_pair
     phi_in = mu[index.inner].sum(axis=1) - mu_slot
-    phi_out = mu[index.ia[kp]] + mu[index.ib[kp]] + mu_slot[index.triple[kp]] - mu_n[index.cls[kp]]
     phi_sum = mu[index.leaves].sum(axis=1) - mu_n
-    outer = np.stack([legs[index.ia], legs[index.ib], slot[index.triple]], axis=1)
+    phi_out = phi_sum[index.cls[kp]] - phi_in[index.triple[kp]]
+    n_slot = slot[index.triple]
     return _QuinticTable(
-        mode=mode, cls=index.cls, key=index.key, triple=index.triple, outer=outer, inner=inner,
-        amp=_amplitudes(vals, index.inner)[index.triple] * vals[index.ia] * vals[index.ib],
+        mode=mode, cls=index.cls, key=index.key, triple=index.triple, ia=index.ia, ib=index.ib,
+        legs=legs, vals=vals, n_slot=n_slot, inner=inner, inner_amp=_amplitudes(vals, index.inner),
         phi_out=phi_out, phi_in=phi_in, phi_sum=phi_sum,
         phi_out_f=phi_out.astype(float), phi_sum_f=phi_sum.astype(float),
-        kernel_x=outer[:, 1:].astype(float) ** 2,
+        kernel_x=np.stack([legs[index.ib], n_slot]).astype(float) ** 2,
         kernel_y=np.stack([_CUBIC_KERNELS[name](*inner.T.astype(float))
-                           for name in inner_terms], axis=1)[index.triple],
+                           for name in inner_terms]).take(index.triple, axis=1),
         inner_terms=tuple(inner_terms),
     )
 
@@ -368,30 +371,31 @@ def _hs_norms(n: np.ndarray, cls: np.ndarray, v: np.ndarray, s: float) -> np.nda
 
 @functools.cache
 def _c5_index() -> tuple:
-    """The pair index of the C5 support and the row of its m0 pair (outer
-    legs (2, -1) over the inner triple (-2, 1, N)), built on first use.  The
-    leaves -2, -1, 1, 2, N-1, N have the same vanishing sums at every N >= 8
-    (only -2 + 2 and -1 + 1; a sum of four leaves with k of the two high
-    ones is at least k(N-1) - 2(4-k) > 0), so the index built at N = 8 is
-    the index at every N of a sweep."""
+    """The pair index of the C5 support, the row of its m0 pair (outer legs
+    (2, -1) over the inner triple (-2, 1, N)) and the (norm, class) bins of
+    the appendix norms, built on first use.  The leaves -2, -1, 1, 2, N-1, N
+    have the same vanishing sums at every N >= 8 (only -2 + 2 and -1 + 1; a
+    sum of four leaves with k of the two high ones is at least k(N-1) -
+    2(4-k) > 0), so the index built at N = 8 serves every N of a sweep."""
     legs = np.array(sorted(counterexample_support(CounterexampleSpec(N=8))))
     index = _pair_index(legs)
     m0 = np.flatnonzero((legs[index.ia] == 2) & (legs[index.ib] == -1)
                         & np.all(legs[index.inner[index.triple]] == (-2, 1, 8), axis=1))
-    return index, int(m0[0])
+    bins = index.cls + len(index.leaves) * np.arange(len(_APPENDIX_TERMS)).reshape(-1, 1)
+    return index, int(m0[0]), bins.ravel()
 
 
-def _d0_hsnorm(tab: _QuinticTable, spec: CounterexampleSpec, p: int) -> float:
-    """H^s norm of D0, the structure value of row p of tab, the m0 pair: the
-    resonant tuple m0 = (N, 2, -1, -2, 1, N), outer legs (2, -1, N-1) with
-    n_slot = N-1 in slot 2 over the inner triple (-2, 1, N).  Formed in one
-    tuple's operation order (the kernel product in exact ints over
-    float(phi_out), then amp, then E_t).  phi(m0) = 0 exactly, so D0 is
-    linear in t."""
+def _d0_hsnorm(tab: _QuinticTable, spec: CounterexampleSpec, p: int, amp: float) -> float:
+    """H^s norm of D0, the structure value of row p of tab, the m0 pair of
+    data product amp: the resonant tuple m0 = (N, 2, -1, -2, 1, N), outer
+    legs (2, -1, N-1) with n_slot = N-1 in slot 2 over the inner triple
+    (-2, 1, N).  Formed in one tuple's operation order (the kernel product
+    in exact ints over float(phi_out), then amp, then E_t).  phi(m0) = 0
+    exactly, so D0 is linear in t."""
     N, c = spec.N, tab.cls[p]
-    k = math.prod(int(x) for x in (tab.mode[c], tab.outer[p, 2], tab.kernel_x[p, 1],
-                                   tab.kernel_y[p, 0])) / float(tab.phi_out[tab.key[p]])
-    d0 = k * tab.amp[p] * osc_single(tab.phi_sum[c], spec.t)
+    k = math.prod(int(x) for x in (tab.mode[c], tab.n_slot[p], tab.kernel_x[1, p],
+                                   tab.kernel_y[0, p])) / float(tab.phi_out[tab.key[p]])
+    d0 = k * amp * osc_single(tab.phi_sum[c], spec.t)
     return float((1.0 + N**2) ** (spec.s / 2.0) * abs(d0))
 
 
@@ -407,10 +411,10 @@ class NormalFormTermReport:
     d1_norms: float
 
 
-# report field -> (kernel_x column, inner term index into ("cubic2",
-# "cubic3")).  Column 0 is K_X of slots 0 and 1, which both read lb, and
-# n * n_slot does not depend on the slot, so the two undifferentiated slots
-# carry one remainder B; column 1 is slot 2 (D).
+# report field -> (kernel_x row, inner term index into ("cubic2",
+# "cubic3")): the four (K_X, K_Y) cells.  Row 0 is K_X of slots 0 and 1,
+# which both read lb, and n * n_slot does not depend on the slot, so the two
+# undifferentiated slots carry one remainder B; row 1 is slot 2 (D).
 _APPENDIX_TERMS = {"d_full_hsnorm": (1, 0), "b1": (0, 0), "b2": (0, 1),
                    "d1_norms": (1, 1)}
 
@@ -422,21 +426,25 @@ def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
     oscillatory integrals; the phase-resonant tuples supported on the low
     modes {-2,-1,2} are what realize the t*max(N^{2-s},1) growth of the D1
     term.  Every tuple has a normal form (phi_out != 0, see _QuinticTable).
-    One value pass over `_c5_index` gives each pair's structure weight, and
-    each norm's per-mode sums are one bincount of the weights times that
-    norm's outer and inner kernel columns.
+    One value pass over `_c5_index` gives each pair's real factor K_X * K_Y *
+    n_slot / phi_out, one bincount sums them per (norm, class), and only the
+    class sums take the class factor n * amp * E_t(phi_out + phi_in): amp is
+    the class's, as the C5 values 1 and N^-s give one product in any order.
     """
     support = counterexample_support(spec)
-    index, m0 = _c5_index()
+    index, m0, bins = _c5_index()
     tab = _pair_values(index, *_leaves(support, sorted(support)), ("cubic2", "cubic3"))
-    cols, terms = (list(c) for c in zip(*_APPENDIX_TERMS.values()))
-    kernels = tab.kernel_x[:, cols].T * tab.kernel_y[:, terms].T
-    norms = _hs_norms(tab.mode, tab.cls, kernels * tab.structure_weights(spec.t), spec.s)
+    xs, ys = (list(c) for c in zip(*_APPENDIX_TERMS.values()))
+    pair = (tab.kernel_x * (tab.n_slot / tab.phi_out_f[tab.key]))[:, None] * tab.kernel_y
+    amp = _amplitudes(tab.vals, index.leaves)
+    sums = np.bincount(bins, pair.ravel()).reshape(2, 2, -1)[xs, ys]
+    factor = tab.mode * amp * osc_single(tab.phi_sum_f, spec.t)
+    norms = _hs_norms(tab.mode, np.arange(len(tab.mode)), sums * factor, spec.s)
     return NormalFormTermReport(
         N=spec.N,
         s=spec.s,
         t=spec.t,
-        d0_hsnorm=_d0_hsnorm(tab, spec, m0),
+        d0_hsnorm=_d0_hsnorm(tab, spec, m0, amp[tab.cls[m0]]),
         **{name: float(v) for name, v in zip(_APPENDIX_TERMS, norms)},
     )
 
@@ -517,13 +525,13 @@ def t2_duhamel_fifth(
     tab, t = _quintic_table(support, inner_terms), spec.t
     a = tab.phi_out_f
     # W: the pair's boundary plus distributed piece at unit kernels; summed
-    # over its cells, K_X gives 2 lb^2 + n_slot^2 and K_Y its inner columns.
+    # over its cells, K_X gives 2 lb^2 + n_slot^2 and K_Y its inner rows.
     # e^{i phi_out t} is taken per key, E_t(phi_in) per triple and
     # E_t(phi_out + phi_in) per class
     e = (np.exp(1j * a * t)[tab.key] * osc_single(tab.phi_in, t)[tab.triple]
          - osc_single(tab.phi_sum_f, t)[tab.cls])
-    w = (10j * tab.n) * (10j * tab.outer[:, 2]) * tab.amp * e / (1j * a[tab.key])
-    v = w * (2.0 * tab.kernel_x[:, 0] + tab.kernel_x[:, 1]) * tab.kernel_y.sum(axis=1)
+    w = (10j * tab.n) * (10j * tab.n_slot) * tab.amp * e / (1j * a[tab.key])
+    v = w * (2.0 * tab.kernel_x[0] + tab.kernel_x[1]) * tab.kernel_y.sum(axis=0)
     return {n: x * np.exp(1j * float(n**5) * t)
             for n, x in _field(tab.mode, tab.cls, v).items()}, 0
 

@@ -33,6 +33,7 @@ from mkdvlab.errors import ConfigurationError
 from mkdvlab.illposed import (
     CounterexampleSpec,
     _c5_index,
+    _amplitudes,
     _check_osc_bound,
     _leaves,
     _pair_index,
@@ -246,6 +247,37 @@ class TestGrowthExperiment:
         CounterexampleSpec(N=(2**63 - 1) // 5)
         with pytest.raises(ConfigurationError, match="int64"):
             CounterexampleSpec(N=(2**63 - 1) // 5 + 1)
+
+    # growth_experiment(64..4096, s=1, t=1e-4) as float.hex: N, d0_norm,
+    # ratio_tN2, slope_running, and the remainders b1, b2, d1 (to 1e-12)
+    PINNED_ROWS = [
+        (64, "0x1.4a428d600c0bdp-4", "0x1.93263d93beb46p-3", "nan",
+         0.0008369583334465097, 0.00043484358151612526, 0.0358872199180766),
+        (128, "0x1.4ce99e0f17349p-2", "0x1.96632d716bd3ap-3", "0x1.017a2eca44d1cp+1",
+         0.0008367396424094174, 0.0004344223404721442, 0.07196596559694213),
+        (256, "0x1.4e3b24d09ad12p+0", "0x1.97ff3270a4fc4p-3", "0x1.011a84c442f4ap+1",
+         0.0008366849385063682, 0.0004343169565627518, 0.1443112826770082),
+        (512, "0x1.4ee368dc11a8bp+2", "0x1.98cc9980a38e6p-3", "0x1.00d80f445e029p+1",
+         0.000836671260962422, 0.0004342906063275839, 0.2890959547409986),
+        (1024, "0x1.4f376b392183bp+4", "0x1.993326633d694p-3", "0x1.00a8d0f899aa2p+1",
+         0.000836667841452916, 0.0004342840184813289, 0.5787115231333972),
+        (2048, "0x1.4f616483baba1p+6", "0x1.99666332cd702p-3", "0x1.00868106af5fep+1",
+         0.000836666986568104, 0.0004342823715020392, 1.157965727797055),
+        (4096, "0x1.4f765f30dd8b6p+8", "0x1.997fff332670ap-3", "0x1.006d13735e47ap+1",
+         0.0008366667728464342, 0.0004342819597561069, 2.3164856455224254),
+    ]
+
+    def test_rows_pinned(self):
+        # D0, its ratio to t N^2 and the slopes are bitwise the values below;
+        # the remainders sum their pair factors per class, so they may move
+        # in the last bits only
+        rows, slope = growth_experiment([r[0] for r in self.PINNED_ROWS], s=1.0, t=1e-4)
+        for row, (N, d0, ratio, running, b1, b2, d1) in zip(rows, self.PINNED_ROWS):
+            assert row.N == N
+            assert (row.d0_norm.hex(), row.ratio_tN2.hex(), row.slope_running.hex()) == (
+                d0, ratio, running)
+            assert (row.b1, row.b2, row.d1) == pytest.approx((b1, b2, d1), rel=1e-12, abs=0.0)
+        assert slope.hex() == self.PINNED_ROWS[-1][3]
 
     def test_running_slope_column(self):
         Ns = [64, 128, 256]
@@ -463,23 +495,28 @@ def assert_reports_close(got: dict, want: dict):
 SLOT_LEGS = np.array([[2, 0, 1], [0, 2, 1], [0, 1, 2]])
 
 
+def outer_legs(tab):
+    """(pairs, 3) outer legs (la, lb, n_slot) of each pair of tab."""
+    return np.stack([tab.legs[tab.ia], tab.legs[tab.ib], tab.n_slot], axis=1)
+
+
 def table_rows(tab):
     """The factored table flattened to one row per tuple, in C order of
     (pair, slot, inner term), with the pair of each row: each slot's legs
-    from the pair's (la, lb, n_slot), and its outer kernel from the column
-    of lb^2 (slots 0 and 1) or n_slot^2 (slot 2), and its exact phases
+    from the pair's (la, lb, n_slot), and its outer kernel from the row of
+    lb^2 (slots 0 and 1) or n_slot^2 (slot 2), and its exact phases
     gathered from its pair's outer-phase key and inner triple."""
     pair, slot, yi = np.indices((len(tab), 3, len(tab.inner_terms))).reshape(3, -1)
     return {
         "pair": pair,
         "n": tab.n[pair],
-        "outer": np.take_along_axis(tab.outer[pair], SLOT_LEGS[slot], axis=1),
+        "outer": np.take_along_axis(outer_legs(tab)[pair], SLOT_LEGS[slot], axis=1),
         "slot": slot,
         "inner": tab.inner[tab.triple[pair]],
         "y_term": [tab.inner_terms[y] for y in yi],
         "amp": tab.amp[pair],
-        "kernel_x": tab.kernel_x[pair, (slot == 2).astype(int)],
-        "kernel_y": tab.kernel_y[pair, yi],
+        "kernel_x": tab.kernel_x[(slot == 2).astype(int), pair],
+        "kernel_y": tab.kernel_y[yi, pair],
         "phi_out": tab.phi_out[tab.key[pair]],
         "phi_in": tab.phi_in[tab.triple[pair]],
     }
@@ -527,7 +564,7 @@ def test_outer_phase_never_vanishes(support):
     # phi_out = -G(la, lb, n_slot), whose factors are nonzero on A3(n): every
     # tuple has a normal form, so no caller masks phi_out = 0
     tab = _quintic_table(support, ("cubic2",))
-    want = [-resonance_g(la, lb, n_slot) for la, lb, n_slot in tab.outer.tolist()]
+    want = [-resonance_g(la, lb, n_slot) for la, lb, n_slot in outer_legs(tab).tolist()]
     assert tab.phi_out[tab.key].tolist() == want
     assert 0 not in want
 
@@ -558,7 +595,7 @@ def test_pair_index_serves_every_n(N, N0):
     # every pair of a class has the class's exact phi_out + phi_in and n
     exact = got.phi_out[got.key] + got.phi_in[got.triple]
     assert exact.tolist() == got.phi_sum[got.cls].tolist()
-    assert got.outer.sum(axis=1).tolist() == got.n.tolist()
+    assert outer_legs(got).sum(axis=1).tolist() == got.n.tolist()
 
 
 @settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None)
@@ -616,6 +653,32 @@ class TestTupleTableMatchesOracle:
         assert (len(index.leaves), len(index.cls)) == (248, 4992)
         assert len(sizes) == 2 and sum(sizes) == len(index.leaves) + 1
 
+    def test_appendix_bins_class_sums(self, monkeypatch):
+        # the pair factors are real and summed per (norm, class) first: the
+        # one complex array binned by mode per N is (4 norms, 248 classes),
+        # not (4, 4,992 pairs)
+        from mkdvlab import illposed
+
+        binned = []
+
+        def counted(n, cls, v):
+            binned.append((v.shape, v.dtype))
+            return illposed_bin(n, cls, v)
+
+        illposed_bin = illposed._bin_by_mode
+        monkeypatch.setattr(illposed, "_bin_by_mode", counted)
+        eval_appendix_terms(CounterexampleSpec(N=64))
+        assert binned == [((4, 248), np.dtype(complex))]
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.7, 3.0])
+    @pytest.mark.parametrize("N", [8, 9, 4096, 3**9, 2**40])
+    def test_c5_amplitude_one_per_class(self, N, s):
+        # the C5 values are 1 and N^-s, so each pair's product of its five
+        # in walk order is its class's, taken over the sorted leaves, bit for bit
+        tab = _quintic_table(counterexample_support(CounterexampleSpec(N=N, s=s)), ("cubic2",))
+        per_class = _amplitudes(tab.vals, _c5_index()[0].leaves)
+        assert tab.amp.tolist() == per_class[tab.cls].tolist()
+
     def test_appendix_report(self):
         spec = CounterexampleSpec(N=8, s=1.0, t=1e-4)
         assert_reports_close(asdict(eval_appendix_terms(spec)),
@@ -650,9 +713,13 @@ class TestTupleTableMatchesOracle:
         assert phases == [t.phi_out for t in walk] + [t.phi_in for t in walk]
         big = [r for r, t in enumerate(walk) if abs(t.phi_out + t.phi_in) > 2**63]
         assert big
-        # a tuple's structure value is its pair's weight times K_X * K_Y
-        w = tab.structure_weights(spec.t)
-        values = w[rows["pair"]] * rows["kernel_x"] * rows["kernel_y"]
+        # a tuple's structure value is its class factor n * amp * E_t(phi_out
+        # + phi_in) times its pair factor K_X * K_Y * n_slot / phi_out
+        pair, cls = rows["pair"], tab.cls[rows["pair"]]
+        amp = _amplitudes(tab.vals, _c5_index()[0].leaves)
+        factor = (tab.mode * amp * osc_single(tab.phi_sum_f, spec.t))[cls]
+        values = factor * (rows["kernel_x"] * rows["kernel_y"] * tab.n_slot[pair]
+                           / tab.phi_out_f[tab.key[pair]])
         np.testing.assert_allclose(
             values[big], [structure_value_oracle(walk[r], spec.t) for r in big], rtol=REL, atol=0,
         )
