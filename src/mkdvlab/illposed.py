@@ -372,8 +372,8 @@ def _hs_norms(n: np.ndarray, cls: np.ndarray, v: np.ndarray, s: float) -> np.nda
 @functools.cache
 def _c5_index() -> tuple:
     """The pair index of the C5 support, the row of its m0 pair (outer legs
-    (2, -1) over the inner triple (-2, 1, N)) and the (norm, class) bins of
-    the appendix norms, built on first use.  The leaves -2, -1, 1, 2, N-1, N
+    (2, -1) over the inner triple (-2, 1, N)) and the (cell, class) bins of
+    the four appendix cells, built on first use.  The leaves -2, -1, 1, 2, N-1, N
     have the same vanishing sums at every N >= 8 (only -2 + 2 and -1 + 1; a
     sum of four leaves with k of the two high ones is at least k(N-1) -
     2(4-k) > 0), so the index built at N = 8 serves every N of a sweep."""
@@ -427,7 +427,7 @@ def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
     modes {-2,-1,2} are what realize the t*max(N^{2-s},1) growth of the D1
     term.  Every tuple has a normal form (phi_out != 0, see _QuinticTable).
     One value pass over `_c5_index` gives each pair's real factor K_X * K_Y *
-    n_slot / phi_out, one bincount sums them per (norm, class), and only the
+    n_slot / phi_out, one bincount sums them per (cell, class), and only the
     class sums take the class factor n * amp * E_t(phi_out + phi_in): amp is
     the class's, as the C5 values 1 and N^-s give one product in any order.
     """
