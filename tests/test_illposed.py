@@ -32,8 +32,8 @@ from mkdvlab.equations import EquationParams, RenormalizedTerms
 from mkdvlab.errors import ConfigurationError
 from mkdvlab.illposed import (
     CounterexampleSpec,
-    _c5_index,
     _amplitudes,
+    _c5_index,
     _check_osc_bound,
     _leaves,
     _pair_index,
@@ -654,18 +654,17 @@ class TestTupleTableMatchesOracle:
         assert len(sizes) == 2 and sum(sizes) == len(index.leaves) + 1
 
     def test_appendix_bins_class_sums(self, monkeypatch):
-        # the pair factors are real and summed per (norm, class) first: the
+        # the pair factors are real and summed per (cell, class) first: the
         # one complex array binned by mode per N is (4 norms, 248 classes),
         # not (4, 4,992 pairs)
         from mkdvlab import illposed
 
-        binned = []
+        binned, bin_by_mode = [], illposed._bin_by_mode
 
         def counted(n, cls, v):
             binned.append((v.shape, v.dtype))
-            return illposed_bin(n, cls, v)
+            return bin_by_mode(n, cls, v)
 
-        illposed_bin = illposed._bin_by_mode
         monkeypatch.setattr(illposed, "_bin_by_mode", counted)
         eval_appendix_terms(CounterexampleSpec(N=64))
         assert binned == [((4, 248), np.dtype(complex))]
