@@ -61,8 +61,9 @@ FLOAT_FMT = "{:.16e}"
 
 #: Cap on the complex entries a run may hold: 2**26 entries is 1 GiB, an
 #: eighth of an 8 GiB machine.  It bounds the record buffers a subcommand
-#: keeps at once (one, or two for gauge-check and miura-check; the rest of a
-#: pass goes a chunk of records at a time, except norms' short-time tables),
+#: holds at once (one; two for gauge-check and miura-check; four for norms,
+#: whose short-time tables hold the demodulated band of every record and its
+#: build temporaries; the rest of a pass goes a chunk of records at a time),
 #: records x (max_mode+1) half-spectrum entries each, and, through
 #: 3*(2*max_mode+1) <= MAX_ENTRIES // 64 collocation points, evolve's working
 #: arrays of about 28 entries per point.
@@ -628,7 +629,7 @@ def cmd_norms(cfg: ExperimentConfig, args) -> Outcome:
     from .shorttime import (band_weight, beta_weight, fk_norm, fs_norm, nk_norm, window_centers,
                             window_table)
 
-    run = build_run(cfg, records=_window_records)
+    run = build_run(cfg, buffers=4, records=_window_records)  # its tables peak at 3.72
     gamma = cfg.get_float("norms", "gamma")
     _in_field("norms.gamma", beta_weight, 0, 1, gamma)  # checks gamma before the run
     s = cfg.get_float("norms", "s")

@@ -158,8 +158,8 @@ def _physical(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
     b = (p.c1 - 2.0 * p.c2) / 2.0
     G = U * (p.c2 * (U * Uxx) + b * (Ux * Ux) + (p.c4 / 5.0) * (u2 * u2))
     if p.c3 == b:
-        return h.minus_dx * sfft.rfft(G, axis=-1)[..., : h.M + 1]
-    g, cube = sfft.rfft(np.stack([G, Ux * Ux * Ux]), axis=-1)[..., : h.M + 1]
+        return h.minus_dx * sfft.rfft(G)[..., : h.M + 1]
+    g, cube = sfft.rfft(np.stack([G, Ux * Ux * Ux]))[..., : h.M + 1]
     return h.minus_dx * g - ((p.c3 - b) / h.P) * cube
 
 

@@ -17,6 +17,8 @@ Conventions (used consistently across the package):
   :class:`HalfSpectrum`, the one coefficient-to-samples path for real data:
   one stacked irfft for any derivative orders (orders axis first, then any
   batch axes), one stacked rfft back.
+* Every transform is a ``scipy.fft`` attribute call; inside ``integrate.evolve``
+  :class:`PocketfftBackend` runs them on scipy's pocketfft, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as sfft
+from scipy.fft._pocketfft import pypocketfft
 
 from .errors import ConfigurationError
 
@@ -174,25 +177,54 @@ class HalfSpectrum:
         ``ch`` holds half spectra on its last axis, with any leading (batch)
         axes; the result has the orders axis first, then the batch axes, then
         the P samples, so ``U, Ux = h.synthesize(ch, (0, 1))`` unpacks the same
-        for one row or many.
+        for one row or many.  The P-scaled table product is written straight
+        into the zero-padded irfft input, so scipy makes no padded copy.
         """
-        return sfft.irfft(self._table(orders, ch.ndim) * ch, self.P, axis=-1)
+        table = self._table(orders, ch.ndim)
+        padded = np.zeros(table.shape[:1] + ch.shape[:-1] + (self.P // 2 + 1,), np.complex128)
+        np.multiply(table, ch, out=padded[..., : self.M + 1])
+        return sfft.irfft(padded, self.P)
 
     def synthesize_rows(self, ch: np.ndarray, orders, products: int):
         """Yield (rows, samples) of :meth:`synthesize` over slices of the
         leading axis of ``ch``, each sized (one row at least) so that its
         synthesis and the caller's work fit BATCH_ELEMENTS together: per row
-        and order, the irfft's input, scipy's zero-padded copy of it and the
-        P samples, and ``products`` more arrays of P samples that the caller
-        holds beside them."""
+        and order, the zero-padded irfft input and the P samples, and
+        ``products`` more arrays of P samples that the caller holds beside
+        them (the previous chunk's samples among them, while it is bound)."""
         n = len(orders)
-        per_row = n * (self.M + self.P // 2 + 2) + (n + products) * self.P // 2
+        per_row = n * (self.P // 2 + 1) + (n + products) * self.P // 2
         for rows in row_chunks(len(ch), per_row):
             yield rows, self.synthesize(ch[rows], orders)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Coefficients 0..M of real samples, per row."""
-        return sfft.rfft(values, axis=-1)[..., : self.M + 1] / self.P
+        return sfft.rfft(values)[..., : self.M + 1] / self.P
+
+
+class PocketfftBackend:
+    """``scipy.fft`` backend for the stepping loop's two call forms, rfft(x) of
+    float64 x and irfft(x, n) of complex128 x with n//2 + 1 entries on its
+    last axis: scipy's own pocketfft with scipy's arguments (last axis, inorm
+    0 forward and 2 backward, one worker), without scipy's Python layer.  Any
+    other call returns NotImplemented, so scipy's backend takes it.  Entered
+    by ``scipy.fft.set_backend``, every call stays a counted attribute call."""
+
+    __ua_domain__ = "numpy.scipy.fft"
+
+    @staticmethod
+    def __ua_function__(method, args, kwargs):
+        x = args[0] if args else None
+        if kwargs or type(x) is not np.ndarray or not x.ndim:
+            return NotImplemented
+        name = method.__name__
+        if name == "rfft" and len(args) == 1 and x.dtype == np.float64 and x.shape[-1]:
+            return pypocketfft.r2c(x, (-1,), True, 0, None, 1)
+        if name == "irfft" and len(args) == 2 and x.dtype == np.complex128:
+            n = args[1]
+            if type(n) is int and n > 0 and x.shape[-1] == n // 2 + 1:
+                return pypocketfft.c2r(x, (-1,), n, False, 2, None, 1)
+        return NotImplemented
 
 
 @lru_cache(maxsize=32)

@@ -246,7 +246,7 @@ class TestValidation:
         )
 
     @pytest.mark.parametrize("command, buffers", [
-        ("evolve", 1), ("conserve", 1), ("gauge-check", 2), ("miura-check", 2),
+        ("evolve", 1), ("conserve", 1), ("gauge-check", 2), ("miura-check", 2), ("norms", 4),
     ])
     def test_record_cap_counts_the_buffers_a_run_holds(self, tmp_path, monkeypatch, peak_above,
                                                        command, buffers):

@@ -71,9 +71,9 @@ def test_multi_chunk_syntheses(fft_calls, monkeypatch):
     # under a budget of 4,800 entries, the Hamiltonians and the gauge phase
     # of 51 records take one FFT call per chunk and equal the one stacked
     # synthesis bit for bit.  At M = 16 and P = 100 a record of drift_report
-    # holds 554 entries (three orders of irfft input, padded copy and samples,
-    # 3 x 68 + 3 x 50, and four products, 4 x 50), so a chunk is 8 records;
-    # one of the gauge quartic holds 218 (68 + 50 and two products), 22 a chunk
+    # holds 503 entries (three orders of zero-padded irfft input and samples,
+    # 3 x 51 + 3 x 50, and four products, 4 x 50), so a chunk is 9 records;
+    # one of the gauge quartic holds 201 (51 + 50 and two products), 23 a chunk
     import mkdvlab.spectral as spectral
 
     _, traj = physical_trajectories()
@@ -82,12 +82,12 @@ def test_multi_chunk_syntheses(fft_calls, monkeypatch):
     P = traj.grid.phys_points
     assert P == 100
     monkeypatch.setattr(spectral, "BATCH_ELEMENTS", 16 * 3 * P)
-    assert fft_calls(drift_report, dataclasses.replace(traj), 40.0) == 7  # 6 x 8 + 3
+    assert fft_calls(drift_report, dataclasses.replace(traj), 40.0) == 6  # 5 x 9 + 6
     chunked = drift_report(dataclasses.replace(traj), 40.0)
     for name in ("h0", "h1", "h2"):
         assert np.array_equal(getattr(chunked, name), getattr(hams, name))
     assert chunked.relative_drift == hams.relative_drift
-    assert fft_calls(gauge_forward, traj) == 3  # 22 + 22 + 7
+    assert fft_calls(gauge_forward, traj) == 3  # 23 + 23 + 5
     assert np.array_equal(gauge_forward(traj).half, gauge.half)
 
 
@@ -153,9 +153,22 @@ FLOWS = {
 
 @pytest.mark.parametrize("flow", FLOWS)
 @pytest.mark.parametrize("automatic_dt", [False, True], ids=["user-dt", "automatic-dt"])
-def test_evolve_calls_per_step(fft_calls, flow, automatic_dt):
+def test_evolve_calls_per_step(fft_calls, monkeypatch, flow, automatic_dt):
     # one stacked irfft and one stacked rfft per stage, four stages a step,
-    # one synthesis for the final sup check and one for the automatic dt
+    # one synthesis for the final sup check and one for the automatic dt;
+    # evolve's scoped backend computes each of the 801 after the dt itself,
+    # and the fixture still counts them as scipy.fft attribute calls
+    from mkdvlab.spectral import PocketfftBackend
+
+    handled = []
+    backend = PocketfftBackend.__ua_function__
+
+    def counted(method, args, kwargs):
+        out = backend(method, args, kwargs)
+        handled.append(out is not NotImplemented)
+        return out
+
+    monkeypatch.setattr(PocketfftBackend, "__ua_function__", staticmethod(counted))
     tag, terms = FLOWS[flow]
     u0 = two_mode(GridSpec(16))
     p = derive_gauge_params(u0, 40.0)
@@ -164,6 +177,7 @@ def test_evolve_calls_per_step(fft_calls, flow, automatic_dt):
     assert uniform_steps(T, dt)[0] == 100
     ctrl = StepControl(dt=0.0 if automatic_dt else dt)
     assert fft_calls(evolve, u0, T, p, tag, ctrl, terms) == 801 + automatic_dt
+    assert len(handled) == 801 and all(handled)
 
 
 def test_renormalized_operator_transform_entries(fft_calls):

@@ -232,3 +232,31 @@ class TestStepControlValidation:
     def test_nonpositive_T_rejected(self, grid8, T):
         with pytest.raises(ConfigurationError, match="T must be positive"):
             evolve(SpectralField.zeros(grid8), T, EquationParams())
+
+
+class TestPocketfftBackend:
+    @pytest.mark.parametrize("M", [8, 64])
+    @pytest.mark.parametrize("tag", sorted(FLOWS))
+    def test_evolve_bitwise_with_scipy_backend(self, monkeypatch, tag, M):
+        # evolve's scoped backend changes no bit of any flow's records: with
+        # its __ua_function__ declining every call, scipy's backend takes
+        # them all and the trajectory is the same
+        from mkdvlab.spectral import PocketfftBackend
+
+        rng = np.random.default_rng(4500 + M)
+        u0 = SpectralField(GridSpec(M), random_real_coeffs(M, rng, amplitude=0.3))
+        # c3 off the constrained family: the physical flow's stacked rfft
+        p = EquationParams.constrained_family(40.0)
+        p.c3, p.d1, p.d2 = p.c3 + 0.5, 1.5, 0.7
+        dt = integrate.default_dt(u0, p, tag)
+
+        def run():
+            return evolve(u0, 40 * dt, p, tag, StepControl(record_stride=3))
+
+        want = run()
+        monkeypatch.setattr(PocketfftBackend, "__ua_function__",
+                            staticmethod(lambda method, args, kwargs: NotImplemented))
+        got = run()
+        assert len(got) == len(want) > 2
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.half.tobytes() == want.half.tobytes()

@@ -60,15 +60,33 @@ def test_sweeps_go_through_traced_names(tmp_path):
     assert tr.counts["mkdvlab.illposed.osc_single"] >= 5
 
 
-def transform_call_breaches(source: str, traced: set) -> list:
-    """Lines of `source` that import numpy.fft, scipy.signal or names from
-    scipy.fft, or call a transform other than as a traced scipy.fft attribute."""
+#: the one scipy.fft backend: (module, class) of spectral's pocketfft backend
+FFT_BACKEND = ("spectral", "PocketfftBackend")
+
+
+def transform_call_breaches(source: str, traced: set, module: str = "") -> list:
+    """Lines of `source`, the mkdvlab module `module`, that import numpy.fft,
+    scipy.signal or names from scipy.fft, or reach a transform other than as
+    a traced scipy.fft attribute call.  Two exceptions serve FFT_BACKEND:
+    its module may import pypocketfft from scipy.fft._pocketfft and use it
+    inside the backend's __ua_function__ alone, and scipy.fft.set_backend
+    may be called with that backend alone."""
     tree = ast.parse(source)
     sfft_names, numpy_names, breaches = set(), set(), []
+    backend_module, backend = FFT_BACKEND
+    in_backend_module = module == backend_module
+    backends, spectral_names, pocket_ok = set(), set(), set()
+    for node in tree.body:
+        if (in_backend_module and isinstance(node, ast.ClassDef) and node.name == backend
+                and "__ua_domain__" in {t.id for n in node.body if isinstance(n, ast.Assign)
+                                        for t in n.targets if isinstance(t, ast.Name)}):
+            backends.add(backend)
+            pocket_ok |= {id(n) for f in node.body if isinstance(f, ast.FunctionDef)
+                          and f.name == "__ua_function__" for n in ast.walk(f)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
-                if a.name.startswith(("numpy.fft", "scipy.signal")):
+                if a.name.startswith(("numpy.fft", "scipy.signal", "scipy.fft.")):
                     breaches.append((node.lineno, f"import {a.name}"))
                 elif a.name == "scipy.fft" and a.asname:
                     sfft_names.add(a.asname)
@@ -76,12 +94,21 @@ def transform_call_breaches(source: str, traced: set) -> list:
                     numpy_names.add(a.asname or a.name)
         elif isinstance(node, ast.ImportFrom):
             mod, names = node.module or "", {a.name for a in node.names}
+            ours = node.level == 1 or mod.startswith("mkdvlab")
+            if (in_backend_module and mod == "scipy.fft._pocketfft"
+                    and [(a.name, a.asname) for a in node.names] == [("pypocketfft", None)]):
+                continue
             if (mod.startswith(("scipy.fft", "numpy.fft", "scipy.signal"))
                     or (mod == "numpy" and "fft" in names)
                     or (mod == "scipy" and "signal" in names)):
                 breaches.append((node.lineno, f"from {mod} import {', '.join(sorted(names))}"))
             elif mod == "scipy":
                 sfft_names |= {a.asname or a.name for a in node.names if a.name == "fft"}
+            elif ours and mod.split(".")[-1] == backend_module:
+                backends |= {a.asname or a.name for a in node.names if a.name == backend}
+            elif ours and mod in ("", "mkdvlab"):
+                spectral_names |= {a.asname or a.name for a in node.names
+                                   if a.name == backend_module}
 
     def is_sfft(expr) -> bool:
         if isinstance(expr, ast.Name):
@@ -89,17 +116,33 @@ def transform_call_breaches(source: str, traced: set) -> list:
         return (isinstance(expr, ast.Attribute) and expr.attr == "fft"
                 and isinstance(expr.value, ast.Name) and expr.value.id == "scipy")
 
+    def is_backend(expr) -> bool:
+        if isinstance(expr, ast.Name):
+            return expr.id in backends
+        return (isinstance(expr, ast.Attribute) and expr.attr == backend
+                and isinstance(expr.value, ast.Name) and expr.value.id in spectral_names)
+
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr == "fft"
                 and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
             breaches.append((node.lineno, f"{node.value.id}.fft"))
+        if (isinstance(node, ast.Name) and node.id == "pypocketfft"
+                and id(node) not in pocket_ok):
+            breaches.append((node.lineno, "pypocketfft outside the backend's __ua_function__"))
+        if (isinstance(node, ast.Attribute) and is_sfft(node.value)
+                and node.attr.startswith("_")):
+            breaches.append((node.lineno, f"scipy.fft.{node.attr}"))
         if not isinstance(node, ast.Call):
             continue
         f = node.func
         if isinstance(f, ast.Name) and f.id in traced:
             breaches.append((node.lineno, f"bare {f.id}()"))
         elif isinstance(f, ast.Attribute) and is_sfft(f.value):
-            if f.attr not in traced | FFT_HELPERS:
+            if f.attr == "set_backend":
+                if node.keywords or len(node.args) != 1 or not is_backend(node.args[0]):
+                    args = ", ".join(map(ast.unparse, node.args + node.keywords))
+                    breaches.append((node.lineno, f"set_backend({args})"))
+            elif f.attr not in traced | FFT_HELPERS:
                 breaches.append((node.lineno, f"untraced scipy.fft.{f.attr}()"))
     return breaches
 
@@ -111,15 +154,28 @@ def test_transforms_called_as_traced_scipy_fft_attributes():
     bad = {
         path.name: breaches
         for path in sorted((ROOT / "src" / "mkdvlab").glob("*.py"))
-        if (breaches := transform_call_breaches(path.read_text(), traced))
+        if (breaches := transform_call_breaches(path.read_text(), traced, path.stem))
     }
     assert bad == {}
+
+
+BACKEND_SOURCE = (
+    "import numpy as np\nfrom scipy.fft._pocketfft import pypocketfft\n"
+    "class PocketfftBackend:\n    __ua_domain__ = 'numpy.scipy.fft'\n"
+    "    @staticmethod\n    def __ua_function__(method, args, kwargs):\n"
+    "        return pypocketfft.r2c(args[0], (-1,), True, 0, None, 1)\n")
 
 
 def test_transform_call_check_catches_each_breach():
     traced = {"fft", "ifft", "rfft", "irfft"}
     good = "import numpy as np\nimport scipy.fft as sfft\nsfft.fft(x)\nsfft.next_fast_len(9)\n"
     assert transform_call_breaches(good, traced) == []
+    assert transform_call_breaches(BACKEND_SOURCE, traced, "spectral") == []
+    for user in ("import scipy.fft as sfft\nfrom .spectral import PocketfftBackend\n"
+                 "with sfft.set_backend(PocketfftBackend):\n    sfft.rfft(x)\n",
+                 "from scipy import fft\nfrom . import spectral\n"
+                 "with fft.set_backend(spectral.PocketfftBackend):\n    pass\n"):
+        assert transform_call_breaches(user, traced, "integrate") == [], user
     for line in (
         "from scipy.fft import fft",
         "import numpy.fft",
@@ -130,8 +186,29 @@ def test_transform_call_check_catches_each_breach():
         "from scipy.signal import czt",
         "import scipy.fft as sfft\nsfft.fftn(x)",
         "fft(x)",
+        "import scipy.fft._pocketfft.pypocketfft",
+        "import scipy.fft as sfft\nsfft._pocketfft.pypocketfft.r2c(x, (-1,), True, 0, None, 1)",
+        "import scipy.fft as sfft\nsfft.set_global_backend(PocketfftBackend)",
+        "import scipy.fft as sfft\nwith sfft.set_backend('scipy'):\n    pass",
+        "import scipy.fft as sfft\nclass Other:\n    __ua_domain__ = 'numpy.scipy.fft'\n"
+        "with sfft.set_backend(Other):\n    pass",
+        "import scipy.fft as sfft\nfrom .spectral import PocketfftBackend\n"
+        "with sfft.set_backend(PocketfftBackend, only=True):\n    pass",
     ):
         assert transform_call_breaches(line + "\n", traced), line
+    # spectral's import and calls outside the backend's __ua_function__
+    for line in (
+        "def f(x):\n    return pypocketfft.c2r(x, (-1,), 8, False, 2, None, 1)",
+        "r2c = pypocketfft.r2c",
+        "class Other:\n    @staticmethod\n    def __ua_function__(method, args, kwargs):\n"
+        "        return pypocketfft.r2c(args[0], (-1,), True, 0, None, 1)",
+    ):
+        assert transform_call_breaches(BACKEND_SOURCE + line + "\n", traced, "spectral"), line
+    # the import and the backend in any other module
+    for module in ("integrate", "equations", ""):
+        assert transform_call_breaches(BACKEND_SOURCE, traced, module), module
+    assert transform_call_breaches(
+        "from scipy.fft._pocketfft import pypocketfft as p\n", traced, "spectral")
 
 
 def private_imports(source: str) -> list:

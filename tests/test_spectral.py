@@ -7,6 +7,7 @@ import scipy.fft as sfft
 from mkdvlab.errors import ConfigurationError
 from mkdvlab.spectral import (
     GridSpec,
+    PocketfftBackend,
     SpectralField,
     chi,
     eta0,
@@ -115,6 +116,86 @@ class TestAnalyzeSynthesize:
         f = SpectralField.from_modes(grid8, {1: 1.0})
         with pytest.raises(ConfigurationError, match="field violates Hermitian symmetry"):
             f.half("field")
+
+
+def evolve_call_forms(M: int, rng) -> list:
+    """(transform, args) of each form of call that evolve's stages make at
+    max_mode M: irfft(x, P) of the zero-padded table products of one row and
+    of (B, M+1) batches, any number of orders, and rfft(x) of one or two
+    stacked product rows, alone or over a batch."""
+    P = GridSpec(M).phys_points
+    forms = []
+    for lead in ((1,), (3,), (5,), (1, 4), (3, 4)):
+        padded = np.zeros(lead + (P // 2 + 1,), np.complex128)
+        padded[..., : M + 1] = rng.standard_normal(lead + (M + 1,)) * (1 + 1j)
+        forms.append((sfft.irfft, (padded, P)))
+    for lead in ((), (2,), (4,), (2, 4)):
+        forms.append((sfft.rfft, (rng.standard_normal(lead + (P,)),)))
+    return forms
+
+
+class TestPocketfftBackend:
+    @pytest.mark.parametrize("M", [8, 16, 64, 256])
+    def test_evolve_call_forms_bitwise_scipy(self, M, rng):
+        # each form is handled by the backend itself, and its result is
+        # scipy's own bit for bit
+        for transform, args in evolve_call_forms(M, rng):
+            want = transform(*args)
+            got = PocketfftBackend.__ua_function__(transform, args, {})
+            assert got is not NotImplemented
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            with sfft.set_backend(PocketfftBackend):
+                assert transform(*args).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("transform, args, kwargs", [
+        (sfft.rfft, ("x",), {"n": 100}),
+        (sfft.rfft, ("x",), {"norm": "ortho"}),
+        (sfft.rfft, ("x",), {"workers": 2}),
+        (sfft.rfft, ("x",), {"axis": 0}),
+        (sfft.rfft, ("x",), {"axis": -1}),
+        (sfft.rfft, ("x32",), {}),
+        (sfft.rfft, ("xint",), {}),
+        (sfft.rfft, ("x", 64), {}),
+        (sfft.irfft, ("c",), {}),
+        (sfft.irfft, ("c",), {"n": 100}),
+        (sfft.irfft, ("c", 100), {"norm": "forward"}),
+        (sfft.irfft, ("c", 100), {"workers": 2}),
+        (sfft.irfft, ("c", 100), {"axis": 0}),
+        (sfft.irfft, ("short", 100), {}),
+        (sfft.irfft, ("c64", 100), {}),
+        (sfft.irfft, ("x51", 100), {}),
+        (sfft.fft, ("x",), {}),
+        (sfft.ifft, ("c",), {}),
+    ], ids=lambda v: getattr(v, "__name__", None) or repr(v))
+    def test_other_calls_fall_through_to_scipy(self, transform, args, kwargs, rng):
+        # a keyword, another dtype or length, another transform: the backend
+        # declines it, and under the backend the call returns scipy's result
+        arrays = {
+            "x": rng.standard_normal((2, 100)),
+            "x32": rng.standard_normal((2, 100)).astype(np.float32),
+            "xint": rng.integers(-5, 5, (2, 100)),
+            "x51": rng.standard_normal((2, 51)),
+            "c": rng.standard_normal((2, 51)) + 1j * rng.standard_normal((2, 51)),
+            "short": rng.standard_normal((2, 17)) + 1j * rng.standard_normal((2, 17)),
+            "c64": (rng.standard_normal((2, 51)) + 1j).astype(np.complex64),
+        }
+        args = (arrays[args[0]],) + args[1:]
+        assert PocketfftBackend.__ua_function__(transform, args, kwargs) is NotImplemented
+        want = transform(*args, **kwargs)
+        with sfft.set_backend(PocketfftBackend):
+            got = transform(*args, **kwargs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_invalid_calls_raise_scipy_errors(self):
+        # declined inputs reach scipy's own checks and errors
+        with sfft.set_backend(PocketfftBackend):
+            with pytest.raises(ValueError, match="invalid number of data points"):
+                sfft.rfft(np.zeros((2, 0)))
+            with pytest.raises(TypeError, match="real sequence"):
+                sfft.rfft(np.zeros((2, 8), np.complex128))
+            with pytest.raises(TypeError):
+                sfft.rfft()
 
 
 class TestCutoffs:
