@@ -510,15 +510,11 @@ def cmd_miura_check(cfg: ExperimentConfig, args) -> Outcome:
 
 
 def cmd_resonance_enum(cfg: ExperimentConfig, args) -> Outcome:
-    from .resonance import N3_RADIUS_CAP, enumerate_n3, enumerate_n5
+    from .resonance import enumerate_n3, enumerate_n5
 
     n, radius = args.n, args.radius
-    if not 0 <= radius <= N3_RADIUS_CAP:
-        raise ConfigurationError(
-            f"--radius: enumeration radius must be in [0, {N3_RADIUS_CAP}], got {radius}"
-        )
     n5_radius = min(radius, 12)
-    trips = enumerate_n3(n, radius)
+    trips = _in_field("--radius", enumerate_n3, n, radius)
     quints = enumerate_n5(n, n5_radius)
     # only H: G = H + 3 d1 (n1+n2)(n1+n3)(n2+n3) is H at d1 = 0, and no d1 is taken
     return Outcome(

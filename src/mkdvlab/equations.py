@@ -85,7 +85,7 @@ def check_constraints(c1, c2, c3, c4) -> bool:
     return bool(ok23 and ok4)
 
 
-def dispersion_mu(n, d1=0.0, d2=0.0):
+def dispersion_mu(n, d1=0, d2=0):
     """mu(n) = n^5 + d1*n^3 + d2*n.
 
     An integer n gives one scalar expression, exact at any size for int or

@@ -40,7 +40,7 @@ and E_t of it are formed once per class, phi_in once per inner triple and
 phi_out once per outer-phase key.  On the C5 data a pair's structure value
 is a class factor n * amp * E_t times a real pair factor, so the remainder
 norms sum pair factors per class.  The C5 support has one index at every
-N >= 8 (`_c5_index`): a sweep is one value pass per N, D0 its m0 pair.
+N >= 8 (`_c5_index`): a sweep is one value pass per N, D0 m0's closed form.
 Legs are int64 (|leg| <= 5N, checked by `CounterexampleSpec`), kernels
 float64, phases Python ints.
 """
@@ -55,6 +55,7 @@ import numpy as np
 
 from .equations import EquationParams, RenormalizedTerms
 from .errors import ConfigurationError
+from .resonance import phi_cubic
 from .spectral import SpectralField
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,7 @@ class _QuinticTable:
     triple, n and phi_out + phi_in per class (`_PairIndex`), and phi_out per
     outer-phase key as their difference; only floats are gathered to pairs,
     and a pair's data product, which only the assembly reads, on demand.
-    A pair's exact phi_out is phi_out[key], its phi_in phi_in[triple].
+    A pair's exact phi_out is phi_out[index.key], its phi_in phi_in[index.triple].
 
     phi_out != 0 on every pair, so every tuple has a normal form: no leg of
     (la, lb, n_slot) equals n, so each pair sum la + lb = n - n_slot,
@@ -264,17 +265,12 @@ class _QuinticTable:
     and of the exact phi_out + phi_in.
     """
 
+    index: _PairIndex      # the pair index valued: each pair's cls, key, triple, ia, ib
     mode: np.ndarray       # (classes,) output mode n
-    cls: np.ndarray        # (pairs,) class
-    key: np.ndarray        # (pairs,) outer-phase key
-    triple: np.ndarray     # (pairs,) row of `inner`
-    ia: np.ndarray         # (pairs,) leaf positions of la and lb
-    ib: np.ndarray
     legs: np.ndarray       # (leaves,) sorted leaf legs
     vals: np.ndarray       # (leaves,) their data values
     n_slot: np.ndarray     # (pairs,) n_slot
     inner: np.ndarray      # (triples, 3) inner legs
-    inner_amp: np.ndarray  # (triples,) product of the three inner data values
     phi_out: np.ndarray    # (keys,) exact ints
     phi_in: np.ndarray     # (triples,) exact ints
     phi_sum: np.ndarray    # (classes,) exact phi_out + phi_in
@@ -285,25 +281,26 @@ class _QuinticTable:
     inner_terms: tuple
 
     def __len__(self) -> int:
-        return len(self.cls)
+        return len(self.index.cls)
 
     @property
     def n(self) -> np.ndarray:
         """(pairs,) output mode of each pair."""
-        return self.mode[self.cls]
+        return self.mode[self.index.cls]
 
     @property
     def amp(self) -> np.ndarray:
         """(pairs,) product of each pair's five data values, in walk order."""
-        return self.inner_amp[self.triple] * self.vals[self.ia] * self.vals[self.ib]
+        ix = self.index
+        return _amplitudes(self.vals, ix.inner)[ix.triple] * self.vals[ix.ia] * self.vals[ix.ib]
 
 
 def _pair_values(index: _PairIndex, legs: np.ndarray, vals: np.ndarray,
                  inner_terms) -> _QuinticTable:
     """The values of index at the sorted leaf legs and their data values
-    vals: legs, inner amplitudes, the kernels of inner_terms and the exact
-    phases, with mu once per leaf, once per inner triple's sum and once per
-    class's sum: phi_in = mu(m1) + mu(m2) + mu(m3) - mu(n_slot) per triple,
+    vals: legs, the kernels of inner_terms and the exact phases, with mu
+    once per leaf, once per inner triple's sum and once per class's sum:
+    phi_in = mu(m1) + mu(m2) + mu(m3) - mu(n_slot) per triple,
     phi_out + phi_in = mu(la) + mu(lb) + mu(m1) + mu(m2) + mu(m3) - mu(n)
     per class, and phi_out per outer-phase key as the class's sum less the
     triple's phi_in."""
@@ -317,8 +314,7 @@ def _pair_values(index: _PairIndex, legs: np.ndarray, vals: np.ndarray,
     phi_out = phi_sum[index.cls[kp]] - phi_in[index.triple[kp]]
     n_slot = slot[index.triple]
     return _QuinticTable(
-        mode=mode, cls=index.cls, key=index.key, triple=index.triple, ia=index.ia, ib=index.ib,
-        legs=legs, vals=vals, n_slot=n_slot, inner=inner, inner_amp=_amplitudes(vals, index.inner),
+        index=index, mode=mode, legs=legs, vals=vals, n_slot=n_slot, inner=inner,
         phi_out=phi_out, phi_in=phi_in, phi_sum=phi_sum,
         phi_out_f=phi_out.astype(float), phi_sum_f=phi_sum.astype(float),
         kernel_x=np.stack([legs[index.ib], n_slot]).astype(float) ** 2,
@@ -371,32 +367,26 @@ def _hs_norms(n: np.ndarray, cls: np.ndarray, v: np.ndarray, s: float) -> np.nda
 
 @functools.cache
 def _c5_index() -> tuple:
-    """The pair index of the C5 support, the row of its m0 pair (outer legs
-    (2, -1) over the inner triple (-2, 1, N)) and the (cell, class) bins of
-    the four appendix cells, built on first use.  The leaves -2, -1, 1, 2, N-1, N
+    """The pair index of the C5 support and the (cell, class) bins of the
+    four appendix cells, built on first use.  The leaves -2, -1, 1, 2, N-1, N
     have the same vanishing sums at every N >= 8 (only -2 + 2 and -1 + 1; a
     sum of four leaves with k of the two high ones is at least k(N-1) -
     2(4-k) > 0), so the index built at N = 8 serves every N of a sweep."""
-    legs = np.array(sorted(counterexample_support(CounterexampleSpec(N=8))))
-    index = _pair_index(legs)
-    m0 = np.flatnonzero((legs[index.ia] == 2) & (legs[index.ib] == -1)
-                        & np.all(legs[index.inner[index.triple]] == (-2, 1, 8), axis=1))
+    index = _pair_index(np.array(sorted(counterexample_support(CounterexampleSpec(N=8)))))
     bins = index.cls + len(index.leaves) * np.arange(len(_APPENDIX_TERMS)).reshape(-1, 1)
-    return index, int(m0[0]), bins.ravel()
+    return index, bins.ravel()
 
 
-def _d0_hsnorm(tab: _QuinticTable, spec: CounterexampleSpec, p: int, amp: float) -> float:
-    """H^s norm of D0, the structure value of row p of tab, the m0 pair of
-    data product amp: the resonant tuple m0 = (N, 2, -1, -2, 1, N), outer
-    legs (2, -1, N-1) with n_slot = N-1 in slot 2 over the inner triple
-    (-2, 1, N).  Formed in one tuple's operation order (the kernel product
-    in exact ints over float(phi_out), then amp, then E_t).  phi(m0) = 0
-    exactly, so D0 is linear in t."""
-    N, c = spec.N, tab.cls[p]
-    k = math.prod(int(x) for x in (tab.mode[c], tab.n_slot[p], tab.kernel_x[1, p],
-                                   tab.kernel_y[0, p])) / float(tab.phi_out[tab.key[p]])
-    d0 = k * amp * osc_single(tab.phi_sum[c], spec.t)
-    return float((1.0 + N**2) ** (spec.s / 2.0) * abs(d0))
+def _d0_hsnorm(spec: CounterexampleSpec) -> float:
+    """H^s norm of D0, the structure value of the resonant tuple m0 =
+    (N, 2, -1, -2, 1, N), outer legs (2, -1, N-1) with n_slot = N-1 in slot 2
+    over the inner triple (-2, 1, N), in closed form and one tuple's operation
+    order: n * n_slot * K_X * K_Y = N^3 (N-1)^3 in exact ints over
+    float(phi_out), phi_out = mu(2) + mu(-1) + mu(N-1) - mu(N), then the data
+    product N^-s, then E_t(0) = t: phi(m0) = 0 exactly, so D0 is linear in t."""
+    N = int(spec.N)
+    k = N**3 * (N - 1) ** 3 / float(phi_cubic(N, 2, -1, N - 1))
+    return (1.0 + N**2) ** (spec.s / 2.0) * abs(k * N ** (-spec.s) * spec.t)
 
 
 @dataclass
@@ -432,10 +422,10 @@ def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
     the class's, as the C5 values 1 and N^-s give one product in any order.
     """
     support = counterexample_support(spec)
-    index, m0, bins = _c5_index()
+    index, bins = _c5_index()
     tab = _pair_values(index, *_leaves(support, sorted(support)), ("cubic2", "cubic3"))
     xs, ys = (list(c) for c in zip(*_APPENDIX_TERMS.values()))
-    pair = (tab.kernel_x * (tab.n_slot / tab.phi_out_f[tab.key]))[:, None] * tab.kernel_y
+    pair = (tab.kernel_x * (tab.n_slot / tab.phi_out_f[index.key]))[:, None] * tab.kernel_y
     amp = _amplitudes(tab.vals, index.leaves)
     sums = np.bincount(bins, pair.ravel()).reshape(2, 2, -1)[xs, ys]
     factor = tab.mode * amp * osc_single(tab.phi_sum_f, spec.t)
@@ -444,7 +434,7 @@ def eval_appendix_terms(spec: CounterexampleSpec) -> NormalFormTermReport:
         N=spec.N,
         s=spec.s,
         t=spec.t,
-        d0_hsnorm=_d0_hsnorm(tab, spec, m0, amp[tab.cls[m0]]),
+        d0_hsnorm=_d0_hsnorm(spec),
         **{name: float(v) for name, v in zip(_APPENDIX_TERMS, norms)},
     )
 
@@ -523,17 +513,17 @@ def t2_duhamel_fifth(
     if route != "normal_form":
         raise ValueError(f"unknown route {route!r}: only 'normal_form' is assembled")
     tab, t = _quintic_table(support, inner_terms), spec.t
-    a = tab.phi_out_f
+    ix, a = tab.index, tab.phi_out_f
     # W: the pair's boundary plus distributed piece at unit kernels; summed
     # over its cells, K_X gives 2 lb^2 + n_slot^2 and K_Y its inner rows.
     # e^{i phi_out t} is taken per key, E_t(phi_in) per triple and
     # E_t(phi_out + phi_in) per class
-    e = (np.exp(1j * a * t)[tab.key] * osc_single(tab.phi_in, t)[tab.triple]
-         - osc_single(tab.phi_sum_f, t)[tab.cls])
-    w = (10j * tab.n) * (10j * tab.n_slot) * tab.amp * e / (1j * a[tab.key])
+    e = (np.exp(1j * a * t)[ix.key] * osc_single(tab.phi_in, t)[ix.triple]
+         - osc_single(tab.phi_sum_f, t)[ix.cls])
+    w = (10j * tab.n) * (10j * tab.n_slot) * tab.amp * e / (1j * a[ix.key])
     v = w * (2.0 * tab.kernel_x[0] + tab.kernel_x[1]) * tab.kernel_y.sum(axis=0)
     return {n: x * np.exp(1j * float(n**5) * t)
-            for n, x in _field(tab.mode, tab.cls, v).items()}, 0
+            for n, x in _field(tab.mode, ix.cls, v).items()}, 0
 
 
 def numeric_fifth_derivative(

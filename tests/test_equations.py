@@ -57,6 +57,19 @@ class TestDispersion:
         v = dispersion_mu(n, 1, 1)
         assert v == n**5 + n**3 + n  # exact arbitrary-precision integers
 
+    def test_exact_int_at_default_shifts(self):
+        # the default d1 = d2 = 0 keeps an int n's value an exact int
+        v = dispersion_mu(10**20)
+        assert type(v) is int and v == 10**100
+        assert type(dispersion_mu(np.int64(7))) is int
+
+    def test_array_path_unchanged_by_default_shifts(self):
+        n = np.arange(-4000, 4001)
+        want = n.astype(float) ** 5 + 0.0 * n.astype(float) ** 3 + 0.0 * n.astype(float)
+        got = dispersion_mu(n)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestGaugeParams:
     def test_zero_field(self):

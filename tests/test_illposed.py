@@ -4,8 +4,9 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from datetime import timedelta
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,10 +183,22 @@ class TestD0:
 
 class TestDFull:
     def test_m0_term_reproduced_bitwise(self):
-        # D0 is the table's m0 pair: the m0 tuple's structure value, bit for bit
-        spec = CounterexampleSpec(N=16, s=1.0, t=1e-4)
-        d0 = structure_value_oracle(m0_tuple(spec), spec.t)
-        assert eval_appendix_terms(spec).d0_hsnorm == (1.0 + 16**2) ** 0.5 * abs(d0)
+        # D0 is the closed form of the walk's m0 tuple: its structure value, bit for bit
+        for N in (8, 16, 64, 4096, 2**26):
+            spec = CounterexampleSpec(N=N, s=1.0, t=1e-4)
+            d0 = structure_value_oracle(m0_tuple(spec), spec.t)
+            assert eval_appendix_terms(spec).d0_hsnorm == (1.0 + N**2) ** 0.5 * abs(d0), N
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-2])
+    @pytest.mark.parametrize("N", [10**8, 2**40, (2**63 - 1) // 5])
+    def test_d0_exact_at_s2(self, N, t):
+        # at s = 2 the weight (1 + N^2)^(s/2) is an integer, so
+        # <N>^2 N^3 (N-1)^3 / |phi_out| * N^-2 * t is exact as a fraction;
+        # kernels past 2^53, where float64 would round (N-1)^2, stay exact
+        spec = CounterexampleSpec(N=N, s=2.0, t=t)
+        want = Fraction((1 + N**2) * N * (N - 1) ** 3, abs(phi_cubic(N, 2, -1, N - 1))) * Fraction(t)
+        got = eval_appendix_terms(spec).d0_hsnorm
+        assert abs(Fraction(got) - want) <= Fraction(2.5e-16) * want
 
     def test_tuples_respect_nonresonant_sets(self):
         # every outer tuple of the walker lies in the enumerated A3 sets
@@ -497,7 +510,7 @@ SLOT_LEGS = np.array([[2, 0, 1], [0, 2, 1], [0, 1, 2]])
 
 def outer_legs(tab):
     """(pairs, 3) outer legs (la, lb, n_slot) of each pair of tab."""
-    return np.stack([tab.legs[tab.ia], tab.legs[tab.ib], tab.n_slot], axis=1)
+    return np.stack([tab.legs[tab.index.ia], tab.legs[tab.index.ib], tab.n_slot], axis=1)
 
 
 def table_rows(tab):
@@ -512,13 +525,13 @@ def table_rows(tab):
         "n": tab.n[pair],
         "outer": np.take_along_axis(outer_legs(tab)[pair], SLOT_LEGS[slot], axis=1),
         "slot": slot,
-        "inner": tab.inner[tab.triple[pair]],
+        "inner": tab.inner[tab.index.triple[pair]],
         "y_term": [tab.inner_terms[y] for y in yi],
         "amp": tab.amp[pair],
         "kernel_x": tab.kernel_x[(slot == 2).astype(int), pair],
         "kernel_y": tab.kernel_y[yi, pair],
-        "phi_out": tab.phi_out[tab.key[pair]],
-        "phi_in": tab.phi_in[tab.triple[pair]],
+        "phi_out": tab.phi_out[tab.index.key[pair]],
+        "phi_in": tab.phi_in[tab.index.triple[pair]],
     }
 
 
@@ -565,16 +578,19 @@ def test_outer_phase_never_vanishes(support):
     # tuple has a normal form, so no caller masks phi_out = 0
     tab = _quintic_table(support, ("cubic2",))
     want = [-resonance_g(la, lb, n_slot) for la, lb, n_slot in outer_legs(tab).tolist()]
-    assert tab.phi_out[tab.key].tolist() == want
+    assert tab.phi_out[tab.index.key].tolist() == want
     assert 0 not in want
 
 
 def assert_same_arrays(got, want):
-    """Every field of two dataclasses equal, arrays in dtype, shape and value."""
+    """Every field of two dataclasses equal, arrays in dtype, shape and value,
+    and a nested dataclass (a table's pair index) field by field."""
     for f in fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
             assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b), f.name
+        elif is_dataclass(b):
+            assert_same_arrays(a, b)
         else:
             assert a == b, f.name
 
@@ -593,8 +609,8 @@ def test_pair_index_serves_every_n(N, N0):
     got = _pair_values(index, *_leaves(supp, sorted(supp)), ("cubic2", "cubic3"))
     assert_same_arrays(got, _quintic_table(supp, ("cubic2", "cubic3")))
     # every pair of a class has the class's exact phi_out + phi_in and n
-    exact = got.phi_out[got.key] + got.phi_in[got.triple]
-    assert exact.tolist() == got.phi_sum[got.cls].tolist()
+    exact = got.phi_out[got.index.key] + got.phi_in[got.index.triple]
+    assert exact.tolist() == got.phi_sum[got.index.cls].tolist()
     assert outer_legs(got).sum(axis=1).tolist() == got.n.tolist()
 
 
@@ -628,17 +644,18 @@ class TestTupleTableMatchesOracle:
         walk = list(iter_quintic_tuples_oracle(supp))
         pair = table_rows(tab)["pair"]
         for p, w in zip(pair.tolist(), walk):
-            assert (w.phi_out, w.phi_in) == (tab.phi_out[tab.key[p]], tab.phi_in[tab.triple[p]])
-            assert w.phi_out + w.phi_in == tab.phi_sum[tab.cls[p]]
+            assert (w.phi_out, w.phi_in) == (tab.phi_out[tab.index.key[p]],
+                                             tab.phi_in[tab.index.triple[p]])
+            assert w.phi_out + w.phi_in == tab.phi_sum[tab.index.cls[p]]
         assert tab.phi_sum_f.tolist() == [float(v) for v in tab.phi_sum]
         assert tab.phi_out_f.tolist() == [float(v) for v in tab.phi_out]
         # at this N the float sum of the two phases would round differently
-        sum_f = tab.phi_out_f[tab.key] + tab.phi_in.astype(float)[tab.triple]
-        assert np.any(tab.phi_sum_f[tab.cls] != sum_f)
+        sum_f = tab.phi_out_f[tab.index.key] + tab.phi_in.astype(float)[tab.index.triple]
+        assert np.any(tab.phi_sum_f[tab.index.cls] != sum_f)
 
     def test_one_e_t_value_per_class(self, monkeypatch):
         # the sweep's E_t work: one value per class of the C5 index (248 of
-        # its 4,992 pairs) and one for D0, in two calls
+        # its 4,992 pairs), in one call; D0 is a closed form with E_t(0) = t
         from mkdvlab import illposed
 
         sizes = []
@@ -651,7 +668,7 @@ class TestTupleTableMatchesOracle:
         eval_appendix_terms(CounterexampleSpec(N=64))
         index = _c5_index()[0]
         assert (len(index.leaves), len(index.cls)) == (248, 4992)
-        assert len(sizes) == 2 and sum(sizes) == len(index.leaves) + 1
+        assert sizes == [len(index.leaves)]
 
     def test_appendix_bins_class_sums(self, monkeypatch):
         # the pair factors are real and summed per (cell, class) first: the
@@ -676,7 +693,7 @@ class TestTupleTableMatchesOracle:
         # in walk order is its class's, taken over the sorted leaves, bit for bit
         tab = _quintic_table(counterexample_support(CounterexampleSpec(N=N, s=s)), ("cubic2",))
         per_class = _amplitudes(tab.vals, _c5_index()[0].leaves)
-        assert tab.amp.tolist() == per_class[tab.cls].tolist()
+        assert tab.amp.tolist() == per_class[tab.index.cls].tolist()
 
     def test_appendix_report(self):
         spec = CounterexampleSpec(N=8, s=1.0, t=1e-4)
@@ -714,11 +731,11 @@ class TestTupleTableMatchesOracle:
         assert big
         # a tuple's structure value is its class factor n * amp * E_t(phi_out
         # + phi_in) times its pair factor K_X * K_Y * n_slot / phi_out
-        pair, cls = rows["pair"], tab.cls[rows["pair"]]
+        pair, cls = rows["pair"], tab.index.cls[rows["pair"]]
         amp = _amplitudes(tab.vals, _c5_index()[0].leaves)
         factor = (tab.mode * amp * osc_single(tab.phi_sum_f, spec.t))[cls]
         values = factor * (rows["kernel_x"] * rows["kernel_y"] * tab.n_slot[pair]
-                           / tab.phi_out_f[tab.key[pair]])
+                           / tab.phi_out_f[tab.index.key[pair]])
         np.testing.assert_allclose(
             values[big], [structure_value_oracle(walk[r], spec.t) for r in big], rtol=REL, atol=0,
         )
