@@ -111,7 +111,7 @@ def half_l4_quartic(grid: GridSpec, half: np.ndarray) -> np.ndarray:
     one stacked synthesis per chunk of rows (sized for u, u^2 and u^4).
     """
     out = np.empty(len(half))
-    for chunk, (U,) in half_spectrum(grid).synthesize_rows(half, (0,), 2):
+    for chunk, (U,) in half_spectrum(grid).synthesize_rows(half, range(1), 2):
         u2 = U * U
         out[chunk] = np.mean(u2 * u2, axis=-1)
     return out
@@ -153,7 +153,7 @@ def _physical(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
     b = (c1 - 2 c2)/2.  Where c3 == b (every constrained family) only the
     divergence is left, so the mean is conserved exactly; otherwise the
     divergence's argument and u_x^3 share one stacked rfft."""
-    U, Ux, Uxx = h.synthesize(ch, (0, 1, 2))
+    U, Ux, Uxx = h.synthesize(ch, range(3))
     u2 = U * U
     b = (p.c1 - 2.0 * p.c2) / 2.0
     G = U * (p.c2 * (U * Uxx) + b * (Ux * Ux) + (p.c4 / 5.0) * (u2 * u2))
@@ -171,13 +171,13 @@ def _fifth_kdv_coeffs(p: EquationParams) -> tuple:
 def _fifth_kdv(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
     """-a1 u_x u_xx - a2 u u_xxx - a3 u^2 u_x."""
     a1, a2, a3 = _fifth_kdv_coeffs(p)
-    U, Ux, Uxx, Uxxx = h.synthesize(ch, (0, 1, 2, 3))
+    U, Ux, Uxx, Uxxx = h.synthesize(ch, range(4))
     return h.analyze(-a1 * Ux * Uxx - a2 * U * Uxxx - a3 * U * U * Ux)
 
 
 def _third_order(h: HalfSpectrum, p: EquationParams, ch: np.ndarray, cubic=False) -> np.ndarray:
     """6 u u_x (KdV) or, if cubic, 6 u^2 u_x (defocusing mKdV)."""
-    U, Ux = h.synthesize(ch, (0, 1))
+    U, Ux = h.synthesize(ch, range(2))
     return h.analyze(6.0 * U * U * Ux if cubic else 6.0 * U * Ux)
 
 
@@ -222,7 +222,8 @@ def renormalized_nonlinear_coeff(
         S = S + (10.0 * sums[..., :1]) * h.n2
     if w_a:
         S = S + w_a * (h.n2 * a)
-    V = h.synthesize(ch, (0,) + (1,) * cubic3 + (2,) * cubic2)
+    # rows v, then v_x if cubic3, then v_xx (the last row) if cubic2
+    V = h.synthesize(ch, range(0, 3 if cubic2 else 1 + cubic3, 2 - cubic3))
     v0 = V[0]
     g = v0 * V[-1] if cubic2 else 0.0
     if cubic3:
@@ -313,7 +314,7 @@ def nonlinear_frequency_bound(u0: SpectralField, p: EquationParams, tag: str,
     """Frozen-coefficient bound on |nonlinear frequency| of flow ``tag`` up to
     wavenumber n_top; inf where it passes float64."""
     ch = u0.half("nonlinear_frequency_bound input")
-    U, Ux = half_spectrum(u0.grid).synthesize(ch, (0, 1))
+    U, Ux = half_spectrum(u0.grid).synthesize(ch, range(2))
     s0, s1, s01 = (float(np.max(np.abs(v))) for v in (U, Ux, U * Ux))
     try:
         return flow(tag).frequency_bound(p, s0, s1, s01, float(n_top))

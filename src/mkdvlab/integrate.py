@@ -53,9 +53,10 @@ class Trajectory:
     the real field at times[i], the state evolve steps; c(-n) = conj(c(n)),
     so every record is real by construction.
 
-    times and half are held as read-only views (the caller's arrays stay
-    writable), so tables memoized on the trajectory (the short-time window
-    tables and the lag basis they share) cannot go stale.
+    times and half are read-only views that share the caller's memory: the
+    arrays passed in must not be written after construction, or the records
+    change under the tables memoized on the trajectory (the short-time
+    window tables and the lag basis they share).
     """
 
     grid: GridSpec
@@ -235,7 +236,7 @@ def evolve(
 
         # sup-norm check on the final state (coefficient bound is a lower bound
         # on the sup norm; the synthesized check catches the rest)
-        sup = float(np.max(np.abs(half_spectrum(grid).synthesize(state, (0,)))))
+        sup = float(np.max(np.abs(half_spectrum(grid).synthesize(state, range(1)))))
     if not np.isfinite(sup) or sup > BLOWUP_SUP:
         raise diverged(f"blow-up detected at final time (sup={sup:.3e})", rec - 2)
 

@@ -110,7 +110,7 @@ def modified_energy_ek(
     g = inv_dx * (KAPPA * psi(k, h.n) + EPSILON * chik) * wh
     q = inv_dx * chik * wh
     fields = np.stack([v1.half("E_k v1"), v2.half("E_k v2"), g, q])
-    V1, V2, G, Q = h.synthesize(fields, (0,))[0]
+    V1, V2, G, Q = h.synthesize(fields, range(1))[0]
     total = h.twice @ np.abs(chik * wh) ** 2 - np.mean((V1 * V1 + V1 * V2 + V2 * V2) * G * Q)
     # g and q enter the sum as i g and i q, so each sum below carries
     # i*i = -1 and comes off with its sign flipped; pair[i, j] is the sum

@@ -15,8 +15,8 @@ Conventions (used consistently across the package):
   ``integral |u|^2 dx = 2*pi * sum |c[n]|^2``.
 * Real fields are synthesized and analyzed on the half spectrum c[0..M] by
   :class:`HalfSpectrum`, the one coefficient-to-samples path for real data:
-  one stacked irfft for any derivative orders (orders axis first, then any
-  batch axes), one stacked rfft back.
+  one stacked irfft for a range of derivative orders (orders axis first,
+  then any batch axes), one stacked rfft back.
 * Every transform is a ``scipy.fft`` attribute call; inside ``integrate.evolve``
   :class:`PocketfftBackend` runs them on scipy's pocketfft, bit for bit.
 """
@@ -157,38 +157,28 @@ class HalfSpectrum:
         for table in (self.n, self.n2, self.i_n, self.deriv, self.minus_dx, self.twice,
                       self.pair_sums):
             table.setflags(write=False)
-        self._tables = {}
 
-    def _table(self, orders, ndim: int) -> np.ndarray:
-        """Rows k in ``orders`` of the P-scaled derivative table, shaped to
-        broadcast against ``ndim``-dimensional half spectra (memoized)."""
-        key = (tuple(orders), ndim)
-        table = self._tables.get(key)
-        if table is None:
-            table = self.deriv[list(key[0])]
-            table = table.reshape(table.shape[:1] + (1,) * (ndim - 1) + table.shape[1:])
-            table.setflags(write=False)
-            self._tables[key] = table
-        return table
-
-    def synthesize(self, ch: np.ndarray, orders) -> np.ndarray:
-        """Real samples of d^k u/dx^k on the grid for every k in ``orders``.
+    def synthesize(self, ch: np.ndarray, orders: range) -> np.ndarray:
+        """Real samples of d^k u/dx^k on the grid for every k in ``orders``, a
+        range of derivative orders (0..4), read as a view of ``deriv``.
 
         ``ch`` holds half spectra on its last axis, with any leading (batch)
         axes; the result has the orders axis first, then the batch axes, then
-        the P samples, so ``U, Ux = h.synthesize(ch, (0, 1))`` unpacks the same
-        for one row or many.  The P-scaled table product is written straight
-        into the zero-padded irfft input, so scipy makes no padded copy.
+        the P samples, so ``U, Ux = h.synthesize(ch, range(2))`` unpacks the
+        same for one row or many.  The P-scaled table product is written
+        straight into the zero-padded irfft input, so scipy makes no padded copy.
         """
-        table = self._table(orders, ch.ndim)
-        padded = np.zeros(table.shape[:1] + ch.shape[:-1] + (self.P // 2 + 1,), np.complex128)
+        table = self.deriv[orders.start:orders.stop:orders.step]
+        if ch.ndim > 1:  # a length-1 axis per batch axis, still a view
+            table = table[(slice(None),) + (None,) * (ch.ndim - 1)]
+        padded = np.zeros((len(table), *ch.shape[:-1], self.P // 2 + 1), np.complex128)
         np.multiply(table, ch, out=padded[..., : self.M + 1])
         return sfft.irfft(padded, self.P)
 
-    def synthesize_rows(self, ch: np.ndarray, orders, products: int):
-        """Yield (rows, samples) of :meth:`synthesize` over slices of the
-        leading axis of ``ch``, each sized (one row at least) so that its
-        synthesis and the caller's work fit BATCH_ELEMENTS together: per row
+    def synthesize_rows(self, ch: np.ndarray, orders: range, products: int):
+        """Yield (rows, samples) of :meth:`synthesize` of the range ``orders``
+        over slices of the rows of ``ch``, each sized (one row at least) so that
+        its synthesis and the caller's work fit BATCH_ELEMENTS together: per row
         and order, the zero-padded irfft input and the P samples, and
         ``products`` more arrays of P samples that the caller holds beside
         them (the previous chunk's samples among them, while it is bound)."""

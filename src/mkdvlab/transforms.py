@@ -79,7 +79,7 @@ def miura(grid: GridSpec, v_half: np.ndarray) -> np.ndarray:
     """Half spectra of u = v_x + v^2 (dealiased quadratic) from half spectra
     c[0..M] of real v, any leading axes: one stacked irfft, one rfft."""
     h = half_spectrum(grid)
-    V, Vx = h.synthesize(v_half, (0, 1))
+    V, Vx = h.synthesize(v_half, range(2))
     return h.analyze(Vx + V * V)
 
 
@@ -98,7 +98,7 @@ def chain_identity_gap(grid: GridSpec, v_half: np.ndarray, vdot_half: np.ndarray
     worst = 0.0
     # beside v's five orders, per pair: v_t's two syntheses and 12 more sample arrays
     for rows, (V, Vx, Vxx, Vxxx, Vxxxx) in h.synthesize_rows(v_half, range(5), 18):
-        Vdot, Vdot_x = h.synthesize(vdot_half[rows], (0, 1))
+        Vdot, Vdot_x = h.synthesize(vdot_half[rows], range(2))
         U = Vx + V * V
         Ux = Vxx + 2.0 * V * Vx
         u_t = 2.0 * V * Vdot + Vdot_x

@@ -71,7 +71,7 @@ def _sextic_integrals(traj):
     Collocation quadrature is exact here: u^6 has modes up to 6M, below the
     P >= 3*(2M+1) points of the grid."""
     grid = traj.grid
-    u = half_spectrum(grid).synthesize(traj.states[:, grid.max_mode:], (0,))[0]
+    u = half_spectrum(grid).synthesize(traj.states[:, grid.max_mode:], range(1))[0]
     return np.sum(u**6, axis=-1) * (2.0 * np.pi / grid.phys_points)
 
 

@@ -192,6 +192,17 @@ def test_renormalized_operator_transform_entries(fft_calls):
     assert fft_calls.counter["points"] == 3 * 100 + 51
 
 
+def test_cubic2_only_operator_synthesizes_two_rows(fft_calls):
+    # the fifth-derivative flow's stage reads v and v_xx only: 2P + P/2 + 1 entries
+    from mkdvlab.equations import renormalized_nonlinear_coeff
+
+    grid = GridSpec(16)
+    ch = two_mode(grid).half("operator input")
+    terms = FLOWS["renormalized-cubic2"][1]
+    assert fft_calls(renormalized_nonlinear_coeff, grid, ch, terms) == 2
+    assert fft_calls.counter["points"] == 2 * 100 + 51
+
+
 @pytest.mark.parametrize("transform", [gauge_forward, gauge_inverse])
 def test_gauge_calls_independent_of_length(fft_calls, transform):
     short, long = physical_trajectories()

@@ -446,6 +446,15 @@ class TestNumericFifthDerivative:
             numeric_fifth_derivative(u0, 0.01, [0.05, 0.0500001, 0.05000011], p,
                                      RenormalizedTerms())
 
+    @pytest.mark.parametrize("deltas", [[0.05, 0.1], [0.05, 0.05, 0.1], [0.0, 0.05, 0.1],
+                                        [-0.05, 0.05, 0.1]],
+                             ids=["two", "repeated", "zero", "negative"])
+    def test_deltas_must_be_three_distinct_positive(self, deltas):
+        u0 = SpectralField.from_modes(GridSpec(16), {1: 0.5, -1: 0.5})
+        p = EquationParams.constrained_family(40.0)
+        with pytest.raises(ConfigurationError, match="need >= 3 distinct positive delta values"):
+            numeric_fifth_derivative(u0, 0.01, deltas, p, RenormalizedTerms())
+
     @staticmethod
     def _cross_validation_rel(flow, t, dt, closed_form):
         """max |numeric - closed form| / max |closed form| of the fifth

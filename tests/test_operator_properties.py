@@ -73,10 +73,10 @@ def test_shared_synthesis_matches_complex_reference(batch):
         dense = np.concatenate([np.conj(c_half[:0:-1]), c_half])
         for k in range(5):
             want = synthesize_values(grid, (1j * n) ** k * dense).real
-            (got,) = h.synthesize(c_half, (k,))
+            (got,) = h.synthesize(c_half, range(k, k + 1))
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         # and the rfft analysis back against the full complex fft
-        values = h.synthesize(c_half, (0,))[0]
+        values = h.synthesize(c_half, range(1))[0]
         want = analyze_complex(grid, values)[grid.max_mode:]
         assert np.max(np.abs(h.analyze(values) - want)) <= 1e-13 * np.max(np.abs(want))
     assert h.synthesize(ch, range(5)).shape == (5, len(ch), grid.phys_points)
@@ -106,6 +106,25 @@ def test_batches_equal_row_by_row_bitwise(batch):
         rows = op(ch)
         for i, c_half in enumerate(ch):
             assert np.array_equal(rows[i], op(c_half))
+
+
+def test_half_spectrum_keeps_no_per_call_state():
+    # every flow, and every (cubic2, cubic3) mask of the renormalized one,
+    # leaves the shared HalfSpectrum as built: ints and read-only tables
+    grid = GridSpec(12)
+    h = half_spectrum(grid)
+    built = set(vars(h))
+    u0 = SpectralField.from_modes(grid, {1: 0.05, -1: 0.05, 2: 0.025j, -2: -0.025j})
+    p = equations.derive_gauge_params(u0, 40.0)
+    runs = [(tag, None) for tag in equations.FLOWS] + [
+        ("renormalized_5mkdv", RenormalizedTerms(cubic2=c2, cubic3=c3))
+        for c2 in (False, True) for c3 in (False, True)]
+    for tag, terms in runs:
+        evolve(u0, 4e-5, p, tag, StepControl(dt=1e-5, record_stride=1), terms)
+    assert set(vars(h)) == built
+    for name, value in vars(h).items():
+        assert type(value) is int or (
+            type(value) is np.ndarray and not value.flags.writeable), name
 
 
 def assert_matches(got: SpectralField, want: np.ndarray):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mkdvlab import resonance
 from mkdvlab.equations import dispersion_mu
 from mkdvlab.errors import ConfigurationError
 from mkdvlab.resonance import (
@@ -187,6 +188,18 @@ class TestEnumerators:
         for enumerate_nk in (enumerate_n3, enumerate_n5):
             with pytest.raises(ConfigurationError, match="radius"):
                 enumerate_nk(0, -3)
+
+    def test_factorization_mismatch_raises(self, monkeypatch):
+        real = resonance.resonance_h_array
+
+        def mismatched(n1, n2, n3):
+            direct, bad = real(n1, n2, n3)
+            return direct, np.ones_like(bad)
+
+        monkeypatch.setattr(resonance, "resonance_h_array", mismatched)
+        with pytest.raises(ArithmeticError,
+                           match="resonance factorization mismatch in enumerate_n3"):
+            enumerate_n3(0, 3)
 
     def test_far_n_is_empty_without_int64(self):
         huge = 10**20

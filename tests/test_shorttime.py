@@ -66,6 +66,11 @@ class TestBetaWeight:
         with pytest.raises(ConfigurationError, match=r"gamma must lie in \(0, 1/4\], got 0.0"):
             beta_weight(3, 1, 0.0)
 
+    def test_negative_indices_rejected(self):
+        for j, k in ((-1, 0), (3, -1)):
+            with pytest.raises(ConfigurationError, match="dyadic indices must be nonnegative"):
+                beta_weight(j, k)
+
 
 def xk_of(mass_sq, k, gamma=0.25):
     """The X_k sum of one window's F_k masses: a column of window_table."""

@@ -24,7 +24,7 @@ from oracles import dft_coefficients, random_real_coeffs
 
 def real_samples(f: SpectralField) -> np.ndarray:
     """Real samples of f through its grid's half spectrum."""
-    return half_spectrum(f.grid).synthesize(f.coeff[f.grid.max_mode:], (0,))[0]
+    return half_spectrum(f.grid).synthesize(f.coeff[f.grid.max_mode:], range(1))[0]
 
 
 def field_from_samples(grid: GridSpec, samples: np.ndarray) -> SpectralField:
@@ -250,6 +250,10 @@ class TestCutoffs:
     def test_negative_k_rejected(self):
         with pytest.raises(ConfigurationError, match="dyadic index k must be >= 0, got -1"):
             chi(-1, 3)
+
+    def test_psi_negative_k_rejected(self):
+        with pytest.raises(ConfigurationError, match="dyadic index k must be >= 0, got -1"):
+            psi(-1, 3)
 
 
 class TestCutoffFamily:
