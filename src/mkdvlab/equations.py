@@ -143,24 +143,35 @@ def derive_gauge_params(u0: SpectralField, c1: float = 40.0) -> EquationParams:
 # ---------------------------------------------------------------------------
 #
 # Input and output are half spectra c[0..M] of real fields, c(-n) = conj(c(n)).
-# One evaluation is one stacked irfft of the derivatives it needs and one
-# stacked rfft of the pointwise products (:class:`spectral.HalfSpectrum`).
+# One evaluation is one stacked irfft of the derivatives it needs, one chain of
+# in-place pointwise products and one stacked rfft (:class:`spectral.HalfSpectrum`).
 
 
-def _physical(h: HalfSpectrum, p: EquationParams, ch: np.ndarray) -> np.ndarray:
+def _physical(h: HalfSpectrum, p: EquationParams, padded: np.ndarray, ch: np.ndarray) -> np.ndarray:
     """-c1 u u_x u_xx - c2 u^2 u_xxx - c3 u_x^3 - c4 u^4 u_x, written as
     -(c2 u^2 u_xx + b u u_x^2 + c4/5 u^5)_x - (c3 - b) u_x^3 with
     b = (c1 - 2 c2)/2.  Where c3 == b (every constrained family) only the
     divergence is left, so the mean is conserved exactly; otherwise the
-    divergence's argument and u_x^3 share one stacked rfft."""
-    U, Ux, Uxx = h.synthesize(ch, range(3))
-    u2 = U * U
+    divergence's argument and u_x^3 share one stacked rfft; a row reuses ``padded``."""
+    U, Ux, Uxx = h.synthesize(ch, range(3), padded if ch.ndim == 1 else None)
     b = (p.c1 - 2.0 * p.c2) / 2.0
-    G = U * (p.c2 * (U * Uxx) + b * (Ux * Ux) + (p.c4 / 5.0) * (u2 * u2))
-    if p.c3 == b:
+    G = Ux * Ux  # G = u (c2 (u u_xx) + b u_x^2 + c4/5 (u^2)^2), product by product
+    cube = G * Ux if p.c3 != b else None
+    G *= b
+    G += np.multiply(np.multiply(U, Uxx, out=Uxx), p.c2, out=Uxx)
+    u4 = np.square(np.multiply(U, U, out=Uxx), out=Uxx)
+    G += np.multiply(u4, p.c4 / 5.0, out=u4)
+    G *= U
+    if cube is None:
         return h.minus_dx * sfft.rfft(G)[..., : h.M + 1]
-    g, cube = sfft.rfft(np.stack([G, Ux * Ux * Ux]))[..., : h.M + 1]
+    g, cube = sfft.rfft(np.stack([G, cube]))[..., : h.M + 1]
     return h.minus_dx * g - ((p.c3 - b) / h.P) * cube
+
+
+def _physical_operator(grid: GridSpec, p: EquationParams):
+    """One run's physical_5mkdv operator, with the irfft input it reuses."""
+    h = half_spectrum(grid)
+    return partial(_physical, h, p, np.zeros((3, h.P // 2 + 1), np.complex128))
 
 
 def _fifth_kdv_coeffs(p: EquationParams) -> tuple:
@@ -200,41 +211,46 @@ def renormalized_nonlinear_coeff(
 
     The cubic sums over A3(n) are full convolutions minus their hyperplane
     corrections, and the quintic is the full convolution minus 5 l4 c(n).
-    One stacked synthesis gives v, v_x, v_xx for the enabled terms; one
-    analysis gives -10 v^2 v_xx - 10 v v_x^2 + 6 v^5.  Every correction is
-    c(n) times a factor, and so is the resonant cubic -20i n^3 |c|^2 c =
-    -i n (20 n^2 |c|^2) c, so the result is i n (full(n) - S(n) c(n)) with
-    one factor S.
+    Every correction is c(n) times a factor, and so is the resonant cubic
+    -20i n^3 |c|^2 c, so the result is i n (full(n) - S(n) c(n)) with
+    S = w_a n^2 |c|^2 + s1 n^2 + s0, and S c is s0 v - s1 v_xx in physical
+    space.  One synthesis of v, v_x, v_xx for the enabled terms, one chain of
+    samples (l2, h1 and l4 are their means) and one analysis give all but the
+    w_a term, which is 0 with all three cubics on.
     """
     h = half_spectrum(grid)
     cubic2, cubic3, quintic = terms.cubic2, terms.cubic3, terms.quintic
-    a = ch.real**2 + ch.imag**2  # |c(n)|^2 = c(n) c(-n)
-    # S = w_a n^2 |c|^2 + 10 n^2 l2 [cubic2] + w_h h1 (+ 30 l4 [quintic]), with
-    # l2 = sum_m c(m) c(-m) and h1 = sum_m m^2 c(m) c(-m): the resonant cubic
-    # gives 20 n^2 |c|^2, 10 sum c(n1) c(n2) n3^2 c(n3) gives
-    # 10 (n^2 l2 + 2 h1 - 3 n^2 |c|^2), 10 sum c(n1) n2 c(n2) n3 c(n3) gives
-    # 10 (n^2 |c|^2 - h1), and with all three on w_a = 0
+    # the resonant cubic gives 20 n^2 |c|^2, 10 sum c(n1) c(n2) n3^2 c(n3)
+    # gives 10 (n^2 l2 + 2 h1 - 3 n^2 |c|^2), 10 sum c(n1) n2 c(n2) n3 c(n3)
+    # gives 10 (n^2 |c|^2 - h1), and 6 (v^5)(n) less the tuples with one
+    # index at n, which the gauge absorbs, gives 30 l4
     w_a = 20.0 * terms.resonant_cubic - 30.0 * cubic2 + 10.0 * cubic3
     w_h = 20.0 * cubic2 - 10.0 * cubic3
-    sums = a @ h.pair_sums  # l2 and h1 of each row
-    S = w_h * sums[..., 1:]
-    if cubic2:
-        S = S + (10.0 * sums[..., :1]) * h.n2
-    if w_a:
-        S = S + w_a * (h.n2 * a)
     # rows v, then v_x if cubic3, then v_xx (the last row) if cubic2
     V = h.synthesize(ch, range(0, 3 if cubic2 else 1 + cubic3, 2 - cubic3))
-    v0 = V[0]
-    g = v0 * V[-1] if cubic2 else 0.0
+    v = V[0]
+    v2 = v * v
+    # G/10 = v (v_x^2 + s0/10 - 0.6 v^4) + v_xx (v^2 - l2), s0 = w_h h1 + 30 l4,
+    # with P <x y> one vecdot per row and a row's mean broadcast by [col]
+    col = (..., None) if ch.ndim > 1 else ()
+    sums = np.vecdot(V[:2], V[:2]) / h.P  # l2 and, if cubic3, h1 of each row
     if cubic3:
-        g = g + V[1] * V[1]
-    if not quintic:
-        return h.i_n * (h.analyze(-10.0 * v0 * g) - S * ch)
-    # 6 [sum c(n1)..c(n5) - 5 l4 c(n)]: the full convolution less, for each of
-    # the five indices, the tuples with that index at n, which the gauge absorbs
-    v2 = v0 * v0
-    S = S + np.vecdot(v2, v2)[..., None] * (30.0 / h.P)  # 30 sum_{n1+..+n4=0}
-    return h.i_n * (h.analyze(v0 * (6.0 * (v2 * v2) - 10.0 * g)) - S * ch)
+        s0 = w_h * sums[1]
+        G = np.multiply(V[1], V[1], out=V[1])
+    else:
+        G = np.zeros_like(v)
+        s0 = -(w_h / h.P) * np.vecdot(v, V[-1]) if cubic2 else 0.0 * sums[0]
+    if quintic:
+        s0 = s0 + (30.0 / h.P) * np.vecdot(v2, v2)
+        G -= 0.6 * np.square(v2)
+    G += (0.1 * s0)[col]
+    G *= v
+    if cubic2:
+        G += np.multiply(V[-1], np.subtract(v2, sums[0][col], out=v2), out=V[-1])
+    out = (10.0 * h.minus_dx) * sfft.rfft(G)[..., : h.M + 1]
+    if w_a:
+        out -= h.i_n * ((w_a * h.n2) * (ch.real**2 + ch.imag**2) * ch)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +292,8 @@ class Flow(NamedTuple):
 #: Every flow tag.  The physical and fifth-order KdV symbols ignore the gauge
 #: constants d1, d2 that derive_gauge_params puts in p.
 FLOWS = {
-    "physical_5mkdv": Flow(lambda n, p: n**5, _on_half(_physical), _mkdv5_bound),
+    "physical_5mkdv": Flow(lambda n, p: n**5, lambda grid, p, terms: _physical_operator(grid, p),
+                           _mkdv5_bound),
     "renormalized_5mkdv": Flow(
         lambda n, p: dispersion_mu(n, p.d1, p.d2), _renormalized_operator, _mkdv5_bound
     ),

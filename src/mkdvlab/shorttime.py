@@ -42,16 +42,18 @@ that every chunk reuses and that is transformed in place, and |G|^2 is
 formed in one float array.  _BATCH_ELEMENTS bounds a chunk's whole working
 set: per bin, the buffer and |G|^2 of each column and, per window, the
 weighted power, its inverse transform and the lag rows, after the arrays the
-table holds throughout (the demodulated band, columns x records, the kept
+table holds throughout (the demodulated band, columns x records, its lag
 kernels and numpy's buffers for the gather); columns go a slice at a time
 and windows a chunk at a time, one at least, so this holds as long as one
-column of 2R rows and the demodulated band fit it.  What the kernels share
-across tables depends only on dt and the lags (the W = 1 kernels and E_1 at
-the series' edges, _LagBasis): it is made once per trajectory for every lag
-a window can have, shells x lags floats and edges x lags complex numbers
-(0.3 MiB for 670 records, 18 shells), and each table forms only its
-Gauss-Legendre and series weights for c = 4^k, once where they fit the
-budget (else once per chunk of windows).  Time and memory grow with R and
+column of 2R rows and the demodulated band fit it.  The lag kernels depend
+only on dt, the lags and c = 4^k (_LagBasis): one pass per trajectory makes
+them for every lag a window can have, the W = 1 kernels (shells x lags
+floats) and every band's resolvent kernels at its own R_k lags (bands x
+shells x lags floats, 0.5 MiB for 670 records, 7 bands and 18 shells), the
+cosines at the Gauss-Legendre nodes and the E_p recurrence shared by all
+bands; a table takes its band's kernels out of the basis.  Where the bands'
+kernels do not fit the budget together, each table makes its own in the
+same pass, a chunk of lags at a time.  Time and memory grow with R and
 the J + 1 shells, not with the 4 * 4^{-k}/dt samples a window spans.  The
 table of 3 x centres x shells masses is made once per (trajectory, k, T)
 and memoized on it; modulation_decompose gives one window's column of it.
@@ -129,85 +131,93 @@ def _shell_edges(dt: float) -> np.ndarray:
 
 
 class _LagBasis(NamedTuple):
-    """The parts of every table's lag kernels that depend only on the record
-    spacing dt and the lags m = 0..count-1: K0[j, m], the W = 1 kernel of
-    every shell j, and E1[e, m] = E_1(-i x_e m dt) at every edge x_e of a
-    shell over which cos(tau m dt) turns by more than 16 radians (zero
-    elsewhere), the only pairs where the resolvent kernel may take its
-    series."""
+    """The lag kernels shared by the tables of one record spacing dt: K0[j, m],
+    the W = 1 kernel of shell j at the lags m = 0..count-1, and K1[k][j, m],
+    band k's resolvent kernel at its R_k lags, until band k's table takes it."""
 
     dt: float
     K0: np.ndarray
-    E1: np.ndarray
+    K1: dict
 
 
-def _lag_basis(dt: float, count: int) -> _LagBasis:
-    """The _LagBasis of lags 0..count-1."""
+def _band_lags(dt: float, k: int, count: int) -> int:
+    """R_k: the most lags a band-k window has among count records."""
+    return min(count, int(2.0 * WINDOW_HALF_WIDTH * 4.0 ** (-k) / dt) + 3)
+
+
+def _lag_step(dt: float) -> int:
+    """Lags per chunk of a kernel pass, whose 2 x edges or 20 nodes per lag fit the budget."""
+    return max(1, _BATCH_ELEMENTS // max(2 * len(_shell_edges(dt)), len(_GAUSS[0])))
+
+
+def _lag_basis(dt: float, count: int, bands) -> _LagBasis:
+    """The _LagBasis of lags 0..count-1 and of the resolvent kernels of ``bands``."""
     theta = _shell_edges(dt)  # x dt for every edge x
-    width = np.diff(theta / dt)
     lag = np.maximum(np.arange(count), 1)  # m = 0 is set last
-    s = lag * dt
     sines = np.sin(np.outer(theta, lag))
     sines[-1] = 0.0  # sin(pi m)
-    K0 = 2.0 * np.diff(sines, axis=0) / s
-    K0[:, 0] = 2.0 * width
-    wide = width[:, None] * s > 16.0
-    at = np.zeros(sines.shape, dtype=bool)
-    at[:-1] |= wide
-    at[1:] |= wide
-    iy = 1j * np.outer(theta, lag)[at]  # i x s
-    # E_1(-i y) = e^{i y}/(1 - i y - 1/(3 - i y - 4/(5 - i y - ...)))
-    frac = (2 * _FRACTION_LEVELS + 1) - iy
-    for n in range(_FRACTION_LEVELS, 0, -1):
-        frac = ((2 * n - 1) - iy) - n * n / frac
-    E1 = np.zeros(sines.shape, dtype=complex)
-    E1[at] = np.exp(iy) / frac
-    return _LagBasis(dt, K0, E1)
+    K0 = 2.0 * np.diff(sines, axis=0) / (lag * dt)
+    K0[:, 0] = 2.0 * np.diff(theta / dt)
+    return _LagBasis(dt, K0, _resolvent_kernels(dt, {k: _band_lags(dt, k, count) for k in bands}))
 
 
 def _shared_lag_basis(traj: Trajectory, dt: float) -> _LagBasis:
-    """_lag_basis of the lags of every window traj can have (at most the
-    records, and the 4/dt + 3 samples a k = 0 window spans), made once per
-    trajectory and kept with its tables."""
+    """_lag_basis of every lag a window of traj can have and of the bands
+    0..k_max where their kernels fit the budget, made once per trajectory."""
     basis = traj.window_tables.get("lag basis")
     if basis is None:
-        span = int(2.0 * WINDOW_HALF_WIDTH / dt) + 3
-        basis = traj.window_tables["lag basis"] = _lag_basis(dt, min(len(traj.times), span))
+        count = _band_lags(dt, 0, len(traj.times))
+        bands = range(top_band(traj.grid.max_mode) + 1)
+        if len(_shell_edges(dt)) * sum(_band_lags(dt, k, count) for k in bands) > 2 * _BATCH_ELEMENTS:
+            bands = ()
+        basis = traj.window_tables["lag basis"] = _lag_basis(dt, count, bands)
     return basis
 
 
-def _lag_kernels(basis: _LagBasis, c: float, m: np.ndarray) -> np.ndarray:
-    """K[w, j, i] = 2 int_a^b cos(tau m_i dt) W_w(tau) dtau over every shell
-    (a, b] and ascending lags m_i >= 0 of the basis, with W_0 = 1 and
-    W_1 = 1/(tau^2 + c^2): K_0 is the basis', and only the resolvent's
-    Gauss-Legendre and series weights are formed for c."""
-    dt = basis.dt
+def _resolvent_kernels(dt: float, lags: dict) -> dict:
+    """K1[k][j, m] = 2 int_a^b cos(tau m dt)/(tau^2 + c^2) dtau, c = 4^k, of
+    every shell (a, b] and band k at the lags m < lags[k], in one pass over
+    chunks of lags: per shell one cos(tau m dt) block at the Gauss-Legendre
+    nodes, contracted with each band's weights, and one E_p recurrence at the
+    series' edges, contracted with every band's (-(c/x)^2)^n."""
     theta = _shell_edges(dt)  # x dt for every edge x
     x = theta / dt
     a, b = x[:-1], x[1:]
-    lag = np.maximum(m, 1)  # m = 0 is set last
-    s = lag * dt
-    K = np.empty((2, len(a), len(m)))
-    K[0] = basis.K0[:, m]
-    # Gauss-Legendre while cos(tau s) turns by at most 16 radians over the shell
-    gauss = ((b - a)[:, None] * s <= 16.0) | (b <= 8.0 * c)[:, None]
+    counts = np.array(list(lags.values()), dtype=int)
+    c = 4.0 ** np.array(list(lags), dtype=float)[:, None]
+    K = [np.empty((len(a), n)) for n in counts]
     nodes, weights = _GAUSS
-    for j, n in enumerate(gauss.sum(axis=1)):  # a prefix of the lags
-        half = 0.5 * (b[j] - a[j])
-        tau = half * nodes + (a[j] + half)
-        K[1, j, :n] = (2.0 * half * weights / (tau * tau + c * c)) @ np.cos(np.outer(tau, s[:n]))
-    series = ~gauss  # here a >= 8c and x s > 16 at both edges
-    if series.any():
-        at = np.zeros((len(x), len(m)), dtype=bool)
-        at[:-1] |= series
-        at[1:] |= series
+    step, total = _lag_step(dt), counts.max(initial=0)
+    for start in range(0, total, step):
+        lag = np.maximum(np.arange(start, min(start + step, total)), 1)  # m = 0 is set last
+        s = lag * dt
+        # Gauss-Legendre while cos(tau s) turns by at most 16 radians over the
+        # shell (or b <= 8c): a prefix of each band's lags in every shell
+        ends = np.clip(counts - start, 0, len(s))[:, None]
+        gauss = np.where(b <= 8.0 * c, ends, np.minimum(((b - a)[:, None] * s <= 16.0).sum(1), ends))
+        for j, n in enumerate(gauss.max(axis=0)):
+            half = 0.5 * (b[j] - a[j])
+            tau = half * nodes + (a[j] + half)
+            cos = np.cos(np.outer(tau, s[:n]))
+            for Kb, w, nb in zip(K, 2.0 * half * weights / (tau * tau + c * c), gauss[:, j]):
+                Kb[j, start:start + nb] = w @ cos[:, :nb]
+        i = np.arange(len(s))
+        series = (i >= gauss[..., None]) & (i < ends[..., None])  # a >= 8c, x s > 16
+        wide, at = series.any(axis=0), np.zeros((len(x), len(s)), dtype=bool)
+        at[:-1] |= wide
+        at[1:] |= wide
+        pos = np.cumsum(at).reshape(at.shape) - 1  # of each edge and lag among the pairs at
         edge = np.broadcast_to(x[:, None], at.shape)[at]
         iy = 1j * np.outer(theta, lag)[at]  # i x s
+        # E_1(-i y) = e^{i y}/(1 - i y - 1/(3 - i y - 4/(5 - i y - ...)))
+        frac = (2 * _FRACTION_LEVELS + 1) - iy
+        for n in range(_FRACTION_LEVELS, 0, -1):
+            frac = ((2 * n - 1) - iy) - n * n / frac
         rot = np.exp(iy)
-        e_p = basis.E1[:, m][at]
-        F = np.zeros(iy.shape)
-        term = np.ones(iy.shape)  # (-(c/x)^2)^n
-        minus_zeta_sq = -((c / edge) ** 2)
+        e_p = rot / frac
+        F = np.zeros((len(c), len(iy)))  # x F(x) of every band
+        term = np.ones(F.shape)  # (-(c/x)^2)^n, capped at 1 where a band takes no series
+        minus_zeta_sq = -np.minimum((c / edge) ** 2, 1.0)
         for p in range(1, 2 * _SERIES_TERMS):
             e_p *= iy  # E_{p+1}(-i x s) = (e^{i x s} + i x s E_p)/p
             e_p += rot
@@ -215,11 +225,12 @@ def _lag_kernels(basis: _LagBasis, c: float, m: np.ndarray) -> np.ndarray:
             if p % 2:
                 F += term * e_p.real
                 term *= minus_zeta_sq
-        edge_F = np.zeros(at.shape)
-        edge_F[at] = F / edge
-        K[1][series] = -2.0 * np.diff(edge_F, axis=0)[series]
-    K[1][:, m == 0] = (2.0 / c * np.arctan(c * (b - a) / (c * c + a * b)))[:, None]
-    return K
+        F /= edge
+        for Kb, Fb, (j, i) in zip(K, F, (np.nonzero(sb) for sb in series)):
+            Kb[j, start + i] = -2.0 * (Fb[pos[j + 1, i]] - Fb[pos[j, i]])
+    for Kb, cb in zip(K, c):
+        Kb[:, 0] = 2.0 / cb * np.arctan(cb * (b - a) / (cb * cb + a * b))
+    return dict(zip(lags, K))
 
 
 def _window_masses(traj, k, centers):
@@ -247,21 +258,23 @@ def _window_masses(traj, k, centers):
     count = np.minimum(m_lo + lengths, n_rec) - first
     R = max(1, int(count.max()))
     N = sfft.next_fast_len(2 * R - 1, True)
-    # lag chunks whose kernel arrays (2 x edges or 20 nodes per lag) fit the
-    # budget; a single chunk is kept for every window chunk
-    step = max(1, _BATCH_ELEMENTS // max(2 * mass_sq.shape[2] + 2, len(_GAUSS[0])))
+    # the lag sums go a kernel pass's chunk of lags at a time
+    step = _lag_step(dt)
     lags = [np.arange(i, min(i + step, R)) for i in range(0, R, step)]
     basis = _shared_lag_basis(traj, dt)
-    kept = [_lag_kernels(basis, 4.0**k, lags[0])[[0, 1, 0]]] if len(lags) == 1 else None
+    K1 = basis.K1.pop(k, None)  # a band's kernels leave the basis with its table
+    if K1 is None or K1.shape[1] < R:  # a band past k_max, taken already, or not kept
+        K1 = _resolvent_kernels(dt, {k: R})[k]
+    K = np.stack([basis.K0[:, :R], K1[:, :R], basis.K0[:, :R]])  # of (F_k, N_k, F^s)
     # In float64 entries per window and bin, a chunk holds 3 a column (its
     # row of the padded buffer, complex, and |G|^2) and 8 more (the power P
     # of both weightings, its complex inverse transform and the lag rows).
     # Columns go a slice at a time within the budget, and windows a chunk at
     # a time within what the table's other arrays leave of it: the
-    # demodulated band, the kept kernels, and the three buffers of up to
+    # demodulated band, the kernels, and the three buffers of up to
     # np.getbufsize() entries that numpy takes for a window's gather.
     width = max(1, min(band.size, (2 * _BATCH_ELEMENTS // N - 8) // 3))  # columns per transform
-    held = 2 * demod.size + sum(K.size for K in kept or ()) + 6 * min(width * R, np.getbufsize())
+    held = 2 * demod.size + K.size + 6 * min(width * R, np.getbufsize())
     chunk = max(1, min(len(centers), (2 * _BATCH_ELEMENTS - held) // (N * (3 * width + 8))))
     padded = np.empty(width * chunk * N, dtype=complex)
     power = np.empty(width * chunk * N)
@@ -286,10 +299,10 @@ def _window_masses(traj, k, centers):
         r = sfft.ifft(P, axis=-1)[..., :R].real
         r[..., 1:] *= 2.0  # lags m and -m
         r = r[[0, 0, 1]]  # the rows of (F_k, N_k, F^s); frees the transform
-        for m, K in zip(lags, kept or (_lag_kernels(basis, 4.0**k, m)[[0, 1, 0]] for m in lags)):
+        for m in lags:
             # (F_k, N_k, F^s) = (r_0 K_0, r_0 K_1, r_1 K_0) in one sum, so
             # equal r and K give equal bits in every weighting
-            mass_sq[:, c] += np.einsum("wcm,wjm->wcj", r[..., m], K)
+            mass_sq[:, c] += np.einsum("wcm,wjm->wcj", r[..., m], K[..., m])
     mass_sq *= dt * dt / (2.0 * np.pi)
     return np.maximum(mass_sq, 0.0), l2_sq
 

@@ -158,7 +158,7 @@ class HalfSpectrum:
                       self.pair_sums):
             table.setflags(write=False)
 
-    def synthesize(self, ch: np.ndarray, orders: range) -> np.ndarray:
+    def synthesize(self, ch: np.ndarray, orders: range, padded=None) -> np.ndarray:
         """Real samples of d^k u/dx^k on the grid for every k in ``orders``, a
         range of derivative orders (0..4), read as a view of ``deriv``.
 
@@ -166,12 +166,14 @@ class HalfSpectrum:
         axes; the result has the orders axis first, then the batch axes, then
         the P samples, so ``U, Ux = h.synthesize(ch, range(2))`` unpacks the
         same for one row or many.  The P-scaled table product is written
-        straight into the zero-padded irfft input, so scipy makes no padded copy.
+        straight into the zero-padded irfft input ``padded`` (new, or a caller's
+        that stays zero past M), so scipy makes no padded copy.
         """
         table = self.deriv[orders.start:orders.stop:orders.step]
         if ch.ndim > 1:  # a length-1 axis per batch axis, still a view
             table = table[(slice(None),) + (None,) * (ch.ndim - 1)]
-        padded = np.zeros((len(table), *ch.shape[:-1], self.P // 2 + 1), np.complex128)
+        if padded is None:
+            padded = np.zeros((len(table), *ch.shape[:-1], self.P // 2 + 1), np.complex128)
         np.multiply(table, ch, out=padded[..., : self.M + 1])
         return sfft.irfft(padded, self.P)
 
@@ -192,6 +194,10 @@ class HalfSpectrum:
         return sfft.rfft(values)[..., : self.M + 1] / self.P
 
 
+# the multimethods and dtypes the backend takes, compared by identity
+_RFFT, _IRFFT, _FLOAT64, _COMPLEX128 = sfft.rfft, sfft.irfft, np.dtype("f8"), np.dtype("c16")
+
+
 class PocketfftBackend:
     """``scipy.fft`` backend for the stepping loop's two call forms, rfft(x) of
     float64 x and irfft(x, n) of complex128 x with n//2 + 1 entries on its
@@ -207,10 +213,9 @@ class PocketfftBackend:
         x = args[0] if args else None
         if kwargs or type(x) is not np.ndarray or not x.ndim:
             return NotImplemented
-        name = method.__name__
-        if name == "rfft" and len(args) == 1 and x.dtype == np.float64 and x.shape[-1]:
+        if method is _RFFT and len(args) == 1 and x.dtype is _FLOAT64 and x.shape[-1]:
             return pypocketfft.r2c(x, (-1,), True, 0, None, 1)
-        if name == "irfft" and len(args) == 2 and x.dtype == np.complex128:
+        if method is _IRFFT and len(args) == 2 and x.dtype is _COMPLEX128:
             n = args[1]
             if type(n) is int and n > 0 and x.shape[-1] == n // 2 + 1:
                 return pypocketfft.c2r(x, (-1,), n, False, 2, None, 1)

@@ -829,3 +829,132 @@ def fifth_derivative_quadrature_oracle(support, spec, cubics, nodes=64):
         n: np.exp(1j * mu(n) * t) * np.sum(ws * np.exp(-1j * mu(n) * s) * v)
         for n, v in d5.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# The stage arithmetic and the lag kernels as the package first wrote them:
+# references for the in-place operators and the one-pass resolvent kernels
+# ---------------------------------------------------------------------------
+
+def physical_operator_reference(grid, p, ch):
+    """The physical_5mkdv nonlinear term, one ufunc call per product, its
+    divergence and u_x^3 parts as in equations._physical."""
+    import scipy.fft as sfft
+
+    from mkdvlab.spectral import half_spectrum
+
+    h = half_spectrum(grid)
+    U, Ux, Uxx = h.synthesize(ch, range(3))
+    u2 = U * U
+    b = (p.c1 - 2.0 * p.c2) / 2.0
+    G = U * (p.c2 * (U * Uxx) + b * (Ux * Ux) + (p.c4 / 5.0) * (u2 * u2))
+    if p.c3 == b:
+        return h.minus_dx * sfft.rfft(G)[..., : h.M + 1]
+    g, cube = sfft.rfft(np.stack([G, Ux * Ux * Ux]))[..., : h.M + 1]
+    return h.minus_dx * g - ((p.c3 - b) / h.P) * cube
+
+
+def renormalized_operator_reference(grid, ch, terms):
+    """The renormalized nonlinear term with its factor S(n) c(n) on the
+    spectral side: l2 and h1 from |c|^2, l4 from the samples."""
+    from mkdvlab.spectral import half_spectrum
+
+    h = half_spectrum(grid)
+    cubic2, cubic3, quintic = terms.cubic2, terms.cubic3, terms.quintic
+    a = ch.real**2 + ch.imag**2
+    w_a = 20.0 * terms.resonant_cubic - 30.0 * cubic2 + 10.0 * cubic3
+    w_h = 20.0 * cubic2 - 10.0 * cubic3
+    sums = a @ h.pair_sums
+    S = w_h * sums[..., 1:]
+    if cubic2:
+        S = S + (10.0 * sums[..., :1]) * h.n2
+    if w_a:
+        S = S + w_a * (h.n2 * a)
+    V = h.synthesize(ch, range(0, 3 if cubic2 else 1 + cubic3, 2 - cubic3))
+    v0 = V[0]
+    g = v0 * V[-1] if cubic2 else 0.0
+    if cubic3:
+        g = g + V[1] * V[1]
+    if not quintic:
+        return h.i_n * (h.analyze(-10.0 * v0 * g) - S * ch)
+    v2 = v0 * v0
+    S = S + np.vecdot(v2, v2)[..., None] * (30.0 / h.P)
+    return h.i_n * (h.analyze(v0 * (6.0 * (v2 * v2) - 10.0 * g)) - S * ch)
+
+
+def etdrk4_step_reference(c, co, nonlinear):
+    """One Cox-Matthews step with a new array per combination."""
+    Nv = nonlinear(c)
+    E2c = co.E2 * c
+    a = E2c + co.Q * Nv
+    Na = nonlinear(a)
+    b = E2c + co.Q * Na
+    Nb = nonlinear(b)
+    cc = co.E2 * a + co.Q * (2.0 * Nb - Nv)
+    Nc = nonlinear(cc)
+    return co.E * c + co.f1 * Nv + co.f2x2 * (Na + Nb) + co.f3 * Nc
+
+
+def reference_operator(grid, p, tag, terms=None):
+    """nonlinear_operator with the reference arithmetic for the two quintic
+    flows and the package's operator for every other tag."""
+    from mkdvlab import equations
+
+    if tag == "physical_5mkdv":
+        return lambda ch: physical_operator_reference(grid, p, ch)
+    if tag == "renormalized_5mkdv":
+        terms = equations.RenormalizedTerms() if terms is None else terms
+        return lambda ch: renormalized_operator_reference(grid, ch, terms)
+    return equations.FLOWS[tag].operator(grid, p, terms)
+
+
+def lag_kernels_reference(dt, c, m):
+    """K[w, j, i] = 2 int_a^b cos(tau m_i dt) W_w(tau) dtau of one band
+    (W_0 = 1, W_1 = 1/(tau^2 + c^2)) at ascending lags m_i >= 0, the
+    resolvent's Gauss-Legendre cosines and series recurrence formed for this
+    c alone, as shorttime first did for every table."""
+    from mkdvlab.shorttime import _FRACTION_LEVELS, _GAUSS, _SERIES_TERMS, _shell_edges
+
+    theta = _shell_edges(dt)
+    x = theta / dt
+    a, b = x[:-1], x[1:]
+    lag = np.maximum(m, 1)
+    s = lag * dt
+    K = np.empty((2, len(a), len(m)))
+    sines = np.sin(np.outer(theta, lag))
+    sines[-1] = 0.0
+    K[0] = 2.0 * np.diff(sines, axis=0) / s
+    K[0][:, m == 0] = 2.0 * (b - a)[:, None]
+    gauss = ((b - a)[:, None] * s <= 16.0) | (b <= 8.0 * c)[:, None]
+    nodes, weights = _GAUSS
+    for j, n in enumerate(gauss.sum(axis=1)):
+        half = 0.5 * (b[j] - a[j])
+        tau = half * nodes + (a[j] + half)
+        K[1, j, :n] = (2.0 * half * weights / (tau * tau + c * c)) @ np.cos(np.outer(tau, s[:n]))
+    series = ~gauss
+    if series.any():
+        at = np.zeros((len(x), len(m)), dtype=bool)
+        at[:-1] |= series
+        at[1:] |= series
+        edge = np.broadcast_to(x[:, None], at.shape)[at]
+        iy = 1j * np.outer(theta, lag)[at]
+        frac = (2 * _FRACTION_LEVELS + 1) - iy
+        for n in range(_FRACTION_LEVELS, 0, -1):
+            frac = ((2 * n - 1) - iy) - n * n / frac
+        rot = np.exp(iy)
+        e_p = rot / frac
+        F = np.zeros(iy.shape)
+        term = np.ones(iy.shape)
+        minus_zeta_sq = -((c / edge) ** 2)
+        for p in range(1, 2 * _SERIES_TERMS):
+            e_p *= iy
+            e_p += rot
+            e_p /= p
+            if p % 2:
+                F += term * e_p.real
+                term *= minus_zeta_sq
+        edge_F = np.zeros(at.shape)
+        edge_F[at] = F / edge
+        K[1][series] = -2.0 * np.diff(edge_F, axis=0)[series]
+    K[1][:, m == 0] = (2.0 / c * np.arctan(c * (b - a) / (c * c + a * b)))[:, None]
+    return K

@@ -250,6 +250,24 @@ def test_one_window_transform_per_k(fft_calls, norms_traj, ks):
     assert fft_calls(all_norms, traj, ks) == 0
 
 
+@pytest.mark.parametrize("ks", [range(1, 5), range(4, 0, -1)])
+def test_one_resolvent_pass_per_trajectory(monkeypatch, norms_traj, ks):
+    # fk_norm and nk_norm 1..K and fs_norm take every band's resolvent
+    # kernels from the one pass that makes the trajectory's lag basis
+    import mkdvlab.shorttime as st
+
+    passes = []
+    resolvent = st._resolvent_kernels
+
+    def counted(dt, lags):
+        passes.append(sorted(lags))
+        return resolvent(dt, lags)
+
+    monkeypatch.setattr(st, "_resolvent_kernels", counted)
+    all_norms(dataclasses.replace(norms_traj), ks)
+    assert passes == [list(range(5))]
+
+
 def test_norms_run_transforms_only_its_norms(fft_calls, monkeypatch, tmp_path):
     # the shell CSV reads the window table that fk_norm built: after its
     # evolve, a `norms` run makes exactly the calls of the three norms alone

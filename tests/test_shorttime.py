@@ -10,8 +10,8 @@ from mkdvlab.equations import EquationParams
 from mkdvlab.errors import ConfigurationError
 from mkdvlab.integrate import StepControl, evolve
 from mkdvlab.shorttime import (
+    _band_lags,
     _lag_basis,
-    _lag_kernels,
     _shell_edges,
     _window_masses,
     _window_starts,
@@ -131,7 +131,9 @@ def test_lag_kernels_match_quad(c, dt, R):
 
     edges = _shell_edges(dt) / dt
     lags = np.unique(np.r_[0, 1, 2, np.random.default_rng(R).integers(3, R, 4), R - 1])
-    K = _lag_kernels(_lag_basis(dt, R), c, lags)
+    k = int(round(np.log(c) / np.log(4.0)))
+    basis = _lag_basis(dt, R, [k])
+    K = np.stack([basis.K0, basis.K1[k]])[..., lags]
     for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         for i, m in enumerate(lags):
             for w, f in enumerate((lambda t: 1.0, lambda t: 1.0 / (t * t + c * c))):
@@ -545,6 +547,32 @@ def test_records_keep_half_spectra(norms_traj, peak_above):
     assert gauged.half.shape == (670, 65) and kept <= bound
 
 
+@pytest.mark.parametrize("which", ["norms", "long window"])
+def test_resolvent_kernels_match_per_band_oracle(norms_traj, which):
+    # the one pass makes every band's resolvent kernel at its own R_k lags,
+    # within 1e-15 of each shell's largest entry of the per-band kernels the
+    # tables once made alone; the long window (M = 8, T = 1e-5, dt = 1e-8)
+    # has 29 shells, and band 0 takes the series in the top 8
+    from mkdvlab.integrate import Trajectory
+    from mkdvlab.shorttime import _shared_lag_basis
+    from oracles import lag_kernels_reference
+
+    if which == "norms":
+        traj = dataclasses.replace(norms_traj)
+    else:
+        traj = Trajectory(GridSpec(8), 1e-8 * np.arange(1001), np.zeros((1001, 9), complex),
+                          EquationParams.constrained_family(40.0), "physical_5mkdv", 1e-8, 1)
+    dt = traj.times[1] - traj.times[0]
+    basis = _shared_lag_basis(traj, dt)
+    assert sorted(basis.K1) == list(range(top_band(traj.grid.max_mode) + 1))
+    for k, K1 in basis.K1.items():
+        R = _band_lags(dt, k, len(traj))
+        assert K1.shape == (len(_shell_edges(dt)) - 1, R)
+        want = lag_kernels_reference(dt, 4.0**k, np.arange(R))
+        for got, ref in zip((basis.K0[:, :R], K1), want):
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.max(np.abs(ref), axis=1, keepdims=True))
+
+
 def test_lag_basis_built_once_per_trajectory(norms_traj, monkeypatch):
     # the seven tables of a `norms` run share one lag basis, and each equals
     # the table made from a basis of its own R lags bit for bit
@@ -552,9 +580,9 @@ def test_lag_basis_built_once_per_trajectory(norms_traj, monkeypatch):
 
     builds = []
 
-    def counted(dt, count):
+    def counted(dt, count, bands):
         builds.append(count)
-        return _lag_basis(dt, count)
+        return _lag_basis(dt, count, bands)
 
     monkeypatch.setattr(st, "_lag_basis", counted)
     traj = dataclasses.replace(norms_traj)
@@ -568,7 +596,7 @@ def test_lag_basis_built_once_per_trajectory(norms_traj, monkeypatch):
         dt, m_lo, lengths = _window_starts(traj, k, centers)
         R = int(np.max(np.minimum(m_lo + lengths, len(traj)) - np.maximum(m_lo, 0)))
         alone = dataclasses.replace(norms_traj)
-        alone.window_tables["lag basis"] = _lag_basis(dt, R)
+        alone.window_tables["lag basis"] = _lag_basis(dt, R, [k])
         assert np.array_equal(window_table(alone, k, NORMS_T), window_table(traj, k, NORMS_T))
 
 
